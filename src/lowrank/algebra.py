@@ -12,15 +12,22 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import SpecMismatch, TableError, UnsupportedRing, check_guard
+from .errors import InputError, SpecMismatch, TableError, UnsupportedRing, check_guard
 from .poly import Polynomial
 from .rings import RingElement, RingSpec, exact_div
+
+
+def json_list(raw, length, what):
+    """Return raw after checking that it is a JSON list of length entries."""
+    if not isinstance(raw, list) or len(raw) != length:
+        raise InputError(f"{what} must be a list of {length!r} entries")
+    return raw
 
 
 class StructureConstants:
     """Multiplication table of a free algebra with basis element 0 = 1."""
 
-    __slots__ = ("spec", "rank", "table")
+    __slots__ = ("spec", "rank", "table", "_values")
 
     def __init__(self, spec: RingSpec, table):
         rows = tuple(
@@ -46,6 +53,9 @@ class StructureConstants:
         self.spec = spec
         self.rank = k
         self.table = rows
+        self._values = tuple(
+            tuple(tuple(c.value for c in cell) for cell in row) for row in rows
+        )
         one = spec.one
         zero = spec.zero
         for j in range(k):
@@ -96,21 +106,36 @@ class StructureConstants:
         for coeffs in itertools.product(range(self.spec.p), repeat=self.rank):
             yield AlgebraElement(self, coeffs)
 
-    def _mul_vec(self, u, v):
-        """Bilinear product of coefficient tuples; skips zero coefficients."""
-        out = [self.spec.zero] * self.rank
-        for i, a in enumerate(u):
-            if a.is_zero():
+    def _mul_values(self, u, v):
+        """Bilinear product of raw coefficient tuples (ints, or Fractions
+        over Q) through the raw table; skips zero coefficients and reduces
+        each term mod p over F_p.  The only loop over table cells."""
+        p = self.spec.p
+        table = self._values
+        k = self.rank
+        out = [0] * k
+        for i in range(k):
+            a = u[i]
+            if not a:
                 continue
-            row = self.table[i]
-            for j, b in enumerate(v):
-                if b.is_zero():
+            row = table[i]
+            for j in range(k):
+                b = v[j]
+                if not b:
                     continue
                 ab = a * b
-                for l, c in enumerate(row[j]):
-                    if not c.is_zero():
-                        out[l] = out[l] + ab * c
+                cell = row[j]
+                for l in range(k):
+                    c = cell[l]
+                    if c:
+                        s = out[l] + ab * c
+                        out[l] = s % p if p else s
         return tuple(out)
+
+    def _mul_vec(self, u, v):
+        """Bilinear product of RingElement coefficient tuples."""
+        prod = self._mul_values([a.value for a in u], [b.value for b in v])
+        return tuple(map(self.spec.element, prod))
 
     # -- global properties -------------------------------------------------
 
@@ -121,27 +146,13 @@ class StructureConstants:
         triple in lexicographic order.
         """
         k = self.rank
-        t = self.table
+        t = self._values
+        mul = self._mul_values
+        e = t[0]  # the basis vectors, since e_0 = 1
         for a in range(k):
             for b in range(k):
-                ab = t[a][b]
                 for c in range(k):
-                    left = [self.spec.zero] * k
-                    for l, w in enumerate(ab):
-                        if w.is_zero():
-                            continue
-                        for m, x in enumerate(t[l][c]):
-                            if not x.is_zero():
-                                left[m] = left[m] + w * x
-                    bc = t[b][c]
-                    right = [self.spec.zero] * k
-                    for l, w in enumerate(bc):
-                        if w.is_zero():
-                            continue
-                        for m, x in enumerate(t[a][l]):
-                            if not x.is_zero():
-                                right[m] = right[m] + w * x
-                    if left != right:
+                    if mul(t[a][b], e[c]) != mul(e[a], t[b][c]):
                         return False, (a, b, c)
         return True, None
 
@@ -165,8 +176,6 @@ class StructureConstants:
 
     @staticmethod
     def from_json(obj) -> StructureConstants:
-        from .errors import InputError
-
         if not isinstance(obj, dict):
             raise InputError("algebra must be a JSON object")
         missing = {"ring", "rank", "table"} - set(obj)
@@ -175,10 +184,12 @@ class StructureConstants:
         spec = RingSpec.from_json(obj["ring"])
         rank = obj["rank"]
         table = obj["table"]
-        if not isinstance(table, list) or len(table) != rank:
-            raise InputError("table shape does not match the declared rank")
         parsed = [
-            [[spec.parse(s) for s in cell] for cell in row] for row in table
+            [
+                [spec.parse(s) for s in json_list(cell, rank, "table cell")]
+                for cell in json_list(row, rank, "table row")
+            ]
+            for row in json_list(table, rank, "table")
         ]
         return StructureConstants(spec, parsed)
 
@@ -513,12 +524,8 @@ def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
     """Matrix of left multiplication by x in the algebra basis."""
     alg = x.algebra
     k = alg.rank
-    cols = []
-    for j in range(k):
-        ej = tuple(
-            alg.spec.one if l == j else alg.spec.zero for l in range(k)
-        )
-        cols.append(alg._mul_vec(x.coeffs, ej))
+    # row 0 of the table holds the basis vectors, since e_0 = 1
+    cols = [alg._mul_vec(x.coeffs, ej) for ej in alg.table[0]]
     return SquareMatrix(
         alg.spec, [[cols[j][i] for j in range(k)] for i in range(k)]
     )
@@ -572,6 +579,15 @@ def algebra_degree(alg: StructureConstants) -> int:
     return best
 
 
+def extend_linearly(target: StructureConstants, images, x: AlgebraElement) -> AlgebraElement:
+    """The sum of x's coefficients times the basis images, in target."""
+    out = target.zero()
+    for c, im in zip(x.coeffs, images):
+        if not c.is_zero():
+            out = out + im * c
+    return out
+
+
 class AlgebraMap:
     """A linear map between algebras, given by the images of the basis."""
 
@@ -596,11 +612,7 @@ class AlgebraMap:
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.source:
             raise SpecMismatch("argument outside the source algebra")
-        out = self.target.zero()
-        for c, im in zip(x.coeffs, self.images):
-            if not c.is_zero():
-                out = out + im * c
-        return out
+        return extend_linearly(self.target, self.images, x)
 
     def matrix(self) -> SquareMatrix:
         if self.source.rank != self.target.rank:

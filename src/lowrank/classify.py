@@ -45,30 +45,13 @@ from .rings import RingSpec, square_class_equal
 # -- brute-force isomorphism --------------------------------------------------
 
 
-def _int_table(alg: StructureConstants):
-    return tuple(
-        tuple(tuple(c.value for c in cell) for cell in row) for row in alg.table
-    )
+# Candidate maps a brute-force isomorphism search may visit.
+_ISO_SEARCH_LIMIT = 15625
 
 
-def _vec_mul(table, u, v, p):
-    k = len(u)
-    out = [0] * k
-    for i in range(k):
-        a = u[i]
-        if not a:
-            continue
-        row = table[i]
-        for j in range(k):
-            b = v[j]
-            if not b:
-                continue
-            ab = a * b
-            cell = row[j]
-            for l in range(k):
-                if cell[l]:
-                    out[l] = (out[l] + ab * cell[l]) % p
-    return tuple(out)
+def _check_iso_guard(p, k):
+    """Refuse a rank-k search over F_p before any of its work starts."""
+    check_guard(p ** (k * (k - 1)), _ISO_SEARCH_LIMIT, "isomorphism search")
 
 
 def _phi_of(s, u, v, p):
@@ -81,8 +64,10 @@ def _phi_of(s, u, v, p):
     )
 
 
-def _search_rank3(ta, tb, p):
+def _search_rank3(ta, mul, p):
     """Find images (u, v) for the generators, or None.
+
+    ta is the source's raw table and mul the target's raw product.
 
     Any candidate must send e1^2 to phi(e1^2); when that structure row
     has a nonzero e2-coefficient the image v is forced linearly and the
@@ -95,7 +80,7 @@ def _search_rank3(ta, tb, p):
     vecs = list(itertools.product(range(p), repeat=3))
     gamma = s11[2] % p
     for u in vecs:
-        uu = _vec_mul(tb, u, u, p)
+        uu = mul(u, u)
         if gamma:
             inv = pow(gamma, -1, p)
             v = tuple(
@@ -108,11 +93,11 @@ def _search_rank3(ta, tb, p):
                 continue
             candidates = vecs
         for v in candidates:
-            if _vec_mul(tb, u, v, p) != _phi_of(s12, u, v, p):
+            if mul(u, v) != _phi_of(s12, u, v, p):
                 continue
-            if _vec_mul(tb, v, u, p) != _phi_of(s21, u, v, p):
+            if mul(v, u) != _phi_of(s21, u, v, p):
                 continue
-            if _vec_mul(tb, v, v, p) != _phi_of(s22, u, v, p):
+            if mul(v, v) != _phi_of(s22, u, v, p):
                 continue
             if (u[1] * v[2] - u[2] * v[1]) % p == 0:
                 continue
@@ -120,12 +105,12 @@ def _search_rank3(ta, tb, p):
     return None
 
 
-def _search_rank2(ta, tb, p):
+def _search_rank2(ta, mul, p):
     s11 = ta[1][1]
     for u in itertools.product(range(p), repeat=2):
         if u[1] % p == 0:
             continue  # the map must be invertible: det = u[1]
-        uu = _vec_mul(tb, u, u, p)
+        uu = mul(u, u)
         want = ((s11[0] + s11[1] * u[0]) % p, (s11[1] * u[1]) % p)
         if uu == want:
             return (u,)
@@ -150,11 +135,11 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     if k > 3:
         raise UnsupportedRing("brute-force search implemented for rank <= 3")
     p = a.spec.p
-    check_guard(p ** (k * (k - 1)), 15625, "isomorphism search")
+    _check_iso_guard(p, k)
     if k == 1:
         return True, AlgebraMap(a, b, [b.one()])
-    ta, tb = _int_table(a), _int_table(b)
-    found = _search_rank3(ta, tb, p) if k == 3 else _search_rank2(ta, tb, p)
+    search = _search_rank3 if k == 3 else _search_rank2
+    found = search(a._values, b._mul_values, p)
     if found is None:
         return False, None
     images = [b.one()] + [b.element(list(col)) for col in found]
@@ -305,9 +290,11 @@ def verify_main_theorem(spec: RingSpec) -> CensusReport:
         if case is not CubicCase.EXCEPTIONAL and has_inv:
             meet.append(coeffs)
     try:
-        reps = [cls[0] for cls in exceptional_classes(spec)]
+        _check_iso_guard(spec.p, 3)
     except GuardExceeded:
         reps = None
+    else:
+        reps = [cls[0] for cls in _exceptional_partition(tuples)]
     return CensusReport(spec, spec.p**6, rows, meet, reps)
 
 
@@ -315,9 +302,15 @@ def exceptional_classes(spec: RingSpec):
     """Partition the non-commutative tables (plus the zero table) into
     isomorphism classes by brute force.  Returns a list of classes,
     each a list of CubicCoefficients with the representative first."""
+    if spec.kind == "Fp":
+        _check_iso_guard(spec.p, 3)
+    return _exceptional_partition(enumerate_cubic(spec))
+
+
+def _exceptional_partition(tuples):
     family = [
         coeffs
-        for coeffs in enumerate_cubic(spec)
+        for coeffs in tuples
         if classify_case(coeffs) is not CubicCase.COMMUTATIVE
     ]
     algebras = [build_algebra(c) for c in family]

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .algebra import StructureConstants, algebra_degree, left_regular_rep, SquareMatrix
+from .algebra import StructureConstants, algebra_degree, json_list, left_regular_rep, SquareMatrix
 from .classify import (
     degree_product_check,
     exceptional_classes,
@@ -88,10 +88,8 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _parse_vector(spec, raw, what):
-    if not isinstance(raw, list):
-        raise InputError(f"{what} must be a list of element strings")
-    return [spec.parse(s) for s in raw]
+def _parse_vector(alg, raw, what):
+    return alg.element([alg.spec.parse(s) for s in json_list(raw, alg.rank, what)])
 
 
 # -- quad ---------------------------------------------------------------------
@@ -281,9 +279,7 @@ def _cmd_inv_trace_norm(args):
     inv = Involution.from_json(obj)
     if "element" not in obj:
         raise InputError("trace-norm needs an 'element' key")
-    x = inv.algebra.element(
-        _parse_vector(inv.algebra.spec, obj["element"], "element")
-    )
+    x = _parse_vector(inv.algebra, obj["element"], "element")
     t, n = quadratic_certificate(inv, x)
     _emit({"trace": str(t), "norm": str(n), "certificate": "x^2 - t x + n = 0"})
     return 0
@@ -315,7 +311,7 @@ def _cmd_alg_charpoly(args):
     alg = StructureConstants.from_json(obj)
     if "element" not in obj:
         raise InputError("charpoly needs an 'element' key")
-    x = alg.element(_parse_vector(alg.spec, obj["element"], "element"))
+    x = _parse_vector(alg, obj["element"], "element")
     poly = left_regular_rep(x).char_poly()
     _emit({"char_poly": poly.to_strings(), "order": "constant term first"})
     return 0

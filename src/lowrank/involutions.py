@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import AlgebraElement, AlgebraMap, StructureConstants, direct_product, matrix_algebra, rank_one
-from .errors import LowrankError, SpecMismatch, UnsupportedRing, check_guard
+from .algebra import AlgebraElement, AlgebraMap, StructureConstants, direct_product, extend_linearly, json_list, matrix_algebra, rank_one
+from .errors import InputError, LowrankError, SpecMismatch, UnsupportedRing, check_guard
 from .rings import RingElement, RingSpec
 
 
@@ -40,11 +40,7 @@ class Involution:
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.algebra:
             raise SpecMismatch("element outside the algebra")
-        out = self.algebra.zero()
-        for c, im in zip(x.coeffs, self.images):
-            if not c.is_zero():
-                out = out + im * c
-        return out
+        return extend_linearly(self.algebra, self.images, x)
 
     def __eq__(self, other):
         return (
@@ -66,13 +62,12 @@ class Involution:
 
     @staticmethod
     def from_json(obj) -> Involution:
-        from .errors import InputError
-
         alg = StructureConstants.from_json(obj)
         if "images" not in obj:
             raise InputError("involution object lacks an 'images' key")
         images = [
-            alg.element([alg.spec.parse(s) for s in row]) for row in obj["images"]
+            [alg.spec.parse(s) for s in json_list(row, alg.rank, "image")]
+            for row in json_list(obj["images"], alg.rank, "images")
         ]
         return Involution(alg, images)
 

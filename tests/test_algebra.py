@@ -82,12 +82,77 @@ def test_f4_is_associative_and_commutative():
 
 
 def test_general_table_failure_witness():
-    # only the mixed product has a scalar part: violates the forced
-    # scalar identities, so (i i) j != i (i j), found at indices (1,1,2)
-    table = GeneralCubicTable(ZZ, d=1).structure()
-    ok, witness = table.verify_associativity()
-    assert not ok
-    assert witness == (1, 1, 2)
+    cases = [
+        # only the mixed product has a scalar part: violates the forced
+        # scalar identities, so (i i) j != i (i j), found at indices (1,1,2)
+        (GeneralCubicTable(ZZ, d=1), (1, 1, 2)),
+        (GeneralCubicTable(QQ, m=Fraction(3, 4), y=1), (2, 2, 1)),
+        # the same table over Z first fails at (1,2,1), which holds mod 5
+        (GeneralCubicTable(GF(5), e=2, l=3, n=1), (1, 2, 2)),
+    ]
+    for general, first_failure in cases:
+        ok, witness = general.structure().verify_associativity()
+        assert not ok
+        assert witness == first_failure
+
+
+def ring_element_mul_vec(alg, u, v):
+    """The RingElement triple loop that _mul_vec once was: the oracle."""
+    out = [alg.spec.zero] * alg.rank
+    for i, a in enumerate(u):
+        if a.is_zero():
+            continue
+        row = alg.table[i]
+        for j, b in enumerate(v):
+            if b.is_zero():
+                continue
+            ab = a * b
+            for l, c in enumerate(row[j]):
+                if not c.is_zero():
+                    out[l] = out[l] + ab * c
+    return tuple(out)
+
+
+def random_coeff(spec, rng):
+    if rng.random() < 0.3:
+        return spec.zero
+    if spec.kind == "Fp":
+        return spec.element(rng.randrange(spec.p))
+    if spec.kind == "Q":
+        return spec.element(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    return spec.element(rng.randint(-9, 9))
+
+
+def random_table(spec, rank, rng):
+    """A unital table, not necessarily associative, with random cells."""
+    return StructureConstants(
+        spec,
+        [
+            [
+                [spec.one if l == i + j else spec.zero for l in range(rank)]
+                if i == 0 or j == 0
+                else [random_coeff(spec, rng) for _ in range(rank)]
+                for j in range(rank)
+            ]
+            for i in range(rank)
+        ],
+    )
+
+
+def test_mul_vec_matches_ring_element_loop():
+    rng = random.Random(109)
+    algebras = [matrix_algebra(GF(3), 2)]
+    for spec in (ZZ, QQ, GF(2), GF(5), GF(7)):
+        for rank in (1, 2, 3):
+            algebras += [random_table(spec, rank, rng) for _ in range(5)]
+    for alg in algebras:
+        for _ in range(40):
+            u = tuple(random_coeff(alg.spec, rng) for _ in range(alg.rank))
+            v = tuple(random_coeff(alg.spec, rng) for _ in range(alg.rank))
+            want = ring_element_mul_vec(alg, u, v)
+            assert alg._mul_vec(u, v) == want
+            raw = alg._mul_values([a.value for a in u], [b.value for b in v])
+            assert raw == tuple(c.value for c in want)
 
 
 def test_random_triples_associative():

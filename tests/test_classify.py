@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lowrank import classify
 from lowrank import (
     GF,
     QQ,
@@ -153,6 +154,33 @@ def test_main_theorem_f3():
     for coeffs, case, has_inv in report.rows:
         if case is CubicCase.EXCEPTIONAL:
             assert has_inv, f"no involution found for {coeffs}"
+
+
+def test_isomorphism_guard_precedes_enumeration(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("enumerated before the isomorphism guard")
+
+    monkeypatch.setattr(classify, "enumerate_cubic", refuse)
+    with pytest.raises(GuardExceeded) as info:
+        exceptional_classes(GF(7))
+    assert str(info.value) == (
+        "isomorphism search needs 117649 steps, over the limit of 15625; "
+        "set LOWRANK_GUARD to override (unsafe)"
+    )
+
+
+def test_main_theorem_scans_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return enumerate_cubic(spec)
+
+    monkeypatch.setattr(classify, "enumerate_cubic", counted)
+    report = verify_main_theorem(GF(3))
+    assert calls == [GF(3)]
+    reps = [cls[0] for cls in exceptional_classes(GF(3))]
+    assert report.representatives == reps
 
 
 def test_exceptional_classes_small_fields():

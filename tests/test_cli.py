@@ -303,6 +303,31 @@ def test_exit_code_input_error(capsys):
     assert code == 2
 
 
+RANK2_Z = {
+    "ring": {"kind": "Z"},
+    "rank": 2,
+    "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+}
+
+
+@pytest.mark.parametrize(
+    "group, cmd, changes",
+    [
+        ("alg", "assoc", {"rank": 1, "table": [[5]]}),
+        ("alg", "assoc", {"table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1"]]]}),
+        ("alg", "charpoly", {"element": ["1", "2", "3"]}),
+        ("inv", "verify", {"images": [["1", "0"], ["0", "-1"], ["0", "0"]]}),
+        ("inv", "verify", {"images": [["1", "0"], ["-1"]]}),
+    ],
+    ids=["cell-not-a-list", "short-cell", "long-element", "extra-image", "short-image"],
+)
+def test_shape_errors_exit_2(capsys, group, cmd, changes):
+    code, out, err = run_cli(capsys, group, cmd, json.dumps({**RANK2_Z, **changes}))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "InputError"
+
+
 def test_argparse_rejects_unknown(capsys):
     with pytest.raises(SystemExit) as info:
         main(["quad", "no-such-command", "{}"])
