@@ -31,14 +31,7 @@ class StructureConstants:
 
     def __init__(self, spec: RingSpec, table):
         rows = tuple(
-            tuple(
-                tuple(
-                    c if isinstance(c, RingElement) else spec.element(c)
-                    for c in cell
-                )
-                for cell in row
-            )
-            for row in table
+            tuple(tuple(map(spec.element, cell)) for cell in row) for row in table
         )
         k = len(rows)
         if k == 0:
@@ -46,10 +39,6 @@ class StructureConstants:
         for row in rows:
             if len(row) != k or any(len(cell) != k for cell in row):
                 raise TableError(f"table must be {k}x{k} cells of {k} coefficients")
-            for cell in row:
-                for c in cell:
-                    if c.spec != spec:
-                        raise SpecMismatch("table entry over the wrong ring")
         self.spec = spec
         self.rank = k
         self.table = rows
@@ -200,15 +189,9 @@ class AlgebraElement:
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra: StructureConstants, coeffs):
-        cs = tuple(
-            c if isinstance(c, RingElement) else algebra.spec.element(c)
-            for c in coeffs
-        )
+        cs = tuple(map(algebra.spec.element, coeffs))
         if len(cs) != algebra.rank:
             raise ValueError(f"expected {algebra.rank} coefficients, got {len(cs)}")
-        for c in cs:
-            if c.spec != algebra.spec:
-                raise SpecMismatch("coefficient over the wrong ring")
         self.algebra = algebra
         self.coeffs = cs
 
@@ -245,9 +228,7 @@ class AlgebraElement:
                 self.algebra, self.algebra._mul_vec(self.coeffs, peer.coeffs)
             )
         if isinstance(other, (int, RingElement)):
-            c = other if isinstance(other, RingElement) else self.algebra.spec.element(other)
-            if c.spec != self.algebra.spec:
-                raise SpecMismatch("scalar over the wrong ring")
+            c = self.algebra.spec.element(other)
             return AlgebraElement(self.algebra, [a * c for a in self.coeffs])
         return NotImplemented
 
@@ -292,19 +273,10 @@ class SquareMatrix:
     __slots__ = ("spec", "n", "entries")
 
     def __init__(self, spec: RingSpec, entries):
-        rows = tuple(
-            tuple(
-                e if isinstance(e, RingElement) else spec.element(e) for e in row
-            )
-            for row in entries
-        )
+        rows = tuple(tuple(map(spec.element, row)) for row in entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        for row in rows:
-            for e in row:
-                if e.spec != spec:
-                    raise SpecMismatch("entry over the wrong ring")
         self.spec = spec
         self.n = n
         self.entries = rows
@@ -374,7 +346,7 @@ class SquareMatrix:
                 ],
             )
         if isinstance(other, (int, RingElement)):
-            c = other if isinstance(other, RingElement) else self.spec.element(other)
+            c = self.spec.element(other)
             return SquareMatrix(
                 self.spec, [[a * c for a in row] for row in self.entries]
             )
@@ -387,9 +359,7 @@ class SquareMatrix:
 
     def apply(self, vec):
         """Multiply a coefficient vector on the left: self @ vec."""
-        vec = [
-            v if isinstance(v, RingElement) else self.spec.element(v) for v in vec
-        ]
+        vec = [self.spec.element(v) for v in vec]
         return tuple(
             sum((a * b for a, b in zip(row, vec)), start=self.spec.zero)
             for row in self.entries

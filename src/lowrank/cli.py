@@ -36,9 +36,8 @@ from .cubic import (
     gl2_act,
     matrix_rep,
     standard_involution_exceptional,
-    validate_relations,
 )
-from .errors import InputError, LowrankError
+from .errors import InputError, LowrankError, RelationViolation
 from .involutions import (
     Involution,
     find_standard_involution,
@@ -175,16 +174,11 @@ def _cmd_cubic_build(args):
 
 
 def _cmd_cubic_verify(args):
-    spec = _ring_from_args(args)
-    obj = _load_json(args.input)
-    if not isinstance(obj, dict) or set(CubicCoefficients.FIELDS) - set(obj):
-        raise InputError("cubic coefficients need keys 'b', 'c', 'm', 'n', 'y', 'z'")
-    vals = [spec.parse(obj[k]) for k in CubicCoefficients.FIELDS]
-    ok, violated = validate_relations(spec, *vals)
-    if not ok:
-        _emit({"valid": False, "violations": violated})
+    try:
+        coeffs = _cubic_coeffs(args)
+    except RelationViolation as exc:
+        _emit({"valid": False, "violations": exc.violations})
         return 0
-    coeffs = CubicCoefficients(spec, *vals)
     _emit({"valid": True, "case": classify_case(coeffs).value})
     return 0
 
@@ -227,14 +221,13 @@ def _cmd_form_act(args):
     obj = _load_json(args.input)
     if not isinstance(obj, dict) or {"g", "form"} - set(obj):
         raise InputError("expected keys 'g' (2x2 matrix) and 'form'")
-    rows = obj["g"]
-    if (
-        not isinstance(rows, list)
-        or len(rows) != 2
-        or any(not isinstance(r, list) or len(r) != 2 for r in rows)
-    ):
-        raise InputError("'g' must be a 2x2 matrix of element strings")
-    g = SquareMatrix(spec, [[spec.parse(s) for s in row] for row in rows])
+    g = SquareMatrix(
+        spec,
+        [
+            [spec.parse(s) for s in json_list(row, 2, "row of 'g'")]
+            for row in json_list(obj["g"], 2, "'g'")
+        ],
+    )
     form = BinaryCubicForm.from_json(spec, obj["form"])
     _emit(gl2_act(g, form).to_json())
     return 0

@@ -31,10 +31,6 @@ from .poly import Polynomial
 from .rings import RingElement, RingSpec
 
 
-def _coerce(spec: RingSpec, value) -> RingElement:
-    return value if isinstance(value, RingElement) else spec.element(value)
-
-
 class GeneralCubicTable:
     """All twelve coefficients of a rank-3 table:
 
@@ -51,7 +47,7 @@ class GeneralCubicTable:
             raise InputError(f"unknown coefficients {sorted(unknown)}")
         self.spec = spec
         for name in self.FIELDS:
-            setattr(self, name, _coerce(spec, coeffs.get(name, 0)))
+            setattr(self, name, spec.element(coeffs.get(name, 0)))
 
     def structure(self) -> StructureConstants:
         z0, o = self.spec.zero, self.spec.one
@@ -120,7 +116,7 @@ def validate_relations(spec: RingSpec, b, c, m, n, y, z):
 
     Returns (True, []) or (False, [names of violated identities]).
     """
-    b, c, m, n, y, z = (_coerce(spec, v) for v in (b, c, m, n, y, z))
+    b, c, m, n, y, z = map(spec.element, (b, c, m, n, y, z))
     zero = spec.zero
     checks = (
         c * m == zero,
@@ -150,7 +146,7 @@ class CubicCoefficients:
     __slots__ = ("spec",) + FIELDS
 
     def __init__(self, spec: RingSpec, b, c, m, n, y, z):
-        vals = tuple(_coerce(spec, v) for v in (b, c, m, n, y, z))
+        vals = tuple(map(spec.element, (b, c, m, n, y, z)))
         ok, violated = validate_relations(spec, *vals)
         if not ok:
             raise RelationViolation(violated)
@@ -259,7 +255,7 @@ def exceptional_norm(coeffs: CubicCoefficients, element_coeffs) -> RingElement:
     """Closed-form norm of p + q i + r j on an exceptional table:
     p (p + q n + r m) + q r m n."""
     spec = coeffs.spec
-    p, q, r = (_coerce(spec, v) for v in element_coeffs)
+    p, q, r = map(spec.element, element_coeffs)
     return p * (p + q * coeffs.n + r * coeffs.m) + q * r * coeffs.m * coeffs.n
 
 
@@ -392,7 +388,7 @@ def char_poly_exceptional(coeffs: CubicCoefficients, element_coeffs) -> Polynomi
     if case is CubicCase.COMMUTATIVE:
         raise WrongCase("closed form holds for exceptional tables only")
     spec = coeffs.spec
-    p, q, r = (_coerce(spec, v) for v in element_coeffs)
+    p, q, r = map(spec.element, element_coeffs)
     beta = p + coeffs.m * q + r * coeffs.n
     t = Polynomial.variable(spec)
     return (t - p) * (t - beta) * (t - beta)
@@ -409,9 +405,7 @@ class BinaryCubicForm:
 
     def __init__(self, spec: RingSpec, a, b, c, d):
         self.spec = spec
-        self.a, self.b, self.c, self.d = (
-            _coerce(spec, v) for v in (a, b, c, d)
-        )
+        self.a, self.b, self.c, self.d = map(spec.element, (a, b, c, d))
 
     def as_tuple(self):
         return (self.a, self.b, self.c, self.d)

@@ -212,8 +212,7 @@ def _bruteforce_tvalues(alg: StructureConstants, stop_after_first: bool):
 
 def quaternion_algebra(spec: RingSpec, a, b) -> StructureConstants:
     """Rank-4 algebra with i^2 = a, j^2 = b, ji = -ij, basis 1, i, j, ij."""
-    a = a if isinstance(a, RingElement) else spec.element(a)
-    b = b if isinstance(b, RingElement) else spec.element(b)
+    a, b = spec.element(a), spec.element(b)
     if not (a.is_unit() and b.is_unit()):
         raise UnsupportedRing("quaternion parameters must be units")
     if spec.characteristic() == 2:
@@ -240,11 +239,8 @@ def quaternion_conjugation(spec: RingSpec, a, b) -> Involution:
 
 def quaternion_norm_form(spec: RingSpec, a, b, coeffs) -> RingElement:
     """The closed-form norm p^2 - a q^2 - b r^2 + a b s^2."""
-    a = a if isinstance(a, RingElement) else spec.element(a)
-    b = b if isinstance(b, RingElement) else spec.element(b)
-    p, q, r, s = (
-        c if isinstance(c, RingElement) else spec.element(c) for c in coeffs
-    )
+    a, b = spec.element(a), spec.element(b)
+    p, q, r, s = map(spec.element, coeffs)
     return p * p - a * q * q - b * r * r + a * b * s * s
 
 

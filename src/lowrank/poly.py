@@ -16,10 +16,7 @@ class Polynomial:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: RingSpec, coeffs=()):
-        cs = [c if isinstance(c, RingElement) else spec.element(c) for c in coeffs]
-        for c in cs:
-            if c.spec != spec:
-                raise SpecMismatch("coefficient over the wrong ring")
+        cs = list(map(spec.element, coeffs))
         while cs and cs[-1].is_zero():
             cs.pop()
         self.spec = spec

@@ -13,13 +13,7 @@ from __future__ import annotations
 from .algebra import AlgebraMap, StructureConstants, direct_product, product_element, rank_one
 from .errors import InputError, NotAUnit, SpecMismatch, UnsupportedRing, WrongCase
 from .involutions import Involution
-from .rings import (
-    RingElement,
-    RingSpec,
-    bezout,
-    square_class_equal,
-    square_class_witness,
-)
+from .rings import RingSpec, bezout, square_class_equal, square_class_witness
 
 
 class QuadraticAlgebra:
@@ -29,10 +23,8 @@ class QuadraticAlgebra:
 
     def __init__(self, spec: RingSpec, t, n):
         self.spec = spec
-        self.t = t if isinstance(t, RingElement) else spec.element(t)
-        self.n = n if isinstance(n, RingElement) else spec.element(n)
-        if self.t.spec != spec or self.n.spec != spec:
-            raise SpecMismatch("parameters over the wrong ring")
+        self.t = spec.element(t)
+        self.n = spec.element(n)
         self._structure = None
 
     def structure(self) -> StructureConstants:
@@ -79,10 +71,7 @@ class DiscriminantClass:
 
     def __init__(self, spec: RingSpec, representative):
         self.spec = spec
-        rep = representative
-        self.representative = (
-            rep if isinstance(rep, RingElement) else spec.element(rep)
-        )
+        self.representative = spec.element(representative)
 
     def __eq__(self, other):
         if not isinstance(other, DiscriminantClass):
@@ -188,11 +177,8 @@ class ArtinSchreierClass:
     def __init__(self, spec: RingSpec, representative):
         if spec.characteristic() != 2:
             raise UnsupportedRing("these classes live in characteristic 2")
-        rep = representative
         self.spec = spec
-        self.representative = (
-            rep if isinstance(rep, RingElement) else spec.element(rep)
-        )
+        self.representative = spec.element(representative)
 
     def __eq__(self, other):
         if not isinstance(other, ArtinSchreierClass):
@@ -288,8 +274,7 @@ def complete_basis_to_unity(spec: RingSpec, a, b):
     """
     from .algebra import SquareMatrix
 
-    a = a if isinstance(a, RingElement) else spec.element(a)
-    b = b if isinstance(b, RingElement) else spec.element(b)
+    a, b = spec.element(a), spec.element(b)
     s, t = bezout(a, b)
     m = SquareMatrix(spec, [[a, b], [s, t]])
     assert m.det() == spec.one

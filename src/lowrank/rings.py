@@ -8,10 +8,16 @@ there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 
 from .errors import InputError, NotAUnit, SpecMismatch, UnsupportedRing
+
+
+# The element grammar RingSpec.parse accepts; [0-9] matches ASCII digits only.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:[/.][0-9]+)?")
 
 
 def _is_prime(n: int) -> bool:
@@ -75,6 +81,11 @@ class RingSpec:
         return self.p if self.kind == "Fp" else 0
 
     def element(self, value) -> RingElement:
+        """The only gate into this ring: an element of this spec comes back
+        as it is (elements are immutable), any other value is converted,
+        and an element of another ring raises SpecMismatch."""
+        if isinstance(value, RingElement) and value.spec == self:
+            return value
         return RingElement(self, value)
 
     @property
@@ -86,15 +97,21 @@ class RingSpec:
         return RingElement(self, 1)
 
     def parse(self, text: str) -> RingElement:
-        """Decode the canonical string form: "-3", "4", or "2/7" over Q."""
+        """Decode the canonical string form: "-3", "4", or "2/7" over Q.
+
+        Surrounding whitespace aside, the string must be ASCII
+        [+-]?[0-9]+, which over Q may end in /[0-9]+ or .[0-9]+.
+        """
         if not isinstance(text, str):
             raise InputError(f"element must be a string, got {type(text).__name__}")
-        try:
-            if self.kind == "Q":
-                return RingElement(self, Fraction(text.strip()))
-            return RingElement(self, int(text.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"cannot parse {text!r} as an element of {self!r}")
+        digits = text.strip()
+        rational = self.kind == "Q"
+        if (_RATIONAL if rational else _INTEGER).fullmatch(digits):
+            try:
+                return RingElement(self, Fraction(digits) if rational else int(digits))
+            except (ValueError, ZeroDivisionError):
+                pass  # a zero denominator, or more digits than int() converts
+        raise InputError(f"cannot parse {text!r} as an element of {self!r}")
 
     def elements(self):
         """Iterate every element, smallest residue first.  Finite rings only."""

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,18 +26,26 @@ from lowrank import (
     quadratic_from_tuple,
     rank_one,
     square_class_equal,
+    validate_relations,
     verify_main_theorem,
 )
 
 
 def test_census_counts_match_closed_form():
     # number of valid tuples over F_p is p^4 + p^2 - 1
-    for p in (2, 3):
+    for p in (2, 3, 5):
         tuples = enumerate_cubic(GF(p))
         assert len(tuples) == p**4 + p**2 - 1
         # lexicographic and duplicate-free
         raw = [tuple(v.value for v in c.as_tuple()) for c in tuples]
         assert raw == sorted(set(raw))
+        # the oracle: every one of the p^6 tuples that passes the relations
+        scanned = [
+            tup
+            for tup in itertools.product(range(p), repeat=6)
+            if validate_relations(GF(p), *tup)[0]
+        ]
+        assert raw == scanned
 
 
 def test_census_guard():

@@ -165,6 +165,13 @@ def test_form_act(capsys):
         '{"kind": "Q"}',
     )
     assert payload == {"a": "-4", "b": "-3", "c": "-2", "d": "-1"}
+    form = '"form": {"a": "1", "b": "2", "c": "3", "d": "4"}'
+    for g in ('["0", "1"]', '[["0", "1"], ["1"]]', '[["0", "1"], ["1", "0"], []]'):
+        code, out, err = run_cli(
+            capsys, "form", "act", "{" + f'"g": {g}, {form}' + "}", "--ring", RING_Z
+        )
+        assert code == 2 and out == ""
+        assert "'g' must be a list" in json.loads(err)["error"]["message"]
 
 
 def test_inv_trace_norm(capsys):
@@ -301,6 +308,12 @@ def test_exit_code_input_error(capsys):
         capsys, "quad", "iso", '{"ring": {"kind": "Z"}, "A": {"t": "0", "n": "0"}}'
     )
     assert code == 2
+
+    code, out, err = run_cli(
+        capsys, "quad", "disc", '{"ring": {"kind": "Q"}, "t": "1e400000", "n": "0"}'
+    )
+    assert code == 2
+    assert "cannot parse '1e400000'" in json.loads(err)["error"]["message"]
 
 
 RANK2_Z = {

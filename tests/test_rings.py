@@ -6,9 +6,19 @@ from lowrank import (
     GF,
     QQ,
     ZZ,
+    ArtinSchreierClass,
+    BinaryCubicForm,
+    CubicCoefficients,
+    DiscriminantClass,
+    GeneralCubicTable,
     InputError,
     NotAUnit,
+    Polynomial,
+    QuadraticAlgebra,
     RingSpec,
+    SpecMismatch,
+    SquareMatrix,
+    StructureConstants,
     UnsupportedRing,
     bezout,
     exact_div,
@@ -84,8 +94,45 @@ def test_parse_rejects_garbage():
         GF(5).parse("x")
     with pytest.raises(InputError):
         ZZ.parse(3)
-    # Fraction accepts decimal notation exactly; that leniency is fine
+    # only ASCII [+-]?[0-9]+, plus /[0-9]+ or .[0-9]+ over Q
+    for spec in (ZZ, QQ, GF(5)):
+        for text in ("1e400000", "1_000", "\u0663", ".5", "1/-2", "", "-"):
+            with pytest.raises(InputError):
+                spec.parse(text)
+    assert QQ.parse(" -2/6 ") == QQ.parse("-1/3")
+    # decimal notation is part of the grammar over Q
     assert QQ.parse("1.5") == QQ.parse("3/2")
+
+
+F5 = GF(5)
+SEVEN = GF(7).one
+F5_LINE = StructureConstants(F5, [[[1]]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: StructureConstants(F5, [[[SEVEN]]]), id="StructureConstants"),
+        pytest.param(lambda: F5_LINE.element([SEVEN]), id="AlgebraElement"),
+        pytest.param(lambda: F5_LINE.one() * SEVEN, id="AlgebraElement-scalar"),
+        pytest.param(lambda: SquareMatrix(F5, [[SEVEN]]), id="SquareMatrix"),
+        pytest.param(lambda: Polynomial(F5, [0, SEVEN]), id="Polynomial"),
+        pytest.param(lambda: QuadraticAlgebra(F5, 0, SEVEN), id="QuadraticAlgebra"),
+        pytest.param(lambda: GeneralCubicTable(F5, m=SEVEN), id="GeneralCubicTable"),
+        pytest.param(lambda: BinaryCubicForm(F5, 0, 0, 0, SEVEN), id="BinaryCubicForm"),
+        pytest.param(
+            lambda: CubicCoefficients(F5, 0, 0, 0, 0, 0, SEVEN), id="CubicCoefficients"
+        ),
+        pytest.param(lambda: DiscriminantClass(F5, SEVEN), id="DiscriminantClass"),
+        # these classes live in characteristic 2 only
+        pytest.param(lambda: ArtinSchreierClass(GF(2), SEVEN), id="ArtinSchreierClass"),
+    ],
+)
+def test_constructors_reject_other_rings(build):
+    """Values enter a ring only through RingSpec.element, so no
+    constructor keeps an element of another ring."""
+    with pytest.raises(SpecMismatch, match="cannot move 1 into"):
+        build()
 
 
 def test_ring_axioms_random():
