@@ -1,11 +1,14 @@
 """Free algebras of finite rank presented by structure constants.
 
 An algebra of rank k over a base ring is stored as the k x k table of
-basis products, each expanded over the basis again.  Basis element 0 is
-required to be the multiplicative identity; constructors reject tables
-where it is not.  Everything downstream (associativity checks, regular
-representations, characteristic and minimal polynomials, products of
-algebras, matrix algebras) works exactly over Z, Q, or a prime field.
+basis products, each expanded over the basis again.  The table holds the
+ring's canonical raw values (RingSpec.value), and the product kernel
+computes on them; RingElements are built only where a caller reads them.
+Basis element 0 is required to be the multiplicative identity;
+constructors reject tables where it is not.  Everything downstream
+(associativity checks, regular representations, characteristic and
+minimal polynomials, products of algebras, matrix algebras) works
+exactly over Z, Q, or a prime field.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 
 from .errors import InputError, SpecMismatch, TableError, UnsupportedRing, check_guard
 from .poly import Polynomial
-from .rings import RingElement, RingSpec, exact_div
+from .rings import RingElement, RingSpec, _trusted, exact_div
 
 
 def json_list(raw, length, what):
@@ -25,13 +28,18 @@ def json_list(raw, length, what):
 
 
 class StructureConstants:
-    """Multiplication table of a free algebra with basis element 0 = 1."""
+    """Multiplication table of a free algebra with basis element 0 = 1.
 
-    __slots__ = ("spec", "rank", "table", "_values")
+    The cells are stored once, as canonical raw values in `_values`;
+    `table` wraps them in RingElements on first read and keeps the result.
+    """
+
+    __slots__ = ("spec", "rank", "_values", "_table")
 
     def __init__(self, spec: RingSpec, table):
+        value = spec.value
         rows = tuple(
-            tuple(tuple(map(spec.element, cell)) for cell in row) for row in table
+            tuple(tuple(map(value, cell)) for cell in row) for row in table
         )
         k = len(rows)
         if k == 0:
@@ -39,30 +47,37 @@ class StructureConstants:
         for row in rows:
             if len(row) != k or any(len(cell) != k for cell in row):
                 raise TableError(f"table must be {k}x{k} cells of {k} coefficients")
-        self.spec = spec
-        self.rank = k
-        self.table = rows
-        self._values = tuple(
-            tuple(tuple(c.value for c in cell) for cell in row) for row in rows
-        )
-        one = spec.one
-        zero = spec.zero
         for j in range(k):
-            unit = tuple(one if l == j else zero for l in range(k))
+            unit = tuple(1 if l == j else 0 for l in range(k))
             if rows[0][j] != unit or rows[j][0] != unit:
                 raise TableError(
                     f"basis element 0 is not a two-sided identity at index {j}"
                 )
+        self.spec = spec
+        self.rank = k
+        self._values = rows
+        self._table = None
+
+    @property
+    def table(self):
+        """The cells as tuples of RingElements."""
+        if self._table is None:
+            spec = self.spec
+            self._table = tuple(
+                tuple(tuple(_trusted(spec, c) for c in cell) for cell in row)
+                for row in self._values
+            )
+        return self._table
 
     def __eq__(self, other):
         return (
             isinstance(other, StructureConstants)
             and self.spec == other.spec
-            and self.table == other.table
+            and self._values == other._values
         )
 
     def __hash__(self):
-        return hash((self.spec, self.table))
+        return hash((self.spec, self._values))
 
     def __repr__(self):
         return f"StructureConstants(rank={self.rank} over {self.spec!r})"
@@ -146,9 +161,10 @@ class StructureConstants:
         return True, None
 
     def is_commutative(self) -> bool:
+        t = self._values
         for a in range(self.rank):
             for b in range(a + 1, self.rank):
-                if self.table[a][b] != self.table[b][a]:
+                if t[a][b] != t[b][a]:
                     return False
         return True
 
@@ -159,7 +175,7 @@ class StructureConstants:
             "ring": self.spec.to_json(),
             "rank": self.rank,
             "table": [
-                [[str(c) for c in cell] for cell in row] for row in self.table
+                [[str(c) for c in cell] for cell in row] for row in self._values
             ],
         }
 
@@ -494,8 +510,9 @@ def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
     """Matrix of left multiplication by x in the algebra basis."""
     alg = x.algebra
     k = alg.rank
+    xv = [c.value for c in x.coeffs]
     # row 0 of the table holds the basis vectors, since e_0 = 1
-    cols = [alg._mul_vec(x.coeffs, ej) for ej in alg.table[0]]
+    cols = [alg._mul_values(xv, ej) for ej in alg._values[0]]
     return SquareMatrix(
         alg.spec, [[cols[j][i] for j in range(k)] for i in range(k)]
     )
@@ -605,9 +622,7 @@ class AlgebraMap:
         k = self.source.rank
         for a in range(k):
             for b in range(k):
-                lhs = self.apply(
-                    self.source.element(self.source.table[a][b])
-                )
+                lhs = self.apply(self.source.element(self.source._values[a][b]))
                 rhs = self.images[a] * self.images[b]
                 if lhs != rhs:
                     return False, (a, b)

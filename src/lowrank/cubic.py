@@ -28,7 +28,7 @@ from .errors import (
 )
 from .involutions import Involution
 from .poly import Polynomial
-from .rings import RingElement, RingSpec
+from .rings import RingElement, RingSpec, _trusted
 
 
 class GeneralCubicTable:
@@ -116,20 +116,29 @@ def validate_relations(spec: RingSpec, b, c, m, n, y, z):
 
     Returns (True, []) or (False, [names of violated identities]).
     """
-    b, c, m, n, y, z = map(spec.element, (b, c, m, n, y, z))
-    zero = spec.zero
-    checks = (
-        c * m == zero,
-        c * n == zero,
-        n * y == zero,
-        m * y == zero,
-        b * m == m * n,
-        m * n == n * z,
-        n * n == b * n,
-        m * m == m * z,
-    )
-    violated = [name for name, ok in zip(RELATION_NAMES, checks) if not ok]
+    violated = _violated_relations(spec, *map(spec.value, (b, c, m, n, y, z)))
     return not violated, violated
+
+
+def _violated_relations(spec, b, c, m, n, y, z):
+    """Names of the relations that canonical raw values violate; each
+    relation is checked as lhs - rhs = 0, reduced mod p over F_p."""
+    p = spec.p
+    residues = (
+        c * m,
+        c * n,
+        n * y,
+        m * y,
+        b * m - m * n,
+        m * n - n * z,
+        n * n - b * n,
+        m * m - m * z,
+    )
+    return [
+        name
+        for name, r in zip(RELATION_NAMES, residues)
+        if (r % p if p else r)
+    ]
 
 
 class CubicCase(enum.Enum):
@@ -146,12 +155,14 @@ class CubicCoefficients:
     __slots__ = ("spec",) + FIELDS
 
     def __init__(self, spec: RingSpec, b, c, m, n, y, z):
-        vals = tuple(map(spec.element, (b, c, m, n, y, z)))
-        ok, violated = validate_relations(spec, *vals)
-        if not ok:
+        vals = tuple(map(spec.value, (b, c, m, n, y, z)))
+        violated = _violated_relations(spec, *vals)
+        if violated:
             raise RelationViolation(violated)
         self.spec = spec
-        self.b, self.c, self.m, self.n, self.y, self.z = vals
+        self.b, self.c, self.m, self.n, self.y, self.z = (
+            _trusted(spec, v) for v in vals
+        )
 
     def as_tuple(self):
         return (self.b, self.c, self.m, self.n, self.y, self.z)
@@ -211,15 +222,13 @@ def build_algebra(coeffs: CubicCoefficients) -> StructureConstants:
         j*i = (cy - bm) + m i + n j
         j*j = -by + y i + z j
     """
-    b, c, m, n, y, z = coeffs.as_tuple()
-    spec = coeffs.spec
-    z0, o = spec.zero, spec.one
+    b, c, m, n, y, z = (v.value for v in coeffs.as_tuple())
     return StructureConstants(
-        spec,
+        coeffs.spec,
         [
-            [[o, z0, z0], [z0, o, z0], [z0, z0, o]],
-            [[z0, o, z0], [-(c * z), b, c], [c * y, z0, z0]],
-            [[z0, z0, o], [c * y - b * m, m, n], [-(b * y), y, z]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [-(c * z), b, c], [c * y, 0, 0]],
+            [[0, 0, 1], [c * y - b * m, m, n], [-(b * y), y, z]],
         ],
     )
 

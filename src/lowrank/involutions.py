@@ -156,19 +156,35 @@ def find_standard_involution(alg: StructureConstants):
 
     For rank at most 3 the candidate is forced: any standard involution
     conjugates e_i to t_i - e_i where t_i is read off from e_i^2, which
-    must lie in the span of 1 and e_i.  The forced candidate is then
-    verified in full.  Rank 4 over a prime field falls back to a brute
+    must lie in the span of 1 and e_i.  These conditions, and the
+    scalarity of x conj(x) on sums of two generators, are read from the
+    raw table; a candidate that passes them is built and verified in
+    full.  Rank 4 over a prime field falls back to a brute
     force over all trace tuples.
     """
     if alg.rank <= 3:
-        tvals = []
-        for i in range(1, alg.rank):
-            sq = alg.basis(i) * alg.basis(i)
-            for l, c in enumerate(sq.coeffs):
-                if l not in (0, i) and not c.is_zero():
-                    return None  # e_i^2 leaves the span of {1, e_i}
-            tvals.append(sq.coeffs[i])
-        cand = _candidate_from_tvalues(alg, tvals)
+        k = alg.rank
+        p = alg.spec.p
+        t = alg._values
+        tvals = [0] * k
+        for i in range(1, k):
+            sq = t[i][i]  # e_i^2
+            if any(sq[l] for l in range(1, k) if l != i):
+                return None  # e_i^2 leaves the span of {1, e_i}
+            tvals[i] = sq[i]
+        for i in range(1, k):
+            for j in range(i + 1, k):
+                # (e_i + e_j) conj(e_i + e_j) is scalar only if
+                # e_i e_j + e_j e_i - t_j e_i - t_i e_j is
+                for l in range(1, k):
+                    r = t[i][j][l] + t[j][i][l]
+                    if l == i:
+                        r -= tvals[j]
+                    elif l == j:
+                        r -= tvals[i]
+                    if r % p if p else r:
+                        return None
+        cand = _candidate_from_tvalues(alg, tvals[1:])
         if verify_involution(cand)[0] and verify_standard(cand)[0]:
             return cand
         return None

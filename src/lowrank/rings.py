@@ -1,8 +1,12 @@
 """Exact base rings: the integers, the rationals, and prime fields.
 
-A RingSpec names one of the three supported base rings and a RingElement
-pairs a spec with a canonical value: a plain int over Z, a reduced
-Fraction over Q, a residue in [0, p) over F_p.  All arithmetic is exact;
+A RingSpec names one of the three supported base rings.  Its canonical
+values are plain Python numbers: an int over Z, a reduced Fraction over
+Q, a residue int in [0, p) over F_p.  RingSpec.value checks a value and
+returns its canonical form; the table layer stores and computes on these
+raw values.  A RingElement pairs a spec with a canonical value and is
+what the public API hands out; its arithmetic builds results through a
+trusted constructor that only reduces mod p.  All arithmetic is exact;
 there is no floating point anywhere in the package.
 """
 
@@ -20,14 +24,61 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:[/.][0-9]+)?")
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below this
+# bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 2017); RingSpec refuses moduli at or above it.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for n < _PRIME_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _sqrt_mod(a: int, p: int):
+    """A square root of the unit a modulo the prime p, or None: Euler's
+    criterion, then Tonelli-Shanks (Cohen, Algorithm 1.5.1)."""
+    if p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -54,6 +105,11 @@ class RingSpec:
         if kind not in ("Z", "Q", "Fp"):
             raise InputError(f"unknown ring kind {kind!r}")
         if kind == "Fp":
+            if isinstance(p, int) and p >= _PRIME_BOUND:
+                raise InputError(
+                    f"Fp modulus {p} is too large: primality is decided "
+                    f"only below {_PRIME_BOUND}"
+                )
             if not isinstance(p, int) or not _is_prime(p):
                 raise InputError(f"Fp needs a prime modulus, got {p!r}")
         elif p is not None:
@@ -62,7 +118,7 @@ class RingSpec:
         self.p = p
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingSpec)
             and self.kind == other.kind
             and self.p == other.p
@@ -79,6 +135,42 @@ class RingSpec:
 
     def characteristic(self) -> int:
         return self.p if self.kind == "Fp" else 0
+
+    def value(self, x):
+        """The canonical raw value of x in this ring: an int over Z, a
+        Fraction over Q, a residue in [0, p) over F_p.  x may be an int,
+        a Fraction or an element of this spec.  An element of another ring
+        raises SpecMismatch, a Fraction with no image here InputError or
+        NotAUnit, and any other value InputError."""
+        if type(x) is int:
+            if self.p:
+                return x % self.p
+            return x if self.kind == "Z" else Fraction(x)
+        if isinstance(x, RingElement):
+            if x.spec != self:
+                raise SpecMismatch(f"cannot move {x!r} into {self!r}")
+            return x.value
+        if self.kind == "Z":
+            if isinstance(x, Fraction):
+                if x.denominator != 1:
+                    raise InputError(f"{x} is not an integer")
+                x = x.numerator
+            if not isinstance(x, int):
+                raise InputError(f"bad integer value {x!r}")
+            return x
+        if self.kind == "Q":
+            if type(x) is Fraction:
+                return x
+            if not isinstance(x, (int, Fraction)):
+                raise InputError(f"bad rational value {x!r}")
+            return Fraction(x)
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise NotAUnit(f"{x} has no image modulo {self.p}")
+            x = x.numerator * pow(x.denominator, -1, self.p)
+        if not isinstance(x, int):
+            raise InputError(f"bad residue value {x!r}")
+        return x % self.p
 
     def element(self, value) -> RingElement:
         """The only gate into this ring: an element of this spec comes back
@@ -163,31 +255,8 @@ class RingElement:
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: RingSpec, value):
-        if isinstance(value, RingElement):
-            if value.spec != spec:
-                raise SpecMismatch(f"cannot move {value!r} into {spec!r}")
-            value = value.value
-        if spec.kind == "Z":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise InputError(f"{value} is not an integer")
-                value = value.numerator
-            if not isinstance(value, int):
-                raise InputError(f"bad integer value {value!r}")
-        elif spec.kind == "Q":
-            if not isinstance(value, (int, Fraction)):
-                raise InputError(f"bad rational value {value!r}")
-            value = Fraction(value)
-        else:
-            if isinstance(value, Fraction):
-                if value.denominator % spec.p == 0:
-                    raise NotAUnit(f"{value} has no image modulo {spec.p}")
-                value = value.numerator * pow(value.denominator, -1, spec.p)
-            if not isinstance(value, int):
-                raise InputError(f"bad residue value {value!r}")
-            value = value % spec.p
+        self.value = spec.value(value)
         self.spec = spec
-        self.value = value
 
     def _coerce(self, other) -> RingElement:
         if isinstance(other, RingElement):
@@ -202,7 +271,7 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.spec, self.value + other.value)
+        return _trusted(self.spec, self.value + other.value)
 
     __radd__ = __add__
 
@@ -210,24 +279,24 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.spec, self.value - other.value)
+        return _trusted(self.spec, self.value - other.value)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.spec, other.value - self.value)
+        return _trusted(self.spec, other.value - self.value)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.spec, self.value * other.value)
+        return _trusted(self.spec, self.value * other.value)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RingElement(self.spec, -self.value)
+        return _trusted(self.spec, -self.value)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -248,11 +317,11 @@ class RingElement:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, RingElement):
+            return self.spec == other.spec and self.value == other.value
         if isinstance(other, int):
-            other = RingElement(self.spec, other)
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.spec == other.spec and self.value == other.value
+            return self.value == self.spec.value(other)
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.spec, self.value))
@@ -284,6 +353,15 @@ class RingElement:
         if self.spec.kind == "Q":
             return RingElement(self.spec, 1 / self.value)
         return self  # over Z the units are their own inverses
+
+
+def _trusted(spec: RingSpec, value) -> RingElement:
+    """An element from a value already of the ring's type (an int, or a
+    Fraction over Q): reduced mod p over F_p, not re-validated."""
+    out = object.__new__(RingElement)
+    out.spec = spec
+    out.value = value % spec.p if spec.p else value
+    return out
 
 
 def exact_div(a: RingElement, b: RingElement) -> RingElement:
@@ -339,10 +417,11 @@ def square_class_witness(d: RingElement, big_d: RingElement):
         # units are {1, -1}, both with square 1
         return spec.one if d == big_d else None
     if spec.kind == "Fp":
-        for a in spec.units():
-            if a * a * big_d == d:
-                return a
-        return None
+        # the roots of a^2 = d/D are r and p - r; the smaller is the first
+        # unit a scan from 1 upwards would meet
+        p = spec.p
+        r = _sqrt_mod(d.value * pow(big_d.value, -1, p) % p, p)
+        return None if r is None else RingElement(spec, min(r, p - r))
     ratio = d.value / big_d.value
     if ratio < 0:
         return None

@@ -8,6 +8,7 @@ from lowrank import (
     QQ,
     ZZ,
     AlgebraMap,
+    RingElement,
     CubicCoefficients,
     GeneralCubicTable,
     Polynomial,
@@ -153,6 +154,44 @@ def test_mul_vec_matches_ring_element_loop():
             assert alg._mul_vec(u, v) == want
             raw = alg._mul_values([a.value for a in u], [b.value for b in v])
             assert raw == tuple(c.value for c in want)
+
+
+def test_lazy_table_matches_eager_wrap():
+    rng = random.Random(23)
+    for spec in (ZZ, QQ, GF(2), GF(5), GF(9973)):
+        for rank in (1, 2, 3):
+            alg = random_table(spec, rank, rng)
+            eager = tuple(
+                tuple(tuple(RingElement(spec, c) for c in cell) for cell in row)
+                for row in alg._values
+            )
+            table = alg.table
+            assert table == eager and table is alg.table
+            for row, want_row in zip(table, eager):
+                for cell, want_cell in zip(row, want_row):
+                    for c, w in zip(cell, want_cell):
+                        assert c.spec is spec and type(c.value) is type(w.value)
+
+
+def test_table_equality_ignores_input_types():
+    """Tables given by ints, RingElements or Fractions are one table when
+    their entries agree in the ring."""
+    cases = (
+        (ZZ, 2, Fraction(4, 2)),
+        (QQ, 2, Fraction(6, 3)),
+        (GF(5), 3, Fraction(1, 2)),
+    )
+    for spec, as_int, as_fraction in cases:
+        def table(x):
+            return StructureConstants(
+                spec, [[[1, 0], [0, 1]], [[0, 1], [x, spec.element(-1)]]]
+            )
+
+        tables = [table(as_int), table(spec.element(as_int)), table(as_fraction)]
+        for t in tables:
+            assert t == tables[0] and hash(t) == hash(tables[0])
+            assert t.table == tables[0].table
+        assert table(as_int + 1) != tables[0]
 
 
 def test_random_triples_associative():

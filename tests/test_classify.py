@@ -192,6 +192,40 @@ def test_main_theorem_scans_once(monkeypatch):
     assert report.representatives == reps
 
 
+def test_census_tables_build_no_ring_elements(monkeypatch):
+    """build_algebra, and an involution search that answers no, work on
+    raw values: neither constructs a RingElement, by either constructor."""
+    import sys
+
+    from lowrank import find_standard_involution, rings
+
+    built = []
+    init = rings.RingElement.__init__
+    trusted = rings._trusted
+
+    def counted_init(self, spec, value):
+        built.append(value)
+        init(self, spec, value)
+
+    def counted_trusted(spec, value):
+        built.append(value)
+        return trusted(spec, value)
+
+    monkeypatch.setattr(rings.RingElement, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lowrank") and getattr(module, "_trusted", None) is trusted:
+            monkeypatch.setattr(module, "_trusted", counted_trusted)
+    answered_no = 0
+    for coeffs in enumerate_cubic(GF(5)):
+        built.clear()
+        alg = build_algebra(coeffs)
+        assert built == [], f"build_algebra built elements for {coeffs}"
+        if find_standard_involution(alg) is None:
+            answered_no += 1
+            assert built == [], f"a 'no' search built elements for {coeffs}"
+    assert answered_no == 5**4 - 1  # commutative, save the zero table
+
+
 def test_exceptional_classes_small_fields():
     for p in (2, 3):
         classes = exceptional_classes(GF(p))

@@ -1,10 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import lowrank
 from lowrank.cli import main
 
 
@@ -53,6 +57,28 @@ def test_quad_iso_over_field(capsys):
         '{"ring": {"kind": "Fp", "p": 5}, "A": {"t": "1", "n": "1"}, "B": {"t": "0", "n": "2"}}',
     )
     assert payload["isomorphic"] is True
+
+
+def test_quad_iso_over_large_field(capsys):
+    # p = 10^9 + 7: the square root comes from Tonelli-Shanks, not a scan
+    ring = '{"kind": "Fp", "p": 1000000007}'
+    start = time.perf_counter()
+    payload = run_json(
+        capsys,
+        "quad",
+        "iso",
+        f'{{"ring": {ring}, "A": {{"t": "0", "n": "-4"}}, "B": {{"t": "0", "n": "-1"}}}}',
+    )
+    assert payload["isomorphic"] is True
+    assert payload["map"]["images"][1] == ["0", "2"]
+    payload = run_json(
+        capsys,
+        "quad",
+        "iso",
+        f'{{"ring": {ring}, "A": {{"t": "0", "n": "1"}}, "B": {{"t": "0", "n": "-1"}}}}',
+    )
+    assert payload["isomorphic"] is False
+    assert time.perf_counter() - start < 1.0
 
 
 def test_quad_artin_schreier(capsys):
@@ -315,6 +341,15 @@ def test_exit_code_input_error(capsys):
     assert code == 2
     assert "cannot parse '1e400000'" in json.loads(err)["error"]["message"]
 
+    code, out, err = run_cli(
+        capsys,
+        "quad",
+        "disc",
+        '{"ring": {"kind": "Fp", "p": 318665857834031151167461}, "t": "1", "n": "0"}',
+    )
+    assert code == 2
+    assert "too large" in json.loads(err)["error"]["message"]
+
 
 RANK2_Z = {
     "ring": {"kind": "Z"},
@@ -348,10 +383,14 @@ def test_argparse_rejects_unknown(capsys):
 
 
 def test_module_invocation():
+    # the child imports the same lowrank as this test, wherever it was found
+    src = str(Path(lowrank.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "lowrank.cli", "census", "exceptional", "--p", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -130,6 +131,60 @@ def test_validate_relations_frozen():
     assert violated == ["bm = mn", "n^2 = bn"]
     ok, violated = validate_relations(ZZ, 1, 1, 0, 0, 1, 1)
     assert ok and violated == []
+
+
+def ring_element_validate_relations(spec, b, c, m, n, y, z):
+    """The RingElement evaluation validate_relations once ran: the oracle."""
+    b, c, m, n, y, z = map(spec.element, (b, c, m, n, y, z))
+    zero = spec.zero
+    checks = (
+        c * m == zero,
+        c * n == zero,
+        n * y == zero,
+        m * y == zero,
+        b * m == m * n,
+        m * n == n * z,
+        n * n == b * n,
+        m * m == m * z,
+    )
+    names = ("cm = 0", "cn = 0", "ny = 0", "my = 0",
+             "bm = mn", "mn = nz", "n^2 = bn", "m^2 = mz")
+    violated = [name for name, ok in zip(names, checks) if not ok]
+    return not violated, violated
+
+
+def test_validate_relations_matches_ring_element_oracle():
+    rng = random.Random(17)
+    for spec in (ZZ, QQ, GF(2), GF(5), GF(9973)):
+        if spec.kind == "Fp":
+            draw = lambda: rng.randrange(spec.p)
+        elif spec.kind == "Q":
+            draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        else:
+            draw = lambda: rng.randint(-9, 9)
+        for _ in range(300):
+            # free tuples violate some relations; the two valid families
+            # and a zeroed coordinate reach the other verdicts
+            tup = [draw() for _ in range(6)]
+            shape = rng.randrange(4)
+            if shape == 1:
+                tup[2] = tup[3] = 0
+            elif shape == 2:
+                n, m = tup[0], tup[1]
+                tup = [n, 0, m, n, 0, m]
+            elif shape == 3:
+                tup[rng.randrange(6)] = 0
+            want = ring_element_validate_relations(spec, *tup)
+            assert validate_relations(spec, *tup) == want
+            assert validate_relations(spec, *map(spec.element, tup)) == want
+            if want[0]:
+                assert CubicCoefficients(spec, *tup).as_tuple() == tuple(
+                    map(spec.element, tup)
+                )
+            else:
+                with pytest.raises(RelationViolation) as info:
+                    CubicCoefficients(spec, *tup)
+                assert info.value.violations == want[1]
 
 
 def test_coefficients_validation():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from lowrank import (
     NotAUnit,
     Polynomial,
     QuadraticAlgebra,
+    RingElement,
     RingSpec,
     SpecMismatch,
     SquareMatrix,
@@ -56,6 +58,23 @@ def test_nonprime_modulus_rejected():
         GF(1)
     with pytest.raises(InputError):
         RingSpec("Fp", -5)
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (561, 3215031751):
+        with pytest.raises(InputError, match=f"Fp needs a prime modulus, got {n}"):
+            GF(n)
+
+
+def test_large_prime_modulus():
+    start = time.perf_counter()
+    spec = GF(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert spec.element(-1).value == 2**61 - 2
+    # primality is decided only below the Sorenson-Webster bound, the least
+    # strong pseudoprime to the first twelve prime bases
+    bound = 318665857834031151167461
+    for n in (bound, bound + 2, 2**89 - 1):
+        with pytest.raises(InputError, match="too large"):
+            GF(n)
 
 
 def test_canonical_forms():
@@ -154,6 +173,33 @@ def test_ring_axioms_random():
             assert a - a == spec.zero
 
 
+def test_arithmetic_results_are_canonical():
+    """Results of + - * and negation, built without re-validation, equal
+    the validated RingElement of the same raw value, in value and type."""
+    for spec in (ZZ, QQ, GF(2), GF(5), GF(9973)):
+        rng = random.Random(13)
+        for _ in range(300):
+            a = random_element(spec, rng, span=10**6)
+            b = random_element(spec, rng, span=10**6)
+            for got, raw in (
+                (a + b, a.value + b.value),
+                (a - b, a.value - b.value),
+                (a * b, a.value * b.value),
+                (-a, -a.value),
+                (a + 3, a.value + 3),
+                (3 - a, 3 - a.value),
+            ):
+                want = RingElement(spec, raw)
+                assert got.spec is spec
+                assert got == want and type(got.value) is type(want.value)
+                if spec.kind == "Fp":
+                    assert type(got.value) is int and 0 <= got.value < spec.p
+                elif spec.kind == "Z":
+                    assert type(got.value) is int
+                else:
+                    assert type(got.value) is Fraction
+
+
 def test_int_coercion_both_sides():
     a = GF(7).element(3)
     assert 2 + a == GF(7).element(5)
@@ -231,6 +277,28 @@ def test_square_classes_f5():
     # witnesses really conjugate one into the other
     u = square_class_witness(spec.element(4), spec.element(1))
     assert u is not None and u * u * spec.element(1) == spec.element(4)
+
+
+def unit_scan_witness(d, big_d):
+    """The scan over every unit that square_class_witness once ran over
+    F_p: the oracle."""
+    spec = d.spec
+    if d.is_zero() and big_d.is_zero():
+        return spec.one
+    if d.is_zero() or big_d.is_zero():
+        return None
+    for a in spec.units():
+        if a * a * big_d == d:
+            return a
+    return None
+
+
+def test_square_class_witness_matches_unit_scan():
+    for p in (2, 3, 5, 7, 13, 17):
+        spec = GF(p)
+        for d in spec.elements():
+            for big_d in spec.elements():
+                assert square_class_witness(d, big_d) == unit_scan_witness(d, big_d)
 
 
 def test_square_class_equivalence_relation():
