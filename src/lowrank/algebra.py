@@ -136,6 +136,21 @@ class StructureConstants:
                         out[l] = s % p if p else s
         return tuple(out)
 
+    def _combine_values(self, coeffs, images):
+        """The raw linear combination of the raw vectors `images` with the
+        raw scalars `coeffs`; skips zero coefficients and reduces each term
+        mod p over F_p.  The only linear-extension loop."""
+        p = self.spec.p
+        out = [0] * self.rank
+        for c, im in zip(coeffs, images):
+            if not c:
+                continue
+            for l, a in enumerate(im):
+                if a:
+                    s = out[l] + c * a
+                    out[l] = s % p if p else s
+        return tuple(out)
+
     def _mul_vec(self, u, v):
         """Bilinear product of RingElement coefficient tuples."""
         prod = self._mul_values([a.value for a in u], [b.value for b in v])
@@ -568,11 +583,12 @@ def algebra_degree(alg: StructureConstants) -> int:
 
 def extend_linearly(target: StructureConstants, images, x: AlgebraElement) -> AlgebraElement:
     """The sum of x's coefficients times the basis images, in target."""
-    out = target.zero()
-    for c, im in zip(x.coeffs, images):
-        if not c.is_zero():
-            out = out + im * c
-    return out
+    return target.element(
+        target._combine_values(
+            [c.value for c in x.coeffs],
+            [[c.value for c in im.coeffs] for im in images],
+        )
+    )
 
 
 class AlgebraMap:

@@ -8,8 +8,12 @@ space indent) so identical inputs produce identical bytes; census
 commands can render a plain-text table instead with --format table.
 
 Exit status: 0 on success, 1 on a domain error (violated relations,
-non-units, guard limits) with a JSON error object on stderr, 2 on
-malformed input.
+non-units, guard limits), 2 on malformed input, including a bad command
+line; either error puts a JSON error object on stderr.  --help prints
+text and exits 0.
+
+main builds only the parsers its command line names (see build_parser),
+so a request does not pay for the whole command tree.
 """
 
 from __future__ import annotations
@@ -85,6 +89,10 @@ def _ring_from_args(args) -> RingSpec:
 
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _emit_error(error: dict) -> None:
+    print(json.dumps({"error": error}, indent=2, sort_keys=True), file=sys.stderr)
 
 
 def _parse_vector(alg, raw, what):
@@ -377,122 +385,126 @@ def _add_input(parser, with_ring=False):
         parser.add_argument("--ring", help='ring spec JSON, e.g. {"kind":"Z"}')
 
 
-def _add_format(parser):
+def _add_input_ring(parser):
+    _add_input(parser, with_ring=True)
+
+
+def _add_field(parser):
+    parser.add_argument("--p", type=int, required=True, help="field size (prime)")
+
+
+def _add_field_format(parser):
+    _add_field(parser)
     parser.add_argument(
         "--format", choices=("json", "table"), default="json"
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_probe_mn(parser):
+    parser.add_argument("--p", type=int, required=True)
+    parser.add_argument("--n", type=int, required=True, choices=(2, 3))
+
+
+# group -> (help, {command: (handler, adds the command's arguments)})
+_COMMANDS = {
+    "quad": ("rank-2 algebras", {
+        "disc": (_cmd_quad_disc, _add_input),
+        "iso": (_cmd_quad_iso, _add_input),
+        "artin-schreier": (_cmd_quad_artin_schreier, _add_input),
+        "split": (_cmd_quad_split, _add_input),
+    }),
+    "cubic": ("rank-3 tables", {
+        "build": (_cmd_cubic_build, _add_input_ring),
+        "verify": (_cmd_cubic_verify, _add_input_ring),
+        "involution": (_cmd_cubic_involution, _add_input_ring),
+        "witness": (_cmd_cubic_witness, _add_input_ring),
+        "matrix-rep": (_cmd_cubic_matrix_rep, _add_input_ring),
+        "form": (_cmd_cubic_form, _add_input_ring),
+    }),
+    "form": ("binary cubic forms", {
+        "disc": (_cmd_form_disc, _add_input_ring),
+        "act": (_cmd_form_act, _add_input_ring),
+    }),
+    "inv": ("involutions", {
+        "verify": (_cmd_inv_verify, _add_input),
+        "find": (_cmd_inv_find, _add_input),
+        "trace-norm": (_cmd_inv_trace_norm, _add_input),
+    }),
+    "alg": ("structure-constant algebras", {
+        "assoc": (_cmd_alg_assoc, _add_input),
+        "degree": (_cmd_alg_degree, _add_input),
+        "charpoly": (_cmd_alg_charpoly, _add_input),
+    }),
+    "census": ("exhaustive small-field surveys", {
+        "cubic": (_cmd_census_cubic, _add_field_format),
+        "quad": (_cmd_census_quad, _add_field_format),
+        "exceptional": (_cmd_census_exceptional, _add_field),
+    }),
+    "probe": ("degree and matrix-algebra probes", {
+        "mn": (_cmd_probe_mn, _add_probe_mn),
+        "degree-product": (_cmd_probe_degree_product, _add_input),
+    }),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors: a JSON
+    error object on stderr and exit status 2.  Subparsers inherit it."""
+
+    def error(self, message):
+        _emit_error({"type": "InputError", "message": f"{self.prog}: {message}"})
+        self.exit(2)
+
+
+def _chosen(names, word):
+    """The names to build: only word if it is one of them, else all."""
+    return [word] if word in names else list(names)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The lowrank argument parser.
+
+    With argv None every group and command is built.  Given the argv it
+    will parse, it builds only the group that argv names and, within it,
+    only the command that argv names; a level whose name argv does not
+    give is built in full.  The parsers left out are ones argv never
+    reaches, and a usage error prints no usage line (see _Parser), so
+    parsing argv, its errors and its help are those of the full parser.
+    One request builds three argparse parsers instead of 32.
+    """
+    parser = _Parser(
         prog="lowrank",
         description="exact computations with free algebras of rank 2 and 3",
     )
+    argv = [] if argv is None else list(argv)
+    first = argv[0] if argv else None
+    second = argv[1] if first in _COMMANDS and len(argv) > 1 else None
     top = parser.add_subparsers(dest="group", required=True)
-
-    quad = top.add_parser("quad", help="rank-2 algebras").add_subparsers(
-        dest="cmd", required=True
-    )
-    for name, fn in (
-        ("disc", _cmd_quad_disc),
-        ("iso", _cmd_quad_iso),
-        ("artin-schreier", _cmd_quad_artin_schreier),
-        ("split", _cmd_quad_split),
-    ):
-        sub = quad.add_parser(name)
-        _add_input(sub)
-        sub.set_defaults(handler=fn)
-
-    cubic = top.add_parser("cubic", help="rank-3 tables").add_subparsers(
-        dest="cmd", required=True
-    )
-    for name, fn in (
-        ("build", _cmd_cubic_build),
-        ("verify", _cmd_cubic_verify),
-        ("involution", _cmd_cubic_involution),
-        ("witness", _cmd_cubic_witness),
-        ("matrix-rep", _cmd_cubic_matrix_rep),
-        ("form", _cmd_cubic_form),
-    ):
-        sub = cubic.add_parser(name)
-        _add_input(sub, with_ring=True)
-        sub.set_defaults(handler=fn)
-
-    form = top.add_parser("form", help="binary cubic forms").add_subparsers(
-        dest="cmd", required=True
-    )
-    for name, fn in (("disc", _cmd_form_disc), ("act", _cmd_form_act)):
-        sub = form.add_parser(name)
-        _add_input(sub, with_ring=True)
-        sub.set_defaults(handler=fn)
-
-    inv = top.add_parser("inv", help="involutions").add_subparsers(
-        dest="cmd", required=True
-    )
-    for name, fn in (
-        ("verify", _cmd_inv_verify),
-        ("find", _cmd_inv_find),
-        ("trace-norm", _cmd_inv_trace_norm),
-    ):
-        sub = inv.add_parser(name)
-        _add_input(sub)
-        sub.set_defaults(handler=fn)
-
-    alg = top.add_parser("alg", help="structure-constant algebras").add_subparsers(
-        dest="cmd", required=True
-    )
-    for name, fn in (
-        ("assoc", _cmd_alg_assoc),
-        ("degree", _cmd_alg_degree),
-        ("charpoly", _cmd_alg_charpoly),
-    ):
-        sub = alg.add_parser(name)
-        _add_input(sub)
-        sub.set_defaults(handler=fn)
-
-    census = top.add_parser("census", help="exhaustive small-field surveys").add_subparsers(
-        dest="cmd", required=True
-    )
-    for name, fn in (
-        ("cubic", _cmd_census_cubic),
-        ("quad", _cmd_census_quad),
-        ("exceptional", _cmd_census_exceptional),
-    ):
-        sub = census.add_parser(name)
-        sub.add_argument("--p", type=int, required=True, help="field size (prime)")
-        if name != "exceptional":
-            _add_format(sub)
-        sub.set_defaults(handler=fn)
-
-    probe = top.add_parser("probe", help="degree and matrix-algebra probes").add_subparsers(
-        dest="cmd", required=True
-    )
-    sub = probe.add_parser("mn")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True, choices=(2, 3))
-    sub.set_defaults(handler=_cmd_probe_mn)
-    sub = probe.add_parser("degree-product")
-    _add_input(sub)
-    sub.set_defaults(handler=_cmd_probe_degree_product)
-
+    for group in _chosen(_COMMANDS, first):
+        group_help, commands = _COMMANDS[group]
+        cmds = top.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
+        for name in _chosen(commands, second):
+            handler, add_arguments = commands[name]
+            sub = cmds.add_parser(name)
+            add_arguments(sub)
+            sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except LowrankError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        error = {"type": type(exc).__name__, "message": str(exc)}
         violations = getattr(exc, "violations", None)
         if violations is not None:
-            payload["error"]["violations"] = violations
-        print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
+            error["violations"] = violations
+        _emit_error(error)
         return 1
     except InputError as exc:
-        payload = {"error": {"type": "InputError", "message": str(exc)}}
-        print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
+        _emit_error({"type": "InputError", "message": str(exc)})
         return 2
 
 

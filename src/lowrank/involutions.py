@@ -4,7 +4,9 @@ An involution is stored by the images of the basis elements and applied
 by linear extension.  It is standard when every x times its conjugate
 lands in the base ring; by bilinearity it is enough to check the basis
 elements together with all two-element basis sums, which is what
-verify_standard does.  Elements fixed under a standard involution's
+verify_standard does.  verify_involution and verify_standard run on
+the table's canonical raw values and build an element only for a
+witness they return.  Elements fixed under a standard involution's
 trace and norm satisfy an explicit monic quadratic, and that quadratic
 certificate is the engine behind both the search for standard
 involutions in low rank and the degree bounds used elsewhere.
@@ -80,18 +82,19 @@ def verify_involution(inv: Involution):
     reversing products.
     """
     alg = inv.algebra
-    if inv.images[0] != alg.one():
+    k = alg.rank
+    t = alg._values
+    e = t[0]  # the basis vectors, since e_0 = 1
+    combine, mul = alg._combine_values, alg._mul_values
+    images = [tuple(c.value for c in im.coeffs) for im in inv.images]
+    if images[0] != e[0]:
         return False, "basis element 0 is not fixed"
-    for i in range(alg.rank):
-        if inv.apply(inv.images[i]) != alg.basis(i):
+    for i in range(k):
+        if combine(images[i], images) != e[i]:
             return False, f"double application moves basis element {i}"
-    for i in range(alg.rank):
-        ei = alg.basis(i)
-        for j in range(alg.rank):
-            ej = alg.basis(j)
-            lhs = inv.apply(ei * ej)
-            rhs = inv.images[j] * inv.images[i]
-            if lhs != rhs:
+    for i in range(k):
+        for j in range(k):
+            if combine(t[i][j], images) != mul(images[j], images[i]):
                 return False, f"product reversal fails on pair ({i}, {j})"
     return True, None
 
@@ -105,15 +108,15 @@ def verify_standard(inv: Involution):
     Returns (True, None) or (False, witness element).
     """
     alg = inv.algebra
-    for i in range(alg.rank):
-        x = alg.basis(i)
-        if not (x * inv.apply(x)).is_scalar():
-            return False, x
-    for i in range(alg.rank):
-        for j in range(i + 1, alg.rank):
-            x = alg.basis(i) + alg.basis(j)
-            if not (x * inv.apply(x)).is_scalar():
-                return False, x
+    k = alg.rank
+    combine, mul = alg._combine_values, alg._mul_values
+    images = [tuple(c.value for c in im.coeffs) for im in inv.images]
+    for support in itertools.chain(
+        itertools.combinations(range(k), 1), itertools.combinations(range(k), 2)
+    ):
+        x = tuple(1 if l in support else 0 for l in range(k))
+        if any(mul(x, combine(x, images))[1:]):
+            return False, alg.element(x)
     return True, None
 
 

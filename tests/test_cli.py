@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -382,16 +383,126 @@ def test_argparse_rejects_unknown(capsys):
     assert info.value.code == 2
 
 
-def test_module_invocation():
-    # the child imports the same lowrank as this test, wherever it was found
+def run_module(*argv):
+    """Run python -m lowrank.cli in a child that imports the same lowrank
+    as this test, wherever it was found."""
     src = str(Path(lowrank.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lowrank.cli", "census", "exceptional", "--p", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "lowrank.cli", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_module_invocation():
+    proc = run_module("census", "exceptional", "--p", "2")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["count"] == 2
+
+
+def parse_outcome(capsys, parser, argv):
+    try:
+        result, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        result, code = None, exc.code
+    captured = capsys.readouterr()
+    return result, code, captured.out, captured.err
+
+
+TAILS = [
+    [], ["x"], ["x", "y"], ["x", "--ring", "{}"], ["--ring", "{}"], ["--p", "5"],
+    ["--p", "5", "--format", "table"], ["--p", "5", "--format", "csv"],
+    ["--p", "x"], ["--p", "5", "--n", "2"], ["--p", "5", "--n", "4"],
+    ["--help"], ["x", "-h"], ["--no-such-flag"], ["--"], ["-", "--ring"],
+]
+
+
+def partial_parse_cases():
+    cases = [[], ["-h"], ["--help", "cubic"], ["no-such-group"], ["-x", "cubic"], ["--", "cubic"]]
+    for group, (_, commands) in lowrank.cli._COMMANDS.items():
+        cases += [[group], [group, "--help"], [group, "no-such-command"], [group, "-x"]]
+        for command in commands:
+            cases += [[group, command, *tail] for tail in TAILS]
+            cases.append([command, group, "x"])
+    return cases
+
+
+def test_partial_parser_parses_as_the_full_one(capsys):
+    cases = partial_parse_cases()
+    for argv in cases:
+        full = parse_outcome(capsys, lowrank.cli.build_parser(), argv)
+        partial = parse_outcome(capsys, lowrank.cli.build_parser(argv), argv)
+        assert partial == full, argv
+    assert len(cases) > 400
+
+
+def test_a_request_builds_only_the_parsers_it_names(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_json(capsys, "census", "cubic", "--p", "2")["valid"] == 19
+    assert built == ["lowrank", "lowrank census", "lowrank census cubic"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["census", "--help"])
+    capsys.readouterr()
+    assert len(built) == 1 + 1 + len(lowrank.cli._COMMANDS["census"][1])
+    built.clear()
+    lowrank.cli.build_parser()
+    assert len(built) == 1 + sum(1 + len(cmds) for _, cmds in lowrank.cli._COMMANDS.values())
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert lowrank.cli.build_parser() is not lowrank.cli.build_parser()
+
+
+def test_consecutive_calls_keep_no_state(capsys):
+    code, out, _ = run_cli(capsys, "census", "cubic", "--p", "3", "--format", "table")
+    assert code == 0 and "theorem=holds" in out
+    with pytest.raises(SystemExit):
+        main(["census", "cubic", "--p", "x"])
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "census", "cubic", "--p", "3")
+    assert code == 0, err
+    fresh = run_module("census", "cubic", "--p", "3")
+    assert fresh.returncode == 0, fresh.stderr
+    assert out == fresh.stdout
+
+
+USAGE_ERRORS = [
+    (["census", "cubic", "--p", "x"], "invalid int value: 'x'"),
+    (["census", "cubic"], "the following arguments are required: --p"),
+    (["no-such-group"], "invalid choice: 'no-such-group'"),
+    ([], "the following arguments are required: group"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=["bad-int", "no-p", "group", "empty"])
+def test_usage_errors_are_json(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "InputError"
+    assert message in error["message"]
+    proc = run_module(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == captured.err
+
+
+def test_help_is_text(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["census", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: lowrank census")

@@ -277,3 +277,161 @@ def test_involution_json_round_trip():
     # Q case too: json strings carry fractions exactly
     inv = quaternion_conjugation(QQ, QQ.element(-1), QQ.element(5))
     assert Involution.from_json(inv.to_json()) == inv
+
+
+# -- raw-value checks against the RingElement versions ------------------------
+
+
+def _oracle_apply(inv, x):
+    out = inv.algebra.zero()
+    for c, im in zip(x.coeffs, inv.images):
+        if not c.is_zero():
+            out = out + im * c
+    return out
+
+
+def _oracle_verify_involution(inv):
+    alg = inv.algebra
+    if inv.images[0] != alg.one():
+        return False, "basis element 0 is not fixed"
+    for i in range(alg.rank):
+        if _oracle_apply(inv, inv.images[i]) != alg.basis(i):
+            return False, f"double application moves basis element {i}"
+    for i in range(alg.rank):
+        ei = alg.basis(i)
+        for j in range(alg.rank):
+            ej = alg.basis(j)
+            lhs = _oracle_apply(inv, ei * ej)
+            rhs = inv.images[j] * inv.images[i]
+            if lhs != rhs:
+                return False, f"product reversal fails on pair ({i}, {j})"
+    return True, None
+
+
+def _oracle_verify_standard(inv):
+    alg = inv.algebra
+    for i in range(alg.rank):
+        x = alg.basis(i)
+        if not (x * _oracle_apply(inv, x)).is_scalar():
+            return False, x
+    for i in range(alg.rank):
+        for j in range(i + 1, alg.rank):
+            x = alg.basis(i) + alg.basis(j)
+            if not (x * _oracle_apply(inv, x)).is_scalar():
+                return False, x
+    return True, None
+
+
+def _random_value(spec, rng, span=4):
+    if spec.kind == "Fp":
+        return rng.randrange(spec.p)
+    if spec.kind == "Q" and rng.random() < 0.3:
+        return QQ.element(rng.randint(-span, span)) / QQ.element(rng.randint(1, span))
+    return rng.randint(-span, span)
+
+
+def _random_table(spec, k, rng):
+    """A unital table with random products of non-identity basis elements."""
+    unit = [[1 if l == j else 0 for l in range(k)] for j in range(k)]
+    return StructureConstants(
+        spec,
+        [
+            [
+                unit[max(i, j)] if min(i, j) == 0
+                else [_random_value(spec, rng) for _ in range(k)]
+                for j in range(k)
+            ]
+            for i in range(k)
+        ],
+    )
+
+
+def _oracle_algebras(spec, rng):
+    """Rank 1 to 3: the line, quadratic, cubic and random tables."""
+    algebras = [rank_one(spec)]
+    for _ in range(3):
+        t, n = (_random_value(spec, rng) for _ in range(2))
+        algebras.append(quadratic_from_tuple(spec, t, n).structure())
+    for _ in range(3):
+        m, n = (_random_value(spec, rng) for _ in range(2))
+        algebras.append(build_algebra(CubicCoefficients(spec, n, 0, m, n, 0, m)))
+        b, c, y, z = (_random_value(spec, rng) for _ in range(4))
+        algebras.append(build_algebra(CubicCoefficients(spec, b, c, 0, 0, y, z)))
+    algebras += [_random_table(spec, k, rng) for k in (2, 3, 3)]
+    return algebras
+
+
+def _oracle_candidates(alg, found, rng):
+    """Maps that fail each axiom in turn, pass them all, or are non-standard;
+    `found` is a standard involution of alg, or None."""
+    k = alg.rank
+    ident = [alg.basis(i) for i in range(k)]
+    out = [Involution(alg, ident)]
+    if found is not None:
+        out.append(found)
+        images = list(found.images)
+        images[-1] = images[-1] + alg.basis(k - 1)  # breaks self-inverse
+        out.append(Involution(alg, images))
+    for _ in range(4):
+        # conjugation shape x -> t(x) - x with random traces: fixes 1 and
+        # is self-inverse, so only product reversal and standardness can fail
+        out.append(Involution(alg, [alg.one()] + [
+            alg.scalar(_random_value(alg.spec, rng)) - alg.basis(i) for i in range(1, k)
+        ]))
+        rows = [[_random_value(alg.spec, rng) for _ in range(k)] for _ in range(k)]
+        out.append(Involution(alg, rows))  # 1 is not fixed, as a rule
+        out.append(Involution(alg, [alg.one()] + rows[1:]))
+    return out
+
+
+def _value_types(x):
+    return [type(c.value) for c in x.coeffs]
+
+
+def _assert_matches_oracle(inv, rng):
+    """Compare apply, verify_involution and verify_standard with the oracle;
+    returns (involution?, failure, standard?)."""
+    alg = inv.algebra
+    x = alg.element([_random_value(alg.spec, rng) for _ in range(alg.rank)])
+    got_apply, want_apply = inv.apply(x), _oracle_apply(inv, x)
+    assert got_apply == want_apply
+    assert _value_types(got_apply) == _value_types(want_apply)
+    ok, why = verify_involution(inv)
+    assert (ok, why) == _oracle_verify_involution(inv), inv
+    standard, witness = verify_standard(inv)
+    want_standard, want_witness = _oracle_verify_standard(inv)
+    assert (standard, witness) == (want_standard, want_witness), inv
+    if witness is not None:
+        assert _value_types(witness) == _value_types(want_witness)
+    return ok, why, standard
+
+
+@pytest.mark.parametrize("spec", [ZZ, QQ, GF(2), GF(5), GF(9973)], ids=repr)
+def test_raw_involution_checks_match_ring_element_oracle(spec):
+    rng = random.Random(f"oracle {spec!r}")
+    seen = set()
+    for alg in _oracle_algebras(spec, rng):
+        for inv in _oracle_candidates(alg, find_standard_involution(alg), rng):
+            seen.add((alg.rank, *_assert_matches_oracle(inv, rng)))
+    assert {rank for rank, *_ in seen} == {1, 2, 3}
+    verdicts = {(ok, standard) for _, ok, _, standard in seen}
+    assert {(True, True), (True, False), (False, False)} <= verdicts
+    failures = {why.split(" ")[0] for _, _, why, _ in seen if why}
+    assert failures == {"basis", "double", "product"}
+
+
+@pytest.mark.parametrize("spec", [ZZ, QQ, GF(2), GF(3), GF(5), GF(9973)], ids=repr)
+def test_raw_involution_checks_on_built_in_examples(spec):
+    rng = random.Random(f"examples {spec!r}")
+    examples = [m2_adjoint(spec), pair_swap(spec)]
+    if spec.characteristic() != 2:
+        examples += [quaternion_conjugation(spec, -1, b) for b in (-1, 1)]
+    for inv in examples:
+        assert _assert_matches_oracle(inv, rng) == (True, None, True)
+        alg = inv.algebra
+        for candidate in _oracle_candidates(alg, inv, rng):
+            _assert_matches_oracle(candidate, rng)
+        for i in range(alg.rank):
+            images = list(inv.images)
+            images[i] = -images[i]
+            _assert_matches_oracle(Involution(alg, images), rng)
