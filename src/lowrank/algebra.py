@@ -32,6 +32,9 @@ class StructureConstants:
 
     The cells are stored once, as canonical raw values in `_values`;
     `table` wraps them in RingElements on first read and keeps the result.
+    The constructor checks every value, the shape and the identity.  The
+    private `_canonical` skips those checks; its only caller is
+    `cubic.build_algebra`, whose rows are canonical by construction.
     """
 
     __slots__ = ("spec", "rank", "_values", "_table")
@@ -57,6 +60,18 @@ class StructureConstants:
         self.rank = k
         self._values = rows
         self._table = None
+
+    @classmethod
+    def _canonical(cls, spec: RingSpec, rows) -> StructureConstants:
+        """A table from rows the constructor would store unchanged: tuples
+        of tuples of canonical raw values (RingSpec.value), with basis
+        element 0 a two-sided identity.  Nothing is checked."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out.rank = len(rows)
+        out._values = rows
+        out._table = None
+        return out
 
     @property
     def table(self):

@@ -5,12 +5,16 @@ by searching every unital linear map between two algebras over a prime
 field, censuses list every valid coefficient tuple in lexicographic
 order (built from the two families the relations leave over a field),
 and the reports record per-tuple verdicts so they can be reproduced
-byte for byte.
+byte for byte.  The cubic census report is written row by row from a
+fixed template on raw values, in the same bytes as json.dumps of its
+to_json (see CensusReport).
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
 
 from .algebra import (
     AlgebraMap,
@@ -192,8 +196,57 @@ def enumerate_cubic(spec: RingSpec):
     ]
 
 
+# One census row as json.dumps(report.to_json(), indent=2, sort_keys=True)
+# renders it inside "rows", and as a line of the plain-text table.  Field 0
+# is the case, 1 the involution flag, 2-7 the raw values b, c, m, n, y, z;
+# the str() of a canonical raw value never needs JSON escaping.
+_JSON_ROW = (
+    '    {{\n'
+    '      "case": "{0}",\n'
+    '      "standard_involution": {1},\n'
+    '      "tuple": [\n'
+    '        "{2}",\n'
+    '        "{3}",\n'
+    '        "{4}",\n'
+    '        "{5}",\n'
+    '        "{6}",\n'
+    '        "{7}"\n'
+    '      ]\n'
+    '    }}'
+)
+_TABLE_ROW = "({2},{3},{4},{5},{6},{7})  {0:<12} {1}\n"
+
+# Rows joined into one write.
+_CHUNK_ROWS = 1024
+
+
+def _write_joined(out, pieces, sep):
+    """out.write(sep.join(pieces)), _CHUNK_ROWS pieces at a time."""
+    pieces = iter(pieces)
+    lead = ""
+    while True:
+        chunk = list(itertools.islice(pieces, _CHUNK_ROWS))
+        if not chunk:
+            return
+        out.write(lead + sep.join(chunk))
+        lead = sep
+
+
+def _json_members(obj):
+    """json.dumps(obj, indent=2, sort_keys=True) of a non-empty dict,
+    without its opening and closing brace lines."""
+    return json.dumps(obj, indent=2, sort_keys=True)[2:-2]
+
+
 class CensusReport:
-    """Per-tuple verdicts for the structure theorem over one field."""
+    """Per-tuple verdicts for the structure theorem over one field.
+
+    to_json builds the report as a dict.  write_json writes the same
+    bytes as json.dumps(to_json(), indent=2, sort_keys=True) plus a
+    newline without building either: the summary keys go through
+    json.dumps, the rows through a fixed template on raw values, a chunk
+    at a time.  write_table does the same for the plain-text table.
+    """
 
     def __init__(self, spec, total, rows, intersection, representatives):
         self.spec = spec
@@ -224,7 +277,8 @@ class CensusReport:
         ) == nil
         return every and meet_ok
 
-    def to_json(self):
+    def _summary(self):
+        """Every key of to_json but "rows"."""
         return {
             "ring": self.spec.to_json(),
             "total": self.total,
@@ -242,30 +296,58 @@ class CensusReport:
                     for rep in self.representatives
                 ]
             ),
-            "rows": [
-                {
-                    "tuple": [str(v) for v in coeffs.as_tuple()],
-                    "case": case.value,
-                    "standard_involution": has_inv,
-                }
-                for coeffs, case, has_inv in self.rows
-            ],
         }
 
-    def to_table(self):
-        lines = ["tuple (b,c,m,n,y,z)  case         involution"]
-        for coeffs, case, has_inv in self.rows:
-            tup = ",".join(str(v) for v in coeffs.as_tuple())
-            lines.append(
-                f"({tup})  {case.value:<12} {'yes' if has_inv else 'no'}"
+    def to_json(self):
+        out = self._summary()
+        out["rows"] = [
+            {
+                "tuple": [str(v) for v in coeffs.as_tuple()],
+                "case": case.value,
+                "standard_involution": has_inv,
+            }
+            for coeffs, case, has_inv in self.rows
+        ]
+        return out
+
+    def _render_rows(self, template, flags):
+        """Each row through template, the flag read as flags[has_inv]."""
+        fmt = template.format
+        for t, case, has_inv in self.rows:
+            yield fmt(
+                case.value, flags[has_inv],
+                t.b.value, t.c.value, t.m.value, t.n.value, t.y.value, t.z.value,
             )
+
+    def write_json(self, out):
+        """Write the JSON report and a newline to out (see the class)."""
+        summary = self._summary()
+        head = {k: v for k, v in summary.items() if k < "rows"}
+        tail = {k: v for k, v in summary.items() if k > "rows"}
+        out.write("{\n" + _json_members(head) + ",\n")
+        if self.rows:
+            out.write('  "rows": [\n')
+            _write_joined(out, self._render_rows(_JSON_ROW, ("false", "true")), ",\n")
+            out.write("\n  ],\n")
+        else:
+            out.write('  "rows": [],\n')
+        out.write(_json_members(tail) + "\n}\n")
+
+    def write_table(self, out):
+        """Write the plain-text table and a newline to out."""
+        out.write("tuple (b,c,m,n,y,z)  case         involution\n")
+        _write_joined(out, self._render_rows(_TABLE_ROW, ("no", "yes")), "")
         counts = self.case_counts()
-        lines.append(
+        out.write(
             f"total={self.total} valid={self.valid} "
             + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-            + f" theorem={'holds' if self.theorem_holds() else 'FAILS'}"
+            + f" theorem={'holds' if self.theorem_holds() else 'FAILS'}\n"
         )
-        return "\n".join(lines)
+
+    def to_table(self):
+        buf = io.StringIO()
+        self.write_table(buf)
+        return buf.getvalue()[:-1]
 
 
 def verify_main_theorem(spec: RingSpec) -> CensusReport:

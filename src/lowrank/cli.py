@@ -10,7 +10,8 @@ commands can render a plain-text table instead with --format table.
 Exit status: 0 on success, 1 on a domain error (violated relations,
 non-units, guard limits), 2 on malformed input, including a bad command
 line; either error puts a JSON error object on stderr.  --help prints
-text and exits 0.
+text and exits 0.  The console script (entry) exits 1 with no traceback
+when the reader closes stdout early.
 
 main builds only the parsers its command line names (see build_parser),
 so a request does not pay for the whole command tree.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import StructureConstants, algebra_degree, json_list, left_regular_rep, SquareMatrix
@@ -328,9 +330,9 @@ def _census_spec(args) -> RingSpec:
 def _cmd_census_cubic(args):
     report = verify_main_theorem(_census_spec(args))
     if args.format == "table":
-        print(report.to_table())
+        report.write_table(sys.stdout)
     else:
-        _emit(report.to_json())
+        report.write_json(sys.stdout)
     return 0
 
 
@@ -509,7 +511,20 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: main() on sys.argv.  A reader that closes
+    stdout early (`lowrank census cubic --p 7 | head -1`) ends the run
+    with exit status 1 and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at shutdown; point it at devnull so
+        # that flush does not raise too (the SIGPIPE note in the signal
+        # module's documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -221,15 +221,26 @@ def build_algebra(coeffs: CubicCoefficients) -> StructureConstants:
         i*i = -cz + b i + c j    i*j = cy
         j*i = (cy - bm) + m i + n j
         j*j = -by + y i + z j
+
+    The six-tuple was validated when it was built, so the table is made
+    canonical here (the four computed cells reduced mod p, the constants
+    the ring's own 0 and 1) and stored without re-checking.
     """
+    spec = coeffs.spec
     b, c, m, n, y, z = (v.value for v in coeffs.as_tuple())
-    return StructureConstants(
-        coeffs.spec,
-        [
-            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-            [[0, 1, 0], [-(c * z), b, c], [c * y, 0, 0]],
-            [[0, 0, 1], [c * y - b * m, m, n], [-(b * y), y, z]],
-        ],
+    a, d, l, x = -(c * z), c * y, c * y - b * m, -(b * y)
+    p = spec.p
+    if p:
+        a, d, l, x = a % p, d % p, l % p, x % p
+    zero, one = spec.value(0), spec.value(1)
+    basis = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    return StructureConstants._canonical(
+        spec,
+        (
+            basis,
+            (basis[1], (a, b, c), (d, zero, zero)),
+            (basis[2], (l, m, n), (x, y, z)),
+        ),
     )
 
 

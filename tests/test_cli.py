@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import lowrank
+from lowrank import GF
+from lowrank.classify import CensusReport, verify_main_theorem
 from lowrank.cli import main
 
 
@@ -244,6 +246,46 @@ def test_census_cubic(capsys):
     assert "theorem=holds" in out
 
 
+def census_table_oracle(report):
+    """The plain-text census table built line by line through str() on
+    RingElements; the oracle for the template writer."""
+    lines = ["tuple (b,c,m,n,y,z)  case         involution"]
+    for coeffs, case, has_inv in report.rows:
+        tup = ",".join(str(v) for v in coeffs.as_tuple())
+        lines.append(f"({tup})  {case.value:<12} {'yes' if has_inv else 'no'}")
+    counts = report.case_counts()
+    lines.append(
+        f"total={report.total} valid={report.valid} "
+        + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        + f" theorem={'holds' if report.theorem_holds() else 'FAILS'}"
+    )
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_census_cubic_report_bytes(capsys, p):
+    report = verify_main_theorem(GF(p))
+    payload = report.to_json()
+    # p <= 5 lists class representatives, p = 7 reports null
+    assert (payload["class_representatives"] is None) == (p == 7)
+    code, out, err = run_cli(capsys, "census", "cubic", "--p", str(p))
+    assert code == 0, err
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    table = census_table_oracle(report)
+    assert report.to_table() == table
+    code, out, err = run_cli(capsys, "census", "cubic", "--p", str(p), "--format", "table")
+    assert code == 0, err
+    assert out == table + "\n"
+
+
+def test_census_report_writers_without_rows():
+    report = CensusReport(GF(5), 0, [], [], None)
+    out = io.StringIO()
+    report.write_json(out)
+    assert out.getvalue() == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    assert report.to_table() == census_table_oracle(report)
+
+
 def test_census_quad(capsys):
     payload = run_json(capsys, "census", "quad", "--p", "5")
     assert payload["class_count"] == 3
@@ -383,16 +425,21 @@ def test_argparse_rejects_unknown(capsys):
     assert info.value.code == 2
 
 
-def run_module(*argv):
-    """Run python -m lowrank.cli in a child that imports the same lowrank
-    as this test, wherever it was found."""
+def child_env():
+    """The environment of a child that imports the same lowrank as this
+    test, wherever it was found."""
     src = str(Path(lowrank.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_module(*argv):
+    """Run python -m lowrank.cli in a child (see child_env)."""
     return subprocess.run(
         [sys.executable, "-m", "lowrank.cli", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
 
 
@@ -401,6 +448,22 @@ def test_module_invocation():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["count"] == 2
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the p = 7 report (441 KB) is far larger than a pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lowrank.cli", "census", "cubic", "--p", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err
 
 
 def parse_outcome(capsys, parser, argv):

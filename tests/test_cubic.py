@@ -16,12 +16,14 @@ from lowrank import (
     NotAUnit,
     RelationViolation,
     SquareMatrix,
+    StructureConstants,
     WrongCase,
     algebra_from_form,
     build_algebra,
     char_poly_exceptional,
     classify_case,
     commutative_from_form,
+    enumerate_cubic,
     exceptional_norm,
     exceptional_witness,
     form_from_commutative,
@@ -228,6 +230,43 @@ def test_random_valid_tables_are_associative():
             alg = build_algebra(pick(spec, rng))
             ok, witness = alg.verify_associativity()
             assert ok, witness
+
+
+def checked_table(coeffs):
+    """The table of build_algebra's docstring, left unreduced and given to
+    the public constructor, which checks and canonicalises every cell."""
+    b, c, m, n, y, z = (v.value for v in coeffs.as_tuple())
+    return StructureConstants(
+        coeffs.spec,
+        [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [-(c * z), b, c], [c * y, 0, 0]],
+            [[0, 0, 1], [c * y - b * m, m, n], [-(b * y), y, z]],
+        ],
+    )
+
+
+def test_build_algebra_stores_what_the_public_constructor_would():
+    cases = [c for p in (2, 3, 5) for c in enumerate_cubic(GF(p))]
+    rng = random.Random(67)
+    draws = {
+        "Z": lambda: rng.randint(-99, 99),
+        "Q": lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+        "Fp": lambda: rng.randrange(9973),
+    }
+    for spec in (ZZ, QQ, GF(9973)):
+        draw = draws[spec.kind]
+        for _ in range(200):
+            b, c, m, n, y, z = (draw() for _ in range(6))
+            tup = (b, c, 0, 0, y, z) if rng.random() < 0.5 else (n, 0, m, n, 0, m)
+            cases.append(CubicCoefficients(spec, *tup))
+    # over Q the constants must be Fractions too, which == cannot see
+    types = lambda alg: [type(v) for row in alg._values for cell in row for v in cell]
+    for coeffs in cases:
+        built, checked = build_algebra(coeffs), checked_table(coeffs)
+        assert built._values == checked._values, coeffs
+        assert types(built) == types(checked), coeffs
+        assert built == checked and built.rank == 3
 
 
 def test_exceptional_involution():
