@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InputError, SpecMismatch, TableError, UnsupportedRing, check_guard
+from .errors import InputError, NotAUnit, SpecMismatch, TableError, UnsupportedRing, check_guard
 from .poly import Polynomial
-from .rings import RingElement, RingSpec, _trusted, exact_div
+from .rings import RingElement, RingSpec, _trusted
 
 
 def json_list(raw, length, what):
@@ -411,72 +411,36 @@ class SquareMatrix:
             for row in self.entries
         )
 
+    def _values(self):
+        """The entries as rows of canonical raw values."""
+        return [[e.value for e in row] for row in self.entries]
+
     def det(self) -> RingElement:
-        """Determinant: cofactor expansion for n <= 4, else fraction-free
-        elimination (whose quotients are exact over Z as well)."""
-        if self.n <= 4:
-            return _det_cofactor(
-                [list(row) for row in self.entries], self.spec.zero
-            )
-        return _det_bareiss(
-            [list(row) for row in self.entries],
-            self.spec.zero,
-            self.spec.one,
-        )
+        """(-1)^n times the constant term of the characteristic polynomial."""
+        c0 = _char_poly_values(self.spec, self._values())[0]
+        return self.spec.element(-c0 if self.n % 2 else c0)
 
     def char_poly(self) -> Polynomial:
-        """Characteristic polynomial det(T*I - M), exactly.
-
-        The entries of T*I - M live in the polynomial ring; the
-        determinant is expanded by minors for n <= 4 and by fraction-free
-        elimination above that, where every quotient is exact.
-        """
-        spec = self.spec
-        t_poly = Polynomial.variable(spec)
-        zero_p = Polynomial(spec)
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                if i == j:
-                    row.append(t_poly - self.entries[i][j])
-                else:
-                    row.append(Polynomial(spec, (-self.entries[i][j],)))
-            rows.append(row)
-        if self.n <= 4:
-            return _det_cofactor(rows, zero_p)
-        return _det_bareiss(rows, zero_p, Polynomial.constant(spec, 1))
+        """Characteristic polynomial det(T*I - M), exactly."""
+        return Polynomial(self.spec, _char_poly_values(self.spec, self._values()))
 
     def is_invertible(self) -> bool:
         return self.det().is_unit()
 
     def inverse(self) -> SquareMatrix:
-        """Adjugate divided by the determinant; needs a unit determinant."""
-        d = self.det()
-        if not d.is_unit():
-            from .errors import NotAUnit
+        """The inverse from Cayley-Hamilton; needs a unit determinant.
 
-            raise NotAUnit(f"determinant {d} is not a unit")
-        n = self.n
-        if n == 1:
-            return SquareMatrix(self.spec, [[self.spec.one / d]])
-        cof = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [
-                    [self.entries[r][c] for c in range(n) if c != j]
-                    for r in range(n) if r != i
-                ]
-                m = _det_cofactor(minor, self.spec.zero)
-                if (i + j) % 2:
-                    m = -m
-                row.append(m)
-            cof.append(row)
-        # adjugate is the transposed cofactor matrix
-        return SquareMatrix(
-            self.spec, [[cof[j][i] / d for j in range(n)] for i in range(n)]
-        )
+        With chi the characteristic polynomial and q = (chi - chi(0)) / T,
+        M q(M) = chi(M) - chi(0) I = -chi(0) I, so M^-1 = q(M) / -chi(0);
+        q(M) is (-1)^(n-1) times the adjugate.
+        """
+        chi = self.char_poly()
+        c0 = chi.coefficient(0)  # (-1)^n det(M)
+        if not c0.is_unit():
+            raise NotAUnit(f"determinant {self.det()} is not a unit")
+        q = Polynomial(self.spec, chi.coeffs[1:])
+        adj = q.evaluate(self, one=SquareMatrix.identity(self.spec, self.n))
+        return adj * (-c0).inverse()
 
     def __repr__(self):
         return "[" + "; ".join(
@@ -487,53 +451,54 @@ class SquareMatrix:
         return [[str(e) for e in row] for row in self.entries]
 
 
-def _det_cofactor(rows, zero):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = zero
-    sign = 1
-    for j in range(n):
-        a = rows[0][j]
-        if not a.is_zero():
-            minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-            term = a * _det_cofactor(minor, zero)
-            acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-    return acc
+def _char_poly_values(spec: RingSpec, rows):
+    """Coefficients of det(T*I - M), constant term first, for the square
+    matrix M given as rows of canonical raw values (ints, or Fractions
+    over Q).
 
-
-def _exact_quotient(a, b):
-    if isinstance(a, Polynomial):
-        q, r = divmod(a, b)
-        assert r.is_zero(), "fraction-free elimination produced a remainder"
-        return q
-    return exact_div(a, b)
-
-
-def _det_bareiss(m, zero, one):
-    n = len(m)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = _exact_quotient(num, prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return out if sign > 0 else -out
+    Berkowitz's algorithm (Inf. Process. Lett. 18, 1984) uses only ring
+    operations, so it is exact over Z, Q and F_p with no division.  If
+    the leading (r+1) x (r+1) block is [[A, C], [R, a]], its polynomial
+    is the lower-triangular Toeplitz matrix with first column
+    (1, -a, -RC, -RAC, ..., -RA^(r-1)C) applied to that of A.  Skips
+    zero factors and reduces each term mod p over F_p.  The only
+    determinant loop.
+    """
+    p = spec.p
+    chi = [1]  # det(T*I - A), leading coefficient first
+    for r, row in enumerate(rows):
+        a = -row[r]
+        col = [1, a % p if p else a]  # the Toeplitz column
+        vec = [rows[i][r] for i in range(r)]  # A^k C, from k = 0
+        for k in range(r):
+            s = 0
+            for j in range(r):
+                b, c = row[j], vec[j]
+                if b and c:
+                    s = s - b * c
+                    s = s % p if p else s
+            col.append(s)
+            if k + 1 < r:
+                out = [0] * r
+                for i in range(r):
+                    arow = rows[i]
+                    for j in range(r):
+                        b, c = arow[j], vec[j]
+                        if b and c:
+                            s = out[i] + b * c
+                            out[i] = s % p if p else s
+                vec = out
+        nxt = chi + [0]
+        for j, c in enumerate(chi):
+            if not c:
+                continue
+            for i in range(j + 1, r + 2):
+                b = col[i - j]
+                if b:
+                    s = nxt[i] + b * c
+                    nxt[i] = s % p if p else s
+        chi = nxt
+    return chi[::-1]
 
 
 def left_regular_rep(x: AlgebraElement) -> SquareMatrix:

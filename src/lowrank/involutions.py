@@ -157,46 +157,40 @@ def _candidate_from_tvalues(alg: StructureConstants, tvals) -> Involution:
 def find_standard_involution(alg: StructureConstants):
     """Search for a standard involution, or return None.
 
-    For rank at most 3 the candidate is forced: any standard involution
-    conjugates e_i to t_i - e_i where t_i is read off from e_i^2, which
+    The candidate is forced: any standard involution conjugates e_i to
+    t_i - e_i where t_i is read off from e_i^2 = t_i e_i - n_i, which
     must lie in the span of 1 and e_i.  These conditions, and the
     scalarity of x conj(x) on sums of two generators, are read from the
     raw table; a candidate that passes them is built and verified in
-    full.  Rank 4 over a prime field falls back to a brute
-    force over all trace tuples.
+    full.  Implemented for rank at most 4, over any base ring.
     """
-    if alg.rank <= 3:
-        k = alg.rank
-        p = alg.spec.p
-        t = alg._values
-        tvals = [0] * k
-        for i in range(1, k):
-            sq = t[i][i]  # e_i^2
-            if any(sq[l] for l in range(1, k) if l != i):
-                return None  # e_i^2 leaves the span of {1, e_i}
-            tvals[i] = sq[i]
-        for i in range(1, k):
-            for j in range(i + 1, k):
-                # (e_i + e_j) conj(e_i + e_j) is scalar only if
-                # e_i e_j + e_j e_i - t_j e_i - t_i e_j is
-                for l in range(1, k):
-                    r = t[i][j][l] + t[j][i][l]
-                    if l == i:
-                        r -= tvals[j]
-                    elif l == j:
-                        r -= tvals[i]
-                    if r % p if p else r:
-                        return None
-        cand = _candidate_from_tvalues(alg, tvals[1:])
-        if verify_involution(cand)[0] and verify_standard(cand)[0]:
-            return cand
-        return None
-    if alg.rank == 4 and alg.spec.kind == "Fp":
-        found = _bruteforce_tvalues(alg, stop_after_first=True)
-        return found[0] if found else None
-    raise UnsupportedRing(
-        "search implemented for rank <= 3, or rank 4 over a prime field"
-    )
+    if alg.rank > 4:
+        raise UnsupportedRing("search implemented for rank <= 4")
+    k = alg.rank
+    p = alg.spec.p
+    t = alg._values
+    tvals = [0] * k
+    for i in range(1, k):
+        sq = t[i][i]  # e_i^2
+        if any(sq[l] for l in range(1, k) if l != i):
+            return None  # e_i^2 leaves the span of {1, e_i}
+        tvals[i] = sq[i]
+    for i in range(1, k):
+        for j in range(i + 1, k):
+            # (e_i + e_j) conj(e_i + e_j) is scalar only if
+            # e_i e_j + e_j e_i - t_j e_i - t_i e_j is
+            for l in range(1, k):
+                r = t[i][j][l] + t[j][i][l]
+                if l == i:
+                    r -= tvals[j]
+                elif l == j:
+                    r -= tvals[i]
+                if r % p if p else r:
+                    return None
+    cand = _candidate_from_tvalues(alg, tvals[1:])
+    if verify_involution(cand)[0] and verify_standard(cand)[0]:
+        return cand
+    return None
 
 
 def all_standard_involutions(alg: StructureConstants):
@@ -207,10 +201,10 @@ def all_standard_involutions(alg: StructureConstants):
     """
     if alg.spec.kind != "Fp":
         raise UnsupportedRing("exhaustive search needs a prime field")
-    return _bruteforce_tvalues(alg, stop_after_first=False)
+    return _bruteforce_tvalues(alg)
 
 
-def _bruteforce_tvalues(alg: StructureConstants, stop_after_first: bool):
+def _bruteforce_tvalues(alg: StructureConstants):
     p = alg.spec.p
     count = p ** (alg.rank - 1)
     check_guard(count, 15625, "involution brute force")
@@ -221,8 +215,6 @@ def _bruteforce_tvalues(alg: StructureConstants, stop_after_first: bool):
         )
         if verify_involution(cand)[0] and verify_standard(cand)[0]:
             out.append(cand)
-            if stop_after_first:
-                return out
     return out
 
 

@@ -367,8 +367,8 @@ def _trusted(spec: RingSpec, value) -> RingElement:
 def exact_div(a: RingElement, b: RingElement) -> RingElement:
     """Exact quotient a/b; over Z the division must leave no remainder.
 
-    Internal helper for fraction-free elimination, where quotients are
-    exact by construction.  Not part of the unit-division contract.
+    Internal helper for Polynomial long division, whose quotient steps
+    must be exact over Z.  Not part of the unit-division contract.
     """
     if b.spec != a.spec:
         raise SpecMismatch("mismatched operands")

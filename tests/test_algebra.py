@@ -11,6 +11,7 @@ from lowrank import (
     RingElement,
     CubicCoefficients,
     GeneralCubicTable,
+    NotAUnit,
     Polynomial,
     SpecMismatch,
     SquareMatrix,
@@ -263,8 +264,10 @@ def test_min_poly_small_cases():
     assert min_poly(split.basis(1)) == tt * tt - tt
 
 
-def naive_rational_det(entries):
-    """Gaussian elimination over Fraction, for cross-checking."""
+def naive_det(spec, entries):
+    """Gaussian elimination over Fraction, or over F_p with modular
+    inverses, for cross-checking."""
+    p = spec.p
     m = [[Fraction(e.value) for e in row] for row in entries]
     n = len(m)
     det = Fraction(1)
@@ -276,26 +279,29 @@ def naive_rational_det(entries):
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
         det *= m[col][col]
-        inv = 1 / m[col][col]
+        inv = pow(int(m[col][col]), -1, p) if p else 1 / m[col][col]
         for r in range(col + 1, n):
             factor = m[r][col] * inv
             for cc in range(col, n):
                 m[r][cc] -= factor * m[col][cc]
-    return det
+                if p:
+                    m[r][cc] %= p
+    return det % p if p else det
 
 
 def test_det_matches_naive_elimination():
     rng = random.Random(107)
-    for n in (1, 2, 3, 4, 5, 6):
-        for _ in range(30):
-            mat = SquareMatrix(
-                ZZ,
-                [
-                    [ZZ.element(rng.randint(-9, 9)) for _ in range(n)]
-                    for _ in range(n)
-                ],
-            )
-            assert Fraction(mat.det().value) == naive_rational_det(mat.entries)
+    for spec in (ZZ, GF(2), GF(7), GF(9973)):
+        for n in range(1, 10):
+            for _ in range(30 if n <= 6 else 5):
+                mat = SquareMatrix(
+                    spec,
+                    [
+                        [spec.element(rng.randint(-9, 9)) for _ in range(n)]
+                        for _ in range(n)
+                    ],
+                )
+                assert Fraction(mat.det().value) == naive_det(spec, mat.entries)
 
 
 def test_det_multiplicative():
@@ -328,7 +334,7 @@ def test_char_poly_frozen_cases():
 
 
 def test_char_poly_agrees_with_det_at_points():
-    # char_poly(M)(k) = det(k Id - M), including the Bareiss path (n = 5)
+    # char_poly(M)(k) = det(k Id - M)
     rng = random.Random(113)
     for n in (2, 5):
         for _ in range(20):
@@ -346,23 +352,150 @@ def test_char_poly_agrees_with_det_at_points():
                 assert f.evaluate(ZZ.element(k)) == shifted.det()
 
 
+def unimodular_matrix(rng, n):
+    """A random integer matrix of determinant +-1: a product of
+    elementary row operations, row swaps and sign flips."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        kind = rng.randrange(3)
+        if kind == 0 and i != j:
+            c = rng.randint(-3, 3)
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        elif kind == 1:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-a for a in m[i]]
+    return m
+
+
 def test_matrix_inverse():
     rng = random.Random(127)
+    cases = []  # matrices with a unit determinant
+    for n in (1, 3, 4, 5):
+        for _ in range(60 if n == 3 else 12):
+            mat = SquareMatrix(
+                GF(7), [[rng.randrange(7) for _ in range(n)] for _ in range(n)]
+            )
+            if mat.is_invertible():
+                cases.append(mat)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(10):
+            cases.append(SquareMatrix(ZZ, unimodular_matrix(rng, n)))
+            mat = SquareMatrix(
+                QQ,
+                [
+                    [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                    for _ in range(n)
+                ],
+            )
+            if mat.is_invertible():
+                cases.append(mat)
+    assert len(cases) > 100
+    assert {(m.spec, m.n) for m in cases} >= {
+        (spec, n) for spec in (GF(7), ZZ, QQ) for n in (1, 3, 4, 5)
+    }
+    for mat in cases:
+        ident = SquareMatrix.identity(mat.spec, mat.n)
+        inv = mat.inverse()
+        assert mat * inv == ident
+        assert inv * mat == ident
     spec = GF(7)
-    found = 0
-    while found < 50:
-        mat = SquareMatrix(
-            spec, [[spec.element(rng.randrange(7)) for _ in range(3)] for _ in range(3)]
-        )
-        if not mat.is_invertible():
-            continue
-        found += 1
-        assert mat * mat.inverse() == SquareMatrix.identity(spec, 3)
-        assert mat.inverse() * mat == SquareMatrix.identity(spec, 3)
     singular = SquareMatrix(
         spec, [[spec.one, spec.one], [spec.one, spec.one]]
     )
     assert not singular.is_invertible()
+    with pytest.raises(NotAUnit):
+        singular.inverse()
+    # a non-unit determinant over Z has no inverse either
+    with pytest.raises(NotAUnit):
+        SquareMatrix(ZZ, [[2, 0], [0, 1]]).inverse()
+
+
+def reference_char_poly(mat):
+    """det(T*I - M) from a matrix of Polynomial entries: expansion by minors
+    for n <= 4, fraction-free (Bareiss) elimination above that."""
+    spec = mat.spec
+    n = mat.n
+    t = Polynomial.variable(spec)
+    rows = [
+        [
+            (t if i == j else Polynomial(spec)) - mat.entries[i][j]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    zero = Polynomial(spec)
+    if n <= 4:
+        return _reference_det_cofactor(rows, zero)
+    return _reference_det_bareiss(rows, zero, Polynomial.constant(spec, 1))
+
+
+def _reference_det_cofactor(rows, zero):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = zero
+    for j in range(n):
+        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+        term = rows[0][j] * _reference_det_cofactor(minor, zero)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _reference_det_bareiss(m, zero, one):
+    n = len(m)
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not m[r][k].is_zero():
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return zero
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = divmod(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+                assert r.is_zero(), "fraction-free elimination left a remainder"
+                m[i][j] = q
+            m[i][k] = zero
+        prev = m[k][k]
+    out = m[n - 1][n - 1]
+    return out if sign > 0 else -out
+
+
+def test_kernel_matches_reference_char_poly():
+    rng = random.Random(131)
+    for spec in (ZZ, QQ, GF(2), GF(7)):
+        for n in range(1, 10):
+            for trial in range(6 if n <= 5 else 2):
+                if spec.kind == "Q":
+                    entries = [
+                        [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                        for _ in range(n)
+                    ]
+                else:
+                    # small entries on odd trials: many zeros for the
+                    # kernel to skip, and unit determinants over Z
+                    span = 1 if trial % 2 else 6
+                    entries = [
+                        [rng.randint(-span, span) for _ in range(n)] for _ in range(n)
+                    ]
+                mat = SquareMatrix(spec, entries)
+                ref = reference_char_poly(mat)
+                c0 = ref.coefficient(0)
+                assert mat.char_poly() == ref
+                assert mat.det() == (-c0 if n % 2 else c0)
+                if c0.is_unit():
+                    ident = SquareMatrix.identity(spec, n)
+                    assert mat * mat.inverse() == ident
+                else:
+                    assert not mat.is_invertible()
+                    with pytest.raises(NotAUnit):
+                        mat.inverse()
 
 
 def test_algebra_degree_cases():

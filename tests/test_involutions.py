@@ -8,6 +8,7 @@ from lowrank import (
     QQ,
     ZZ,
     CubicCoefficients,
+    GuardExceeded,
     Involution,
     LowrankError,
     SquareMatrix,
@@ -157,11 +158,76 @@ def test_find_standard_involution_rank2_and_3():
     assert verify_standard(found)[0]
 
 
-def test_find_standard_involution_rank4_bruteforce():
+def rebased(alg, cols):
+    """alg's table in the basis whose element i has coordinates cols[i]
+    (cols[0] is the identity, and the columns must be invertible)."""
+    k = alg.rank
+    change = SquareMatrix(alg.spec, [[cols[j][i] for j in range(k)] for i in range(k)])
+    back = change.inverse()
+    elems = [alg.element(c) for c in cols]
+    return StructureConstants(
+        alg.spec, [[back.apply((x * y).coeffs) for y in elems] for x in elems]
+    )
+
+
+def rank4_algebras(spec):
+    """Rank-4 algebras with and without a standard involution."""
+    p = spec.p
+    algs = [matrix_algebra(spec, 2)]
+    if p != 2:
+        algs += [quaternion_algebra(spec, a, b) for a in (1, p - 1) for b in (1, 2)]
+    quads = [quadratic_from_tuple(spec, t, n).structure() for t, n in ((0, 1), (1, 1), (1, 0))]
+    algs += [direct_product(a, b) for a, b in itertools.combinations_with_replacement(quads, 2)]
+    cubics = [
+        build_algebra(CubicCoefficients(spec, 1, 0, 1, 1, 0, 1)),
+        build_algebra(CubicCoefficients(spec, 0, 0, 0, 0, 0, 0)),
+        build_algebra(CubicCoefficients(spec, 1, 1, 0, 0, 1, 1)),
+    ]
+    algs += [direct_product(rank_one(spec), c) for c in cubics]
+    return algs
+
+
+def test_find_standard_involution_rank4():
     m2 = matrix_algebra(GF(2), 2)
     found = find_standard_involution(m2)
     assert found is not None
     assert found == m2_adjoint(GF(2))
+    # the forced candidate needs no finite field and no scan over traces:
+    # Z, Q and a prime whose p^3 trace tuples exceed the brute-force guard
+    for spec in (ZZ, QQ, GF(9973)):
+        assert find_standard_involution(matrix_algebra(spec, 2)) == m2_adjoint(spec)
+    assert find_standard_involution(
+        quaternion_algebra(QQ, -1, -1)
+    ) == quaternion_conjugation(QQ, -1, -1)
+    assert find_standard_involution(quaternion_algebra(ZZ, -1, -1)) == (
+        quaternion_conjugation(ZZ, -1, -1)
+    )
+    quad = quadratic_from_tuple(ZZ, 1, -1).structure()
+    assert find_standard_involution(direct_product(quad, quad)) is None
+    with pytest.raises(GuardExceeded):
+        all_standard_involutions(matrix_algebra(GF(29), 2))
+    # the forced candidate agrees with the trace-tuple brute force, on
+    # tables in their own basis and after a random change of basis
+    rng = random.Random(137)
+    seen = {True: 0, False: 0}
+    for p in (2, 3, 5):
+        spec = GF(p)
+        for alg in rank4_algebras(spec):
+            # triangular with unit diagonal, then permuted: invertible
+            cols = [
+                [rng.randrange(p) if j < i else int(j == i) * rng.randrange(1, p)
+                 for j in range(4)]
+                for i in range(1, 4)
+            ]
+            rng.shuffle(cols)
+            cols = [[1, 0, 0, 0]] + cols
+            for table in (alg, rebased(alg, cols)):
+                oracle = all_standard_involutions(table)
+                assert len(oracle) <= 1
+                found = find_standard_involution(table)
+                assert found == (oracle[0] if oracle else None)
+                seen[found is not None] += 1
+    assert seen[True] and seen[False]
     # search space too wide for rank 5
     five = direct_product(rank_one(GF(3)), quaternion_algebra(GF(3), 1, 1))
     with pytest.raises(UnsupportedRing):
