@@ -1,13 +1,14 @@
 """Exhaustive small-field censuses and brute-force isomorphism testing.
 
 Everything here is an oracle-grade computation: isomorphism is decided
-by searching every unital linear map between two algebras over a prime
-field, censuses list every valid coefficient tuple in lexicographic
-order (built from the two families the relations leave over a field),
-and the reports record per-tuple verdicts so they can be reproduced
-byte for byte.  The cubic census report is written row by row from a
-fixed template on raw values, in the same bytes as json.dumps of its
-to_json (see CensusReport).
+by an exhaustive search over the unital linear maps between two algebras
+over a prime field (image coordinates that a linear condition forces are
+solved for, the rest scanned), censuses list every valid coefficient
+tuple in lexicographic order (built from the two families the relations
+leave over a field), and the reports record per-tuple verdicts so they
+can be reproduced byte for byte.  The cubic census report is written
+row by row from a fixed template on raw values, in the same bytes as
+json.dumps of its to_json (see CensusReport).
 """
 
 from __future__ import annotations
@@ -69,25 +70,73 @@ def _phi_of(s, u, v, p):
     )
 
 
+def _affine_solutions(rows, p):
+    """Every x in F_p^n with sum(a[i] * x[i]) = c for each row (a..., c),
+    in lexicographic order; rows are raw ints.
+
+    Gauss-Jordan elimination mod p fixes the pivot coordinates in terms
+    of the free ones; each choice of the free coordinates gives one
+    solution, and the p^(free) solutions are sorted.
+    """
+    n = len(rows[0]) - 1
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        top = rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
+        pivots.append(col)
+    if any(row[n] for row in rows[len(pivots):]):
+        return []
+    free = [col for col in range(n) if col not in pivots]
+    out = []
+    for vals in itertools.product(range(p), repeat=len(free)):
+        x = [0] * n
+        for col, val in zip(free, vals):
+            x[col] = val
+        for row, col in zip(rows, pivots):
+            x[col] = (row[n] - sum(row[f] * x[f] for f in free)) % p
+        out.append(tuple(x))
+    out.sort()
+    return out
+
+
 def _search_rank3(ta, mul, p):
     """Find images (u, v) for the generators, or None.
 
-    ta is the source's raw table and mul the target's raw product.
+    ta is the source's raw table and mul the target's raw product.  The
+    answer is the first (u, v) in lexicographic order, u before v, that
+    is multiplicative on basis pairs and invertible.
 
-    Any candidate must send e1^2 to phi(e1^2); when that structure row
-    has a nonzero e2-coefficient the image v is forced linearly and the
-    search is a single loop over u, otherwise u is filtered first and v
-    scanned.  Only maps already failing a necessary condition are
-    skipped, so the search is exhaustive.
+    A candidate must send e1^2 to phi(e1^2).  When that structure row
+    has a nonzero e2-coefficient gamma, v is forced linearly by u and the
+    search is a single loop over u.  Otherwise u is filtered first, and
+    v is solved for: the product is bilinear, so the e1*e2 and e2*e1
+    conditions read (L_u - s12[2] I) v = s12[0] e0 + s12[1] u and
+    (R_u - s21[2] I) v = s21[0] e0 + s21[1] u, with the columns of L_u
+    and R_u the products of u with the basis.  Only the v solving that
+    system are tried, in lexicographic order.  Every skipped map fails a
+    necessary condition (u with u1 = u2 = 0 is never invertible), so the
+    search is exhaustive.
     """
     s11, s12 = ta[1][1], ta[1][2]
     s21, s22 = ta[2][1], ta[2][2]
-    vecs = list(itertools.product(range(p), repeat=3))
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     gamma = s11[2] % p
-    for u in vecs:
+    inv = pow(gamma, -1, p) if gamma else 0
+    for u in itertools.product(range(p), repeat=3):
+        if not (u[1] or u[2]):
+            continue  # det = u1 v2 - u2 v1 vanishes for every v
         uu = mul(u, u)
         if gamma:
-            inv = pow(gamma, -1, p)
             v = tuple(
                 ((uu[idx] - (s11[0] if idx == 0 else 0) - s11[1] * u[idx]) * inv) % p
                 for idx in range(3)
@@ -96,39 +145,71 @@ def _search_rank3(ta, mul, p):
         else:
             if uu != _phi_of(s11, u, (0, 0, 0), p):
                 continue
-            candidates = vecs
+            left = [mul(u, e) for e in basis]
+            right = [mul(e, u) for e in basis]
+            rows = [
+                [left[j][i] - (s12[2] if i == j else 0) for j in range(3)]
+                + [(s12[0] if i == 0 else 0) + s12[1] * u[i]]
+                for i in range(3)
+            ] + [
+                [right[j][i] - (s21[2] if i == j else 0) for j in range(3)]
+                + [(s21[0] if i == 0 else 0) + s21[1] * u[i]]
+                for i in range(3)
+            ]
+            candidates = _affine_solutions(rows, p)
         for v in candidates:
+            if (u[1] * v[2] - u[2] * v[1]) % p == 0:
+                continue
             if mul(u, v) != _phi_of(s12, u, v, p):
                 continue
             if mul(v, u) != _phi_of(s21, u, v, p):
                 continue
             if mul(v, v) != _phi_of(s22, u, v, p):
                 continue
-            if (u[1] * v[2] - u[2] * v[1]) % p == 0:
-                continue
             return u, v
     return None
 
 
 def _search_rank2(ta, mul, p):
+    """Find the image u of the generator, or None: the lexicographically
+    first (u0, u1) with u1 != 0 and u * u = phi(e1^2).
+
+    The target is unital, so the e1-coefficient of u * u is
+    2 u1 u0 + w1 with w = (0, u1)^2, and matching it with s11[1] u1 is a
+    linear condition on u0.  For each u1 the u0 solving it are tried:
+    one when 2 u1 != 0, every u0 or none when p = 2.  Every skipped map
+    fails that condition, so the search is exhaustive.
+    """
     s11 = ta[1][1]
-    for u in itertools.product(range(p), repeat=2):
-        if u[1] % p == 0:
-            continue  # the map must be invertible: det = u[1]
-        uu = mul(u, u)
-        want = ((s11[0] + s11[1] * u[0]) % p, (s11[1] * u[1]) % p)
-        if uu == want:
-            return (u,)
-    return None
+    found = []
+    for u1 in range(1, p):  # the map must be invertible: det = u1
+        w1 = mul((0, u1), (0, u1))[1]
+        rhs = (s11[1] * u1 - w1) % p
+        two_u1 = 2 * u1 % p
+        if two_u1:
+            solved = ((rhs * pow(two_u1, -1, p)) % p,)
+        else:
+            solved = range(p) if rhs == 0 else ()
+        for u0 in solved:
+            want = ((s11[0] + s11[1] * u0) % p, (s11[1] * u1) % p)
+            if mul((u0, u1), (u0, u1)) == want:
+                found.append((u0, u1))
+                break
+    return (min(found),) if found else None
 
 
 def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     """Decide isomorphism over a prime field by exhaustive search.
 
-    Scans the unital linear maps (first basis element fixed) for one
-    that is multiplicative on basis pairs and invertible.  Returns
-    (True, map) or (False, None).  Rank at most 3; the map space has
-    p^(k(k-1)) candidates and is guarded.
+    Searches the unital linear maps (first basis element fixed) for one
+    that is multiplicative on basis pairs and invertible, and returns
+    the first in lexicographic order of the generator images as
+    (True, map), or (False, None).  Rank at most 3.  Image coordinates
+    that a product condition fixes linearly are solved for rather than
+    scanned (u0 at rank 2; v when e1^2 does not involve e2 at rank 3,
+    see _search_rank3); a map is skipped only when it fails a necessary
+    condition, so the search stays exhaustive.  The guard counts the
+    p^(k(k-1)) maps of the whole space, more than the search visits.
     """
     if a.spec != b.spec:
         raise SpecMismatch("algebras over different rings")

@@ -243,7 +243,7 @@ def test_complete_basis_to_unity():
 
     rng = random.Random(7)
     found = 0
-    while found < 100:
+    for _ in range(168):  # 100 of these draws are coprime pairs
         a, b = rng.randint(-40, 40), rng.randint(-40, 40)
         if math.gcd(a, b) != 1:
             continue
@@ -251,6 +251,7 @@ def test_complete_basis_to_unity():
         m = complete_basis_to_unity(ZZ, ZZ.element(a), ZZ.element(b))
         assert m.det() == ZZ.one
         assert (m[0, 0].value, m[0, 1].value) == (a, b)
+    assert found >= 100
     spec = GF(7)
     for a in spec.elements():
         for b in spec.elements():

@@ -243,7 +243,7 @@ def test_bezout_identity():
     import math
 
     found = 0
-    while found < 200:
+    for _ in range(314):  # 200 of these draws are coprime pairs
         a = rng.randint(-60, 60)
         b = rng.randint(-60, 60)
         if math.gcd(a, b) != 1:
@@ -252,6 +252,7 @@ def test_bezout_identity():
         ea, eb = ZZ.element(a), ZZ.element(b)
         s, t = bezout(ea, eb)
         assert ea * t - s * eb == ZZ.one, f"identity fails for ({a}, {b})"
+    assert found >= 200
     # field case: everything with a unit coordinate works
     spec = GF(7)
     for a in spec.elements():
