@@ -513,32 +513,57 @@ def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
     )
 
 
+def _row_reduce(p, rows):
+    """Gauss-Jordan elimination of raw rows over F_p (ints) or, when p is
+    None, over Q (Fractions; an int may stand for 0).
+
+    Returns the reduced rows and the ascending list of pivot columns: row
+    r has a 1 in column pivots[r] and every other row a 0 there.  The
+    rows are copied first, and each term is reduced mod p over F_p.  The
+    only elimination loop.
+    """
+    rows = [[x % p for x in row] if p else list(row) for row in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        a = rows[r][col]
+        inv = pow(a, -1, p) if p else 1 / a
+        top = rows[r] = [x * inv % p if p else x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [
+                    (x - f * y) % p if p else x - f * y for x, y in zip(row, top)
+                ]
+        pivots.append(col)
+    return rows, pivots
+
+
 def min_poly(x: AlgebraElement) -> Polynomial:
     """Minimal polynomial over a field: the first monic dependence among
-    the powers 1, x, x^2, ... found by exact row reduction."""
-    spec = x.algebra.spec
+    the powers 1, x, x^2, ..., on raw values.
+
+    For m = 0, 1, ... the columns x^0..x^m are row-reduced.  The first m
+    whose last column is not a pivot gives the answer: the lower powers
+    are independent, so x^m = sum c_j x^j has one solution, read off the
+    last column, and the polynomial is T^m - sum c_j T^j.
+    """
+    alg = x.algebra
+    spec = alg.spec
     if not spec.is_field():
         raise UnsupportedRing("minimal polynomials need a field base ring")
-    k = x.algebra.rank
-    pivots = []  # (pivot index, reduced vector, combination polynomial)
-    power = x.algebra.one()
-    for m in range(k + 1):
-        vec = list(power.coeffs)
-        combo = Polynomial(spec, (spec.zero,) * m + (spec.one,))
-        for pi, pvec, pcombo in pivots:
-            f = vec[pi]
-            if not f.is_zero():
-                vec = [a - f * b for a, b in zip(vec, pvec)]
-                combo = combo - f * pcombo
-        if all(a.is_zero() for a in vec):
-            return combo
-        lead = next(i for i, a in enumerate(vec) if not a.is_zero())
-        inv = vec[lead].inverse()
-        vec = [a * inv for a in vec]
-        combo = inv * combo
-        pivots.append((lead, vec, combo))
-        power = power * x
-    raise AssertionError("no dependence among rank+1 powers")
+    xv = [c.value for c in x.coeffs]
+    powers = [alg._values[0][0]]  # e_0 = 1
+    while True:
+        m = len(powers) - 1
+        rows, pivots = _row_reduce(spec.p, zip(*powers))
+        if m not in pivots:
+            return Polynomial(spec, [-rows[j][m] for j in range(m)] + [1])
+        powers.append(alg._mul_values(powers[-1], xv))
 
 
 def algebra_degree(alg: StructureConstants) -> int:
@@ -615,12 +640,13 @@ class AlgebraMap:
         Together with linearity this covers all products.  Returns
         (True, None) or (False, (a, b)).
         """
+        t = self.source._values
+        combine, mul = self.target._combine_values, self.target._mul_values
+        images = [tuple(c.value for c in im.coeffs) for im in self.images]
         k = self.source.rank
         for a in range(k):
             for b in range(k):
-                lhs = self.apply(self.source.element(self.source._values[a][b]))
-                rhs = self.images[a] * self.images[b]
-                if lhs != rhs:
+                if combine(t[a][b], images) != mul(images[a], images[b]):
                     return False, (a, b)
         return True, None
 
@@ -742,24 +768,8 @@ def matrix_algebra(spec: RingSpec, n: int) -> StructureConstants:
                 out.append(m[i][j])
         return out
 
-    k = n * n
-    mats = [as_matrix(g) for g in range(k)]
-    table = []
-    for ga in range(k):
-        row = []
-        for gb in range(k):
-            prod = [[spec.zero] * n for _ in range(n)]
-            ma, mb = mats[ga], mats[gb]
-            for i in range(n):
-                for l in range(n):
-                    a = ma[i][l]
-                    if a.is_zero():
-                        continue
-                    for j in range(n):
-                        if not mb[l][j].is_zero():
-                            prod[i][j] = prod[i][j] + a * mb[l][j]
-            row.append(to_coeffs(prod))
-        table.append(row)
+    mats = [SquareMatrix(spec, as_matrix(g)) for g in range(n * n)]
+    table = [[to_coeffs((ma * mb).entries) for mb in mats] for ma in mats]
     return StructureConstants(spec, table)
 
 

@@ -3,7 +3,9 @@
 Everything here is an oracle-grade computation: isomorphism is decided
 by an exhaustive search over the unital linear maps between two algebras
 over a prime field (image coordinates that a linear condition forces are
-solved for, the rest scanned), censuses list every valid coefficient
+solved for by algebra._row_reduce, the rest scanned, and every product
+and image is computed on raw values by the target's _mul_values and
+_combine_values), censuses list every valid coefficient
 tuple in lexicographic order (built from the two families the relations
 leave over a field), and the reports record per-tuple verdicts so they
 can be reproduced byte for byte.  The cubic census report is written
@@ -21,6 +23,7 @@ from .algebra import (
     AlgebraMap,
     SquareMatrix,
     StructureConstants,
+    _row_reduce,
     algebra_degree,
     direct_product,
     matrix_algebra,
@@ -60,41 +63,18 @@ def _check_iso_guard(p, k):
     check_guard(p ** (k * (k - 1)), _ISO_SEARCH_LIMIT, "isomorphism search")
 
 
-def _phi_of(s, u, v, p):
-    """Image of a source vector s = (s0, s1, s2) under 1 -> e0, e1 -> u,
-    e2 -> v, working on integer coefficient tuples."""
-    return (
-        (s[0] + s[1] * u[0] + s[2] * v[0]) % p,
-        (s[1] * u[1] + s[2] * v[1]) % p,
-        (s[1] * u[2] + s[2] * v[2]) % p,
-    )
-
-
 def _affine_solutions(rows, p):
     """Every x in F_p^n with sum(a[i] * x[i]) = c for each row (a..., c),
     in lexicographic order; rows are raw ints.
 
-    Gauss-Jordan elimination mod p fixes the pivot coordinates in terms
-    of the free ones; each choice of the free coordinates gives one
-    solution, and the p^(free) solutions are sorted.
+    Row reduction mod p (algebra._row_reduce) fixes the pivot coordinates
+    in terms of the free ones; a pivot in the augmented column means no
+    solution.  Each choice of the free coordinates gives one solution,
+    and the p^(free) solutions are sorted.
     """
     n = len(rows[0]) - 1
-    rows = [[x % p for x in row] for row in rows]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        top = rows[r] = [x * inv % p for x in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != r:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
-        pivots.append(col)
-    if any(row[n] for row in rows[len(pivots):]):
+    rows, pivots = _row_reduce(p, rows)
+    if n in pivots:
         return []
     free = [col for col in range(n) if col not in pivots]
     out = []
@@ -109,12 +89,14 @@ def _affine_solutions(rows, p):
     return out
 
 
-def _search_rank3(ta, mul, p):
+def _search_rank3(ta, target, p):
     """Find images (u, v) for the generators, or None.
 
-    ta is the source's raw table and mul the target's raw product.  The
-    answer is the first (u, v) in lexicographic order, u before v, that
-    is multiplicative on basis pairs and invertible.
+    ta is the source's raw table and target the target algebra, whose
+    _mul_values gives the products and whose _combine_values gives
+    phi(s) = s0 e0 + s1 u + s2 v.  The answer is the first (u, v) in
+    lexicographic order, u before v, that is multiplicative on basis
+    pairs and invertible.
 
     A candidate must send e1^2 to phi(e1^2).  When that structure row
     has a nonzero e2-coefficient gamma, v is forced linearly by u and the
@@ -127,9 +109,11 @@ def _search_rank3(ta, mul, p):
     necessary condition (u with u1 = u2 = 0 is never invertible), so the
     search is exhaustive.
     """
+    mul, combine = target._mul_values, target._combine_values
     s11, s12 = ta[1][1], ta[1][2]
     s21, s22 = ta[2][1], ta[2][2]
     basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    e0 = basis[0]
     gamma = s11[2] % p
     inv = pow(gamma, -1, p) if gamma else 0
     for u in itertools.product(range(p), repeat=3):
@@ -143,7 +127,7 @@ def _search_rank3(ta, mul, p):
             )
             candidates = (v,)
         else:
-            if uu != _phi_of(s11, u, (0, 0, 0), p):
+            if uu != combine(s11, (e0, u)):  # s11[2] = gamma = 0
                 continue
             left = [mul(u, e) for e in basis]
             right = [mul(e, u) for e in basis]
@@ -160,19 +144,21 @@ def _search_rank3(ta, mul, p):
         for v in candidates:
             if (u[1] * v[2] - u[2] * v[1]) % p == 0:
                 continue
-            if mul(u, v) != _phi_of(s12, u, v, p):
+            images = (e0, u, v)
+            if mul(u, v) != combine(s12, images):
                 continue
-            if mul(v, u) != _phi_of(s21, u, v, p):
+            if mul(v, u) != combine(s21, images):
                 continue
-            if mul(v, v) != _phi_of(s22, u, v, p):
+            if mul(v, v) != combine(s22, images):
                 continue
             return u, v
     return None
 
 
-def _search_rank2(ta, mul, p):
+def _search_rank2(ta, target, p):
     """Find the image u of the generator, or None: the lexicographically
-    first (u0, u1) with u1 != 0 and u * u = phi(e1^2).
+    first (u0, u1) with u1 != 0 and u * u = phi(e1^2), where ta is the
+    source's raw table and target the target algebra.
 
     The target is unital, so the e1-coefficient of u * u is
     2 u1 u0 + w1 with w = (0, u1)^2, and matching it with s11[1] u1 is a
@@ -180,7 +166,9 @@ def _search_rank2(ta, mul, p):
     one when 2 u1 != 0, every u0 or none when p = 2.  Every skipped map
     fails that condition, so the search is exhaustive.
     """
+    mul, combine = target._mul_values, target._combine_values
     s11 = ta[1][1]
+    e0 = (1, 0)
     found = []
     for u1 in range(1, p):  # the map must be invertible: det = u1
         w1 = mul((0, u1), (0, u1))[1]
@@ -191,9 +179,9 @@ def _search_rank2(ta, mul, p):
         else:
             solved = range(p) if rhs == 0 else ()
         for u0 in solved:
-            want = ((s11[0] + s11[1] * u0) % p, (s11[1] * u1) % p)
-            if mul((u0, u1), (u0, u1)) == want:
-                found.append((u0, u1))
+            u = (u0, u1)
+            if mul(u, u) == combine(s11, (e0, u)):
+                found.append(u)
                 break
     return (min(found),) if found else None
 
@@ -225,7 +213,7 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     if k == 1:
         return True, AlgebraMap(a, b, [b.one()])
     search = _search_rank3 if k == 3 else _search_rank2
-    found = search(a._values, b._mul_values, p)
+    found = search(a._values, b, p)
     if found is None:
         return False, None
     images = [b.one()] + [b.element(list(col)) for col in found]
@@ -605,14 +593,16 @@ def degree_product_check(a: StructureConstants, b: StructureConstants) -> Degree
     prod = direct_product(a, b)
     deg_prod = algebra_degree(prod)
     witness = None
+    tops_b = []  # (y, min_poly(y)) for b's maximal-degree y, in order
+    for y in b.elements():
+        py = min_poly(y)
+        if py.degree() == deg_b:
+            tops_b.append((y, py))
     for x in a.elements():
         px = min_poly(x)
         if px.degree() != deg_a:
             continue
-        for y in b.elements():
-            py = min_poly(y)
-            if py.degree() != deg_b:
-                continue
+        for y, py in tops_b:
             if poly_gcd(px, py).degree() == 0:
                 pair = product_element(prod, a, b, x, y)
                 assert min_poly(pair).degree() == deg_a + deg_b, (
@@ -655,8 +645,8 @@ class ProbeReport:
 def mn_degree_probes(spec: RingSpec, n: int) -> ProbeReport:
     """Instance checks tying matrix algebras to the degree bound.
 
-    For n = 2 the adjugate involution is standard and the brute-force
-    search finds one on small fields; for n = 3 a diagonal element with
+    For n = 2 the adjugate involution is standard and the forced-candidate
+    search finds one; for n = 3 a diagonal element with
     three distinct eigenvalues has minimal degree 3, which rules out a
     standard involution.  Over F_2, where -1 = 1 starves the diagonal
     of distinct entries, a companion matrix with irreducible cubic
@@ -674,15 +664,14 @@ def mn_degree_probes(spec: RingSpec, n: int) -> ProbeReport:
         checks.append(("adjugate_standard", ok, "x * adj(x) = det(x)"))
         deg = algebra_degree(adj.algebra)
         checks.append(("matrix_degree_2", deg == 2, f"degree {deg}"))
-        if spec.p <= 3:
-            found = find_standard_involution(adj.algebra)
-            checks.append(
-                (
-                    "bruteforce_search_finds",
-                    found is not None,
-                    "trace-tuple scan over the rank-4 matrix algebra",
-                )
+        found = find_standard_involution(adj.algebra)
+        checks.append(
+            (
+                "standard_involution_found",
+                found is not None,
+                "forced-candidate search over the rank-4 matrix algebra",
             )
+        )
     else:
         alg = matrix_algebra(spec, 3)
         if spec.p == 2:

@@ -465,14 +465,6 @@ class BinaryCubicForm:
         )
 
 
-def _convolve(u, v):
-    out = [u[0].spec.zero] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
 def gl2_act(g: SquareMatrix, form: BinaryCubicForm) -> BinaryCubicForm:
     """Twisted substitution action of an invertible 2x2 matrix.
 
@@ -486,17 +478,17 @@ def gl2_act(g: SquareMatrix, form: BinaryCubicForm) -> BinaryCubicForm:
         raise NotAUnit(f"matrix determinant {det} is not a unit")
     alpha, beta = g.entries[0]
     gamma, delta = g.entries[1]
-    u = [alpha, gamma]
-    v = [beta, delta]
-    u2 = _convolve(u, u)
-    u3 = _convolve(u2, u)
-    u2v = _convolve(u2, v)
-    v2 = _convolve(v, v)
-    uv2 = _convolve(u, v2)
-    v3 = _convolve(v2, v)
+    u = Polynomial(form.spec, (alpha, gamma))
+    v = Polynomial(form.spec, (beta, delta))
+    u2, v2 = u * u, v * v
+    u3, u2v, uv2, v3 = u2 * u, u2 * v, u * v2, v2 * v
     inv = det.inverse()
+    # Polynomial strips trailing zeros; coefficient(k) reads them as 0
     coeffs = [
-        (form.a * u3[k] + form.b * u2v[k] + form.c * uv2[k] + form.d * v3[k]) * inv
+        (
+            form.a * u3.coefficient(k) + form.b * u2v.coefficient(k)
+            + form.c * uv2.coefficient(k) + form.d * v3.coefficient(k)
+        ) * inv
         for k in range(4)
     ]
     return BinaryCubicForm(form.spec, *coeffs)

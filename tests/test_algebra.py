@@ -21,6 +21,8 @@ from lowrank import (
     build_algebra,
     direct_product,
     element_to_matrix,
+    enumerate_cubic,
+    is_isomorphic_bruteforce,
     left_regular_rep,
     matrix_algebra,
     matrix_to_element,
@@ -31,6 +33,7 @@ from lowrank import (
     quaternion_algebra,
     rank_one,
 )
+from lowrank.algebra import _row_reduce
 
 
 def f4_algebra():
@@ -251,6 +254,67 @@ def test_min_poly_divides_char_poly():
             assert mp.coeffs[-1] == alg.spec.one
 
 
+def ring_element_min_poly(x):
+    """The RingElement row reduction that min_poly once was: the oracle."""
+    spec = x.algebra.spec
+    k = x.algebra.rank
+    pivots = []  # (pivot index, reduced vector, combination polynomial)
+    power = x.algebra.one()
+    for m in range(k + 1):
+        vec = list(power.coeffs)
+        combo = Polynomial(spec, (spec.zero,) * m + (spec.one,))
+        for pi, pvec, pcombo in pivots:
+            f = vec[pi]
+            if not f.is_zero():
+                vec = [a - f * b for a, b in zip(vec, pvec)]
+                combo = combo - f * pcombo
+        if all(a.is_zero() for a in vec):
+            return combo
+        lead = next(i for i, a in enumerate(vec) if not a.is_zero())
+        inv = vec[lead].inverse()
+        vec = [a * inv for a in vec]
+        combo = inv * combo
+        pivots.append((lead, vec, combo))
+        power = power * x
+    raise AssertionError("no dependence among rank+1 powers")
+
+
+def assert_min_poly_matches_oracle(x):
+    got, want = min_poly(x), ring_element_min_poly(x)
+    assert got == want, f"{x}: {got} != {want}"
+    assert [type(c.value) for c in got.coeffs] == [type(c.value) for c in want.coeffs]
+    return got
+
+
+def test_min_poly_matches_ring_element_elimination():
+    # every element of the small algebras over GF(2) and GF(3)
+    small = [f4_algebra()]
+    for p in (2, 3):
+        spec = GF(p)
+        small += [build_algebra(c) for c in enumerate_cubic(spec)]
+        small += [
+            matrix_algebra(spec, 2),
+            direct_product(rank_one(spec), rank_one(spec)),
+            direct_product(f4_algebra() if p == 2 else rank_one(spec), matrix_algebra(spec, 2)),
+        ]
+    count = 0
+    for alg in small:
+        for x in alg.elements():
+            assert_min_poly_matches_oracle(x)
+            count += 1
+    assert count > 2500
+    # random elements of M3 and quaternion algebras over GF(7) and QQ
+    rng = random.Random(139)
+    for spec in (GF(7), QQ):
+        for alg in (matrix_algebra(spec, 3), quaternion_algebra(spec, -1, 3)):
+            for _ in range(40):
+                if spec.kind == "Q":
+                    x = alg.element([random_coeff(spec, rng) for _ in range(alg.rank)])
+                else:
+                    x = random_algebra_element(alg, rng)
+                assert_min_poly_matches_oracle(x)
+
+
 def test_min_poly_small_cases():
     alg = f4_algebra()
     t = Polynomial.variable(GF(2))
@@ -262,6 +326,27 @@ def test_min_poly_small_cases():
     split = StructureConstants(spec, [[[o, z], [z, o]], [[z, o], [z, o]]])
     tt = Polynomial.variable(spec)
     assert min_poly(split.basis(1)) == tt * tt - tt
+    # scalars, nilpotents and idempotents of M3, also against the oracle
+    for spec in (GF(2), GF(7), QQ):
+        t = Polynomial.variable(spec)
+        m3 = matrix_algebra(spec, 3)
+        e12, e11, e33 = (
+            matrix_to_element(
+                m3, SquareMatrix(spec, [[int((i, j) == u) for j in range(3)] for i in range(3)])
+            )
+            for u in ((0, 1), (0, 0), (2, 2))
+        )
+        two = spec.element(2)
+        cases = [
+            (m3.zero(), t),
+            (m3.scalar(two), t - two),
+            (e12, t * t),
+            (e11, t * t - t),
+            (e33, t * t - t),
+            (m3.one() - e11, t * t - t),
+        ]
+        for x, want in cases:
+            assert assert_min_poly_matches_oracle(x) == want
 
 
 def naive_det(spec, entries):
@@ -289,9 +374,23 @@ def naive_det(spec, entries):
     return det % p if p else det
 
 
+def assert_row_reduced(spec, rows, det):
+    """_row_reduce of a square matrix over a field gives a reduced
+    row-echelon form of full rank exactly when det is nonzero."""
+    n = len(rows)
+    reduced, pivots = _row_reduce(spec.p, rows)
+    assert pivots == sorted(pivots)
+    for r, col in enumerate(pivots):
+        assert [row[col] for row in reduced] == [int(i == r) for i in range(n)]
+    assert not any(any(row) for row in reduced[len(pivots):])
+    assert (len(pivots) == n) == (det != 0)
+    if spec.p:
+        assert all(0 <= x < spec.p for row in reduced for x in row)
+
+
 def test_det_matches_naive_elimination():
     rng = random.Random(107)
-    for spec in (ZZ, GF(2), GF(7), GF(9973)):
+    for spec in (ZZ, QQ, GF(2), GF(7), GF(9973)):
         for n in range(1, 10):
             for _ in range(30 if n <= 6 else 5):
                 mat = SquareMatrix(
@@ -301,7 +400,10 @@ def test_det_matches_naive_elimination():
                         for _ in range(n)
                     ],
                 )
-                assert Fraction(mat.det().value) == naive_det(spec, mat.entries)
+                det = naive_det(spec, mat.entries)
+                assert Fraction(mat.det().value) == det
+                if spec.is_field():
+                    assert_row_reduced(spec, mat._values(), det)
 
 
 def test_det_multiplicative():
@@ -577,6 +679,40 @@ def test_algebra_map_checks():
     other = rank_one(GF(3))
     with pytest.raises(SpecMismatch):
         AlgebraMap(alg, other, [other.one(), other.one()])
+
+
+def element_is_multiplicative(phi):
+    """The AlgebraElement loop that is_multiplicative once was: the oracle."""
+    k = phi.source.rank
+    for a in range(k):
+        for b in range(k):
+            lhs = phi.apply(phi.source.element(phi.source._values[a][b]))
+            rhs = phi.images[a] * phi.images[b]
+            if lhs != rhs:
+                return False, (a, b)
+    return True, None
+
+
+def test_is_multiplicative_matches_element_loop():
+    # random unital maps between census tables, and the witnesses of
+    # isomorphic pairs (multiplicative by construction)
+    rng = random.Random(149)
+    seen = set()
+    for p in (3, 5):
+        tables = [build_algebra(c) for c in enumerate_cubic(GF(p))]
+        for _ in range(150):
+            a, b = rng.choice(tables), rng.choice(tables)
+            images = [b.one()] + [random_algebra_element(b, rng) for _ in range(2)]
+            maps = [AlgebraMap(a, b, images)]
+            found, phi = is_isomorphic_bruteforce(a, b)
+            if found:
+                maps.append(phi)
+            for phi in maps:
+                want = element_is_multiplicative(phi)
+                assert phi.is_multiplicative() == want
+                seen.add(want[1])
+    # the multiplicative verdict and first failures at several pairs
+    assert seen >= {None, (1, 1), (1, 2), (2, 2)}
 
 
 def test_structure_json_round_trip():

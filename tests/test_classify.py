@@ -200,7 +200,7 @@ def _same_search(a, b):
         2: (classify._search_rank2, _scan_rank2),
         3: (classify._search_rank3, _scan_rank3),
     }[a.rank]
-    got = solve(a._values, b._mul_values, p)
+    got = solve(a._values, b, p)
     want = scan(a._values, b._mul_values, p)
     assert got == want, f"{a._values} -> {b._values}: {got} != {want}"
     return got
@@ -510,7 +510,7 @@ def test_probes():
     assert names == [
         "adjugate_standard",
         "matrix_degree_2",
-        "bruteforce_search_finds",
+        "standard_involution_found",
         "pair_swap_standard",
         "pair_degree_2",
     ]
@@ -524,8 +524,12 @@ def test_probes():
     payload = report.to_json()
     assert payload["all_passed"] is True
     assert all(row["passed"] for row in payload["checks"])
-    # larger fields skip the exhaustive scans but keep the spot checks
-    assert mn_degree_probes(GF(5), 2).all_passed()
+    # larger fields skip the exhaustive scans but keep the spot checks;
+    # the forced-candidate involution search runs at every p
+    for p in (5, 7):
+        report = mn_degree_probes(GF(p), 2)
+        assert report.all_passed()
+        assert "standard_involution_found" in [n for n, _, _ in report.checks]
     report5 = mn_degree_probes(GF(5), 3)
     assert report5.all_passed()
     assert "distinct_diagonal_degree_3" in [n for n, _, _ in report5.checks]
