@@ -73,7 +73,6 @@ from .involutions import (
     Involution,
     all_standard_involutions,
     find_standard_involution,
-    involution_matrix,
     m2_adjoint,
     pair_swap,
     quadratic_certificate,

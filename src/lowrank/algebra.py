@@ -376,14 +376,13 @@ class SquareMatrix:
         if isinstance(other, SquareMatrix):
             if other.spec != self.spec or other.n != self.n:
                 raise SpecMismatch("mismatched matrices")
-            n = self.n
             cols = list(zip(*other.entries))
             return SquareMatrix(
                 self.spec,
                 [
                     [
                         sum(
-                            (a * b for a, b in zip(row, col)),
+                            (a * b for a, b in zip(row, col) if a and b),
                             start=self.spec.zero,
                         )
                         for col in cols
@@ -586,16 +585,6 @@ def algebra_degree(alg: StructureConstants) -> int:
     return best
 
 
-def extend_linearly(target: StructureConstants, images, x: AlgebraElement) -> AlgebraElement:
-    """The sum of x's coefficients times the basis images, in target."""
-    return target.element(
-        target._combine_values(
-            [c.value for c in x.coeffs],
-            [[c.value for c in im.coeffs] for im in images],
-        )
-    )
-
-
 class AlgebraMap:
     """A linear map between algebras, given by the images of the basis."""
 
@@ -620,7 +609,13 @@ class AlgebraMap:
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.source:
             raise SpecMismatch("argument outside the source algebra")
-        return extend_linearly(self.target, self.images, x)
+        # the sum of x's coefficients times the basis images
+        return self.target.element(
+            self.target._combine_values(
+                [c.value for c in x.coeffs],
+                [[c.value for c in im.coeffs] for im in self.images],
+            )
+        )
 
     def matrix(self) -> SquareMatrix:
         if self.source.rank != self.target.rank:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 
-from .algebra import SquareMatrix, StructureConstants
+from .algebra import SquareMatrix, StructureConstants, left_regular_rep
 from .errors import (
     InputError,
     NotAUnit,
@@ -26,7 +26,7 @@ from .errors import (
     SpecMismatch,
     WrongCase,
 )
-from .involutions import Involution
+from .involutions import Involution, _conjugation
 from .poly import Polynomial
 from .rings import RingElement, RingSpec, _trusted
 
@@ -256,24 +256,17 @@ def classify_case(coeffs: CubicCoefficients) -> CubicCase:
 def standard_involution_exceptional(coeffs: CubicCoefficients) -> Involution:
     """Conjugation 1 -> 1, i -> n - i, j -> m - j on an exceptional or
     nilproduct table."""
-    case = classify_case(coeffs)
-    if case is CubicCase.COMMUTATIVE:
+    if classify_case(coeffs) is CubicCase.COMMUTATIVE:
         raise WrongCase("conjugation is defined on exceptional tables only")
-    alg = build_algebra(coeffs)
-    spec = coeffs.spec
-    return Involution(
-        alg,
-        [
-            alg.one(),
-            alg.element([coeffs.n, -spec.one, spec.zero]),
-            alg.element([coeffs.m, spec.zero, -spec.one]),
-        ],
-    )
+    return _conjugation(build_algebra(coeffs), (coeffs.n, coeffs.m))
 
 
 def exceptional_norm(coeffs: CubicCoefficients, element_coeffs) -> RingElement:
-    """Closed-form norm of p + q i + r j on an exceptional table:
-    p (p + q n + r m) + q r m n."""
+    """Closed-form norm of p + q i + r j on an exceptional or nilproduct
+    table: p (p + q n + r m) + q r m n.  A commutative table has no
+    conjugation to take the norm for, and raises WrongCase."""
+    if classify_case(coeffs) is CubicCase.COMMUTATIVE:
+        raise WrongCase("the closed-form norm holds for exceptional tables only")
     spec = coeffs.spec
     p, q, r = map(spec.element, element_coeffs)
     return p * (p + q * coeffs.n + r * coeffs.m) + q * r * coeffs.m * coeffs.n
@@ -327,14 +320,8 @@ def exceptional_witness(coeffs: CubicCoefficients) -> ExceptionalWitness:
     for left, right, t in pairs:
         if left * right != right * t:
             raise WrongCase(f"ideal identity fails on {left!r} * {right!r}")
-    basis_matrix = SquareMatrix(
-        spec,
-        [
-            [spec.one, gen_i.coeffs[0], gen_j.coeffs[0]],
-            [spec.zero, gen_i.coeffs[1], gen_j.coeffs[1]],
-            [spec.zero, gen_i.coeffs[2], gen_j.coeffs[2]],
-        ],
-    )
+    # the rows are the coordinates of 1, I and j; transposing keeps the det
+    basis_matrix = SquareMatrix(spec, [alg.one().coeffs, gen_i.coeffs, gen_j.coeffs])
     if not basis_matrix.det().is_unit():
         raise WrongCase("witness generators do not complete a basis")
     return ExceptionalWitness(alg, gen_i, gen_j, t_i, t_j)
@@ -343,24 +330,20 @@ def exceptional_witness(coeffs: CubicCoefficients) -> ExceptionalWitness:
 def involution_from_witness(witness: ExceptionalWitness) -> Involution:
     """The conjugation x -> scalar part + t(ideal part) - ideal part,
     reconstructed from the witness functional."""
-    alg = witness.algebra
-    spec = alg.spec
     # i = t_i - I and j sit over the ideal; conjugation fixes scalars
-    return Involution(
-        alg,
-        [
-            alg.one(),
-            alg.scalar(witness.t_i) - alg.basis(1),
-            alg.scalar(witness.t_j) - alg.basis(2),
-        ],
-    )
+    return _conjugation(witness.algebra, (witness.t_i, witness.t_j))
 
 
 def matrix_rep(coeffs: CubicCoefficients):
     """Matrices for the two generators of any valid table.
 
-    Returns (I, J) acting on column vectors, with the defining
-    identities re-checked in matrix arithmetic:
+    Returns (I, J) acting on column vectors: the left regular
+    representations of i and j in the table of build_algebra,
+
+        I = [[0, -cz, cy], [1, b, 0], [0, c, 0]]
+        J = [[0, cy - bm, -by], [0, m, y], [1, n, z]]
+
+    with the defining identities re-checked in matrix arithmetic:
 
         I^2 = -cz + b I + c J        I J = cy
         J I = (cy - bm) + m I + n J  J^2 = -by + y I + z J
@@ -368,28 +351,22 @@ def matrix_rep(coeffs: CubicCoefficients):
     The identity, I, and J have the three coordinate vectors as first
     columns, so they are linearly independent for every table.
     """
-    b, c, m, n, y, z = coeffs.as_tuple()
     spec = coeffs.spec
-    z0, o = spec.zero, spec.one
-    mat_i = SquareMatrix(spec, [[z0, -(c * z), c * y], [o, b, z0], [z0, c, z0]])
-    mat_j = SquareMatrix(
-        spec, [[z0, c * y - b * m, -(b * y)], [z0, m, y], [o, n, z]]
-    )
-    ident = SquareMatrix.identity(spec, 3)
-    checks = (
-        (mat_i * mat_i, ident * (-(c * z)) + mat_i * b + mat_j * c),
-        (mat_i * mat_j, ident * (c * y)),
-        (mat_j * mat_i, ident * (c * y - b * m) + mat_i * m + mat_j * n),
-        (mat_j * mat_j, ident * (-(b * y)) + mat_i * y + mat_j * z),
-    )
-    for got, want in checks:
-        if got != want:
-            raise RelationViolation(["matrix identities fail for this table"])
-    for k, mat in enumerate((ident, mat_i, mat_j)):
-        col = tuple(mat.entries[r][0] for r in range(3))
-        want = tuple(o if r == k else z0 for r in range(3))
-        assert col == want, "representation lost independence"
-    return mat_i, mat_j
+    alg = build_algebra(coeffs)
+    mats = [SquareMatrix.identity(spec, 3)]
+    mats += [left_regular_rep(alg.basis(a)) for a in (1, 2)]
+    # L_a L_b = sum_c t[a][b][c] L_c for the generators a, b in {1, 2}
+    for a in (1, 2):
+        for b in (1, 2):
+            cell = zip(mats, alg.table[a][b])
+            want = sum((m * v for m, v in cell if v), start=SquareMatrix.zero(spec, 3))
+            if mats[a] * mats[b] != want:
+                raise RelationViolation(["matrix identities fail for this table"])
+    for k, mat in enumerate(mats):
+        # the first column is the k-th coordinate vector, a row of the identity
+        col = tuple(row[0] for row in mat.entries)
+        assert col == mats[0].entries[k], "representation lost independence"
+    return mats[1], mats[2]
 
 
 def char_poly_exceptional(coeffs: CubicCoefficients, element_coeffs) -> Polynomial:
@@ -516,19 +493,11 @@ def commutative_from_form(form: BinaryCubicForm) -> CubicCoefficients:
 
 
 def algebra_from_form(form: BinaryCubicForm) -> StructureConstants:
-    """Multiplication table read off the form directly:
+    """The table of the commutative six-tuple of the form,
+    build_algebra(commutative_from_form(form)), which reads off the
+    form directly as
 
         i*i = -ac + b i - a j    i*j = j*i = -ad
         j*j = -bd + d i - c j
     """
-    a, b, c, d = form.as_tuple()
-    spec = form.spec
-    z0, o = spec.zero, spec.one
-    return StructureConstants(
-        spec,
-        [
-            [[o, z0, z0], [z0, o, z0], [z0, z0, o]],
-            [[z0, o, z0], [-(a * c), b, -a], [-(a * d), z0, z0]],
-            [[z0, z0, o], [-(a * d), z0, z0], [-(b * d), d, -c]],
-        ],
-    )
+    return build_algebra(commutative_from_form(form))

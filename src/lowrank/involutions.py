@@ -1,48 +1,42 @@
 """Involutions on structure-constant algebras and standardness checks.
 
-An involution is stored by the images of the basis elements and applied
-by linear extension.  It is standard when every x times its conjugate
-lands in the base ring; by bilinearity it is enough to check the basis
-elements together with all two-element basis sums, which is what
-verify_standard does.  verify_involution and verify_standard run on
-the table's canonical raw values and build an element only for a
-witness they return.  Elements fixed under a standard involution's
-trace and norm satisfy an explicit monic quadratic, and that quadratic
-certificate is the engine behind both the search for standard
-involutions in low rank and the degree bounds used elsewhere.
+An involution is an AlgebraMap of an algebra to itself, given by the
+images of the basis elements and applied by linear extension.  Every
+involution the package builds is the conjugation x -> t(x) - x, fixed
+by its traces on the basis, and _conjugation is its one constructor;
+a standard involution always has this shape.  An involution is
+standard when every x times its conjugate lands in the base ring; by
+bilinearity it is enough to check the basis elements together with
+all two-element basis sums, which is what verify_standard does.
+verify_involution and verify_standard run on the table's canonical raw
+values and build an element only for a witness they return.  Elements
+fixed under a standard involution's trace and norm satisfy an explicit
+monic quadratic, and that quadratic certificate is the engine behind
+both the search for standard involutions in low rank and the degree
+bounds used elsewhere.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebra import AlgebraElement, AlgebraMap, StructureConstants, direct_product, extend_linearly, json_list, matrix_algebra, rank_one
-from .errors import InputError, LowrankError, SpecMismatch, UnsupportedRing, check_guard
+from .algebra import AlgebraElement, AlgebraMap, StructureConstants, direct_product, json_list, matrix_algebra, rank_one
+from .errors import InputError, LowrankError, UnsupportedRing, check_guard
 from .rings import RingElement, RingSpec
 
 
-class Involution:
-    """A linear self-map of an algebra given on the basis."""
+class Involution(AlgebraMap):
+    """A linear self-map of an algebra given on the basis: an
+    AlgebraMap whose source and target are the same algebra."""
 
-    __slots__ = ("algebra", "images")
+    __slots__ = ()
 
     def __init__(self, algebra: StructureConstants, images):
-        images = tuple(
-            im if isinstance(im, AlgebraElement) else algebra.element(im)
-            for im in images
-        )
-        if len(images) != algebra.rank:
-            raise ValueError("one image per basis element")
-        for im in images:
-            if im.algebra != algebra:
-                raise SpecMismatch("image outside the algebra")
-        self.algebra = algebra
-        self.images = images
+        super().__init__(algebra, algebra, images)
 
-    def apply(self, x: AlgebraElement) -> AlgebraElement:
-        if x.algebra != self.algebra:
-            raise SpecMismatch("element outside the algebra")
-        return extend_linearly(self.algebra, self.images, x)
+    @property
+    def algebra(self) -> StructureConstants:
+        return self.source
 
     def __eq__(self, other):
         return (
@@ -146,12 +140,15 @@ def quadratic_certificate(inv: Involution, x: AlgebraElement):
     return t, n
 
 
-def _candidate_from_tvalues(alg: StructureConstants, tvals) -> Involution:
-    """The conjugation x -> t(x) - x determined by t on basis elements 1.."""
-    images = [alg.one()]
-    for i, t in enumerate(tvals, start=1):
-        images.append(alg.scalar(t) - alg.basis(i))
-    return Involution(alg, images)
+def _conjugation(alg: StructureConstants, traces) -> Involution:
+    """The conjugation x -> t(x) - x with t(e_i) = traces[i - 1]:
+    1 -> 1 and e_i -> t_i - e_i.  The traces may be ints, raw values
+    or elements of the algebra's base ring."""
+    k = alg.rank
+    return Involution(alg, [alg.one()] + [
+        [t] + [-1 if l == i else 0 for l in range(1, k)]
+        for i, t in enumerate(traces, start=1)
+    ])
 
 
 def find_standard_involution(alg: StructureConstants):
@@ -187,7 +184,7 @@ def find_standard_involution(alg: StructureConstants):
                     r -= tvals[i]
                 if r % p if p else r:
                     return None
-    cand = _candidate_from_tvalues(alg, tvals[1:])
+    cand = _conjugation(alg, tvals[1:])
     if verify_involution(cand)[0] and verify_standard(cand)[0]:
         return cand
     return None
@@ -210,9 +207,7 @@ def _bruteforce_tvalues(alg: StructureConstants):
     check_guard(count, 15625, "involution brute force")
     out = []
     for tvals in itertools.product(range(p), repeat=alg.rank - 1):
-        cand = _candidate_from_tvalues(
-            alg, [alg.spec.element(t) for t in tvals]
-        )
+        cand = _conjugation(alg, tvals)
         if verify_involution(cand)[0] and verify_standard(cand)[0]:
             out.append(cand)
     return out
@@ -242,10 +237,7 @@ def quaternion_algebra(spec: RingSpec, a, b) -> StructureConstants:
 
 def quaternion_conjugation(spec: RingSpec, a, b) -> Involution:
     """Negate the three non-identity basis elements of a quaternion algebra."""
-    alg = quaternion_algebra(spec, a, b)
-    return Involution(
-        alg, [alg.one(), -alg.basis(1), -alg.basis(2), -alg.basis(3)]
-    )
+    return _conjugation(quaternion_algebra(spec, a, b), (0, 0, 0))
 
 
 def quaternion_norm_form(spec: RingSpec, a, b, coeffs) -> RingElement:
@@ -261,20 +253,11 @@ def m2_adjoint(spec: RingSpec) -> Involution:
     x times its adjugate is det(x) times the identity, so this is a
     standard involution on the rank-4 matrix algebra.
     """
-    alg = matrix_algebra(spec, 2)
-    # basis: Id, E00, E01, E10 (E11 = Id - E00)
-    one = alg.one()
-    e00, e01, e10 = alg.basis(1), alg.basis(2), alg.basis(3)
-    return Involution(alg, [one, one - e00, -e01, -e10])
+    # basis: Id, E00, E01, E10 (E11 = Id - E00), with traces 1, 0, 0
+    return _conjugation(matrix_algebra(spec, 2), (1, 0, 0))
 
 
 def pair_swap(spec: RingSpec) -> Involution:
     """Coordinate swap on R x R, a standard involution with norm xy."""
-    alg = direct_product(rank_one(spec), rank_one(spec))
     # basis: (1,1) and (0,1); the swap fixes (1,1) and sends (0,1) to (1,0)
-    return Involution(alg, [alg.one(), alg.one() - alg.basis(1)])
-
-
-def involution_matrix(inv: Involution) -> AlgebraMap:
-    """The involution as a linear map, for matrix-level inspection."""
-    return AlgebraMap(inv.algebra, inv.algebra, inv.images)
+    return _conjugation(direct_product(rank_one(spec), rank_one(spec)), (1,))

@@ -10,9 +10,9 @@ yes, never just a boolean.
 
 from __future__ import annotations
 
-from .algebra import AlgebraMap, StructureConstants, direct_product, product_element, rank_one
+from .algebra import AlgebraMap, SquareMatrix, StructureConstants, direct_product, product_element, rank_one
 from .errors import InputError, NotAUnit, SpecMismatch, UnsupportedRing, WrongCase
-from .involutions import Involution
+from .involutions import Involution, _conjugation
 from .rings import RingSpec, bezout, square_class_equal, square_class_witness
 
 
@@ -231,8 +231,7 @@ def artin_schreier_class_count(q: int) -> int:
 
 def standard_involution_quadratic(alg: QuadraticAlgebra) -> Involution:
     """Conjugation x -> t - x, the unique standard involution in rank 2."""
-    s = alg.structure()
-    return Involution(s, [s.one(), s.element([alg.t, -alg.spec.one])])
+    return _conjugation(alg.structure(), (alg.t,))
 
 
 def split_idempotent(alg: QuadraticAlgebra):
@@ -272,8 +271,6 @@ def complete_basis_to_unity(spec: RingSpec, a, b):
     The second row (s, t) comes from a*t - s*b = 1; raises NotAUnit when
     the gcd obstruction is nontrivial.
     """
-    from .algebra import SquareMatrix
-
     a, b = spec.element(a), spec.element(b)
     s, t = bezout(a, b)
     m = SquareMatrix(spec, [[a, b], [s, t]])

@@ -663,6 +663,43 @@ def test_matrix_algebra_units():
         assert matrix_to_element(m2, p) * matrix_to_element(m2, q) == matrix_to_element(
             m2, p * q
         )
+    # the zero-skipping matrix product against the naive entrywise sum, at
+    # n = 2 and 3 over every kind of ring, on matrices with many zeros
+    for spec in (ZZ, QQ, GF(2), GF(3), GF(7)):
+        for n in (2, 3):
+            alg = matrix_algebra(spec, n)
+            for _ in range(30):
+                p, q = sparse_matrix(spec, n, rng), sparse_matrix(spec, n, rng)
+                assert p * q == naive_matrix_product(p, q)
+                x, y = matrix_to_element(alg, p), matrix_to_element(alg, q)
+                assert element_to_matrix(alg, x, n) == p
+                assert x * y == matrix_to_element(alg, p * q)
+
+
+def sparse_matrix(spec, n, rng):
+    """A random n x n matrix over spec whose entries are zero two times in three."""
+    def draw():
+        if rng.random() < 2 / 3:
+            return 0
+        if spec.kind == "Fp":
+            return rng.randrange(spec.p)
+        if spec.kind == "Q":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        return rng.randint(-9, 9)
+
+    return SquareMatrix(spec, [[draw() for _ in range(n)] for _ in range(n)])
+
+
+def naive_matrix_product(p, q):
+    """p q as the full entrywise sum over all n terms, zeros included."""
+    n, zero = p.n, p.spec.zero
+    return SquareMatrix(
+        p.spec,
+        [
+            [sum((p[i, k] * q[k, j] for k in range(n)), start=zero) for j in range(n)]
+            for i in range(n)
+        ],
+    )
 
 
 def test_algebra_map_checks():

@@ -300,6 +300,14 @@ def test_exceptional_norm_closed_form():
                 )
             )
             assert exceptional_norm(coeffs, x.coeffs) == norm(inv, x)
+    # a commutative table has no standard involution to take a norm for;
+    # the nilproduct table, which is both, keeps its norm
+    with pytest.raises(WrongCase):
+        exceptional_norm(CubicCoefficients(ZZ, 1, 0, 0, 0, 0, 1), (1, 1, 1))
+    nil = CubicCoefficients(ZZ, 0, 0, 0, 0, 0, 0)
+    inv = standard_involution_exceptional(nil)
+    x = inv.algebra.element([2, -3, 5])
+    assert exceptional_norm(nil, x.coeffs) == norm(inv, x) == ZZ.element(4)
 
 
 def test_exceptional_witness_identities():
@@ -330,6 +338,27 @@ def test_exceptional_witness_identities():
                 assert prod == w.gen_i * alpha + w.gen_j * beta
 
 
+def reference_matrix_rep(coeffs):
+    """The closed-form generator matrices of a valid table."""
+    b, c, m, n, y, z = coeffs.as_tuple()
+    spec = coeffs.spec
+    z0, o = spec.zero, spec.one
+    mat_i = SquareMatrix(spec, [[z0, -(c * z), c * y], [o, b, z0], [z0, c, z0]])
+    mat_j = SquareMatrix(
+        spec, [[z0, c * y - b * m, -(b * y)], [z0, m, y], [o, n, z]]
+    )
+    return mat_i, mat_j
+
+
+def random_fraction_tuple(rng, commutative):
+    """A valid six-tuple over QQ with fractional coefficients."""
+    draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    if commutative:
+        return CubicCoefficients(QQ, draw(), draw(), 0, 0, draw(), draw())
+    m, n = draw(), draw()
+    return CubicCoefficients(QQ, n, 0, m, n, 0, m)
+
+
 def test_matrix_rep_identities():
     coeffs = CubicCoefficients(ZZ, 1, 0, 0, 1, 0, 0)
     mat_i, mat_j = matrix_rep(coeffs)
@@ -344,6 +373,16 @@ def test_matrix_rep_identities():
         alg = build_algebra(coeffs)
         assert mat_i == left_regular_rep(alg.basis(1))
         assert mat_j == left_regular_rep(alg.basis(2))
+    # and equal the closed forms written out from the table
+    for spec in (ZZ, QQ, GF(2), GF(7)):
+        for _ in range(50):
+            commutative = rng.random() < 0.5
+            if spec == QQ:
+                coeffs = random_fraction_tuple(rng, commutative)
+            else:
+                pick = random_commutative if commutative else random_exceptional
+                coeffs = pick(spec, rng)
+            assert matrix_rep(coeffs) == reference_matrix_rep(coeffs)
 
 
 def test_char_poly_exceptional_closed_form():
@@ -442,6 +481,21 @@ def test_gl2_action_is_group_action():
         gl2_act(singular, BinaryCubicForm(spec, 1, 0, 0, 1))
 
 
+def reference_algebra_from_form(form):
+    """The multiplication table written out from the form's coefficients."""
+    a, b, c, d = form.as_tuple()
+    spec = form.spec
+    z0, o = spec.zero, spec.one
+    return StructureConstants(
+        spec,
+        [
+            [[o, z0, z0], [z0, o, z0], [z0, z0, o]],
+            [[z0, o, z0], [-(a * c), b, -a], [-(a * d), z0, z0]],
+            [[z0, z0, o], [-(a * d), z0, z0], [-(b * d), d, -c]],
+        ],
+    )
+
+
 def test_form_translation_round_trip():
     spec = GF(3)
     for b, c, y, z in itertools.product(range(3), repeat=4):
@@ -449,7 +503,19 @@ def test_form_translation_round_trip():
         form = form_from_commutative(coeffs)
         assert commutative_from_form(form) == coeffs
         # the independent direct table agrees entry for entry
+        assert algebra_from_form(form) == reference_algebra_from_form(form)
         assert algebra_from_form(form) == build_algebra(coeffs)
+    rng = random.Random(83)
+    for spec in (ZZ, QQ, GF(2), GF(5), GF(7)):
+        for _ in range(60):
+            if spec.kind == "Fp":
+                raw = [rng.randrange(spec.p) for _ in range(4)]
+            elif spec.kind == "Q":
+                raw = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+            else:
+                raw = [rng.randint(-9, 9) for _ in range(4)]
+            form = BinaryCubicForm(spec, *raw)
+            assert algebra_from_form(form) == reference_algebra_from_form(form)
     rng = random.Random(89)
     for _ in range(100):
         form = BinaryCubicForm(ZZ, *[rng.randint(-9, 9) for _ in range(4)])

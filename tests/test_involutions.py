@@ -7,10 +7,12 @@ from lowrank import (
     GF,
     QQ,
     ZZ,
+    AlgebraMap,
     CubicCoefficients,
     GuardExceeded,
     Involution,
     LowrankError,
+    SpecMismatch,
     SquareMatrix,
     StructureConstants,
     UnsupportedRing,
@@ -21,7 +23,6 @@ from lowrank import (
     exceptional_witness,
     find_standard_involution,
     involution_from_witness,
-    involution_matrix,
     m2_adjoint,
     matrix_algebra,
     norm,
@@ -39,6 +40,7 @@ from lowrank import (
     verify_involution,
     verify_standard,
 )
+from lowrank.involutions import _conjugation
 
 
 def f4_algebra():
@@ -264,6 +266,38 @@ def test_witness_involution_matches_direct_construction():
             assert from_witness == direct
 
 
+def test_built_in_involutions_are_one_conjugation():
+    """Every involution the package builds is an AlgebraMap of its
+    algebra to itself and is the conjugation fixed by its traces."""
+    for spec in (ZZ, QQ, GF(3), GF(7)):
+        quad = quadratic_from_tuple(spec, 2, 5)
+        exc = CubicCoefficients(spec, 2, 0, 3, 2, 0, 3)
+        m2 = matrix_algebra(spec, 2)
+        cases = [
+            (m2_adjoint(spec), (1, 0, 0)),
+            (pair_swap(spec), (1,)),
+            (quaternion_conjugation(spec, -1, -1), (0, 0, 0)),
+            (standard_involution_quadratic(quad), (quad.t,)),
+            (standard_involution_exceptional(exc), (exc.n, exc.m)),
+            (involution_from_witness(exceptional_witness(exc)), (exc.n, exc.m)),
+            (find_standard_involution(m2), (1, 0, 0)),
+        ]
+        if spec.kind == "Fp":
+            (found,) = all_standard_involutions(m2)
+            cases.append((found, (1, 0, 0)))
+        for inv, traces in cases:
+            assert isinstance(inv, AlgebraMap)
+            assert inv.source is inv.target is inv.algebra
+            assert inv == _conjugation(inv.algebra, traces)
+            assert verify_involution(inv)[0] and verify_standard(inv)[0]
+    # the image checks are AlgebraMap's
+    alg = m2_adjoint(GF(3)).algebra
+    with pytest.raises(ValueError, match="one image per source basis element"):
+        Involution(alg, [alg.one()])
+    with pytest.raises(SpecMismatch, match="image outside the target algebra"):
+        Involution(alg, [matrix_algebra(GF(5), 2).one()] * 4)
+
+
 def test_quaternion_table():
     spec = QQ
     a, b = spec.element(2), spec.element(3)
@@ -329,7 +363,7 @@ def test_pair_swap_exchanges_components():
 
 def test_involution_matrix_squares_to_identity():
     for inv in standard_examples():
-        mat = involution_matrix(inv).matrix()
+        mat = inv.matrix()
         n = inv.algebra.rank
         assert mat * mat == SquareMatrix.identity(inv.algebra.spec, n)
 
