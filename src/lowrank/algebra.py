@@ -586,7 +586,8 @@ def algebra_degree(alg: StructureConstants) -> int:
 
 
 class AlgebraMap:
-    """A linear map between algebras, given by the images of the basis."""
+    """A linear map between algebras, given by the images of the basis.
+    Two maps are equal when their source, target and images are."""
 
     __slots__ = ("source", "target", "images")
 
@@ -658,6 +659,17 @@ class AlgebraMap:
 
     def to_json(self) -> dict:
         return {"images": [[str(c) for c in im.coeffs] for im in self.images]}
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AlgebraMap)
+            and self.source == other.source
+            and self.target == other.target
+            and self.images == other.images
+        )
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.images))
 
     def __repr__(self):
         return f"AlgebraMap({list(self.images)!r})"

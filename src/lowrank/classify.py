@@ -8,9 +8,14 @@ and image is computed on raw values by the target's _mul_values and
 _combine_values), censuses list every valid coefficient
 tuple in lexicographic order (built from the two families the relations
 leave over a field), and the reports record per-tuple verdicts so they
-can be reproduced byte for byte.  The cubic census report is written
-row by row from a fixed template on raw values, in the same bytes as
-json.dumps of its to_json (see CensusReport).
+can be reproduced byte for byte.  The cubic census runs on raw values:
+each tuple is a CubicCoefficients holding its six canonical raw values,
+which classify_case and build_algebra read without building a
+RingElement, and the involution search runs on the table's raw values.
+The report is written row by row from a fixed template on the tuples'
+raw values, in the same bytes as json.dumps of its to_json (see
+CensusReport); elements are built only where a caller reads a tuple's
+attributes.
 """
 
 from __future__ import annotations
@@ -320,7 +325,9 @@ class CensusReport:
     def __init__(self, spec, total, rows, intersection, representatives):
         self.spec = spec
         self.total = total
-        self.rows = rows  # (coeffs, case, has_involution)
+        # (CubicCoefficients, CubicCase, has_involution); the writers
+        # render a row from the coefficients' raw values (_values)
+        self.rows = rows
         self.intersection = intersection
         self.representatives = representatives
 
@@ -371,7 +378,7 @@ class CensusReport:
         out = self._summary()
         out["rows"] = [
             {
-                "tuple": [str(v) for v in coeffs.as_tuple()],
+                "tuple": [str(v) for v in coeffs._values],
                 "case": case.value,
                 "standard_involution": has_inv,
             }
@@ -383,10 +390,7 @@ class CensusReport:
         """Each row through template, the flag read as flags[has_inv]."""
         fmt = template.format
         for t, case, has_inv in self.rows:
-            yield fmt(
-                case.value, flags[has_inv],
-                t.b.value, t.c.value, t.m.value, t.n.value, t.y.value, t.z.value,
-            )
+            yield fmt(case.value, flags[has_inv], *t._values)
 
     def write_json(self, out):
         """Write the JSON report and a newline to out (see the class)."""

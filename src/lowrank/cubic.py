@@ -12,6 +12,12 @@ table where every product of generators is zero.
 Commutative tables correspond to binary cubic forms, and the
 exceptional tables carry a conjugation involution with an explicit
 norm; both directions are implemented here with verified witnesses.
+
+A CubicCoefficients stores its six-tuple as the ring's canonical raw
+values, as StructureConstants stores its table.  build_algebra,
+classify_case, equality, hashing and the JSON and census renderings
+read those values; RingElements are built only where a caller reads
+the attributes b, c, m, n, y, z or as_tuple().
 """
 
 from __future__ import annotations
@@ -147,12 +153,25 @@ class CubicCase(enum.Enum):
     NILPRODUCT = "nilproduct"
 
 
+def _coefficient(k):
+    """Read-only attribute building field k of a CubicCoefficients as a
+    RingElement of its spec from the stored raw value."""
+    return property(lambda self: _trusted(self.spec, self._values[k]))
+
+
 class CubicCoefficients:
     """A valid six-tuple (b, c, m, n, y, z); construction checks the
-    eight relations and raises RelationViolation otherwise."""
+    eight relations and raises RelationViolation otherwise.
+
+    The tuple is stored once, as the six canonical raw values in
+    `_values` (RingSpec.value).  The attributes b, c, m, n, y, z and
+    as_tuple() build RingElements of the spec when they are read;
+    equality, hashing, repr, to_json, build_algebra, classify_case and
+    the census report rows read `_values` directly.
+    """
 
     FIELDS = ("b", "c", "m", "n", "y", "z")
-    __slots__ = ("spec",) + FIELDS
+    __slots__ = ("spec", "_values")
 
     def __init__(self, spec: RingSpec, b, c, m, n, y, z):
         vals = tuple(map(spec.value, (b, c, m, n, y, z)))
@@ -160,28 +179,29 @@ class CubicCoefficients:
         if violated:
             raise RelationViolation(violated)
         self.spec = spec
-        self.b, self.c, self.m, self.n, self.y, self.z = (
-            _trusted(spec, v) for v in vals
-        )
+        self._values = vals
+
+    b, c, m, n, y, z = map(_coefficient, range(6))
 
     def as_tuple(self):
-        return (self.b, self.c, self.m, self.n, self.y, self.z)
+        spec = self.spec
+        return tuple(_trusted(spec, v) for v in self._values)
 
     def __eq__(self, other):
         return (
             isinstance(other, CubicCoefficients)
             and self.spec == other.spec
-            and self.as_tuple() == other.as_tuple()
+            and self._values == other._values
         )
 
     def __hash__(self):
-        return hash((self.spec,) + self.as_tuple())
+        return hash((self.spec, self._values))
 
     def __repr__(self):
-        return "CubicCoefficients" + str(tuple(str(v) for v in self.as_tuple()))
+        return "CubicCoefficients" + str(tuple(map(str, self._values)))
 
     def to_json(self) -> dict:
-        return {k: str(getattr(self, k)) for k in self.FIELDS}
+        return dict(zip(self.FIELDS, map(str, self._values)))
 
     @staticmethod
     def from_json(spec: RingSpec, obj) -> CubicCoefficients:
@@ -227,7 +247,7 @@ def build_algebra(coeffs: CubicCoefficients) -> StructureConstants:
     the ring's own 0 and 1) and stored without re-checking.
     """
     spec = coeffs.spec
-    b, c, m, n, y, z = (v.value for v in coeffs.as_tuple())
+    b, c, m, n, y, z = coeffs._values
     a, d, l, x = -(c * z), c * y, c * y - b * m, -(b * y)
     p = spec.p
     if p:
@@ -245,10 +265,10 @@ def build_algebra(coeffs: CubicCoefficients) -> StructureConstants:
 
 
 def classify_case(coeffs: CubicCoefficients) -> CubicCase:
-    vals = coeffs.as_tuple()
-    if all(v.is_zero() for v in vals):
+    vals = coeffs._values
+    if not any(vals):
         return CubicCase.NILPRODUCT
-    if coeffs.m.is_zero() and coeffs.n.is_zero():
+    if not (vals[2] or vals[3]):  # m = n = 0
         return CubicCase.COMMUTATIVE
     return CubicCase.EXCEPTIONAL
 

@@ -38,16 +38,6 @@ class Involution(AlgebraMap):
     def algebra(self) -> StructureConstants:
         return self.source
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Involution)
-            and self.algebra == other.algebra
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash(self.images)
-
     def __repr__(self):
         return f"Involution({list(self.images)!r})"
 

@@ -11,6 +11,7 @@ from lowrank import (
     RingElement,
     CubicCoefficients,
     GeneralCubicTable,
+    Involution,
     NotAUnit,
     Polynomial,
     SpecMismatch,
@@ -24,14 +25,17 @@ from lowrank import (
     enumerate_cubic,
     is_isomorphic_bruteforce,
     left_regular_rep,
+    m2_adjoint,
     matrix_algebra,
     matrix_to_element,
     min_poly,
     poly_gcd,
     product_components,
     product_element,
+    quadratic_from_tuple,
     quaternion_algebra,
     rank_one,
+    split_idempotent,
 )
 from lowrank.algebra import _row_reduce
 
@@ -716,6 +720,34 @@ def test_algebra_map_checks():
     other = rank_one(GF(3))
     with pytest.raises(SpecMismatch):
         AlgebraMap(alg, other, [other.one(), other.one()])
+
+
+def test_algebra_map_value_equality():
+    for spec in (GF(5), QQ, ZZ):
+        alg = quadratic_from_tuple(spec, 1, 0)
+        (f1, b1), (f2, b2) = split_idempotent(alg), split_idempotent(alg)
+        assert f1 is not f2 and f1.to_json() == f2.to_json()
+        assert f1 == f2 and hash(f1) == hash(f2)
+        assert b1 == b2 and hash(b1) == hash(b2)
+        assert len({f1, f2}) == 1
+    # same images on another target, and other images on the same one
+    alg = f4_algebra()
+    ident = AlgebraMap(alg, alg, [alg.one(), alg.basis(1)])
+    frob = AlgebraMap(alg, alg, [alg.one(), alg.one() + alg.basis(1)])
+    assert ident != frob
+    line = rank_one(GF(2))
+    pair = direct_product(line, line)
+    assert AlgebraMap(alg, pair, [[1, 0], [0, 1]]) != ident
+    # an Involution is an AlgebraMap and equals one with the same images
+    for spec in (GF(7), QQ):
+        inv = m2_adjoint(spec)
+        plain = AlgebraMap(inv.algebra, inv.algebra, inv.images)
+        assert type(plain) is AlgebraMap
+        assert inv == plain and plain == inv
+        assert hash(inv) == hash(plain)
+        again = Involution(inv.algebra, [im.coeffs for im in inv.images])
+        assert again == inv and hash(again) == hash(inv)
+    assert "__eq__" not in vars(Involution) and "__hash__" not in vars(Involution)
 
 
 def element_is_multiplicative(phi):

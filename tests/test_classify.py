@@ -397,8 +397,9 @@ def test_main_theorem_scans_once(monkeypatch):
 
 
 def test_census_tables_build_no_ring_elements(monkeypatch):
-    """build_algebra, and an involution search that answers no, work on
-    raw values: neither constructs a RingElement, by either constructor."""
+    """enumerate_cubic, classify_case, build_algebra, and an involution
+    search that answers no, work on raw values: none constructs a
+    RingElement, by either constructor."""
     import sys
 
     from lowrank import find_standard_involution, rings
@@ -419,9 +420,14 @@ def test_census_tables_build_no_ring_elements(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("lowrank") and getattr(module, "_trusted", None) is trusted:
             monkeypatch.setattr(module, "_trusted", counted_trusted)
+    census = enumerate_cubic(GF(5))
+    assert len(census) == 5**4 + 5**2 - 1
+    assert built == [], "enumerate_cubic built elements"
     answered_no = 0
-    for coeffs in enumerate_cubic(GF(5)):
+    for coeffs in census:
         built.clear()
+        classify_case(coeffs)
+        assert built == [], f"classify_case built elements for {coeffs}"
         alg = build_algebra(coeffs)
         assert built == [], f"build_algebra built elements for {coeffs}"
         if find_standard_involution(alg) is None:

@@ -15,6 +15,7 @@ from lowrank import (
     GeneralCubicTable,
     NotAUnit,
     RelationViolation,
+    RingElement,
     SquareMatrix,
     StructureConstants,
     WrongCase,
@@ -195,6 +196,49 @@ def test_coefficients_validation():
     assert info.value.violations == ["bm = mn", "n^2 = bn"]
     coeffs = CubicCoefficients(GF(5), 2, 0, 3, 2, 0, 3)
     assert CubicCoefficients.from_json(GF(5), coeffs.to_json()) == coeffs
+
+
+def test_coefficients_value_semantics_across_constructors():
+    # (ring, inputs, canonical strings): exceptional and commutative tuples
+    cases = (
+        (ZZ, (3, 0, -2, 3, 0, -2), ("3", "0", "-2", "3", "0", "-2")),
+        (ZZ, (4, -1, 0, 0, 5, 2), ("4", "-1", "0", "0", "5", "2")),
+        (
+            QQ,
+            (Fraction(1, 2), 0, Fraction(-2, 3), Fraction(1, 2), 0, Fraction(-2, 3)),
+            ("1/2", "0", "-2/3", "1/2", "0", "-2/3"),
+        ),
+        (QQ, (2, Fraction(3, 4), 0, 0, -1, 0), ("2", "3/4", "0", "0", "-1", "0")),
+        (GF(7), (3, 0, -2, 3, 0, -2), ("3", "0", "5", "3", "0", "5")),
+        (GF(7), (10, 1, 0, 0, -1, 6), ("3", "1", "0", "0", "6", "6")),
+    )
+    fields = CubicCoefficients.FIELDS
+    for spec, raw, want in cases:
+        built = (
+            CubicCoefficients(spec, *raw),
+            CubicCoefficients(spec, *map(spec.element, raw)),
+            CubicCoefficients.from_json(
+                spec, {k: str(v) for k, v in zip(fields, raw)}
+            ),
+        )
+        for coeffs in built:
+            assert coeffs == built[0] and hash(coeffs) == hash(built[0])
+            values = coeffs.as_tuple()
+            assert values == tuple(getattr(coeffs, k) for k in fields)
+            assert values == tuple(map(spec.element, raw))
+            for v in values:
+                assert type(v) is RingElement and v.spec == spec
+            assert tuple(map(str, values)) == want
+            assert coeffs.to_json() == dict(zip(fields, want))
+            assert repr(coeffs) == "CubicCoefficients" + str(want)
+        assert len(set(built)) == 1
+    # equal values over different rings are different tuples
+    assert CubicCoefficients(ZZ, 1, 0, 0, 0, 0, 0) != CubicCoefficients(
+        GF(7), 1, 0, 0, 0, 0, 0
+    )
+    assert CubicCoefficients(ZZ, 1, 0, 0, 0, 0, 0) != CubicCoefficients(
+        ZZ, 2, 0, 0, 0, 0, 0
+    )
 
 
 def test_build_algebra_frozen_table():
