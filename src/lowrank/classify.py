@@ -5,7 +5,8 @@ by an exhaustive search over the unital linear maps between two algebras
 over a prime field (image coordinates that a linear condition forces are
 solved for by algebra._row_reduce, the rest scanned, and every product
 and image is computed on raw values by the target's _mul_values and
-_combine_values), censuses list every valid coefficient
+_combine_values; at rank 3 the square of u = u0 + w is read off w * w,
+computed once per w), censuses list every valid coefficient
 tuple in lexicographic order (built from the two families the relations
 leave over a field), and the reports record per-tuple verdicts so they
 can be reproduced byte for byte.  The cubic census runs on raw values:
@@ -103,60 +104,80 @@ def _search_rank3(ta, target, p):
     lexicographic order, u before v, that is multiplicative on basis
     pairs and invertible.
 
-    A candidate must send e1^2 to phi(e1^2).  When that structure row
-    has a nonzero e2-coefficient gamma, v is forced linearly by u and the
-    search is a single loop over u.  Otherwise u is filtered first, and
-    v is solved for: the product is bilinear, so the e1*e2 and e2*e1
-    conditions read (L_u - s12[2] I) v = s12[0] e0 + s12[1] u and
-    (R_u - s21[2] I) v = s21[0] e0 + s21[1] u, with the columns of L_u
-    and R_u the products of u with the basis.  Only the v solving that
-    system are tried, in lexicographic order.  Every skipped map fails a
-    necessary condition (u with u1 = u2 = 0 is never invertible), so the
-    search is exhaustive.
+    A candidate must send e1^2 = c0 e0 + c1 e1 + gamma e2 to
+    c0 e0 + c1 u + gamma v.  Write u = u0 e0 + w with w = (0, u1, u2).
+    The unit is a two-sided identity, so by bilinearity
+    u * u = u0^2 e0 + 2 u0 w + q with q = w * w, and q is computed once
+    for each of the p^2 - 1 nonzero w rather than u * u for every u.
+    The residue u * u - c0 e0 - c1 u is then
+    (u0^2 + q0 - c0 - c1 u0, t u1 + q1, t u2 + q2) with t = 2 u0 - c1.
+
+    When gamma != 0, v is this residue divided by gamma, and
+    det(u, v) = u1 v2 - u2 v1 = (u1 q2 - u2 q1) / gamma does not depend
+    on u0: a w with zero det is dropped before the loop, since every u
+    it gives fails the invertibility test.  When gamma = 0, u must have
+    a zero residue, and v is solved for: the product is bilinear, so the
+    e1*e2 and e2*e1 conditions read (L_u - s12[2] I) v = s12[0] e0 +
+    s12[1] u and (R_u - s21[2] I) v = s21[0] e0 + s21[1] u, with the
+    columns of L_u and R_u the products of u with the basis (u * e0 =
+    e0 * u = u).  Only the v solving that system are tried, in
+    lexicographic order.
+
+    The loop runs over u0 outside and the kept w in (u1, u2) order
+    inside, which is lexicographic order on u, so the first witness is
+    the same as a scan over every u would find.  Every skipped map
+    fails a necessary condition (u with u1 = u2 = 0 is never
+    invertible), so the search is exhaustive.
     """
     mul, combine = target._mul_values, target._combine_values
     s11, s12 = ta[1][1], ta[1][2]
     s21, s22 = ta[2][1], ta[2][2]
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    e0 = basis[0]
-    gamma = s11[2] % p
+    e0, e1, e2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    c0, c1, gamma = (c % p for c in s11)
     inv = pow(gamma, -1, p) if gamma else 0
-    for u in itertools.product(range(p), repeat=3):
-        if not (u[1] or u[2]):
-            continue  # det = u1 v2 - u2 v1 vanishes for every v
-        uu = mul(u, u)
-        if gamma:
-            v = tuple(
-                ((uu[idx] - (s11[0] if idx == 0 else 0) - s11[1] * u[idx]) * inv) % p
-                for idx in range(3)
-            )
-            candidates = (v,)
-        else:
-            if uu != combine(s11, (e0, u)):  # s11[2] = gamma = 0
+    squares = []  # (u1, u2, w * w) for each kept w, in (u1, u2) order
+    for u1, u2 in itertools.product(range(p), repeat=2):
+        if not (u1 or u2):
+            continue
+        w = (0, u1, u2)
+        q = mul(w, w)
+        if gamma and (u1 * q[2] - u2 * q[1]) % p == 0:
+            continue
+        squares.append((u1, u2, q))
+    for u0 in range(p):
+        r0 = u0 * u0 - c0 - c1 * u0
+        t = 2 * u0 - c1
+        for u1, u2, q in squares:
+            u = (u0, u1, u2)
+            residue = ((r0 + q[0]) % p, (t * u1 + q[1]) % p, (t * u2 + q[2]) % p)
+            if gamma:
+                candidates = (tuple(r * inv % p for r in residue),)
+            elif any(residue):
                 continue
-            left = [mul(u, e) for e in basis]
-            right = [mul(e, u) for e in basis]
-            rows = [
-                [left[j][i] - (s12[2] if i == j else 0) for j in range(3)]
-                + [(s12[0] if i == 0 else 0) + s12[1] * u[i]]
-                for i in range(3)
-            ] + [
-                [right[j][i] - (s21[2] if i == j else 0) for j in range(3)]
-                + [(s21[0] if i == 0 else 0) + s21[1] * u[i]]
-                for i in range(3)
-            ]
-            candidates = _affine_solutions(rows, p)
-        for v in candidates:
-            if (u[1] * v[2] - u[2] * v[1]) % p == 0:
-                continue
-            images = (e0, u, v)
-            if mul(u, v) != combine(s12, images):
-                continue
-            if mul(v, u) != combine(s21, images):
-                continue
-            if mul(v, v) != combine(s22, images):
-                continue
-            return u, v
+            else:
+                left = (u, mul(u, e1), mul(u, e2))
+                right = (u, mul(e1, u), mul(e2, u))
+                rows = [
+                    [left[j][i] - (s12[2] if i == j else 0) for j in range(3)]
+                    + [(s12[0] if i == 0 else 0) + s12[1] * u[i]]
+                    for i in range(3)
+                ] + [
+                    [right[j][i] - (s21[2] if i == j else 0) for j in range(3)]
+                    + [(s21[0] if i == 0 else 0) + s21[1] * u[i]]
+                    for i in range(3)
+                ]
+                candidates = _affine_solutions(rows, p)
+            for v in candidates:
+                if (u1 * v[2] - u2 * v[1]) % p == 0:
+                    continue
+                images = (e0, u, v)
+                if mul(u, v) != combine(s12, images):
+                    continue
+                if mul(v, u) != combine(s21, images):
+                    continue
+                if mul(v, v) != combine(s22, images):
+                    continue
+                return u, v
     return None
 
 
@@ -200,7 +221,10 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     (True, map), or (False, None).  Rank at most 3.  Image coordinates
     that a product condition fixes linearly are solved for rather than
     scanned (u0 at rank 2; v when e1^2 does not involve e2 at rank 3,
-    see _search_rank3); a map is skipped only when it fails a necessary
+    see _search_rank3).  At rank 3, w * w is computed once for each
+    nonzero w = (0, u1, u2) and u * u for u = u0 + w is read off it, and
+    when e1^2 involves e2 a w whose det(u, v) vanishes is dropped for
+    every u0.  A map is skipped only when it fails a necessary
     condition, so the search stays exhaustive.  The guard counts the
     p^(k(k-1)) maps of the whole space, more than the search visits.
     """

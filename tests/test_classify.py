@@ -278,6 +278,19 @@ def test_solved_search_matches_the_scan_on_random_unital_tables():
             assert _same_search(a, b) is not None
             assert _same_search(b, a) is not None
             _same_search(a, _random_unital_table(rng, p, gamma_zero=draw % 3 == 0))
+    # p = 7, gamma != 0 only: the det test drops some w = (0, u1, u2)
+    # before the loop over u0 and keeps others
+    p = 7
+    vecs = list(itertools.product(range(p), repeat=3))
+    for draw in range(40):
+        a = _random_unital_table(rng, p, gamma_zero=False)
+        while a._values[1][1][2] == 0:
+            a = _random_unital_table(rng, p, gamma_zero=False)
+        u, v = rng.choice(vecs), rng.choice(vecs)
+        while (u[1] * v[2] - u[2] * v[1]) % p == 0:
+            u, v = rng.choice(vecs), rng.choice(vecs)
+        assert _same_search(a, _rebased(a, u, v)) is not None
+        _same_search(a, _random_unital_table(rng, p, gamma_zero=False))
 
 
 def test_solved_rank2_search_matches_the_scan():
@@ -336,6 +349,24 @@ def test_search_work_counts(monkeypatch):
     calls.clear()
     assert is_isomorphic_bruteforce(zero, other) == (False, None)
     assert len(calls) < scan_calls
+    # squaring each w = (0, u1, u2) once and reading L_u, R_u's unit
+    # columns off u: 280 calls, where computing u * u for every u and
+    # all six columns made 384
+    assert len(calls) <= 280
+    # rank 3, gamma != 0: e1^2 = e2 in the source (0, 1, 0, 0, 0, 0).
+    # Against the zero table every w * w is 0, so det(u, v) vanishes for
+    # every w and the search ends after the p^2 - 1 squares (u * u for
+    # every u made 120 calls); against (0, 0, 0, 0, 0, 1) only the w
+    # with nonzero det are looped over (200 calls before)
+    p = 5
+    source = build_algebra(CubicCoefficients(GF(p), 0, 1, 0, 0, 0, 0))
+    assert source._values[1][1][2] != 0
+    calls.clear()
+    assert is_isomorphic_bruteforce(source, zero) == (False, None)
+    assert len(calls) == p * p - 1
+    calls.clear()
+    assert is_isomorphic_bruteforce(source, other) == (False, None)
+    assert len(calls) <= 104
 
 
 def test_main_theorem_f2():
