@@ -1,9 +1,10 @@
 """Free algebras of finite rank presented by structure constants.
 
 An algebra of rank k over a base ring is stored as the k x k table of
-basis products, each expanded over the basis again.  The table holds the
-ring's canonical raw values (RingSpec.value), and the product kernel
-computes on them; RingElements are built only where a caller reads them.
+basis products, each expanded over the basis again.  The table and every
+AlgebraElement hold the ring's canonical raw values (RingSpec.value), and
+the product and linear-combination kernels compute on them; RingElements
+are built only where a caller reads them (`table`, `coeffs`).
 Basis element 0 is required to be the multiplicative identity;
 constructors reject tables where it is not.  Everything downstream
 (associativity checks, regular representations, characteristic and
@@ -166,11 +167,6 @@ class StructureConstants:
                     out[l] = s % p if p else s
         return tuple(out)
 
-    def _mul_vec(self, u, v):
-        """Bilinear product of RingElement coefficient tuples."""
-        prod = self._mul_values([a.value for a in u], [b.value for b in v])
-        return tuple(map(self.spec.element, prod))
-
     # -- global properties -------------------------------------------------
 
     def verify_associativity(self):
@@ -230,16 +226,31 @@ class StructureConstants:
 
 
 class AlgebraElement:
-    """An element of a structure-constant algebra, as basis coefficients."""
+    """An element of a structure-constant algebra, as basis coefficients.
 
-    __slots__ = ("algebra", "coeffs")
+    The coefficients are stored once, as canonical raw values in `_values`
+    (RingSpec.value); `coeffs` builds RingElements of the spec each time
+    it is read.  The constructor checks every value and the length.  Sums,
+    differences, negation and scalar multiples are raw linear combinations
+    (`_combine_values`), products go through `_mul_values`, and each result
+    passes the constructor again, so over Q every coordinate, zero
+    included, is a Fraction.
+    """
+
+    __slots__ = ("algebra", "_values")
 
     def __init__(self, algebra: StructureConstants, coeffs):
-        cs = tuple(map(algebra.spec.element, coeffs))
-        if len(cs) != algebra.rank:
-            raise ValueError(f"expected {algebra.rank} coefficients, got {len(cs)}")
+        vs = tuple(map(algebra.spec.value, coeffs))
+        if len(vs) != algebra.rank:
+            raise ValueError(f"expected {algebra.rank} coefficients, got {len(vs)}")
         self.algebra = algebra
-        self.coeffs = cs
+        self._values = vs
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of RingElements."""
+        spec = self.algebra.spec
+        return tuple(_trusted(spec, c) for c in self._values)
 
     def _peer(self, other):
         if isinstance(other, AlgebraElement):
@@ -252,30 +263,32 @@ class AlgebraElement:
         peer = self._peer(other)
         if peer is None:
             return NotImplemented
+        alg = self.algebra
         return AlgebraElement(
-            self.algebra, [a + b for a, b in zip(self.coeffs, peer.coeffs)]
+            alg, alg._combine_values((1, 1), (self._values, peer._values))
         )
 
     def __sub__(self, other):
         peer = self._peer(other)
         if peer is None:
             return NotImplemented
+        alg = self.algebra
         return AlgebraElement(
-            self.algebra, [a - b for a, b in zip(self.coeffs, peer.coeffs)]
+            alg, alg._combine_values((1, -1), (self._values, peer._values))
         )
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, [-a for a in self.coeffs])
+        alg = self.algebra
+        return AlgebraElement(alg, alg._combine_values((-1,), (self._values,)))
 
     def __mul__(self, other):
+        alg = self.algebra
         if isinstance(other, AlgebraElement):
             peer = self._peer(other)
-            return AlgebraElement(
-                self.algebra, self.algebra._mul_vec(self.coeffs, peer.coeffs)
-            )
+            return AlgebraElement(alg, alg._mul_values(self._values, peer._values))
         if isinstance(other, (int, RingElement)):
-            c = self.algebra.spec.element(other)
-            return AlgebraElement(self.algebra, [a * c for a in self.coeffs])
+            c = alg.spec.value(other)
+            return AlgebraElement(alg, alg._combine_values((c,), (self._values,)))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -294,23 +307,23 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
+        return self.algebra == other.algebra and self._values == other._values
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._values)
 
     def __repr__(self):
-        return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
+        return "(" + ", ".join(str(c) for c in self._values) + ")"
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self._values)
 
     def is_scalar(self) -> bool:
         """True when the element lies in the image of the base ring."""
-        return all(c.is_zero() for c in self.coeffs[1:])
+        return not any(self._values[1:])
 
     def scalar_part(self) -> RingElement:
-        return self.coeffs[0]
+        return _trusted(self.algebra.spec, self._values[0])
 
 
 class SquareMatrix:
@@ -503,13 +516,9 @@ def _char_poly_values(spec: RingSpec, rows):
 def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
     """Matrix of left multiplication by x in the algebra basis."""
     alg = x.algebra
-    k = alg.rank
-    xv = [c.value for c in x.coeffs]
     # row 0 of the table holds the basis vectors, since e_0 = 1
-    cols = [alg._mul_values(xv, ej) for ej in alg._values[0]]
-    return SquareMatrix(
-        alg.spec, [[cols[j][i] for j in range(k)] for i in range(k)]
-    )
+    cols = [alg._mul_values(x._values, ej) for ej in alg._values[0]]
+    return SquareMatrix(alg.spec, zip(*cols))
 
 
 def _row_reduce(p, rows):
@@ -555,14 +564,13 @@ def min_poly(x: AlgebraElement) -> Polynomial:
     spec = alg.spec
     if not spec.is_field():
         raise UnsupportedRing("minimal polynomials need a field base ring")
-    xv = [c.value for c in x.coeffs]
     powers = [alg._values[0][0]]  # e_0 = 1
     while True:
         m = len(powers) - 1
         rows, pivots = _row_reduce(spec.p, zip(*powers))
         if m not in pivots:
             return Polynomial(spec, [-rows[j][m] for j in range(m)] + [1])
-        powers.append(alg._mul_values(powers[-1], xv))
+        powers.append(alg._mul_values(powers[-1], x._values))
 
 
 def algebra_degree(alg: StructureConstants) -> int:
@@ -613,18 +621,16 @@ class AlgebraMap:
         # the sum of x's coefficients times the basis images
         return self.target.element(
             self.target._combine_values(
-                [c.value for c in x.coeffs],
-                [[c.value for c in im.coeffs] for im in self.images],
+                x._values, [im._values for im in self.images]
             )
         )
 
     def matrix(self) -> SquareMatrix:
         if self.source.rank != self.target.rank:
             raise ValueError("matrix form needs equal ranks")
-        k = self.source.rank
+        # column j holds the coefficients of the image of e_j
         return SquareMatrix(
-            self.source.spec,
-            [[self.images[j].coeffs[i] for j in range(k)] for i in range(k)],
+            self.source.spec, zip(*(im._values for im in self.images))
         )
 
     def is_unital(self) -> bool:
@@ -638,7 +644,7 @@ class AlgebraMap:
         """
         t = self.source._values
         combine, mul = self.target._combine_values, self.target._mul_values
-        images = [tuple(c.value for c in im.coeffs) for im in self.images]
+        images = [im._values for im in self.images]
         k = self.source.rank
         for a in range(k):
             for b in range(k):
@@ -658,7 +664,7 @@ class AlgebraMap:
         )
 
     def to_json(self) -> dict:
-        return {"images": [[str(c) for c in im.coeffs] for im in self.images]}
+        return {"images": [[str(c) for c in im._values] for im in self.images]}
 
     def __eq__(self, other):
         return (
@@ -683,6 +689,22 @@ def rank_one(spec: RingSpec) -> StructureConstants:
     return StructureConstants(spec, [[[1]]])
 
 
+def _product_coords(u, v):
+    """Coordinates in the direct_product basis of the pair (u, v), given
+    by the coordinates u and v of its components in their own bases:
+
+        (u, v) = u_0*(1,1) + sum_{i>=1} u_i*(e_i,0)
+               + (v_0 - u_0)*(0,f_0) + sum_{j>=1} v_j*(0,f_j).
+    """
+    return tuple(u) + (v[0] - u[0],) + tuple(v[1:])
+
+
+def _product_split(coeffs, ka):
+    """The component coordinates (u, v) of the direct_product coordinates
+    `coeffs` whose first factor has rank ka; inverse of _product_coords."""
+    return tuple(coeffs[:ka]), (coeffs[0] + coeffs[ka],) + tuple(coeffs[ka + 1:])
+
+
 def direct_product(a: StructureConstants, b: StructureConstants) -> StructureConstants:
     """Componentwise product algebra of rank a.rank + b.rank.
 
@@ -692,57 +714,60 @@ def direct_product(a: StructureConstants, b: StructureConstants) -> StructureCon
     """
     if a.spec != b.spec:
         raise SpecMismatch("factors over different rings")
-    spec = a.spec
-    ka, kb = a.rank, b.rank
-
-    def to_basis(u, v):
-        # (u, v) = u_0*(1,1) + sum_{i>=1} u_i*(e_i,0)
-        #        + (v_0 - u_0)*(0,f_0) + sum_{j>=1} v_j*(0,f_j)
-        return tuple(u) + (v[0] - u[0],) + tuple(v[1:])
-
-    def split(coeffs):
-        u = list(coeffs[:ka])
-        v = [coeffs[0] + coeffs[ka]] + list(coeffs[ka + 1:])
-        return tuple(u), tuple(v)
-
-    k = ka + kb
-    basis_pairs = []
-    for g in range(k):
-        unit = tuple(spec.one if l == g else spec.zero for l in range(k))
-        basis_pairs.append(split(unit))
-    table = []
-    for ga in range(k):
-        row = []
-        ua, va = basis_pairs[ga]
-        for gb in range(k):
-            ub, vb = basis_pairs[gb]
-            pu = a._mul_vec(ua, ub)
-            pv = b._mul_vec(va, vb)
-            row.append(to_basis(pu, pv))
-        table.append(row)
-    return StructureConstants(spec, table)
+    k = a.rank + b.rank
+    pairs = [
+        _product_split([1 if l == g else 0 for l in range(k)], a.rank)
+        for g in range(k)
+    ]
+    table = [
+        [
+            _product_coords(a._mul_values(ua, ub), b._mul_values(va, vb))
+            for ub, vb in pairs
+        ]
+        for ua, va in pairs
+    ]
+    return StructureConstants(a.spec, table)
 
 
 def product_element(prod: StructureConstants, a: StructureConstants,
                     b: StructureConstants, xa, xb) -> AlgebraElement:
     """Embed the pair (xa, xb) into a direct product built by direct_product."""
-    ua = xa.coeffs if isinstance(xa, AlgebraElement) else tuple(
-        a.spec.element(c) for c in xa
-    )
-    vb = xb.coeffs if isinstance(xb, AlgebraElement) else tuple(
-        b.spec.element(c) for c in xb
-    )
-    coeffs = tuple(ua) + (vb[0] - ua[0],) + tuple(vb[1:])
-    return prod.element(coeffs)
+    ua = xa._values if isinstance(xa, AlgebraElement) else tuple(map(a.spec.value, xa))
+    vb = xb._values if isinstance(xb, AlgebraElement) else tuple(map(b.spec.value, xb))
+    return prod.element(_product_coords(ua, vb))
 
 
 def product_components(prod: StructureConstants, a: StructureConstants,
                        b: StructureConstants, x: AlgebraElement):
     """Split an element of a direct product back into its two components."""
-    ka = a.rank
-    u = x.coeffs[:ka]
-    v = (x.coeffs[0] + x.coeffs[ka],) + x.coeffs[ka + 1:]
+    u, v = _product_split(x._values, a.rank)
     return a.element(u), b.element(v)
+
+
+def _matrix_coords(rows, n):
+    """Coordinates of the n x n matrix `rows` in the matrix_algebra basis:
+    the identity, then every matrix unit E_ij in row-major order except
+    E_{n-1,n-1}.  Only the identity contributes to entry (n-1, n-1)."""
+    c0 = rows[n - 1][n - 1]
+    return [c0] + [
+        rows[i][j] - c0 if i == j else rows[i][j]
+        for i in range(n)
+        for j in range(n)
+        if (i, j) != (n - 1, n - 1)
+    ]
+
+
+def _matrix_rows(coeffs, n):
+    """The n x n matrix with matrix_algebra coordinates `coeffs`, as rows;
+    inverse of _matrix_coords."""
+    c0, rest = coeffs[0], iter(coeffs[1:])
+    return [
+        [
+            c0 if (i, j) == (n - 1, n - 1) else next(rest) + (c0 if i == j else 0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def matrix_algebra(spec: RingSpec, n: int) -> StructureConstants:
@@ -752,31 +777,12 @@ def matrix_algebra(spec: RingSpec, n: int) -> StructureConstants:
     except E_{n-1,n-1}, which the identity replaces to keep the first
     basis element equal to 1.
     """
-    units = [(i, j) for i in range(n) for j in range(n) if (i, j) != (n - 1, n - 1)]
-
-    def as_matrix(g):
-        m = [[spec.zero] * n for _ in range(n)]
-        if g == 0:
-            for d in range(n):
-                m[d][d] = spec.one
-        else:
-            i, j = units[g - 1]
-            m[i][j] = spec.one
-        return m
-
-    def to_coeffs(m):
-        # only the identity contributes to the (n-1, n-1) entry
-        c0 = m[n - 1][n - 1]
-        out = [c0]
-        for (i, j) in units:
-            if i == j:
-                out.append(m[i][j] - c0)
-            else:
-                out.append(m[i][j])
-        return out
-
-    mats = [SquareMatrix(spec, as_matrix(g)) for g in range(n * n)]
-    table = [[to_coeffs((ma * mb).entries) for mb in mats] for ma in mats]
+    k = n * n
+    mats = [
+        SquareMatrix(spec, _matrix_rows([1 if l == g else 0 for l in range(k)], n))
+        for g in range(k)
+    ]
+    table = [[_matrix_coords((ma * mb)._values(), n) for mb in mats] for ma in mats]
     return StructureConstants(spec, table)
 
 
@@ -785,32 +791,11 @@ def matrix_to_element(alg: StructureConstants, m: SquareMatrix) -> AlgebraElemen
     n = m.n
     if alg.rank != n * n or alg.spec != m.spec:
         raise SpecMismatch("matrix does not fit this algebra")
-    c0 = m.entries[n - 1][n - 1]
-    out = [c0]
-    for i in range(n):
-        for j in range(n):
-            if (i, j) == (n - 1, n - 1):
-                continue
-            if i == j:
-                out.append(m.entries[i][j] - c0)
-            else:
-                out.append(m.entries[i][j])
-    return alg.element(out)
+    return alg.element(_matrix_coords(m._values(), n))
 
 
 def element_to_matrix(alg: StructureConstants, x: AlgebraElement, n: int) -> SquareMatrix:
     """Inverse of matrix_to_element."""
     if x.algebra != alg or alg.rank != n * n:
         raise SpecMismatch("element does not fit this matrix algebra")
-    spec = alg.spec
-    m = [[spec.zero] * n for _ in range(n)]
-    for d in range(n):
-        m[d][d] = x.coeffs[0]
-    g = 1
-    for i in range(n):
-        for j in range(n):
-            if (i, j) == (n - 1, n - 1):
-                continue
-            m[i][j] = m[i][j] + x.coeffs[g]
-            g += 1
-    return SquareMatrix(spec, m)
+    return SquareMatrix(alg.spec, _matrix_rows(x._values, n))

@@ -370,11 +370,9 @@ class CensusReport:
             case is not CubicCase.EXCEPTIONAL or has_inv
             for _, case, has_inv in self.rows
         )
-        zero = self.spec.zero
-        nil = [zero] * 6
-        meet_ok = len(self.intersection) == 1 and list(
-            self.intersection[0].as_tuple()
-        ) == nil
+        meet_ok = len(self.intersection) == 1 and not any(
+            self.intersection[0]._values
+        )
         return every and meet_ok
 
     def _summary(self):
@@ -555,10 +553,9 @@ def quadratic_census(spec: RingSpec) -> QuadraticCensusReport:
     ]
     disc_classes = []
     for q in algebras:
-        d = q.t * q.t - 4 * q.n
+        d = q.discriminant().representative
         for cls in disc_classes:
-            rep = cls[0]
-            if square_class_equal(d, rep.t * rep.t - 4 * rep.n):
+            if square_class_equal(d, cls[0].discriminant().representative):
                 cls.append(q)
                 break
         else:

@@ -109,7 +109,7 @@ def _cmd_quad_disc(args):
     _emit(
         {
             "ring": alg.spec.to_json(),
-            "discriminant": str(alg.t * alg.t - 4 * alg.n),
+            "discriminant": str(alg.discriminant().representative),
         }
     )
     return 0
@@ -346,10 +346,11 @@ def _cmd_census_quad(args):
 
 
 def _cmd_census_exceptional(args):
-    classes = exceptional_classes(_census_spec(args))
+    spec = _census_spec(args)
+    classes = exceptional_classes(spec)
     _emit(
         {
-            "ring": {"kind": "Fp", "p": args.p},
+            "ring": spec.to_json(),
             "count": len(classes),
             "classes": [
                 [[str(v) for v in coeffs.as_tuple()] for coeffs in cls]

@@ -43,7 +43,7 @@ class Involution(AlgebraMap):
 
     def to_json(self) -> dict:
         out = self.algebra.to_json()
-        out["images"] = [[str(c) for c in im.coeffs] for im in self.images]
+        out.update(super().to_json())
         return out
 
     @staticmethod
@@ -70,7 +70,7 @@ def verify_involution(inv: Involution):
     t = alg._values
     e = t[0]  # the basis vectors, since e_0 = 1
     combine, mul = alg._combine_values, alg._mul_values
-    images = [tuple(c.value for c in im.coeffs) for im in inv.images]
+    images = [im._values for im in inv.images]
     if images[0] != e[0]:
         return False, "basis element 0 is not fixed"
     for i in range(k):
@@ -94,7 +94,7 @@ def verify_standard(inv: Involution):
     alg = inv.algebra
     k = alg.rank
     combine, mul = alg._combine_values, alg._mul_values
-    images = [tuple(c.value for c in im.coeffs) for im in inv.images]
+    images = [im._values for im in inv.images]
     for support in itertools.chain(
         itertools.combinations(range(k), 1), itertools.combinations(range(k), 2)
     ):
@@ -188,10 +188,6 @@ def all_standard_involutions(alg: StructureConstants):
     """
     if alg.spec.kind != "Fp":
         raise UnsupportedRing("exhaustive search needs a prime field")
-    return _bruteforce_tvalues(alg)
-
-
-def _bruteforce_tvalues(alg: StructureConstants):
     p = alg.spec.p
     count = p ** (alg.rank - 1)
     check_guard(count, 15625, "involution brute force")

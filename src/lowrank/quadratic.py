@@ -94,14 +94,10 @@ def complete_square(alg: QuadraticAlgebra):
     two = spec.element(2)
     if not two.is_unit():
         raise NotAUnit("completing the square needs 2 to be a unit")
-    d = alg.t * alg.t - 4 * alg.n
+    d = alg.discriminant().representative
     target = QuadraticAlgebra(spec, spec.zero, -d)
     half = two.inverse()
-    m = AlgebraMap(
-        alg.structure(),
-        target.structure(),
-        [target.structure().one(), target.structure().element([alg.t * half, half])],
-    )
+    m = _affine_map(alg, target, half, alg.t * half)
     assert m.verify_isomorphism(), "square-completion map failed verification"
     return d, m
 
@@ -129,8 +125,8 @@ def is_isomorphic_2unit(a: QuadraticAlgebra, b: QuadraticAlgebra):
         raise NotAUnit("this test needs 2 to be a unit")
     if not spec.is_field():
         raise UnsupportedRing("this test runs over fields")
-    da = a.t * a.t - 4 * a.n
-    db = b.t * b.t - 4 * b.n
+    da = a.discriminant().representative
+    db = b.discriminant().representative
     u = square_class_witness(da, db)
     if u is None:
         return False, None
@@ -152,8 +148,8 @@ def is_isomorphic_over_z(a: QuadraticAlgebra, b: QuadraticAlgebra):
         raise SpecMismatch("algebras over different rings")
     if a.spec.kind != "Z":
         raise UnsupportedRing("this test runs over the integers")
-    da = a.t * a.t - 4 * a.n
-    db = b.t * b.t - 4 * b.n
+    da = a.discriminant().representative
+    db = b.discriminant().representative
     if da != db or (a.t.value - b.t.value) % 2 != 0:
         return False, None
     shift = a.spec.element((a.t.value - b.t.value) // 2)

@@ -106,7 +106,8 @@ def test_general_table_failure_witness():
 
 
 def ring_element_mul_vec(alg, u, v):
-    """The RingElement triple loop that _mul_vec once was: the oracle."""
+    """The RingElement triple loop that element products once ran: the
+    oracle."""
     out = [alg.spec.zero] * alg.rank
     for i, a in enumerate(u):
         if a.is_zero():
@@ -159,7 +160,11 @@ def test_mul_vec_matches_ring_element_loop():
             u = tuple(random_coeff(alg.spec, rng) for _ in range(alg.rank))
             v = tuple(random_coeff(alg.spec, rng) for _ in range(alg.rank))
             want = ring_element_mul_vec(alg, u, v)
-            assert alg._mul_vec(u, v) == want
+            got = alg.element(u) * alg.element(v)
+            assert got.coeffs == want
+            assert got._values == tuple(c.value for c in want)
+            for c, w in zip(got.coeffs, want):
+                assert c.spec is alg.spec and type(c.value) is type(w.value)
             raw = alg._mul_values([a.value for a in u], [b.value for b in v])
             assert raw == tuple(c.value for c in want)
 
@@ -222,6 +227,37 @@ def test_element_arithmetic():
     assert (2 * x).is_zero()
     assert alg.one().is_scalar() and alg.one().scalar_part() == GF(2).one
     assert not x.is_scalar()
+
+
+def test_element_arithmetic_over_z_and_q():
+    """Sums, differences, negation, scalar multiples and products over Z
+    and Q agree with RingElement arithmetic on the coefficients, and every
+    coordinate of a result, zero included, has the ring's canonical type:
+    an int over Z, a Fraction over Q."""
+    rng = random.Random(211)
+    for spec, kind in ((ZZ, int), (QQ, Fraction)):
+        for rank in (2, 3, 4):
+            alg = random_table(spec, rank, rng)
+            for _ in range(30):
+                u = [random_coeff(spec, rng) for _ in range(rank)]
+                v = [random_coeff(spec, rng) for _ in range(rank)]
+                c = random_coeff(spec, rng)
+                x, y = alg.element(u), alg.element(v)
+                cases = (
+                    (x + y, [a + b for a, b in zip(u, v)]),
+                    (x - y, [a - b for a, b in zip(u, v)]),
+                    (-x, [-a for a in u]),
+                    (c * x, [c * a for a in u]),
+                    (x * 3, [a * 3 for a in u]),
+                    (x - x, [spec.zero] * rank),
+                    (x * y, ring_element_mul_vec(alg, u, v)),
+                )
+                for got, want in cases:
+                    assert got.coeffs == tuple(want)
+                    assert all(type(w) is kind for w in got._values)
+                    assert all(
+                        a.spec is spec and type(a.value) is kind for a in got.coeffs
+                    )
 
 
 def test_left_regular_rep_is_multiplicative():
@@ -614,28 +650,35 @@ def test_algebra_degree_cases():
 
 
 def test_direct_product_componentwise():
-    a = f4_algebra()
-    b = rank_one(GF(2))
-    prod = direct_product(a, b)
-    ok, _ = prod.verify_associativity()
-    assert ok
+    factors = [(f4_algebra(), rank_one(GF(2)))]
+    for spec in (ZZ, QQ, GF(5)):
+        factors.append((
+            quaternion_algebra(spec, spec.element(-1), spec.element(-1)),
+            quadratic_from_tuple(spec, 1, -1).structure(),
+        ))
     rng = random.Random(131)
-    for _ in range(200):
-        xa = random_algebra_element(a, rng)
-        xb = random_algebra_element(b, rng)
-        ya = random_algebra_element(a, rng)
-        yb = random_algebra_element(b, rng)
-        x = product_element(prod, a, b, xa, xb)
-        y = product_element(prod, a, b, ya, yb)
-        left, right = product_components(prod, a, b, x * y)
-        assert left == xa * ya and right == xb * yb
-        back_a, back_b = product_components(prod, a, b, x)
-        assert back_a == xa and back_b == xb
-    # orthogonal components annihilate
-    x = product_element(prod, a, b, a.one(), b.zero())
-    y = product_element(prod, a, b, a.zero(), b.one())
-    assert (x * y).is_zero()
-    assert x + y == prod.one()
+    for a, b in factors:
+        prod = direct_product(a, b)
+        ok, _ = prod.verify_associativity()
+        assert ok
+
+        def draw(alg):
+            return alg.element([random_coeff(alg.spec, rng) for _ in range(alg.rank)])
+
+        for _ in range(200):
+            xa, xb, ya, yb = draw(a), draw(b), draw(a), draw(b)
+            x = product_element(prod, a, b, xa, xb)
+            y = product_element(prod, a, b, ya, yb)
+            assert product_element(prod, a, b, xa.coeffs, xb._values) == x
+            left, right = product_components(prod, a, b, x * y)
+            assert left == xa * ya and right == xb * yb
+            back_a, back_b = product_components(prod, a, b, x)
+            assert back_a == xa and back_b == xb
+        # orthogonal components annihilate
+        x = product_element(prod, a, b, a.one(), b.zero())
+        y = product_element(prod, a, b, a.zero(), b.one())
+        assert (x * y).is_zero()
+        assert x + y == prod.one()
 
 
 def test_matrix_algebra_units():

@@ -429,8 +429,8 @@ def test_main_theorem_scans_once(monkeypatch):
 
 def test_census_tables_build_no_ring_elements(monkeypatch):
     """enumerate_cubic, classify_case, build_algebra, and an involution
-    search that answers no, work on raw values: none constructs a
-    RingElement, by either constructor."""
+    search, whether it answers no or yes, work on raw values: none
+    constructs a RingElement, by either constructor."""
     import sys
 
     from lowrank import find_standard_involution, rings
@@ -454,7 +454,7 @@ def test_census_tables_build_no_ring_elements(monkeypatch):
     census = enumerate_cubic(GF(5))
     assert len(census) == 5**4 + 5**2 - 1
     assert built == [], "enumerate_cubic built elements"
-    answered_no = 0
+    answered_no = answered_yes = 0
     for coeffs in census:
         built.clear()
         classify_case(coeffs)
@@ -464,7 +464,11 @@ def test_census_tables_build_no_ring_elements(monkeypatch):
         if find_standard_involution(alg) is None:
             answered_no += 1
             assert built == [], f"a 'no' search built elements for {coeffs}"
+        else:
+            answered_yes += 1
+            assert built == [], f"a 'yes' search built elements for {coeffs}"
     assert answered_no == 5**4 - 1  # commutative, save the zero table
+    assert answered_yes == 5**2  # the p^2 - 1 exceptional tables and the zero table
 
 
 def test_exceptional_classes_small_fields():

@@ -1,0 +1,122 @@
+"""Golden stdout: the sha256 of stdout and the exit code of fixed in-process
+`cli.main` runs.  A change that claims byte-identical output keeps every
+digest; one that changes output on purpose updates the digest it names.
+
+Regenerate the table with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from lowrank import QQ, direct_product, matrix_algebra, rank_one
+from lowrank.cli import main
+from lowrank.quadratic import QuadraticAlgebra
+
+
+def _alg(alg, element=None):
+    obj = alg.to_json()
+    if element is not None:
+        obj["element"] = element
+    return json.dumps(obj)
+
+
+def golden_runs():
+    """(name, argv) for every pinned run."""
+    m2 = matrix_algebra(QQ, 2)
+    pair = direct_product(rank_one(QQ), rank_one(QQ))
+    quad_line = direct_product(
+        QuadraticAlgebra(QQ, Fraction(1, 2), 3).structure(), rank_one(QQ)
+    )
+    runs = []
+    for p in (2, 3, 5):
+        for fmt in ("json", "table"):
+            runs.append((f"census cubic {p} {fmt}",
+                         ["census", "cubic", "--p", str(p), "--format", fmt]))
+    for p in (2, 3, 5):
+        runs.append((f"census exceptional {p}",
+                     ["census", "exceptional", "--p", str(p)]))
+    for p in (3, 5, 7):
+        runs.append((f"census quad {p}", ["census", "quad", "--p", str(p)]))
+    for n in (2, 3):
+        for p in (2, 3, 5):
+            runs.append((f"probe mn {n} {p}",
+                         ["probe", "mn", "--n", str(n), "--p", str(p)]))
+    runs += [
+        ("inv find M2(Q)", ["inv", "find", _alg(m2)]),
+        ("inv find Q x Q", ["inv", "find", _alg(pair)]),
+        ("inv find Q[x] x Q", ["inv", "find", _alg(quad_line)]),
+        ("quad disc Q",
+         ["quad", "disc", '{"ring": {"kind": "Q"}, "t": "1/3", "n": "-2"}']),
+        ("quad iso Q",
+         ["quad", "iso", '{"ring": {"kind": "Q"}, "A": {"t": "1", "n": "-2"}, '
+                         '"B": {"t": "0", "n": "-1"}}']),
+        ("quad iso Z",
+         ["quad", "iso", '{"ring": {"kind": "Z"}, "A": {"t": "1", "n": "-2"}, '
+                         '"B": {"t": "3", "n": "0"}}']),
+        ("quad split Q",
+         ["quad", "split", '{"ring": {"kind": "Q"}, "t": "1", "n": "0"}']),
+        ("alg charpoly M2(Q)",
+         ["alg", "charpoly", _alg(m2, ["1/2", "-3", "2/3", "5"])]),
+        ("alg charpoly Q[x] x Q",
+         ["alg", "charpoly", _alg(quad_line, ["1/2", "-3", "2/3"])]),
+    ]
+    return runs
+
+
+def run_digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+GOLDEN = {
+    'census cubic 2 json': (0, 'a247726da5a0d5b4e981d1657684e51ea814ba472d333b2edc8428e835486da8'),
+    'census cubic 2 table': (0, '96569627b73422ad285da72fcf0ea57dd97033c8f8a7e1d629f9d19d95d16161'),
+    'census cubic 3 json': (0, 'd7040a588df3af9480a498cbec751b51ddfc0480905f78a5edf65218fbd1c1f7'),
+    'census cubic 3 table': (0, '716e8b3bce113f02ffef23e3b3742cb069930f33e5538e889130a83b49febc1a'),
+    'census cubic 5 json': (0, '2f5b6736e3cae0fb324ffeea828725b6eff996621cc849cd289fa01bf966d797'),
+    'census cubic 5 table': (0, '8fcd962588ccfb882cc383620df21653661f1c9a292f220f468a14f299b55753'),
+    'census exceptional 2': (0, '3abcf58f45bafaddb3855f1b547a7fef6893eb741135b68a7ba43d4ea66b13b1'),
+    'census exceptional 3': (0, '52606085795ba4e059f10c2d7818be47010c26e2f4a93259b100cc1ce6f8bc1c'),
+    'census exceptional 5': (0, '50d11483ff99b44310aadd5812905c214acd407fa1c4a8814d6ac1d03c1b2fc6'),
+    'census quad 3': (0, 'ce48a24d89186da24408333e8462a7d813c938b0a299a9600ef9759eae1ca3c0'),
+    'census quad 5': (0, '97961abbb94217c264d8c81b427fdcbb5b8e23e47c71dea6b2ea84aef658b992'),
+    'census quad 7': (0, '1135350566bf87394b790ed55e5e66a9e6c7f0e43a4df58c079b8f1c4a8036be'),
+    'probe mn 2 2': (0, 'd846e41cebdd03c83ddb05a90c1943496fd2794a5ba6ea6d9a3a64d356c55ebe'),
+    'probe mn 2 3': (0, 'a33ccdeafb1f729e9512eeaba26f73512ffe2561aeee0af4de8c6d36af4c92bc'),
+    'probe mn 2 5': (0, '45cd4d9931102adb81e1762dd442c6fe7e3ee479e228a093088cc7b1520d7ed7'),
+    'probe mn 3 2': (0, '52e1801f9843b87560820af56b6ef49db34f0985cb85627ef62066155e19011c'),
+    'probe mn 3 3': (0, 'c694edd4c81ceae40356f07b60221e2e10ffc9bbce275ab743571e11dff8ec1a'),
+    'probe mn 3 5': (0, 'cb3b0eaa039dce323c355fd4e2d8ced9177a5f2cabf814c3b991c9389513fc5e'),
+    'inv find M2(Q)': (0, '0607cc7f08be580edf959ce820334bfcdbe74d43d0d2723fd9c3f63984efd489'),
+    'inv find Q x Q': (0, '14809514e895e0f2f48d3a5412d6096249a7dd930fd847fdb7f73f2af7706766'),
+    'inv find Q[x] x Q': (0, 'a473231bb47f7b2ef5202851c1fe1697ded4db0e0f4e76b18a4cbda8fc11e02e'),
+    'quad disc Q': (0, '657f5d3f69d0942bee9122b7660347e0f772da28572b377c491f6b53358719ff'),
+    'quad iso Q': (0, 'c26db3b588c1167afe3377b311f540c439af865def4a9800b954eca91ef2e24d'),
+    'quad iso Z': (0, 'b43d4e126f0c254833657c860dd9fb6b8fce1c2c0e3332cc4edf609206f1c619'),
+    'quad split Q': (0, 'd1f58fc64d87b9e4adba71e89fcc6b9b3809471e479b91e449a3c5cea275e846'),
+    'alg charpoly M2(Q)': (0, 'bab678503951a5302760de8d1437084599fd6d7d7ab243f84ee4456fb2aad4f8'),
+    'alg charpoly Q[x] x Q': (0, 'c744ec3e7f4dde9b5c24de4630d0f80a29257a62badaf55aaf30a0581a39712f'),
+}
+
+
+RUNS = golden_runs()
+
+
+@pytest.mark.parametrize("name,argv", RUNS, ids=[name for name, _ in RUNS])
+def test_golden_stdout(name, argv):
+    assert run_digest(argv) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name, argv in RUNS:
+        code, digest = run_digest(argv)
+        print(f"    {name!r}: ({code}, {digest!r}),")
