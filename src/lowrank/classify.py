@@ -5,8 +5,10 @@ by an exhaustive search over the unital linear maps between two algebras
 over a prime field (image coordinates that a linear condition forces are
 solved for by algebra._row_reduce, the rest scanned, and every product
 and image is computed on raw values by the target's _mul_values and
-_combine_values; at rank 3 the square of u = u0 + w is read off w * w,
-computed once per w), censuses list every valid coefficient
+_combine_values; each kernel product is computed once per nonscalar
+part, e1 * e1 at rank 2 and w * w and its companions at rank 3, and
+each candidate map is checked against them with modular arithmetic),
+censuses list every valid coefficient
 tuple in lexicographic order (built from the two families the relations
 leave over a field), and the reports record per-tuple verdicts so they
 can be reproduced byte for byte.  The cubic census runs on raw values:
@@ -99,10 +101,10 @@ def _search_rank3(ta, target, p):
     """Find images (u, v) for the generators, or None.
 
     ta is the source's raw table and target the target algebra, whose
-    _mul_values gives the products and whose _combine_values gives
-    phi(s) = s0 e0 + s1 u + s2 v.  The answer is the first (u, v) in
-    lexicographic order, u before v, that is multiplicative on basis
-    pairs and invertible.
+    _mul_values gives the products (and, when gamma = 0, whose
+    _combine_values gives phi(s) = s0 e0 + s1 u + s2 v).  The answer is
+    the first (u, v) in lexicographic order, u before v, that is
+    multiplicative on basis pairs and invertible.
 
     A candidate must send e1^2 = c0 e0 + c1 e1 + gamma e2 to
     c0 e0 + c1 u + gamma v.  Write u = u0 e0 + w with w = (0, u1, u2).
@@ -115,13 +117,24 @@ def _search_rank3(ta, target, p):
     When gamma != 0, v is this residue divided by gamma, and
     det(u, v) = u1 v2 - u2 v1 = (u1 q2 - u2 q1) / gamma does not depend
     on u0: a w with zero det is dropped before the loop, since every u
-    it gives fails the invertibility test.  When gamma = 0, u must have
-    a zero residue, and v is solved for: the product is bilinear, so the
-    e1*e2 and e2*e1 conditions read (L_u - s12[2] I) v = s12[0] e0 +
-    s12[1] u and (R_u - s21[2] I) v = s21[0] e0 + s21[1] u, with the
-    columns of L_u and R_u the products of u with the basis (u * e0 =
-    e0 * u = u).  Only the v solving that system are tried, in
-    lexicographic order.
+    it gives fails the invertibility test.  The other products are
+    affine in products of w and qbar = (0, q1, q2): v = v0 e0 + x with
+    x = (t w + qbar) / gamma, so
+        u * v = u0 v0 e0 + u0 x + v0 w + (t q + w qbar) / gamma,
+        v * u = u0 v0 e0 + u0 x + v0 w + (t q + qbar w) / gamma,
+        v * v = v0^2 e0 + 2 v0 x
+                + (t^2 q + t (w qbar + qbar w) + qbar qbar) / gamma^2.
+    w * qbar is computed once for each kept w, and qbar * w and
+    qbar * qbar the first time a candidate from that w passes the
+    e1*e2 check, so a candidate is checked with no kernel call.
+
+    When gamma = 0, u must have a zero residue, and v is solved for:
+    the product is bilinear, so the e1*e2 and e2*e1 conditions read
+    (L_u - s12[2] I) v = s12[0] e0 + s12[1] u and
+    (R_u - s21[2] I) v = s21[0] e0 + s21[1] u, with the columns of L_u
+    and R_u the products of u with the basis (u * e0 = e0 * u = u).
+    Only the v solving that system are tried, in lexicographic order,
+    and u * v and v * u are combinations of those columns.
 
     The loop runs over u0 outside and the kept w in (u1, u2) order
     inside, which is lexicographic order on u, so the first witness is
@@ -134,8 +147,7 @@ def _search_rank3(ta, target, p):
     s21, s22 = ta[2][1], ta[2][2]
     e0, e1, e2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     c0, c1, gamma = (c % p for c in s11)
-    inv = pow(gamma, -1, p) if gamma else 0
-    squares = []  # (u1, u2, w * w) for each kept w, in (u1, u2) order
+    kept = []  # (u1, u2, w * w, w * qbar) for each kept w, in (u1, u2) order
     for u1, u2 in itertools.product(range(p), repeat=2):
         if not (u1 or u2):
             continue
@@ -143,37 +155,59 @@ def _search_rank3(ta, target, p):
         q = mul(w, w)
         if gamma and (u1 * q[2] - u2 * q[1]) % p == 0:
             continue
-        squares.append((u1, u2, q))
+        kept.append((u1, u2, q, mul(w, (0, q[1], q[2])) if gamma else None))
+    inv = pow(gamma, -1, p) if gamma else 0
+    later = {}  # (u1, u2) -> (qbar * w, qbar * qbar), once a v passes e1*e2
     for u0 in range(p):
         r0 = u0 * u0 - c0 - c1 * u0
         t = 2 * u0 - c1
-        for u1, u2, q in squares:
+        for u1, u2, q, wq in kept:
             u = (u0, u1, u2)
             residue = ((r0 + q[0]) % p, (t * u1 + q[1]) % p, (t * u2 + q[2]) % p)
             if gamma:
-                candidates = (tuple(r * inv % p for r in residue),)
-            elif any(residue):
+                v = v0, v1, v2 = tuple(r * inv % p for r in residue)
+                # u * v and v * u less their (t q + ...) / gamma terms
+                base = (u0 * v0, u0 * v1 + v0 * u1, u0 * v2 + v0 * u2)
+                tq = (t * q[0], t * q[1], t * q[2])
+                uv = tuple(b + (a + c) * inv for b, a, c in zip(base, tq, wq))
+                if not _is_image(s12, u, v, uv, p):
+                    continue
+                if (u1, u2) not in later:
+                    qbar = (0, q[1], q[2])
+                    later[u1, u2] = mul(qbar, (0, u1, u2)), mul(qbar, qbar)
+                qw, qq = later[u1, u2]
+                vu = tuple(b + (a + c) * inv for b, a, c in zip(base, tq, qw))
+                if not _is_image(s21, u, v, vu, p):
+                    continue
+                vv = tuple(
+                    b + (t * (a + c + d) + e) * inv * inv
+                    for b, a, c, d, e in zip(
+                        (v0 * v0, 2 * v0 * v1, 2 * v0 * v2), tq, wq, qw, qq
+                    )
+                )
+                if not _is_image(s22, u, v, vv, p):
+                    continue
+                return u, v
+            if any(residue):
                 continue
-            else:
-                left = (u, mul(u, e1), mul(u, e2))
-                right = (u, mul(e1, u), mul(e2, u))
-                rows = [
-                    [left[j][i] - (s12[2] if i == j else 0) for j in range(3)]
-                    + [(s12[0] if i == 0 else 0) + s12[1] * u[i]]
-                    for i in range(3)
-                ] + [
-                    [right[j][i] - (s21[2] if i == j else 0) for j in range(3)]
-                    + [(s21[0] if i == 0 else 0) + s21[1] * u[i]]
-                    for i in range(3)
-                ]
-                candidates = _affine_solutions(rows, p)
-            for v in candidates:
+            left = (u, mul(u, e1), mul(u, e2))
+            right = (u, mul(e1, u), mul(e2, u))
+            rows = [
+                [left[j][i] - (s12[2] if i == j else 0) for j in range(3)]
+                + [(s12[0] if i == 0 else 0) + s12[1] * u[i]]
+                for i in range(3)
+            ] + [
+                [right[j][i] - (s21[2] if i == j else 0) for j in range(3)]
+                + [(s21[0] if i == 0 else 0) + s21[1] * u[i]]
+                for i in range(3)
+            ]
+            for v in _affine_solutions(rows, p):
                 if (u1 * v[2] - u2 * v[1]) % p == 0:
                     continue
                 images = (e0, u, v)
-                if mul(u, v) != combine(s12, images):
+                if combine(v, left) != combine(s12, images):
                     continue
-                if mul(v, u) != combine(s21, images):
+                if combine(v, right) != combine(s21, images):
                     continue
                 if mul(v, v) != combine(s22, images):
                     continue
@@ -181,33 +215,48 @@ def _search_rank3(ta, target, p):
     return None
 
 
+def _is_image(s, u, v, y, p):
+    """Whether y = s0 e0 + s1 u + s2 v mod p: a product of the rank-3
+    search checked against the image of the basis product s."""
+    s0, s1, s2 = s
+    return not (
+        (y[0] - s0 - s1 * u[0] - s2 * v[0]) % p
+        or (y[1] - s1 * u[1] - s2 * v[1]) % p
+        or (y[2] - s1 * u[2] - s2 * v[2]) % p
+    )
+
+
 def _search_rank2(ta, target, p):
     """Find the image u of the generator, or None: the lexicographically
     first (u0, u1) with u1 != 0 and u * u = phi(e1^2), where ta is the
     source's raw table and target the target algebra.
 
-    The target is unital, so the e1-coefficient of u * u is
-    2 u1 u0 + w1 with w = (0, u1)^2, and matching it with s11[1] u1 is a
-    linear condition on u0.  For each u1 the u0 solving it are tried:
-    one when 2 u1 != 0, every u0 or none when p = 2.  Every skipped map
-    fails that condition, so the search is exhaustive.
+    The target is unital, so with q = e1 * e1 computed once in the
+    target, u * u = (u0^2 + u1^2 q0, 2 u0 u1 + u1^2 q1) by bilinearity,
+    and no candidate needs a kernel call.  Matching the e1-coefficient
+    with s11[1] u1 is a linear condition on u0.  For each u1 the u0
+    solving it are tried: one when 2 u1 != 0, every u0 or none when
+    p = 2.  Every skipped map fails that condition, so the search is
+    exhaustive.
     """
-    mul, combine = target._mul_values, target._combine_values
-    s11 = ta[1][1]
-    e0 = (1, 0)
+    s0, s1 = ta[1][1]
+    q0, q1 = target._mul_values((0, 1), (0, 1))
     found = []
     for u1 in range(1, p):  # the map must be invertible: det = u1
-        w1 = mul((0, u1), (0, u1))[1]
-        rhs = (s11[1] * u1 - w1) % p
+        w0, w1 = u1 * u1 * q0, u1 * u1 * q1
+        rhs = (s1 * u1 - w1) % p
         two_u1 = 2 * u1 % p
         if two_u1:
             solved = ((rhs * pow(two_u1, -1, p)) % p,)
         else:
             solved = range(p) if rhs == 0 else ()
         for u0 in solved:
-            u = (u0, u1)
-            if mul(u, u) == combine(s11, (e0, u)):
-                found.append(u)
+            # u * u against phi(e1^2) = s0 e0 + s1 u
+            if not (
+                (u0 * u0 + w0 - s0 - s1 * u0) % p
+                or (2 * u0 * u1 + w1 - s1 * u1) % p
+            ):
+                found.append((u0, u1))
                 break
     return (min(found),) if found else None
 
@@ -221,12 +270,18 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     (True, map), or (False, None).  Rank at most 3.  Image coordinates
     that a product condition fixes linearly are solved for rather than
     scanned (u0 at rank 2; v when e1^2 does not involve e2 at rank 3,
-    see _search_rank3).  At rank 3, w * w is computed once for each
-    nonzero w = (0, u1, u2) and u * u for u = u0 + w is read off it, and
-    when e1^2 involves e2 a w whose det(u, v) vanishes is dropped for
-    every u0.  A map is skipped only when it fails a necessary
-    condition, so the search stays exhaustive.  The guard counts the
-    p^(k(k-1)) maps of the whole space, more than the search visits.
+    see _search_rank3).  At rank 2, e1 * e1 is computed once and u * u
+    read off it: one kernel call per search.  At rank 3, w * w is
+    computed once for each nonzero w = (0, u1, u2) and u * u for
+    u = u0 + w is read off it.  When e1^2 involves e2, a w whose
+    det(u, v) vanishes is dropped for every u0, and u * v, v * u and
+    v * v are read off w * w, w * qbar, qbar * w and qbar * qbar
+    (qbar the nonscalar part of w * w), computed once per w, so no
+    candidate needs a kernel call.  Every identity used is bilinearity
+    and the two-sided unit.  A map is skipped only when it fails a
+    necessary condition, so the search stays exhaustive.  The guard
+    counts the p^(k(k-1)) maps of the whole space, more than the search
+    visits.
     """
     if a.spec != b.spec:
         raise SpecMismatch("algebras over different rings")

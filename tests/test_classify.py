@@ -291,6 +291,25 @@ def test_solved_search_matches_the_scan_on_random_unital_tables():
             u, v = rng.choice(vecs), rng.choice(vecs)
         assert _same_search(a, _rebased(a, u, v)) is not None
         _same_search(a, _random_unital_table(rng, p, gamma_zero=False))
+    # p = 11, gamma != 0, every other table with e1 e2 != e2 e1: the
+    # candidate checks expand u v, v u and v v in w * qbar and qbar * w
+    # separately, so the two must not be confused
+    p = 11
+    vecs = list(itertools.product(range(p), repeat=3))
+    noncommutative = 0
+    for draw in range(20):
+        a = _random_unital_table(rng, p, gamma_zero=False)
+        while a._values[1][1][2] == 0 or (
+            draw % 2 == 0 and a._values[1][2] == a._values[2][1]
+        ):
+            a = _random_unital_table(rng, p, gamma_zero=False)
+        noncommutative += a._values[1][2] != a._values[2][1]
+        u, v = rng.choice(vecs), rng.choice(vecs)
+        while (u[1] * v[2] - u[2] * v[1]) % p == 0:
+            u, v = rng.choice(vecs), rng.choice(vecs)
+        assert _same_search(a, _rebased(a, u, v)) is not None
+        _same_search(a, _random_unital_table(rng, p, gamma_zero=False))
+    assert noncommutative >= 10
 
 
 def test_solved_rank2_search_matches_the_scan():
@@ -338,6 +357,9 @@ def test_search_work_counts(monkeypatch):
     split = quadratic_from_tuple(GF(p), 1, 0).structure()
     assert is_isomorphic_bruteforce(nil, split) == (False, None)
     assert len(calls) <= 2 * p
+    # e1 * e1 is computed once in the target and (0, u1)^2 = u1^2 e1^2,
+    # so no candidate needs a kernel call
+    assert len(calls) == 1
     # rank 3, gamma = 0: the zero table against the tuple
     # (0, 0, 0, 0, 0, 1) over GF(5), not isomorphic; the scan made 1200
     scan_calls = 1200
@@ -353,6 +375,9 @@ def test_search_work_counts(monkeypatch):
     # columns off u: 280 calls, where computing u * u for every u and
     # all six columns made 384
     assert len(calls) <= 280
+    # u * v and v * u are combinations of the columns of L_u and R_u
+    # rather than kernel calls: 120
+    assert len(calls) <= 120
     # rank 3, gamma != 0: e1^2 = e2 in the source (0, 1, 0, 0, 0, 0).
     # Against the zero table every w * w is 0, so det(u, v) vanishes for
     # every w and the search ends after the p^2 - 1 squares (u * u for
@@ -367,6 +392,9 @@ def test_search_work_counts(monkeypatch):
     calls.clear()
     assert is_isomorphic_bruteforce(source, other) == (False, None)
     assert len(calls) <= 104
+    # u * v, v * u and v * v are read off w * w, w * qbar and, once a
+    # candidate from w passes the e1 * e2 check, qbar * w and qbar * qbar
+    assert len(calls) <= 40
 
 
 def test_main_theorem_f2():

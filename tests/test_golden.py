@@ -42,7 +42,7 @@ def golden_runs():
     for p in (2, 3, 5):
         runs.append((f"census exceptional {p}",
                      ["census", "exceptional", "--p", str(p)]))
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 11, 13):
         runs.append((f"census quad {p}", ["census", "quad", "--p", str(p)]))
     for n in (2, 3):
         for p in (2, 3, 5):
@@ -90,6 +90,8 @@ GOLDEN = {
     'census quad 3': (0, 'ce48a24d89186da24408333e8462a7d813c938b0a299a9600ef9759eae1ca3c0'),
     'census quad 5': (0, '97961abbb94217c264d8c81b427fdcbb5b8e23e47c71dea6b2ea84aef658b992'),
     'census quad 7': (0, '1135350566bf87394b790ed55e5e66a9e6c7f0e43a4df58c079b8f1c4a8036be'),
+    'census quad 11': (0, 'd5f7c3b8b8e7aff7e1d8839c905f81469d60f21317d0f27646666f889a1dab1a'),
+    'census quad 13': (0, '9bcb4cc35768b321a299eb8a5276a516718418e8ca362d887f3bffe0507c29b0'),
     'probe mn 2 2': (0, 'd846e41cebdd03c83ddb05a90c1943496fd2794a5ba6ea6d9a3a64d356c55ebe'),
     'probe mn 2 3': (0, 'a33ccdeafb1f729e9512eeaba26f73512ffe2561aeee0af4de8c6d36af4c92bc'),
     'probe mn 2 5': (0, '45cd4d9931102adb81e1762dd442c6fe7e3ee479e228a093088cc7b1520d7ed7'),
