@@ -96,7 +96,6 @@ from .quadratic import (
     is_isomorphic_2unit,
     is_isomorphic_over_z,
     is_separable,
-    quadratic_from_tuple,
     split_idempotent,
     standard_involution_quadratic,
 )

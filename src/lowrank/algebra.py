@@ -1,10 +1,11 @@
 """Free algebras of finite rank presented by structure constants.
 
 An algebra of rank k over a base ring is stored as the k x k table of
-basis products, each expanded over the basis again.  The table and every
-AlgebraElement hold the ring's canonical raw values (RingSpec.value), and
-the product and linear-combination kernels compute on them; RingElements
-are built only where a caller reads them (`table`, `coeffs`).
+basis products, each expanded over the basis again.  The table, every
+AlgebraElement and every SquareMatrix hold the ring's canonical raw values
+(RingSpec.value), and the product, linear-combination and determinant
+kernels compute on them; RingElements are built only where a caller reads
+them (`table`, `coeffs`, `entries`).
 Basis element 0 is required to be the multiplicative identity;
 constructors reject tables where it is not.  Everything downstream
 (associativity checks, regular representations, characteristic and
@@ -327,18 +328,28 @@ class AlgebraElement:
 
 
 class SquareMatrix:
-    """Dense n x n matrix over a RingSpec with exact arithmetic."""
+    """Dense n x n matrix over a RingSpec with exact arithmetic.
 
-    __slots__ = ("spec", "n", "entries")
+    The entries are stored once, as rows of canonical raw values in
+    `_values` (RingSpec.value), like the cells of StructureConstants;
+    `entries` and `m[i, j]` build RingElements of the spec each time they
+    are read.  The constructor checks every value and the shape.  Sums,
+    differences, negation and products compute on raw values and each
+    result passes the constructor again, so over F_p every entry is
+    reduced and over Q every entry, zero included, is a Fraction.
+    """
+
+    __slots__ = ("spec", "n", "_values")
 
     def __init__(self, spec: RingSpec, entries):
-        rows = tuple(tuple(map(spec.element, row)) for row in entries)
+        value = spec.value
+        rows = tuple(tuple(map(value, row)) for row in entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         self.spec = spec
         self.n = n
-        self.entries = rows
+        self._values = rows
 
     @staticmethod
     def identity(spec: RingSpec, n: int) -> SquareMatrix:
@@ -350,19 +361,25 @@ class SquareMatrix:
     def zero(spec: RingSpec, n: int) -> SquareMatrix:
         return SquareMatrix(spec, [[0] * n for _ in range(n)])
 
+    @property
+    def entries(self):
+        """The entries as rows of RingElements."""
+        spec = self.spec
+        return tuple(tuple(_trusted(spec, c) for c in row) for row in self._values)
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return _trusted(self.spec, self._values[i][j])
 
     def __eq__(self, other):
         return (
             isinstance(other, SquareMatrix)
             and self.spec == other.spec
-            and self.entries == other.entries
+            and self._values == other._values
         )
 
     def __hash__(self):
-        return hash((self.spec, self.entries))
+        return hash((self.spec, self._values))
 
     def __add__(self, other):
         if not isinstance(other, SquareMatrix):
@@ -373,7 +390,7 @@ class SquareMatrix:
             self.spec,
             [
                 [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
+                for r1, r2 in zip(self._values, other._values)
             ],
         )
 
@@ -383,30 +400,24 @@ class SquareMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return SquareMatrix(self.spec, [[-a for a in row] for row in self.entries])
+        return SquareMatrix(self.spec, [[-a for a in row] for row in self._values])
 
     def __mul__(self, other):
         if isinstance(other, SquareMatrix):
             if other.spec != self.spec or other.n != self.n:
                 raise SpecMismatch("mismatched matrices")
-            cols = list(zip(*other.entries))
+            cols = list(zip(*other._values))
             return SquareMatrix(
                 self.spec,
                 [
-                    [
-                        sum(
-                            (a * b for a, b in zip(row, col) if a and b),
-                            start=self.spec.zero,
-                        )
-                        for col in cols
-                    ]
-                    for row in self.entries
+                    [sum(a * b for a, b in zip(row, col) if a and b) for col in cols]
+                    for row in self._values
                 ],
             )
         if isinstance(other, (int, RingElement)):
-            c = self.spec.element(other)
+            c = self.spec.value(other)
             return SquareMatrix(
-                self.spec, [[a * c for a in row] for row in self.entries]
+                self.spec, [[a * c for a in row] for row in self._values]
             )
         return NotImplemented
 
@@ -417,24 +428,21 @@ class SquareMatrix:
 
     def apply(self, vec):
         """Multiply a coefficient vector on the left: self @ vec."""
-        vec = [self.spec.element(v) for v in vec]
+        spec = self.spec
+        vec = [spec.value(v) for v in vec]
         return tuple(
-            sum((a * b for a, b in zip(row, vec)), start=self.spec.zero)
-            for row in self.entries
+            spec.element(sum(a * b for a, b in zip(row, vec)))
+            for row in self._values
         )
-
-    def _values(self):
-        """The entries as rows of canonical raw values."""
-        return [[e.value for e in row] for row in self.entries]
 
     def det(self) -> RingElement:
         """(-1)^n times the constant term of the characteristic polynomial."""
-        c0 = _char_poly_values(self.spec, self._values())[0]
+        c0 = _char_poly_values(self.spec, self._values)[0]
         return self.spec.element(-c0 if self.n % 2 else c0)
 
     def char_poly(self) -> Polynomial:
         """Characteristic polynomial det(T*I - M), exactly."""
-        return Polynomial(self.spec, _char_poly_values(self.spec, self._values()))
+        return Polynomial(self.spec, _char_poly_values(self.spec, self._values))
 
     def is_invertible(self) -> bool:
         return self.det().is_unit()
@@ -456,11 +464,11 @@ class SquareMatrix:
 
     def __repr__(self):
         return "[" + "; ".join(
-            " ".join(str(e) for e in row) for row in self.entries
+            " ".join(str(e) for e in row) for row in self._values
         ) + "]"
 
     def to_json(self):
-        return [[str(e) for e in row] for row in self.entries]
+        return [[str(e) for e in row] for row in self._values]
 
 
 def _char_poly_values(spec: RingSpec, rows):
@@ -782,7 +790,7 @@ def matrix_algebra(spec: RingSpec, n: int) -> StructureConstants:
         SquareMatrix(spec, _matrix_rows([1 if l == g else 0 for l in range(k)], n))
         for g in range(k)
     ]
-    table = [[_matrix_coords((ma * mb)._values(), n) for mb in mats] for ma in mats]
+    table = [[_matrix_coords((ma * mb)._values, n) for mb in mats] for ma in mats]
     return StructureConstants(spec, table)
 
 
@@ -791,7 +799,7 @@ def matrix_to_element(alg: StructureConstants, m: SquareMatrix) -> AlgebraElemen
     n = m.n
     if alg.rank != n * n or alg.spec != m.spec:
         raise SpecMismatch("matrix does not fit this algebra")
-    return alg.element(_matrix_coords(m._values(), n))
+    return alg.element(_matrix_coords(m._values, n))
 
 
 def element_to_matrix(alg: StructureConstants, x: AlgebraElement, n: int) -> SquareMatrix:

@@ -134,7 +134,8 @@ def _search_rank3(ta, target, p):
     (R_u - s21[2] I) v = s21[0] e0 + s21[1] u, with the columns of L_u
     and R_u the products of u with the basis (u * e0 = e0 * u = u).
     Only the v solving that system are tried, in lexicographic order,
-    and u * v and v * u are combinations of those columns.
+    so the solve is the e1*e2 and e2*e1 check; each solution is tested
+    for invertibility and for v * v only.
 
     The loop runs over u0 outside and the kept w in (u1, u2) order
     inside, which is lexicographic order on u, so the first witness is
@@ -204,12 +205,7 @@ def _search_rank3(ta, target, p):
             for v in _affine_solutions(rows, p):
                 if (u1 * v[2] - u2 * v[1]) % p == 0:
                     continue
-                images = (e0, u, v)
-                if combine(v, left) != combine(s12, images):
-                    continue
-                if combine(v, right) != combine(s21, images):
-                    continue
-                if mul(v, v) != combine(s22, images):
+                if mul(v, v) != combine(s22, (e0, u, v)):
                     continue
                 return u, v
     return None

@@ -112,7 +112,6 @@ def _cmd_quad_disc(args):
             "discriminant": str(alg.discriminant().representative),
         }
     )
-    return 0
 
 
 def _quad_pair(obj):
@@ -140,7 +139,6 @@ def _cmd_quad_iso(args):
             "map": None if witness is None else witness.to_json(),
         }
     )
-    return 0
 
 
 def _cmd_quad_artin_schreier(args):
@@ -154,7 +152,6 @@ def _cmd_quad_artin_schreier(args):
             else None,
         }
     )
-    return 0
 
 
 def _cmd_quad_split(args):
@@ -167,7 +164,6 @@ def _cmd_quad_split(args):
             "product": fwd.target.to_json(),
         }
     )
-    return 0
 
 
 # -- cubic --------------------------------------------------------------------
@@ -180,7 +176,6 @@ def _cubic_coeffs(args) -> CubicCoefficients:
 
 def _cmd_cubic_build(args):
     _emit(build_algebra(_cubic_coeffs(args)).to_json())
-    return 0
 
 
 def _cmd_cubic_verify(args):
@@ -188,32 +183,27 @@ def _cmd_cubic_verify(args):
         coeffs = _cubic_coeffs(args)
     except RelationViolation as exc:
         _emit({"valid": False, "violations": exc.violations})
-        return 0
+        return
     _emit({"valid": True, "case": classify_case(coeffs).value})
-    return 0
 
 
 def _cmd_cubic_involution(args):
     inv = standard_involution_exceptional(_cubic_coeffs(args))
     _emit(inv.to_json())
-    return 0
 
 
 def _cmd_cubic_witness(args):
     witness = exceptional_witness(_cubic_coeffs(args))
     _emit(witness.to_json())
-    return 0
 
 
 def _cmd_cubic_matrix_rep(args):
     mat_i, mat_j = matrix_rep(_cubic_coeffs(args))
     _emit({"I": mat_i.to_json(), "J": mat_j.to_json(), "identities": "verified"})
-    return 0
 
 
 def _cmd_cubic_form(args):
     _emit(form_from_commutative(_cubic_coeffs(args)).to_json())
-    return 0
 
 
 # -- form ---------------------------------------------------------------------
@@ -223,7 +213,6 @@ def _cmd_form_disc(args):
     spec = _ring_from_args(args)
     form = BinaryCubicForm.from_json(spec, _load_json(args.input))
     _emit({"discriminant": str(form.discriminant())})
-    return 0
 
 
 def _cmd_form_act(args):
@@ -240,7 +229,6 @@ def _cmd_form_act(args):
     )
     form = BinaryCubicForm.from_json(spec, obj["form"])
     _emit(gl2_act(g, form).to_json())
-    return 0
 
 
 # -- inv ----------------------------------------------------------------------
@@ -262,7 +250,6 @@ def _cmd_inv_verify(args):
             else [str(c) for c in witness.coeffs],
         }
     )
-    return 0
 
 
 def _cmd_inv_find(args):
@@ -274,7 +261,6 @@ def _cmd_inv_find(args):
         out = found.to_json()
         out["found"] = True
         _emit(out)
-    return 0
 
 
 def _cmd_inv_trace_norm(args):
@@ -285,7 +271,6 @@ def _cmd_inv_trace_norm(args):
     x = _parse_vector(inv.algebra, obj["element"], "element")
     t, n = quadratic_certificate(inv, x)
     _emit({"trace": str(t), "norm": str(n), "certificate": "x^2 - t x + n = 0"})
-    return 0
 
 
 # -- alg ----------------------------------------------------------------------
@@ -300,13 +285,11 @@ def _cmd_alg_assoc(args):
             "witness": None if witness is None else list(witness),
         }
     )
-    return 0
 
 
 def _cmd_alg_degree(args):
     alg = StructureConstants.from_json(_load_json(args.input))
     _emit({"degree": algebra_degree(alg)})
-    return 0
 
 
 def _cmd_alg_charpoly(args):
@@ -317,7 +300,6 @@ def _cmd_alg_charpoly(args):
     x = _parse_vector(alg, obj["element"], "element")
     poly = left_regular_rep(x).char_poly()
     _emit({"char_poly": poly.to_strings(), "order": "constant term first"})
-    return 0
 
 
 # -- census / probe -----------------------------------------------------------
@@ -333,7 +315,6 @@ def _cmd_census_cubic(args):
         report.write_table(sys.stdout)
     else:
         report.write_json(sys.stdout)
-    return 0
 
 
 def _cmd_census_quad(args):
@@ -342,7 +323,6 @@ def _cmd_census_quad(args):
         print(report.to_table())
     else:
         _emit(report.to_json())
-    return 0
 
 
 def _cmd_census_exceptional(args):
@@ -358,13 +338,11 @@ def _cmd_census_exceptional(args):
             ],
         }
     )
-    return 0
 
 
 def _cmd_probe_mn(args):
     report = mn_degree_probes(_census_spec(args), args.n)
     _emit(report.to_json())
-    return 0
 
 
 def _cmd_probe_degree_product(args):
@@ -374,7 +352,6 @@ def _cmd_probe_degree_product(args):
     a = StructureConstants.from_json(obj["A"])
     b = StructureConstants.from_json(obj["B"])
     _emit(degree_product_check(a, b).to_json())
-    return 0
 
 
 # -- wiring -------------------------------------------------------------------
@@ -498,7 +475,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.handler(args)
+        args.handler(args)
     except LowrankError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         violations = getattr(exc, "violations", None)
@@ -509,6 +486,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         _emit_error({"type": "InputError", "message": str(exc)})
         return 2
+    return 0
 
 
 def entry() -> None:

@@ -341,7 +341,7 @@ def exceptional_witness(coeffs: CubicCoefficients) -> ExceptionalWitness:
         if left * right != right * t:
             raise WrongCase(f"ideal identity fails on {left!r} * {right!r}")
     # the rows are the coordinates of 1, I and j; transposing keeps the det
-    basis_matrix = SquareMatrix(spec, [alg.one().coeffs, gen_i.coeffs, gen_j.coeffs])
+    basis_matrix = SquareMatrix(spec, [alg.one()._values, gen_i._values, gen_j._values])
     if not basis_matrix.det().is_unit():
         raise WrongCase("witness generators do not complete a basis")
     return ExceptionalWitness(alg, gen_i, gen_j, t_i, t_j)
@@ -384,8 +384,8 @@ def matrix_rep(coeffs: CubicCoefficients):
                 raise RelationViolation(["matrix identities fail for this table"])
     for k, mat in enumerate(mats):
         # the first column is the k-th coordinate vector, a row of the identity
-        col = tuple(row[0] for row in mat.entries)
-        assert col == mats[0].entries[k], "representation lost independence"
+        col = tuple(row[0] for row in mat._values)
+        assert col == mats[0]._values[k], "representation lost independence"
     return mats[1], mats[2]
 
 

@@ -273,6 +273,3 @@ def complete_basis_to_unity(spec: RingSpec, a, b):
     assert m.det() == spec.one
     return m
 
-
-def quadratic_from_tuple(spec: RingSpec, t, n) -> QuadraticAlgebra:
-    return QuadraticAlgebra(spec, t, n)

@@ -19,6 +19,7 @@ from lowrank import (
     CubicCase,
     CubicCoefficients,
     GeneralCubicTable,
+    QuadraticAlgebra,
     RelationViolation,
     SquareMatrix,
     WrongCase,
@@ -45,7 +46,6 @@ from lowrank import (
     min_poly,
     pair_swap,
     quadratic_census,
-    quadratic_from_tuple,
     quaternion_algebra,
     quaternion_conjugation,
     quaternion_norm_form,
@@ -207,8 +207,8 @@ def test_criterion_6_quadratic_classification():
     for _ in range(200):
         t, n = rng.randint(-20, 20), rng.randint(-20, 20)
         k = rng.randint(-10, 10)
-        a = quadratic_from_tuple(ZZ, t, n)
-        b = quadratic_from_tuple(ZZ, t - 2 * k, n - k * t + k * k)
+        a = QuadraticAlgebra(ZZ, t, n)
+        b = QuadraticAlgebra(ZZ, t - 2 * k, n - k * t + k * k)
         disc_a = a.t * a.t - 4 * a.n
         disc_b = b.t * b.t - 4 * b.n
         assert disc_a == disc_b
@@ -220,8 +220,8 @@ def test_criterion_6_quadratic_classification():
 
 def test_criterion_7_char_2():
     spec = GF(2)
-    field = quadratic_from_tuple(spec, 1, 1).structure()
-    split = quadratic_from_tuple(spec, 1, 0).structure()
+    field = QuadraticAlgebra(spec, 1, 1).structure()
+    split = QuadraticAlgebra(spec, 1, 0).structure()
     ok, _ = is_isomorphic_bruteforce(field, split)
     assert not ok
 

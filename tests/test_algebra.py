@@ -14,6 +14,7 @@ from lowrank import (
     Involution,
     NotAUnit,
     Polynomial,
+    QuadraticAlgebra,
     SpecMismatch,
     SquareMatrix,
     StructureConstants,
@@ -32,7 +33,6 @@ from lowrank import (
     poly_gcd,
     product_components,
     product_element,
-    quadratic_from_tuple,
     quaternion_algebra,
     rank_one,
     split_idempotent,
@@ -443,7 +443,7 @@ def test_det_matches_naive_elimination():
                 det = naive_det(spec, mat.entries)
                 assert Fraction(mat.det().value) == det
                 if spec.is_field():
-                    assert_row_reduced(spec, mat._values(), det)
+                    assert_row_reduced(spec, mat._values, det)
 
 
 def test_det_multiplicative():
@@ -654,7 +654,7 @@ def test_direct_product_componentwise():
     for spec in (ZZ, QQ, GF(5)):
         factors.append((
             quaternion_algebra(spec, spec.element(-1), spec.element(-1)),
-            quadratic_from_tuple(spec, 1, -1).structure(),
+            QuadraticAlgebra(spec, 1, -1).structure(),
         ))
     rng = random.Random(131)
     for a, b in factors:
@@ -722,6 +722,86 @@ def test_matrix_algebra_units():
                 assert element_to_matrix(alg, x, n) == p
                 assert x * y == matrix_to_element(alg, p * q)
 
+    # the raw matrix layer: entries are read as RingElements of the spec,
+    # every stored value, results included, has the ring's canonical type,
+    # and int, Fraction and element inputs build one matrix
+    for spec, kind in ((ZZ, int), (QQ, Fraction), (GF(7), int)):
+        for _ in range(20):
+            p, q = sparse_matrix(spec, 3, rng), sparse_matrix(spec, 3, rng)
+            c = random_coeff(spec, rng)
+            for i in range(3):
+                for j in range(3):
+                    a = p[i, j]
+                    assert type(a) is RingElement and a.spec is spec
+                    assert a == p.entries[i][j] and a.value == p._values[i][j]
+            pe, qe = p.entries, q.entries
+            cases = (
+                (p + q, [[a + b for a, b in zip(r, t)] for r, t in zip(pe, qe)]),
+                (p - q, [[a - b for a, b in zip(r, t)] for r, t in zip(pe, qe)]),
+                (-p, [[-a for a in r] for r in pe]),
+                (c * p, [[c * a for a in r] for r in pe]),
+                (p * 3, [[a * 3 for a in r] for r in pe]),
+                (p - p, [[spec.zero] * 3] * 3),
+                (p * q, naive_matrix_product(p, q).entries),
+            )
+            for got, want in cases:
+                assert got.entries == tuple(map(tuple, want))
+                assert all(type(v) is kind for row in got._values for v in row)
+                if spec.p:
+                    assert all(0 <= v < spec.p for row in got._values for v in row)
+            as_elements = SquareMatrix(spec, pe)
+            as_fractions = SquareMatrix(
+                spec, [[Fraction(v) for v in row] for row in p._values]
+            )
+            for same in (as_elements, as_fractions):
+                assert same == p and hash(same) == hash(p)
+        stranger = GF(5).element(2)
+        with pytest.raises(SpecMismatch) as want:
+            spec.element(stranger)
+        with pytest.raises(SpecMismatch) as got:
+            SquareMatrix(spec, [[1, 0], [0, stranger]])
+        assert str(got.value) == str(want.value)
+
+
+def test_matrix_layer_builds_no_ring_elements(monkeypatch):
+    """matrix_algebra, left_regular_rep, AlgebraMap.matrix and
+    element_to_matrix work on raw values: none constructs a RingElement,
+    by either constructor."""
+    import sys
+
+    from lowrank import rings
+
+    m3 = matrix_algebra(QQ, 3)
+    x = m3.element([Fraction(k - 4, k + 1) for k in range(9)])
+    phi = AlgebraMap(m3, m3, [m3.basis(k) + x * k for k in range(9)])
+    built = []
+    init = rings.RingElement.__init__
+    trusted = rings._trusted
+
+    def counted_init(self, spec, value):
+        built.append(value)
+        init(self, spec, value)
+
+    def counted_trusted(spec, value):
+        built.append(value)
+        return trusted(spec, value)
+
+    monkeypatch.setattr(rings.RingElement, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lowrank") and getattr(module, "_trusted", None) is trusted:
+            monkeypatch.setattr(module, "_trusted", counted_trusted)
+    assert matrix_algebra(GF(7), 3).rank == 9
+    assert built == [], "matrix_algebra built elements"
+    rep = left_regular_rep(x)
+    assert rep.n == 9
+    assert built == [], "left_regular_rep built elements"
+    assert phi.matrix().n == 9
+    assert built == [], "AlgebraMap.matrix built elements"
+    assert element_to_matrix(m3, x, 3)._values[2][2] == x._values[0]
+    assert built == [], "element_to_matrix built elements"
+    # reading the entries is where RingElements are built
+    assert rep[0, 0].spec is QQ and len(built) == 1
+
 
 def sparse_matrix(spec, n, rng):
     """A random n x n matrix over spec whose entries are zero two times in three."""
@@ -767,7 +847,7 @@ def test_algebra_map_checks():
 
 def test_algebra_map_value_equality():
     for spec in (GF(5), QQ, ZZ):
-        alg = quadratic_from_tuple(spec, 1, 0)
+        alg = QuadraticAlgebra(spec, 1, 0)
         (f1, b1), (f2, b2) = split_idempotent(alg), split_idempotent(alg)
         assert f1 is not f2 and f1.to_json() == f2.to_json()
         assert f1 == f2 and hash(f1) == hash(f2)

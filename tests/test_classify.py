@@ -11,6 +11,7 @@ from lowrank import (
     QQ,
     CubicCase,
     GuardExceeded,
+    QuadraticAlgebra,
     SpecMismatch,
     UnsupportedRing,
     algebra_degree,
@@ -25,7 +26,6 @@ from lowrank import (
     matrix_algebra,
     mn_degree_probes,
     quadratic_census,
-    quadratic_from_tuple,
     rank_one,
     square_class_equal,
     validate_relations,
@@ -129,12 +129,12 @@ def test_field_and_split_algebra_not_isomorphic():
     # x^2 = x + 1 has no root in F2, so one algebra is a field and the
     # other splits; the search must certify the non-isomorphism
     spec = GF(2)
-    field = quadratic_from_tuple(spec, 1, 1).structure()
-    split = quadratic_from_tuple(spec, 1, 0).structure()
+    field = QuadraticAlgebra(spec, 1, 1).structure()
+    split = QuadraticAlgebra(spec, 1, 0).structure()
     ok, phi = is_isomorphic_bruteforce(field, split)
     assert not ok and phi is None
     with pytest.raises(SpecMismatch):
-        is_isomorphic_bruteforce(field, quadratic_from_tuple(GF(3), 1, 1).structure())
+        is_isomorphic_bruteforce(field, QuadraticAlgebra(GF(3), 1, 1).structure())
 
 
 # The scanning searches the solving ones replaced, kept as the oracle:
@@ -317,7 +317,7 @@ def test_solved_rank2_search_matches_the_scan():
     # random pairs for primes up to 113
     for p in (2, 3, 5):
         tables = [
-            quadratic_from_tuple(GF(p), t, n).structure()
+            QuadraticAlgebra(GF(p), t, n).structure()
             for t in range(p)
             for n in range(p)
         ]
@@ -329,7 +329,7 @@ def test_solved_rank2_search_matches_the_scan():
     for p in (7, 11, 13, 29, 53, 97, 113):
         for _ in range(12):
             a, b = (
-                quadratic_from_tuple(GF(p), rng.randrange(p), rng.randrange(p))
+                QuadraticAlgebra(GF(p), rng.randrange(p), rng.randrange(p))
                 for _ in range(2)
             )
             found += _same_search(a.structure(), b.structure()) is not None
@@ -353,8 +353,8 @@ def test_search_work_counts(monkeypatch):
     # rank 2, not isomorphic (T^2 = 0 against T^2 = T) at p = 113: the
     # scan made p(p - 1) = 12656 kernel calls, the solve about 2p
     p = 113
-    nil = quadratic_from_tuple(GF(p), 0, 0).structure()
-    split = quadratic_from_tuple(GF(p), 1, 0).structure()
+    nil = QuadraticAlgebra(GF(p), 0, 0).structure()
+    split = QuadraticAlgebra(GF(p), 1, 0).structure()
     assert is_isomorphic_bruteforce(nil, split) == (False, None)
     assert len(calls) <= 2 * p
     # e1 * e1 is computed once in the target and (0, u1)^2 = u1^2 e1^2,

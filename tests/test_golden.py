@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from lowrank import QQ, direct_product, matrix_algebra, rank_one
+from lowrank import GF, QQ, direct_product, matrix_algebra, rank_one
 from lowrank.cli import main
 from lowrank.quadratic import QuadraticAlgebra
 
@@ -30,6 +30,7 @@ def _alg(alg, element=None):
 def golden_runs():
     """(name, argv) for every pinned run."""
     m2 = matrix_algebra(QQ, 2)
+    m3 = matrix_algebra(GF(7), 3)
     pair = direct_product(rank_one(QQ), rank_one(QQ))
     quad_line = direct_product(
         QuadraticAlgebra(QQ, Fraction(1, 2), 3).structure(), rank_one(QQ)
@@ -66,6 +67,31 @@ def golden_runs():
          ["alg", "charpoly", _alg(m2, ["1/2", "-3", "2/3", "5"])]),
         ("alg charpoly Q[x] x Q",
          ["alg", "charpoly", _alg(quad_line, ["1/2", "-3", "2/3"])]),
+        ("alg charpoly M3(F7)",
+         ["alg", "charpoly",
+          _alg(m3, ["3", "-1", "2", "0", "5", "1", "4", "6", "2"])]),
+        ("cubic matrix-rep Z",
+         ["cubic", "matrix-rep",
+          '{"b": "2", "c": "-3", "m": "0", "n": "0", "y": "5", "z": "-1"}',
+          "--ring", '{"kind": "Z"}']),
+        ("cubic matrix-rep F7",
+         ["cubic", "matrix-rep",
+          '{"b": "10", "c": "0", "m": "-2", "n": "3", "y": "0", "z": "12"}',
+          "--ring", '{"kind": "Fp", "p": 7}']),
+        ("cubic witness Q",
+         ["cubic", "witness",
+          '{"b": "1/2", "c": "0", "m": "-3/4", "n": "1/2", "y": "0", "z": "-3/4"}',
+          "--ring", '{"kind": "Q"}']),
+        ("form act Q",
+         ["form", "act",
+          '{"g": [["1/2", "3"], ["2", "-1"]], '
+          '"form": {"a": "1/3", "b": "-2", "c": "5/7", "d": "4"}}',
+          "--ring", '{"kind": "Q"}']),
+        ("form act F5",
+         ["form", "act",
+          '{"g": [["2", "1"], ["3", "3"]], '
+          '"form": {"a": "1", "b": "7", "c": "-3", "d": "4"}}',
+          "--ring", '{"kind": "Fp", "p": 5}']),
     ]
     return runs
 
@@ -107,6 +133,13 @@ GOLDEN = {
     'quad split Q': (0, 'd1f58fc64d87b9e4adba71e89fcc6b9b3809471e479b91e449a3c5cea275e846'),
     'alg charpoly M2(Q)': (0, 'bab678503951a5302760de8d1437084599fd6d7d7ab243f84ee4456fb2aad4f8'),
     'alg charpoly Q[x] x Q': (0, 'c744ec3e7f4dde9b5c24de4630d0f80a29257a62badaf55aaf30a0581a39712f'),
+    'alg charpoly M3(F7)': (0, '449ad26ce14c81adbcd426b626923470568f11a9aae8186664e7306d32ea047f'),
+    'alg charpoly M3(F7)': (0, '449ad26ce14c81adbcd426b626923470568f11a9aae8186664e7306d32ea047f'),
+    'cubic matrix-rep Z': (0, '2126cc3cc0a34899fc433480ac873a19aee1805d12bfbc522b7af3b5de9f1e85'),
+    'cubic matrix-rep F7': (0, '6bb9ab7c66a4cedffeb1c2ddbe69f90ea9b078157267f79fe9dec49100439994'),
+    'cubic witness Q': (0, 'd7f490c9f906469c33260ba1193bd9ad35c09545d26a91e908e4914fd825c86a'),
+    'form act Q': (0, 'e52f96ee2b7528720050348599d8c991a2fceda69ada15c6b35920c14f66e2eb'),
+    'form act F5': (0, '042829fb08d196ad8a5e3a2a7ddc240648d951d42f412fabc498e8e8ad6e6c00'),
 }
 
 

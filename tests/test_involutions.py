@@ -12,6 +12,7 @@ from lowrank import (
     GuardExceeded,
     Involution,
     LowrankError,
+    QuadraticAlgebra,
     SpecMismatch,
     SquareMatrix,
     StructureConstants,
@@ -32,7 +33,6 @@ from lowrank import (
     quaternion_algebra,
     quaternion_conjugation,
     quaternion_norm_form,
-    quadratic_from_tuple,
     rank_one,
     standard_involution_exceptional,
     standard_involution_quadratic,
@@ -58,8 +58,8 @@ def random_algebra_element(alg, rng, span=9):
 
 def standard_examples():
     return [
-        standard_involution_quadratic(quadratic_from_tuple(GF(5), 1, 1)),
-        standard_involution_quadratic(quadratic_from_tuple(ZZ, 3, -2)),
+        standard_involution_quadratic(QuadraticAlgebra(GF(5), 1, 1)),
+        standard_involution_quadratic(QuadraticAlgebra(ZZ, 3, -2)),
         quaternion_conjugation(QQ, QQ.element(-1), QQ.element(-1)),
         quaternion_conjugation(QQ, QQ.element(2), QQ.element(3)),
         m2_adjoint(GF(3)),
@@ -102,7 +102,7 @@ def test_identity_is_involution_but_not_standard_on_f4():
     with pytest.raises(LowrankError):
         norm(ident, alg.basis(1))
     # in odd characteristic the identity map has non-scalar traces too
-    comm = quadratic_from_tuple(GF(3), 1, 1).structure()
+    comm = QuadraticAlgebra(GF(3), 1, 1).structure()
     ident3 = Involution(comm, [comm.one(), comm.basis(1)])
     assert verify_involution(ident3)[0]
     with pytest.raises(LowrankError):
@@ -178,7 +178,7 @@ def rank4_algebras(spec):
     algs = [matrix_algebra(spec, 2)]
     if p != 2:
         algs += [quaternion_algebra(spec, a, b) for a in (1, p - 1) for b in (1, 2)]
-    quads = [quadratic_from_tuple(spec, t, n).structure() for t, n in ((0, 1), (1, 1), (1, 0))]
+    quads = [QuadraticAlgebra(spec, t, n).structure() for t, n in ((0, 1), (1, 1), (1, 0))]
     algs += [direct_product(a, b) for a, b in itertools.combinations_with_replacement(quads, 2)]
     cubics = [
         build_algebra(CubicCoefficients(spec, 1, 0, 1, 1, 0, 1)),
@@ -204,7 +204,7 @@ def test_find_standard_involution_rank4():
     assert find_standard_involution(quaternion_algebra(ZZ, -1, -1)) == (
         quaternion_conjugation(ZZ, -1, -1)
     )
-    quad = quadratic_from_tuple(ZZ, 1, -1).structure()
+    quad = QuadraticAlgebra(ZZ, 1, -1).structure()
     assert find_standard_involution(direct_product(quad, quad)) is None
     with pytest.raises(GuardExceeded):
         all_standard_involutions(matrix_algebra(GF(29), 2))
@@ -240,11 +240,11 @@ def test_uniqueness_on_quadratics_small_fields():
     for p in (2, 3):
         spec = GF(p)
         for t, n in itertools.product(range(p), repeat=2):
-            alg = quadratic_from_tuple(spec, t, n).structure()
+            alg = QuadraticAlgebra(spec, t, n).structure()
             found = all_standard_involutions(alg)
             assert len(found) == 1, f"(t, n) = ({t}, {n}) over GF({p})"
             assert found[0] == standard_involution_quadratic(
-                quadratic_from_tuple(spec, t, n)
+                QuadraticAlgebra(spec, t, n)
             )
 
 
@@ -270,7 +270,7 @@ def test_built_in_involutions_are_one_conjugation():
     """Every involution the package builds is an AlgebraMap of its
     algebra to itself and is the conjugation fixed by its traces."""
     for spec in (ZZ, QQ, GF(3), GF(7)):
-        quad = quadratic_from_tuple(spec, 2, 5)
+        quad = QuadraticAlgebra(spec, 2, 5)
         exc = CubicCoefficients(spec, 2, 0, 3, 2, 0, 3)
         m2 = matrix_algebra(spec, 2)
         cases = [
@@ -451,7 +451,7 @@ def _oracle_algebras(spec, rng):
     algebras = [rank_one(spec)]
     for _ in range(3):
         t, n = (_random_value(spec, rng) for _ in range(2))
-        algebras.append(quadratic_from_tuple(spec, t, n).structure())
+        algebras.append(QuadraticAlgebra(spec, t, n).structure())
     for _ in range(3):
         m, n = (_random_value(spec, rng) for _ in range(2))
         algebras.append(build_algebra(CubicCoefficients(spec, n, 0, m, n, 0, m)))

@@ -22,7 +22,6 @@ from lowrank import (
     is_isomorphic_over_z,
     is_separable,
     norm,
-    quadratic_from_tuple,
     split_idempotent,
     square_class_equal,
     standard_involution_quadratic,
@@ -33,7 +32,7 @@ from lowrank import (
 
 
 def test_structure_table():
-    alg = quadratic_from_tuple(ZZ, 3, -2)
+    alg = QuadraticAlgebra(ZZ, 3, -2)
     s = alg.structure()
     ok, _ = s.verify_associativity()
     assert ok
@@ -46,9 +45,9 @@ def test_structure_table():
 
 def test_discriminant_class_semantics():
     spec = GF(5)
-    d1 = quadratic_from_tuple(spec, 1, 1).discriminant()
-    d2 = quadratic_from_tuple(spec, 0, 1).discriminant()  # disc -4 = 1
-    d3 = quadratic_from_tuple(spec, 0, 2).discriminant()  # disc -8 = 2
+    d1 = QuadraticAlgebra(spec, 1, 1).discriminant()
+    d2 = QuadraticAlgebra(spec, 0, 1).discriminant()  # disc -4 = 1
+    d3 = QuadraticAlgebra(spec, 0, 2).discriminant()  # disc -8 = 2
     assert str(d1.representative) == "2"
     assert d1 == d3
     assert d1 != d2
@@ -58,7 +57,7 @@ def test_discriminant_class_semantics():
 
 
 def test_complete_square():
-    alg = quadratic_from_tuple(GF(5), 1, 1)
+    alg = QuadraticAlgebra(GF(5), 1, 1)
     d, m = complete_square(alg)
     assert str(d) == "2"
     assert m.verify_isomorphism()
@@ -71,9 +70,9 @@ def test_complete_square():
         assert d == t * t - 4 * n
         assert m.verify_isomorphism()
     with pytest.raises(NotAUnit):
-        complete_square(quadratic_from_tuple(ZZ, 1, 1))
+        complete_square(QuadraticAlgebra(ZZ, 1, 1))
     with pytest.raises(NotAUnit):
-        complete_square(quadratic_from_tuple(GF(2), 1, 1))
+        complete_square(QuadraticAlgebra(GF(2), 1, 1))
 
 
 def test_iso_2unit_agrees_with_exhaustive_search():
@@ -81,7 +80,7 @@ def test_iso_2unit_agrees_with_exhaustive_search():
     unital linear maps x -> a y + b on every pair over F5."""
     spec = GF(5)
     algebras = [
-        quadratic_from_tuple(spec, t, n)
+        QuadraticAlgebra(spec, t, n)
         for t, n in itertools.product(range(5), repeat=2)
     ]
 
@@ -114,12 +113,12 @@ def test_iso_2unit_agrees_with_exhaustive_search():
 def test_iso_2unit_frozen_case():
     spec = GF(5)
     ok, m = is_isomorphic_2unit(
-        quadratic_from_tuple(spec, 1, 1), quadratic_from_tuple(spec, 0, 2)
+        QuadraticAlgebra(spec, 1, 1), QuadraticAlgebra(spec, 0, 2)
     )
     assert ok
     assert [str(c) for c in m.images[1].coeffs] == ["3", "1"]
     ok, m = is_isomorphic_2unit(
-        quadratic_from_tuple(spec, 1, 1), quadratic_from_tuple(spec, 0, 1)
+        QuadraticAlgebra(spec, 1, 1), QuadraticAlgebra(spec, 0, 1)
     )
     assert not ok and m is None
 
@@ -130,51 +129,51 @@ def test_iso_over_z():
         t = rng.randint(-30, 30)
         n = rng.randint(-30, 30)
         k = rng.randint(-15, 15)
-        a = quadratic_from_tuple(ZZ, t, n)
-        b = quadratic_from_tuple(ZZ, t - 2 * k, n - k * t + k * k)
+        a = QuadraticAlgebra(ZZ, t, n)
+        b = QuadraticAlgebra(ZZ, t - 2 * k, n - k * t + k * k)
         ok, m = is_isomorphic_over_z(a, b)
         assert ok, f"(t, n, k) = ({t}, {n}, {k})"
         assert m.verify_isomorphism()
     ok, m = is_isomorphic_over_z(
-        quadratic_from_tuple(ZZ, 0, -1), quadratic_from_tuple(ZZ, 2, 0)
+        QuadraticAlgebra(ZZ, 0, -1), QuadraticAlgebra(ZZ, 2, 0)
     )
     assert ok and m.verify_isomorphism()
     # different discriminants: 0 vs 4
     ok, _ = is_isomorphic_over_z(
-        quadratic_from_tuple(ZZ, 0, 0), quadratic_from_tuple(ZZ, 0, -1)
+        QuadraticAlgebra(ZZ, 0, 0), QuadraticAlgebra(ZZ, 0, -1)
     )
     assert not ok
     # same discriminant class over Q does not help over Z: disc 1 vs 9
     ok, _ = is_isomorphic_over_z(
-        quadratic_from_tuple(ZZ, 1, 0), quadratic_from_tuple(ZZ, 3, 0)
+        QuadraticAlgebra(ZZ, 1, 0), QuadraticAlgebra(ZZ, 3, 0)
     )
     assert not ok
     with pytest.raises(UnsupportedRing):
         is_isomorphic_over_z(
-            quadratic_from_tuple(QQ, 0, 0), quadratic_from_tuple(QQ, 0, 0)
+            QuadraticAlgebra(QQ, 0, 0), QuadraticAlgebra(QQ, 0, 0)
         )
 
 
 def test_separability_char2():
     spec = GF(2)
-    assert is_separable(quadratic_from_tuple(spec, 1, 0))
-    assert is_separable(quadratic_from_tuple(spec, 1, 1))
-    assert not is_separable(quadratic_from_tuple(spec, 0, 0))
-    assert not is_separable(quadratic_from_tuple(spec, 0, 1))
+    assert is_separable(QuadraticAlgebra(spec, 1, 0))
+    assert is_separable(QuadraticAlgebra(spec, 1, 1))
+    assert not is_separable(QuadraticAlgebra(spec, 0, 0))
+    assert not is_separable(QuadraticAlgebra(spec, 0, 1))
     with pytest.raises(UnsupportedRing):
-        is_separable(quadratic_from_tuple(GF(5), 1, 1))
+        is_separable(QuadraticAlgebra(GF(5), 1, 1))
 
 
 def test_artin_schreier_classes():
     spec = GF(2)
-    split = artin_schreier_class(quadratic_from_tuple(spec, 1, 0))
-    field = artin_schreier_class(quadratic_from_tuple(spec, 1, 1))
+    split = artin_schreier_class(QuadraticAlgebra(spec, 1, 0))
+    field = artin_schreier_class(QuadraticAlgebra(spec, 1, 1))
     assert str(split.representative) == "0"
     assert str(field.representative) == "1"
     assert split != field
     assert split == ArtinSchreierClass(spec, spec.zero)
     with pytest.raises(WrongCase):
-        artin_schreier_class(quadratic_from_tuple(spec, 0, 1))
+        artin_schreier_class(QuadraticAlgebra(spec, 0, 1))
 
 
 def test_f2_partition_matches_invariants():
@@ -183,7 +182,7 @@ def test_f2_partition_matches_invariants():
     while the separable split and field cases stand alone."""
     spec = GF(2)
     algebras = {
-        (t, n): quadratic_from_tuple(spec, t, n)
+        (t, n): QuadraticAlgebra(spec, t, n)
         for t, n in itertools.product(range(2), repeat=2)
     }
     from lowrank import is_isomorphic_bruteforce
@@ -216,7 +215,7 @@ def test_artin_schreier_counts():
 
 def test_standard_involution():
     for spec, t, n in ((GF(5), 1, 1), (ZZ, 3, -2), (QQ, 0, 7)):
-        alg = quadratic_from_tuple(spec, t, n)
+        alg = QuadraticAlgebra(spec, t, n)
         inv = standard_involution_quadratic(alg)
         assert verify_involution(inv)[0]
         assert verify_standard(inv)[0]
@@ -227,15 +226,15 @@ def test_standard_involution():
 
 def test_split_idempotent():
     for spec in (GF(3), QQ, ZZ):
-        alg = quadratic_from_tuple(spec, 1, 0)
+        alg = QuadraticAlgebra(spec, 1, 0)
         fwd, back = split_idempotent(alg)
         assert fwd.verify_isomorphism() and back.verify_isomorphism()
         x = fwd.source.basis(1)
         assert x * x == x  # idempotent generator
     with pytest.raises(WrongCase):
-        split_idempotent(quadratic_from_tuple(ZZ, 0, 0))
+        split_idempotent(QuadraticAlgebra(ZZ, 0, 0))
     with pytest.raises(WrongCase):
-        split_idempotent(quadratic_from_tuple(ZZ, 1, 1))
+        split_idempotent(QuadraticAlgebra(ZZ, 1, 1))
 
 
 def test_complete_basis_to_unity():
