@@ -16,10 +16,11 @@ exactly over Z, Q, or a prime field.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .errors import InputError, NotAUnit, SpecMismatch, TableError, UnsupportedRing, check_guard
 from .poly import Polynomial
-from .rings import RingElement, RingSpec, _trusted
+from .rings import RingElement, RingSpec, _trusted, _unit_inverse
 
 
 def json_list(raw, length, what):
@@ -336,7 +337,8 @@ class SquareMatrix:
     are read.  The constructor checks every value and the shape.  Sums,
     differences, negation and products compute on raw values and each
     result passes the constructor again, so over F_p every entry is
-    reduced and over Q every entry, zero included, is a Fraction.
+    reduced and over Q every entry, zero included, is a Fraction.  A
+    scalar factor may be an int, a Fraction or an element of the spec.
     """
 
     __slots__ = ("spec", "n", "_values")
@@ -414,7 +416,7 @@ class SquareMatrix:
                     for row in self._values
                 ],
             )
-        if isinstance(other, (int, RingElement)):
+        if isinstance(other, (int, Fraction, RingElement)):
             c = self.spec.value(other)
             return SquareMatrix(
                 self.spec, [[a * c for a in row] for row in self._values]
@@ -422,7 +424,7 @@ class SquareMatrix:
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, RingElement)):
+        if isinstance(other, (int, Fraction, RingElement)):
             return self * other
         return NotImplemented
 
@@ -452,15 +454,18 @@ class SquareMatrix:
 
         With chi the characteristic polynomial and q = (chi - chi(0)) / T,
         M q(M) = chi(M) - chi(0) I = -chi(0) I, so M^-1 = q(M) / -chi(0);
-        q(M) is (-1)^(n-1) times the adjugate.
+        q(M) is (-1)^(n-1) times the adjugate, evaluated by Horner's rule.
         """
-        chi = self.char_poly()
-        c0 = chi.coefficient(0)  # (-1)^n det(M)
-        if not c0.is_unit():
+        spec = self.spec
+        chi = _char_poly_values(spec, self._values)  # chi[0] = (-1)^n det(M)
+        inv = _unit_inverse(spec, spec.value(-chi[0]))
+        if inv is None:
             raise NotAUnit(f"determinant {self.det()} is not a unit")
-        q = Polynomial(self.spec, chi.coeffs[1:])
-        adj = q.evaluate(self, one=SquareMatrix.identity(self.spec, self.n))
-        return adj * (-c0).inverse()
+        ident = SquareMatrix.identity(spec, self.n)
+        adj = SquareMatrix.zero(spec, self.n)
+        for c in reversed(chi[1:]):
+            adj = adj * self + ident * c
+        return adj * inv
 
     def __repr__(self):
         return "[" + "; ".join(

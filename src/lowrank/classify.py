@@ -56,7 +56,7 @@ from .involutions import (
 )
 from .poly import poly_gcd
 from .quadratic import QuadraticAlgebra
-from .rings import RingSpec, square_class_equal
+from .rings import RingSpec
 
 
 # -- brute-force isomorphism --------------------------------------------------
@@ -435,13 +435,13 @@ class CensusReport:
             "cases": self.case_counts(),
             "theorem_holds": self.theorem_holds(),
             "intersection": [
-                [str(v) for v in c.as_tuple()] for c in self.intersection
+                [str(v) for v in c._values] for c in self.intersection
             ],
             "class_representatives": (
                 None
                 if self.representatives is None
                 else [
-                    [str(v) for v in rep.as_tuple()]
+                    [str(v) for v in rep._values]
                     for rep in self.representatives
                 ]
             ),
@@ -553,9 +553,7 @@ class QuadraticCensusReport:
         self.square_class_count = square_class_count
 
     def partitions_agree(self):
-        as_sets = lambda part: {
-            frozenset((str(q.t), str(q.n)) for q in cls) for cls in part
-        }
+        as_sets = lambda part: set(map(frozenset, part))
         return as_sets(self.classes) == as_sets(self.disc_classes)
 
     def to_json(self):
@@ -565,14 +563,14 @@ class QuadraticCensusReport:
             "square_class_count": self.square_class_count,
             "partitions_agree": self.partitions_agree(),
             "classes": [
-                [[str(q.t), str(q.n)] for q in cls] for cls in self.classes
+                [list(map(str, q._values)) for q in cls] for cls in self.classes
             ],
         }
 
     def to_table(self):
         lines = ["class  representatives (t,n)"]
         for k, cls in enumerate(self.classes):
-            members = " ".join(f"({q.t},{q.n})" for q in cls)
+            members = " ".join("({},{})".format(*q._values) for q in cls)
             lines.append(f"{k}      {members}")
         lines.append(
             f"classes={len(self.classes)} "
@@ -593,27 +591,23 @@ def quadratic_census(spec: RingSpec) -> QuadraticCensusReport:
         raise UnsupportedRing("the quadratic census runs over odd prime fields")
     if spec.p > 13:
         raise UnsupportedRing("the quadratic census is desk-scale: p <= 13")
-    algebras = [
-        QuadraticAlgebra(spec, t, n)
-        for t in spec.elements()
-        for n in spec.elements()
-    ]
+    p = spec.p
+    algebras = [QuadraticAlgebra(spec, t, n) for t in range(p) for n in range(p)]
     structures = [q.structure() for q in algebras]
     classes = [
         [algebras[i] for i in cls] for cls in _partition_by_isomorphism(structures)
     ]
     disc_classes = []
     for q in algebras:
-        d = q.discriminant().representative
+        d = q.discriminant()
         for cls in disc_classes:
-            if square_class_equal(d, cls[0].discriminant().representative):
+            if d == cls[0].discriminant():
                 cls.append(q)
                 break
         else:
             disc_classes.append([q])
     square_classes = {
-        frozenset((d * u * u).value for u in spec.units())
-        for d in spec.elements()
+        frozenset(d * u * u % p for u in range(1, p)) for d in range(p)
     }
     return QuadraticCensusReport(
         spec, classes, disc_classes, len(square_classes)
@@ -647,8 +641,8 @@ class DegreeProductReport:
                 None
                 if self.witness is None
                 else [
-                    [str(c) for c in self.witness[0].coeffs],
-                    [str(c) for c in self.witness[1].coeffs],
+                    [str(c) for c in self.witness[0]._values],
+                    [str(c) for c in self.witness[1]._values],
                 ]
             ),
             "no_witness_certified": self.exhausted,

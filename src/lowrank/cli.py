@@ -247,7 +247,7 @@ def _cmd_inv_verify(args):
             "standard": standard,
             "witness": None
             if witness is None
-            else [str(c) for c in witness.coeffs],
+            else [str(c) for c in witness._values],
         }
     )
 
@@ -333,7 +333,7 @@ def _cmd_census_exceptional(args):
             "ring": spec.to_json(),
             "count": len(classes),
             "classes": [
-                [[str(v) for v in coeffs.as_tuple()] for coeffs in cls]
+                [[str(v) for v in coeffs._values] for coeffs in cls]
                 for cls in classes
             ],
         }

@@ -13,11 +13,12 @@ Commutative tables correspond to binary cubic forms, and the
 exceptional tables carry a conjugation involution with an explicit
 norm; both directions are implemented here with verified witnesses.
 
-A CubicCoefficients stores its six-tuple as the ring's canonical raw
-values, as StructureConstants stores its table.  build_algebra,
-classify_case, equality, hashing and the JSON and census renderings
-read those values; RingElements are built only where a caller reads
-the attributes b, c, m, n, y, z or as_tuple().
+A GeneralCubicTable, a CubicCoefficients and a BinaryCubicForm each
+store their coefficients once, as the ring's canonical raw values in
+`_values` (rings._RawValues), as StructureConstants stores its table.
+Every computation here, and equality, hashing and the JSON and census
+renderings, reads those values; RingElements are built only where a
+caller reads a coefficient attribute, as_tuple() or a RingElement result.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from .errors import (
 )
 from .involutions import Involution, _conjugation
 from .poly import Polynomial
-from .rings import RingElement, RingSpec, _trusted
+from .rings import RingElement, RingSpec, _RawValues, _unit_inverse
 
 
-class GeneralCubicTable:
+class GeneralCubicTable(_RawValues):
     """All twelve coefficients of a rank-3 table:
 
         i*i = a + b i + c j      i*j = d + e i + f j
@@ -45,24 +46,23 @@ class GeneralCubicTable:
     """
 
     FIELDS = ("a", "b", "c", "d", "e", "f", "l", "m", "n", "x", "y", "z")
-    __slots__ = ("spec",) + FIELDS
+    __slots__ = ()
 
     def __init__(self, spec: RingSpec, **coeffs):
         unknown = set(coeffs) - set(self.FIELDS)
         if unknown:
             raise InputError(f"unknown coefficients {sorted(unknown)}")
         self.spec = spec
-        for name in self.FIELDS:
-            setattr(self, name, spec.element(coeffs.get(name, 0)))
+        self._values = tuple(spec.value(coeffs.get(k, 0)) for k in self.FIELDS)
 
     def structure(self) -> StructureConstants:
-        z0, o = self.spec.zero, self.spec.one
+        a, b, c, d, e, f, l, m, n, x, y, z = self._values
         return StructureConstants(
             self.spec,
             [
-                [[o, z0, z0], [z0, o, z0], [z0, z0, o]],
-                [[z0, o, z0], [self.a, self.b, self.c], [self.d, self.e, self.f]],
-                [[z0, z0, o], [self.l, self.m, self.n], [self.x, self.y, self.z]],
+                [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                [[0, 1, 0], [a, b, c], [d, e, f]],
+                [[0, 0, 1], [l, m, n], [x, y, z]],
             ],
         )
 
@@ -73,8 +73,7 @@ class GeneralCubicTable:
         mixed product i*j scalar; every other coefficient is recomputed
         exactly.
         """
-        a, b, c, d, e, f = self.a, self.b, self.c, self.d, self.e, self.f
-        l, m, n, x, y, z = self.l, self.m, self.n, self.x, self.y, self.z
+        a, b, c, d, e, f, l, m, n, x, y, z = self._values
         return GeneralCubicTable(
             self.spec,
             a=a + b * f - f * f + c * e,
@@ -91,17 +90,8 @@ class GeneralCubicTable:
             z=z - 2 * e,
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeneralCubicTable)
-            and self.spec == other.spec
-            and all(
-                getattr(self, k) == getattr(other, k) for k in self.FIELDS
-            )
-        )
-
     def __repr__(self):
-        inner = ", ".join(f"{k}={getattr(self, k)}" for k in self.FIELDS)
+        inner = ", ".join(f"{k}={v}" for k, v in zip(self.FIELDS, self._values))
         return f"GeneralCubicTable({inner})"
 
 
@@ -153,13 +143,7 @@ class CubicCase(enum.Enum):
     NILPRODUCT = "nilproduct"
 
 
-def _coefficient(k):
-    """Read-only attribute building field k of a CubicCoefficients as a
-    RingElement of its spec from the stored raw value."""
-    return property(lambda self: _trusted(self.spec, self._values[k]))
-
-
-class CubicCoefficients:
+class CubicCoefficients(_RawValues):
     """A valid six-tuple (b, c, m, n, y, z); construction checks the
     eight relations and raises RelationViolation otherwise.
 
@@ -171,7 +155,7 @@ class CubicCoefficients:
     """
 
     FIELDS = ("b", "c", "m", "n", "y", "z")
-    __slots__ = ("spec", "_values")
+    __slots__ = ()
 
     def __init__(self, spec: RingSpec, b, c, m, n, y, z):
         vals = tuple(map(spec.value, (b, c, m, n, y, z)))
@@ -180,25 +164,6 @@ class CubicCoefficients:
             raise RelationViolation(violated)
         self.spec = spec
         self._values = vals
-
-    b, c, m, n, y, z = map(_coefficient, range(6))
-
-    def as_tuple(self):
-        spec = self.spec
-        return tuple(_trusted(spec, v) for v in self._values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CubicCoefficients)
-            and self.spec == other.spec
-            and self._values == other._values
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self._values))
-
-    def __repr__(self):
-        return "CubicCoefficients" + str(tuple(map(str, self._values)))
 
     def to_json(self) -> dict:
         return dict(zip(self.FIELDS, map(str, self._values)))
@@ -222,17 +187,20 @@ def normalize(table: GeneralCubicTable) -> CubicCoefficients:
     remaining six must satisfy the coefficient relations.  Violations
     are reported by name.
     """
-    g = table.good_basis()
+    spec = table.spec
+    a, b, c, d, _, _, l, m, n, x, y, z = table.good_basis()._values
+    p = spec.p
+    # each pinned coefficient as lhs - rhs, zero when it holds
     pinned = (
-        ("a = -cz", g.a == -(g.c * g.z)),
-        ("d = cy", g.d == g.c * g.y),
-        ("x = -by", g.x == -(g.b * g.y)),
-        ("l = cy - nz", g.l == g.c * g.y - g.n * g.z),
+        ("a = -cz", a + c * z),
+        ("d = cy", d - c * y),
+        ("x = -by", x + b * y),
+        ("l = cy - nz", l - c * y + n * z),
     )
-    violated = [name for name, ok in pinned if not ok]
+    violated = [name for name, r in pinned if (r % p if p else r)]
     if violated:
         raise RelationViolation(violated)
-    return CubicCoefficients(g.spec, g.b, g.c, g.m, g.n, g.y, g.z)
+    return CubicCoefficients(spec, b, c, m, n, y, z)
 
 
 def build_algebra(coeffs: CubicCoefficients) -> StructureConstants:
@@ -278,7 +246,8 @@ def standard_involution_exceptional(coeffs: CubicCoefficients) -> Involution:
     nilproduct table."""
     if classify_case(coeffs) is CubicCase.COMMUTATIVE:
         raise WrongCase("conjugation is defined on exceptional tables only")
-    return _conjugation(build_algebra(coeffs), (coeffs.n, coeffs.m))
+    _, _, m, n, _, _ = coeffs._values
+    return _conjugation(build_algebra(coeffs), (n, m))
 
 
 def exceptional_norm(coeffs: CubicCoefficients, element_coeffs) -> RingElement:
@@ -288,8 +257,9 @@ def exceptional_norm(coeffs: CubicCoefficients, element_coeffs) -> RingElement:
     if classify_case(coeffs) is CubicCase.COMMUTATIVE:
         raise WrongCase("the closed-form norm holds for exceptional tables only")
     spec = coeffs.spec
-    p, q, r = map(spec.element, element_coeffs)
-    return p * (p + q * coeffs.n + r * coeffs.m) + q * r * coeffs.m * coeffs.n
+    p, q, r = map(spec.value, element_coeffs)
+    _, _, m, n, _, _ = coeffs._values
+    return spec.element(p * (p + q * n + r * m) + q * r * m * n)
 
 
 class ExceptionalWitness:
@@ -308,8 +278,8 @@ class ExceptionalWitness:
     def to_json(self) -> dict:
         return {
             "ideal_generators": [
-                [str(c) for c in self.gen_i.coeffs],
-                [str(c) for c in self.gen_j.coeffs],
+                [str(c) for c in self.gen_i._values],
+                [str(c) for c in self.gen_j._values],
             ],
             "functional": [str(self.t_i), str(self.t_j)],
         }
@@ -328,7 +298,7 @@ def exceptional_witness(coeffs: CubicCoefficients) -> ExceptionalWitness:
         raise WrongCase("the ideal witness exists for exceptional tables only")
     alg = build_algebra(coeffs)
     spec = coeffs.spec
-    gen_i = alg.element([coeffs.n, -spec.one, spec.zero])
+    gen_i = alg.element([coeffs._values[3], -1, 0])
     gen_j = alg.basis(2)
     t_i, t_j = coeffs.n, coeffs.m
     pairs = (
@@ -378,7 +348,7 @@ def matrix_rep(coeffs: CubicCoefficients):
     # L_a L_b = sum_c t[a][b][c] L_c for the generators a, b in {1, 2}
     for a in (1, 2):
         for b in (1, 2):
-            cell = zip(mats, alg.table[a][b])
+            cell = zip(mats, alg._values[a][b])
             want = sum((m * v for m, v in cell if v), start=SquareMatrix.zero(spec, 3))
             if mats[a] * mats[b] != want:
                 raise RelationViolation(["matrix identities fail for this table"])
@@ -405,44 +375,28 @@ def char_poly_exceptional(coeffs: CubicCoefficients, element_coeffs) -> Polynomi
     if case is CubicCase.COMMUTATIVE:
         raise WrongCase("closed form holds for exceptional tables only")
     spec = coeffs.spec
-    p, q, r = map(spec.element, element_coeffs)
-    beta = p + coeffs.m * q + r * coeffs.n
-    t = Polynomial.variable(spec)
-    return (t - p) * (t - beta) * (t - beta)
+    p, q, r = map(spec.value, element_coeffs)
+    _, _, m, n, _, _ = coeffs._values
+    double = Polynomial(spec, (-(p + m * q + r * n), 1))
+    return Polynomial(spec, (-p, 1)) * double * double
 
 
 # -- binary cubic forms ------------------------------------------------------
 
 
-class BinaryCubicForm:
+class BinaryCubicForm(_RawValues):
     """a X^3 + b X^2 Y + c X Y^2 + d Y^3 with exact coefficients."""
 
     FIELDS = ("a", "b", "c", "d")
-    __slots__ = ("spec",) + FIELDS
+    __slots__ = ()
 
     def __init__(self, spec: RingSpec, a, b, c, d):
         self.spec = spec
-        self.a, self.b, self.c, self.d = map(spec.element, (a, b, c, d))
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryCubicForm)
-            and self.spec == other.spec
-            and self.as_tuple() == other.as_tuple()
-        )
-
-    def __hash__(self):
-        return hash((self.spec,) + self.as_tuple())
-
-    def __repr__(self):
-        return "BinaryCubicForm" + str(tuple(str(v) for v in self.as_tuple()))
+        self._values = tuple(map(spec.value, (a, b, c, d)))
 
     def discriminant(self) -> RingElement:
-        a, b, c, d = self.as_tuple()
-        return (
+        a, b, c, d = self._values
+        return self.spec.element(
             b * b * c * c
             + 18 * a * b * c * d
             - 4 * a * c**3
@@ -451,7 +405,7 @@ class BinaryCubicForm:
         )
 
     def to_json(self) -> dict:
-        return {k: str(getattr(self, k)) for k in self.FIELDS}
+        return dict(zip(self.FIELDS, map(str, self._values)))
 
     @staticmethod
     def from_json(spec: RingSpec, obj) -> BinaryCubicForm:
@@ -468,27 +422,25 @@ def gl2_act(g: SquareMatrix, form: BinaryCubicForm) -> BinaryCubicForm:
     The two variables are replaced by the columns of g and the result
     is divided by det(g); the discriminant then scales by det(g)^2.
     """
-    if g.n != 2 or g.spec != form.spec:
+    spec = form.spec
+    if g.n != 2 or g.spec != spec:
         raise SpecMismatch("the action needs a 2x2 matrix over the form's ring")
-    det = g.det()
-    if not det.is_unit():
+    (alpha, beta), (gamma, delta) = g._values
+    det = spec.value(alpha * delta - beta * gamma)
+    inv = _unit_inverse(spec, det)
+    if inv is None:
         raise NotAUnit(f"matrix determinant {det} is not a unit")
-    alpha, beta = g.entries[0]
-    gamma, delta = g.entries[1]
-    u = Polynomial(form.spec, (alpha, gamma))
-    v = Polynomial(form.spec, (beta, delta))
+    u = Polynomial(spec, (alpha, gamma))
+    v = Polynomial(spec, (beta, delta))
     u2, v2 = u * u, v * v
-    u3, u2v, uv2, v3 = u2 * u, u2 * v, u * v2, v2 * v
-    inv = det.inverse()
-    # Polynomial strips trailing zeros; coefficient(k) reads them as 0
-    coeffs = [
-        (
-            form.a * u3.coefficient(k) + form.b * u2v.coefficient(k)
-            + form.c * uv2.coefficient(k) + form.d * v3.coefficient(k)
-        ) * inv
-        for k in range(4)
+    # Polynomial strips trailing zeros; pad each cube back to four terms
+    cubes = [
+        w._values + (0,) * (3 - w.degree()) for w in (u2 * u, u2 * v, u * v2, v2 * v)
     ]
-    return BinaryCubicForm(form.spec, *coeffs)
+    coeffs = [
+        sum(f * w[k] for f, w in zip(form._values, cubes)) * inv for k in range(4)
+    ]
+    return BinaryCubicForm(spec, *coeffs)
 
 
 def form_from_commutative(coeffs: CubicCoefficients) -> BinaryCubicForm:
@@ -500,16 +452,14 @@ def form_from_commutative(coeffs: CubicCoefficients) -> BinaryCubicForm:
     """
     if classify_case(coeffs) is CubicCase.EXCEPTIONAL:
         raise WrongCase("forms correspond to commutative tables only")
-    return BinaryCubicForm(
-        coeffs.spec, -coeffs.c, coeffs.b, -coeffs.z, coeffs.y
-    )
+    b, c, _, _, y, z = coeffs._values
+    return BinaryCubicForm(coeffs.spec, -c, b, -z, y)
 
 
 def commutative_from_form(form: BinaryCubicForm) -> CubicCoefficients:
     """Inverse translation: (b, c, m, n, y, z) = (b, -a, 0, 0, d, -c)."""
-    return CubicCoefficients(
-        form.spec, form.b, -form.a, 0, 0, form.d, -form.c
-    )
+    a, b, c, d = form._values
+    return CubicCoefficients(form.spec, b, -a, 0, 0, d, -c)
 
 
 def algebra_from_form(form: BinaryCubicForm) -> StructureConstants:

@@ -22,7 +22,7 @@ import itertools
 
 from .algebra import AlgebraElement, AlgebraMap, StructureConstants, direct_product, json_list, matrix_algebra, rank_one
 from .errors import InputError, LowrankError, UnsupportedRing, check_guard
-from .rings import RingElement, RingSpec
+from .rings import RingElement, RingSpec, _unit_inverse
 
 
 class Involution(AlgebraMap):
@@ -204,19 +204,17 @@ def all_standard_involutions(alg: StructureConstants):
 
 def quaternion_algebra(spec: RingSpec, a, b) -> StructureConstants:
     """Rank-4 algebra with i^2 = a, j^2 = b, ji = -ij, basis 1, i, j, ij."""
-    a, b = spec.element(a), spec.element(b)
-    if not (a.is_unit() and b.is_unit()):
+    a, b = spec.value(a), spec.value(b)
+    if _unit_inverse(spec, a) is None or _unit_inverse(spec, b) is None:
         raise UnsupportedRing("quaternion parameters must be units")
     if spec.characteristic() == 2:
         raise UnsupportedRing("quaternion conjugation needs 2 invertible")
-    z, o = spec.zero, spec.one
-    ab = a * b
     table = [
         # 1 row / column handled by identity pattern
-        [[o, z, z, z], [z, o, z, z], [z, z, o, z], [z, z, z, o]],
-        [[z, o, z, z], [a, z, z, z], [z, z, z, o], [z, z, a, z]],
-        [[z, z, o, z], [z, z, z, -o], [b, z, z, z], [z, -b, z, z]],
-        [[z, z, z, o], [z, z, -a, z], [z, b, z, z], [-ab, z, z, z]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 1, 0, 0], [a, 0, 0, 0], [0, 0, 0, 1], [0, 0, a, 0]],
+        [[0, 0, 1, 0], [0, 0, 0, -1], [b, 0, 0, 0], [0, -b, 0, 0]],
+        [[0, 0, 0, 1], [0, 0, -a, 0], [0, b, 0, 0], [-a * b, 0, 0, 0]],
     ]
     return StructureConstants(spec, table)
 
@@ -228,9 +226,9 @@ def quaternion_conjugation(spec: RingSpec, a, b) -> Involution:
 
 def quaternion_norm_form(spec: RingSpec, a, b, coeffs) -> RingElement:
     """The closed-form norm p^2 - a q^2 - b r^2 + a b s^2."""
-    a, b = spec.element(a), spec.element(b)
-    p, q, r, s = map(spec.element, coeffs)
-    return p * p - a * q * q - b * r * r + a * b * s * s
+    a, b = spec.value(a), spec.value(b)
+    p, q, r, s = map(spec.value, coeffs)
+    return spec.element(p * p - a * q * q - b * r * r + a * b * s * s)
 
 
 def m2_adjoint(spec: RingSpec) -> Involution:

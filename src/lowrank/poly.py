@@ -1,7 +1,11 @@
 """Dense univariate polynomials over a RingSpec.
 
-Coefficients are stored in ascending order with no trailing zeros, so
-the zero polynomial is the empty tuple and degree() reports -1 for it.
+Coefficients are stored once, as the ring's canonical raw values in
+`_values` (rings._RawValues), in ascending order with no trailing zeros,
+so the zero polynomial is the empty tuple and degree() reports -1 for it.
+Over F_p each value is reduced into [0, p); over Q each, zero included,
+is a Fraction.  Every operation loops on those values; RingElements are built only where
+a caller reads `coeffs`, coefficient() or leading().
 Division is supported when the leading coefficient divides exactly at
 every step; over a field that is always the case.
 """
@@ -9,18 +13,18 @@ every step; over a field that is always the case.
 from __future__ import annotations
 
 from .errors import NotAUnit, SpecMismatch, UnsupportedRing
-from .rings import RingElement, RingSpec, exact_div
+from .rings import RingElement, RingSpec, _exact_quotient, _RawValues, _trusted, _unit_inverse
 
 
-class Polynomial:
-    __slots__ = ("spec", "coeffs")
+class Polynomial(_RawValues):
+    __slots__ = ()
 
     def __init__(self, spec: RingSpec, coeffs=()):
-        cs = list(map(spec.element, coeffs))
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        vs = list(map(spec.value, coeffs))
+        while vs and not vs[-1]:
+            vs.pop()
         self.spec = spec
-        self.coeffs = tuple(cs)
+        self._values = tuple(vs)
 
     @staticmethod
     def variable(spec: RingSpec) -> Polynomial:
@@ -30,32 +34,23 @@ class Polynomial:
     def constant(spec: RingSpec, c) -> Polynomial:
         return Polynomial(spec, (c,))
 
+    coeffs = property(_RawValues.as_tuple)
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._values) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._values
 
     def leading(self) -> RingElement:
-        if not self.coeffs:
+        if not self._values:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.spec.one
+        return _trusted(self.spec, self._values[-1])
 
     def coefficient(self, k: int) -> RingElement:
-        return self.coeffs[k] if k < len(self.coeffs) else self.spec.zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.spec == other.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        if k < len(self._values):
+            return _trusted(self.spec, self._values[k])
+        return self.spec.zero
 
     def _wrap(self, other) -> Polynomial:
         if isinstance(other, Polynomial):
@@ -70,16 +65,16 @@ class Polynomial:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.spec,
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)],
-        )
+        a, b = sorted((self._values, other._values), key=len)
+        out = list(b)
+        for k, v in enumerate(a):
+            out[k] += v
+        return Polynomial(self.spec, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.spec, [-c for c in self.coeffs])
+        return Polynomial(self.spec, [-v for v in self._values])
 
     def __sub__(self, other):
         other = self._wrap(other)
@@ -94,14 +89,15 @@ class Polynomial:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self._values, other._values
+        if not (a and b):
             return Polynomial(self.spec)
-        out = [self.spec.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+            for j, y in enumerate(b):
+                out[i + j] += x * y
         return Polynomial(self.spec, out)
 
     __rmul__ = __mul__
@@ -110,7 +106,7 @@ class Polynomial:
         """Multiply by T^k."""
         if self.is_zero():
             return self
-        return Polynomial(self.spec, (self.spec.zero,) * k + self.coeffs)
+        return Polynomial(self.spec, (0,) * k + self._values)
 
     def __divmod__(self, other):
         """Long division; each quotient step must divide exactly over Z."""
@@ -119,19 +115,22 @@ class Polynomial:
             return NotImplemented
         if other.is_zero():
             raise NotAUnit("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [self.spec.zero] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.leading()
-        d = other.degree()
-        while len(rem) - 1 >= d and rem:
-            q = exact_div(rem[-1], lead)
+        spec = self.spec
+        p = spec.p
+        div = other._values
+        d = len(div) - 1
+        rem = list(self._values)
+        quo = [0] * max(len(rem) - d, 0)
+        while len(rem) > d:
+            q = _exact_quotient(spec, rem[-1], div[-1])
             pos = len(rem) - 1 - d
             quo[pos] = q
-            for k, c in enumerate(other.coeffs):
-                rem[pos + k] = rem[pos + k] - q * c
-            while rem and rem[-1].is_zero():
+            for k, c in enumerate(div):
+                s = rem[pos + k] - q * c
+                rem[pos + k] = s % p if p else s
+            while rem and not rem[-1]:
                 rem.pop()
-        return Polynomial(self.spec, quo), Polynomial(self.spec, rem)
+        return Polynomial(spec, quo), Polynomial(spec, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -152,21 +151,26 @@ class Polynomial:
     def monic(self) -> Polynomial:
         if self.is_zero():
             return self
-        lead = self.leading()
-        if not lead.is_unit():
+        lead = self._values[-1]
+        inv = _unit_inverse(self.spec, lead)
+        if inv is None:
             raise NotAUnit(f"leading coefficient {lead} is not a unit")
-        inv = lead.inverse()
-        return Polynomial(self.spec, [c * inv for c in self.coeffs])
+        return Polynomial(self.spec, [v * inv for v in self._values])
 
     def evaluate(self, x, one=None):
         """Horner evaluation.  For matrix or algebra arguments pass the
         target's multiplicative identity as `one` so scalars embed."""
+        spec = self.spec
         if one is None:
-            acc = self.spec.zero
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        acc = one * self.spec.zero
+            if isinstance(x, RingElement) and x.spec != spec:
+                raise SpecMismatch(f"{spec!r} does not match {x.spec!r}")
+            xv, p = spec.value(x), spec.p
+            acc = spec.value(0)
+            for c in reversed(self._values):
+                acc = acc * xv + c
+                acc = acc % p if p else acc
+            return _trusted(spec, acc)
+        acc = one * spec.zero
         for c in reversed(self.coeffs):
             acc = acc * x + one * c
         return acc
@@ -175,20 +179,20 @@ class Polynomial:
         if self.is_zero():
             return "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for k, c in enumerate(self._values):
+            if not c:
                 continue
             if k == 0:
                 parts.append(str(c))
             elif k == 1:
-                parts.append(f"{c}*T" if c != self.spec.one else "T")
+                parts.append(f"{c}*T" if c != 1 else "T")
             else:
-                parts.append(f"{c}*T^{k}" if c != self.spec.one else f"T^{k}")
+                parts.append(f"{c}*T^{k}" if c != 1 else f"T^{k}")
         return " + ".join(parts)
 
     def to_strings(self) -> list[str]:
         """Canonical JSON form: coefficient strings, constant term first."""
-        return [str(c) for c in self.coeffs]
+        return [str(c) for c in self._values]
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:

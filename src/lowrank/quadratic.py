@@ -6,6 +6,11 @@ parity of t decide; over a field of characteristic 2 the separable
 algebras are classified by an additive class of n/t^2 instead.  Each
 decision procedure returns an explicit verified map when it answers
 yes, never just a boolean.
+
+A QuadraticAlgebra stores (t, n), and a DiscriminantClass or an
+ArtinSchreierClass its representative, as canonical raw values in
+`_values` (rings._RawValues); every computation here reads those, and
+RingElements are built only where a caller reads t, n or representative.
 """
 
 from __future__ import annotations
@@ -13,48 +18,39 @@ from __future__ import annotations
 from .algebra import AlgebraMap, SquareMatrix, StructureConstants, direct_product, product_element, rank_one
 from .errors import InputError, NotAUnit, SpecMismatch, UnsupportedRing, WrongCase
 from .involutions import Involution, _conjugation
-from .rings import RingSpec, bezout, square_class_equal, square_class_witness
+from .rings import RingSpec, _RawValues, _square_class_root, _unit_inverse, bezout
 
 
-class QuadraticAlgebra:
+class QuadraticAlgebra(_RawValues):
     """The free rank-2 algebra with one generator x, x^2 = t x - n."""
 
-    __slots__ = ("spec", "t", "n", "_structure")
+    FIELDS = ("t", "n")
+    __slots__ = ("_structure",)
 
     def __init__(self, spec: RingSpec, t, n):
         self.spec = spec
-        self.t = spec.element(t)
-        self.n = spec.element(n)
+        self._values = (spec.value(t), spec.value(n))
         self._structure = None
 
     def structure(self) -> StructureConstants:
         if self._structure is None:
-            z, o = self.spec.zero, self.spec.one
+            t, n = self._values
             self._structure = StructureConstants(
-                self.spec,
-                [[[o, z], [z, o]], [[z, o], [-self.n, self.t]]],
+                self.spec, [[[1, 0], [0, 1]], [[0, 1], [-n, t]]]
             )
         return self._structure
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticAlgebra)
-            and self.spec == other.spec
-            and self.t == other.t
-            and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.t, self.n))
-
     def __repr__(self):
-        return f"QuadraticAlgebra(t={self.t}, n={self.n} over {self.spec!r})"
+        t, n = self._values
+        return f"QuadraticAlgebra(t={t}, n={n} over {self.spec!r})"
 
     def discriminant(self) -> DiscriminantClass:
-        return DiscriminantClass(self.spec, self.t * self.t - 4 * self.n)
+        t, n = self._values
+        return DiscriminantClass(self.spec, t * t - 4 * n)
 
     def to_json(self) -> dict:
-        return {"ring": self.spec.to_json(), "t": str(self.t), "n": str(self.n)}
+        t, n = self._values
+        return {"ring": self.spec.to_json(), "t": str(t), "n": str(n)}
 
     @staticmethod
     def from_json(obj) -> QuadraticAlgebra:
@@ -64,24 +60,25 @@ class QuadraticAlgebra:
         return QuadraticAlgebra(spec, spec.parse(obj["t"]), spec.parse(obj["n"]))
 
 
-class DiscriminantClass:
+class DiscriminantClass(_RawValues):
     """A ring element compared up to multiplication by unit squares."""
 
-    __slots__ = ("spec", "representative")
+    FIELDS = ("representative",)
+    __slots__ = ()
 
     def __init__(self, spec: RingSpec, representative):
         self.spec = spec
-        self.representative = spec.element(representative)
+        self._values = (spec.value(representative),)
 
     def __eq__(self, other):
         if not isinstance(other, DiscriminantClass):
             return NotImplemented
         if other.spec != self.spec:
             raise SpecMismatch("classes over different rings")
-        return square_class_equal(self.representative, other.representative)
+        return _square_class_root(self.spec, self._values[0], other._values[0]) is not None
 
     def __repr__(self):
-        return f"DiscriminantClass({self.representative} over {self.spec!r})"
+        return f"DiscriminantClass({self._values[0]} over {self.spec!r})"
 
 
 def complete_square(alg: QuadraticAlgebra):
@@ -91,19 +88,19 @@ def complete_square(alg: QuadraticAlgebra):
     isomorphism onto R[y]/(y^2 - d) sending x to y/2 + t/2.
     """
     spec = alg.spec
-    two = spec.element(2)
-    if not two.is_unit():
+    half = _unit_inverse(spec, spec.value(2))
+    if half is None:
         raise NotAUnit("completing the square needs 2 to be a unit")
-    d = alg.discriminant().representative
-    target = QuadraticAlgebra(spec, spec.zero, -d)
-    half = two.inverse()
-    m = _affine_map(alg, target, half, alg.t * half)
+    d = alg.discriminant()
+    target = QuadraticAlgebra(spec, 0, -d._values[0])
+    m = _affine_map(alg, target, half, alg._values[0] * half)
     assert m.verify_isomorphism(), "square-completion map failed verification"
-    return d, m
+    return d.representative, m
 
 
 def _affine_map(a: QuadraticAlgebra, b: QuadraticAlgebra, scale, shift) -> AlgebraMap:
-    """The map x -> scale*y + shift as an AlgebraMap between structures."""
+    """The map x -> scale*y + shift as an AlgebraMap between structures;
+    scale and shift may be raw values or elements of the base ring."""
     return AlgebraMap(
         a.structure(),
         b.structure(),
@@ -121,17 +118,16 @@ def is_isomorphic_2unit(a: QuadraticAlgebra, b: QuadraticAlgebra):
     if a.spec != b.spec:
         raise SpecMismatch("algebras over different rings")
     spec = a.spec
-    if not spec.element(2).is_unit():
+    half = _unit_inverse(spec, spec.value(2))
+    if half is None:
         raise NotAUnit("this test needs 2 to be a unit")
     if not spec.is_field():
         raise UnsupportedRing("this test runs over fields")
-    da = a.discriminant().representative
-    db = b.discriminant().representative
-    u = square_class_witness(da, db)
+    da, db = a.discriminant()._values[0], b.discriminant()._values[0]
+    u = _square_class_root(spec, da, db)
     if u is None:
         return False, None
-    half = spec.element(2).inverse()
-    shift = (a.t - u * b.t) * half
+    shift = (a._values[0] - u * b._values[0]) * half
     m = _affine_map(a, b, u, shift)
     assert m.verify_isomorphism(), "discriminant witness map failed verification"
     return True, m
@@ -148,12 +144,10 @@ def is_isomorphic_over_z(a: QuadraticAlgebra, b: QuadraticAlgebra):
         raise SpecMismatch("algebras over different rings")
     if a.spec.kind != "Z":
         raise UnsupportedRing("this test runs over the integers")
-    da = a.discriminant().representative
-    db = b.discriminant().representative
-    if da != db or (a.t.value - b.t.value) % 2 != 0:
+    dt = a._values[0] - b._values[0]
+    if a.discriminant()._values != b.discriminant()._values or dt % 2 != 0:
         return False, None
-    shift = a.spec.element((a.t.value - b.t.value) // 2)
-    m = _affine_map(a, b, a.spec.one, shift)
+    m = _affine_map(a, b, 1, dt // 2)
     assert m.verify_isomorphism(), "integer witness map failed verification"
     return True, m
 
@@ -162,42 +156,41 @@ def is_separable(alg: QuadraticAlgebra) -> bool:
     """Over a field of characteristic 2: separable means t is nonzero."""
     if alg.spec.characteristic() != 2:
         raise UnsupportedRing("separability test is for characteristic 2")
-    return not alg.t.is_zero()
+    return bool(alg._values[0])
 
 
-class ArtinSchreierClass:
+class ArtinSchreierClass(_RawValues):
     """n/t^2 compared modulo the additive image {r + r^2 : r in F}."""
 
-    __slots__ = ("spec", "representative")
+    FIELDS = ("representative",)
+    __slots__ = ()
 
     def __init__(self, spec: RingSpec, representative):
         if spec.characteristic() != 2:
             raise UnsupportedRing("these classes live in characteristic 2")
         self.spec = spec
-        self.representative = spec.element(representative)
+        self._values = (spec.value(representative),)
 
     def __eq__(self, other):
         if not isinstance(other, ArtinSchreierClass):
             return NotImplemented
         if other.spec != self.spec:
             raise SpecMismatch("classes over different rings")
-        diff = self.representative - other.representative
-        return diff in _artin_schreier_image(self.spec)
+        p = self.spec.p
+        image = {(r + r * r) % p for r in range(p)}
+        return (self._values[0] - other._values[0]) % p in image
 
     def __repr__(self):
-        return f"ArtinSchreierClass({self.representative} over {self.spec!r})"
-
-
-def _artin_schreier_image(spec: RingSpec):
-    return {r + r * r for r in spec.elements()}
+        return f"ArtinSchreierClass({self._values[0]} over {self.spec!r})"
 
 
 def artin_schreier_class(alg: QuadraticAlgebra) -> ArtinSchreierClass:
     """The invariant n/t^2 of a separable algebra in characteristic 2."""
     if not is_separable(alg):
         raise WrongCase("inseparable algebra has no such invariant")
-    rep = alg.n * (alg.t * alg.t).inverse()
-    return ArtinSchreierClass(alg.spec, rep)
+    t, n = alg._values
+    inv = _unit_inverse(alg.spec, t)
+    return ArtinSchreierClass(alg.spec, n * inv * inv)
 
 
 def _gf4_mul(a: int, b: int) -> int:
@@ -227,7 +220,7 @@ def artin_schreier_class_count(q: int) -> int:
 
 def standard_involution_quadratic(alg: QuadraticAlgebra) -> Involution:
     """Conjugation x -> t - x, the unique standard involution in rank 2."""
-    return _conjugation(alg.structure(), (alg.t,))
+    return _conjugation(alg.structure(), (alg._values[0],))
 
 
 def split_idempotent(alg: QuadraticAlgebra):
@@ -238,14 +231,14 @@ def split_idempotent(alg: QuadraticAlgebra):
     mutually inverse on the basis.
     """
     spec = alg.spec
-    if alg.t != spec.one or not alg.n.is_zero():
+    if alg._values != (1, 0):
         raise WrongCase("the idempotent identification needs (t, n) = (1, 0)")
     line = rank_one(spec)
     prod = direct_product(line, line)
     fwd = AlgebraMap(
         alg.structure(),
         prod,
-        [prod.one(), product_element(prod, line, line, (spec.one,), (spec.zero,))],
+        [prod.one(), product_element(prod, line, line, (1,), (0,))],
     )
     src = alg.structure()
     x = src.basis(1)
@@ -270,6 +263,6 @@ def complete_basis_to_unity(spec: RingSpec, a, b):
     a, b = spec.element(a), spec.element(b)
     s, t = bezout(a, b)
     m = SquareMatrix(spec, [[a, b], [s, t]])
-    assert m.det() == spec.one
+    assert m.det().value == 1
     return m
 

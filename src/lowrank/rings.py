@@ -3,10 +3,13 @@
 A RingSpec names one of the three supported base rings.  Its canonical
 values are plain Python numbers: an int over Z, a reduced Fraction over
 Q, a residue int in [0, p) over F_p.  RingSpec.value checks a value and
-returns its canonical form; the table layer stores and computes on these
-raw values.  A RingElement pairs a spec with a canonical value and is
-what the public API hands out; its arithmetic builds results through a
-trusted constructor that only reduces mod p.  All arithmetic is exact;
+returns its canonical form; every stored table, element, matrix,
+polynomial and form holds and computes on these raw values (_RawValues
+is the record of named ones).  A RingElement pairs a spec with a
+canonical value and is what the public API hands out; its arithmetic
+builds results through a trusted constructor that only reduces mod p.
+The raw unit inverse and exact quotient are written once here, for
+elements and the raw loops alike.  All arithmetic is exact;
 there is no floating point anywhere in the package.
 """
 
@@ -307,14 +310,8 @@ class RingElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise InputError("exponent must be a non-negative integer")
-        out = self.spec.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        p = self.spec.p
+        return _trusted(self.spec, pow(self.value, n, p) if p else self.value**n)
 
     def __eq__(self, other):
         if isinstance(other, RingElement):
@@ -344,15 +341,10 @@ class RingElement:
         return self.value != 0
 
     def inverse(self) -> RingElement:
-        if not self.is_unit():
+        inv = _unit_inverse(self.spec, self.value)
+        if inv is None:
             raise NotAUnit(f"{self} is not a unit in {self.spec!r}")
-        if self.spec.kind == "Fp":
-            g, u, _ = _xgcd(self.value, self.spec.p)
-            assert g == 1
-            return RingElement(self.spec, u)
-        if self.spec.kind == "Q":
-            return RingElement(self.spec, 1 / self.value)
-        return self  # over Z the units are their own inverses
+        return _trusted(self.spec, inv)
 
 
 def _trusted(spec: RingSpec, value) -> RingElement:
@@ -364,22 +356,75 @@ def _trusted(spec: RingSpec, value) -> RingElement:
     return out
 
 
+class _RawValues:
+    """A record over a RingSpec `spec` whose entries are stored once, as
+    canonical raw values (RingSpec.value) in the tuple `_values`.  Each
+    name in a subclass's FIELDS becomes a read-only attribute that builds
+    the matching entry as a RingElement when it is read.  Records of one
+    class are equal when their specs and raw values are."""
+
+    __slots__ = ("spec", "_values")
+    FIELDS = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for k, name in enumerate(cls.FIELDS):
+            entry = lambda self, k=k: _trusted(self.spec, self._values[k])
+            setattr(cls, name, property(entry))
+
+    def as_tuple(self):
+        spec = self.spec
+        return tuple(_trusted(spec, v) for v in self._values)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.spec == other.spec
+            and self._values == other._values
+        )
+
+    def __hash__(self):
+        return hash((self.spec, self._values))
+
+    def __repr__(self):
+        return type(self).__name__ + str(tuple(map(str, self._values)))
+
+
+def _unit_inverse(spec: RingSpec, v):
+    """The inverse of the canonical raw value v of spec, or None when v
+    is not a unit: over Z the units 1 and -1 are their own inverses."""
+    if spec.kind == "Z":
+        return v if v in (1, -1) else None
+    if not v:
+        return None
+    return pow(v, -1, spec.p) if spec.p else 1 / v
+
+
+def _exact_quotient(spec: RingSpec, a, b):
+    """The raw quotient a/b of canonical raw values: over Z the division
+    must leave no remainder, over a field b must be nonzero."""
+    if spec.kind == "Z":
+        if b == 0:
+            raise NotAUnit("division by zero")
+        q, r = divmod(a, b)
+        if r:
+            raise NotAUnit(f"{a} is not divisible by {b}")
+        return q
+    inv = _unit_inverse(spec, b)
+    if inv is None:
+        raise NotAUnit(f"{b} is not a unit in {spec!r}")
+    return a * inv % spec.p if spec.p else a * inv
+
+
 def exact_div(a: RingElement, b: RingElement) -> RingElement:
     """Exact quotient a/b; over Z the division must leave no remainder.
 
-    Internal helper for Polynomial long division, whose quotient steps
-    must be exact over Z.  Not part of the unit-division contract.
+    Polynomial long division takes each quotient step by the same rule
+    on raw values.  Not part of the unit-division contract.
     """
     if b.spec != a.spec:
         raise SpecMismatch("mismatched operands")
-    if a.spec.kind == "Z":
-        if b.value == 0:
-            raise NotAUnit("division by zero")
-        q, r = divmod(a.value, b.value)
-        if r != 0:
-            raise NotAUnit(f"{a} is not divisible by {b}")
-        return RingElement(a.spec, q)
-    return a / b
+    return _trusted(a.spec, _exact_quotient(a.spec, a.value, b.value))
 
 
 def bezout(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement]:
@@ -409,26 +454,33 @@ def square_class_witness(d: RingElement, big_d: RingElement):
     spec = d.spec
     if big_d.spec != spec:
         raise SpecMismatch("mismatched operands")
-    if d.is_zero() and big_d.is_zero():
-        return spec.one
-    if d.is_zero() or big_d.is_zero():
+    a = _square_class_root(spec, d.value, big_d.value)
+    return None if a is None else _trusted(spec, a)
+
+
+def _square_class_root(spec: RingSpec, d, big_d):
+    """square_class_witness on canonical raw values: a raw unit a with
+    d = a^2 * D, or None."""
+    if not d and not big_d:
+        return spec.value(1)
+    if not d or not big_d:
         return None
     if spec.kind == "Z":
         # units are {1, -1}, both with square 1
-        return spec.one if d == big_d else None
+        return 1 if d == big_d else None
     if spec.kind == "Fp":
         # the roots of a^2 = d/D are r and p - r; the smaller is the first
         # unit a scan from 1 upwards would meet
         p = spec.p
-        r = _sqrt_mod(d.value * pow(big_d.value, -1, p) % p, p)
-        return None if r is None else RingElement(spec, min(r, p - r))
-    ratio = d.value / big_d.value
+        r = _sqrt_mod(d * pow(big_d, -1, p) % p, p)
+        return None if r is None else min(r, p - r)
+    ratio = d / big_d
     if ratio < 0:
         return None
     num, den = ratio.numerator, ratio.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return RingElement(spec, Fraction(rn, rd))
+        return Fraction(rn, rd)
     return None
 
 

@@ -740,6 +740,7 @@ def test_matrix_algebra_units():
                 (p - q, [[a - b for a, b in zip(r, t)] for r, t in zip(pe, qe)]),
                 (-p, [[-a for a in r] for r in pe]),
                 (c * p, [[c * a for a in r] for r in pe]),
+                (Fraction(c.value) * p, [[c * a for a in r] for r in pe]),
                 (p * 3, [[a * 3 for a in r] for r in pe]),
                 (p - p, [[spec.zero] * 3] * 3),
                 (p * q, naive_matrix_product(p, q).entries),
@@ -763,33 +764,15 @@ def test_matrix_algebra_units():
         assert str(got.value) == str(want.value)
 
 
-def test_matrix_layer_builds_no_ring_elements(monkeypatch):
+def test_matrix_layer_builds_no_ring_elements(ring_elements_built):
     """matrix_algebra, left_regular_rep, AlgebraMap.matrix and
     element_to_matrix work on raw values: none constructs a RingElement,
     by either constructor."""
-    import sys
-
-    from lowrank import rings
-
     m3 = matrix_algebra(QQ, 3)
     x = m3.element([Fraction(k - 4, k + 1) for k in range(9)])
     phi = AlgebraMap(m3, m3, [m3.basis(k) + x * k for k in range(9)])
-    built = []
-    init = rings.RingElement.__init__
-    trusted = rings._trusted
-
-    def counted_init(self, spec, value):
-        built.append(value)
-        init(self, spec, value)
-
-    def counted_trusted(spec, value):
-        built.append(value)
-        return trusted(spec, value)
-
-    monkeypatch.setattr(rings.RingElement, "__init__", counted_init)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lowrank") and getattr(module, "_trusted", None) is trusted:
-            monkeypatch.setattr(module, "_trusted", counted_trusted)
+    built = ring_elements_built
+    assert built == [], "building the inputs built elements"
     assert matrix_algebra(GF(7), 3).rank == 9
     assert built == [], "matrix_algebra built elements"
     rep = left_regular_rep(x)

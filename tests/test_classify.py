@@ -455,30 +455,13 @@ def test_main_theorem_scans_once(monkeypatch):
     assert report.representatives == reps
 
 
-def test_census_tables_build_no_ring_elements(monkeypatch):
+def test_census_tables_build_no_ring_elements(ring_elements_built):
     """enumerate_cubic, classify_case, build_algebra, and an involution
     search, whether it answers no or yes, work on raw values: none
     constructs a RingElement, by either constructor."""
-    import sys
+    from lowrank import find_standard_involution
 
-    from lowrank import find_standard_involution, rings
-
-    built = []
-    init = rings.RingElement.__init__
-    trusted = rings._trusted
-
-    def counted_init(self, spec, value):
-        built.append(value)
-        init(self, spec, value)
-
-    def counted_trusted(spec, value):
-        built.append(value)
-        return trusted(spec, value)
-
-    monkeypatch.setattr(rings.RingElement, "__init__", counted_init)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lowrank") and getattr(module, "_trusted", None) is trusted:
-            monkeypatch.setattr(module, "_trusted", counted_trusted)
+    built = ring_elements_built
     census = enumerate_cubic(GF(5))
     assert len(census) == 5**4 + 5**2 - 1
     assert built == [], "enumerate_cubic built elements"

@@ -582,3 +582,36 @@ def test_form_discriminant_invariant_under_translation():
             ],
         )
         assert gl2_act(shear, form).discriminant() == form.discriminant()
+
+
+@pytest.mark.parametrize("spec", [ZZ, QQ, GF(7)])
+def test_forms_and_polynomials_build_only_the_elements_they_return(spec, ring_elements_built):
+    """Polynomial arithmetic and gcds, char_poly, min_poly, gl2_act,
+    normalize, the two discriminants and matrix_rep work on raw values:
+    each builds exactly the RingElements it returns, so none at all for
+    a polynomial, form, table, class or matrix."""
+    from lowrank import Polynomial, QuadraticAlgebra, min_poly, poly_gcd
+
+    f = Polynomial(spec, [3, 0, -2, 1])
+    g = Polynomial(spec, [-1, 1])
+    form = BinaryCubicForm(spec, 1, -2, 3, 5)
+    coeffs = commutative_from_form(form)
+    x = build_algebra(coeffs).element([1, 2, -3])
+    built = ring_elements_built
+    assert built == [], "building the inputs built elements"
+    runs = [
+        ("Polynomial *", lambda: f * g),
+        ("divmod", lambda: divmod(f, g)),
+        ("monic", lambda: f.monic()),
+        ("char_poly", lambda: left_regular_rep(x).char_poly()),
+        ("gl2_act", lambda: gl2_act(SquareMatrix(spec, [[1, 2], [0, 1]]), form)),
+        ("normalize", lambda: normalize(GeneralCubicTable(spec, b=1, f=1))),
+        ("QuadraticAlgebra.discriminant", lambda: QuadraticAlgebra(spec, 3, 5).discriminant()),
+        ("matrix_rep", lambda: matrix_rep(coeffs)),
+    ]
+    if spec.is_field():
+        runs += [("poly_gcd", lambda: poly_gcd(f * g, g)), ("min_poly", lambda: min_poly(x))]
+    for name, run in runs:
+        run()
+        assert built == [], f"{name} built elements over {spec!r}"
+    assert form.discriminant().spec is spec and len(built) == 1

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from lowrank import GF, QQ, ZZ, Polynomial, poly_gcd
+from lowrank import GF, QQ, ZZ, NotAUnit, Polynomial, exact_div, poly_gcd
 
 
 def random_poly(spec, rng, max_deg=5, span=9):
@@ -119,3 +120,105 @@ def test_to_strings_ascending():
     f = (t - 1) * (t - 2) * t
     # T^3 - 3T^2 + 2T
     assert f.to_strings() == ["0", "2", "-3", "1"]
+
+
+# -- the RingElement loops Polynomial once ran, kept as oracles ----------------
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+def ring_element_mul(spec, f, g):
+    """The RingElement double loop of Polynomial.__mul__: the oracle."""
+    if not (f and g):
+        return ()
+    out = [spec.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return trimmed(out)
+
+
+def ring_element_divmod(spec, f, g):
+    """The RingElement long division of Polynomial.__divmod__: the oracle."""
+    rem = list(f)
+    quo = [spec.zero] * max(len(rem) - len(g) + 1, 0)
+    lead, d = g[-1], len(g) - 1
+    while len(rem) - 1 >= d and rem:
+        q = exact_div(rem[-1], lead)
+        pos = len(rem) - 1 - d
+        quo[pos] = q
+        for k, c in enumerate(g):
+            rem[pos + k] = rem[pos + k] - q * c
+        while rem and rem[-1].is_zero():
+            rem.pop()
+    return trimmed(quo), tuple(rem)
+
+
+def ring_element_monic(f):
+    inv = f[-1].inverse()
+    return tuple(c * inv for c in f)
+
+
+def ring_element_gcd(spec, f, g):
+    while g:
+        f, g = g, ring_element_divmod(spec, f, g)[1]
+    return ring_element_monic(f) if f else f
+
+
+def random_values(spec, rng, max_deg=6):
+    """Raw coefficients with zeros, interior and trailing, one in three."""
+    def draw():
+        if rng.random() < 1 / 3:
+            return 0
+        if spec.kind == "Fp":
+            return rng.randrange(spec.p)
+        if spec.kind == "Q":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.choice((-1, 1)) if rng.random() < 0.5 else rng.randint(-9, 9)
+
+    return [draw() for _ in range(rng.randint(0, max_deg))]
+
+
+def assert_canonical(poly, want):
+    """poly holds the oracle's coefficients as canonical raw values: of the
+    ring's type, reduced mod p, and trimmed."""
+    spec = poly.spec
+    kind = Fraction if spec.kind == "Q" else int
+    assert poly.coeffs == want
+    assert all(type(v) is kind for v in poly._values)
+    if spec.p:
+        assert all(0 <= v < spec.p for v in poly._values)
+    assert not poly._values or poly._values[-1] != 0
+
+
+@pytest.mark.parametrize("spec", [ZZ, QQ, GF(2), GF(7), GF(9973)])
+def test_raw_arithmetic_matches_ring_element_oracle(spec):
+    rng = random.Random(37)
+    for _ in range(300):
+        raw = random_values(spec, rng)
+        f = Polynomial(spec, raw)
+        g = Polynomial(spec, random_values(spec, rng, max_deg=3))
+        fs, gs = f.coeffs, g.coeffs
+        assert_canonical(f, trimmed(map(spec.element, raw)))
+        assert_canonical(f * g, ring_element_mul(spec, fs, gs))
+        if fs and fs[-1].is_unit():
+            assert_canonical(f.monic(), ring_element_monic(fs))
+        if gs:
+            try:
+                want_q, want_r = ring_element_divmod(spec, fs, gs)
+            except NotAUnit:
+                with pytest.raises(NotAUnit):
+                    divmod(f, g)
+            else:
+                q, r = divmod(f, g)
+                assert_canonical(q, want_q)
+                assert_canonical(r, want_r)
+        if spec.is_field():
+            assert_canonical(poly_gcd(f, g), ring_element_gcd(spec, fs, gs))
