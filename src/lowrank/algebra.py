@@ -1,11 +1,12 @@
 """Free algebras of finite rank presented by structure constants.
 
 An algebra of rank k over a base ring is stored as the k x k table of
-basis products, each expanded over the basis again.  The table, every
-AlgebraElement and every SquareMatrix hold the ring's canonical raw values
-(RingSpec.value), and the product, linear-combination and determinant
-kernels compute on them; RingElements are built only where a caller reads
-them (`table`, `coeffs`, `entries`).
+basis products, each expanded over the basis again.  The table and every
+SquareMatrix are records of the ring's canonical raw values
+(rings._RawValues), like the polynomials and forms, and every
+AlgebraElement holds such values too; the product, linear-combination
+and determinant kernels compute on them, and RingElements are built only
+where a caller reads them (`table`, `coeffs`, `entries`).
 Basis element 0 is required to be the multiplicative identity;
 constructors reject tables where it is not.  Everything downstream
 (associativity checks, regular representations, characteristic and
@@ -20,27 +21,29 @@ from fractions import Fraction
 
 from .errors import InputError, NotAUnit, SpecMismatch, TableError, UnsupportedRing, check_guard
 from .poly import Polynomial
-from .rings import RingElement, RingSpec, _trusted, _unit_inverse
+from .rings import RingElement, RingSpec, _as_elements, _RawValues, _trusted, _unit_inverse
 
 
 def json_list(raw, length, what):
-    """Return raw after checking that it is a JSON list of length entries."""
-    if not isinstance(raw, list) or len(raw) != length:
+    """Return raw after checking that it is a JSON list of length entries;
+    a length that is not an int (a bool, a float, a string) fits no list."""
+    if type(length) is not int or not isinstance(raw, list) or len(raw) != length:
         raise InputError(f"{what} must be a list of {length!r} entries")
     return raw
 
 
-class StructureConstants:
+class StructureConstants(_RawValues):
     """Multiplication table of a free algebra with basis element 0 = 1.
 
-    The cells are stored once, as canonical raw values in `_values`;
+    The cells are stored once, as rows of cells of canonical raw values
+    in `_values` (rings._RawValues, which gives equality and hashing);
     `table` wraps them in RingElements on first read and keeps the result.
     The constructor checks every value, the shape and the identity.  The
     private `_canonical` skips those checks; its only caller is
     `cubic.build_algebra`, whose rows are canonical by construction.
     """
 
-    __slots__ = ("spec", "rank", "_values", "_table")
+    __slots__ = ("rank", "_table")
 
     def __init__(self, spec: RingSpec, table):
         value = spec.value
@@ -80,22 +83,8 @@ class StructureConstants:
     def table(self):
         """The cells as tuples of RingElements."""
         if self._table is None:
-            spec = self.spec
-            self._table = tuple(
-                tuple(tuple(_trusted(spec, c) for c in cell) for cell in row)
-                for row in self._values
-            )
+            self._table = self.as_tuple()
         return self._table
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StructureConstants)
-            and self.spec == other.spec
-            and self._values == other._values
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self._values))
 
     def __repr__(self):
         return f"StructureConstants(rank={self.rank} over {self.spec!r})"
@@ -251,8 +240,7 @@ class AlgebraElement:
     @property
     def coeffs(self):
         """The coefficients as a tuple of RingElements."""
-        spec = self.algebra.spec
-        return tuple(_trusted(spec, c) for c in self._values)
+        return _as_elements(self.algebra.spec, self._values)
 
     def _peer(self, other):
         if isinstance(other, AlgebraElement):
@@ -328,11 +316,11 @@ class AlgebraElement:
         return _trusted(self.algebra.spec, self._values[0])
 
 
-class SquareMatrix:
+class SquareMatrix(_RawValues):
     """Dense n x n matrix over a RingSpec with exact arithmetic.
 
     The entries are stored once, as rows of canonical raw values in
-    `_values` (RingSpec.value), like the cells of StructureConstants;
+    `_values` (rings._RawValues), like the cells of StructureConstants;
     `entries` and `m[i, j]` build RingElements of the spec each time they
     are read.  The constructor checks every value and the shape.  Sums,
     differences, negation and products compute on raw values and each
@@ -341,7 +329,7 @@ class SquareMatrix:
     scalar factor may be an int, a Fraction or an element of the spec.
     """
 
-    __slots__ = ("spec", "n", "_values")
+    __slots__ = ("n",)
 
     def __init__(self, spec: RingSpec, entries):
         value = spec.value
@@ -363,25 +351,12 @@ class SquareMatrix:
     def zero(spec: RingSpec, n: int) -> SquareMatrix:
         return SquareMatrix(spec, [[0] * n for _ in range(n)])
 
-    @property
-    def entries(self):
-        """The entries as rows of RingElements."""
-        spec = self.spec
-        return tuple(tuple(_trusted(spec, c) for c in row) for row in self._values)
+    # the entries as rows of RingElements
+    entries = property(_RawValues.as_tuple)
 
     def __getitem__(self, ij):
         i, j = ij
         return _trusted(self.spec, self._values[i][j])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SquareMatrix)
-            and self.spec == other.spec
-            and self._values == other._values
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self._values))
 
     def __add__(self, other):
         if not isinstance(other, SquareMatrix):

@@ -118,13 +118,11 @@ def _quad_pair(obj):
     if not isinstance(obj, dict) or {"ring", "A", "B"} - set(obj):
         raise InputError("expected keys 'ring', 'A', 'B'")
     spec = RingSpec.from_json(obj["ring"])
-    pair = []
-    for key in ("A", "B"):
-        sub = obj[key]
-        if not isinstance(sub, dict) or {"t", "n"} - set(sub):
-            raise InputError(f"entry {key!r} needs keys 't' and 'n'")
-        pair.append(QuadraticAlgebra(spec, spec.parse(sub["t"]), spec.parse(sub["n"])))
-    return spec, pair[0], pair[1]
+    a, b = (
+        QuadraticAlgebra._from_fields(spec, obj[key], f"entry {key!r} needs keys 't' and 'n'")
+        for key in ("A", "B")
+    )
+    return spec, a, b
 
 
 def _cmd_quad_iso(args):

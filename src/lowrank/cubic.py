@@ -165,17 +165,12 @@ class CubicCoefficients(_RawValues):
         self.spec = spec
         self._values = vals
 
-    def to_json(self) -> dict:
-        return dict(zip(self.FIELDS, map(str, self._values)))
+    to_json = _RawValues._fields_json
 
     @staticmethod
     def from_json(spec: RingSpec, obj) -> CubicCoefficients:
-        if not isinstance(obj, dict) or set(CubicCoefficients.FIELDS) - set(obj):
-            raise InputError(
-                "cubic coefficients need keys 'b', 'c', 'm', 'n', 'y', 'z'"
-            )
-        return CubicCoefficients(
-            spec, *(spec.parse(obj[k]) for k in CubicCoefficients.FIELDS)
+        return CubicCoefficients._from_fields(
+            spec, obj, "cubic coefficients need keys 'b', 'c', 'm', 'n', 'y', 'z'"
         )
 
 
@@ -404,16 +399,11 @@ class BinaryCubicForm(_RawValues):
             - 27 * a * a * d * d
         )
 
-    def to_json(self) -> dict:
-        return dict(zip(self.FIELDS, map(str, self._values)))
+    to_json = _RawValues._fields_json
 
     @staticmethod
     def from_json(spec: RingSpec, obj) -> BinaryCubicForm:
-        if not isinstance(obj, dict) or set(BinaryCubicForm.FIELDS) - set(obj):
-            raise InputError("form needs keys 'a', 'b', 'c', 'd'")
-        return BinaryCubicForm(
-            spec, *(spec.parse(obj[k]) for k in BinaryCubicForm.FIELDS)
-        )
+        return BinaryCubicForm._from_fields(spec, obj, "form needs keys 'a', 'b', 'c', 'd'")
 
 
 def gl2_act(g: SquareMatrix, form: BinaryCubicForm) -> BinaryCubicForm:

@@ -16,7 +16,7 @@ RingElements are built only where a caller reads t, n or representative.
 from __future__ import annotations
 
 from .algebra import AlgebraMap, SquareMatrix, StructureConstants, direct_product, product_element, rank_one
-from .errors import InputError, NotAUnit, SpecMismatch, UnsupportedRing, WrongCase
+from .errors import NotAUnit, SpecMismatch, UnsupportedRing, WrongCase
 from .involutions import Involution, _conjugation
 from .rings import RingSpec, _RawValues, _square_class_root, _unit_inverse, bezout
 
@@ -49,15 +49,13 @@ class QuadraticAlgebra(_RawValues):
         return DiscriminantClass(self.spec, t * t - 4 * n)
 
     def to_json(self) -> dict:
-        t, n = self._values
-        return {"ring": self.spec.to_json(), "t": str(t), "n": str(n)}
+        return {"ring": self.spec.to_json(), **self._fields_json()}
 
     @staticmethod
     def from_json(obj) -> QuadraticAlgebra:
-        if not isinstance(obj, dict) or {"ring", "t", "n"} - set(obj):
-            raise InputError("quadratic algebra needs keys 'ring', 't', 'n'")
-        spec = RingSpec.from_json(obj["ring"])
-        return QuadraticAlgebra(spec, spec.parse(obj["t"]), spec.parse(obj["n"]))
+        return QuadraticAlgebra._from_fields(
+            None, obj, "quadratic algebra needs keys 'ring', 't', 'n'"
+        )
 
 
 class DiscriminantClass(_RawValues):

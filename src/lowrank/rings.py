@@ -4,13 +4,14 @@ A RingSpec names one of the three supported base rings.  Its canonical
 values are plain Python numbers: an int over Z, a reduced Fraction over
 Q, a residue int in [0, p) over F_p.  RingSpec.value checks a value and
 returns its canonical form; every stored table, element, matrix,
-polynomial and form holds and computes on these raw values (_RawValues
-is the record of named ones).  A RingElement pairs a spec with a
-canonical value and is what the public API hands out; its arithmetic
-builds results through a trusted constructor that only reduces mod p.
-The raw unit inverse and exact quotient are written once here, for
-elements and the raw loops alike.  All arithmetic is exact;
-there is no floating point anywhere in the package.
+polynomial and form holds and computes on these raw values, and all but
+the algebra elements are _RawValues records.  A RingElement pairs a spec
+with a canonical value and is what the public API hands out; its
+arithmetic builds results through a trusted constructor that only
+reduces mod p.  The raw unit inverse, the unit test and the exact
+quotient are written once here, for elements and the raw loops alike.
+All arithmetic is exact; there is no floating point anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -336,9 +337,7 @@ class RingElement:
         return self.value == 0
 
     def is_unit(self) -> bool:
-        if self.spec.kind == "Z":
-            return self.value in (1, -1)
-        return self.value != 0
+        return _unit_inverse(self.spec, self.value) is not None
 
     def inverse(self) -> RingElement:
         inv = _unit_inverse(self.spec, self.value)
@@ -356,12 +355,25 @@ def _trusted(spec: RingSpec, value) -> RingElement:
     return out
 
 
+def _as_elements(spec: RingSpec, values):
+    """The canonical raw values as RingElements of spec, with each nested
+    tuple of values (a table row or cell, a matrix row) a tuple of them."""
+    return tuple(
+        _as_elements(spec, v) if type(v) is tuple else _trusted(spec, v)
+        for v in values
+    )
+
+
 class _RawValues:
     """A record over a RingSpec `spec` whose entries are stored once, as
-    canonical raw values (RingSpec.value) in the tuple `_values`.  Each
-    name in a subclass's FIELDS becomes a read-only attribute that builds
-    the matching entry as a RingElement when it is read.  Records of one
-    class are equal when their specs and raw values are."""
+    canonical raw values (RingSpec.value) in the tuple `_values`, which
+    may nest: a multiplication table stores rows of cells, a matrix rows.
+    Each name in a subclass's FIELDS becomes a read-only attribute that
+    builds the matching entry as a RingElement when it is read, and
+    as_tuple() builds them all.  Records of one class are equal when
+    their specs and raw values are.  The JSON of a record's FIELDS, an
+    object of decimal strings, is written (_fields_json) and read
+    (_from_fields) here for every class."""
 
     __slots__ = ("spec", "_values")
     FIELDS = ()
@@ -373,8 +385,25 @@ class _RawValues:
             setattr(cls, name, property(entry))
 
     def as_tuple(self):
-        spec = self.spec
-        return tuple(_trusted(spec, v) for v in self._values)
+        return _as_elements(self.spec, self._values)
+
+    def _fields_json(self) -> dict:
+        """The FIELDS as a dict of decimal strings."""
+        return dict(zip(self.FIELDS, map(str, self._values)))
+
+    @classmethod
+    def _from_fields(cls, spec, obj, message):
+        """The record whose FIELDS obj, a JSON object, gives as decimal
+        strings of spec, built by the class constructor; raises InputError
+        with message when obj is not an object or lacks a field.  With
+        spec None the ring is obj's "ring" key, which must be present too
+        and is read only after every key is found."""
+        keys = cls.FIELDS if spec is not None else ("ring",) + cls.FIELDS
+        if not isinstance(obj, dict) or set(keys) - set(obj):
+            raise InputError(message)
+        if spec is None:
+            spec = RingSpec.from_json(obj["ring"])
+        return cls(spec, *(spec.parse(obj[k]) for k in cls.FIELDS))
 
     def __eq__(self, other):
         return (

@@ -901,6 +901,11 @@ def test_structure_json_round_trip():
         StructureConstants.from_json(
             {"ring": {"kind": "Z"}, "rank": 2, "table": [[["1"]]]}
         )
+    for rank in (True, 1.0):
+        with pytest.raises(InputError):
+            StructureConstants.from_json(
+                {"ring": {"kind": "Z"}, "rank": rank, "table": [[["1"]]]}
+            )
 
 
 def test_element_enumeration():

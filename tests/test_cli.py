@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lowrank
-from lowrank import GF
+from lowrank import GF, cli
 from lowrank.classify import CensusReport, verify_main_theorem
 from lowrank.cli import main
 
@@ -419,6 +420,67 @@ def test_shape_errors_exit_2(capsys, group, cmd, changes):
     assert json.loads(err)["error"]["type"] == "InputError"
 
 
+COEFFS_Z = {"b": "1", "c": "0", "m": "0", "n": "0", "y": "0", "z": "0"}
+FORM_Z = {"a": "1", "b": "0", "c": "-1", "d": "0"}
+QUAD_Z = {"ring": {"kind": "Z"}, "t": "1", "n": "1"}
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        (
+            ["cubic", "build", "--ring", '{"kind": "Z"}'],
+            without(COEFFS_Z, "z"),
+            "cubic coefficients need keys 'b', 'c', 'm', 'n', 'y', 'z'",
+        ),
+        (
+            ["form", "disc", "--ring", '{"kind": "Z"}'],
+            without(FORM_Z, "d"),
+            "form needs keys 'a', 'b', 'c', 'd'",
+        ),
+        (
+            ["quad", "disc"],
+            without(QUAD_Z, "n"),
+            "quadratic algebra needs keys 'ring', 't', 'n'",
+        ),
+        (
+            ["quad", "disc"],
+            without(QUAD_Z, "ring"),
+            "quadratic algebra needs keys 'ring', 't', 'n'",
+        ),
+        (
+            # the keys are checked before the ring is read
+            ["quad", "disc"],
+            without({**QUAD_Z, "ring": {"kind": "R"}}, "t"),
+            "quadratic algebra needs keys 'ring', 't', 'n'",
+        ),
+        (
+            ["quad", "iso"],
+            {"ring": {"kind": "Z"}, "A": {"t": "0"}, "B": {"t": "0", "n": "1"}},
+            "entry 'A' needs keys 't' and 'n'",
+        ),
+        (
+            ["quad", "iso"],
+            {"ring": {"kind": "Z"}, "A": {"t": "0", "n": "1"}, "B": {"n": "1"}},
+            "entry 'B' needs keys 't' and 'n'",
+        ),
+    ],
+    ids=[
+        "cubic-build", "form-disc", "quad-disc", "quad-disc-ring",
+        "quad-disc-bad-ring", "quad-iso-A", "quad-iso-B",
+    ],
+)
+def test_missing_field_messages(capsys, argv, payload, message):
+    code, out, err = run_cli(capsys, argv[0], argv[1], json.dumps(payload), *argv[2:])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "InputError", "message": message}
+
+
 def test_argparse_rejects_unknown(capsys):
     with pytest.raises(SystemExit) as info:
         main(["quad", "no-such-command", "{}"])
@@ -569,3 +631,14 @@ def test_help_is_text(capsys):
     assert info.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: lowrank census")
+
+
+def test_readme_shows_every_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    missing = [
+        f"{group} {cmd}"
+        for group, (_, commands) in cli._COMMANDS.items()
+        for cmd in commands
+        if not re.search(rf"^lowrank {group} {cmd}(?: |$)", readme, re.MULTILINE)
+    ]
+    assert missing == [], "README has no `lowrank <group> <command>` line for these"

@@ -196,6 +196,11 @@ def test_coefficients_validation():
     assert info.value.violations == ["bm = mn", "n^2 = bn"]
     coeffs = CubicCoefficients(GF(5), 2, 0, 3, 2, 0, 3)
     assert CubicCoefficients.from_json(GF(5), coeffs.to_json()) == coeffs
+    for coeffs in (
+        CubicCoefficients(ZZ, 3, 0, -2, 3, 0, -2),
+        CubicCoefficients(QQ, 2, Fraction(3, 4), 0, 0, -1, Fraction(-1, 2)),
+    ):
+        assert CubicCoefficients.from_json(coeffs.spec, coeffs.to_json()) == coeffs
 
 
 def test_coefficients_value_semantics_across_constructors():
@@ -485,6 +490,11 @@ def test_form_discriminant_frozen():
     form = BinaryCubicForm(ZZ, 1, 0, -1, 0)
     assert str(form.discriminant()) == "4"
     assert BinaryCubicForm.from_json(ZZ, form.to_json()) == form
+    for form in (
+        BinaryCubicForm(QQ, Fraction(1, 2), 0, Fraction(-3, 4), 2),
+        BinaryCubicForm(GF(7), 1, 0, -1, 9),
+    ):
+        assert BinaryCubicForm.from_json(form.spec, form.to_json()) == form
 
 
 def test_gl2_action_frozen_swap():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,8 @@ def test_structure_table():
     # x^2 = t x - n
     assert x * x == x * alg.t - s.scalar(alg.n)
     assert QuadraticAlgebra.from_json(alg.to_json()) == alg
+    for alg in (QuadraticAlgebra(QQ, Fraction(1, 3), -2), QuadraticAlgebra(GF(5), 3, 8)):
+        assert QuadraticAlgebra.from_json(alg.to_json()) == alg
 
 
 def test_discriminant_class_semantics():
