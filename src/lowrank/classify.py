@@ -13,7 +13,9 @@ tuple in lexicographic order (built from the two families the relations
 leave over a field), and the reports record per-tuple verdicts so they
 can be reproduced byte for byte.  The cubic census runs on raw values:
 each tuple is a CubicCoefficients holding its six canonical raw values,
-which classify_case and build_algebra read without building a
+built by CubicCoefficients._canonical, which skips the conversion of
+values that come from range(p) but keeps the relation check;
+classify_case and build_algebra read them without building a
 RingElement, and the involution search runs on the table's raw values.
 The report is written row by row from a fixed template on the tuples'
 raw values, in the same bytes as json.dumps of its to_json (see
@@ -325,24 +327,27 @@ def enumerate_cubic(spec: RingSpec):
     Over a field the eight relations leave exactly two families: the
     commutative tuples (b, c, 0, 0, y, z) and the exceptional tuples
     (n, 0, m, n, 0, m), which share only the zero tuple.  The census is
-    built from these p^4 + p^2 - 1 tuples, each re-validated on
-    construction; the guard keeps its bound of 10^7 on the p^6
-    candidate tuples, so the same fields are refused as before.
+    built from these p^4 + p^2 - 1 tuples, sorted once.  Their values
+    are ints in range(p), canonical already, so each tuple is built by
+    CubicCoefficients._canonical, which re-validates the eight relations
+    as the constructor does.  The guard keeps its bound of 10^7 on the
+    p^6 candidate tuples, so the same fields are refused as before.
     """
     if spec.kind != "Fp":
         raise UnsupportedRing("the census runs over prime fields")
     p = spec.p
     check_guard(p**6, 10**7, "cubic census")
-    commutative = {
+    commutative = [
         (b, c, 0, 0, y, z)
         for b, c, y, z in itertools.product(range(p), repeat=4)
-    }
-    exceptional = {
-        (n, 0, m, n, 0, m) for m, n in itertools.product(range(p), repeat=2)
-    }
-    return [
-        CubicCoefficients(spec, *tup) for tup in sorted(commutative | exceptional)
     ]
+    exceptional = [  # less the zero tuple, which is commutative
+        (n, 0, m, n, 0, m)
+        for n, m in itertools.product(range(p), repeat=2)
+        if n or m
+    ]
+    canonical = CubicCoefficients._canonical
+    return [canonical(spec, tup) for tup in sorted(commutative + exceptional)]
 
 
 # One census row as json.dumps(report.to_json(), indent=2, sort_keys=True)
@@ -413,7 +418,7 @@ class CensusReport:
     def case_counts(self):
         counts = {case.value: 0 for case in CubicCase}
         for _, case, _ in self.rows:
-            counts[case.value] += 1
+            counts[case._value_] += 1  # the value, not through the property
         return counts
 
     def theorem_holds(self):
@@ -463,7 +468,7 @@ class CensusReport:
         """Each row through template, the flag read as flags[has_inv]."""
         fmt = template.format
         for t, case, has_inv in self.rows:
-            yield fmt(case.value, flags[has_inv], *t._values)
+            yield fmt(case._value_, flags[has_inv], *t._values)
 
     def write_json(self, out):
         """Write the JSON report and a newline to out (see the class)."""
@@ -506,12 +511,12 @@ def verify_main_theorem(spec: RingSpec) -> CensusReport:
     tuples = enumerate_cubic(spec)
     rows = []
     meet = []
+    exceptional = CubicCase.EXCEPTIONAL
     for coeffs in tuples:
         case = classify_case(coeffs)
-        inv = find_standard_involution(build_algebra(coeffs))
-        has_inv = inv is not None
+        has_inv = find_standard_involution(build_algebra(coeffs)) is not None
         rows.append((coeffs, case, has_inv))
-        if case is not CubicCase.EXCEPTIONAL and has_inv:
+        if case is not exceptional and has_inv:
             meet.append(coeffs)
     try:
         _check_iso_guard(spec.p, 3)

@@ -118,8 +118,9 @@ def validate_relations(spec: RingSpec, b, c, m, n, y, z):
 
 def _violated_relations(spec, b, c, m, n, y, z):
     """Names of the relations that canonical raw values violate; each
-    relation is checked as lhs - rhs = 0, reduced mod p over F_p."""
-    p = spec.p
+    relation is checked as lhs - rhs = 0.  When every residue is 0 as a
+    number, which is 0 in every ring, nothing is violated; otherwise
+    each residue is reduced mod p over F_p."""
     residues = (
         c * m,
         c * n,
@@ -130,6 +131,9 @@ def _violated_relations(spec, b, c, m, n, y, z):
         n * n - b * n,
         m * m - m * z,
     )
+    if not any(residues):
+        return []
+    p = spec.p
     return [
         name
         for name, r in zip(RELATION_NAMES, residues)
@@ -151,19 +155,34 @@ class CubicCoefficients(_RawValues):
     `_values` (RingSpec.value).  The attributes b, c, m, n, y, z and
     as_tuple() build RingElements of the spec when they are read;
     equality, hashing, repr, to_json, build_algebra, classify_case and
-    the census report rows read `_values` directly.
+    the census report rows read `_values` directly.  The census builds
+    its tuples with _canonical, which takes values that are canonical
+    already and skips their conversion, but checks the relations as the
+    constructor does.
     """
 
     FIELDS = ("b", "c", "m", "n", "y", "z")
     __slots__ = ()
 
     def __init__(self, spec: RingSpec, b, c, m, n, y, z):
-        vals = tuple(map(spec.value, (b, c, m, n, y, z)))
-        violated = _violated_relations(spec, *vals)
+        self._store(spec, tuple(map(spec.value, (b, c, m, n, y, z))))
+
+    @classmethod
+    def _canonical(cls, spec: RingSpec, values) -> CubicCoefficients:
+        """The tuple of six canonical raw values (RingSpec.value), such
+        as ints in range(p) over F_p, stored unconverted; the relations
+        are checked as by the constructor."""
+        out = object.__new__(cls)
+        out._store(spec, values)
+        return out
+
+    def _store(self, spec, values):
+        """Keep the canonical raw values, or raise RelationViolation."""
+        violated = _violated_relations(spec, *values)
         if violated:
             raise RelationViolation(violated)
         self.spec = spec
-        self._values = vals
+        self._values = values
 
     to_json = _RawValues._fields_json
 
@@ -207,7 +226,8 @@ def build_algebra(coeffs: CubicCoefficients) -> StructureConstants:
 
     The six-tuple was validated when it was built, so the table is made
     canonical here (the four computed cells reduced mod p, the constants
-    the ring's own 0 and 1) and stored without re-checking.
+    the ring's own 0 and 1, which over F_p are the ints 0 and 1) and
+    stored without re-checking.
     """
     spec = coeffs.spec
     b, c, m, n, y, z = coeffs._values
@@ -215,7 +235,9 @@ def build_algebra(coeffs: CubicCoefficients) -> StructureConstants:
     p = spec.p
     if p:
         a, d, l, x = a % p, d % p, l % p, x % p
-    zero, one = spec.value(0), spec.value(1)
+        zero, one = 0, 1
+    else:
+        zero, one = spec.value(0), spec.value(1)
     basis = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
     return StructureConstants._canonical(
         spec,

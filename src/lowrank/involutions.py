@@ -159,7 +159,7 @@ def find_standard_involution(alg: StructureConstants):
     tvals = [0] * k
     for i in range(1, k):
         sq = t[i][i]  # e_i^2
-        if any(sq[l] for l in range(1, k) if l != i):
+        if any(sq[1:i]) or any(sq[i + 1:]):
             return None  # e_i^2 leaves the span of {1, e_i}
         tvals[i] = sq[i]
     for i in range(1, k):

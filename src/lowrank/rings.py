@@ -395,12 +395,16 @@ class _RawValues:
     def _from_fields(cls, spec, obj, message):
         """The record whose FIELDS obj, a JSON object, gives as decimal
         strings of spec, built by the class constructor; raises InputError
-        with message when obj is not an object or lacks a field.  With
-        spec None the ring is obj's "ring" key, which must be present too
-        and is read only after every key is found."""
+        with message when obj is not an object or lacks a field, and with
+        message and the names of the extra keys when it has keys beyond
+        these.  With spec None the ring is obj's "ring" key, which must be
+        present too and is read only after the keys are checked."""
         keys = cls.FIELDS if spec is not None else ("ring",) + cls.FIELDS
         if not isinstance(obj, dict) or set(keys) - set(obj):
             raise InputError(message)
+        unknown = set(obj) - set(keys)
+        if unknown:
+            raise InputError(f"{message}; unknown keys {sorted(unknown)}")
         if spec is None:
             spec = RingSpec.from_json(obj["ring"])
         return cls(spec, *(spec.parse(obj[k]) for k in cls.FIELDS))

@@ -1,5 +1,7 @@
+import io
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,9 +11,11 @@ from lowrank import (
     CubicCoefficients,
     StructureConstants,
     QQ,
+    ZZ,
     CubicCase,
     GuardExceeded,
     QuadraticAlgebra,
+    RelationViolation,
     SpecMismatch,
     UnsupportedRing,
     algebra_degree,
@@ -48,6 +52,84 @@ def test_census_counts_match_closed_form():
             if validate_relations(GF(p), *tup)[0]
         ]
         assert raw == scanned
+
+
+def literal_violations(spec, b, c, m, n, y, z):
+    """The eight coefficient relations written out in RingElement
+    arithmetic, an oracle independent of the raw-value check: the names
+    of those that fail, in the order of RELATION_NAMES."""
+    b, c, m, n, y, z = (spec.element(v) for v in (b, c, m, n, y, z))
+    zero = spec.element(0)
+    holds = [
+        ("cm = 0", c * m == zero),
+        ("cn = 0", c * n == zero),
+        ("ny = 0", n * y == zero),
+        ("my = 0", m * y == zero),
+        ("bm = mn", b * m == m * n),
+        ("mn = nz", m * n == n * z),
+        ("n^2 = bn", n * n == b * n),
+        ("m^2 = mz", m * m == m * z),
+    ]
+    return [name for name, ok in holds if not ok]
+
+
+def random_tuples(draw, count):
+    """count random six-tuples from draw, half of them drawn from the two
+    valid families (b, c, 0, 0, y, z) and (n, 0, m, n, 0, m)."""
+    out = []
+    for k in range(count):
+        b, c, m, n, y, z = (draw() for _ in range(6))
+        if k % 4 == 1:
+            out.append((b, c, 0, 0, y, z))
+        elif k % 4 == 3:
+            out.append((n, 0, m, n, 0, m))
+        else:
+            out.append((b, c, m, n, y, z))
+    return out
+
+
+def test_relation_check_matches_literal_relations():
+    """validate_relations, the constructor and the census constructor
+    CubicCoefficients._canonical all agree with the relations written
+    out literally, names and order, on every tuple of GF(3)^6 and on
+    random tuples over ZZ, QQ and a large prime field."""
+    rng = random.Random(18)
+    big = GF(1000003)
+    cases = [(GF(3), tup) for tup in itertools.product(range(3), repeat=6)]
+    cases += [
+        (ZZ, tup) for tup in random_tuples(lambda: rng.randint(-4, 4), 400)
+    ]
+    cases += [
+        (QQ, tup)
+        for tup in random_tuples(
+            lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)), 400
+        )
+    ]
+    cases += [
+        (big, tup)
+        for tup in random_tuples(
+            lambda: rng.choice((0, 1, -1, rng.randrange(-big.p, 2 * big.p))), 400
+        )
+    ]
+    seen_valid = seen_violated = 0
+    for spec, tup in cases:
+        expected = literal_violations(spec, *tup)
+        assert validate_relations(spec, *tup) == (not expected, expected), (spec, tup)
+        canonical = tuple(map(spec.value, tup))
+        if expected:
+            seen_violated += 1
+            for build in (
+                lambda: CubicCoefficients(spec, *tup),
+                lambda: CubicCoefficients._canonical(spec, canonical),
+            ):
+                with pytest.raises(RelationViolation) as info:
+                    build()
+                assert info.value.violations == expected, (spec, tup)
+        else:
+            seen_valid += 1
+            built = CubicCoefficients._canonical(spec, canonical)
+            assert built == CubicCoefficients(spec, *tup)
+    assert seen_valid > 300 and seen_violated > 900
 
 
 def test_census_guard():
@@ -458,7 +540,8 @@ def test_main_theorem_scans_once(monkeypatch):
 def test_census_tables_build_no_ring_elements(ring_elements_built):
     """enumerate_cubic, classify_case, build_algebra, and an involution
     search, whether it answers no or yes, work on raw values: none
-    constructs a RingElement, by either constructor."""
+    constructs a RingElement, by either constructor.  Nor does a whole
+    census with both of its writers."""
     from lowrank import find_standard_involution
 
     built = ring_elements_built
@@ -480,6 +563,12 @@ def test_census_tables_build_no_ring_elements(ring_elements_built):
             assert built == [], f"a 'yes' search built elements for {coeffs}"
     assert answered_no == 5**4 - 1  # commutative, save the zero table
     assert answered_yes == 5**2  # the p^2 - 1 exceptional tables and the zero table
+    built.clear()
+    report = verify_main_theorem(GF(7))
+    report.write_json(io.StringIO())
+    report.write_table(io.StringIO())
+    assert report.valid == 7**4 + 7**2 - 1
+    assert built == [], "the GF(7) census or its report built elements"
 
 
 def test_exceptional_classes_small_fields():

@@ -468,10 +468,35 @@ def without(obj, key):
             {"ring": {"kind": "Z"}, "A": {"t": "0", "n": "1"}, "B": {"n": "1"}},
             "entry 'B' needs keys 't' and 'n'",
         ),
+        # every field present, and keys the object does not take
+        (
+            ["cubic", "build", "--ring", '{"kind": "Z"}'],
+            {**COEFFS_Z, "a": "0"},
+            "cubic coefficients need keys 'b', 'c', 'm', 'n', 'y', 'z'; "
+            "unknown keys ['a']",
+        ),
+        (
+            ["form", "disc", "--ring", '{"kind": "Z"}'],
+            {**FORM_Z, "dd": "5"},
+            "form needs keys 'a', 'b', 'c', 'd'; unknown keys ['dd']",
+        ),
+        (
+            ["quad", "disc"],
+            {**QUAD_Z, "N": "7"},
+            "quadratic algebra needs keys 'ring', 't', 'n'; unknown keys ['N']",
+        ),
+        (
+            ["quad", "iso"],
+            {"ring": {"kind": "Z"}, "A": {"t": "1", "n": "-2"},
+             "B": {"t": "3", "n": "0", "s": "1", "N": "2"}},
+            "entry 'B' needs keys 't' and 'n'; unknown keys ['N', 's']",
+        ),
     ],
     ids=[
         "cubic-build", "form-disc", "quad-disc", "quad-disc-ring",
         "quad-disc-bad-ring", "quad-iso-A", "quad-iso-B",
+        "cubic-build-stray", "form-disc-stray", "quad-disc-stray",
+        "quad-iso-B-stray",
     ],
 )
 def test_missing_field_messages(capsys, argv, payload, message):

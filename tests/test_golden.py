@@ -36,8 +36,8 @@ def golden_runs():
         QuadraticAlgebra(QQ, Fraction(1, 2), 3).structure(), rank_one(QQ)
     )
     runs = []
-    for p in (2, 3, 5):
-        for fmt in ("json", "table"):
+    for p in (2, 3, 5, 7, 11):
+        for fmt in ("json", "table") if p < 11 else ("json",):
             runs.append((f"census cubic {p} {fmt}",
                          ["census", "cubic", "--p", str(p), "--format", fmt]))
     for p in (2, 3, 5):
@@ -110,6 +110,9 @@ GOLDEN = {
     'census cubic 3 table': (0, '716e8b3bce113f02ffef23e3b3742cb069930f33e5538e889130a83b49febc1a'),
     'census cubic 5 json': (0, '2f5b6736e3cae0fb324ffeea828725b6eff996621cc849cd289fa01bf966d797'),
     'census cubic 5 table': (0, '8fcd962588ccfb882cc383620df21653661f1c9a292f220f468a14f299b55753'),
+    'census cubic 7 json': (0, '8d24910ad6511ac138af30a6137d8d511ac8c79728462b4c9d7a3f27d973fa66'),
+    'census cubic 7 table': (0, '70ecfefc1a493696a20a032ebbb7c22244bf2db416489985fed7d2e50c52ff97'),
+    'census cubic 11 json': (0, '2cf10cd29eb6126a5b54c05992be2fd2cfff8fb29f78a3b8aa0808035b0c81fe'),
     'census exceptional 2': (0, '3abcf58f45bafaddb3855f1b547a7fef6893eb741135b68a7ba43d4ea66b13b1'),
     'census exceptional 3': (0, '52606085795ba4e059f10c2d7818be47010c26e2f4a93259b100cc1ce6f8bc1c'),
     'census exceptional 5': (0, '50d11483ff99b44310aadd5812905c214acd407fa1c4a8814d6ac1d03c1b2fc6'),
@@ -134,7 +137,6 @@ GOLDEN = {
     'alg charpoly M2(Q)': (0, 'bab678503951a5302760de8d1437084599fd6d7d7ab243f84ee4456fb2aad4f8'),
     'alg charpoly Q[x] x Q': (0, 'c744ec3e7f4dde9b5c24de4630d0f80a29257a62badaf55aaf30a0581a39712f'),
     'alg charpoly M3(F7)': (0, '449ad26ce14c81adbcd426b626923470568f11a9aae8186664e7306d32ea047f'),
-    'alg charpoly M3(F7)': (0, '449ad26ce14c81adbcd426b626923470568f11a9aae8186664e7306d32ea047f'),
     'cubic matrix-rep Z': (0, '2126cc3cc0a34899fc433480ac873a19aee1805d12bfbc522b7af3b5de9f1e85'),
     'cubic matrix-rep F7': (0, '6bb9ab7c66a4cedffeb1c2ddbe69f90ea9b078157267f79fe9dec49100439994'),
     'cubic witness Q': (0, 'd7f490c9f906469c33260ba1193bd9ad35c09545d26a91e908e4914fd825c86a'),
@@ -149,6 +151,14 @@ RUNS = golden_runs()
 @pytest.mark.parametrize("name,argv", RUNS, ids=[name for name, _ in RUNS])
 def test_golden_stdout(name, argv):
     assert run_digest(argv) == GOLDEN[name]
+
+
+def test_golden_table_names_every_run_once():
+    names = [name for name, _ in RUNS]
+    duplicated = sorted({name for name in names if names.count(name) > 1})
+    assert duplicated == []
+    assert sorted(set(names) - set(GOLDEN)) == []
+    assert sorted(set(GOLDEN) - set(names)) == []
 
 
 if __name__ == "__main__":
