@@ -13,8 +13,10 @@ line; either error puts a JSON error object on stderr.  --help prints
 text and exits 0.  The console script (entry) exits 1 with no traceback
 when the reader closes stdout early.
 
-main builds only the parsers its command line names (see build_parser),
-so a request does not pay for the whole command tree.
+A command line that names a group and one of its commands is parsed by
+that command's parser alone; any other builds only the levels it names
+(see build_parser), so a request does not pay for the whole command
+tree.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .quadratic import (
     is_separable,
     split_idempotent,
 )
-from .rings import RingSpec
+from .rings import RingSpec, _check_keys
 
 
 def _load_json(arg: str):
@@ -115,8 +117,7 @@ def _cmd_quad_disc(args):
 
 
 def _quad_pair(obj):
-    if not isinstance(obj, dict) or {"ring", "A", "B"} - set(obj):
-        raise InputError("expected keys 'ring', 'A', 'B'")
+    _check_keys(obj, ("ring", "A", "B"), "expected keys 'ring', 'A', 'B'")
     spec = RingSpec.from_json(obj["ring"])
     a, b = (
         QuadraticAlgebra._from_fields(spec, obj[key], f"entry {key!r} needs keys 't' and 'n'")
@@ -216,8 +217,7 @@ def _cmd_form_disc(args):
 def _cmd_form_act(args):
     spec = _ring_from_args(args)
     obj = _load_json(args.input)
-    if not isinstance(obj, dict) or {"g", "form"} - set(obj):
-        raise InputError("expected keys 'g' (2x2 matrix) and 'form'")
+    _check_keys(obj, ("g", "form"), "expected keys 'g' (2x2 matrix) and 'form'")
     g = SquareMatrix(
         spec,
         [
@@ -345,8 +345,7 @@ def _cmd_probe_mn(args):
 
 def _cmd_probe_degree_product(args):
     obj = _load_json(args.input)
-    if not isinstance(obj, dict) or {"A", "B"} - set(obj):
-        raise InputError("expected keys 'A' and 'B' holding algebras")
+    _check_keys(obj, ("A", "B"), "expected keys 'A' and 'B' holding algebras")
     a = StructureConstants.from_json(obj["A"])
     b = StructureConstants.from_json(obj["B"])
     _emit(degree_product_check(a, b).to_json())
@@ -425,13 +424,42 @@ _COMMANDS = {
 }
 
 
+def _usage_error(prog, message):
+    """A usage error is an input error: a JSON error object on stderr and
+    exit status 2."""
+    _emit_error({"type": "InputError", "message": f"{prog}: {message}"})
+    sys.exit(2)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are input errors: a JSON
-    error object on stderr and exit status 2.  Subparsers inherit it."""
+    """An argument parser whose usage errors are input errors (see
+    _usage_error).  Subparsers inherit it."""
 
     def error(self, message):
-        _emit_error({"type": "InputError", "message": f"{self.prog}: {message}"})
-        self.exit(2)
+        _usage_error(self.prog, message)
+
+
+class _CommandParser(_Parser):
+    """One command's parser standing in for the full tree on an argv that
+    starts with the command's group and name.  The full tree hands the
+    words after those two to this same parser and reports the words it
+    leaves over as the top level's error, so parse_args takes the whole
+    argv and does the same."""
+
+    def parse_args(self, args, namespace=None):
+        group, cmd, *rest = args
+        namespace, extras = self.parse_known_args(rest, namespace)
+        if extras:
+            _usage_error("lowrank", "unrecognized arguments: " + " ".join(extras))
+        namespace.group, namespace.cmd = group, cmd
+        return namespace
+
+
+def _with_command(parser, handler, add_arguments):
+    """Add a command's arguments and handler to parser; return parser."""
+    add_arguments(parser)
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def _chosen(names, word):
@@ -442,30 +470,33 @@ def _chosen(names, word):
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The lowrank argument parser.
 
-    With argv None every group and command is built.  Given the argv it
-    will parse, it builds only the group that argv names and, within it,
-    only the command that argv names; a level whose name argv does not
-    give is built in full.  The parsers left out are ones argv never
-    reaches, and a usage error prints no usage line (see _Parser), so
-    parsing argv, its errors and its help are those of the full parser.
-    One request builds three argparse parsers instead of 32.
+    With argv None the full tree is built: the top level, every group
+    and every command, 32 argparse parsers.  Given the argv it will
+    parse, it builds less.  When argv starts with a group and one of its
+    commands, the result is that command's parser alone (_CommandParser),
+    one argparse parser instead of 32.  Otherwise it builds only the
+    group that argv names, with all its commands, or every group when
+    argv names none.  The parsers left out are ones argv never reaches,
+    and a usage error prints no usage line (see _Parser), so parsing
+    argv, its errors and its help are those of the full tree, which
+    stays the oracle the tests compare against.
     """
+    argv = [] if argv is None else list(argv)
+    first = argv[0] if argv else None
+    commands = _COMMANDS[first][1] if first in _COMMANDS else {}
+    if len(argv) > 1 and argv[1] in commands:
+        parser = _CommandParser(prog=f"lowrank {first} {argv[1]}")
+        return _with_command(parser, *commands[argv[1]])
     parser = _Parser(
         prog="lowrank",
         description="exact computations with free algebras of rank 2 and 3",
     )
-    argv = [] if argv is None else list(argv)
-    first = argv[0] if argv else None
-    second = argv[1] if first in _COMMANDS and len(argv) > 1 else None
     top = parser.add_subparsers(dest="group", required=True)
     for group in _chosen(_COMMANDS, first):
         group_help, commands = _COMMANDS[group]
         cmds = top.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
-        for name in _chosen(commands, second):
-            handler, add_arguments = commands[name]
-            sub = cmds.add_parser(name)
-            add_arguments(sub)
-            sub.set_defaults(handler=handler)
+        for name, command in commands.items():
+            _with_command(cmds.add_parser(name), *command)
     return parser
 
 

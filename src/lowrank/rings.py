@@ -364,6 +364,17 @@ def _as_elements(spec: RingSpec, values):
     )
 
 
+def _check_keys(obj, keys, message) -> None:
+    """Raise InputError with message unless obj is a JSON object whose
+    keys are exactly keys; when every key is present but obj has others
+    too, the message goes on to name them."""
+    if not isinstance(obj, dict) or set(keys) - set(obj):
+        raise InputError(message)
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise InputError(f"{message}; unknown keys {sorted(unknown)}")
+
+
 class _RawValues:
     """A record over a RingSpec `spec` whose entries are stored once, as
     canonical raw values (RingSpec.value) in the tuple `_values`, which
@@ -399,12 +410,7 @@ class _RawValues:
         message and the names of the extra keys when it has keys beyond
         these.  With spec None the ring is obj's "ring" key, which must be
         present too and is read only after the keys are checked."""
-        keys = cls.FIELDS if spec is not None else ("ring",) + cls.FIELDS
-        if not isinstance(obj, dict) or set(keys) - set(obj):
-            raise InputError(message)
-        unknown = set(obj) - set(keys)
-        if unknown:
-            raise InputError(f"{message}; unknown keys {sorted(unknown)}")
+        _check_keys(obj, cls.FIELDS if spec is not None else ("ring",) + cls.FIELDS, message)
         if spec is None:
             spec = RingSpec.from_json(obj["ring"])
         return cls(spec, *(spec.parse(obj[k]) for k in cls.FIELDS))

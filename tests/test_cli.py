@@ -491,12 +491,30 @@ def without(obj, key):
              "B": {"t": "3", "n": "0", "s": "1", "N": "2"}},
             "entry 'B' needs keys 't' and 'n'; unknown keys ['N', 's']",
         ),
+        # keys a command's input object does not take
+        (
+            ["quad", "iso"],
+            {"ring": {"kind": "Z"}, "A": {"t": "1", "n": "-2"},
+             "B": {"t": "3", "n": "0"}, "C": {}},
+            "expected keys 'ring', 'A', 'B'; unknown keys ['C']",
+        ),
+        (
+            ["form", "act", "--ring", '{"kind": "Z"}'],
+            {"g": [["1", "0"], ["0", "1"]], "form": FORM_Z, "h": 1},
+            "expected keys 'g' (2x2 matrix) and 'form'; unknown keys ['h']",
+        ),
+        (
+            ["probe", "degree-product"],
+            {"A": RANK2_Z, "B": RANK2_Z, "C": RANK2_Z, "b": 1},
+            "expected keys 'A' and 'B' holding algebras; unknown keys ['C', 'b']",
+        ),
     ],
     ids=[
         "cubic-build", "form-disc", "quad-disc", "quad-disc-ring",
         "quad-disc-bad-ring", "quad-iso-A", "quad-iso-B",
         "cubic-build-stray", "form-disc-stray", "quad-disc-stray",
-        "quad-iso-B-stray",
+        "quad-iso-B-stray", "quad-iso-stray", "form-act-stray",
+        "probe-degree-product-stray",
     ],
 )
 def test_missing_field_messages(capsys, argv, payload, message):
@@ -567,6 +585,9 @@ TAILS = [
     ["--p", "5", "--format", "table"], ["--p", "5", "--format", "csv"],
     ["--p", "x"], ["--p", "5", "--n", "2"], ["--p", "5", "--n", "4"],
     ["--help"], ["x", "-h"], ["--no-such-flag"], ["--"], ["-", "--ring"],
+    ["x", "--ring={}"], ["--p=5"], ["--p", "5", "--format=table"],
+    ["x", "--ri", "{}"], ["--p", "5", "--form", "table"],
+    ["x", "--ring", "{}", "--bogus"], ["x", "--", "y"],
 ]
 
 
@@ -599,7 +620,11 @@ def test_a_request_builds_only_the_parsers_it_names(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert run_json(capsys, "census", "cubic", "--p", "2")["valid"] == 19
-    assert built == ["lowrank", "lowrank census", "lowrank census cubic"]
+    assert built == ["lowrank census cubic"]
+    built.clear()
+    ring = '{"kind": "Z"}'
+    assert run_json(capsys, "cubic", "build", json.dumps(COEFFS_Z), "--ring", ring)["rank"] == 3
+    assert built == ["lowrank cubic build"]
     built.clear()
     with pytest.raises(SystemExit):
         main(["census", "--help"])
@@ -632,10 +657,13 @@ USAGE_ERRORS = [
     (["census", "cubic"], "the following arguments are required: --p"),
     (["no-such-group"], "invalid choice: 'no-such-group'"),
     ([], "the following arguments are required: group"),
+    (["cubic", "build", "{}", "extra"], "lowrank: unrecognized arguments: extra"),
 ]
 
 
-@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=["bad-int", "no-p", "group", "empty"])
+@pytest.mark.parametrize(
+    "argv, message", USAGE_ERRORS, ids=["bad-int", "no-p", "group", "empty", "extra-word"]
+)
 def test_usage_errors_are_json(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         main(argv)
