@@ -3,12 +3,12 @@
 Everything here is an oracle-grade computation: isomorphism is decided
 by an exhaustive search over the unital linear maps between two algebras
 over a prime field (image coordinates that a linear condition forces are
-solved for by algebra._row_reduce, the rest scanned, and every product
-and image is computed on raw values by the target's _mul_values and
-_combine_values; each kernel product is computed once per nonscalar
-part, e1 * e1 at rank 2 and w * w and its companions at rank 3, and
-each candidate map is checked against them with modular arithmetic),
-censuses list every valid coefficient
+solved for, by one division or by algebra._row_reduce, the rest
+scanned, and every product and image is computed on raw values by the
+target's _mul_values and _combine_values; each kernel product is
+computed once per nonscalar part, e1 * e1 at rank 2 and w * w and its
+companions at rank 3, and each candidate map is checked against them
+with modular arithmetic), censuses list every valid coefficient
 tuple in lexicographic order (built from the two families the relations
 leave over a field), and the reports record per-tuple verdicts so they
 can be reproduced byte for byte.  The cubic census runs on raw values:
@@ -99,6 +99,15 @@ def _affine_solutions(rows, p):
     return out
 
 
+def _linear_roots(a, b, p):
+    """The x in range(p) with a x + b = 0 mod p: one when a is a unit,
+    every x when a = b = 0, none when only a = 0."""
+    a, b = a % p, b % p
+    if a:
+        return (-b * pow(a, -1, p) % p,)
+    return range(p) if b == 0 else ()
+
+
 def _search_rank3(ta, target, p):
     """Find images (u, v) for the generators, or None.
 
@@ -118,9 +127,9 @@ def _search_rank3(ta, target, p):
 
     When gamma != 0, v is this residue divided by gamma, and
     det(u, v) = u1 v2 - u2 v1 = (u1 q2 - u2 q1) / gamma does not depend
-    on u0: a w with zero det is dropped before the loop, since every u
-    it gives fails the invertibility test.  The other products are
-    affine in products of w and qbar = (0, q1, q2): v = v0 e0 + x with
+    on u0: a w with zero det is dropped, since every u it gives fails
+    the invertibility test.  The other products are affine in products
+    of w and qbar = (0, q1, q2): v = v0 e0 + x with
     x = (t w + qbar) / gamma, so
         u * v = u0 v0 e0 + u0 x + v0 w + (t q + w qbar) / gamma,
         v * u = u0 v0 e0 + u0 x + v0 w + (t q + qbar w) / gamma,
@@ -128,10 +137,20 @@ def _search_rank3(ta, target, p):
                 + (t^2 q + t (w qbar + qbar w) + qbar qbar) / gamma^2.
     w * qbar is computed once for each kept w, and qbar * w and
     qbar * qbar the first time a candidate from that w passes the
-    e1*e2 check, so a candidate is checked with no kernel call.
+    e1*e2 check, so a candidate is checked with no kernel call.  The
+    e1*e2 check fixes u0: with s = s12, gamma times coordinate k = 1, 2
+    of u * v - s0 e0 - s1 u - s2 v is
+    E_k = 3 u_k u0^2 + (3 q_k - 2 (c1 + s2) u_k) u0 + C_k, where
+    C_k = (s2 c1 + q0 - c0 - gamma s1) u_k - (s2 + c1) q_k + (w qbar)_k.
+    So u2 E1 - u1 E2 = 3 d u0 - (s2 + c1) d + u2 (w qbar)_1
+    - u1 (w qbar)_2 with d = u2 q1 - u1 q2: linear in u0 with slope
+    3 d, and d != 0 for a kept w, so one u0 unless p = 3, where every
+    u0 or none.
 
-    When gamma = 0, u must have a zero residue, and v is solved for:
-    the product is bilinear, so the e1*e2 and e2*e1 conditions read
+    When gamma = 0, u must have a zero residue, so for a k with u_k != 0
+    the coordinate (2 u0 - c1) u_k + q_k fixes u0 unless p = 2, where it
+    allows every u0 or none.  v is solved for: the product is bilinear,
+    so the e1*e2 and e2*e1 conditions read
     (L_u - s12[2] I) v = s12[0] e0 + s12[1] u and
     (R_u - s21[2] I) v = s21[0] e0 + s21[1] u, with the columns of L_u
     and R_u the products of u with the basis (u * e0 = e0 * u = u).
@@ -139,77 +158,89 @@ def _search_rank3(ta, target, p):
     so the solve is the e1*e2 and e2*e1 check; each solution is tested
     for invertibility and for v * v only.
 
-    The loop runs over u0 outside and the kept w in (u1, u2) order
-    inside, which is lexicographic order on u, so the first witness is
-    the same as a scan over every u would find.  Every skipped map
-    fails a necessary condition (u with u1 = u2 = 0 is never
-    invertible), so the search is exhaustive.
+    So each nonzero w gives its candidates u = (u0, u1, u2) with the u0
+    its linear condition allows, at most p^2 - 1 of them outside
+    p = 2, 3 where a scan over u0 would try p(p^2 - 1).  They are
+    checked in lexicographic order, so the first witness is the same as
+    a scan over every u would find.  Every skipped map fails a necessary
+    condition (u with u1 = u2 = 0 is never invertible), so the search
+    is exhaustive.
     """
     mul, combine = target._mul_values, target._combine_values
     s11, s12 = ta[1][1], ta[1][2]
     s21, s22 = ta[2][1], ta[2][2]
     e0, e1, e2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     c0, c1, gamma = (c % p for c in s11)
-    kept = []  # (u1, u2, w * w, w * qbar) for each kept w, in (u1, u2) order
+    candidates = []  # (u0, u1, u2, w * w, w * qbar), w in (u1, u2) order
     for u1, u2 in itertools.product(range(p), repeat=2):
         if not (u1 or u2):
             continue
         w = (0, u1, u2)
         q = mul(w, w)
-        if gamma and (u1 * q[2] - u2 * q[1]) % p == 0:
-            continue
-        kept.append((u1, u2, q, mul(w, (0, q[1], q[2])) if gamma else None))
+        if gamma:
+            d = u2 * q[1] - u1 * q[2]
+            if d % p == 0:
+                continue
+            wq = mul(w, (0, q[1], q[2]))
+            roots = _linear_roots(
+                3 * d, u2 * wq[1] - u1 * wq[2] - (s12[2] + c1) * d, p
+            )
+        else:
+            k = 1 if u1 else 2
+            wq, roots = None, _linear_roots(2 * w[k], q[k] - c1 * w[k], p)
+        candidates.extend((u0, u1, u2, q, wq) for u0 in roots)
+    # a stable sort on u0 keeps (u1, u2) order: lexicographic order on u
+    candidates.sort(key=lambda cand: cand[0])
     inv = pow(gamma, -1, p) if gamma else 0
     later = {}  # (u1, u2) -> (qbar * w, qbar * qbar), once a v passes e1*e2
-    for u0 in range(p):
+    for u0, u1, u2, q, wq in candidates:
         r0 = u0 * u0 - c0 - c1 * u0
         t = 2 * u0 - c1
-        for u1, u2, q, wq in kept:
-            u = (u0, u1, u2)
-            residue = ((r0 + q[0]) % p, (t * u1 + q[1]) % p, (t * u2 + q[2]) % p)
-            if gamma:
-                v = v0, v1, v2 = tuple(r * inv % p for r in residue)
-                # u * v and v * u less their (t q + ...) / gamma terms
-                base = (u0 * v0, u0 * v1 + v0 * u1, u0 * v2 + v0 * u2)
-                tq = (t * q[0], t * q[1], t * q[2])
-                uv = tuple(b + (a + c) * inv for b, a, c in zip(base, tq, wq))
-                if not _is_image(s12, u, v, uv, p):
-                    continue
-                if (u1, u2) not in later:
-                    qbar = (0, q[1], q[2])
-                    later[u1, u2] = mul(qbar, (0, u1, u2)), mul(qbar, qbar)
-                qw, qq = later[u1, u2]
-                vu = tuple(b + (a + c) * inv for b, a, c in zip(base, tq, qw))
-                if not _is_image(s21, u, v, vu, p):
-                    continue
-                vv = tuple(
-                    b + (t * (a + c + d) + e) * inv * inv
-                    for b, a, c, d, e in zip(
-                        (v0 * v0, 2 * v0 * v1, 2 * v0 * v2), tq, wq, qw, qq
-                    )
-                )
-                if not _is_image(s22, u, v, vv, p):
-                    continue
-                return u, v
-            if any(residue):
+        u = (u0, u1, u2)
+        residue = ((r0 + q[0]) % p, (t * u1 + q[1]) % p, (t * u2 + q[2]) % p)
+        if gamma:
+            v = v0, v1, v2 = tuple(r * inv % p for r in residue)
+            # u * v and v * u less their (t q + ...) / gamma terms
+            base = (u0 * v0, u0 * v1 + v0 * u1, u0 * v2 + v0 * u2)
+            tq = (t * q[0], t * q[1], t * q[2])
+            uv = tuple(b + (a + c) * inv for b, a, c in zip(base, tq, wq))
+            if not _is_image(s12, u, v, uv, p):
                 continue
-            left = (u, mul(u, e1), mul(u, e2))
-            right = (u, mul(e1, u), mul(e2, u))
-            rows = [
-                [left[j][i] - (s12[2] if i == j else 0) for j in range(3)]
-                + [(s12[0] if i == 0 else 0) + s12[1] * u[i]]
-                for i in range(3)
-            ] + [
-                [right[j][i] - (s21[2] if i == j else 0) for j in range(3)]
-                + [(s21[0] if i == 0 else 0) + s21[1] * u[i]]
-                for i in range(3)
-            ]
-            for v in _affine_solutions(rows, p):
-                if (u1 * v[2] - u2 * v[1]) % p == 0:
-                    continue
-                if mul(v, v) != combine(s22, (e0, u, v)):
-                    continue
-                return u, v
+            if (u1, u2) not in later:
+                qbar = (0, q[1], q[2])
+                later[u1, u2] = mul(qbar, (0, u1, u2)), mul(qbar, qbar)
+            qw, qq = later[u1, u2]
+            vu = tuple(b + (a + c) * inv for b, a, c in zip(base, tq, qw))
+            if not _is_image(s21, u, v, vu, p):
+                continue
+            vv = tuple(
+                b + (t * (a + c + d) + e) * inv * inv
+                for b, a, c, d, e in zip(
+                    (v0 * v0, 2 * v0 * v1, 2 * v0 * v2), tq, wq, qw, qq
+                )
+            )
+            if not _is_image(s22, u, v, vv, p):
+                continue
+            return u, v
+        if any(residue):
+            continue
+        left = (u, mul(u, e1), mul(u, e2))
+        right = (u, mul(e1, u), mul(e2, u))
+        rows = [
+            [left[j][i] - (s12[2] if i == j else 0) for j in range(3)]
+            + [(s12[0] if i == 0 else 0) + s12[1] * u[i]]
+            for i in range(3)
+        ] + [
+            [right[j][i] - (s21[2] if i == j else 0) for j in range(3)]
+            + [(s21[0] if i == 0 else 0) + s21[1] * u[i]]
+            for i in range(3)
+        ]
+        for v in _affine_solutions(rows, p):
+            if (u1 * v[2] - u2 * v[1]) % p == 0:
+                continue
+            if mul(v, v) != combine(s22, (e0, u, v)):
+                continue
+            return u, v
     return None
 
 
@@ -242,13 +273,7 @@ def _search_rank2(ta, target, p):
     found = []
     for u1 in range(1, p):  # the map must be invertible: det = u1
         w0, w1 = u1 * u1 * q0, u1 * u1 * q1
-        rhs = (s1 * u1 - w1) % p
-        two_u1 = 2 * u1 % p
-        if two_u1:
-            solved = ((rhs * pow(two_u1, -1, p)) % p,)
-        else:
-            solved = range(p) if rhs == 0 else ()
-        for u0 in solved:
+        for u0 in _linear_roots(2 * u1, w1 - s1 * u1, p):
             # u * u against phi(e1^2) = s0 e0 + s1 u
             if not (
                 (u0 * u0 + w0 - s0 - s1 * u0) % p
@@ -267,19 +292,21 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     the first in lexicographic order of the generator images as
     (True, map), or (False, None).  Rank at most 3.  Image coordinates
     that a product condition fixes linearly are solved for rather than
-    scanned (u0 at rank 2; v when e1^2 does not involve e2 at rank 3,
-    see _search_rank3).  At rank 2, e1 * e1 is computed once and u * u
-    read off it: one kernel call per search.  At rank 3, w * w is
+    scanned (u0 at both ranks; v when e1^2 does not involve e2 at
+    rank 3, see _search_rank3).  At rank 2, e1 * e1 is computed once and
+    u * u read off it: one kernel call per search.  At rank 3, w * w is
     computed once for each nonzero w = (0, u1, u2) and u * u for
-    u = u0 + w is read off it.  When e1^2 involves e2, a w whose
-    det(u, v) vanishes is dropped for every u0, and u * v, v * u and
-    v * v are read off w * w, w * qbar, qbar * w and qbar * qbar
-    (qbar the nonscalar part of w * w), computed once per w, so no
-    candidate needs a kernel call.  Every identity used is bilinearity
-    and the two-sided unit.  A map is skipped only when it fails a
-    necessary condition, so the search stays exhaustive.  The guard
-    counts the p^(k(k-1)) maps of the whole space, more than the search
-    visits.
+    u = u0 + w is read off it.  u0 is solved for each w: from the
+    e1*e2 condition when e1^2 involves e2, from e1^2 otherwise, so
+    outside p = 2, 3 at most p^2 - 1 candidates u are checked.  When
+    e1^2 involves e2, a w whose det(u, v) vanishes is dropped, and
+    u * v, v * u and v * v are read off w * w, w * qbar, qbar * w and
+    qbar * qbar (qbar the nonscalar part of w * w), computed once per w,
+    so no candidate needs a kernel call.  Every identity used is
+    bilinearity and the two-sided unit.  A map is skipped only when it
+    fails a necessary condition, so the search stays exhaustive.  The
+    guard counts the p^(k(k-1)) maps of the whole space, far more than
+    the search visits.
     """
     if a.spec != b.spec:
         raise SpecMismatch("algebras over different rings")

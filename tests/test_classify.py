@@ -324,7 +324,10 @@ def _rebased(alg, u, v):
 def test_solved_search_matches_the_scan_on_census_pairs():
     # every ordered pair over GF(2) and GF(3), then random pairs over
     # GF(5) and GF(7) (the guard refuses rank 3 at p >= 7, so the private
-    # searches are called directly)
+    # searches are called directly).  The all-pairs part reaches the
+    # "every u0 or none" cases of the u0 solve: gamma != 0 at p = 3, where
+    # the linear condition's slope 3 d vanishes, and gamma = 0 at p = 2,
+    # where the residue's slope 2 u_k does
     found = 0
     for p in (2, 3):
         algebras = [build_algebra(c) for c in enumerate_cubic(GF(p))]
@@ -360,8 +363,8 @@ def test_solved_search_matches_the_scan_on_random_unital_tables():
             assert _same_search(a, b) is not None
             assert _same_search(b, a) is not None
             _same_search(a, _random_unital_table(rng, p, gamma_zero=draw % 3 == 0))
-    # p = 7, gamma != 0 only: the det test drops some w = (0, u1, u2)
-    # before the loop over u0 and keeps others
+    # p = 7, gamma != 0: the det test drops some w = (0, u1, u2) and
+    # keeps others, and each kept w gives its one solved u0
     p = 7
     vecs = list(itertools.product(range(p), repeat=3))
     for draw in range(40):
@@ -373,6 +376,15 @@ def test_solved_search_matches_the_scan_on_random_unital_tables():
             u, v = rng.choice(vecs), rng.choice(vecs)
         assert _same_search(a, _rebased(a, u, v)) is not None
         _same_search(a, _random_unital_table(rng, p, gamma_zero=False))
+    # p = 7, gamma = 0: u0 is solved from the residue's coordinate k with
+    # u_k != 0 rather than scanned
+    for draw in range(20):
+        a = _random_unital_table(rng, p, gamma_zero=True)
+        u, v = rng.choice(vecs), rng.choice(vecs)
+        while (u[1] * v[2] - u[2] * v[1]) % p == 0:
+            u, v = rng.choice(vecs), rng.choice(vecs)
+        assert _same_search(a, _rebased(a, u, v)) is not None
+        _same_search(a, _random_unital_table(rng, p, gamma_zero=True))
     # p = 11, gamma != 0, every other table with e1 e2 != e2 e1: the
     # candidate checks expand u v, v u and v v in w * qbar and qbar * w
     # separately, so the two must not be confused
@@ -477,6 +489,19 @@ def test_search_work_counts(monkeypatch):
     # u * v, v * u and v * v are read off w * w, w * qbar and, once a
     # candidate from w passes the e1 * e2 check, qbar * w and qbar * qbar
     assert len(calls) <= 40
+    # the e1 * e2 condition is linear in u0 once w is fixed, so each kept
+    # w gives one candidate: at most p^2 - 1 reach the e1 * e2 check
+    # (here 16), where a scan over every u0 made 80
+    checks = []
+    is_image = classify._is_image
+
+    def counted_check(s, u, v, y, p):
+        checks.append(1)
+        return is_image(s, u, v, y, p)
+
+    monkeypatch.setattr(classify, "_is_image", counted_check)
+    assert is_isomorphic_bruteforce(source, other) == (False, None)
+    assert len(checks) <= p * p - 1
 
 
 def test_main_theorem_f2():
