@@ -4,23 +4,21 @@ Everything here is an oracle-grade computation: isomorphism is decided
 by an exhaustive search over the unital linear maps between two algebras
 over a prime field (image coordinates that a linear condition forces are
 solved for, by one division or by algebra._row_reduce, the rest
-scanned, and every product and image is computed on raw values by the
-target's _mul_values and _combine_values; each kernel product is
-computed once per nonscalar part, e1 * e1 at rank 2 and w * w and its
-companions at rank 3, and each candidate map is checked against them
-with modular arithmetic), censuses list every valid coefficient
-tuple in lexicographic order (built from the two families the relations
-leave over a field), and the reports record per-tuple verdicts so they
-can be reproduced byte for byte.  The cubic census runs on raw values:
-each tuple is a CubicCoefficients holding its six canonical raw values,
-built by CubicCoefficients._canonical, which skips the conversion of
-values that come from range(p) but keeps the relation check;
-classify_case and build_algebra read them without building a
-RingElement, and the involution search runs on the table's raw values.
-The report is written row by row from a fixed template on the tuples'
-raw values, in the same bytes as json.dumps of its to_json (see
-CensusReport); elements are built only where a caller reads a tuple's
-attributes.
+scanned; every product a candidate map needs is read off the target's
+raw products of its nonscalar basis elements, since the unit is
+two-sided, and checked with modular arithmetic), censuses list every
+valid coefficient tuple in lexicographic order (built from the two
+families the relations leave over a field), and the reports record
+per-tuple verdicts so they can be reproduced byte for byte.  The cubic
+census runs on raw values: each tuple is a CubicCoefficients holding its
+six canonical raw values, built by CubicCoefficients._canonical, which
+skips the conversion of values that come from range(p) but keeps the
+relation check; classify_case and build_algebra read them without
+building a RingElement, and the involution search runs on the table's
+raw values.  The report is written row by row from a fixed template on
+the tuples' raw values, in the same bytes as json.dumps of its to_json
+(see CensusReport); elements are built only where a caller reads a
+tuple's attributes.
 """
 
 from __future__ import annotations
@@ -108,44 +106,36 @@ def _linear_roots(a, b, p):
     return range(p) if b == 0 else ()
 
 
-def _search_rank3(ta, target, p):
+def _search_rank3(ta, tb, p):
     """Find images (u, v) for the generators, or None.
 
-    ta is the source's raw table and target the target algebra, whose
-    _mul_values gives the products (and, when gamma = 0, whose
-    _combine_values gives phi(s) = s0 e0 + s1 u + s2 v).  The answer is
-    the first (u, v) in lexicographic order, u before v, that is
-    multiplicative on basis pairs and invertible.
+    ta and tb are the raw tables of the source and the target.  The
+    answer is the first (u, v) in lexicographic order, u before v, that
+    is multiplicative on basis pairs and invertible.
+
+    Every product is read off the target's four products of e1 and e2:
+    the unit is a two-sided identity, so by bilinearity
+    (x0 + x)(y0 + y) = x0 y0 + x0 y + y0 x + sum x_a y_b tb[a][b] over
+    a, b in {1, 2}, reduced mod p (mul below).
 
     A candidate must send e1^2 = c0 e0 + c1 e1 + gamma e2 to
-    c0 e0 + c1 u + gamma v.  Write u = u0 e0 + w with w = (0, u1, u2).
-    The unit is a two-sided identity, so by bilinearity
-    u * u = u0^2 e0 + 2 u0 w + q with q = w * w, and q is computed once
-    for each of the p^2 - 1 nonzero w rather than u * u for every u.
-    The residue u * u - c0 e0 - c1 u is then
-    (u0^2 + q0 - c0 - c1 u0, t u1 + q1, t u2 + q2) with t = 2 u0 - c1.
+    c0 e0 + c1 u + gamma v.  Write u = u0 e0 + w with w = (0, u1, u2)
+    and q = w * w.  Then u * u = u0^2 e0 + 2 u0 w + q, so coordinate
+    k = 1, 2 of the residue u * u - c0 e0 - c1 u is t u_k + q_k with
+    t = 2 u0 - c1.
 
-    When gamma != 0, v is this residue divided by gamma, and
+    When gamma != 0, v is the residue divided by gamma, and
     det(u, v) = u1 v2 - u2 v1 = (u1 q2 - u2 q1) / gamma does not depend
     on u0: a w with zero det is dropped, since every u it gives fails
-    the invertibility test.  The other products are affine in products
-    of w and qbar = (0, q1, q2): v = v0 e0 + x with
-    x = (t w + qbar) / gamma, so
-        u * v = u0 v0 e0 + u0 x + v0 w + (t q + w qbar) / gamma,
-        v * u = u0 v0 e0 + u0 x + v0 w + (t q + qbar w) / gamma,
-        v * v = v0^2 e0 + 2 v0 x
-                + (t^2 q + t (w qbar + qbar w) + qbar qbar) / gamma^2.
-    w * qbar is computed once for each kept w, and qbar * w and
-    qbar * qbar the first time a candidate from that w passes the
-    e1*e2 check, so a candidate is checked with no kernel call.  The
-    e1*e2 check fixes u0: with s = s12, gamma times coordinate k = 1, 2
-    of u * v - s0 e0 - s1 u - s2 v is
+    the invertibility test.  The e1*e2 check fixes u0: with s = s12,
+    gamma times coordinate k = 1, 2 of u * v - s0 e0 - s1 u - s2 v is
     E_k = 3 u_k u0^2 + (3 q_k - 2 (c1 + s2) u_k) u0 + C_k, where
-    C_k = (s2 c1 + q0 - c0 - gamma s1) u_k - (s2 + c1) q_k + (w qbar)_k.
-    So u2 E1 - u1 E2 = 3 d u0 - (s2 + c1) d + u2 (w qbar)_1
-    - u1 (w qbar)_2 with d = u2 q1 - u1 q2: linear in u0 with slope
-    3 d, and d != 0 for a kept w, so one u0 unless p = 3, where every
-    u0 or none.
+    C_k = (s2 c1 + q0 - c0 - gamma s1) u_k - (s2 + c1) q_k + (w qbar)_k
+    and qbar = (0, q1, q2).  So u2 E1 - u1 E2 = 3 d u0 - (s2 + c1) d
+    + u2 (w qbar)_1 - u1 (w qbar)_2 with d = u2 q1 - u1 q2: linear in
+    u0 with slope 3 d, and d != 0 for a kept w, so one u0 unless p = 3,
+    where every u0 or none.  Each candidate is checked for u * v, v * u
+    and v * v.
 
     When gamma = 0, u must have a zero residue, so for a k with u_k != 0
     the coordinate (2 u0 - c1) u_k + q_k fixes u0 unless p = 2, where it
@@ -153,25 +143,33 @@ def _search_rank3(ta, target, p):
     so the e1*e2 and e2*e1 conditions read
     (L_u - s12[2] I) v = s12[0] e0 + s12[1] u and
     (R_u - s21[2] I) v = s21[0] e0 + s21[1] u, with the columns of L_u
-    and R_u the products of u with the basis (u * e0 = e0 * u = u).
-    Only the v solving that system are tried, in lexicographic order,
-    so the solve is the e1*e2 and e2*e1 check; each solution is tested
-    for invertibility and for v * v only.
+    and R_u the products of u with the basis.  Only the v solving that
+    system are tried, in lexicographic order, so the solve is the e1*e2
+    and e2*e1 check; each solution is tested for invertibility and for
+    v * v only.
 
     So each nonzero w gives its candidates u = (u0, u1, u2) with the u0
     its linear condition allows, at most p^2 - 1 of them outside
-    p = 2, 3 where a scan over u0 would try p(p^2 - 1).  They are
-    checked in lexicographic order, so the first witness is the same as
-    a scan over every u would find.  Every skipped map fails a necessary
-    condition (u with u1 = u2 = 0 is never invertible), so the search
-    is exhaustive.
+    p = 2, 3.  They are checked in lexicographic order, so the first
+    witness is the same as a scan over every u would find.  Every
+    skipped map fails a necessary condition (u with u1 = u2 = 0 is never
+    invertible), so the search is exhaustive.
     """
-    mul, combine = target._mul_values, target._combine_values
-    s11, s12 = ta[1][1], ta[1][2]
-    s21, s22 = ta[2][1], ta[2][2]
-    e0, e1, e2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    t11, t12, t21, t22 = tb[1][1], tb[1][2], tb[2][1], tb[2][2]
+
+    def mul(x, y):
+        x0, x1, x2 = x
+        y0, y1, y2 = y
+        a, b, c, d = x1 * y1, x1 * y2, x2 * y1, x2 * y2
+        return (
+            (x0 * y0 + a * t11[0] + b * t12[0] + c * t21[0] + d * t22[0]) % p,
+            (x0 * y1 + y0 * x1 + a * t11[1] + b * t12[1] + c * t21[1] + d * t22[1]) % p,
+            (x0 * y2 + y0 * x2 + a * t11[2] + b * t12[2] + c * t21[2] + d * t22[2]) % p,
+        )
+
+    s11, s12, s21, s22 = ta[1][1], ta[1][2], ta[2][1], ta[2][2]
     c0, c1, gamma = (c % p for c in s11)
-    candidates = []  # (u0, u1, u2, w * w, w * qbar), w in (u1, u2) order
+    candidates = []
     for u1, u2 in itertools.product(range(p), repeat=2):
         if not (u1 or u2):
             continue
@@ -187,42 +185,28 @@ def _search_rank3(ta, target, p):
             )
         else:
             k = 1 if u1 else 2
-            wq, roots = None, _linear_roots(2 * w[k], q[k] - c1 * w[k], p)
-        candidates.extend((u0, u1, u2, q, wq) for u0 in roots)
-    # a stable sort on u0 keeps (u1, u2) order: lexicographic order on u
-    candidates.sort(key=lambda cand: cand[0])
+            roots = _linear_roots(2 * w[k], q[k] - c1 * w[k], p)
+        candidates.extend((u0, u1, u2) for u0 in roots)
+    candidates.sort()  # lexicographic order on u
     inv = pow(gamma, -1, p) if gamma else 0
-    later = {}  # (u1, u2) -> (qbar * w, qbar * qbar), once a v passes e1*e2
-    for u0, u1, u2, q, wq in candidates:
-        r0 = u0 * u0 - c0 - c1 * u0
-        t = 2 * u0 - c1
-        u = (u0, u1, u2)
-        residue = ((r0 + q[0]) % p, (t * u1 + q[1]) % p, (t * u2 + q[2]) % p)
+    e1, e2 = (0, 1, 0), (0, 0, 1)
+    for u in candidates:
+        u0, u1, u2 = u
+        uu = mul(u, u)
         if gamma:
-            v = v0, v1, v2 = tuple(r * inv % p for r in residue)
-            # u * v and v * u less their (t q + ...) / gamma terms
-            base = (u0 * v0, u0 * v1 + v0 * u1, u0 * v2 + v0 * u2)
-            tq = (t * q[0], t * q[1], t * q[2])
-            uv = tuple(b + (a + c) * inv for b, a, c in zip(base, tq, wq))
-            if not _is_image(s12, u, v, uv, p):
-                continue
-            if (u1, u2) not in later:
-                qbar = (0, q[1], q[2])
-                later[u1, u2] = mul(qbar, (0, u1, u2)), mul(qbar, qbar)
-            qw, qq = later[u1, u2]
-            vu = tuple(b + (a + c) * inv for b, a, c in zip(base, tq, qw))
-            if not _is_image(s21, u, v, vu, p):
-                continue
-            vv = tuple(
-                b + (t * (a + c + d) + e) * inv * inv
-                for b, a, c, d, e in zip(
-                    (v0 * v0, 2 * v0 * v1, 2 * v0 * v2), tq, wq, qw, qq
-                )
+            v = (
+                (uu[0] - c0 - c1 * u0) * inv % p,
+                (uu[1] - c1 * u1) * inv % p,
+                (uu[2] - c1 * u2) * inv % p,
             )
-            if not _is_image(s22, u, v, vv, p):
-                continue
-            return u, v
-        if any(residue):
+            if (
+                _is_image(s12, u, v, mul(u, v), p)
+                and _is_image(s21, u, v, mul(v, u), p)
+                and _is_image(s22, u, v, mul(v, v), p)
+            ):
+                return u, v
+            continue
+        if not _is_image(s11, u, (0, 0, 0), uu, p):  # gamma = 0: no v term
             continue
         left = (u, mul(u, e1), mul(u, e2))
         right = (u, mul(e1, u), mul(e2, u))
@@ -236,11 +220,8 @@ def _search_rank3(ta, target, p):
             for i in range(3)
         ]
         for v in _affine_solutions(rows, p):
-            if (u1 * v[2] - u2 * v[1]) % p == 0:
-                continue
-            if mul(v, v) != combine(s22, (e0, u, v)):
-                continue
-            return u, v
+            if (u1 * v[2] - u2 * v[1]) % p and _is_image(s22, u, v, mul(v, v), p):
+                return u, v
     return None
 
 
@@ -255,21 +236,20 @@ def _is_image(s, u, v, y, p):
     )
 
 
-def _search_rank2(ta, target, p):
+def _search_rank2(ta, tb, p):
     """Find the image u of the generator, or None: the lexicographically
-    first (u0, u1) with u1 != 0 and u * u = phi(e1^2), where ta is the
-    source's raw table and target the target algebra.
+    first (u0, u1) with u1 != 0 and u * u = phi(e1^2), where ta and tb
+    are the raw tables of the source and the target.
 
-    The target is unital, so with q = e1 * e1 computed once in the
-    target, u * u = (u0^2 + u1^2 q0, 2 u0 u1 + u1^2 q1) by bilinearity,
-    and no candidate needs a kernel call.  Matching the e1-coefficient
-    with s11[1] u1 is a linear condition on u0.  For each u1 the u0
-    solving it are tried: one when 2 u1 != 0, every u0 or none when
-    p = 2.  Every skipped map fails that condition, so the search is
-    exhaustive.
+    The target is unital, so with q = e1 * e1 read off tb,
+    u * u = (u0^2 + u1^2 q0, 2 u0 u1 + u1^2 q1) by bilinearity.
+    Matching the e1-coefficient with s11[1] u1 is a linear condition on
+    u0.  For each u1 the u0 solving it are tried: one when 2 u1 != 0,
+    every u0 or none when p = 2.  Every skipped map fails that
+    condition, so the search is exhaustive.
     """
     s0, s1 = ta[1][1]
-    q0, q1 = target._mul_values((0, 1), (0, 1))
+    q0, q1 = tb[1][1]
     found = []
     for u1 in range(1, p):  # the map must be invertible: det = u1
         w0, w1 = u1 * u1 * q0, u1 * u1 * q1
@@ -293,20 +273,18 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     (True, map), or (False, None).  Rank at most 3.  Image coordinates
     that a product condition fixes linearly are solved for rather than
     scanned (u0 at both ranks; v when e1^2 does not involve e2 at
-    rank 3, see _search_rank3).  At rank 2, e1 * e1 is computed once and
-    u * u read off it: one kernel call per search.  At rank 3, w * w is
-    computed once for each nonzero w = (0, u1, u2) and u * u for
-    u = u0 + w is read off it.  u0 is solved for each w: from the
-    e1*e2 condition when e1^2 involves e2, from e1^2 otherwise, so
-    outside p = 2, 3 at most p^2 - 1 candidates u are checked.  When
-    e1^2 involves e2, a w whose det(u, v) vanishes is dropped, and
-    u * v, v * u and v * v are read off w * w, w * qbar, qbar * w and
-    qbar * qbar (qbar the nonscalar part of w * w), computed once per w,
-    so no candidate needs a kernel call.  Every identity used is
-    bilinearity and the two-sided unit.  A map is skipped only when it
-    fails a necessary condition, so the search stays exhaustive.  The
-    guard counts the p^(k(k-1)) maps of the whole space, far more than
-    the search visits.
+    rank 3, see _search_rank3).  Every product the search needs is read
+    off the target's raw products of its nonscalar basis elements by
+    bilinearity and the two-sided unit (e1 * e1 at rank 2, the four
+    products of e1 and e2 at rank 3), so it makes no call into the
+    target's _mul_values.  At rank 3, u0 is solved for each nonzero
+    w = (0, u1, u2): from the e1*e2 condition when e1^2 involves e2,
+    from e1^2 otherwise, so outside p = 2, 3 at most p^2 - 1 candidates
+    u are checked, and when e1^2 involves e2 a w whose det(u, v)
+    vanishes is dropped.  A map is skipped only when it fails a
+    necessary condition, so the search stays exhaustive.  The guard
+    counts the p^(k(k-1)) maps of the whole space, far more than the
+    search visits.
     """
     if a.spec != b.spec:
         raise SpecMismatch("algebras over different rings")
@@ -322,7 +300,7 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     if k == 1:
         return True, AlgebraMap(a, b, [b.one()])
     search = _search_rank3 if k == 3 else _search_rank2
-    found = search(a._values, b, p)
+    found = search(a._values, b._values, p)
     if found is None:
         return False, None
     images = [b.one()] + [b.element(list(col)) for col in found]

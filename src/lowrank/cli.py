@@ -103,6 +103,25 @@ def _parse_vector(alg, raw, what):
     return alg.element([alg.spec.parse(s) for s in json_list(raw, alg.rank, what)])
 
 
+def _only_algebra_keys(obj, what, *keys):
+    """Refuse the keys of obj beyond an algebra's 'ring', 'rank' and
+    'table' and keys, once the readers have found every one of them.
+    An involution ('images' in keys) may keep the "found" flag that
+    inv find prints with it, so that output reads back."""
+    keys = ("ring", "rank", "table") + keys
+    if "images" in keys:
+        obj = {k: v for k, v in obj.items() if k != "found"}
+    _check_keys(obj, keys, f"{what} needs keys " + ", ".join(map(repr, keys)))
+
+
+def _algebra_input(args):
+    """The algebra of the command's input, an object with no other keys."""
+    obj = _load_json(args.input)
+    alg = StructureConstants.from_json(obj)
+    _only_algebra_keys(obj, "algebra")
+    return alg
+
+
 # -- quad ---------------------------------------------------------------------
 
 
@@ -233,7 +252,9 @@ def _cmd_form_act(args):
 
 
 def _cmd_inv_verify(args):
-    inv = Involution.from_json(_load_json(args.input))
+    obj = _load_json(args.input)
+    inv = Involution.from_json(obj)
+    _only_algebra_keys(obj, "involution", "images")
     ok, failure = verify_involution(inv)
     standard, witness = (False, None)
     if ok:
@@ -251,7 +272,7 @@ def _cmd_inv_verify(args):
 
 
 def _cmd_inv_find(args):
-    alg = StructureConstants.from_json(_load_json(args.input))
+    alg = _algebra_input(args)
     found = find_standard_involution(alg)
     if found is None:
         _emit({"found": False})
@@ -266,6 +287,7 @@ def _cmd_inv_trace_norm(args):
     inv = Involution.from_json(obj)
     if "element" not in obj:
         raise InputError("trace-norm needs an 'element' key")
+    _only_algebra_keys(obj, "trace-norm", "images", "element")
     x = _parse_vector(inv.algebra, obj["element"], "element")
     t, n = quadratic_certificate(inv, x)
     _emit({"trace": str(t), "norm": str(n), "certificate": "x^2 - t x + n = 0"})
@@ -275,7 +297,7 @@ def _cmd_inv_trace_norm(args):
 
 
 def _cmd_alg_assoc(args):
-    alg = StructureConstants.from_json(_load_json(args.input))
+    alg = _algebra_input(args)
     ok, witness = alg.verify_associativity()
     _emit(
         {
@@ -286,7 +308,7 @@ def _cmd_alg_assoc(args):
 
 
 def _cmd_alg_degree(args):
-    alg = StructureConstants.from_json(_load_json(args.input))
+    alg = _algebra_input(args)
     _emit({"degree": algebra_degree(alg)})
 
 
@@ -295,6 +317,7 @@ def _cmd_alg_charpoly(args):
     alg = StructureConstants.from_json(obj)
     if "element" not in obj:
         raise InputError("charpoly needs an 'element' key")
+    _only_algebra_keys(obj, "charpoly", "element")
     x = _parse_vector(alg, obj["element"], "element")
     poly = left_regular_rep(x).char_poly()
     _emit({"char_poly": poly.to_strings(), "order": "constant term first"})
@@ -346,8 +369,9 @@ def _cmd_probe_mn(args):
 def _cmd_probe_degree_product(args):
     obj = _load_json(args.input)
     _check_keys(obj, ("A", "B"), "expected keys 'A' and 'B' holding algebras")
-    a = StructureConstants.from_json(obj["A"])
-    b = StructureConstants.from_json(obj["B"])
+    a, b = (StructureConstants.from_json(obj[key]) for key in ("A", "B"))
+    for key in ("A", "B"):
+        _only_algebra_keys(obj[key], f"entry {key!r}")
     _emit(degree_product_check(a, b).to_json())
 
 

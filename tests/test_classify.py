@@ -282,7 +282,7 @@ def _same_search(a, b):
         2: (classify._search_rank2, _scan_rank2),
         3: (classify._search_rank3, _scan_rank3),
     }[a.rank]
-    got = solve(a._values, b, p)
+    got = solve(a._values, b._values, p)
     want = scan(a._values, b._mul_values, p)
     assert got == want, f"{a._values} -> {b._values}: {got} != {want}"
     return got
@@ -386,8 +386,8 @@ def test_solved_search_matches_the_scan_on_random_unital_tables():
         assert _same_search(a, _rebased(a, u, v)) is not None
         _same_search(a, _random_unital_table(rng, p, gamma_zero=True))
     # p = 11, gamma != 0, every other table with e1 e2 != e2 e1: the
-    # candidate checks expand u v, v u and v v in w * qbar and qbar * w
-    # separately, so the two must not be confused
+    # search reads u v, v u and v v off the target's e1 e2 and e2 e1
+    # cells separately, so the two must not be confused
     p = 11
     vecs = list(itertools.product(range(p), repeat=3))
     noncommutative = 0
@@ -431,14 +431,17 @@ def test_solved_rank2_search_matches_the_scan():
 
 
 def _count_kernel_calls(monkeypatch):
+    """Count the calls into the table's product and linear-extension
+    loops (_mul_values and _combine_values)."""
     calls = []
-    kernel = StructureConstants._mul_values
+    for name in ("_mul_values", "_combine_values"):
+        kernel = getattr(StructureConstants, name)
 
-    def counted(self, u, v):
-        calls.append(1)
-        return kernel(self, u, v)
+        def counted(self, u, v, kernel=kernel):
+            calls.append(1)
+            return kernel(self, u, v)
 
-    monkeypatch.setattr(StructureConstants, "_mul_values", counted)
+        monkeypatch.setattr(StructureConstants, name, counted)
     return calls
 
 
@@ -451,9 +454,9 @@ def test_search_work_counts(monkeypatch):
     split = QuadraticAlgebra(GF(p), 1, 0).structure()
     assert is_isomorphic_bruteforce(nil, split) == (False, None)
     assert len(calls) <= 2 * p
-    # e1 * e1 is computed once in the target and (0, u1)^2 = u1^2 e1^2,
-    # so no candidate needs a kernel call
-    assert len(calls) == 1
+    # e1 * e1 is read off the target's table and (0, u1)^2 = u1^2 e1^2,
+    # so the search makes no kernel call
+    assert len(calls) == 0
     # rank 3, gamma = 0: the zero table against the tuple
     # (0, 0, 0, 0, 0, 1) over GF(5), not isomorphic; the scan made 1200
     scan_calls = 1200
@@ -472,23 +475,27 @@ def test_search_work_counts(monkeypatch):
     # u * v and v * u are combinations of the columns of L_u and R_u
     # rather than kernel calls: 120
     assert len(calls) <= 120
+    # every product is read off the target's four products of e1 and e2
+    assert len(calls) == 0
     # rank 3, gamma != 0: e1^2 = e2 in the source (0, 1, 0, 0, 0, 0).
     # Against the zero table every w * w is 0, so det(u, v) vanishes for
     # every w and the search ends after the p^2 - 1 squares (u * u for
-    # every u made 120 calls); against (0, 0, 0, 0, 0, 1) only the w
-    # with nonzero det are looped over (200 calls before)
+    # every u made 120 kernel calls, the squares alone p^2 - 1); against
+    # (0, 0, 0, 0, 0, 1) only the w with nonzero det are looped over (200
+    # calls before, then 40 with u * v, v * u and v * v read off w * w
+    # and its companions).  Every product is now read off the target's
+    # four products of e1 and e2, so neither search makes a kernel call
     p = 5
     source = build_algebra(CubicCoefficients(GF(p), 0, 1, 0, 0, 0, 0))
     assert source._values[1][1][2] != 0
     calls.clear()
     assert is_isomorphic_bruteforce(source, zero) == (False, None)
-    assert len(calls) == p * p - 1
+    assert len(calls) == 0
     calls.clear()
     assert is_isomorphic_bruteforce(source, other) == (False, None)
     assert len(calls) <= 104
-    # u * v, v * u and v * v are read off w * w, w * qbar and, once a
-    # candidate from w passes the e1 * e2 check, qbar * w and qbar * qbar
     assert len(calls) <= 40
+    assert len(calls) == 0
     # the e1 * e2 condition is linear in u0 once w is fixed, so each kept
     # w gives one candidate: at most p^2 - 1 reach the e1 * e2 check
     # (here 16), where a scan over every u0 made 80

@@ -141,6 +141,10 @@ def test_cubic_involution_roundtrip(capsys):
     assert verdict["involution"] is True
     assert verdict["standard"] is True
     assert verdict["failure"] is None
+    # with an "element" key added, the same payload is trace-norm input
+    found["element"] = ["1", "2", "3"]
+    norm = run_json(capsys, "inv", "trace-norm", json.dumps(found))
+    assert norm["certificate"] == "x^2 - t x + n = 0"
 
 
 def test_cubic_verify(capsys):
@@ -423,6 +427,8 @@ def test_shape_errors_exit_2(capsys, group, cmd, changes):
 COEFFS_Z = {"b": "1", "c": "0", "m": "0", "n": "0", "y": "0", "z": "0"}
 FORM_Z = {"a": "1", "b": "0", "c": "-1", "d": "0"}
 QUAD_Z = {"ring": {"kind": "Z"}, "t": "1", "n": "1"}
+INV_Z = {**RANK2_Z, "images": [["1", "0"], ["0", "-1"]]}
+ELEMENT = {"element": ["1", "2"]}
 
 
 def without(obj, key):
@@ -468,6 +474,26 @@ def without(obj, key):
             {"ring": {"kind": "Z"}, "A": {"t": "0", "n": "1"}, "B": {"n": "1"}},
             "entry 'B' needs keys 't' and 'n'",
         ),
+        (
+            ["alg", "assoc"],
+            without(RANK2_Z, "table"),
+            "algebra object lacks keys ['table']",
+        ),
+        (
+            ["alg", "charpoly"],
+            RANK2_Z,
+            "charpoly needs an 'element' key",
+        ),
+        (
+            ["inv", "verify"],
+            RANK2_Z,
+            "involution object lacks an 'images' key",
+        ),
+        (
+            ["inv", "trace-norm"],
+            INV_Z,
+            "trace-norm needs an 'element' key",
+        ),
         # every field present, and keys the object does not take
         (
             ["cubic", "build", "--ring", '{"kind": "Z"}'],
@@ -508,13 +534,69 @@ def without(obj, key):
             {"A": RANK2_Z, "B": RANK2_Z, "C": RANK2_Z, "b": 1},
             "expected keys 'A' and 'B' holding algebras; unknown keys ['C', 'b']",
         ),
+        (
+            ["probe", "degree-product"],
+            {"A": RANK2_Z, "B": {**RANK2_Z, "images": []}},
+            "entry 'B' needs keys 'ring', 'rank', 'table'; unknown keys ['images']",
+        ),
+        (
+            ["alg", "assoc"],
+            {**RANK2_Z, "bogus": 1},
+            "algebra needs keys 'ring', 'rank', 'table'; unknown keys ['bogus']",
+        ),
+        (
+            ["alg", "degree"],
+            {**RANK2_Z, **ELEMENT},
+            "algebra needs keys 'ring', 'rank', 'table'; unknown keys ['element']",
+        ),
+        (
+            ["alg", "charpoly"],
+            {**RANK2_Z, **ELEMENT, "images": []},
+            "charpoly needs keys 'ring', 'rank', 'table', 'element'; "
+            "unknown keys ['images']",
+        ),
+        (
+            ["inv", "find"],
+            {**RANK2_Z, "bogus": 1},
+            "algebra needs keys 'ring', 'rank', 'table'; unknown keys ['bogus']",
+        ),
+        (
+            ["inv", "verify"],
+            {**INV_Z, **ELEMENT},
+            "involution needs keys 'ring', 'rank', 'table', 'images'; "
+            "unknown keys ['element']",
+        ),
+        (
+            # the "found" flag of what inv find prints is let through
+            ["inv", "verify"],
+            {**INV_Z, "found": True, "x": "1"},
+            "involution needs keys 'ring', 'rank', 'table', 'images'; "
+            "unknown keys ['x']",
+        ),
+        (
+            ["inv", "trace-norm"],
+            {**INV_Z, **ELEMENT, "found": True, "x": "1"},
+            "trace-norm needs keys 'ring', 'rank', 'table', 'images', 'element'; "
+            "unknown keys ['x']",
+        ),
+        (
+            # an algebra has no "found" flag to let through
+            ["alg", "charpoly"],
+            {**RANK2_Z, **ELEMENT, "found": True},
+            "charpoly needs keys 'ring', 'rank', 'table', 'element'; "
+            "unknown keys ['found']",
+        ),
     ],
     ids=[
         "cubic-build", "form-disc", "quad-disc", "quad-disc-ring",
-        "quad-disc-bad-ring", "quad-iso-A", "quad-iso-B",
+        "quad-disc-bad-ring", "quad-iso-A", "quad-iso-B", "alg-assoc",
+        "alg-charpoly", "inv-verify", "inv-trace-norm",
         "cubic-build-stray", "form-disc-stray", "quad-disc-stray",
         "quad-iso-B-stray", "quad-iso-stray", "form-act-stray",
-        "probe-degree-product-stray",
+        "probe-degree-product-stray", "probe-degree-product-B-stray",
+        "alg-assoc-stray", "alg-degree-stray", "alg-charpoly-stray",
+        "inv-find-stray", "inv-verify-stray", "inv-verify-found-stray",
+        "inv-trace-norm-stray", "alg-charpoly-found",
     ],
 )
 def test_missing_field_messages(capsys, argv, payload, message):
