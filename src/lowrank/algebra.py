@@ -24,12 +24,17 @@ from .poly import Polynomial
 from .rings import RingElement, RingSpec, _as_elements, _RawValues, _trusted, _unit_inverse
 
 
-def json_list(raw, length, what):
-    """Return raw after checking that it is a JSON list of length entries;
-    a length that is not an int (a bool, a float, a string) fits no list."""
+def read_elements(spec: RingSpec, raw, *levels):
+    """The elements of raw, a JSON array nested one level per (length,
+    what) pair in levels, outermost first, each string parsed by spec;
+    returned as nested lists.  A level whose length is not an int (a
+    bool, a float, a string) fits no list."""
+    (length, what), *inner = levels
     if type(length) is not int or not isinstance(raw, list) or len(raw) != length:
         raise InputError(f"{what} must be a list of {length!r} entries")
-    return raw
+    if not inner:
+        return [spec.parse(s) for s in raw]
+    return [read_elements(spec, item, *inner) for item in raw]
 
 
 class StructureConstants(_RawValues):
@@ -205,15 +210,8 @@ class StructureConstants(_RawValues):
             raise InputError(f"algebra object lacks keys {sorted(missing)}")
         spec = RingSpec.from_json(obj["ring"])
         rank = obj["rank"]
-        table = obj["table"]
-        parsed = [
-            [
-                [spec.parse(s) for s in json_list(cell, rank, "table cell")]
-                for cell in json_list(row, rank, "table row")
-            ]
-            for row in json_list(table, rank, "table")
-        ]
-        return StructureConstants(spec, parsed)
+        levels = ((rank, "table"), (rank, "table row"), (rank, "table cell"))
+        return StructureConstants(spec, read_elements(spec, obj["table"], *levels))
 
 
 class AlgebraElement:
@@ -429,18 +427,15 @@ class SquareMatrix(_RawValues):
 
         With chi the characteristic polynomial and q = (chi - chi(0)) / T,
         M q(M) = chi(M) - chi(0) I = -chi(0) I, so M^-1 = q(M) / -chi(0);
-        q(M) is (-1)^(n-1) times the adjugate, evaluated by Horner's rule.
+        q(M) is (-1)^(n-1) times the adjugate.
         """
         spec = self.spec
         chi = _char_poly_values(spec, self._values)  # chi[0] = (-1)^n det(M)
         inv = _unit_inverse(spec, spec.value(-chi[0]))
         if inv is None:
             raise NotAUnit(f"determinant {self.det()} is not a unit")
-        ident = SquareMatrix.identity(spec, self.n)
-        adj = SquareMatrix.zero(spec, self.n)
-        for c in reversed(chi[1:]):
-            adj = adj * self + ident * c
-        return adj * inv
+        q = Polynomial(spec, chi[1:])
+        return q.evaluate(self, SquareMatrix.identity(spec, self.n)) * inv
 
     def __repr__(self):
         return "[" + "; ".join(

@@ -309,18 +309,24 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     return True, phi
 
 
-def _partition_by_isomorphism(algebras):
-    """Greedy partition: each item joins the first class whose
-    representative it is isomorphic to.  Returns a list of index lists."""
+def _partition(items, same):
+    """Greedy partition: each item joins the first class whose first
+    member m has same(item, m).  Returns the classes as lists."""
     classes = []
-    for idx, alg in enumerate(algebras):
+    for item in items:
         for cls in classes:
-            if is_isomorphic_bruteforce(alg, algebras[cls[0]])[0]:
-                cls.append(idx)
+            if same(item, cls[0]):
+                cls.append(item)
                 break
         else:
-            classes.append([idx])
+            classes.append([item])
     return classes
+
+
+def _isomorphic_pair(x, y):
+    """same for _partition on (label, algebra) pairs: the algebras are
+    isomorphic."""
+    return is_isomorphic_bruteforce(x[1], y[1])[0]
 
 
 # -- cubic census -------------------------------------------------------------
@@ -543,13 +549,11 @@ def exceptional_classes(spec: RingSpec):
 
 def _exceptional_partition(tuples):
     family = [
-        coeffs
+        (coeffs, build_algebra(coeffs))
         for coeffs in tuples
         if classify_case(coeffs) is not CubicCase.COMMUTATIVE
     ]
-    algebras = [build_algebra(c) for c in family]
-    classes = _partition_by_isomorphism(algebras)
-    return [[family[i] for i in cls] for cls in classes]
+    return [[coeffs for coeffs, _ in cls] for cls in _partition(family, _isomorphic_pair)]
 
 
 # -- quadratic census ---------------------------------------------------------
@@ -603,19 +607,9 @@ def quadratic_census(spec: RingSpec) -> QuadraticCensusReport:
         raise UnsupportedRing("the quadratic census is desk-scale: p <= 13")
     p = spec.p
     algebras = [QuadraticAlgebra(spec, t, n) for t in range(p) for n in range(p)]
-    structures = [q.structure() for q in algebras]
-    classes = [
-        [algebras[i] for i in cls] for cls in _partition_by_isomorphism(structures)
-    ]
-    disc_classes = []
-    for q in algebras:
-        d = q.discriminant()
-        for cls in disc_classes:
-            if d == cls[0].discriminant():
-                cls.append(q)
-                break
-        else:
-            disc_classes.append([q])
+    pairs = [(q, q.structure()) for q in algebras]
+    classes = [[q for q, _ in cls] for cls in _partition(pairs, _isomorphic_pair)]
+    disc_classes = _partition(algebras, lambda a, b: a.discriminant() == b.discriminant())
     square_classes = {
         frozenset(d * u * u % p for u in range(1, p)) for d in range(p)
     }

@@ -8,15 +8,16 @@ space indent) so identical inputs produce identical bytes; census
 commands can render a plain-text table instead with --format table.
 
 Exit status: 0 on success, 1 on a domain error (violated relations,
-non-units, guard limits), 2 on malformed input, including a bad command
-line; either error puts a JSON error object on stderr.  --help prints
+non-units, guard limits) or a result too long to print, 2 on malformed
+input, including a bad command line and JSON that does not decode;
+either error puts a JSON error object on stderr.  --help prints
 text and exits 0.  The console script (entry) exits 1 with no traceback
 when the reader closes stdout early.
 
 A command line that names a group and one of its commands is parsed by
-that command's parser alone; any other builds only the levels it names
-(see build_parser), so a request does not pay for the whole command
-tree.
+that command's parser alone, so a request does not pay for the whole
+command tree; any other command line gets the full tree (see
+build_parser).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import os
 import sys
 
-from .algebra import StructureConstants, algebra_degree, json_list, left_regular_rep, SquareMatrix
+from .algebra import SquareMatrix, StructureConstants, algebra_degree, left_regular_rep, read_elements
 from .classify import (
     degree_product_check,
     exceptional_classes,
@@ -64,31 +65,34 @@ from .quadratic import (
 from .rings import RingSpec, _check_keys
 
 
-def _load_json(arg: str):
-    if arg == "-":
-        text = sys.stdin.read()
-    elif arg.lstrip().startswith("{"):
-        text = arg
-    else:
-        try:
-            with open(arg, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise InputError(f"cannot read input file {arg!r}: {exc}")
+def _decode(text: str, what: str):
+    """The JSON value of text.  Every way it can fail to decode (bad
+    syntax, an integer literal past Python's digit limit, nesting deeper
+    than the recursion limit) is an InputError that starts with what."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}")
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"{what}: {exc}")
+
+
+def _load_json(arg: str):
+    if arg.lstrip().startswith("{"):
+        return _decode(arg, "malformed JSON")
+    try:
+        if arg == "-":
+            text = sys.stdin.read()
+        else:
+            with open(arg, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read input file {arg!r}: {exc}")
+    return _decode(text, "malformed JSON")
 
 
 def _ring_from_args(args) -> RingSpec:
     if args.ring is None:
         raise InputError("this command needs --ring")
-    try:
-        obj = json.loads(args.ring)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed --ring JSON: {exc}")
-    return RingSpec.from_json(obj)
+    return RingSpec.from_json(_decode(args.ring, "malformed --ring JSON"))
 
 
 def _emit(payload) -> None:
@@ -100,7 +104,7 @@ def _emit_error(error: dict) -> None:
 
 
 def _parse_vector(alg, raw, what):
-    return alg.element([alg.spec.parse(s) for s in json_list(raw, alg.rank, what)])
+    return alg.element(read_elements(alg.spec, raw, (alg.rank, what)))
 
 
 def _only_algebra_keys(obj, what, *keys):
@@ -237,13 +241,7 @@ def _cmd_form_act(args):
     spec = _ring_from_args(args)
     obj = _load_json(args.input)
     _check_keys(obj, ("g", "form"), "expected keys 'g' (2x2 matrix) and 'form'")
-    g = SquareMatrix(
-        spec,
-        [
-            [spec.parse(s) for s in json_list(row, 2, "row of 'g'")]
-            for row in json_list(obj["g"], 2, "'g'")
-        ],
-    )
+    g = SquareMatrix(spec, read_elements(spec, obj["g"], (2, "'g'"), (2, "row of 'g'")))
     form = BinaryCubicForm.from_json(spec, obj["form"])
     _emit(gl2_act(g, form).to_json())
 
@@ -486,38 +484,28 @@ def _with_command(parser, handler, add_arguments):
     return parser
 
 
-def _chosen(names, word):
-    """The names to build: only word if it is one of them, else all."""
-    return [word] if word in names else list(names)
-
-
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The lowrank argument parser.
 
-    With argv None the full tree is built: the top level, every group
-    and every command, 32 argparse parsers.  Given the argv it will
-    parse, it builds less.  When argv starts with a group and one of its
-    commands, the result is that command's parser alone (_CommandParser),
-    one argparse parser instead of 32.  Otherwise it builds only the
-    group that argv names, with all its commands, or every group when
-    argv names none.  The parsers left out are ones argv never reaches,
-    and a usage error prints no usage line (see _Parser), so parsing
-    argv, its errors and its help are those of the full tree, which
-    stays the oracle the tests compare against.
+    When argv starts with a group and one of its commands, the result
+    is that command's parser alone (_CommandParser), one argparse parser
+    instead of 31.  Any other argv, and argv None, gets the full tree:
+    the top level, every group and every command.  A usage error prints
+    no usage line (see _Parser), so parsing argv, its errors and its
+    help are those of the full tree, which stays the oracle the tests
+    compare against.
     """
     argv = [] if argv is None else list(argv)
-    first = argv[0] if argv else None
-    commands = _COMMANDS[first][1] if first in _COMMANDS else {}
+    commands = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else {}
     if len(argv) > 1 and argv[1] in commands:
-        parser = _CommandParser(prog=f"lowrank {first} {argv[1]}")
+        parser = _CommandParser(prog=f"lowrank {argv[0]} {argv[1]}")
         return _with_command(parser, *commands[argv[1]])
     parser = _Parser(
         prog="lowrank",
         description="exact computations with free algebras of rank 2 and 3",
     )
     top = parser.add_subparsers(dest="group", required=True)
-    for group in _chosen(_COMMANDS, first):
-        group_help, commands = _COMMANDS[group]
+    for group, (group_help, commands) in _COMMANDS.items():
         cmds = top.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
         for name, command in commands.items():
             _with_command(cmds.add_parser(name), *command)
@@ -539,6 +527,13 @@ def main(argv=None) -> int:
     except InputError as exc:
         _emit_error({"type": "InputError", "message": str(exc)})
         return 2
+    except ValueError as exc:
+        # a result with more digits than str() converts (the limit of
+        # sys.get_int_max_str_digits) is refused; any other is a bug
+        if not str(exc).startswith("Exceeds the limit ("):
+            raise
+        _emit_error({"type": "ValueError", "message": f"the result is too long to print: {exc}"})
+        return 1
     return 0
 
 

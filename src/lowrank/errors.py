@@ -2,7 +2,7 @@
 
 Everything raised deliberately derives from LowrankError so callers (the
 command line driver in particular) can tell domain failures apart from
-malformed input, which surfaces as InputError or a plain json error.
+malformed input, which surfaces as InputError.
 """
 
 import os

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import AlgebraElement, AlgebraMap, StructureConstants, direct_product, json_list, matrix_algebra, rank_one
+from .algebra import AlgebraElement, AlgebraMap, StructureConstants, direct_product, matrix_algebra, rank_one, read_elements
 from .errors import InputError, LowrankError, UnsupportedRing, check_guard
 from .rings import RingElement, RingSpec, _unit_inverse
 
@@ -51,10 +51,7 @@ class Involution(AlgebraMap):
         alg = StructureConstants.from_json(obj)
         if "images" not in obj:
             raise InputError("involution object lacks an 'images' key")
-        images = [
-            [alg.spec.parse(s) for s in json_list(row, alg.rank, "image")]
-            for row in json_list(obj["images"], alg.rank, "images")
-        ]
+        images = read_elements(alg.spec, obj["images"], (alg.rank, "images"), (alg.rank, "image"))
         return Involution(alg, images)
 
 

@@ -431,6 +431,69 @@ INV_Z = {**RANK2_Z, "images": [["1", "0"], ["0", "-1"]]}
 ELEMENT = {"element": ["1", "2"]}
 
 
+DEEP = "[" * 100000
+LONG_LITERAL = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["alg", "assoc", '{"table": ' + DEEP], "malformed JSON: maximum recursion depth"),
+        (["cubic", "build", CUBIC_COMM, "--ring", DEEP], "malformed --ring JSON: maximum recursion"),
+        (
+            ["alg", "assoc", '{"ring": {"kind": "Z"}, "rank": ' + LONG_LITERAL + ', "table": []}'],
+            "malformed JSON: Exceeds the limit",
+        ),
+        (
+            ["cubic", "build", CUBIC_COMM, "--ring", '{"kind": "Fp", "p": ' + LONG_LITERAL + "}"],
+            "malformed --ring JSON: Exceeds the limit",
+        ),
+    ],
+    ids=["deep-payload", "deep-ring", "long-rank", "long-p"],
+)
+def test_undecodable_json_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "InputError"
+    assert error["message"].startswith(message)
+
+
+def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"ring": {"kind": "Z"}, "t": "1", "n": "1", "é": 0}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "quad", "disc", str(path))
+    assert (code, out) == (2, "")
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith(f"cannot read input file {str(path)!r}: 'utf-8' codec")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quad", "disc", json.dumps({**QUAD_Z, "t": "9" * 3000})],
+        ["cubic", "build", json.dumps({**COEFFS_Z, "c": "7" * 4000, "z": "7" * 4000}), "--ring", RING_Z],
+        ["alg", "charpoly", json.dumps({**RANK2_Z, "element": ["9" * 3000, "1"]})],
+    ],
+    ids=["quad-disc", "cubic-build", "alg-charpoly"],
+)
+def test_a_result_too_long_to_print_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("the result is too long to print: Exceeds the limit")
+
+
+def test_other_value_errors_are_not_refusals(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setitem(cli._COMMANDS["quad"][1], "disc", (broken, cli._add_input))
+    with pytest.raises(ValueError, match="a bug"):
+        main(["quad", "disc", "{}"])
+
+
 def without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 
@@ -708,13 +771,14 @@ def test_a_request_builds_only_the_parsers_it_names(monkeypatch, capsys):
     assert run_json(capsys, "cubic", "build", json.dumps(COEFFS_Z), "--ring", ring)["rank"] == 3
     assert built == ["lowrank cubic build"]
     built.clear()
+    full = 1 + sum(1 + len(cmds) for _, cmds in lowrank.cli._COMMANDS.values())
     with pytest.raises(SystemExit):
         main(["census", "--help"])
     capsys.readouterr()
-    assert len(built) == 1 + 1 + len(lowrank.cli._COMMANDS["census"][1])
+    assert len(built) == full
     built.clear()
     lowrank.cli.build_parser()
-    assert len(built) == 1 + sum(1 + len(cmds) for _, cmds in lowrank.cli._COMMANDS.values())
+    assert len(built) == full
 
 
 def test_build_parser_returns_a_fresh_parser():
