@@ -49,6 +49,7 @@ from .cubic import (
     classify_case,
     commutative_from_form,
     exceptional_norm,
+    exceptional_normal_form,
     exceptional_witness,
     form_from_commutative,
     gl2_act,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 
-from .algebra import SquareMatrix, StructureConstants, left_regular_rep
+from .algebra import AlgebraMap, SquareMatrix, StructureConstants, left_regular_rep
 from .errors import (
     InputError,
     NotAUnit,
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .involutions import Involution, _conjugation
 from .poly import Polynomial
-from .rings import RingElement, RingSpec, _RawValues, _unit_inverse
+from .rings import RingElement, RingSpec, _RawValues, _unit_inverse, _xgcd
 
 
 class GeneralCubicTable(_RawValues):
@@ -334,6 +334,51 @@ def exceptional_witness(coeffs: CubicCoefficients) -> ExceptionalWitness:
     return ExceptionalWitness(alg, gen_i, gen_j, t_i, t_j)
 
 
+def exceptional_normal_form(coeffs: CubicCoefficients):
+    """The normal form of an exceptional or zero table, with a verified
+    map onto it: (normal CubicCoefficients, AlgebraMap).
+
+    On (n, 0, m, n, 0, m) the span J of I = n - i and j is an ideal
+    with x y = t(x) y, t(I) = n, t(j) = m (see exceptional_witness), so
+    a linear bijection psi from J onto the J' of another such table
+    with t' psi = t, extended by 1 -> 1, is an algebra isomorphism.
+    From u n + v m = d, with d = gcd(m, n) over Z (rings._xgcd) and
+    d = 1 over a field (one inverse), the normal table is
+    (d, 0, 0, d, 0, 0), where t'(I') = d and t'(j') = 0, and
+
+        psi(I) = (n/d) I' - v j'      psi(j) = (m/d) I' + u j'
+
+    has determinant (u n + v m) / d = 1 on J.  In the target basis the
+    map sends i = n - I to n - psi(I) = (0, n/d, v) and j to
+    psi(j) = (m, -m/d, u).  The zero table is its own normal form, by
+    the identity.  The map is re-checked by verify_isomorphism before
+    it is returned; a commutative nonzero tuple raises WrongCase.
+    """
+    case = classify_case(coeffs)
+    if case is CubicCase.COMMUTATIVE:
+        raise WrongCase("the normal form is defined on exceptional tables only")
+    spec = coeffs.spec
+    source = build_algebra(coeffs)
+    if case is CubicCase.NILPRODUCT:
+        phi = AlgebraMap(source, source, [source.basis(k) for k in range(3)])
+        normal = coeffs
+    else:
+        _, _, m, n, _, _ = coeffs._values
+        if spec.kind == "Z":
+            d, u, v = _xgcd(n, m)
+            n_d, m_d = n // d, m // d
+        else:
+            d, n_d, m_d = 1, n, m
+            u, v = (_unit_inverse(spec, n), 0) if n else (0, _unit_inverse(spec, m))
+        normal = CubicCoefficients(spec, d, 0, 0, d, 0, 0)
+        phi = AlgebraMap(
+            source, build_algebra(normal), [(1, 0, 0), (0, n_d, v), (m, -m_d, u)]
+        )
+    if not phi.verify_isomorphism():
+        raise AssertionError("normal-form map failed verification")
+    return normal, phi
+
+
 def involution_from_witness(witness: ExceptionalWitness) -> Involution:
     """The conjugation x -> scalar part + t(ideal part) - ideal part,
     reconstructed from the witness functional."""
@@ -372,7 +417,8 @@ def matrix_rep(coeffs: CubicCoefficients):
     for k, mat in enumerate(mats):
         # the first column is the k-th coordinate vector, a row of the identity
         col = tuple(row[0] for row in mat._values)
-        assert col == mats[0]._values[k], "representation lost independence"
+        if col != mats[0]._values[k]:
+            raise AssertionError("representation lost independence")
     return mats[1], mats[2]
 
 

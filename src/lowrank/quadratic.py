@@ -92,7 +92,8 @@ def complete_square(alg: QuadraticAlgebra):
     d = alg.discriminant()
     target = QuadraticAlgebra(spec, 0, -d._values[0])
     m = _affine_map(alg, target, half, alg._values[0] * half)
-    assert m.verify_isomorphism(), "square-completion map failed verification"
+    if not m.verify_isomorphism():
+        raise AssertionError("square-completion map failed verification")
     return d.representative, m
 
 
@@ -127,7 +128,8 @@ def is_isomorphic_2unit(a: QuadraticAlgebra, b: QuadraticAlgebra):
         return False, None
     shift = (a._values[0] - u * b._values[0]) * half
     m = _affine_map(a, b, u, shift)
-    assert m.verify_isomorphism(), "discriminant witness map failed verification"
+    if not m.verify_isomorphism():
+        raise AssertionError("discriminant witness map failed verification")
     return True, m
 
 
@@ -146,7 +148,8 @@ def is_isomorphic_over_z(a: QuadraticAlgebra, b: QuadraticAlgebra):
     if a.discriminant()._values != b.discriminant()._values or dt % 2 != 0:
         return False, None
     m = _affine_map(a, b, 1, dt // 2)
-    assert m.verify_isomorphism(), "integer witness map failed verification"
+    if not m.verify_isomorphism():
+        raise AssertionError("integer witness map failed verification")
     return True, m
 
 
@@ -242,13 +245,14 @@ def split_idempotent(alg: QuadraticAlgebra):
     x = src.basis(1)
     one = src.one()
     back = AlgebraMap(prod, src, [one, one - x])
-    assert fwd.verify_isomorphism(), "idempotent splitting failed verification"
-    assert back.verify_isomorphism(), "inverse splitting failed verification"
+    if not fwd.verify_isomorphism():
+        raise AssertionError("idempotent splitting failed verification")
+    if not back.verify_isomorphism():
+        raise AssertionError("inverse splitting failed verification")
     for i in range(2):
-        e = src.basis(i)
-        assert back.apply(fwd.apply(e)) == e, "maps are not mutually inverse"
-        g = prod.basis(i)
-        assert fwd.apply(back.apply(g)) == g, "maps are not mutually inverse"
+        e, g = src.basis(i), prod.basis(i)
+        if back.apply(fwd.apply(e)) != e or fwd.apply(back.apply(g)) != g:
+            raise AssertionError("maps are not mutually inverse")
     return fwd, back
 
 
@@ -261,6 +265,7 @@ def complete_basis_to_unity(spec: RingSpec, a, b):
     a, b = spec.element(a), spec.element(b)
     s, t = bezout(a, b)
     m = SquareMatrix(spec, [[a, b], [s, t]])
-    assert m.det().value == 1
+    if m.det().value != 1:
+        raise AssertionError("the completed matrix does not have determinant 1")
     return m
 

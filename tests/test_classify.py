@@ -1,6 +1,10 @@
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -25,6 +29,7 @@ from lowrank import (
     direct_product,
     enumerate_cubic,
     exceptional_classes,
+    exceptional_normal_form,
     form_from_commutative,
     is_isomorphic_bruteforce,
     matrix_algebra,
@@ -612,6 +617,97 @@ def test_exceptional_classes_small_fields():
         assert sizes == [1, p**2 - 1]
         singleton = next(cls for cls in classes if len(cls) == 1)
         assert all(v.is_zero() for v in singleton[0].as_tuple())
+
+
+def _exceptional_partition(tuples):
+    """The brute-force oracle for exceptional_classes: the greedy
+    partition of the non-commutative census tuples and the zero tuple
+    by is_isomorphic_bruteforce."""
+    family = [
+        (coeffs, build_algebra(coeffs))
+        for coeffs in tuples
+        if classify_case(coeffs) is not CubicCase.COMMUTATIVE
+    ]
+    return [
+        [coeffs for coeffs, _ in cls]
+        for cls in classify._partition(family, classify._isomorphic_pair)
+    ]
+
+
+def test_exceptional_classes_match_bruteforce_partition(monkeypatch):
+    """The closed-form classes are the brute-force partition's, member
+    for member and in order, at p = 2, 3 and 5, and at p = 7 and 11 with
+    the isomorphism cap lifted; every member's normal-form map verifies."""
+    for p in (2, 3, 5, 7, 11):
+        if p >= 7:
+            monkeypatch.setenv("LOWRANK_GUARD", str(p**6))
+        classes = exceptional_classes(GF(p))
+        assert classes == _exceptional_partition(enumerate_cubic(GF(p)))
+        for cls in classes:
+            for coeffs in cls:
+                _, phi = exceptional_normal_form(coeffs)
+                assert phi.verify_isomorphism(), coeffs
+
+
+def test_exceptional_classes_run_no_search(monkeypatch):
+    """exceptional_classes and the census's representatives come from
+    normal-form maps: no is_isomorphic_bruteforce call, where the greedy
+    partition made 15 at p = 3 and 47 at p = 5."""
+    calls = []
+    search = classify.is_isomorphic_bruteforce
+
+    def counted(a, b):
+        calls.append(1)
+        return search(a, b)
+
+    monkeypatch.setattr(classify, "is_isomorphic_bruteforce", counted)
+    for p, before in ((3, 15), (5, 47)):
+        calls.clear()
+        _exceptional_partition(enumerate_cubic(GF(p)))
+        assert len(calls) == before
+        calls.clear()
+        exceptional_classes(GF(p))
+        assert verify_main_theorem(GF(p)).representatives is not None
+        assert calls == []
+
+
+def test_certificate_checks_survive_optimized_mode():
+    """Under python -O, which strips assert statements, a witness that
+    fails verify_isomorphism is still refused."""
+    code = textwrap.dedent(
+        """
+        from lowrank import GF, CubicCoefficients, build_algebra
+        from lowrank import exceptional_normal_form, is_isomorphic_bruteforce
+        from lowrank.algebra import AlgebraMap
+
+        AlgebraMap.verify_isomorphism = lambda self: False
+        coeffs = CubicCoefficients(GF(3), 1, 0, 0, 1, 0, 0)
+        alg = build_algebra(coeffs)
+        for check in (
+            lambda: is_isomorphic_bruteforce(alg, alg),
+            lambda: exceptional_normal_form(coeffs),
+        ):
+            try:
+                check()
+            except AssertionError as exc:
+                print("refused:", exc)
+            else:
+                print("returned")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(classify.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "refused: search returned a bad witness\n"
+        "refused: normal-form map failed verification\n"
+    )
 
 
 def test_quadratic_census_odd_fields():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from lowrank import (
     commutative_from_form,
     enumerate_cubic,
     exceptional_norm,
+    exceptional_normal_form,
     exceptional_witness,
     form_from_commutative,
     gl2_act,
@@ -406,6 +408,52 @@ def random_fraction_tuple(rng, commutative):
         return CubicCoefficients(QQ, draw(), draw(), 0, 0, draw(), draw())
     m, n = draw(), draw()
     return CubicCoefficients(QQ, n, 0, m, n, 0, m)
+
+
+def test_exceptional_normal_form_over_z_and_q():
+    """(n, 0, m, n, 0, m) maps to (d, 0, 0, d, 0, 0), d = gcd(m, n) over
+    Z and 1 over Q, by a map that verifies.  Over Z, d is the content of
+    the non-scalar part of ij - ji, the commutator invariant."""
+    rng = random.Random(23)
+    seen = 0
+    while seen < 300:
+        m, n = rng.randint(-60, 60), rng.randint(-60, 60)
+        if not (m or n):
+            continue
+        seen += 1
+        d = math.gcd(m, n)
+        for spec, want in ((ZZ, d), (QQ, 1)):
+            coeffs = CubicCoefficients(spec, n, 0, m, n, 0, m)
+            normal, phi = exceptional_normal_form(coeffs)
+            assert normal == CubicCoefficients(spec, want, 0, 0, want, 0, 0)
+            assert phi.source == build_algebra(coeffs)
+            assert phi.target == build_algebra(normal)
+            assert phi.verify_isomorphism(), (spec, m, n)
+        alg = build_algebra(CubicCoefficients(ZZ, n, 0, m, n, 0, m))
+        i, j = alg.basis(1), alg.basis(2)
+        _, ci, cj = (i * j - j * i)._values
+        assert math.gcd(ci, cj) == d
+
+
+def test_exceptional_normal_form_edge_cases():
+    """The zero table is its own normal form, by the identity; a
+    commutative nonzero tuple has none."""
+    for spec in (ZZ, QQ, GF(2), GF(5)):
+        zero = CubicCoefficients(spec, 0, 0, 0, 0, 0, 0)
+        alg = build_algebra(zero)
+        normal, phi = exceptional_normal_form(zero)
+        assert normal == zero
+        assert phi == AlgebraMap(alg, alg, [alg.basis(k) for k in range(3)])
+        with pytest.raises(WrongCase):
+            exceptional_normal_form(CubicCoefficients(spec, 1, 0, 0, 0, 0, 0))
+    # over F_p every nonzero member maps to (1, 0, 0, 1, 0, 0)
+    for n, m in itertools.product(range(5), repeat=2):
+        if n or m:
+            normal, phi = exceptional_normal_form(
+                CubicCoefficients(GF(5), n, 0, m, n, 0, m)
+            )
+            assert normal == CubicCoefficients(GF(5), 1, 0, 0, 1, 0, 0)
+            assert phi.verify_isomorphism()
 
 
 def test_matrix_rep_identities():
