@@ -1,9 +1,10 @@
 """Exhaustive small-field censuses and brute-force isomorphism testing.
 
-The classes of the exceptional tables (exceptional_classes and the
-census's class representatives) come from verified normal-form maps
-(cubic.exceptional_normal_form), with no search.  The isomorphism cap
-still refuses them at p >= 7, where the census reports null
+The classes of the exceptional tables come from exceptional_classes
+alone, which groups them by verified normal-form maps
+(cubic.exceptional_normal_form), with no search; the census takes its
+class representatives from it.  The isomorphism cap still refuses
+that function at p >= 7, where the census reports null
 representatives, though no search runs there: the benchmark reference
 pins those outputs.
 
@@ -332,12 +333,6 @@ def _partition(items, same):
     return classes
 
 
-def _isomorphic_pair(x, y):
-    """same for _partition on (label, algebra) pairs: the algebras are
-    isomorphic."""
-    return is_isomorphic_bruteforce(x[1], y[1])[0]
-
-
 # -- cubic census -------------------------------------------------------------
 
 
@@ -527,55 +522,35 @@ def verify_main_theorem(spec: RingSpec) -> CensusReport:
     Every valid tuple is either commutative or carries a standard
     involution, and exactly the all-zero tuple is both commutative and
     involution-bearing.  The report records each tuple's verdict, and
-    the first member of each class of _exceptional_classes on the
-    census's exceptional and zero tuples as its class representatives.
+    as its class representatives the first member of each class that
+    exceptional_classes returns, or None where that refuses (p >= 7).
     """
     tuples = enumerate_cubic(spec)
     rows = []
     meet = []
-    family = []  # the exceptional tuples and the zero tuple, in order
-    exceptional, commutative = CubicCase.EXCEPTIONAL, CubicCase.COMMUTATIVE
+    exceptional = CubicCase.EXCEPTIONAL
     for coeffs in tuples:
         case = classify_case(coeffs)
         has_inv = find_standard_involution(build_algebra(coeffs)) is not None
         rows.append((coeffs, case, has_inv))
         if case is not exceptional and has_inv:
             meet.append(coeffs)
-        if case is not commutative:
-            family.append(coeffs)
     try:
-        # no search runs; kept so perfbench's pinned p >= 7 reports stay null
-        _check_iso_guard(spec.p, 3)
+        reps = [cls[0] for cls in exceptional_classes(spec)]
     except GuardExceeded:
         reps = None
-    else:
-        reps = [cls[0] for cls in _exceptional_classes(family)]
     return CensusReport(spec, spec.p**6, rows, meet, reps)
 
 
 def exceptional_classes(spec: RingSpec):
     """The isomorphism classes of the non-commutative tables
-    (n, 0, m, n, 0, m) over a prime field, plus the zero table, from
-    verified normal-form maps (see _exceptional_classes).  Returns a
-    list of classes, each a list of CubicCoefficients with the
-    representative first: the zero table alone, then every other
-    member, in lexicographic order.  No search runs, but the
-    isomorphism cap still refuses p >= 7."""
-    if spec.kind != "Fp":
-        raise UnsupportedRing("the census runs over prime fields")
-    # no search runs; kept because perfbench pins this refusal at p >= 7
-    _check_iso_guard(spec.p, 3)
-    canonical = CubicCoefficients._canonical
-    family = [
-        canonical(spec, (n, 0, m, n, 0, m))
-        for n, m in itertools.product(range(spec.p), repeat=2)
-    ]
-    return _exceptional_classes(family)
-
-
-def _exceptional_classes(family):
-    """Group exceptional and zero tables by exceptional_normal_form,
-    whose map to the normal table is verified for every member.
+    (n, 0, m, n, 0, m) over a prime field, plus the zero table, grouped
+    by exceptional_normal_form, whose map to the normal table is
+    verified for every member.  Returns a list of classes, each a list
+    of CubicCoefficients with the representative first: the zero table
+    alone, then every other member, in lexicographic order, which is
+    the census's order of these tuples.  No search runs, but the
+    isomorphism cap still refuses p >= 7.
 
     The normal form is a complete invariant: tables with the same one
     are isomorphic through the composed maps, and distinct normal forms
@@ -584,8 +559,14 @@ def _exceptional_classes(family):
     listed in order of their first member and keep the family's order,
     as the greedy brute-force partition lists them.
     """
+    if spec.kind != "Fp":
+        raise UnsupportedRing("the census runs over prime fields")
+    # no search runs; kept because perfbench pins this refusal at p >= 7
+    _check_iso_guard(spec.p, 3)
+    canonical = CubicCoefficients._canonical
     classes = {}
-    for coeffs in family:
+    for n, m in itertools.product(range(spec.p), repeat=2):
+        coeffs = canonical(spec, (n, 0, m, n, 0, m))
         classes.setdefault(exceptional_normal_form(coeffs)[0], []).append(coeffs)
     return list(classes.values())
 
@@ -641,8 +622,9 @@ def quadratic_census(spec: RingSpec) -> QuadraticCensusReport:
         raise UnsupportedRing("the quadratic census is desk-scale: p <= 13")
     p = spec.p
     algebras = [QuadraticAlgebra(spec, t, n) for t in range(p) for n in range(p)]
-    pairs = [(q, q.structure()) for q in algebras]
-    classes = [[q for q, _ in cls] for cls in _partition(pairs, _isomorphic_pair)]
+    classes = _partition(
+        algebras, lambda a, b: is_isomorphic_bruteforce(a.structure(), b.structure())[0]
+    )
     disc_classes = _partition(algebras, lambda a, b: a.discriminant() == b.discriminant())
     square_classes = {
         frozenset(d * u * u % p for u in range(1, p)) for d in range(p)

@@ -33,7 +33,7 @@ from .errors import (
     SpecMismatch,
     WrongCase,
 )
-from .involutions import Involution, _conjugation
+from .involutions import Involution, _conjugation, find_standard_involution
 from .poly import Polynomial
 from .rings import RingElement, RingSpec, _RawValues, _unit_inverse, _xgcd
 
@@ -260,11 +260,14 @@ def classify_case(coeffs: CubicCoefficients) -> CubicCase:
 
 def standard_involution_exceptional(coeffs: CubicCoefficients) -> Involution:
     """Conjugation 1 -> 1, i -> n - i, j -> m - j on an exceptional or
-    nilproduct table."""
+    nilproduct table, as find_standard_involution builds and verifies
+    it: the traces it reads off i^2 = n i and j^2 = m j are (n, m)."""
     if classify_case(coeffs) is CubicCase.COMMUTATIVE:
         raise WrongCase("conjugation is defined on exceptional tables only")
-    _, _, m, n, _, _ = coeffs._values
-    return _conjugation(build_algebra(coeffs), (n, m))
+    inv = find_standard_involution(build_algebra(coeffs))
+    if inv is None:
+        raise AssertionError("exceptional table has no verified standard involution")
+    return inv
 
 
 def exceptional_norm(coeffs: CubicCoefficients, element_coeffs) -> RingElement:

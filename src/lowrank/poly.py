@@ -5,7 +5,7 @@ Coefficients are stored once, as the ring's canonical raw values in
 so the zero polynomial is the empty tuple and degree() reports -1 for it.
 Over F_p each value is reduced into [0, p); over Q each, zero included,
 is a Fraction.  Every operation loops on those values; RingElements are built only where
-a caller reads `coeffs`, coefficient() or leading().
+a caller reads `coeffs` or coefficient().
 Division is supported when the leading coefficient divides exactly at
 every step; over a field that is always the case.
 """
@@ -41,11 +41,6 @@ class Polynomial(_RawValues):
 
     def is_zero(self) -> bool:
         return not self._values
-
-    def leading(self) -> RingElement:
-        if not self._values:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return _trusted(self.spec, self._values[-1])
 
     def coefficient(self, k: int) -> RingElement:
         if k < len(self._values):

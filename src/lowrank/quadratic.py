@@ -91,20 +91,20 @@ def complete_square(alg: QuadraticAlgebra):
         raise NotAUnit("completing the square needs 2 to be a unit")
     d = alg.discriminant()
     target = QuadraticAlgebra(spec, 0, -d._values[0])
-    m = _affine_map(alg, target, half, alg._values[0] * half)
-    if not m.verify_isomorphism():
-        raise AssertionError("square-completion map failed verification")
-    return d.representative, m
+    return d.representative, _affine_map(alg, target, half, alg._values[0] * half)
 
 
 def _affine_map(a: QuadraticAlgebra, b: QuadraticAlgebra, scale, shift) -> AlgebraMap:
     """The map x -> scale*y + shift as an AlgebraMap between structures;
-    scale and shift may be raw values or elements of the base ring."""
-    return AlgebraMap(
-        a.structure(),
-        b.structure(),
-        [b.structure().one(), b.structure().element([shift, scale])],
-    )
+    scale and shift may be raw values or elements of the base ring.
+    The witness maps of complete_square and both isomorphism tests are
+    built here, and re-checked by verify_isomorphism before they are
+    returned."""
+    target = b.structure()
+    m = AlgebraMap(a.structure(), target, [target.one(), target.element([shift, scale])])
+    if not m.verify_isomorphism():
+        raise AssertionError("affine witness map failed verification")
+    return m
 
 
 def is_isomorphic_2unit(a: QuadraticAlgebra, b: QuadraticAlgebra):
@@ -127,10 +127,7 @@ def is_isomorphic_2unit(a: QuadraticAlgebra, b: QuadraticAlgebra):
     if u is None:
         return False, None
     shift = (a._values[0] - u * b._values[0]) * half
-    m = _affine_map(a, b, u, shift)
-    if not m.verify_isomorphism():
-        raise AssertionError("discriminant witness map failed verification")
-    return True, m
+    return True, _affine_map(a, b, u, shift)
 
 
 def is_isomorphic_over_z(a: QuadraticAlgebra, b: QuadraticAlgebra):
@@ -147,10 +144,7 @@ def is_isomorphic_over_z(a: QuadraticAlgebra, b: QuadraticAlgebra):
     dt = a._values[0] - b._values[0]
     if a.discriminant()._values != b.discriminant()._values or dt % 2 != 0:
         return False, None
-    m = _affine_map(a, b, 1, dt // 2)
-    if not m.verify_isomorphism():
-        raise AssertionError("integer witness map failed verification")
-    return True, m
+    return True, _affine_map(a, b, 1, dt // 2)
 
 
 def is_separable(alg: QuadraticAlgebra) -> bool:

@@ -561,17 +561,29 @@ def test_isomorphism_guard_precedes_enumeration(monkeypatch):
 
 
 def test_main_theorem_scans_once(monkeypatch):
+    """One census enumerates its tuples once and takes its class
+    representatives from one exceptional_classes call, which refuses at
+    p = 7, where the report's representatives are None."""
     calls = []
+    class_calls = []
 
     def counted(spec):
         calls.append(spec)
         return enumerate_cubic(spec)
 
+    def counted_classes(spec):
+        class_calls.append(spec.p)
+        return exceptional_classes(spec)
+
     monkeypatch.setattr(classify, "enumerate_cubic", counted)
+    monkeypatch.setattr(classify, "exceptional_classes", counted_classes)
     report = verify_main_theorem(GF(3))
     assert calls == [GF(3)]
+    assert class_calls == [3]
     reps = [cls[0] for cls in exceptional_classes(GF(3))]
     assert report.representatives == reps
+    assert verify_main_theorem(GF(7)).representatives is None
+    assert class_calls == [3, 7]
 
 
 def test_census_tables_build_no_ring_elements(ring_elements_built):
@@ -630,7 +642,9 @@ def _exceptional_partition(tuples):
     ]
     return [
         [coeffs for coeffs, _ in cls]
-        for cls in classify._partition(family, classify._isomorphic_pair)
+        for cls in classify._partition(
+            family, lambda x, y: classify.is_isomorphic_bruteforce(x[1], y[1])[0]
+        )
     ]
 
 
@@ -673,19 +687,30 @@ def test_exceptional_classes_run_no_search(monkeypatch):
 
 def test_certificate_checks_survive_optimized_mode():
     """Under python -O, which strips assert statements, a witness that
-    fails verify_isomorphism is still refused."""
+    fails verify_isomorphism, or an involution that fails
+    verify_involution, is still refused."""
     code = textwrap.dedent(
         """
-        from lowrank import GF, CubicCoefficients, build_algebra
-        from lowrank import exceptional_normal_form, is_isomorphic_bruteforce
+        import lowrank.involutions
+        from lowrank import GF, ZZ, CubicCoefficients, QuadraticAlgebra, build_algebra
+        from lowrank import complete_square, exceptional_normal_form
+        from lowrank import is_isomorphic_2unit, is_isomorphic_bruteforce
+        from lowrank import is_isomorphic_over_z, standard_involution_exceptional
         from lowrank.algebra import AlgebraMap
 
         AlgebraMap.verify_isomorphism = lambda self: False
+        lowrank.involutions.verify_involution = lambda inv: (False, "patched")
         coeffs = CubicCoefficients(GF(3), 1, 0, 0, 1, 0, 0)
         alg = build_algebra(coeffs)
+        q = QuadraticAlgebra(GF(5), 1, 1)
+        qz = QuadraticAlgebra(ZZ, 1, 1)
         for check in (
             lambda: is_isomorphic_bruteforce(alg, alg),
             lambda: exceptional_normal_form(coeffs),
+            lambda: is_isomorphic_2unit(q, q),
+            lambda: complete_square(q),
+            lambda: is_isomorphic_over_z(qz, qz),
+            lambda: standard_involution_exceptional(coeffs),
         ):
             try:
                 check()
@@ -707,6 +732,10 @@ def test_certificate_checks_survive_optimized_mode():
     assert proc.stdout == (
         "refused: search returned a bad witness\n"
         "refused: normal-form map failed verification\n"
+        "refused: affine witness map failed verification\n"
+        "refused: affine witness map failed verification\n"
+        "refused: affine witness map failed verification\n"
+        "refused: exceptional table has no verified standard involution\n"
     )
 
 

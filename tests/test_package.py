@@ -1,4 +1,6 @@
 import ast
+import collections
+import re
 import sys
 from pathlib import Path
 
@@ -42,3 +44,52 @@ def test_package_modules_use_every_module_level_import():
                 # `import a.b` binds a; `import a as b` and `from m import a as b` bind b
                 name = alias.asname or alias.name.split(".")[0]
                 assert name in used, f"{path.name}:{node.lineno} imports {name} but never uses it"
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _references(tree):
+    """How often each name is read in tree: as a name, an attribute, an
+    imported name, or a part of a dotted string such as
+    "StructureConstants.__init__"."""
+    refs = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                refs.update(node.value.split("."))
+    return refs
+
+
+def test_package_defines_nothing_unused():
+    """Every function and class of the package, dunder methods aside, is
+    named in src/, tests/ or perfbench/ outside its own definition."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((_ROOT / folder).rglob("*.py"))
+    }
+    refs = collections.Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    package = _ROOT / "src" / "lowrank"
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if refs[name] == _references(node)[name]:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
