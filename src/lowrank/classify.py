@@ -21,12 +21,16 @@ per-tuple verdicts so they can be reproduced byte for byte.  The cubic
 census runs on raw values: each tuple is a CubicCoefficients holding its
 six canonical raw values, built by CubicCoefficients._canonical, which
 skips the conversion of values that come from range(p) but keeps the
-relation check; classify_case and build_algebra read them without
-building a RingElement, and the involution search runs on the table's
-raw values.  The report is written row by row from a fixed template on
-the tuples' raw values, in the same bytes as json.dumps of its to_json
-(see CensusReport); elements are built only where a caller reads a
-tuple's attributes.
+relation check; enumerate_cubic lists the tuples in lexicographic order
+as it makes them, with no sort.  classify_case reads the values without
+building a RingElement, and the forced-candidate test
+(involutions._forced_traces) reads the rows of each tuple's table
+(cubic._table_values) without building an algebra: only the p^2 tuples
+it passes are built by build_algebra and their involutions verified in
+full.  The report is written row by row from a fixed template, cut once
+per (case, flag) around its value fields, on the tuples' raw values, in
+the same bytes as json.dumps of its to_json (see CensusReport);
+elements are built only where a caller reads a tuple's attributes.
 """
 
 from __future__ import annotations
@@ -51,12 +55,15 @@ from .algebra import (
 from .cubic import (
     CubicCase,
     CubicCoefficients,
+    _table_values,
     build_algebra,
     classify_case,
     exceptional_normal_form,
 )
 from .errors import GuardExceeded, SpecMismatch, UnsupportedRing, check_guard
 from .involutions import (
+    _conjugation,
+    _forced_traces,
     find_standard_involution,
     m2_adjoint,
     pair_swap,
@@ -342,8 +349,10 @@ def enumerate_cubic(spec: RingSpec):
     Over a field the eight relations leave exactly two families: the
     commutative tuples (b, c, 0, 0, y, z) and the exceptional tuples
     (n, 0, m, n, 0, m), which share only the zero tuple.  The census is
-    built from these p^4 + p^2 - 1 tuples, sorted once.  Their values
-    are ints in range(p), canonical already, so each tuple is built by
+    these p^4 + p^2 - 1 tuples, listed in lexicographic order as they
+    are made: for each b, the block (b, 0, 0, 0, y, z), then
+    (b, 0, m, b, 0, m), then the blocks with c >= 1.  Their values are
+    ints in range(p), canonical already, so each tuple is built by
     CubicCoefficients._canonical, which re-validates the eight relations
     as the constructor does.  The guard keeps its bound of 10^7 on the
     p^6 candidate tuples, so the same fields are refused as before.
@@ -352,17 +361,19 @@ def enumerate_cubic(spec: RingSpec):
         raise UnsupportedRing("the census runs over prime fields")
     p = spec.p
     check_guard(p**6, 10**7, "cubic census")
-    commutative = [
-        (b, c, 0, 0, y, z)
-        for b, c, y, z in itertools.product(range(p), repeat=4)
-    ]
-    exceptional = [  # less the zero tuple, which is commutative
-        (n, 0, m, n, 0, m)
-        for n, m in itertools.product(range(p), repeat=2)
-        if n or m
-    ]
     canonical = CubicCoefficients._canonical
-    return [canonical(spec, tup) for tup in sorted(commutative + exceptional)]
+    pairs = list(itertools.product(range(p), repeat=2))
+    out = []
+    for b in range(p):
+        out += [canonical(spec, (b, 0, 0, 0, y, z)) for y, z in pairs]
+        # the zero tuple (b = m = 0) is in the block above
+        out += [canonical(spec, (b, 0, m, b, 0, m)) for m in range(p) if b or m]
+        out += [
+            canonical(spec, (b, c, 0, 0, y, z))
+            for c in range(1, p)
+            for y, z in pairs
+        ]
+    return out
 
 
 # One census row as json.dumps(report.to_json(), indent=2, sort_keys=True)
@@ -399,6 +410,15 @@ def _write_joined(out, pieces, sep):
             return
         out.write(lead + sep.join(chunk))
         lead = sep
+
+
+def _row_pieces(template, case, flag):
+    """template with its case and flag filled in, cut around its six
+    value fields into (pre, sep, post): a row is
+    pre + sep.join(values) + post.  The fields are filled with a NUL
+    marker, which no template holds, and cut there."""
+    pieces = template.format(case, flag, *["\0"] * 6).split("\0")
+    return pieces[0], pieces[1], pieces[-1]
 
 
 def _json_members(obj):
@@ -480,10 +500,19 @@ class CensusReport:
         return out
 
     def _render_rows(self, template, flags):
-        """Each row through template, the flag read as flags[has_inv]."""
-        fmt = template.format
+        """Each row through template, the flag read as flags[has_inv].
+        The template is cut once per (case, flag) by _row_pieces, and
+        the str() of each value in range(p) is taken once."""
+        cuts = {
+            (case, has_inv): _row_pieces(template, case.value, flags[has_inv])
+            for case in CubicCase
+            for has_inv in (False, True)
+        }
+        digits = [str(v) for v in range(self.spec.p)]
+        digit = digits.__getitem__
         for t, case, has_inv in self.rows:
-            yield fmt(case._value_, flags[has_inv], *t._values)
+            pre, sep, post = cuts[case, has_inv]
+            yield pre + sep.join(map(digit, t._values)) + post
 
     def write_json(self, out):
         """Write the JSON report and a newline to out (see the class)."""
@@ -521,17 +550,28 @@ def verify_main_theorem(spec: RingSpec) -> CensusReport:
 
     Every valid tuple is either commutative or carries a standard
     involution, and exactly the all-zero tuple is both commutative and
-    involution-bearing.  The report records each tuple's verdict, and
-    as its class representatives the first member of each class that
-    exceptional_classes returns, or None where that refuses (p >= 7).
+    involution-bearing.  Each tuple is answered from its raw table
+    (cubic._table_values): a "no" comes from the forced-candidate test
+    (involutions._forced_traces), and only a tuple that passes it gets
+    an algebra, whose forced conjugation is verified in full by
+    verify_involution and verify_standard.  The report records each
+    tuple's verdict, and as its class representatives the first member
+    of each class that exceptional_classes returns, or None where that
+    refuses (p >= 7).
     """
+    p = spec.p
     tuples = enumerate_cubic(spec)
     rows = []
     meet = []
     exceptional = CubicCase.EXCEPTIONAL
     for coeffs in tuples:
         case = classify_case(coeffs)
-        has_inv = find_standard_involution(build_algebra(coeffs)) is not None
+        traces = _forced_traces(_table_values(spec, coeffs._values), p)
+        if traces is None:
+            has_inv = False
+        else:
+            inv = _conjugation(build_algebra(coeffs), traces)
+            has_inv = verify_involution(inv)[0] and verify_standard(inv)[0]
         rows.append((coeffs, case, has_inv))
         if case is not exceptional and has_inv:
             meet.append(coeffs)

@@ -217,6 +217,31 @@ def normalize(table: GeneralCubicTable) -> CubicCoefficients:
     return CubicCoefficients(spec, b, c, m, n, y, z)
 
 
+# The basis rows of a table over F_p, whose 0 and 1 are the ints 0 and 1.
+_FP_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _table_values(spec: RingSpec, values):
+    """The canonical raw rows of the table of the canonical raw
+    six-tuple values (b, c, m, n, y, z), as build_algebra stores them:
+    the four computed cells reduced mod p, the constants the ring's own
+    0 and 1, which over F_p are the ints 0 and 1 of _FP_BASIS."""
+    b, c, m, n, y, z = values
+    a, d, l, x = -(c * z), c * y, c * y - b * m, -(b * y)
+    p = spec.p
+    if p:
+        a, d, l, x = a % p, d % p, l % p, x % p
+        basis, zero = _FP_BASIS, 0
+    else:
+        zero, one = spec.value(0), spec.value(1)
+        basis = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    return (
+        basis,
+        (basis[1], (a, b, c), (d, zero, zero)),
+        (basis[2], (l, m, n), (x, y, z)),
+    )
+
+
 def build_algebra(coeffs: CubicCoefficients) -> StructureConstants:
     """The rank-3 algebra of a valid six-tuple:
 
@@ -224,28 +249,11 @@ def build_algebra(coeffs: CubicCoefficients) -> StructureConstants:
         j*i = (cy - bm) + m i + n j
         j*j = -by + y i + z j
 
-    The six-tuple was validated when it was built, so the table is made
-    canonical here (the four computed cells reduced mod p, the constants
-    the ring's own 0 and 1, which over F_p are the ints 0 and 1) and
-    stored without re-checking.
+    The six-tuple was validated when it was built, so the rows of
+    _table_values are canonical and are stored without re-checking.
     """
-    spec = coeffs.spec
-    b, c, m, n, y, z = coeffs._values
-    a, d, l, x = -(c * z), c * y, c * y - b * m, -(b * y)
-    p = spec.p
-    if p:
-        a, d, l, x = a % p, d % p, l % p, x % p
-        zero, one = 0, 1
-    else:
-        zero, one = spec.value(0), spec.value(1)
-    basis = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
     return StructureConstants._canonical(
-        spec,
-        (
-            basis,
-            (basis[1], (a, b, c), (d, zero, zero)),
-            (basis[2], (l, m, n), (x, y, z)),
-        ),
+        coeffs.spec, _table_values(coeffs.spec, coeffs._values)
     )
 
 

@@ -138,25 +138,22 @@ def _conjugation(alg: StructureConstants, traces) -> Involution:
     ])
 
 
-def find_standard_involution(alg: StructureConstants):
-    """Search for a standard involution, or return None.
+def _forced_traces(table, p):
+    """The traces (t_1, ..., t_{k-1}) of the forced candidate, read off
+    a raw table (canonical raw values, basis element 0 the unit), or
+    None when no standard involution can exist.
 
-    The candidate is forced: any standard involution conjugates e_i to
-    t_i - e_i where t_i is read off from e_i^2 = t_i e_i - n_i, which
-    must lie in the span of 1 and e_i.  These conditions, and the
-    scalarity of x conj(x) on sums of two generators, are read from the
-    raw table; a candidate that passes them is built and verified in
-    full.  Implemented for rank at most 4, over any base ring.
+    Any standard involution conjugates e_i to t_i - e_i where t_i is
+    read off from e_i^2 = t_i e_i - n_i, which must lie in the span of
+    1 and e_i; and x conj(x) must be scalar on every sum of two
+    generators, which reads off e_i e_j + e_j e_i.  p is the modulus
+    over F_p and None otherwise (RingSpec.p).
     """
-    if alg.rank > 4:
-        raise UnsupportedRing("search implemented for rank <= 4")
-    k = alg.rank
-    p = alg.spec.p
-    t = alg._values
+    k = len(table)
     tvals = [0] * k
     for i in range(1, k):
-        sq = t[i][i]  # e_i^2
-        if any(sq[1:i]) or any(sq[i + 1:]):
+        sq = table[i][i]  # e_i^2
+        if any(sq[1:i] + sq[i + 1:]):
             return None  # e_i^2 leaves the span of {1, e_i}
         tvals[i] = sq[i]
     for i in range(1, k):
@@ -164,14 +161,30 @@ def find_standard_involution(alg: StructureConstants):
             # (e_i + e_j) conj(e_i + e_j) is scalar only if
             # e_i e_j + e_j e_i - t_j e_i - t_i e_j is
             for l in range(1, k):
-                r = t[i][j][l] + t[j][i][l]
+                r = table[i][j][l] + table[j][i][l]
                 if l == i:
                     r -= tvals[j]
                 elif l == j:
                     r -= tvals[i]
                 if r % p if p else r:
                     return None
-    cand = _conjugation(alg, tvals[1:])
+    return tvals[1:]
+
+
+def find_standard_involution(alg: StructureConstants):
+    """Search for a standard involution, or return None.
+
+    The candidate is forced: _forced_traces reads its traces off the
+    raw table, or refuses the table, and a candidate it passes is built
+    as the conjugation x -> t(x) - x and verified in full.  Implemented
+    for rank at most 4, over any base ring.
+    """
+    if alg.rank > 4:
+        raise UnsupportedRing("search implemented for rank <= 4")
+    traces = _forced_traces(alg._values, alg.spec.p)
+    if traces is None:
+        return None
+    cand = _conjugation(alg, traces)
     if verify_involution(cand)[0] and verify_standard(cand)[0]:
         return cand
     return None

@@ -586,6 +586,43 @@ def test_main_theorem_scans_once(monkeypatch):
     assert class_calls == [3, 7]
 
 
+def test_census_verdicts_match_the_trace_brute_force():
+    """Each row's involution flag agrees with all_standard_involutions,
+    which tries every tuple of traces and shares nothing with the forced
+    test but the conjugation and its verification."""
+    from lowrank import all_standard_involutions
+
+    for p in (2, 3):
+        report = verify_main_theorem(GF(p))
+        assert report.valid == p**4 + p**2 - 1
+        for coeffs, _, has_inv in report.rows:
+            oracle = bool(all_standard_involutions(build_algebra(coeffs)))
+            assert has_inv == oracle, f"verdict differs for {coeffs}"
+
+
+def test_census_builds_only_the_tables_that_pass_the_forced_test(monkeypatch):
+    """At GF(5) the census builds an algebra for the p^2 tuples that pass
+    the raw forced-candidate test (the p^2 - 1 exceptional tables and the
+    zero table), and verifies each of their involutions in full."""
+    calls = {"build_algebra": 0, "verify_involution": 0, "verify_standard": 0}
+
+    def counted(name):
+        original = getattr(classify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(classify, name, counted(name))
+    report = verify_main_theorem(GF(5))
+    assert report.valid == 5**4 + 5**2 - 1
+    assert calls == {"build_algebra": 25, "verify_involution": 25, "verify_standard": 25}
+    assert sum(has_inv for _, _, has_inv in report.rows) == 25
+
+
 def test_census_tables_build_no_ring_elements(ring_elements_built):
     """enumerate_cubic, classify_case, build_algebra, and an involution
     search, whether it answers no or yes, work on raw values: none
