@@ -14,10 +14,12 @@ either error puts a JSON error object on stderr.  --help prints
 text and exits 0.  The console script (entry) exits 1 with no traceback
 when the reader closes stdout early.
 
-A command line that names a group and one of its commands is parsed by
-that command's parser alone, so a request does not pay for the whole
-command tree; any other command line gets the full tree (see
-build_parser).
+_COMMANDS lists every group and command with the names of the
+command's arguments, and _ARGUMENTS gives each argument's argparse
+keywords once.  A command line that names a group and one of its
+commands is parsed by one argparse parser built for that command; any
+other command line is answered from _COMMANDS without one: help text,
+or a usage error (see build_parser).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .quadratic import (
     is_separable,
     split_idempotent,
 )
-from .rings import RingSpec, _check_keys
+from .rings import _INTEGER, RingSpec, _check_keys
 
 
 def _decode(text: str, what: str):
@@ -376,72 +378,66 @@ def _cmd_probe_degree_product(args):
 # -- wiring -------------------------------------------------------------------
 
 
-def _add_input(parser, with_ring=False):
-    parser.add_argument(
-        "input", help="inline JSON, a file path, or - for standard input"
-    )
-    if with_ring:
-        parser.add_argument("--ring", help='ring spec JSON, e.g. {"kind":"Z"}')
+def _integer(text):
+    """The value of --p or --n: an integer in README's grammar, the ASCII
+    digits of rings._INTEGER, so '1_1' and non-ASCII digits are refused
+    as well as digit strings longer than int() converts.  The refusal is
+    worded as argparse words it for type=int."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _add_input_ring(parser):
-    _add_input(parser, with_ring=True)
+# argument name -> its argparse keywords
+_ARGUMENTS = {
+    "input": {"help": "inline JSON, a file path, or - for standard input"},
+    "--ring": {"help": 'ring spec JSON, e.g. {"kind":"Z"}'},
+    "--p": {"type": _integer, "required": True, "help": "field size (prime)"},
+    "--n": {"type": _integer, "required": True, "choices": (2, 3)},
+    "--format": {"choices": ("json", "table"), "default": "json"},
+}
 
-
-def _add_field(parser):
-    parser.add_argument("--p", type=int, required=True, help="field size (prime)")
-
-
-def _add_field_format(parser):
-    _add_field(parser)
-    parser.add_argument(
-        "--format", choices=("json", "table"), default="json"
-    )
-
-
-def _add_probe_mn(parser):
-    parser.add_argument("--p", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True, choices=(2, 3))
-
-
-# group -> (help, {command: (handler, adds the command's arguments)})
+# group -> (help, {command: (handler, names of the command's arguments)})
 _COMMANDS = {
     "quad": ("rank-2 algebras", {
-        "disc": (_cmd_quad_disc, _add_input),
-        "iso": (_cmd_quad_iso, _add_input),
-        "artin-schreier": (_cmd_quad_artin_schreier, _add_input),
-        "split": (_cmd_quad_split, _add_input),
+        "disc": (_cmd_quad_disc, ("input",)),
+        "iso": (_cmd_quad_iso, ("input",)),
+        "artin-schreier": (_cmd_quad_artin_schreier, ("input",)),
+        "split": (_cmd_quad_split, ("input",)),
     }),
     "cubic": ("rank-3 tables", {
-        "build": (_cmd_cubic_build, _add_input_ring),
-        "verify": (_cmd_cubic_verify, _add_input_ring),
-        "involution": (_cmd_cubic_involution, _add_input_ring),
-        "witness": (_cmd_cubic_witness, _add_input_ring),
-        "matrix-rep": (_cmd_cubic_matrix_rep, _add_input_ring),
-        "form": (_cmd_cubic_form, _add_input_ring),
+        "build": (_cmd_cubic_build, ("input", "--ring")),
+        "verify": (_cmd_cubic_verify, ("input", "--ring")),
+        "involution": (_cmd_cubic_involution, ("input", "--ring")),
+        "witness": (_cmd_cubic_witness, ("input", "--ring")),
+        "matrix-rep": (_cmd_cubic_matrix_rep, ("input", "--ring")),
+        "form": (_cmd_cubic_form, ("input", "--ring")),
     }),
     "form": ("binary cubic forms", {
-        "disc": (_cmd_form_disc, _add_input_ring),
-        "act": (_cmd_form_act, _add_input_ring),
+        "disc": (_cmd_form_disc, ("input", "--ring")),
+        "act": (_cmd_form_act, ("input", "--ring")),
     }),
     "inv": ("involutions", {
-        "verify": (_cmd_inv_verify, _add_input),
-        "find": (_cmd_inv_find, _add_input),
-        "trace-norm": (_cmd_inv_trace_norm, _add_input),
+        "verify": (_cmd_inv_verify, ("input",)),
+        "find": (_cmd_inv_find, ("input",)),
+        "trace-norm": (_cmd_inv_trace_norm, ("input",)),
     }),
     "alg": ("structure-constant algebras", {
-        "assoc": (_cmd_alg_assoc, _add_input),
-        "degree": (_cmd_alg_degree, _add_input),
-        "charpoly": (_cmd_alg_charpoly, _add_input),
+        "assoc": (_cmd_alg_assoc, ("input",)),
+        "degree": (_cmd_alg_degree, ("input",)),
+        "charpoly": (_cmd_alg_charpoly, ("input",)),
     }),
     "census": ("exhaustive small-field surveys", {
-        "cubic": (_cmd_census_cubic, _add_field_format),
-        "quad": (_cmd_census_quad, _add_field_format),
-        "exceptional": (_cmd_census_exceptional, _add_field),
+        "cubic": (_cmd_census_cubic, ("--p", "--format")),
+        "quad": (_cmd_census_quad, ("--p", "--format")),
+        "exceptional": (_cmd_census_exceptional, ("--p",)),
     }),
     "probe": ("degree and matrix-algebra probes", {
-        "mn": (_cmd_probe_mn, _add_probe_mn),
-        "degree-product": (_cmd_probe_degree_product, _add_input),
+        "mn": (_cmd_probe_mn, ("--p", "--n")),
+        "degree-product": (_cmd_probe_degree_product, ("input",)),
     }),
 }
 
@@ -454,66 +450,66 @@ def _usage_error(prog, message):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are input errors (see
-    _usage_error).  Subparsers inherit it."""
+    """One command's parser.  Its usage errors are input errors (see
+    _usage_error).  parse_args takes the whole argv, the group and the
+    command included, and reports the words it leaves over as lowrank's
+    error."""
 
     def error(self, message):
         _usage_error(self.prog, message)
 
-
-class _CommandParser(_Parser):
-    """One command's parser standing in for the full tree on an argv that
-    starts with the command's group and name.  The full tree hands the
-    words after those two to this same parser and reports the words it
-    leaves over as the top level's error, so parse_args takes the whole
-    argv and does the same."""
-
     def parse_args(self, args, namespace=None):
-        group, cmd, *rest = args
-        namespace, extras = self.parse_known_args(rest, namespace)
+        namespace, extras = self.parse_known_args(args[2:], namespace)
         if extras:
             _usage_error("lowrank", "unrecognized arguments: " + " ".join(extras))
-        namespace.group, namespace.cmd = group, cmd
         return namespace
 
 
-def _with_command(parser, handler, add_arguments):
-    """Add a command's arguments and handler to parser; return parser."""
-    add_arguments(parser)
-    parser.set_defaults(handler=handler)
-    return parser
+def _answer_without_command(argv):
+    """Answer an argv that names no command from _COMMANDS alone.  The
+    word where the group (or, after a group, the command) belongs decides:
+    -h or --help prints the groups (or the group's commands) and exits 0;
+    no word or any other word is a usage error."""
+    if argv and argv[0] in _COMMANDS:
+        prog, dest, word = f"lowrank {argv[0]}", "cmd", argv[1:2]
+        about, choices = _COMMANDS[argv[0]]
+        about += f"\n\n`{prog} <command> --help` lists a command's arguments"
+    else:
+        prog, dest, word, choices = "lowrank", "group", argv[:1], _COMMANDS
+        width = max(map(len, _COMMANDS))
+        about = "exact computations with free algebras of rank 2 and 3\n\ngroups:" + "".join(
+            f"\n  {group:<{width}}  {text}" for group, (text, _) in _COMMANDS.items()
+        )
+    if not word:
+        _usage_error(prog, f"the following arguments are required: {dest}")
+    if word[0] in ("-h", "--help"):
+        print(f"usage: {prog} {{{','.join(choices)}}} ...\n\n{about}")
+        sys.exit(0)
+    listed = ", ".join(map(repr, choices))
+    _usage_error(prog, f"argument {dest}: invalid choice: {word[0]!r} (choose from {listed})")
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The lowrank argument parser.
-
-    When argv starts with a group and one of its commands, the result
-    is that command's parser alone (_CommandParser), one argparse parser
-    instead of 31.  Any other argv, and argv None, gets the full tree:
-    the top level, every group and every command.  A usage error prints
-    no usage line (see _Parser), so parsing argv, its errors and its
-    help are those of the full tree, which stays the oracle the tests
-    compare against.
-    """
+    """The parser of the command that argv names by its first two words,
+    with the arguments its _COMMANDS row names and option names matched
+    exactly.  Any other argv builds no parser: it is answered here (see
+    _answer_without_command), which exits."""
     argv = [] if argv is None else list(argv)
     commands = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else {}
-    if len(argv) > 1 and argv[1] in commands:
-        parser = _CommandParser(prog=f"lowrank {argv[0]} {argv[1]}")
-        return _with_command(parser, *commands[argv[1]])
-    parser = _Parser(
-        prog="lowrank",
-        description="exact computations with free algebras of rank 2 and 3",
-    )
-    top = parser.add_subparsers(dest="group", required=True)
-    for group, (group_help, commands) in _COMMANDS.items():
-        cmds = top.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
-        for name, command in commands.items():
-            _with_command(cmds.add_parser(name), *command)
+    if len(argv) < 2 or argv[1] not in commands:
+        _answer_without_command(argv)
+    handler, names = commands[argv[1]]
+    parser = _Parser(prog=f"lowrank {argv[0]} {argv[1]}", allow_abbrev=False)
+    for name in names:
+        parser.add_argument(name, **_ARGUMENTS[name])
+    parser.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # two calls, not one: perfbench's tracer times both, wrapping
+    # build_parser and the parse_args of the parser it returns
     args = build_parser(argv).parse_args(argv)
     try:
         args.handler(args)

@@ -489,7 +489,7 @@ def test_other_value_errors_are_not_refusals(monkeypatch, capsys):
     def broken(args):
         raise ValueError("a bug")
 
-    monkeypatch.setitem(cli._COMMANDS["quad"][1], "disc", (broken, cli._add_input))
+    monkeypatch.setitem(cli._COMMANDS["quad"][1], "disc", (broken, ("input",)))
     with pytest.raises(ValueError, match="a bug"):
         main(["quad", "disc", "{}"])
 
@@ -716,45 +716,6 @@ def test_closed_stdout_exits_1_without_traceback():
     assert b"Traceback" not in err
 
 
-def parse_outcome(capsys, parser, argv):
-    try:
-        result, code = vars(parser.parse_args(argv)), None
-    except SystemExit as exc:
-        result, code = None, exc.code
-    captured = capsys.readouterr()
-    return result, code, captured.out, captured.err
-
-
-TAILS = [
-    [], ["x"], ["x", "y"], ["x", "--ring", "{}"], ["--ring", "{}"], ["--p", "5"],
-    ["--p", "5", "--format", "table"], ["--p", "5", "--format", "csv"],
-    ["--p", "x"], ["--p", "5", "--n", "2"], ["--p", "5", "--n", "4"],
-    ["--help"], ["x", "-h"], ["--no-such-flag"], ["--"], ["-", "--ring"],
-    ["x", "--ring={}"], ["--p=5"], ["--p", "5", "--format=table"],
-    ["x", "--ri", "{}"], ["--p", "5", "--form", "table"],
-    ["x", "--ring", "{}", "--bogus"], ["x", "--", "y"],
-]
-
-
-def partial_parse_cases():
-    cases = [[], ["-h"], ["--help", "cubic"], ["no-such-group"], ["-x", "cubic"], ["--", "cubic"]]
-    for group, (_, commands) in lowrank.cli._COMMANDS.items():
-        cases += [[group], [group, "--help"], [group, "no-such-command"], [group, "-x"]]
-        for command in commands:
-            cases += [[group, command, *tail] for tail in TAILS]
-            cases.append([command, group, "x"])
-    return cases
-
-
-def test_partial_parser_parses_as_the_full_one(capsys):
-    cases = partial_parse_cases()
-    for argv in cases:
-        full = parse_outcome(capsys, lowrank.cli.build_parser(), argv)
-        partial = parse_outcome(capsys, lowrank.cli.build_parser(argv), argv)
-        assert partial == full, argv
-    assert len(cases) > 400
-
-
 def test_a_request_builds_only_the_parsers_it_names(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -764,25 +725,87 @@ def test_a_request_builds_only_the_parsers_it_names(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert run_json(capsys, "census", "cubic", "--p", "2")["valid"] == 19
+    # an option's value follows a space or an equals sign
+    assert run_json(capsys, "census", "cubic", "--p=2")["valid"] == 19
     assert built == ["lowrank census cubic"]
     built.clear()
-    ring = '{"kind": "Z"}'
-    assert run_json(capsys, "cubic", "build", json.dumps(COEFFS_Z), "--ring", ring)["rank"] == 3
+    assert run_json(capsys, "cubic", "build", json.dumps(COEFFS_Z), "--ring", RING_Z)["rank"] == 3
     assert built == ["lowrank cubic build"]
     built.clear()
-    full = 1 + sum(1 + len(cmds) for _, cmds in lowrank.cli._COMMANDS.values())
     with pytest.raises(SystemExit):
-        main(["census", "--help"])
-    capsys.readouterr()
-    assert len(built) == full
+        main(["census", "cubic", "--help"])
+    assert built == ["lowrank census cubic"]
     built.clear()
-    lowrank.cli.build_parser()
-    assert len(built) == full
+    for argv, _, _ in NO_COMMAND:
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == []
 
 
-def test_build_parser_returns_a_fresh_parser():
-    assert lowrank.cli.build_parser() is not lowrank.cli.build_parser()
+GROUPS = "(choose from 'quad', 'cubic', 'form', 'inv', 'alg', 'census', 'probe')"
+CUBIC_COMMANDS = "(choose from 'build', 'verify', 'involution', 'witness', 'matrix-rep', 'form')"
+
+# argv that names no command: (argv, exit status, start of the help text
+# on stdout or the error message on stderr)
+NO_COMMAND = [
+    ([], 2, "lowrank: the following arguments are required: group"),
+    (["-h"], 0, "usage: lowrank {quad,cubic,form,inv,alg,census,probe} ..."),
+    (["--help", "cubic"], 0, "usage: lowrank {quad,cubic,form,inv,alg,census,probe} ..."),
+    (["no-such-group"], 2, f"lowrank: argument group: invalid choice: 'no-such-group' {GROUPS}"),
+    (["cubic"], 2, "lowrank cubic: the following arguments are required: cmd"),
+    (["cubic", "--help"], 0, "usage: lowrank cubic {build,verify,involution,witness,matrix-rep,form} ..."),
+    (["cubic", "nope"], 2, f"lowrank cubic: argument cmd: invalid choice: 'nope' {CUBIC_COMMANDS}"),
+    (["build", "cubic", "x"], 2, f"lowrank: argument group: invalid choice: 'build' {GROUPS}"),
+    (["--", "cubic"], 2, f"lowrank: argument group: invalid choice: '--' {GROUPS}"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    NO_COMMAND,
+    ids=["empty", "h", "help-first", "no-such-group", "group", "group-help", "no-such-command",
+         "command-first", "dashes"],
+)
+def test_argv_that_names_no_command(capsys, argv, code, text):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.startswith(text + "\n\n") and captured.err == ""
+    else:
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"type": "InputError", "message": text}}
+
+
+CUBIC_VERIFY = ["cubic", "verify", json.dumps(COEFFS_Z)]
+
+
+# option names are exact and integers are ASCII digits
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (CUBIC_VERIFY + ["--ri", RING_Z], f"lowrank: unrecognized arguments: --ri {RING_Z}"),
+        (["census", "cubic", "--p", "3", "--fo", "table"], "lowrank: unrecognized arguments: --fo table"),
+        (["census", "exceptional", "--p", "1_1"],
+         "lowrank census exceptional: argument --p: invalid int value: '1_1'"),
+        (["census", "exceptional", "--p", "\u0663"],
+         "lowrank census exceptional: argument --p: invalid int value: '\u0663'"),
+        (["probe", "mn", "--p", "3", "--n", "\uff13"],
+         "lowrank probe mn: argument --n: invalid int value: '\uff13'"),
+        (["census", "quad", "--p", "1" * 5000],
+         "lowrank census quad: argument --p: invalid int value: '" + "1" * 5000 + "'"),
+    ],
+    ids=["ri", "fo", "underscore", "arabic-indic", "fullwidth", "5000-digits"],
+)
+def test_the_grammar_takes_exact_names_and_ascii_integers(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"type": "InputError", "message": message}}
 
 
 def test_consecutive_calls_keep_no_state(capsys):
@@ -841,3 +864,10 @@ def test_readme_shows_every_command():
         if not re.search(rf"^lowrank {group} {cmd}(?: |$)", readme, re.MULTILINE)
     ]
     assert missing == [], "README has no `lowrank <group> <command>` line for these"
+
+
+def test_readme_grammar_names_the_argument_table_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"^A command line is .*?(?=\n\n)", readme, re.MULTILINE | re.DOTALL).group()
+    named = set(re.findall(r"`(--[a-z]+)", paragraph))
+    assert named == {name for name in cli._ARGUMENTS if name.startswith("--")}
