@@ -18,19 +18,20 @@ is two-sided, and checked with modular arithmetic), censuses list every
 valid coefficient tuple in lexicographic order (built from the two
 families the relations leave over a field), and the reports record
 per-tuple verdicts so they can be reproduced byte for byte.  The cubic
-census runs on raw values: each tuple is a CubicCoefficients holding its
-six canonical raw values, built by CubicCoefficients._canonical, which
-skips the conversion of values that come from range(p) but keeps the
-relation check; enumerate_cubic lists the tuples in lexicographic order
-as it makes them, with no sort.  classify_case reads the values without
-building a RingElement, and the forced-candidate test
-(involutions._forced_traces) reads the rows of each tuple's table
-(cubic._table_values) without building an algebra: only the p^2 tuples
-it passes are built by build_algebra and their involutions verified in
-full.  The report is written row by row from a fixed template, cut once
-per (case, flag) around its value fields, on the tuples' raw values, in
-the same bytes as json.dumps of its to_json (see CensusReport);
-elements are built only where a caller reads a tuple's attributes.
+census is one pass over raw values: _cubic_tuples makes the valid
+six-tuples as tuples of ints in range(p), in lexicographic order, with
+no sort, and each is re-checked against the eight relations
+(cubic._violated_relations), given its case (cubic._case_index) and
+answered by the forced-candidate test (involutions._forced_traces) on
+its raw table (cubic._table_values), without building an object: only
+the p^2 tuples the test passes become a CubicCoefficients and an
+algebra (build_algebra), and their involutions are verified in full.
+The report keeps each raw tuple and a one-byte code for its case and
+verdict, and writes its rows from a fixed template, cut once per code
+around its value fields, in the same bytes as json.dumps of its to_json
+(see CensusReport); enumerate_cubic wraps the same raw tuples as
+CubicCoefficients for callers that want them, and elements are built
+only where a caller reads a tuple's attributes.
 """
 
 from __future__ import annotations
@@ -53,14 +54,22 @@ from .algebra import (
     rank_one,
 )
 from .cubic import (
+    _CASES,
     CubicCase,
     CubicCoefficients,
+    _case_index,
     _table_values,
+    _violated_relations,
     build_algebra,
-    classify_case,
     exceptional_normal_form,
 )
-from .errors import GuardExceeded, SpecMismatch, UnsupportedRing, check_guard
+from .errors import (
+    GuardExceeded,
+    RelationViolation,
+    SpecMismatch,
+    UnsupportedRing,
+    check_guard,
+)
 from .involutions import (
     _conjugation,
     _forced_traces,
@@ -343,8 +352,9 @@ def _partition(items, same):
 # -- cubic census -------------------------------------------------------------
 
 
-def enumerate_cubic(spec: RingSpec):
-    """All valid six-tuples over a prime field, lexicographically.
+def _cubic_tuples(spec: RingSpec):
+    """The census's valid six-tuples over a prime field, as raw tuples
+    in lexicographic order.
 
     Over a field the eight relations leave exactly two families: the
     commutative tuples (b, c, 0, 0, y, z) and the exceptional tuples
@@ -352,28 +362,35 @@ def enumerate_cubic(spec: RingSpec):
     these p^4 + p^2 - 1 tuples, listed in lexicographic order as they
     are made: for each b, the block (b, 0, 0, 0, y, z), then
     (b, 0, m, b, 0, m), then the blocks with c >= 1.  Their values are
-    ints in range(p), canonical already, so each tuple is built by
-    CubicCoefficients._canonical, which re-validates the eight relations
-    as the constructor does.  The guard keeps its bound of 10^7 on the
-    p^6 candidate tuples, so the same fields are refused as before.
+    ints in range(p), canonical already.  The ring and the guard, which
+    keeps its bound of 10^7 on the p^6 candidate tuples, are checked
+    when this is called; the tuples are made one b block at a time as
+    the returned iterator is read.
     """
     if spec.kind != "Fp":
         raise UnsupportedRing("the census runs over prime fields")
     p = spec.p
     check_guard(p**6, 10**7, "cubic census")
-    canonical = CubicCoefficients._canonical
     pairs = list(itertools.product(range(p), repeat=2))
-    out = []
-    for b in range(p):
-        out += [canonical(spec, (b, 0, 0, 0, y, z)) for y, z in pairs]
-        # the zero tuple (b = m = 0) is in the block above
-        out += [canonical(spec, (b, 0, m, b, 0, m)) for m in range(p) if b or m]
-        out += [
-            canonical(spec, (b, c, 0, 0, y, z))
-            for c in range(1, p)
-            for y, z in pairs
-        ]
-    return out
+    return itertools.chain.from_iterable(
+        itertools.chain(
+            [(b, 0, 0, 0, y, z) for y, z in pairs],
+            # the zero tuple (b = m = 0) is in the block above
+            [(b, 0, m, b, 0, m) for m in range(p) if b or m],
+            [(b, c, 0, 0, y, z) for c in range(1, p) for y, z in pairs],
+        )
+        for b in range(p)
+    )
+
+
+def enumerate_cubic(spec: RingSpec):
+    """All valid six-tuples over a prime field, lexicographically: the
+    raw tuples of _cubic_tuples, each built by
+    CubicCoefficients._canonical, which re-validates the eight relations
+    as the constructor does.  The census reads the raw tuples directly.
+    """
+    canonical = CubicCoefficients._canonical
+    return [canonical(spec, values) for values in _cubic_tuples(spec)]
 
 
 # One census row as json.dumps(report.to_json(), indent=2, sort_keys=True)
@@ -430,37 +447,50 @@ def _json_members(obj):
 class CensusReport:
     """Per-tuple verdicts for the structure theorem over one field.
 
+    The census is held raw: `tuples`, the valid six-tuples as tuples of
+    ints in range(p) in census order, and `codes`, one byte per tuple,
+    2 * case index (cubic._CASES) + involution flag.  rows builds the
+    (CubicCoefficients, CubicCase, has_involution) triples when it is
+    read; case_counts and theorem_holds count the codes.
+
     to_json builds the report as a dict.  write_json writes the same
     bytes as json.dumps(to_json(), indent=2, sort_keys=True) plus a
     newline without building either: the summary keys go through
-    json.dumps, the rows through a fixed template on raw values, a chunk
-    at a time.  write_table does the same for the plain-text table.
+    json.dumps, the rows through a fixed template, cut once per code, on
+    the raw values, a chunk at a time.  write_table does the same for
+    the plain-text table.
     """
 
-    def __init__(self, spec, total, rows, intersection, representatives):
+    def __init__(self, spec, total, tuples, codes, intersection, representatives):
         self.spec = spec
         self.total = total
-        # (CubicCoefficients, CubicCase, has_involution); the writers
-        # render a row from the coefficients' raw values (_values)
-        self.rows = rows
+        self.tuples = tuples
+        self.codes = bytes(codes)
         self.intersection = intersection
         self.representatives = representatives
 
     @property
     def valid(self):
-        return len(self.rows)
+        return len(self.tuples)
+
+    @property
+    def rows(self):
+        canonical = CubicCoefficients._canonical
+        return [
+            (canonical(self.spec, values), _CASES[code >> 1], bool(code & 1))
+            for values, code in zip(self.tuples, self.codes)
+        ]
 
     def case_counts(self):
-        counts = {case.value: 0 for case in CubicCase}
-        for _, case, _ in self.rows:
-            counts[case._value_] += 1  # the value, not through the property
-        return counts
+        count = self.codes.count
+        return {
+            case.value: count(2 * k) + count(2 * k + 1)
+            for k, case in enumerate(_CASES)
+        }
 
     def theorem_holds(self):
-        every = all(
-            case is not CubicCase.EXCEPTIONAL or has_inv
-            for _, case, has_inv in self.rows
-        )
+        # no exceptional tuple without an involution
+        every = 2 * _CASES.index(CubicCase.EXCEPTIONAL) not in self.codes
         meet_ok = len(self.intersection) == 1 and not any(
             self.intersection[0]._values
         )
@@ -491,28 +521,27 @@ class CensusReport:
         out = self._summary()
         out["rows"] = [
             {
-                "tuple": [str(v) for v in coeffs._values],
-                "case": case.value,
-                "standard_involution": has_inv,
+                "tuple": [str(v) for v in values],
+                "case": _CASES[code >> 1].value,
+                "standard_involution": bool(code & 1),
             }
-            for coeffs, case, has_inv in self.rows
+            for values, code in zip(self.tuples, self.codes)
         ]
         return out
 
     def _render_rows(self, template, flags):
-        """Each row through template, the flag read as flags[has_inv].
-        The template is cut once per (case, flag) by _row_pieces, and
-        the str() of each value in range(p) is taken once."""
-        cuts = {
-            (case, has_inv): _row_pieces(template, case.value, flags[has_inv])
-            for case in CubicCase
-            for has_inv in (False, True)
-        }
+        """Each row through template, the flag read as flags[code & 1].
+        The template is cut once per code by _row_pieces, and the str()
+        of each value in range(p) is taken once."""
+        cuts = [
+            _row_pieces(template, _CASES[code >> 1].value, flags[code & 1])
+            for code in range(2 * len(_CASES))
+        ]
         digits = [str(v) for v in range(self.spec.p)]
         digit = digits.__getitem__
-        for t, case, has_inv in self.rows:
-            pre, sep, post = cuts[case, has_inv]
-            yield pre + sep.join(map(digit, t._values)) + post
+        for values, code in zip(self.tuples, self.codes):
+            pre, sep, post = cuts[code]
+            yield pre + sep.join(map(digit, values)) + post
 
     def write_json(self, out):
         """Write the JSON report and a newline to out (see the class)."""
@@ -520,7 +549,7 @@ class CensusReport:
         head = {k: v for k, v in summary.items() if k < "rows"}
         tail = {k: v for k, v in summary.items() if k > "rows"}
         out.write("{\n" + _json_members(head) + ",\n")
-        if self.rows:
+        if self.tuples:
             out.write('  "rows": [\n')
             _write_joined(out, self._render_rows(_JSON_ROW, ("false", "true")), ",\n")
             out.write("\n  ],\n")
@@ -550,36 +579,41 @@ def verify_main_theorem(spec: RingSpec) -> CensusReport:
 
     Every valid tuple is either commutative or carries a standard
     involution, and exactly the all-zero tuple is both commutative and
-    involution-bearing.  Each tuple is answered from its raw table
-    (cubic._table_values): a "no" comes from the forced-candidate test
-    (involutions._forced_traces), and only a tuple that passes it gets
-    an algebra, whose forced conjugation is verified in full by
-    verify_involution and verify_standard.  The report records each
-    tuple's verdict, and as its class representatives the first member
-    of each class that exceptional_classes returns, or None where that
-    refuses (p >= 7).
+    involution-bearing.  One pass reads the raw tuples of _cubic_tuples:
+    each has its eight relations re-checked (cubic._violated_relations),
+    its case taken from cubic._case_index, and its verdict from its raw
+    table (cubic._table_values): a "no" comes from the forced-candidate
+    test (involutions._forced_traces), and only a tuple that passes it
+    is built, as a CubicCoefficients and by build_algebra, and has its
+    forced conjugation verified in full by verify_involution and
+    verify_standard.  The report keeps each raw tuple and its code, and
+    as its class representatives the first member of each class that
+    exceptional_classes returns, or None where that refuses (p >= 7).
     """
     p = spec.p
-    tuples = enumerate_cubic(spec)
-    rows = []
+    tuples = list(_cubic_tuples(spec))
+    codes = bytearray(len(tuples))
     meet = []
-    exceptional = CubicCase.EXCEPTIONAL
-    for coeffs in tuples:
-        case = classify_case(coeffs)
-        traces = _forced_traces(_table_values(spec, coeffs._values), p)
-        if traces is None:
-            has_inv = False
-        else:
+    exceptional = _CASES.index(CubicCase.EXCEPTIONAL)
+    for k, values in enumerate(tuples):
+        violated = _violated_relations(spec, *values)
+        if violated:
+            raise RelationViolation(violated)
+        case = _case_index(values)
+        traces = _forced_traces(_table_values(spec, values), p)
+        has_inv = False
+        if traces is not None:
+            coeffs = CubicCoefficients._canonical(spec, values)
             inv = _conjugation(build_algebra(coeffs), traces)
             has_inv = verify_involution(inv)[0] and verify_standard(inv)[0]
-        rows.append((coeffs, case, has_inv))
-        if case is not exceptional and has_inv:
-            meet.append(coeffs)
+            if has_inv and case != exceptional:
+                meet.append(coeffs)
+        codes[k] = 2 * case + has_inv
     try:
         reps = [cls[0] for cls in exceptional_classes(spec)]
     except GuardExceeded:
         reps = None
-    return CensusReport(spec, spec.p**6, rows, meet, reps)
+    return CensusReport(spec, p**6, tuples, codes, meet, reps)
 
 
 def exceptional_classes(spec: RingSpec):

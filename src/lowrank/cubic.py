@@ -155,10 +155,10 @@ class CubicCoefficients(_RawValues):
     `_values` (RingSpec.value).  The attributes b, c, m, n, y, z and
     as_tuple() build RingElements of the spec when they are read;
     equality, hashing, repr, to_json, build_algebra, classify_case and
-    the census report rows read `_values` directly.  The census builds
-    its tuples with _canonical, which takes values that are canonical
-    already and skips their conversion, but checks the relations as the
-    constructor does.
+    the census report rows read `_values` directly.  _canonical takes
+    values that are canonical already and skips their conversion, but
+    checks the relations as the constructor does; the census builds
+    with it only the tuples that pass its forced-candidate test.
     """
 
     FIELDS = ("b", "c", "m", "n", "y", "z")
@@ -257,13 +257,23 @@ def build_algebra(coeffs: CubicCoefficients) -> StructureConstants:
     )
 
 
+# The cases in the order of their indices (_case_index).
+_CASES = tuple(CubicCase)
+
+
+def _case_index(values):
+    """The index in _CASES of the case of the canonical raw six-tuple
+    values (b, c, m, n, y, z): 0 commutative, 1 exceptional, 2
+    nilproduct (the zero tuple)."""
+    if not any(values):
+        return 2
+    if not (values[2] or values[3]):  # m = n = 0
+        return 0
+    return 1
+
+
 def classify_case(coeffs: CubicCoefficients) -> CubicCase:
-    vals = coeffs._values
-    if not any(vals):
-        return CubicCase.NILPRODUCT
-    if not (vals[2] or vals[3]):  # m = n = 0
-        return CubicCase.COMMUTATIVE
-    return CubicCase.EXCEPTIONAL
+    return _CASES[_case_index(coeffs._values)]
 
 
 def standard_involution_exceptional(coeffs: CubicCoefficients) -> Involution:

@@ -142,6 +142,11 @@ def test_census_guard():
         enumerate_cubic(GF(17))
     with pytest.raises(UnsupportedRing):
         enumerate_cubic(QQ)
+    # the raw generator refuses when called, before any tuple is read
+    with pytest.raises(GuardExceeded):
+        classify._cubic_tuples(GF(17))
+    with pytest.raises(UnsupportedRing):
+        classify._cubic_tuples(QQ)
 
 
 def test_guard_override(monkeypatch):
@@ -561,21 +566,22 @@ def test_isomorphism_guard_precedes_enumeration(monkeypatch):
 
 
 def test_main_theorem_scans_once(monkeypatch):
-    """One census enumerates its tuples once and takes its class
-    representatives from one exceptional_classes call, which refuses at
-    p = 7, where the report's representatives are None."""
+    """One census reads the raw tuples of one _cubic_tuples call and
+    takes its class representatives from one exceptional_classes call,
+    which refuses at p = 7, where the report's representatives are None."""
     calls = []
     class_calls = []
+    raw_tuples = classify._cubic_tuples
 
     def counted(spec):
         calls.append(spec)
-        return enumerate_cubic(spec)
+        return raw_tuples(spec)
 
     def counted_classes(spec):
         class_calls.append(spec.p)
         return exceptional_classes(spec)
 
-    monkeypatch.setattr(classify, "enumerate_cubic", counted)
+    monkeypatch.setattr(classify, "_cubic_tuples", counted)
     monkeypatch.setattr(classify, "exceptional_classes", counted_classes)
     report = verify_main_theorem(GF(3))
     assert calls == [GF(3)]
@@ -584,6 +590,58 @@ def test_main_theorem_scans_once(monkeypatch):
     assert report.representatives == reps
     assert verify_main_theorem(GF(7)).representatives is None
     assert class_calls == [3, 7]
+
+
+def test_census_rows_are_the_per_tuple_verdicts():
+    """report.rows lists, in census order, each enumerate_cubic tuple
+    with its case and whether find_standard_involution finds an
+    involution on its algebra; case_counts and theorem_holds agree with
+    counts taken from those rows."""
+    from lowrank import find_standard_involution
+
+    for p in (2, 3, 5):
+        report = verify_main_theorem(GF(p))
+        expected = [
+            (c, classify_case(c), find_standard_involution(build_algebra(c)) is not None)
+            for c in enumerate_cubic(GF(p))
+        ]
+        assert report.rows == expected
+        counts = {case.value: 0 for case in CubicCase}
+        meet = []
+        holds = True
+        for c, case, has_inv in expected:
+            counts[case.value] += 1
+            if case is CubicCase.EXCEPTIONAL:
+                holds = holds and has_inv
+            elif has_inv:
+                meet.append(c)
+        assert report.case_counts() == counts
+        assert report.intersection == meet
+        assert [c._values for c in meet] == [(0,) * 6]
+        assert report.theorem_holds() == holds
+
+
+def test_census_builds_no_tuple_that_fails_the_forced_test(monkeypatch):
+    """At GF(5) the census builds a CubicCoefficients only for the p^2
+    tuples that pass the forced-candidate test, plus the p^2 tables of
+    exceptional_classes: at most 2 p^2, where one per tuple made 674."""
+    from lowrank.cubic import _table_values
+    from lowrank.involutions import _forced_traces
+
+    built = []
+    canonical = classify.CubicCoefficients._canonical.__func__
+
+    def counted(cls, spec, values):
+        built.append(values)
+        return canonical(cls, spec, values)
+
+    monkeypatch.setattr(classify.CubicCoefficients, "_canonical", classmethod(counted))
+    p = 5
+    report = verify_main_theorem(GF(p))
+    assert report.valid == p**4 + p**2 - 1
+    assert len(built) <= 2 * p * p
+    for values in built:
+        assert _forced_traces(_table_values(GF(p), values), p) is not None, values
 
 
 def test_census_verdicts_match_the_trace_brute_force():

@@ -284,7 +284,7 @@ def test_census_cubic_report_bytes(capsys, p):
 
 
 def test_census_report_writers_without_rows():
-    report = CensusReport(GF(5), 0, [], [], None)
+    report = CensusReport(GF(5), 0, [], b"", [], None)
     out = io.StringIO()
     report.write_json(out)
     assert out.getvalue() == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"

@@ -36,7 +36,7 @@ def golden_runs():
         QuadraticAlgebra(QQ, Fraction(1, 2), 3).structure(), rank_one(QQ)
     )
     runs = []
-    for p in (2, 3, 5, 7, 11):
+    for p in (2, 3, 5, 7, 11, 13):
         for fmt in ("json", "table"):
             runs.append((f"census cubic {p} {fmt}",
                          ["census", "cubic", "--p", str(p), "--format", fmt]))
@@ -114,6 +114,8 @@ GOLDEN = {
     'census cubic 7 table': (0, '70ecfefc1a493696a20a032ebbb7c22244bf2db416489985fed7d2e50c52ff97'),
     'census cubic 11 json': (0, '2cf10cd29eb6126a5b54c05992be2fd2cfff8fb29f78a3b8aa0808035b0c81fe'),
     'census cubic 11 table': (0, '5dca7e8919dadb4a3fd98b39322a8d76095253581e8b221b095126af2f915f34'),
+    'census cubic 13 json': (0, '550d6cfbd48105840712b526cc37820f6c50e3a7c471a1de5069fd5b082e0949'),
+    'census cubic 13 table': (0, 'fb211500b741b77fb915883be6165f2a66f01d7826a3ff971cc299be78eb5fb2'),
     'census exceptional 2': (0, '3abcf58f45bafaddb3855f1b547a7fef6893eb741135b68a7ba43d4ea66b13b1'),
     'census exceptional 3': (0, '52606085795ba4e059f10c2d7818be47010c26e2f4a93259b100cc1ce6f8bc1c'),
     'census exceptional 5': (0, '50d11483ff99b44310aadd5812905c214acd407fa1c4a8814d6ac1d03c1b2fc6'),
