@@ -42,13 +42,13 @@ class StructureConstants(_RawValues):
 
     The cells are stored once, as rows of cells of canonical raw values
     in `_values` (rings._RawValues, which gives equality and hashing);
-    `table` wraps them in RingElements on first read and keeps the result.
+    `table` wraps them in RingElements each time it is read.
     The constructor checks every value, the shape and the identity.  The
     private `_canonical` skips those checks; its only caller is
     `cubic.build_algebra`, whose rows are canonical by construction.
     """
 
-    __slots__ = ("rank", "_table")
+    __slots__ = ("rank",)
 
     def __init__(self, spec: RingSpec, table):
         value = spec.value
@@ -70,7 +70,6 @@ class StructureConstants(_RawValues):
         self.spec = spec
         self.rank = k
         self._values = rows
-        self._table = None
 
     @classmethod
     def _canonical(cls, spec: RingSpec, rows) -> StructureConstants:
@@ -81,15 +80,10 @@ class StructureConstants(_RawValues):
         out.spec = spec
         out.rank = len(rows)
         out._values = rows
-        out._table = None
         return out
 
-    @property
-    def table(self):
-        """The cells as tuples of RingElements."""
-        if self._table is None:
-            self._table = self.as_tuple()
-        return self._table
+    # the cells as tuples of RingElements
+    table = property(_RawValues.as_tuple)
 
     def __repr__(self):
         return f"StructureConstants(rank={self.rank} over {self.spec!r})"

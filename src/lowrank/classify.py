@@ -22,16 +22,18 @@ census is one pass over raw values: _cubic_tuples makes the valid
 six-tuples as tuples of ints in range(p), in lexicographic order, with
 no sort, and each is re-checked against the eight relations
 (cubic._violated_relations), given its case (cubic._case_index) and
-answered by the forced-candidate test (involutions._forced_traces) on
-its raw table (cubic._table_values), without building an object: only
-the p^2 tuples the test passes become a CubicCoefficients and an
-algebra (build_algebra), and their involutions are verified in full.
-The report keeps each raw tuple and a one-byte code for its case and
-verdict, and writes its rows from a fixed template, cut once per code
-around its value fields, in the same bytes as json.dumps of its to_json
-(see CensusReport); enumerate_cubic wraps the same raw tuples as
-CubicCoefficients for callers that want them, and elements are built
-only where a caller reads a tuple's attributes.
+answered "no" by the forced-candidate test (involutions._forced_traces)
+on its raw table (cubic._table_values), without building an object.
+Only the p^2 tuples the test passes are built, by the CubicCoefficients
+constructor, the one way a six-tuple enters, and their "yes" comes from
+find_standard_involution on their algebra (build_algebra), the one
+producer of a verified standard involution.  The report keeps each raw
+tuple and a one-byte code for its case and verdict, and writes its rows
+from a fixed template, cut once per code around its value fields, in
+the same bytes as json.dumps of its to_json (see CensusReport);
+enumerate_cubic builds the same raw tuples with the constructor for
+callers that want them, and elements are built only where a caller
+reads a tuple's attributes.
 """
 
 from __future__ import annotations
@@ -71,13 +73,11 @@ from .errors import (
     check_guard,
 )
 from .involutions import (
-    _conjugation,
     _forced_traces,
+    _verifies,
     find_standard_involution,
     m2_adjoint,
     pair_swap,
-    verify_involution,
-    verify_standard,
 )
 from .poly import poly_gcd
 from .quadratic import QuadraticAlgebra
@@ -385,12 +385,11 @@ def _cubic_tuples(spec: RingSpec):
 
 def enumerate_cubic(spec: RingSpec):
     """All valid six-tuples over a prime field, lexicographically: the
-    raw tuples of _cubic_tuples, each built by
-    CubicCoefficients._canonical, which re-validates the eight relations
-    as the constructor does.  The census reads the raw tuples directly.
+    raw tuples of _cubic_tuples, each built by the CubicCoefficients
+    constructor, which re-validates the eight relations.  The census
+    reads the raw tuples directly.
     """
-    canonical = CubicCoefficients._canonical
-    return [canonical(spec, values) for values in _cubic_tuples(spec)]
+    return [CubicCoefficients(spec, *values) for values in _cubic_tuples(spec)]
 
 
 # One census row as json.dumps(report.to_json(), indent=2, sort_keys=True)
@@ -450,8 +449,9 @@ class CensusReport:
     The census is held raw: `tuples`, the valid six-tuples as tuples of
     ints in range(p) in census order, and `codes`, one byte per tuple,
     2 * case index (cubic._CASES) + involution flag.  rows builds the
-    (CubicCoefficients, CubicCase, has_involution) triples when it is
-    read; case_counts and theorem_holds count the codes.
+    (CubicCoefficients, CubicCase, has_involution) triples, each tuple
+    by the CubicCoefficients constructor, when it is read; case_counts
+    and theorem_holds count the codes.
 
     to_json builds the report as a dict.  write_json writes the same
     bytes as json.dumps(to_json(), indent=2, sort_keys=True) plus a
@@ -475,9 +475,9 @@ class CensusReport:
 
     @property
     def rows(self):
-        canonical = CubicCoefficients._canonical
+        spec = self.spec
         return [
-            (canonical(self.spec, values), _CASES[code >> 1], bool(code & 1))
+            (CubicCoefficients(spec, *values), _CASES[code >> 1], bool(code & 1))
             for values, code in zip(self.tuples, self.codes)
         ]
 
@@ -584,11 +584,12 @@ def verify_main_theorem(spec: RingSpec) -> CensusReport:
     its case taken from cubic._case_index, and its verdict from its raw
     table (cubic._table_values): a "no" comes from the forced-candidate
     test (involutions._forced_traces), and only a tuple that passes it
-    is built, as a CubicCoefficients and by build_algebra, and has its
-    forced conjugation verified in full by verify_involution and
-    verify_standard.  The report keeps each raw tuple and its code, and
-    as its class representatives the first member of each class that
-    exceptional_classes returns, or None where that refuses (p >= 7).
+    is built, by the CubicCoefficients constructor and build_algebra,
+    and takes its verdict from find_standard_involution, which verifies
+    the involution it returns in full.  The report keeps each raw tuple
+    and its code, and as its class representatives the first member of
+    each class that exceptional_classes returns, or None where that
+    refuses (p >= 7).
     """
     p = spec.p
     tuples = list(_cubic_tuples(spec))
@@ -600,12 +601,10 @@ def verify_main_theorem(spec: RingSpec) -> CensusReport:
         if violated:
             raise RelationViolation(violated)
         case = _case_index(values)
-        traces = _forced_traces(_table_values(spec, values), p)
         has_inv = False
-        if traces is not None:
-            coeffs = CubicCoefficients._canonical(spec, values)
-            inv = _conjugation(build_algebra(coeffs), traces)
-            has_inv = verify_involution(inv)[0] and verify_standard(inv)[0]
+        if _forced_traces(_table_values(spec, values), p) is not None:
+            coeffs = CubicCoefficients(spec, *values)
+            has_inv = find_standard_involution(build_algebra(coeffs)) is not None
             if has_inv and case != exceptional:
                 meet.append(coeffs)
         codes[k] = 2 * case + has_inv
@@ -637,10 +636,9 @@ def exceptional_classes(spec: RingSpec):
         raise UnsupportedRing("the census runs over prime fields")
     # no search runs; kept because perfbench pins this refusal at p >= 7
     _check_iso_guard(spec.p, 3)
-    canonical = CubicCoefficients._canonical
     classes = {}
     for n, m in itertools.product(range(spec.p), repeat=2):
-        coeffs = canonical(spec, (n, 0, m, n, 0, m))
+        coeffs = CubicCoefficients(spec, n, 0, m, n, 0, m)
         classes.setdefault(exceptional_normal_form(coeffs)[0], []).append(coeffs)
     return list(classes.values())
 
@@ -826,8 +824,7 @@ def mn_degree_probes(spec: RingSpec, n: int) -> ProbeReport:
     checks = []
     if n == 2:
         adj = m2_adjoint(spec)
-        ok = verify_involution(adj)[0] and verify_standard(adj)[0]
-        checks.append(("adjugate_standard", ok, "x * adj(x) = det(x)"))
+        checks.append(("adjugate_standard", _verifies(adj), "x * adj(x) = det(x)"))
         deg = algebra_degree(adj.algebra)
         checks.append(("matrix_degree_2", deg == 2, f"degree {deg}"))
         found = find_standard_involution(adj.algebra)
@@ -867,8 +864,7 @@ def mn_degree_probes(spec: RingSpec, n: int) -> ProbeReport:
                 ("exhaustive_degree_3", deg_all == 3, f"degree {deg_all}")
             )
     swap = pair_swap(spec)
-    ok = verify_involution(swap)[0] and verify_standard(swap)[0]
-    checks.append(("pair_swap_standard", ok, "coordinate swap on F x F"))
+    checks.append(("pair_swap_standard", _verifies(swap), "coordinate swap on F x F"))
     pair_alg = direct_product(rank_one(spec), rank_one(spec))
     deg = algebra_degree(pair_alg)
     checks.append(("pair_degree_2", deg == 2, f"degree {deg}"))

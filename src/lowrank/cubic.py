@@ -33,7 +33,7 @@ from .errors import (
     SpecMismatch,
     WrongCase,
 )
-from .involutions import Involution, _conjugation, find_standard_involution
+from .involutions import Involution, _conjugation, _verifies, find_standard_involution
 from .poly import Polynomial
 from .rings import RingElement, RingSpec, _RawValues, _unit_inverse, _xgcd
 
@@ -151,33 +151,20 @@ class CubicCoefficients(_RawValues):
     """A valid six-tuple (b, c, m, n, y, z); construction checks the
     eight relations and raises RelationViolation otherwise.
 
-    The tuple is stored once, as the six canonical raw values in
-    `_values` (RingSpec.value).  The attributes b, c, m, n, y, z and
-    as_tuple() build RingElements of the spec when they are read;
-    equality, hashing, repr, to_json, build_algebra, classify_case and
-    the census report rows read `_values` directly.  _canonical takes
-    values that are canonical already and skips their conversion, but
-    checks the relations as the constructor does; the census builds
-    with it only the tuples that pass its forced-candidate test.
+    The constructor is the one way a six-tuple is built, the census's
+    included: each value is converted by RingSpec.value, and the tuple
+    is stored once, as the six canonical raw values in `_values`.  The
+    attributes b, c, m, n, y, z and as_tuple() build RingElements of
+    the spec when they are read; equality, hashing, repr, to_json,
+    build_algebra, classify_case and the census report rows read
+    `_values` directly.
     """
 
     FIELDS = ("b", "c", "m", "n", "y", "z")
     __slots__ = ()
 
     def __init__(self, spec: RingSpec, b, c, m, n, y, z):
-        self._store(spec, tuple(map(spec.value, (b, c, m, n, y, z))))
-
-    @classmethod
-    def _canonical(cls, spec: RingSpec, values) -> CubicCoefficients:
-        """The tuple of six canonical raw values (RingSpec.value), such
-        as ints in range(p) over F_p, stored unconverted; the relations
-        are checked as by the constructor."""
-        out = object.__new__(cls)
-        out._store(spec, values)
-        return out
-
-    def _store(self, spec, values):
-        """Keep the canonical raw values, or raise RelationViolation."""
+        values = tuple(map(spec.value, (b, c, m, n, y, z)))
         violated = _violated_relations(spec, *values)
         if violated:
             raise RelationViolation(violated)
@@ -402,9 +389,13 @@ def exceptional_normal_form(coeffs: CubicCoefficients):
 
 def involution_from_witness(witness: ExceptionalWitness) -> Involution:
     """The conjugation x -> scalar part + t(ideal part) - ideal part,
-    reconstructed from the witness functional."""
+    reconstructed from the witness functional and verified in full
+    (involutions._verifies) before it is returned."""
     # i = t_i - I and j sit over the ideal; conjugation fixes scalars
-    return _conjugation(witness.algebra, (witness.t_i, witness.t_j))
+    inv = _conjugation(witness.algebra, (witness.t_i, witness.t_j))
+    if not _verifies(inv):
+        raise AssertionError("witness conjugation failed verification")
+    return inv
 
 
 def matrix_rep(coeffs: CubicCoefficients):

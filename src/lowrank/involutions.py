@@ -138,6 +138,13 @@ def _conjugation(alg: StructureConstants, traces) -> Involution:
     ])
 
 
+def _verifies(inv: Involution) -> bool:
+    """Whether inv passes verify_involution and verify_standard, looked
+    up in this module: the check behind every involution the searches,
+    involution_from_witness and the probes accept."""
+    return verify_involution(inv)[0] and verify_standard(inv)[0]
+
+
 def _forced_traces(table, p):
     """The traces (t_1, ..., t_{k-1}) of the forced candidate, read off
     a raw table (canonical raw values, basis element 0 the unit), or
@@ -185,9 +192,7 @@ def find_standard_involution(alg: StructureConstants):
     if traces is None:
         return None
     cand = _conjugation(alg, traces)
-    if verify_involution(cand)[0] and verify_standard(cand)[0]:
-        return cand
-    return None
+    return cand if _verifies(cand) else None
 
 
 def all_standard_involutions(alg: StructureConstants):
@@ -204,7 +209,7 @@ def all_standard_involutions(alg: StructureConstants):
     out = []
     for tvals in itertools.product(range(p), repeat=alg.rank - 1):
         cand = _conjugation(alg, tvals)
-        if verify_involution(cand)[0] and verify_standard(cand)[0]:
+        if _verifies(cand):
             out.append(cand)
     return out
 

@@ -94,10 +94,9 @@ def random_tuples(draw, count):
 
 
 def test_relation_check_matches_literal_relations():
-    """validate_relations, the constructor and the census constructor
-    CubicCoefficients._canonical all agree with the relations written
-    out literally, names and order, on every tuple of GF(3)^6 and on
-    random tuples over ZZ, QQ and a large prime field."""
+    """validate_relations and the constructor agree with the relations
+    written out literally, names and order, on every tuple of GF(3)^6
+    and on random tuples over ZZ, QQ and a large prime field."""
     rng = random.Random(18)
     big = GF(1000003)
     cases = [(GF(3), tup) for tup in itertools.product(range(3), repeat=6)]
@@ -120,20 +119,15 @@ def test_relation_check_matches_literal_relations():
     for spec, tup in cases:
         expected = literal_violations(spec, *tup)
         assert validate_relations(spec, *tup) == (not expected, expected), (spec, tup)
-        canonical = tuple(map(spec.value, tup))
         if expected:
             seen_violated += 1
-            for build in (
-                lambda: CubicCoefficients(spec, *tup),
-                lambda: CubicCoefficients._canonical(spec, canonical),
-            ):
-                with pytest.raises(RelationViolation) as info:
-                    build()
-                assert info.value.violations == expected, (spec, tup)
+            with pytest.raises(RelationViolation) as info:
+                CubicCoefficients(spec, *tup)
+            assert info.value.violations == expected, (spec, tup)
         else:
             seen_valid += 1
-            built = CubicCoefficients._canonical(spec, canonical)
-            assert built == CubicCoefficients(spec, *tup)
+            built = CubicCoefficients(spec, *tup)
+            assert built._values == tuple(map(spec.value, tup))
     assert seen_valid > 300 and seen_violated > 900
 
 
@@ -622,20 +616,23 @@ def test_census_rows_are_the_per_tuple_verdicts():
 
 
 def test_census_builds_no_tuple_that_fails_the_forced_test(monkeypatch):
-    """At GF(5) the census builds a CubicCoefficients only for the p^2
-    tuples that pass the forced-candidate test, plus the p^2 tables of
-    exceptional_classes: at most 2 p^2, where one per tuple made 674."""
+    """At GF(5) the census calls the CubicCoefficients constructor only
+    for the p^2 tuples that pass the forced-candidate test, plus the p^2
+    tables of exceptional_classes: at most 2 p^2, where one per tuple
+    made 674.  The calls are counted under classify's name for the
+    class; the normal tables that cubic.exceptional_normal_form builds
+    for exceptional_classes are its own."""
     from lowrank.cubic import _table_values
     from lowrank.involutions import _forced_traces
 
     built = []
-    canonical = classify.CubicCoefficients._canonical.__func__
+    constructor = classify.CubicCoefficients
 
-    def counted(cls, spec, values):
+    def counted(spec, *values):
         built.append(values)
-        return canonical(cls, spec, values)
+        return constructor(spec, *values)
 
-    monkeypatch.setattr(classify.CubicCoefficients, "_canonical", classmethod(counted))
+    monkeypatch.setattr(classify, "CubicCoefficients", counted)
     p = 5
     report = verify_main_theorem(GF(p))
     assert report.valid == p**4 + p**2 - 1
@@ -661,8 +658,8 @@ def test_census_verdicts_match_the_trace_brute_force():
 def test_census_builds_only_the_tables_that_pass_the_forced_test(monkeypatch):
     """At GF(5) the census builds an algebra for the p^2 tuples that pass
     the raw forced-candidate test (the p^2 - 1 exceptional tables and the
-    zero table), and verifies each of their involutions in full."""
-    calls = {"build_algebra": 0, "verify_involution": 0, "verify_standard": 0}
+    zero table), and takes each verdict from find_standard_involution."""
+    calls = {"build_algebra": 0, "find_standard_involution": 0}
 
     def counted(name):
         original = getattr(classify, name)
@@ -677,7 +674,7 @@ def test_census_builds_only_the_tables_that_pass_the_forced_test(monkeypatch):
         monkeypatch.setattr(classify, name, counted(name))
     report = verify_main_theorem(GF(5))
     assert report.valid == 5**4 + 5**2 - 1
-    assert calls == {"build_algebra": 25, "verify_involution": 25, "verify_standard": 25}
+    assert calls == {"build_algebra": 25, "find_standard_involution": 25}
     assert sum(has_inv for _, _, has_inv in report.rows) == 25
 
 
@@ -791,6 +788,7 @@ def test_certificate_checks_survive_optimized_mode():
         from lowrank import complete_square, exceptional_normal_form
         from lowrank import is_isomorphic_2unit, is_isomorphic_bruteforce
         from lowrank import is_isomorphic_over_z, standard_involution_exceptional
+        from lowrank import exceptional_witness, involution_from_witness
         from lowrank.algebra import AlgebraMap
 
         AlgebraMap.verify_isomorphism = lambda self: False
@@ -806,6 +804,7 @@ def test_certificate_checks_survive_optimized_mode():
             lambda: complete_square(q),
             lambda: is_isomorphic_over_z(qz, qz),
             lambda: standard_involution_exceptional(coeffs),
+            lambda: involution_from_witness(exceptional_witness(coeffs)),
         ):
             try:
                 check()
@@ -831,6 +830,7 @@ def test_certificate_checks_survive_optimized_mode():
         "refused: affine witness map failed verification\n"
         "refused: affine witness map failed verification\n"
         "refused: exceptional table has no verified standard involution\n"
+        "refused: witness conjugation failed verification\n"
     )
 
 

@@ -365,6 +365,22 @@ def test_exit_code_guard(capsys):
     assert json.loads(err)["error"]["type"] == "UnsupportedRing"
 
 
+def test_quadratic_census_cap_is_not_a_guard(capsys, monkeypatch):
+    """census quad refuses p > 13 with UnsupportedRing, and LOWRANK_GUARD,
+    which replaces the guards' caps, does not lift it (README, Guards)."""
+    for guard in (None, "100000000"):
+        if guard is None:
+            monkeypatch.delenv("LOWRANK_GUARD", raising=False)
+        else:
+            monkeypatch.setenv("LOWRANK_GUARD", guard)
+        code, out, err = run_cli(capsys, "census", "quad", "--p", "17")
+        assert (code, out) == (1, ""), guard
+        assert json.loads(err)["error"] == {
+            "type": "UnsupportedRing",
+            "message": "the quadratic census is desk-scale: p <= 13",
+        }
+
+
 def test_exit_code_input_error(capsys):
     code, out, err = run_cli(capsys, "quad", "disc", '{"broken": ')
     assert code == 2
