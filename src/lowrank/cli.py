@@ -16,10 +16,11 @@ when the reader closes stdout early.
 
 _COMMANDS lists every group and command with the names of the
 command's arguments, and _ARGUMENTS gives each argument's argparse
-keywords once.  A command line that names a group and one of its
-commands is parsed by one argparse parser built for that command; any
-other command line is answered from _COMMANDS without one: help text,
-or a usage error (see build_parser).
+keywords once; each argument is built once, at import, in a parser of
+its own (_FRAGMENTS).  A command line that names a group and one of its
+commands is parsed by one argparse parser made for that request from
+those fragments; any other command line is answered from _COMMANDS
+without one: help text, or a usage error (see build_parser).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .cubic import (
     matrix_rep,
     standard_involution_exceptional,
 )
-from .errors import InputError, LowrankError, RelationViolation
+from .errors import _INTEGER, InputError, LowrankError, RelationViolation
 from .involutions import (
     Involution,
     find_standard_involution,
@@ -64,7 +65,7 @@ from .quadratic import (
     is_separable,
     split_idempotent,
 )
-from .rings import _INTEGER, RingSpec, _check_keys
+from .rings import RingSpec, _check_keys
 
 
 def _decode(text: str, what: str):
@@ -380,7 +381,7 @@ def _cmd_probe_degree_product(args):
 
 def _integer(text):
     """The value of --p or --n: an integer in README's grammar, the ASCII
-    digits of rings._INTEGER, so '1_1' and non-ASCII digits are refused
+    digits of errors._INTEGER, so '1_1' and non-ASCII digits are refused
     as well as digit strings longer than int() converts.  The refusal is
     worded as argparse words it for type=int."""
     if _INTEGER.fullmatch(text):
@@ -391,7 +392,8 @@ def _integer(text):
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-# argument name -> its argparse keywords
+# argument name -> its argparse keywords, given to add_argument once,
+# when _FRAGMENTS is built
 _ARGUMENTS = {
     "input": {"help": "inline JSON, a file path, or - for standard input"},
     "--ring": {"help": 'ring spec JSON, e.g. {"kind":"Z"}'},
@@ -399,6 +401,21 @@ _ARGUMENTS = {
     "--n": {"type": _integer, "required": True, "choices": (2, 3)},
     "--format": {"choices": ("json", "table"), "default": "json"},
 }
+
+
+def _fragment(name=None):
+    """A parser that holds only the argument name of _ARGUMENTS or, with
+    no name, only argparse's -h/--help.  A request's parser takes
+    fragments as parents, which shares their actions and copies no
+    keywords (see build_parser)."""
+    fragment = argparse.ArgumentParser(prog="lowrank", add_help=name is None, allow_abbrev=False)
+    if name is not None:
+        fragment.add_argument(name, **_ARGUMENTS[name])
+    return fragment
+
+
+_HELP = _fragment()
+_FRAGMENTS = {name: _fragment(name) for name in _ARGUMENTS}
 
 # group -> (help, {command: (handler, names of the command's arguments)})
 _COMMANDS = {
@@ -491,17 +508,24 @@ def _answer_without_command(argv):
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser of the command that argv names by its first two words,
-    with the arguments its _COMMANDS row names and option names matched
-    exactly.  Any other argv builds no parser: it is answered here (see
-    _answer_without_command), which exits."""
+    with -h/--help and the arguments its _COMMANDS row names, and option
+    names matched exactly.  Its parents are _HELP and the _FRAGMENTS of
+    those names, so it shares their actions, built once at import, and a
+    request adds none.  argparse points each shared action's container
+    at the latest parser that took it, which nothing reads under the
+    default conflict_handler.  Any other argv builds no parser: it is
+    answered here (see _answer_without_command), which exits."""
     argv = [] if argv is None else list(argv)
     commands = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else {}
     if len(argv) < 2 or argv[1] not in commands:
         _answer_without_command(argv)
     handler, names = commands[argv[1]]
-    parser = _Parser(prog=f"lowrank {argv[0]} {argv[1]}", allow_abbrev=False)
-    for name in names:
-        parser.add_argument(name, **_ARGUMENTS[name])
+    parser = _Parser(
+        prog=f"lowrank {argv[0]} {argv[1]}",
+        parents=[_HELP] + [_FRAGMENTS[name] for name in names],
+        add_help=False,
+        allow_abbrev=False,
+    )
     parser.set_defaults(handler=handler)
     return parser
 

@@ -6,6 +6,13 @@ malformed input, which surfaces as InputError.
 """
 
 import os
+import re
+
+
+# README's integer grammar: ASCII digits ([0-9] matches no other digit)
+# with an optional sign.  Ring elements (rings.RingSpec.parse), --p and
+# --n (cli._integer) and LOWRANK_GUARD are read through it.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class LowrankError(Exception):
@@ -51,17 +58,20 @@ class InputError(Exception):
 def enumeration_limit(default):
     """Size ceiling for exhaustive enumerations.
 
-    The LOWRANK_GUARD environment variable, when set to an integer,
-    replaces the built-in ceiling.  That escape hatch is unsafe: large
-    values can make census commands run for a very long time.
+    The LOWRANK_GUARD environment variable, when set to an integer in
+    README's grammar (_INTEGER, so no '_', no space and no non-ASCII
+    digit), replaces the built-in ceiling.  That escape hatch is unsafe:
+    large values can make census commands run for a very long time.
     """
     raw = os.environ.get("LOWRANK_GUARD")
     if raw is None:
         return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"LOWRANK_GUARD must be an integer, got {raw!r}")
+    if _INTEGER.fullmatch(raw):
+        try:
+            return int(raw)
+        except ValueError:
+            pass  # more digits than int() converts
+    raise InputError(f"LOWRANK_GUARD must be an integer, got {raw!r}")
 
 
 def check_guard(count, default_limit, what):

@@ -20,11 +20,11 @@ import re
 from fractions import Fraction
 from math import isqrt
 
-from .errors import InputError, NotAUnit, SpecMismatch, UnsupportedRing
+from .errors import _INTEGER, InputError, NotAUnit, SpecMismatch, UnsupportedRing
 
 
-# The element grammar RingSpec.parse accepts; [0-9] matches ASCII digits only.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+# The element grammar RingSpec.parse accepts: errors._INTEGER, and over Q
+# this; [0-9] matches ASCII digits only.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:[/.][0-9]+)?")
 
 

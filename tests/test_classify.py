@@ -152,6 +152,11 @@ def test_guard_override(monkeypatch):
 
     with pytest.raises(InputError):
         enumerate_cubic(GF(2))
+    # README's integer grammar, as for --p: int() would read each of these
+    for raw in ("1_0", "\u0663", " 7 "):
+        monkeypatch.setenv("LOWRANK_GUARD", raw)
+        with pytest.raises(InputError, match="LOWRANK_GUARD must be an integer"):
+            enumerate_cubic(GF(2))
     monkeypatch.setenv("LOWRANK_GUARD", "24137569")
     assert len(enumerate_cubic(GF(17))) == 17**4 + 17**2 - 1
 

@@ -734,13 +734,22 @@ def test_closed_stdout_exits_1_without_traceback():
 
 def test_a_request_builds_only_the_parsers_it_names(monkeypatch, capsys):
     built = []
+    added = []
     init = argparse.ArgumentParser.__init__
+    add_argument = argparse._ActionsContainer.add_argument
 
     def counting(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    def counting_add(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    # the arguments come from the fragments built at import: a request
+    # adds none, the help action included
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting_add)
     # an option's value follows a space or an equals sign
     assert run_json(capsys, "census", "cubic", "--p=2")["valid"] == 19
     assert built == ["lowrank census cubic"]
@@ -752,11 +761,69 @@ def test_a_request_builds_only_the_parsers_it_names(monkeypatch, capsys):
         main(["census", "cubic", "--help"])
     assert built == ["lowrank census cubic"]
     built.clear()
+    assert added == []
     for argv, _, _ in NO_COMMAND:
         with pytest.raises(SystemExit):
             main(argv)
     capsys.readouterr()
     assert built == []
+
+
+# words that give each argument a value it parses, by argument name
+VALID_ARGUMENTS = {
+    "input": [json.dumps(COEFFS_Z)],
+    "--ring": ["--ring", RING_Z],
+    "--p": ["--p", "3"],
+    "--n": ["--n", "2"],
+    "--format": ["--format", "table"],
+}
+
+ACTION_FIELDS = ("dest", "option_strings", "default", "type", "choices", "required", "nargs", "help")
+
+
+def action_fields(fragment):
+    return [
+        (type(action), *(getattr(action, field) for field in ACTION_FIELDS))
+        for action in fragment._actions
+    ]
+
+
+def test_shared_fragments_stay_as_built(capsys):
+    # every request of every command reuses the same fragments; running a
+    # command line that parses, a --help and a usage error of each must
+    # leave each fragment's actions and defaults as a fresh build of it
+    for group, (_, commands) in cli._COMMANDS.items():
+        for cmd, (_, names) in commands.items():
+            argv = [group, cmd] + [word for name in names for word in VALID_ARGUMENTS[name]]
+            main(argv)
+            for extra in (["--help"], ["--no-such-option"]):
+                with pytest.raises(SystemExit):
+                    main(argv + extra)
+    capsys.readouterr()
+    fragments = [(cli._HELP, cli._fragment())]
+    fragments += [(cli._FRAGMENTS[name], cli._fragment(name)) for name in cli._ARGUMENTS]
+    for shared, fresh in fragments:
+        assert action_fields(shared) == action_fields(fresh)
+        assert shared._defaults == fresh._defaults
+        assert "handler" not in shared._defaults
+
+
+def old_parser(group, cmd):
+    """A command's parser built as before fragments: add_argument for the
+    help action and for each argument, on every request."""
+    parser = cli._Parser(prog=f"lowrank {group} {cmd}", allow_abbrev=False)
+    for name in cli._COMMANDS[group][1][cmd][1]:
+        parser.add_argument(name, **cli._ARGUMENTS[name])
+    return parser
+
+
+@pytest.mark.parametrize(
+    "group, cmd", [(group, cmd) for group, (_, commands) in cli._COMMANDS.items() for cmd in commands]
+)
+def test_help_and_usage_match_the_parser_built_argument_by_argument(group, cmd):
+    parser, reference = cli.build_parser([group, cmd]), old_parser(group, cmd)
+    assert parser.format_help() == reference.format_help()
+    assert parser.format_usage() == reference.format_usage()
 
 
 GROUPS = "(choose from 'quad', 'cubic', 'form', 'inv', 'alg', 'census', 'probe')"
