@@ -22,15 +22,18 @@ census is one pass over raw values: _cubic_tuples makes the valid
 six-tuples as tuples of ints in range(p), in lexicographic order, with
 no sort, and each is re-checked against the eight relations
 (cubic._violated_relations), given its case (cubic._case_index) and
-answered "no" by the forced-candidate test (involutions._forced_traces)
-on its raw table (cubic._table_values), without building an object.
-Only the p^2 tuples the test passes are built, by the CubicCoefficients
-constructor, the one way a six-tuple enters, and their "yes" comes from
-find_standard_involution on their algebra (build_algebra), the one
-producer of a verified standard involution.  The report keeps each raw
-tuple and a one-byte code for its case and verdict, and writes its rows
-from a fixed template, cut once per code around its value fields, in
-the same bytes as json.dumps of its to_json (see CensusReport);
+answered "no" by the forced-candidate test in closed form on the
+six-tuple (cubic._forced_traces_of; the generic
+involutions._forced_traces is its oracle in the tests), without
+building a table or an object.  Only the p^2 tuples the test passes
+are built, by the CubicCoefficients constructor, the one way a
+six-tuple enters, and their "yes" comes from find_standard_involution
+on their algebra (build_algebra), the one producer of a verified
+standard involution.  The report keeps each raw tuple and a one-byte
+code for its case and verdict, and writes its rows from a fixed
+template, cut once per code around its value fields, with the values
+filled in as three value pairs, in the same bytes as json.dumps of its
+to_json (see CensusReport);
 enumerate_cubic builds the same raw tuples with the constructor for
 callers that want them, and elements are built only where a caller
 reads a tuple's attributes.
@@ -60,7 +63,7 @@ from .cubic import (
     CubicCase,
     CubicCoefficients,
     _case_index,
-    _table_values,
+    _forced_traces_of,
     _violated_relations,
     build_algebra,
     exceptional_normal_form,
@@ -73,7 +76,6 @@ from .errors import (
     check_guard,
 )
 from .involutions import (
-    _forced_traces,
     _verifies,
     find_standard_involution,
     m2_adjoint,
@@ -431,8 +433,9 @@ def _write_joined(out, pieces, sep):
 def _row_pieces(template, case, flag):
     """template with its case and flag filled in, cut around its six
     value fields into (pre, sep, post): a row is
-    pre + sep.join(values) + post.  The fields are filled with a NUL
-    marker, which no template holds, and cut there."""
+    pre + sep.join(values) + post, as the five pieces between the
+    fields are equal in both templates.  The fields are filled with a
+    NUL marker, which no template holds, and cut there."""
     pieces = template.format(case, flag, *["\0"] * 6).split("\0")
     return pieces[0], pieces[1], pieces[-1]
 
@@ -457,8 +460,8 @@ class CensusReport:
     bytes as json.dumps(to_json(), indent=2, sort_keys=True) plus a
     newline without building either: the summary keys go through
     json.dumps, the rows through a fixed template, cut once per code, on
-    the raw values, a chunk at a time.  write_table does the same for
-    the plain-text table.
+    the raw values as three precomputed value pairs, a chunk at a time.
+    write_table does the same for the plain-text table.
     """
 
     def __init__(self, spec, total, tuples, codes, intersection, representatives):
@@ -531,17 +534,24 @@ class CensusReport:
 
     def _render_rows(self, template, flags):
         """Each row through template, the flag read as flags[code & 1].
-        The template is cut once per code by _row_pieces, and the str()
-        of each value in range(p) is taken once."""
+        The template is cut once per code by _row_pieces; its separator
+        is the same for every code, so the p^2 strings u + sep + v for
+        u, v in range(p) are built once, and a row is pre, the pairs of
+        (b, c), (m, n) and (y, z) joined by sep, and post."""
         cuts = [
             _row_pieces(template, _CASES[code >> 1].value, flags[code & 1])
             for code in range(2 * len(_CASES))
         ]
-        digits = [str(v) for v in range(self.spec.p)]
-        digit = digits.__getitem__
-        for values, code in zip(self.tuples, self.codes):
-            pre, sep, post = cuts[code]
-            yield pre + sep.join(map(digit, values)) + post
+        sep = cuts[0][1]
+        p = self.spec.p
+        digits = [str(v) for v in range(p)]
+        pairs = [u + sep + v for u in digits for v in digits]
+        for (b, c, m, n, y, z), code in zip(self.tuples, self.codes):
+            pre, _, post = cuts[code]
+            yield (
+                pre + pairs[b * p + c] + sep + pairs[m * p + n] + sep
+                + pairs[y * p + z] + post
+            )
 
     def write_json(self, out):
         """Write the JSON report and a newline to out (see the class)."""
@@ -581,15 +591,15 @@ def verify_main_theorem(spec: RingSpec) -> CensusReport:
     involution, and exactly the all-zero tuple is both commutative and
     involution-bearing.  One pass reads the raw tuples of _cubic_tuples:
     each has its eight relations re-checked (cubic._violated_relations),
-    its case taken from cubic._case_index, and its verdict from its raw
-    table (cubic._table_values): a "no" comes from the forced-candidate
-    test (involutions._forced_traces), and only a tuple that passes it
-    is built, by the CubicCoefficients constructor and build_algebra,
-    and takes its verdict from find_standard_involution, which verifies
-    the involution it returns in full.  The report keeps each raw tuple
-    and its code, and as its class representatives the first member of
-    each class that exceptional_classes returns, or None where that
-    refuses (p >= 7).
+    its case taken from cubic._case_index, and a "no" from the
+    forced-candidate test in closed form on the six-tuple
+    (cubic._forced_traces_of), with no table built.  Only a tuple that
+    passes it is built, by the CubicCoefficients constructor and
+    build_algebra, and takes its verdict from find_standard_involution,
+    which verifies the involution it returns in full.  The report keeps
+    each raw tuple and its code, and as its class representatives the
+    first member of each class that exceptional_classes returns, or
+    None where that refuses (p >= 7).
     """
     p = spec.p
     tuples = list(_cubic_tuples(spec))
@@ -602,7 +612,7 @@ def verify_main_theorem(spec: RingSpec) -> CensusReport:
             raise RelationViolation(violated)
         case = _case_index(values)
         has_inv = False
-        if _forced_traces(_table_values(spec, values), p) is not None:
+        if _forced_traces_of(values) is not None:
             coeffs = CubicCoefficients(spec, *values)
             has_inv = find_standard_involution(build_algebra(coeffs)) is not None
             if has_inv and case != exceptional:

@@ -259,6 +259,24 @@ def _case_index(values):
     return 1
 
 
+def _forced_traces_of(values):
+    """involutions._forced_traces of the table of the canonical raw
+    six-tuple values (b, c, m, n, y, z), in closed form: the traces
+    (b, z), or None.
+
+    The table (_table_values) has i^2 = (-cz, b, c), j^2 = (-by, y, z),
+    ij = (cy, 0, 0) and ji = (cy - bm, m, n).  The span check of
+    _forced_traces reads i^2 and j^2: c = y = 0, with traces (b, z).
+    Its check of ij + ji reads the i and j coordinates: m - z = 0 and
+    n - b = 0.  The scalar cells are never read, and canonical values
+    are equal exactly when they are congruent, so no mod is taken and
+    no table is built.  The relations are not used."""
+    b, c, m, n, y, z = values
+    if c or y or m != z or n != b:
+        return None
+    return b, z
+
+
 def classify_case(coeffs: CubicCoefficients) -> CubicCase:
     return _CASES[_case_index(coeffs._values)]
 

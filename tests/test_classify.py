@@ -683,6 +683,45 @@ def test_census_builds_only_the_tables_that_pass_the_forced_test(monkeypatch):
     assert sum(has_inv for _, _, has_inv in report.rows) == 25
 
 
+def test_census_rechecks_every_tuple_and_reads_tables_only_of_what_it_builds(monkeypatch):
+    """At GF(5) the census calls _violated_relations, counted under
+    classify's name, once for each of the 649 valid tuples, in census
+    order, and reaches cubic._table_values only through build_algebra,
+    for the 25 tuples it builds: the forced test reads no table.
+    exceptional_classes is answered before the count, so the tables of
+    its normal forms are not counted."""
+    from lowrank import cubic
+
+    spec = GF(5)
+    classes = exceptional_classes(spec)
+    checked, tables, built = [], [], []
+    relations = classify._violated_relations
+    table_values = cubic._table_values
+    build = classify.build_algebra
+
+    def counted_relations(spec, *values):
+        checked.append(values)
+        return relations(spec, *values)
+
+    def counted_tables(spec, values):
+        tables.append(tuple(values))
+        return table_values(spec, values)
+
+    def counted_build(coeffs):
+        built.append(coeffs._values)
+        return build(coeffs)
+
+    monkeypatch.setattr(classify, "exceptional_classes", lambda spec: classes)
+    monkeypatch.setattr(classify, "_violated_relations", counted_relations)
+    monkeypatch.setattr(cubic, "_table_values", counted_tables)
+    monkeypatch.setattr(classify, "build_algebra", counted_build)
+    report = verify_main_theorem(spec)
+    assert len(checked) == 5**4 + 5**2 - 1 == 649
+    assert checked == report.tuples
+    assert len(built) == 25
+    assert tables == built
+
+
 def test_census_tables_build_no_ring_elements(ring_elements_built):
     """enumerate_cubic, classify_case, build_algebra, and an involution
     search, whether it answers no or yes, work on raw values: none

@@ -267,12 +267,13 @@ def census_table_oracle(report):
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_census_cubic_report_bytes(capsys, p):
+    # p = 11 writes values of one and two digits
     report = verify_main_theorem(GF(p))
     payload = report.to_json()
-    # p <= 5 lists class representatives, p = 7 reports null
-    assert (payload["class_representatives"] is None) == (p == 7)
+    # p <= 5 lists class representatives, p >= 7 reports null
+    assert (payload["class_representatives"] is None) == (p >= 7)
     code, out, err = run_cli(capsys, "census", "cubic", "--p", str(p))
     assert code == 0, err
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -261,6 +261,49 @@ def test_build_algebra_frozen_table():
     assert classify_case(coeffs) is CubicCase.COMMUTATIVE
 
 
+def test_forced_traces_closed_form_matches_the_generic_test():
+    """cubic._forced_traces_of gives what involutions._forced_traces
+    reads off the table of _table_values, traces included: on every raw
+    six-tuple at p = 2 and 3, valid or not, on every census tuple at
+    p = 5 and 7, and on random six-tuples over Z and Q, a third of them
+    shaped to pass and a third shaped to pass but for one coordinate."""
+    from lowrank.classify import _cubic_tuples
+    from lowrank.cubic import _forced_traces_of, _table_values
+    from lowrank.involutions import _forced_traces
+
+    def passes(spec, values):
+        generic = _forced_traces(_table_values(spec, values), spec.p)
+        closed = _forced_traces_of(values)
+        assert (closed is None) == (generic is None), (spec, values)
+        if closed is not None:
+            assert list(closed) == generic, (spec, values)
+        return closed is not None
+
+    # exactly the p^2 tuples (b, 0, z, b, 0, z) pass, all of them valid
+    for p in (2, 3):
+        raw = itertools.product(range(p), repeat=6)
+        assert sum(passes(GF(p), values) for values in raw) == p * p
+    for p in (5, 7):
+        assert sum(passes(GF(p), values) for values in _cubic_tuples(GF(p))) == p * p
+
+    rng = random.Random(97)
+    draws = {
+        "Z": lambda: rng.randint(-3, 3),
+        "Q": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+    }
+    for spec in (ZZ, QQ):
+        for k in range(300):
+            values = [spec.value(draws[spec.kind]()) for _ in range(6)]
+            if k % 3 == 2:
+                passes(spec, values)
+                continue
+            b, _, _, _, _, z = values
+            values = [b, spec.value(0), z, b, spec.value(0), z]
+            if k % 3 == 1:
+                values[rng.randrange(6)] += 1
+            assert passes(spec, tuple(values)) == (k % 3 == 0), values
+
+
 def test_case_split():
     assert classify_case(CubicCoefficients(ZZ, 0, 0, 0, 0, 0, 0)) is CubicCase.NILPRODUCT
     assert classify_case(CubicCoefficients(ZZ, 1, 1, 0, 0, 1, 1)) is CubicCase.COMMUTATIVE
