@@ -10,11 +10,14 @@ pins those outputs.
 
 Everything else here is an oracle-grade computation: isomorphism is
 decided by an exhaustive search over the unital linear maps between two
-algebras over a prime field (image coordinates that a linear condition
-forces are solved for, by one division or by algebra._row_reduce, the
-rest scanned; every product a candidate map needs is read off the
-target's raw products of its nonscalar basis elements, since the unit
-is two-sided, and checked with modular arithmetic), censuses list every
+algebras over a prime field (image coordinates that a condition forces
+are solved for, by one division, one square root at rank 2 or
+algebra._row_reduce, the rest scanned; at rank 3 the products a
+nonscalar part w needs are computed once per line through the origin
+and scaled, since they are homogeneous in w; every product a candidate
+map needs is read off the target's raw products of its nonscalar basis
+elements, since the unit is two-sided, and checked with modular
+arithmetic), censuses list every
 valid coefficient tuple in lexicographic order (built from the two
 families the relations leave over a field), and the reports record
 per-tuple verdicts so they can be reproduced byte for byte.  The cubic
@@ -83,7 +86,7 @@ from .involutions import (
 )
 from .poly import poly_gcd
 from .quadratic import QuadraticAlgebra
-from .rings import RingSpec
+from .rings import RingSpec, _square_class_root
 
 
 # -- brute-force isomorphism --------------------------------------------------
@@ -133,12 +136,12 @@ def _linear_roots(a, b, p):
     return range(p) if b == 0 else ()
 
 
-def _search_rank3(ta, tb, p):
+def _search_rank3(ta, tb, spec):
     """Find images (u, v) for the generators, or None.
 
-    ta and tb are the raw tables of the source and the target.  The
-    answer is the first (u, v) in lexicographic order, u before v, that
-    is multiplicative on basis pairs and invertible.
+    ta and tb are the raw tables of the source and the target over
+    spec = F_p.  The answer is the first (u, v) in lexicographic order,
+    u before v, that is multiplicative on basis pairs and invertible.
 
     Every product is read off the target's four products of e1 and e2:
     the unit is a two-sided identity, so by bilinearity
@@ -161,8 +164,10 @@ def _search_rank3(ta, tb, p):
     and qbar = (0, q1, q2).  So u2 E1 - u1 E2 = 3 d u0 - (s2 + c1) d
     + u2 (w qbar)_1 - u1 (w qbar)_2 with d = u2 q1 - u1 q2: linear in
     u0 with slope 3 d, and d != 0 for a kept w, so one u0 unless p = 3,
-    where every u0 or none.  Each candidate is checked for u * v, v * u
-    and v * v.
+    where every u0 or none.  That u0 makes u2 E1 - u1 E2 vanish, so
+    E_k = 0 for one k with u_k != 0 gives both coordinates; a u0 with
+    E_k != 0 is dropped.  Each kept candidate is checked for u * v,
+    v * u and v * v.
 
     When gamma = 0, u must have a zero residue, so for a k with u_k != 0
     the coordinate (2 u0 - c1) u_k + q_k fixes u0 unless p = 2, where it
@@ -175,13 +180,24 @@ def _search_rank3(ta, tb, p):
     and e2*e1 check; each solution is tested for invertibility and for
     v * v only.
 
+    The conditions are homogeneous in w: for w = lam w' with lam != 0,
+    q = lam^2 q', w qbar = lam^3 (w' qbar') and d = lam^3 d', of
+    degrees 2, 3 and 3.  So w * w and w * qbar are computed once per
+    line through the origin, for w' = (0, 1, t) and (0, 0, 1): p + 1
+    lines, two products each.  A line with d' = 0 is dropped whole
+    (gamma != 0).  For each lam the u0 solve (divided by lam^3 when
+    gamma != 0, by lam when gamma = 0) and the E_k test (divided by
+    lam) read the line's q', w' qbar' and d', with k the coordinate
+    where w' has its leading 1.
+
     So each nonzero w gives its candidates u = (u0, u1, u2) with the u0
-    its linear condition allows, at most p^2 - 1 of them outside
-    p = 2, 3.  They are checked in lexicographic order, so the first
-    witness is the same as a scan over every u would find.  Every
-    skipped map fails a necessary condition (u with u1 = u2 = 0 is never
-    invertible), so the search is exhaustive.
+    its conditions allow, at most p^2 - 1 of them outside p = 2, 3.
+    They are checked in lexicographic order, so the first witness is the
+    same as a scan over every u would find.  Every skipped map fails a
+    necessary condition (u with u1 = u2 = 0 is never invertible), so the
+    search is exhaustive.
     """
+    p = spec.p
     t11, t12, t21, t22 = tb[1][1], tb[1][2], tb[2][1], tb[2][2]
 
     def mul(x, y):
@@ -196,24 +212,36 @@ def _search_rank3(ta, tb, p):
 
     s11, s12, s21, s22 = ta[1][1], ta[1][2], ta[2][1], ta[2][2]
     c0, c1, gamma = (c % p for c in s11)
+    shift = s12[2] + c1
+    const = s12[2] * c1 - c0 - gamma * s12[1]
     candidates = []
-    for u1, u2 in itertools.product(range(p), repeat=2):
-        if not (u1 or u2):
-            continue
-        w = (0, u1, u2)
+    for w in [(0, 1, t) for t in range(p)] + [(0, 0, 1)]:
+        _, w1, w2 = w
+        k = 1 if w1 else 2  # w[k] = 1
         q = mul(w, w)
         if gamma:
-            d = u2 * q[1] - u1 * q[2]
+            d = w2 * q[1] - w1 * q[2]
             if d % p == 0:
                 continue
             wq = mul(w, (0, q[1], q[2]))
-            roots = _linear_roots(
-                3 * d, u2 * wq[1] - u1 * wq[2] - (s12[2] + c1) * d, p
-            )
+            n = w2 * wq[1] - w1 * wq[2]
+            for lam in range(1, p):
+                lq = lam * q[k]
+                for u0 in _linear_roots(3 * d, lam * n - shift * d, p):
+                    # E_k / lam: zero when u * v matches in coordinate k
+                    if (
+                        (3 * u0 + 3 * lq - 2 * shift) * u0
+                        + const
+                        + lam * lam * (q[0] + wq[k])
+                        - shift * lq
+                    ) % p == 0:
+                        candidates.append((u0, lam * w1 % p, lam * w2 % p))
         else:
-            k = 1 if u1 else 2
-            roots = _linear_roots(2 * w[k], q[k] - c1 * w[k], p)
-        candidates.extend((u0, u1, u2) for u0 in roots)
+            for lam in range(1, p):
+                u1, u2 = lam * w1 % p, lam * w2 % p
+                candidates.extend(
+                    (u0, u1, u2) for u0 in _linear_roots(2, lam * q[k] - c1, p)
+                )
     candidates.sort()  # lexicographic order on u
     inv = pow(gamma, -1, p) if gamma else 0
     e1, e2 = (0, 1, 0), (0, 0, 1)
@@ -263,32 +291,41 @@ def _is_image(s, u, v, y, p):
     )
 
 
-def _search_rank2(ta, tb, p):
+def _search_rank2(ta, tb, spec):
     """Find the image u of the generator, or None: the lexicographically
     first (u0, u1) with u1 != 0 and u * u = phi(e1^2), where ta and tb
-    are the raw tables of the source and the target.
+    are the raw tables of the source and the target over spec = F_p.
 
     The target is unital, so with q = e1 * e1 read off tb,
-    u * u = (u0^2 + u1^2 q0, 2 u0 u1 + u1^2 q1) by bilinearity.
-    Matching the e1-coefficient with s11[1] u1 is a linear condition on
-    u0.  For each u1 the u0 solving it are tried: one when 2 u1 != 0,
-    every u0 or none when p = 2.  Every skipped map fails that
-    condition, so the search is exhaustive.
+    u * u = (u0^2 + u1^2 q0, 2 u0 u1 + u1^2 q1) by bilinearity, and
+    phi(e1^2) = (s0 + s1 u0, s1 u1).  For odd p the e1-coefficient gives
+    u0 = (s1 - u1 q1) / 2, and the e0-coefficient then reads
+    u1^2 Delta_b = Delta_a with Delta = s1^2 + 4 s0 (q1^2 + 4 q0 for the
+    target).  So u1 is a square root: none, the pair {a, p - a}
+    (rings._square_class_root), or every u1 != 0 when
+    Delta_a = Delta_b = 0; the least (u0, u1) among them is returned.
+    At p = 2 the map must send e1 to u with u1 = 1, and both u0 are
+    checked directly.  Every skipped map fails one of the two
+    conditions, so the search is exhaustive.
     """
-    s0, s1 = ta[1][1]
-    q0, q1 = tb[1][1]
-    found = []
-    for u1 in range(1, p):  # the map must be invertible: det = u1
-        w0, w1 = u1 * u1 * q0, u1 * u1 * q1
-        for u0 in _linear_roots(2 * u1, w1 - s1 * u1, p):
-            # u * u against phi(e1^2) = s0 e0 + s1 u
-            if not (
-                (u0 * u0 + w0 - s0 - s1 * u0) % p
-                or (2 * u0 * u1 + w1 - s1 * u1) % p
-            ):
-                found.append((u0, u1))
-                break
-    return (min(found),) if found else None
+    p = spec.p
+    s0, s1 = (s % p for s in ta[1][1])
+    q0, q1 = (q % p for q in tb[1][1])
+    if p == 2:
+        for u0 in range(2):
+            if not ((u0 * u0 + q0 - s0 - s1 * u0) % 2 or (q1 - s1) % 2):
+                return ((u0, 1),)
+        return None
+    da, db = (s1 * s1 + 4 * s0) % p, (q1 * q1 + 4 * q0) % p
+    if da or db:
+        a = _square_class_root(spec, da, db)
+        if a is None:
+            return None
+        roots = (a, p - a)
+    else:
+        roots = range(1, p)
+    half = (p + 1) // 2  # the inverse of 2
+    return (min(((s1 - u1 * q1) * half % p, u1) for u1 in roots),)
 
 
 def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
@@ -298,20 +335,24 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     that is multiplicative on basis pairs and invertible, and returns
     the first in lexicographic order of the generator images as
     (True, map), or (False, None).  Rank at most 3.  Image coordinates
-    that a product condition fixes linearly are solved for rather than
-    scanned (u0 at both ranks; v when e1^2 does not involve e2 at
-    rank 3, see _search_rank3).  Every product the search needs is read
-    off the target's raw products of its nonscalar basis elements by
-    bilinearity and the two-sided unit (e1 * e1 at rank 2, the four
-    products of e1 and e2 at rank 3), so it makes no call into the
-    target's _mul_values.  At rank 3, u0 is solved for each nonzero
-    w = (0, u1, u2): from the e1*e2 condition when e1^2 involves e2,
-    from e1^2 otherwise, so outside p = 2, 3 at most p^2 - 1 candidates
-    u are checked, and when e1^2 involves e2 a w whose det(u, v)
-    vanishes is dropped.  A map is skipped only when it fails a
-    necessary condition, so the search stays exhaustive.  The guard
-    counts the p^(k(k-1)) maps of the whole space, far more than the
-    search visits.
+    that a product condition fixes are solved for rather than scanned
+    (u0 and u1 at rank 2, u1 as a square root; u0 at rank 3, and v
+    when e1^2 does not involve e2, see _search_rank3).  Every product
+    the search needs is read off the target's raw products of its
+    nonscalar basis elements by bilinearity and the two-sided unit
+    (e1 * e1 at rank 2, the four products of e1 and e2 at rank 3), so
+    it makes no call into the target's _mul_values.  At rank 3, u0 is
+    solved for each nonzero w = (0, u1, u2): from the e1*e2 condition
+    when e1^2 involves e2, from e1^2 otherwise.  w * w and its
+    companion product are computed once for each of the p + 1 lines
+    through the origin and scaled to the p - 1 nonzero w on it.  When
+    e1^2 involves e2, a line whose det(u, v) vanishes is dropped whole,
+    and a solved u0 whose e1*e2 product misses in one coordinate is
+    dropped before any candidate check, so outside p = 2, 3 at most
+    p^2 - 1 candidates u, and often far fewer, reach the checks.  A map
+    is skipped only when it fails a necessary condition, so the search
+    stays exhaustive.  The guard counts the p^(k(k-1)) maps of the
+    whole space, far more than the search visits.
     """
     if a.spec != b.spec:
         raise SpecMismatch("algebras over different rings")
@@ -327,7 +368,7 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     if k == 1:
         return True, AlgebraMap(a, b, [b.one()])
     search = _search_rank3 if k == 3 else _search_rank2
-    found = search(a._values, b._values, p)
+    found = search(a._values, b._values, a.spec)
     if found is None:
         return False, None
     images = [b.one()] + [b.element(list(col)) for col in found]

@@ -291,7 +291,7 @@ def _same_search(a, b):
         2: (classify._search_rank2, _scan_rank2),
         3: (classify._search_rank3, _scan_rank3),
     }[a.rank]
-    got = solve(a._values, b._values, p)
+    got = solve(a._values, b._values, a.spec)
     want = scan(a._values, b._mul_values, p)
     assert got == want, f"{a._values} -> {b._values}: {got} != {want}"
     return got
@@ -394,6 +394,20 @@ def test_solved_search_matches_the_scan_on_random_unital_tables():
             u, v = rng.choice(vecs), rng.choice(vecs)
         assert _same_search(a, _rebased(a, u, v)) is not None
         _same_search(a, _random_unital_table(rng, p, gamma_zero=True))
+    # p = 13, gamma != 0: each line through the origin gives p - 1
+    # scaled w, and the E_k test drops the u0 whose e1 * e2 product
+    # already misses in coordinate k
+    p = 13
+    vecs = list(itertools.product(range(p), repeat=3))
+    for draw in range(10):
+        a = _random_unital_table(rng, p, gamma_zero=False)
+        while a._values[1][1][2] == 0:
+            a = _random_unital_table(rng, p, gamma_zero=False)
+        u, v = rng.choice(vecs), rng.choice(vecs)
+        while (u[1] * v[2] - u[2] * v[1]) % p == 0:
+            u, v = rng.choice(vecs), rng.choice(vecs)
+        assert _same_search(a, _rebased(a, u, v)) is not None
+        _same_search(a, _random_unital_table(rng, p, gamma_zero=False))
     # p = 11, gamma != 0, every other table with e1 e2 != e2 e1: the
     # search reads u v, v u and v v off the target's e1 e2 and e2 e1
     # cells separately, so the two must not be confused
@@ -437,6 +451,31 @@ def test_solved_rank2_search_matches_the_scan():
             )
             found += _same_search(a.structure(), b.structure()) is not None
     assert found > 0
+    # u1 is a square root of Delta_a / Delta_b.  Every ordered pair of
+    # discriminant-zero tables (t, t^2 / 4): every u1 != 0 works, and the
+    # least (u0, u1) is taken with q1 = 0 (target t = 0), s1 = 0 (source
+    # t = 0), both, or neither
+    for p in (7, 11, 13):
+        half = (p + 1) // 2
+        tables = [
+            QuadraticAlgebra(GF(p), t, t * t * half * half).structure()
+            for t in range(p)
+        ]
+        for a in tables:
+            for b in tables:
+                assert _same_search(a, b) is not None
+    # p = 113, Delta_a / Delta_b a non-square: no root, no map
+    p = 113
+    nonsquare = 0
+    while nonsquare < 8:
+        a, b = (
+            QuadraticAlgebra(GF(p), rng.randrange(p), rng.randrange(p))
+            for _ in range(2)
+        )
+        da, db = (alg.discriminant().representative.value for alg in (a, b))
+        if da and db and pow(da * db, (p - 1) // 2, p) == p - 1:
+            nonsquare += 1
+            assert _same_search(a.structure(), b.structure()) is None
 
 
 def _count_kernel_calls(monkeypatch):
@@ -518,6 +557,9 @@ def test_search_work_counts(monkeypatch):
     monkeypatch.setattr(classify, "_is_image", counted_check)
     assert is_isomorphic_bruteforce(source, other) == (False, None)
     assert len(checks) <= p * p - 1
+    # the e1 * e2 product's coordinate E_k, tested on each solved u0
+    # before the candidate is kept, drops all 16
+    assert len(checks) == 0
 
 
 def test_main_theorem_f2():
