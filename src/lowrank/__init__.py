@@ -23,6 +23,7 @@ from .algebra import (
     product_components,
     product_element,
     rank_one,
+    rebase,
 )
 from .classify import (
     CensusReport,

@@ -8,7 +8,11 @@ AlgebraElement holds such values too; the product, linear-combination
 and determinant kernels compute on them, and RingElements are built only
 where a caller reads them (`table`, `coeffs`, `entries`).
 Basis element 0 is required to be the multiplicative identity;
-constructors reject tables where it is not.  Everything downstream
+constructors reject tables where it is not.  `rebase` writes an
+algebra's table in any other basis that starts with the identity, with
+the verified map onto it; the normal forms that change basis
+(`cubic.GeneralCubicTable.good_basis`, `quadratic.complete_square`)
+only choose that basis.  Everything downstream
 (associativity checks, regular representations, characteristic and
 minimal polynomials, products of algebras, matrix algebras) works
 exactly over Z, Q, or a prime field.
@@ -414,22 +418,40 @@ class SquareMatrix(_RawValues):
         return Polynomial(self.spec, _char_poly_values(self.spec, self._values))
 
     def is_invertible(self) -> bool:
-        return self.det().is_unit()
+        """Whether the determinant is a unit, read off the raw
+        characteristic polynomial: chi(0) = (-1)^n det(M)."""
+        spec = self.spec
+        chi0 = _char_poly_values(spec, self._values)[0]
+        return _unit_inverse(spec, spec.value(chi0)) is not None
 
     def inverse(self) -> SquareMatrix:
         """The inverse from Cayley-Hamilton; needs a unit determinant.
 
         With chi the characteristic polynomial and q = (chi - chi(0)) / T,
         M q(M) = chi(M) - chi(0) I = -chi(0) I, so M^-1 = q(M) / -chi(0);
-        q(M) is (-1)^(n-1) times the adjugate.
+        q(M) is (-1)^(n-1) times the adjugate.  q(M) is evaluated by
+        Horner's rule on raw rows, reducing each entry mod p over F_p.
         """
         spec = self.spec
+        p = spec.p
+        n = self.n
         chi = _char_poly_values(spec, self._values)  # chi[0] = (-1)^n det(M)
         inv = _unit_inverse(spec, spec.value(-chi[0]))
         if inv is None:
             raise NotAUnit(f"determinant {self.det()} is not a unit")
-        q = Polynomial(spec, chi[1:])
-        return q.evaluate(self, SquareMatrix.identity(spec, self.n)) * inv
+        cols = tuple(zip(*self._values))
+        acc = [[chi[n] if i == j else 0 for j in range(n)] for i in range(n)]
+        for c in reversed(chi[1:n]):
+            acc = [
+                [
+                    sum(a * b for a, b in zip(row, col) if a and b) + (c if i == j else 0)
+                    for j, col in enumerate(cols)
+                ]
+                for i, row in enumerate(acc)
+            ]
+            if p:
+                acc = [[a % p for a in row] for row in acc]
+        return SquareMatrix(spec, [[a * inv for a in row] for row in acc])
 
     def __repr__(self):
         return "[" + "; ".join(
@@ -630,7 +652,7 @@ class AlgebraMap:
         return True, None
 
     def is_invertible(self) -> bool:
-        return self.matrix().det().is_unit()
+        return self.matrix().is_invertible()
 
     def verify_isomorphism(self) -> bool:
         return (
@@ -656,6 +678,39 @@ class AlgebraMap:
 
     def __repr__(self):
         return f"AlgebraMap({list(self.images)!r})"
+
+
+def rebase(alg: StructureConstants, images):
+    """The table of alg in a new basis, with the map onto it: (table, phi).
+
+    images[k] is the coordinate vector, in alg's basis, of new basis
+    element k, one vector of rank entries for each basis element
+    (ValueError otherwise).  images[0] must be the unit, or the
+    StructureConstants constructor raises TableError.  The change of
+    basis needs a unit determinant (over Z, +-1), or
+    SquareMatrix.inverse raises NotAUnit.
+    Each product of new basis elements is taken by _mul_values and read
+    back in new coordinates through the inverse.  phi sends each basis
+    element of alg to its new coordinates, the columns of the inverse;
+    the map back is AlgebraMap(table, alg, images).  phi is re-checked
+    by verify_isomorphism before it is returned.
+    """
+    if len(images) != alg.rank:
+        raise ValueError(f"rank {alg.rank} needs {alg.rank} images")
+    spec = alg.spec
+    change = SquareMatrix(spec, images)  # row k is new basis element k
+    new = change._values
+    # the rows of the inverse of the transpose are the columns of the
+    # inverse: the new coordinates of each old basis element
+    cols = change.inverse()._values
+    combine, mul = alg._combine_values, alg._mul_values
+    table = StructureConstants(
+        spec, [[combine(mul(u, v), cols) for v in new] for u in new]
+    )
+    phi = AlgebraMap(alg, table, cols)
+    if not phi.verify_isomorphism():
+        raise AssertionError("basis-change map failed verification")
+    return table, phi
 
 
 # -- constructions ----------------------------------------------------------

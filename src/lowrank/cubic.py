@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 
-from .algebra import AlgebraMap, SquareMatrix, StructureConstants, left_regular_rep
+from .algebra import AlgebraMap, SquareMatrix, StructureConstants, left_regular_rep, rebase
 from .errors import (
     InputError,
     NotAUnit,
@@ -66,29 +66,22 @@ class GeneralCubicTable(_RawValues):
             ],
         )
 
-    def good_basis(self) -> GeneralCubicTable:
-        """Shift the generators to clear the linear terms of i*j.
+    @classmethod
+    def _of_structure(cls, alg: StructureConstants) -> GeneralCubicTable:
+        """The twelve coefficients of a rank-3 table whose basis starts
+        with 1, read off its cells i*i, i*j, j*i and j*j; the inverse of
+        structure()."""
+        t = alg._values
+        cells = t[1][1] + t[1][2] + t[2][1] + t[2][2]
+        return cls(alg.spec, **dict(zip(cls.FIELDS, cells)))
 
-        Substituting i - f and j - e for the generators leaves the
-        mixed product i*j scalar; every other coefficient is recomputed
-        exactly.
-        """
-        a, b, c, d, e, f, l, m, n, x, y, z = self._values
-        return GeneralCubicTable(
-            self.spec,
-            a=a + b * f - f * f + c * e,
-            b=b - 2 * f,
-            c=c,
-            d=d + e * f,
-            e=0,
-            f=0,
-            l=l + m * f + n * e - e * f,
-            m=m - e,
-            n=n - f,
-            x=x + y * f + z * e - e * e,
-            y=y,
-            z=z - 2 * e,
-        )
+    def good_basis(self) -> GeneralCubicTable:
+        """The table in the good basis (1, i - f, j - e), where the mixed
+        product i*j is scalar; one algebra.rebase call, whose map is
+        verified before the coefficients are read off."""
+        _, _, _, _, e, f, *_ = self._values
+        table, _ = rebase(self.structure(), [(1, 0, 0), (-f, 1, 0), (-e, 0, 1)])
+        return GeneralCubicTable._of_structure(table)
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in zip(self.FIELDS, self._values))
@@ -355,7 +348,7 @@ def exceptional_witness(coeffs: CubicCoefficients) -> ExceptionalWitness:
             raise WrongCase(f"ideal identity fails on {left!r} * {right!r}")
     # the rows are the coordinates of 1, I and j; transposing keeps the det
     basis_matrix = SquareMatrix(spec, [alg.one()._values, gen_i._values, gen_j._values])
-    if not basis_matrix.det().is_unit():
+    if not basis_matrix.is_invertible():
         raise WrongCase("witness generators do not complete a basis")
     return ExceptionalWitness(alg, gen_i, gen_j, t_i, t_j)
 

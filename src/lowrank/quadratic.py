@@ -15,7 +15,15 @@ RingElements are built only where a caller reads t, n or representative.
 
 from __future__ import annotations
 
-from .algebra import AlgebraMap, SquareMatrix, StructureConstants, direct_product, product_element, rank_one
+from .algebra import (
+    AlgebraMap,
+    SquareMatrix,
+    StructureConstants,
+    direct_product,
+    product_element,
+    rank_one,
+    rebase,
+)
 from .errors import NotAUnit, SpecMismatch, UnsupportedRing, WrongCase
 from .involutions import Involution, _conjugation
 from .rings import RingSpec, _RawValues, _square_class_root, _unit_inverse, bezout
@@ -80,26 +88,25 @@ class DiscriminantClass(_RawValues):
 
 
 def complete_square(alg: QuadraticAlgebra):
-    """Shift the generator to kill the linear term; needs 2 invertible.
+    """Write alg in the basis (1, y) with y = 2x - t, where
+    y^2 = t^2 - 4n; needs 2 invertible, and refuses first otherwise.
 
-    Returns (d, map) where d = t^2 - 4n and the map is a verified
-    isomorphism onto R[y]/(y^2 - d) sending x to y/2 + t/2.
+    Returns (d, map) where d = t^2 - 4n and the map, from algebra.rebase,
+    is a verified isomorphism onto R[y]/(y^2 - d) sending x to y/2 + t/2.
     """
     spec = alg.spec
-    half = _unit_inverse(spec, spec.value(2))
-    if half is None:
+    if _unit_inverse(spec, spec.value(2)) is None:
         raise NotAUnit("completing the square needs 2 to be a unit")
-    d = alg.discriminant()
-    target = QuadraticAlgebra(spec, 0, -d._values[0])
-    return d.representative, _affine_map(alg, target, half, alg._values[0] * half)
+    t = alg._values[0]
+    _, phi = rebase(alg.structure(), [(1, 0), (-t, 2)])
+    return alg.discriminant().representative, phi
 
 
 def _affine_map(a: QuadraticAlgebra, b: QuadraticAlgebra, scale, shift) -> AlgebraMap:
     """The map x -> scale*y + shift as an AlgebraMap between structures;
     scale and shift may be raw values or elements of the base ring.
-    The witness maps of complete_square and both isomorphism tests are
-    built here, and re-checked by verify_isomorphism before they are
-    returned."""
+    The witness maps of both isomorphism tests are built here, and
+    re-checked by verify_isomorphism before they are returned."""
     target = b.structure()
     m = AlgebraMap(a.structure(), target, [target.one(), target.element([shift, scale])])
     if not m.verify_isomorphism():

@@ -35,6 +35,7 @@ from lowrank import (
     product_element,
     quaternion_algebra,
     rank_one,
+    rebase,
     split_idempotent,
 )
 from lowrank.algebra import _row_reduce
@@ -552,6 +553,56 @@ def test_matrix_inverse():
     # a non-unit determinant over Z has no inverse either
     with pytest.raises(NotAUnit):
         SquareMatrix(ZZ, [[2, 0], [0, 1]]).inverse()
+
+
+def test_rebase_refusals_and_ranks():
+    """rebase refuses a change of basis without a unit determinant
+    (NotAUnit), a first image that is not the unit (TableError) and
+    images of the wrong number or length (ValueError).  At
+    ranks 2, 3 and 4 its map onto the new table verifies, sends each
+    image to its basis element, and the map back is the images."""
+    alg = build_algebra(CubicCoefficients(ZZ, 1, 1, 0, 0, 1, 1))
+    with pytest.raises(NotAUnit):
+        rebase(alg, [(1, 0, 0), (0, 2, 0), (0, 0, 1)])  # det 2 over Z
+    five = build_algebra(CubicCoefficients(GF(5), 2, 0, 3, 2, 0, 3))
+    with pytest.raises(NotAUnit):
+        rebase(five, [(1, 0, 0), (0, 1, 2), (3, 2, 4)])  # singular
+    with pytest.raises(TableError):
+        rebase(five, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(TableError):
+        rebase(five, [(0, 1, 0), (1, 0, 0), (0, 0, 1)])  # det -1
+    for images in ([(1, 0), (0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0)]):
+        with pytest.raises(ValueError):
+            rebase(five, images)
+    cases = [
+        (QuadraticAlgebra(QQ, 3, 5).structure(), [(1, 0), (Fraction(1, 2), 3)]),
+        (QuadraticAlgebra(GF(7), 1, 1).structure(), [(1, 0), (4, 5)]),
+        (alg, [(1, 0, 0), (4, 1, 1), (-2, 3, 4)]),
+        (five, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        (
+            quaternion_algebra(QQ, -1, -1),
+            [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (Fraction(1, 2), 0, 0, 2)],
+        ),
+        (
+            matrix_algebra(ZZ, 2),
+            [(1, 0, 0, 0), (3, 1, 0, 0), (-1, 2, 1, 0), (0, 5, -2, 1)],
+        ),
+        (
+            matrix_algebra(GF(5), 2),
+            [(1, 0, 0, 0), (2, 0, 1, 0), (0, 1, 0, 0), (4, 3, 2, 3)],
+        ),
+    ]
+    for source, images in cases:
+        table, phi = rebase(source, images)
+        assert phi.source == source and phi.target == table
+        assert phi.verify_isomorphism()
+        assert AlgebraMap(table, source, images).verify_isomorphism()
+        for k, im in enumerate(images):
+            assert phi.apply(source.element(im)) == table.basis(k)
+    # the basis the table already has gives it back, by the identity
+    table, phi = rebase(five, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert table == five
+    assert phi == AlgebraMap(five, five, [five.basis(k) for k in range(3)])
 
 
 def reference_char_poly(mat):

@@ -20,6 +20,7 @@ from lowrank import (
     SquareMatrix,
     StructureConstants,
     WrongCase,
+    algebra_degree,
     algebra_from_form,
     build_algebra,
     char_poly_exceptional,
@@ -29,12 +30,14 @@ from lowrank import (
     exceptional_norm,
     exceptional_normal_form,
     exceptional_witness,
+    find_standard_involution,
     form_from_commutative,
     gl2_act,
     left_regular_rep,
     matrix_rep,
     norm,
     normalize,
+    rebase,
     standard_involution_exceptional,
     validate_relations,
     verify_involution,
@@ -64,15 +67,52 @@ def random_exceptional(spec, rng, span=9):
         return CubicCoefficients(spec, n, 0, m, n, 0, m)
 
 
+def random_general_table(spec, rng):
+    """A GeneralCubicTable with twelve random coefficients: fractions
+    over Q, residues over F_p, small integers over Z."""
+    if spec.kind == "Fp":
+        draw = lambda: rng.randrange(spec.p)
+    elif spec.kind == "Q":
+        draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    else:
+        draw = lambda: rng.randint(-9, 9)
+    return GeneralCubicTable(spec, **{k: draw() for k in GeneralCubicTable.FIELDS})
+
+
+def reference_good_basis(table):
+    """The good-basis table expanded by hand, coefficient by coefficient,
+    as good_basis once computed it: the oracle."""
+    a, b, c, d, e, f, l, m, n, x, y, z = table.as_tuple()
+    return GeneralCubicTable(
+        table.spec,
+        a=a + b * f - f * f + c * e,
+        b=b - 2 * f,
+        c=c,
+        d=d + e * f,
+        e=0,
+        f=0,
+        l=l + m * f + n * e - e * f,
+        m=m - e,
+        n=n - f,
+        x=x + y * f + z * e - e * e,
+        y=y,
+        z=z - 2 * e,
+    )
+
+
+def test_good_basis_matches_the_expanded_coefficients():
+    rng = random.Random(41)
+    for spec in (ZZ, QQ, GF(2), GF(5), GF(7)):
+        for _ in range(100):
+            table = random_general_table(spec, rng)
+            assert table.good_basis() == reference_good_basis(table)
+
+
 def test_good_basis_clears_mixed_linear_terms():
     rng = random.Random(43)
     for spec in (ZZ, GF(5)):
         for _ in range(200):
-            raw = {
-                k: rng.randint(-9, 9) if spec.kind == "Z" else rng.randrange(5)
-                for k in GeneralCubicTable.FIELDS
-            }
-            table = GeneralCubicTable(spec, **raw)
+            table = random_general_table(spec, rng)
             shifted = table.good_basis()
             assert shifted.e.is_zero() and shifted.f.is_zero()
             # shifting again is the identity once e = f = 0
@@ -86,32 +126,65 @@ def test_good_basis_frozen_value():
 
 def test_good_basis_preserves_isomorphism_class():
     """The shifted table is the same algebra written in a new basis, so
-    products of shifted generators must match the shifted products."""
+    the map sending its generators to i - f and j - e in the original
+    table must be a verified isomorphism."""
     rng = random.Random(47)
     spec = GF(7)
     for _ in range(100):
-        raw = {k: rng.randrange(7) for k in GeneralCubicTable.FIELDS}
-        table = GeneralCubicTable(spec, **raw)
+        table = random_general_table(spec, rng)
         old = table.structure()
         new = table.good_basis().structure()
-        # the change of basis sends i -> i - f, j -> j - e as elements
-        # of the original algebra; check the three defining products
-        i_new = old.basis(1) - old.scalar(table.f)
-        j_new = old.basis(2) - old.scalar(table.e)
-        for pair, x, y in (
-            ((1, 1), i_new, i_new),
-            ((1, 2), i_new, j_new),
-            ((2, 1), j_new, i_new),
-            ((2, 2), j_new, j_new),
-        ):
-            got = x * y
-            want_coeffs = new.table[pair[0]][pair[1]]
-            want = (
-                old.scalar(want_coeffs[0])
-                + i_new * want_coeffs[1]
-                + j_new * want_coeffs[2]
-            )
-            assert got == want
+        back = AlgebraMap(new, old, [(1, 0, 0), (-table.f, 1, 0), (-table.e, 0, 1)])
+        assert back.verify_isomorphism()
+
+
+def random_unital_change(spec, rng):
+    """Images (1, u, v) of a random change of basis that keeps the unit
+    and has a unit determinant: over Z, +-1."""
+    if spec.kind == "Fp":
+        draw = lambda: rng.randrange(spec.p)
+    elif spec.kind == "Q":
+        draw = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    else:
+        draw = lambda: rng.randint(-2, 2)
+    while True:
+        images = [(1, 0, 0), (draw(), draw(), draw()), (draw(), draw(), draw())]
+        if SquareMatrix(spec, images).is_invertible():
+            return images
+
+
+def basis_invariants(alg):
+    """What a rank-3 table says about its algebra, whatever its basis:
+    a standard involution found or not, commutativity, associativity,
+    the case of its six-tuple and, over F_p, the degree."""
+    out = (
+        find_standard_involution(alg) is not None,
+        alg.is_commutative(),
+        alg.verify_associativity()[0],
+        classify_case(normalize(GeneralCubicTable._of_structure(alg))),
+    )
+    if alg.spec.kind == "Fp":
+        out += (algebra_degree(alg),)
+    return out
+
+
+def test_answers_do_not_depend_on_the_basis():
+    rng = random.Random(53)
+    spec = GF(5)
+    census = list(enumerate_cubic(spec))
+    tuples = rng.sample(census, 100) + [CubicCoefficients(spec, 0, 0, 0, 0, 0, 0)]
+    for draw in range(100):
+        tuples.append(
+            random_commutative(ZZ, rng) if draw % 2 else random_exceptional(ZZ, rng)
+        )
+        tuples.append(random_fraction_tuple(rng, commutative=draw % 2 == 1))
+    for coeffs in tuples:
+        alg = build_algebra(coeffs)
+        table, phi = rebase(alg, random_unital_change(coeffs.spec, rng))
+        assert phi.source == alg and phi.target == table
+        want = basis_invariants(alg)
+        assert want[3] is classify_case(coeffs)
+        assert basis_invariants(table) == want
 
 
 def test_normalize_upper_triangular():
@@ -575,6 +648,7 @@ def test_exceptional_triangular_representation():
             [alg.one(), alg.basis(2), alg.scalar(n) - alg.basis(1)],
         )
         assert iso.verify_isomorphism()
+        assert rebase(alg, [(1, 0, 0), (0, 0, 1), (n, -1, 0)])[0] == tri
 
 
 def test_form_discriminant_frozen():
@@ -688,16 +762,19 @@ def test_form_discriminant_invariant_under_translation():
 @pytest.mark.parametrize("spec", [ZZ, QQ, GF(7)])
 def test_forms_and_polynomials_build_only_the_elements_they_return(spec, ring_elements_built):
     """Polynomial arithmetic and gcds, char_poly, min_poly, gl2_act,
-    normalize, the two discriminants and matrix_rep work on raw values:
-    each builds exactly the RingElements it returns, so none at all for
-    a polynomial, form, table, class or matrix."""
+    normalize, good_basis, rebase, SquareMatrix.inverse, the two
+    discriminants and matrix_rep work on raw values: each builds exactly
+    the RingElements it returns, so none at all for a polynomial, form,
+    table, class, map or matrix."""
     from lowrank import Polynomial, QuadraticAlgebra, min_poly, poly_gcd
 
     f = Polynomial(spec, [3, 0, -2, 1])
     g = Polynomial(spec, [-1, 1])
     form = BinaryCubicForm(spec, 1, -2, 3, 5)
     coeffs = commutative_from_form(form)
-    x = build_algebra(coeffs).element([1, 2, -3])
+    alg = build_algebra(coeffs)
+    x = alg.element([1, 2, -3])
+    unimodular = SquareMatrix(spec, [[2, 1, 0], [1, 1, 0], [-3, 4, 1]])
     built = ring_elements_built
     assert built == [], "building the inputs built elements"
     runs = [
@@ -707,6 +784,9 @@ def test_forms_and_polynomials_build_only_the_elements_they_return(spec, ring_el
         ("char_poly", lambda: left_regular_rep(x).char_poly()),
         ("gl2_act", lambda: gl2_act(SquareMatrix(spec, [[1, 2], [0, 1]]), form)),
         ("normalize", lambda: normalize(GeneralCubicTable(spec, b=1, f=1))),
+        ("good_basis", lambda: GeneralCubicTable(spec, b=1, e=2, f=-3).good_basis()),
+        ("rebase", lambda: rebase(alg, [(1, 0, 0), (2, 1, 0), (-3, 1, 1)])),
+        ("SquareMatrix.inverse", lambda: unimodular.inverse()),
         ("QuadraticAlgebra.discriminant", lambda: QuadraticAlgebra(spec, 3, 5).discriminant()),
         ("matrix_rep", lambda: matrix_rep(coeffs)),
     ]

@@ -34,6 +34,7 @@ from lowrank import (
     quaternion_conjugation,
     quaternion_norm_form,
     rank_one,
+    rebase,
     standard_involution_exceptional,
     standard_involution_quadratic,
     trace,
@@ -160,18 +161,6 @@ def test_find_standard_involution_rank2_and_3():
     assert verify_standard(found)[0]
 
 
-def rebased(alg, cols):
-    """alg's table in the basis whose element i has coordinates cols[i]
-    (cols[0] is the identity, and the columns must be invertible)."""
-    k = alg.rank
-    change = SquareMatrix(alg.spec, [[cols[j][i] for j in range(k)] for i in range(k)])
-    back = change.inverse()
-    elems = [alg.element(c) for c in cols]
-    return StructureConstants(
-        alg.spec, [[back.apply((x * y).coeffs) for y in elems] for x in elems]
-    )
-
-
 def rank4_algebras(spec):
     """Rank-4 algebras with and without a standard involution."""
     p = spec.p
@@ -223,7 +212,7 @@ def test_find_standard_involution_rank4():
             ]
             rng.shuffle(cols)
             cols = [[1, 0, 0, 0]] + cols
-            for table in (alg, rebased(alg, cols)):
+            for table in (alg, rebase(alg, cols)[0]):
                 oracle = all_standard_involutions(table)
                 assert len(oracle) <= 1
                 found = find_standard_involution(table)
