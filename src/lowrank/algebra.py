@@ -379,13 +379,8 @@ class SquareMatrix(_RawValues):
         if isinstance(other, SquareMatrix):
             if other.spec != self.spec or other.n != self.n:
                 raise SpecMismatch("mismatched matrices")
-            cols = list(zip(*other._values))
             return SquareMatrix(
-                self.spec,
-                [
-                    [sum(a * b for a, b in zip(row, col) if a and b) for col in cols]
-                    for row in self._values
-                ],
+                self.spec, _matmul_values(self._values, tuple(zip(*other._values)))
             )
         if isinstance(other, (int, Fraction, RingElement)):
             c = self.spec.value(other)
@@ -442,13 +437,9 @@ class SquareMatrix(_RawValues):
         cols = tuple(zip(*self._values))
         acc = [[chi[n] if i == j else 0 for j in range(n)] for i in range(n)]
         for c in reversed(chi[1:n]):
-            acc = [
-                [
-                    sum(a * b for a, b in zip(row, col) if a and b) + (c if i == j else 0)
-                    for j, col in enumerate(cols)
-                ]
-                for i, row in enumerate(acc)
-            ]
+            acc = _matmul_values(acc, cols)
+            for i in range(n):
+                acc[i][i] += c
             if p:
                 acc = [[a % p for a in row] for row in acc]
         return SquareMatrix(spec, [[a * inv for a in row] for row in acc])
@@ -460,6 +451,16 @@ class SquareMatrix(_RawValues):
 
     def to_json(self):
         return [[str(e) for e in row] for row in self._values]
+
+
+def _matmul_values(rows, cols):
+    """The raw product of a matrix, given by its rows, and another one,
+    given by its columns; zero terms are skipped and nothing is reduced.
+    The only matrix-product loop."""
+    return [
+        [sum(a * b for a, b in zip(row, col) if a and b) for col in cols]
+        for row in rows
+    ]
 
 
 def _char_poly_values(spec: RingSpec, rows):

@@ -10,17 +10,11 @@ pins those outputs.
 
 Everything else here is an oracle-grade computation: isomorphism is
 decided by an exhaustive search over the unital linear maps between two
-algebras over a prime field (image coordinates that a condition forces
-are solved for, by one division, one square root at rank 2 or
-algebra._row_reduce, the rest scanned; at rank 3 the products a
-nonscalar part w needs are computed once per line through the origin
-and scaled, since they are homogeneous in w; every product a candidate
-map needs is read off the target's raw products of its nonscalar basis
-elements, since the unit is two-sided, and checked with modular
-arithmetic), censuses list every
-valid coefficient tuple in lexicographic order (built from the two
-families the relations leave over a field), and the reports record
-per-tuple verdicts so they can be reproduced byte for byte.  The cubic
+algebras over a prime field (_search_rank3 says how it solves for what
+it does not scan), censuses list every valid coefficient tuple in
+lexicographic order (built from the two families the relations leave
+over a field), and the reports record per-tuple verdicts so they can
+be reproduced byte for byte.  The cubic
 census is one pass over raw values: _cubic_tuples makes the valid
 six-tuples as tuples of ints in range(p), in lexicographic order, with
 no sort, and each is re-checked against the eight relations
@@ -334,25 +328,10 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     Searches the unital linear maps (first basis element fixed) for one
     that is multiplicative on basis pairs and invertible, and returns
     the first in lexicographic order of the generator images as
-    (True, map), or (False, None).  Rank at most 3.  Image coordinates
-    that a product condition fixes are solved for rather than scanned
-    (u0 and u1 at rank 2, u1 as a square root; u0 at rank 3, and v
-    when e1^2 does not involve e2, see _search_rank3).  Every product
-    the search needs is read off the target's raw products of its
-    nonscalar basis elements by bilinearity and the two-sided unit
-    (e1 * e1 at rank 2, the four products of e1 and e2 at rank 3), so
-    it makes no call into the target's _mul_values.  At rank 3, u0 is
-    solved for each nonzero w = (0, u1, u2): from the e1*e2 condition
-    when e1^2 involves e2, from e1^2 otherwise.  w * w and its
-    companion product are computed once for each of the p + 1 lines
-    through the origin and scaled to the p - 1 nonzero w on it.  When
-    e1^2 involves e2, a line whose det(u, v) vanishes is dropped whole,
-    and a solved u0 whose e1*e2 product misses in one coordinate is
-    dropped before any candidate check, so outside p = 2, 3 at most
-    p^2 - 1 candidates u, and often far fewer, reach the checks.  A map
-    is skipped only when it fails a necessary condition, so the search
-    stays exhaustive.  The guard counts the p^(k(k-1)) maps of the
-    whole space, far more than the search visits.
+    (True, map), or (False, None).  Rank at most 3.  The search solves
+    for the coordinates a product condition fixes (_search_rank2,
+    _search_rank3).  The guard counts the p^(k(k-1)) maps of the whole
+    space, far more than the search visits.
     """
     if a.spec != b.spec:
         raise SpecMismatch("algebras over different rings")

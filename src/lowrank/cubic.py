@@ -324,33 +324,29 @@ class ExceptionalWitness:
 def exceptional_witness(coeffs: CubicCoefficients) -> ExceptionalWitness:
     """Exhibit the ideal structure of an exceptional table.
 
-    With I = n - i the products collapse to I^2 = n I, I j = n j,
-    j I = m I, j^2 = m j: multiplication by any element of the span of
-    {I, j} acts through the functional t(I) = n, t(j) = m.  All four
-    identities are checked exactly, as is the independence of 1, I, j.
+    With I = n - i the span of I and j is a two-sided ideal on which
+    multiplication acts through the functional t(I) = n, t(j) = m:
+    x y = t(x) y, so I^2 = n I, I j = n j, j I = m I, j^2 = m j.  The
+    certificate is the map 1 -> 1, i -> n - e1, j -> e2 onto the model
+    table R + M, with basis 1, e1, e2 and e_a e_b = t(e_a) e_b:
+    verify_isomorphism checks the four identities and the independence
+    of 1, I, j at once, and AssertionError is raised if it fails.  A
+    commutative table raises WrongCase.
     """
-    case = classify_case(coeffs)
-    if case is CubicCase.COMMUTATIVE:
+    if classify_case(coeffs) is CubicCase.COMMUTATIVE:
         raise WrongCase("the ideal witness exists for exceptional tables only")
     alg = build_algebra(coeffs)
-    spec = coeffs.spec
-    gen_i = alg.element([coeffs._values[3], -1, 0])
-    gen_j = alg.basis(2)
-    t_i, t_j = coeffs.n, coeffs.m
-    pairs = (
-        (gen_i, gen_i, t_i),
-        (gen_i, gen_j, t_i),
-        (gen_j, gen_i, t_j),
-        (gen_j, gen_j, t_j),
+    _, _, m, n, _, _ = coeffs._values
+    e0, e1, e2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    model = StructureConstants(
+        coeffs.spec,
+        [[e0, e1, e2], [e1, (0, n, 0), (0, 0, n)], [e2, (0, m, 0), (0, 0, m)]],
     )
-    for left, right, t in pairs:
-        if left * right != right * t:
-            raise WrongCase(f"ideal identity fails on {left!r} * {right!r}")
-    # the rows are the coordinates of 1, I and j; transposing keeps the det
-    basis_matrix = SquareMatrix(spec, [alg.one()._values, gen_i._values, gen_j._values])
-    if not basis_matrix.is_invertible():
-        raise WrongCase("witness generators do not complete a basis")
-    return ExceptionalWitness(alg, gen_i, gen_j, t_i, t_j)
+    if not AlgebraMap(alg, model, [e0, (n, -1, 0), e2]).verify_isomorphism():
+        raise AssertionError("ideal witness map failed verification")
+    return ExceptionalWitness(
+        alg, alg.element([n, -1, 0]), alg.basis(2), coeffs.n, coeffs.m
+    )
 
 
 def exceptional_normal_form(coeffs: CubicCoefficients):

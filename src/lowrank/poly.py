@@ -152,23 +152,17 @@ class Polynomial(_RawValues):
             raise NotAUnit(f"leading coefficient {lead} is not a unit")
         return Polynomial(self.spec, [v * inv for v in self._values])
 
-    def evaluate(self, x, one=None):
-        """Horner evaluation.  For matrix or algebra arguments pass the
-        target's multiplicative identity as `one` so scalars embed."""
+    def evaluate(self, x):
+        """Horner evaluation at a scalar x of the base ring."""
         spec = self.spec
-        if one is None:
-            if isinstance(x, RingElement) and x.spec != spec:
-                raise SpecMismatch(f"{spec!r} does not match {x.spec!r}")
-            xv, p = spec.value(x), spec.p
-            acc = spec.value(0)
-            for c in reversed(self._values):
-                acc = acc * xv + c
-                acc = acc % p if p else acc
-            return _trusted(spec, acc)
-        acc = one * spec.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + one * c
-        return acc
+        if isinstance(x, RingElement) and x.spec != spec:
+            raise SpecMismatch(f"{spec!r} does not match {x.spec!r}")
+        xv, p = spec.value(x), spec.p
+        acc = spec.value(0)
+        for c in reversed(self._values):
+            acc = acc * xv + c
+            acc = acc % p if p else acc
+        return _trusted(spec, acc)
 
     def __repr__(self):
         if self.is_zero():

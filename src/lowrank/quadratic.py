@@ -1,9 +1,9 @@
 """Rank-2 algebras R[x]/(x^2 - t x + n) and their classification data.
 
 Over a ring where 2 is a unit everything reduces to the discriminant
-t^2 - 4n up to unit squares; over the integers the discriminant and the
-parity of t decide; over a field of characteristic 2 the separable
-algebras are classified by an additive class of n/t^2 instead.  Each
+t^2 - 4n up to unit squares; over the integers the discriminant alone
+decides; over a field of characteristic 2 the separable algebras are
+classified by an additive class of n/t^2 instead.  Each
 decision procedure returns an explicit verified map when it answers
 yes, never just a boolean.
 
@@ -20,7 +20,6 @@ from .algebra import (
     SquareMatrix,
     StructureConstants,
     direct_product,
-    product_element,
     rank_one,
     rebase,
 )
@@ -140,18 +139,18 @@ def is_isomorphic_2unit(a: QuadraticAlgebra, b: QuadraticAlgebra):
 def is_isomorphic_over_z(a: QuadraticAlgebra, b: QuadraticAlgebra):
     """Isomorphism test over the integers.
 
-    Equal discriminants and matching parity of the trace coefficient
-    are necessary and sufficient; the witness shifts the generator by
-    half the trace difference, an exact integer.  Returns (bool, map).
+    Equal discriminants are necessary and sufficient: t^2 - 4n is
+    t^2 mod 4, so they force t_a = t_b mod 2, and the witness shifts
+    the generator by half the trace difference, an exact integer.
+    Returns (bool, map).
     """
     if a.spec != b.spec:
         raise SpecMismatch("algebras over different rings")
     if a.spec.kind != "Z":
         raise UnsupportedRing("this test runs over the integers")
-    dt = a._values[0] - b._values[0]
-    if a.discriminant()._values != b.discriminant()._values or dt % 2 != 0:
+    if a.discriminant()._values != b.discriminant()._values:
         return False, None
-    return True, _affine_map(a, b, 1, dt // 2)
+    return True, _affine_map(a, b, 1, (a._values[0] - b._values[0]) // 2)
 
 
 def is_separable(alg: QuadraticAlgebra) -> bool:
@@ -228,32 +227,22 @@ def standard_involution_quadratic(alg: QuadraticAlgebra) -> Involution:
 def split_idempotent(alg: QuadraticAlgebra):
     """Identify R[x]/(x^2 - x) with R x R via a*x + b -> (a + b, b).
 
-    Only defined for (t, n) = (1, 0), where x is idempotent.  Returns
-    the forward and inverse maps, both verified multiplicative and
-    mutually inverse on the basis.
+    Only defined for (t, n) = (1, 0), where x is idempotent.  In the
+    basis (1, 1), (0, 1) of direct_product, 1 and x = (1, 0) have the
+    coordinates (1, 0) and (1, -1); rebase puts the product's table in
+    that basis, which must be alg's table, and its verified map is the
+    inverse.  Returns the forward and inverse maps, the forward one
+    built from the same images and verified too.
     """
-    spec = alg.spec
     if alg._values != (1, 0):
         raise WrongCase("the idempotent identification needs (t, n) = (1, 0)")
-    line = rank_one(spec)
+    line = rank_one(alg.spec)
     prod = direct_product(line, line)
-    fwd = AlgebraMap(
-        alg.structure(),
-        prod,
-        [prod.one(), product_element(prod, line, line, (1,), (0,))],
-    )
-    src = alg.structure()
-    x = src.basis(1)
-    one = src.one()
-    back = AlgebraMap(prod, src, [one, one - x])
-    if not fwd.verify_isomorphism():
+    images = [(1, 0), (1, -1)]
+    table, back = rebase(prod, images)
+    fwd = AlgebraMap(alg.structure(), prod, images)
+    if table != alg.structure() or not fwd.verify_isomorphism():
         raise AssertionError("idempotent splitting failed verification")
-    if not back.verify_isomorphism():
-        raise AssertionError("inverse splitting failed verification")
-    for i in range(2):
-        e, g = src.basis(i), prod.basis(i)
-        if back.apply(fwd.apply(e)) != e or fwd.apply(back.apply(g)) != g:
-            raise AssertionError("maps are not mutually inverse")
     return fwd, back
 
 

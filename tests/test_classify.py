@@ -848,7 +848,9 @@ def test_exceptional_classes_run_no_search(monkeypatch):
 def test_certificate_checks_survive_optimized_mode():
     """Under python -O, which strips assert statements, a witness that
     fails verify_isomorphism, or an involution that fails
-    verify_involution, is still refused."""
+    verify_involution, is still refused.  The ideal witness is built
+    before the patch, so involution_from_witness is refused by its own
+    check."""
     code = textwrap.dedent(
         """
         import lowrank.involutions
@@ -856,12 +858,13 @@ def test_certificate_checks_survive_optimized_mode():
         from lowrank import complete_square, exceptional_normal_form
         from lowrank import is_isomorphic_2unit, is_isomorphic_bruteforce
         from lowrank import is_isomorphic_over_z, standard_involution_exceptional
-        from lowrank import exceptional_witness, involution_from_witness
+        from lowrank import exceptional_witness, involution_from_witness, split_idempotent
         from lowrank.algebra import AlgebraMap
 
+        coeffs = CubicCoefficients(GF(3), 1, 0, 0, 1, 0, 0)
+        witness = exceptional_witness(coeffs)
         AlgebraMap.verify_isomorphism = lambda self: False
         lowrank.involutions.verify_involution = lambda inv: (False, "patched")
-        coeffs = CubicCoefficients(GF(3), 1, 0, 0, 1, 0, 0)
         alg = build_algebra(coeffs)
         q = QuadraticAlgebra(GF(5), 1, 1)
         qz = QuadraticAlgebra(ZZ, 1, 1)
@@ -872,7 +875,9 @@ def test_certificate_checks_survive_optimized_mode():
             lambda: complete_square(q),
             lambda: is_isomorphic_over_z(qz, qz),
             lambda: standard_involution_exceptional(coeffs),
-            lambda: involution_from_witness(exceptional_witness(coeffs)),
+            lambda: involution_from_witness(witness),
+            lambda: exceptional_witness(coeffs),
+            lambda: split_idempotent(QuadraticAlgebra(GF(5), 1, 0)),
         ):
             try:
                 check()
@@ -899,6 +904,8 @@ def test_certificate_checks_survive_optimized_mode():
         "refused: affine witness map failed verification\n"
         "refused: exceptional table has no verified standard involution\n"
         "refused: witness conjugation failed verification\n"
+        "refused: ideal witness map failed verification\n"
+        "refused: basis-change map failed verification\n"
     )
 
 

@@ -43,18 +43,7 @@ from lowrank import (
 )
 from lowrank.involutions import _conjugation
 
-
-def f4_algebra():
-    spec = GF(2)
-    o, z = spec.one, spec.zero
-    return StructureConstants(spec, [[[o, z], [z, o]], [[z, o], [o, o]]])
-
-
-def random_algebra_element(alg, rng, span=9):
-    spec = alg.spec
-    if spec.kind == "Fp":
-        return alg.element([rng.randrange(spec.p) for _ in range(alg.rank)])
-    return alg.element([rng.randint(-span, span) for _ in range(alg.rank)])
+from common import f4_algebra, random_algebra_element
 
 
 def standard_examples():
@@ -219,10 +208,20 @@ def test_find_standard_involution_rank4():
                 assert found == (oracle[0] if oracle else None)
                 seen[found is not None] += 1
     assert seen[True] and seen[False]
-    # search space too wide for rank 5
-    five = direct_product(rank_one(GF(3)), quaternion_algebra(GF(3), 1, 1))
-    with pytest.raises(UnsupportedRing):
-        find_standard_involution(five)
+    # no rank cap: at rank 5 the answer matches the 81 trace tuples of
+    # GF(3), on R x H (none) and on R + M with x y = phi(x) y (one)
+    spec = GF(3)
+    e = [tuple(int(l == a) for l in range(5)) for a in range(5)]
+    phi = (1, 2, 0, 1)  # on e1..e4
+    exceptional = StructureConstants(spec, [
+        [e[a + b] if a * b == 0 else tuple(phi[a - 1] * v for v in e[b]) for b in range(5)]
+        for a in range(5)
+    ])
+    five = direct_product(rank_one(spec), quaternion_algebra(spec, 1, 1))
+    for table, count in ((five, 0), (exceptional, 1)):
+        oracle = all_standard_involutions(table)
+        assert len(oracle) == count
+        assert find_standard_involution(table) == (oracle[0] if oracle else None)
 
 
 def test_uniqueness_on_quadratics_small_fields():

@@ -68,12 +68,13 @@ def _references(tree):
     return refs
 
 
-def test_package_defines_nothing_unused():
-    """Every function and class of the package, dunder methods aside, is
-    named in src/, tests/ or perfbench/ outside its own definition."""
+def _unnamed_definitions(folders, kept):
+    """The functions and classes of the package whose name passes `kept`
+    and is named in no .py file under `folders` outside its own
+    definition, as "file:line name"."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for folder in ("src", "tests", "perfbench")
+        for folder in folders
         for path in sorted((_ROOT / folder).rglob("*.py"))
     }
     refs = collections.Counter()
@@ -88,8 +89,21 @@ def test_package_defines_nothing_unused():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            if refs[name] == _references(node)[name]:
+            if kept(name) and refs[name] == _references(node)[name]:
                 unused.append(f"{path.name}:{node.lineno} {name}")
-    assert unused == []
+    return unused
+
+
+def test_package_defines_nothing_unused():
+    """Every function and class of the package, dunder methods aside, is
+    named in src/, tests/ or perfbench/ outside its own definition."""
+    dunder = lambda name: name.startswith("__") and name.endswith("__")
+    assert _unnamed_definitions(("src", "tests", "perfbench"), lambda name: not dunder(name)) == []
+
+
+def test_package_uses_every_private_definition():
+    """Every private function and class of the package (one leading
+    underscore) is named in src/ outside its own definition, so no code
+    that only the tests call hides in the package under a private name."""
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    assert _unnamed_definitions(("src",), private) == []

@@ -5,6 +5,8 @@ import pytest
 
 from lowrank import GF, QQ, ZZ, NotAUnit, Polynomial, exact_div, poly_gcd
 
+from common import horner
+
 
 def random_poly(spec, rng, max_deg=5, span=9):
     deg = rng.randint(0, max_deg)
@@ -88,7 +90,7 @@ def test_evaluate_with_identity_embedding():
     t = Polynomial.variable(ZZ)
     f = t * t - 2 * t + 1
     m = SquareMatrix(ZZ, [[ZZ.element(1), ZZ.element(1)], [ZZ.element(0), ZZ.element(1)]])
-    value = f.evaluate(m, one=SquareMatrix.identity(ZZ, 2))
+    value = horner(f, m, SquareMatrix.identity(ZZ, 2))
     assert value == SquareMatrix.zero(ZZ, 2)
 
 

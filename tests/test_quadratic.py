@@ -227,6 +227,26 @@ def test_standard_involution():
         assert norm(inv, x) == alg.n
 
 
+def test_iso_over_z_is_decided_by_the_discriminant():
+    # t^2 - 4n = t^2 mod 4: equal discriminants force t_a = t_b mod 2
+    rng = random.Random(43)
+    pairs = [((t, n), (s, m)) for t, n, s, m in itertools.product(range(-4, 5), repeat=4)]
+    for _ in range(300):
+        t, n = rng.randint(-50, 50), rng.randint(-50, 50)
+        # t two apart: n + t + 1 keeps the discriminant, a random n seldom does
+        for m in (n + t + 1, rng.randint(-50, 50)):
+            pairs.append(((t, n), (t + 2, m)))
+    equal = 0
+    for (t, n), (s, m) in pairs:
+        a, b = QuadraticAlgebra(ZZ, t, n), QuadraticAlgebra(ZZ, s, m)
+        same = a.discriminant() == b.discriminant()
+        ok, phi = is_isomorphic_over_z(a, b)
+        assert ok == same, ((t, n), (s, m))
+        assert (phi is not None) == same
+        equal += same
+    assert 500 < equal < len(pairs) / 2
+
+
 def test_split_idempotent():
     for spec in (GF(3), QQ, ZZ):
         alg = QuadraticAlgebra(spec, 1, 0)
