@@ -96,29 +96,29 @@ def _check_iso_guard(p, k):
 
 
 def _affine_solutions(rows, p):
-    """Every x in F_p^n with sum(a[i] * x[i]) = c for each row (a..., c),
-    in lexicographic order; rows are raw ints.
+    """Yield every x in F_p^n with sum(a[i] * x[i]) = c for each row
+    (a..., c), in lexicographic order; rows are raw ints.
 
-    Row reduction mod p (algebra._row_reduce) fixes the pivot coordinates
-    in terms of the free ones; a pivot in the augmented column means no
-    solution.  Each choice of the free coordinates gives one solution,
-    and the p^(free) solutions are sorted.
+    Row reduction mod p (algebra._row_reduce) runs on the coefficient
+    columns right to left (x reversed, the constant column kept last),
+    so it fixes each pivot coordinate in terms of the free coordinates to
+    its left; a pivot in the constant column means no solution.  Taking
+    the free coordinates in itertools.product order then gives the
+    solutions already in lexicographic order, one at a time, with no sort.
     """
     n = len(rows[0]) - 1
-    rows, pivots = _row_reduce(p, rows)
+    rows, pivots = _row_reduce(p, [[*row[n - 1 :: -1], row[n]] for row in rows])
     if n in pivots:
-        return []
-    free = [col for col in range(n) if col not in pivots]
-    out = []
+        return
+    # column j of the reduced rows is coordinate n - 1 - j of x
+    free = [j for j in range(n - 1, -1, -1) if j not in pivots]
     for vals in itertools.product(range(p), repeat=len(free)):
-        x = [0] * n
-        for col, val in zip(free, vals):
-            x[col] = val
-        for row, col in zip(rows, pivots):
-            x[col] = (row[n] - sum(row[f] * x[f] for f in free)) % p
-        out.append(tuple(x))
-    out.sort()
-    return out
+        y = [0] * n
+        for j, val in zip(free, vals):
+            y[j] = val
+        for row, j in zip(rows, pivots):
+            y[j] = (row[n] - sum(row[f] * y[f] for f in free)) % p
+        yield tuple(y[::-1])
 
 
 def _linear_roots(a, b, p):
@@ -128,6 +128,17 @@ def _linear_roots(a, b, p):
     if a:
         return (-b * pow(a, -1, p) % p,)
     return range(p) if b == 0 else ()
+
+
+def _square_roots(spec, top, bottom):
+    """The x in 1..p - 1 with x^2 bottom = top over spec = F_p, p odd,
+    for canonical raw top and bottom: none, the pair {a, p - a}
+    (rings._square_class_root), or every x when top = bottom = 0."""
+    p = spec.p
+    if top or bottom:
+        a = _square_class_root(spec, top, bottom)
+        return () if a is None else (a, p - a)
+    return range(1, p)
 
 
 def _search_rank3(ta, tb, spec):
@@ -146,50 +157,60 @@ def _search_rank3(ta, tb, spec):
     c0 e0 + c1 u + gamma v.  Write u = u0 e0 + w with w = (0, u1, u2)
     and q = w * w.  Then u * u = u0^2 e0 + 2 u0 w + q, so coordinate
     k = 1, 2 of the residue u * u - c0 e0 - c1 u is t u_k + q_k with
-    t = 2 u0 - c1.
+    t = 2 u0 - c1, and its e0 coordinate is u0^2 - c1 u0 - c0 + q0.
+
+    The search runs over the p + 1 lines through the origin,
+    w' = (0, 1, t) and (0, 0, 1), with k the coordinate where w' has its
+    leading 1 and k' the other.  For w = lam w' with lam != 0,
+    q = lam^2 q' and w qbar = lam^3 (w' qbar'), with qbar = (0, q1, q2),
+    so w' * w' and w' * qbar' are computed once per line.  For p >= 5,
+    u0 is affine in lam on each line and lam is a square root, as in
+    _search_rank2: lam^2 D = N has no root, the pair {a, p - a}, or
+    every lam when N = D = 0 (_square_roots).
+
+    When gamma = 0, u must have a zero residue.  Coordinate k gives
+    u0 = (c1 - lam q'_k) / 2.  Coordinate k' is then
+    lam^2 (q'_k' - w'_k' q'_k), so a line where that is nonzero is
+    dropped whole, and the e0 coordinate is (lam^2 D' - D_a) / 4 with
+    D' = q'_k^2 + 4 q'_0 and D_a = c1^2 + 4 c0.  So every candidate has
+    u * u = phi(e1^2) exactly.  v is solved for: the product is
+    bilinear, so the e1*e2 and e2*e1 conditions read
+    (L_u - s12[2] I) v = s12[0] e0 + s12[1] u and
+    (R_u - s21[2] I) v = s21[0] e0 + s21[1] u, with the columns of L_u
+    and R_u the products of u with the basis.  _affine_solutions yields
+    the solutions in lexicographic order, so the solve is the e1*e2 and
+    e2*e1 check; each is tested for invertibility and v * v only.
 
     When gamma != 0, v is the residue divided by gamma, and
     det(u, v) = u1 v2 - u2 v1 = (u1 q2 - u2 q1) / gamma does not depend
-    on u0: a w with zero det is dropped, since every u it gives fails
-    the invertibility test.  The e1*e2 check fixes u0: with s = s12,
-    gamma times coordinate k = 1, 2 of u * v - s0 e0 - s1 u - s2 v is
-    E_k = 3 u_k u0^2 + (3 q_k - 2 (c1 + s2) u_k) u0 + C_k, where
-    C_k = (s2 c1 + q0 - c0 - gamma s1) u_k - (s2 + c1) q_k + (w qbar)_k
-    and qbar = (0, q1, q2).  So u2 E1 - u1 E2 = 3 d u0 - (s2 + c1) d
-    + u2 (w qbar)_1 - u1 (w qbar)_2 with d = u2 q1 - u1 q2: linear in
-    u0 with slope 3 d, and d != 0 for a kept w, so one u0 unless p = 3,
-    where every u0 or none.  That u0 makes u2 E1 - u1 E2 vanish, so
-    E_k = 0 for one k with u_k != 0 gives both coordinates; a u0 with
-    E_k != 0 is dropped.  Each kept candidate is checked for u * v,
-    v * u and v * v.
+    on u0: a line with d' = u2' q1' - u1' q2' = 0 is dropped whole, since
+    every u on it fails the invertibility test.  The e1*e2 check fixes
+    u0: with s = s12 and S = s2 + c1, gamma times coordinate k = 1, 2 of
+    u * v - s0 e0 - s1 u - s2 v is
+    E_k = 3 u_k u0^2 + (3 q_k - 2 S u_k) u0 + C_k, where
+    C_k = (s2 c1 + q0 - c0 - gamma s1) u_k - S q_k + (w qbar)_k.  So
+    u2 E1 - u1 E2 = 3 d u0 - S d + u2 (w qbar)_1 - u1 (w qbar)_2 with
+    d = lam^3 d' != 0, which vanishes for u0 = S / 3 - lam b with
+    b = n' / (3 d'), n' = u2' (w' qbar')_1 - u1' (w' qbar')_2.  Then
+    E_k = 0 for the k with u_k != 0 gives both coordinates, and putting
+    that u0 in cancels the lam^1 term: E_k / lam = A + lam^2 C with
+    A = s2 c1 - c0 - gamma s1 - S^2 / 3 (once per search) and
+    C = q'_0 + (w' qbar')_k - 3 b (q'_k - b) (once per line).  Each
+    candidate is checked for u * v, v * u and v * v.
 
-    When gamma = 0, u must have a zero residue, so for a k with u_k != 0
-    the coordinate (2 u0 - c1) u_k + q_k fixes u0 unless p = 2, where it
-    allows every u0 or none.  v is solved for: the product is bilinear,
-    so the e1*e2 and e2*e1 conditions read
-    (L_u - s12[2] I) v = s12[0] e0 + s12[1] u and
-    (R_u - s21[2] I) v = s21[0] e0 + s21[1] u, with the columns of L_u
-    and R_u the products of u with the basis.  Only the v solving that
-    system are tried, in lexicographic order, so the solve is the e1*e2
-    and e2*e1 check; each solution is tested for invertibility and for
-    v * v only.
+    At p = 2 and 3, 2 (gamma = 0) or 3 (gamma != 0) need not be a unit,
+    and lam takes at most two values, so each lam is tried: u0 comes from
+    coordinate k (gamma = 0) or from u2 E1 - u1 E2 (gamma != 0) by
+    _linear_roots, which allows every u0 or none when the slope
+    vanishes.  A gamma = 0 candidate is checked against e1^2 in full; a
+    gamma != 0 one goes to the u * v check with no E_k test first.
 
-    The conditions are homogeneous in w: for w = lam w' with lam != 0,
-    q = lam^2 q', w qbar = lam^3 (w' qbar') and d = lam^3 d', of
-    degrees 2, 3 and 3.  So w * w and w * qbar are computed once per
-    line through the origin, for w' = (0, 1, t) and (0, 0, 1): p + 1
-    lines, two products each.  A line with d' = 0 is dropped whole
-    (gamma != 0).  For each lam the u0 solve (divided by lam^3 when
-    gamma != 0, by lam when gamma = 0) and the E_k test (divided by
-    lam) read the line's q', w' qbar' and d', with k the coordinate
-    where w' has its leading 1.
-
-    So each nonzero w gives its candidates u = (u0, u1, u2) with the u0
-    its conditions allow, at most p^2 - 1 of them outside p = 2, 3.
-    They are checked in lexicographic order, so the first witness is the
-    same as a scan over every u would find.  Every skipped map fails a
-    necessary condition (u with u1 = u2 = 0 is never invertible), so the
-    search is exhaustive.
+    So there are O(p) candidates, at most two per line, except on a line
+    where every lam passes (N = D = 0).  They are checked in
+    lexicographic order, so the first witness is the same as a scan over
+    every u would find.  Every skipped map fails a necessary condition
+    (u with u1 = u2 = 0 is never invertible), so the search is
+    exhaustive.
     """
     p = spec.p
     t11, t12, t21, t22 = tb[1][1], tb[1][2], tb[2][1], tb[2][2]
@@ -207,7 +228,13 @@ def _search_rank3(ta, tb, spec):
     s11, s12, s21, s22 = ta[1][1], ta[1][2], ta[2][1], ta[2][2]
     c0, c1, gamma = (c % p for c in s11)
     shift = s12[2] + c1
-    const = s12[2] * c1 - c0 - gamma * s12[1]
+    if p > 3:  # on each line u0 = base - lam slope, with lam^2 bottom = top
+        half = (p + 1) // 2
+        if gamma:  # top = -A
+            base = shift * pow(3, -1, p)
+            top = (shift * base - s12[2] * c1 + c0 + gamma * s12[1]) % p
+        else:  # top = D_a
+            base, top = c1 * half, (c1 * c1 + 4 * c0) % p
     candidates = []
     for w in [(0, 1, t) for t in range(p)] + [(0, 0, 1)]:
         _, w1, w2 = w
@@ -219,30 +246,33 @@ def _search_rank3(ta, tb, spec):
                 continue
             wq = mul(w, (0, q[1], q[2]))
             n = w2 * wq[1] - w1 * wq[2]
-            for lam in range(1, p):
-                lq = lam * q[k]
-                for u0 in _linear_roots(3 * d, lam * n - shift * d, p):
-                    # E_k / lam: zero when u * v matches in coordinate k
-                    if (
-                        (3 * u0 + 3 * lq - 2 * shift) * u0
-                        + const
-                        + lam * lam * (q[0] + wq[k])
-                        - shift * lq
-                    ) % p == 0:
-                        candidates.append((u0, lam * w1 % p, lam * w2 % p))
-        else:
+        elif (q[3 - k] - w[3 - k] * q[k]) % p:  # coordinate k' of the residue
+            continue
+        if p <= 3:
             for lam in range(1, p):
                 u1, u2 = lam * w1 % p, lam * w2 % p
-                candidates.extend(
-                    (u0, u1, u2) for u0 in _linear_roots(2, lam * q[k] - c1, p)
-                )
+                a, b = (3 * d, lam * n - shift * d) if gamma else (2, lam * q[k] - c1)
+                for u0 in _linear_roots(a, b, p):
+                    u = (u0, u1, u2)
+                    if gamma or _is_image(s11, u, (0, 0, 0), mul(u, u), p):
+                        candidates.append(u)
+            continue
+        if gamma:
+            slope = n * pow(3 * d, -1, p) % p
+            bottom = q[0] + wq[k] - 3 * slope * (q[k] - slope)
+        else:
+            slope, bottom = q[k] * half, q[k] * q[k] + 4 * q[0]
+        candidates.extend(
+            ((base - lam * slope) % p, lam * w1 % p, lam * w2 % p)
+            for lam in _square_roots(spec, top, bottom % p)
+        )
     candidates.sort()  # lexicographic order on u
     inv = pow(gamma, -1, p) if gamma else 0
     e1, e2 = (0, 1, 0), (0, 0, 1)
     for u in candidates:
         u0, u1, u2 = u
-        uu = mul(u, u)
         if gamma:
+            uu = mul(u, u)
             v = (
                 (uu[0] - c0 - c1 * u0) * inv % p,
                 (uu[1] - c1 * u1) * inv % p,
@@ -254,8 +284,6 @@ def _search_rank3(ta, tb, spec):
                 and _is_image(s22, u, v, mul(v, v), p)
             ):
                 return u, v
-            continue
-        if not _is_image(s11, u, (0, 0, 0), uu, p):  # gamma = 0: no v term
             continue
         left = (u, mul(u, e1), mul(u, e2))
         right = (u, mul(e1, u), mul(e2, u))
@@ -310,14 +338,9 @@ def _search_rank2(ta, tb, spec):
             if not ((u0 * u0 + q0 - s0 - s1 * u0) % 2 or (q1 - s1) % 2):
                 return ((u0, 1),)
         return None
-    da, db = (s1 * s1 + 4 * s0) % p, (q1 * q1 + 4 * q0) % p
-    if da or db:
-        a = _square_class_root(spec, da, db)
-        if a is None:
-            return None
-        roots = (a, p - a)
-    else:
-        roots = range(1, p)
+    roots = _square_roots(spec, (s1 * s1 + 4 * s0) % p, (q1 * q1 + 4 * q0) % p)
+    if not roots:
+        return None
     half = (p + 1) // 2  # the inverse of 2
     return (min(((s1 - u1 * q1) * half % p, u1) for u1 in roots),)
 

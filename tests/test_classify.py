@@ -298,9 +298,15 @@ def _same_search(a, b):
     return got
 
 
-def _random_unital_table(rng, p, gamma_zero):
+def _random_unital_table(rng, p, gamma_zero, degenerate=False):
     """A rank-3 unital table over GF(p) with random products of e1 and
-    e2: in general neither associative nor commutative."""
+    e2: in general neither associative nor commutative.
+
+    degenerate (p >= 5) sets c0 in e1^2 = c0 e0 + c1 e1 + gamma e2 so
+    that the rank-3 search's square root has a zero numerator:
+    D_a = c1^2 + 4 c0 = 0 when gamma = 0, and
+    A = s2 c1 - c0 - gamma s1 - (s2 + c1)^2 / 3 = 0 with s = e1 e2
+    otherwise."""
     basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     table = [
         [basis[i + j] if 0 in (i, j) else None for j in range(3)] for i in range(3)
@@ -309,6 +315,14 @@ def _random_unital_table(rng, p, gamma_zero):
         table[i][j] = tuple(rng.choice((0, 0, rng.randrange(p))) for _ in range(3))
     if gamma_zero:
         table[1][1] = table[1][1][:2] + (0,)
+    if degenerate:
+        _, c1, gamma = table[1][1]
+        _, s1, s2 = table[1][2]
+        if gamma_zero:
+            c0 = -c1 * c1 * pow(4, -1, p)
+        else:
+            c0 = s2 * c1 - gamma * s1 - (s2 + c1) ** 2 * pow(3, -1, p)
+        table[1][1] = (c0 % p, c1, gamma)
     return StructureConstants(GF(p), table)
 
 
@@ -409,6 +423,77 @@ def test_solved_search_matches_the_scan_on_random_unital_tables():
         assert _same_search(a, rebase(a, [(1, 0, 0), u, v])[0]) is not None
         _same_search(a, _random_unital_table(rng, p, gamma_zero=False))
     assert noncommutative >= 10
+
+
+def test_closed_form_search_matches_the_scan_on_degenerate_lines(monkeypatch):
+    # p >= 5: on each line through the origin lam^2 bottom = top.  With a
+    # zero top (D_a = 0 when gamma = 0, A = 0 otherwise) a line whose
+    # bottom (D' or C) is also 0 allows every lam != 0, and the others
+    # none; a source paired with itself in a random basis has a witness
+    # on such a line.  Nonzero tops and, on every other draw, random
+    # targets are mixed in, and gamma = 0 also runs at p = 13
+    tops = []
+    square_roots = classify._square_roots
+
+    def recorded(spec, top, bottom):
+        tops.append((top, bottom))
+        return square_roots(spec, top, bottom)
+
+    monkeypatch.setattr(classify, "_square_roots", recorded)
+    rng = random.Random(229)
+    for p, gamma_zero, count in (
+        (7, True, 8),
+        (11, True, 4),
+        (13, True, 2),
+        (7, False, 8),
+        (11, False, 6),
+    ):
+        vecs = list(itertools.product(range(p), repeat=3))
+        for draw in range(count):
+            degenerate = p < 13 and draw % 3 != 2
+            a = _random_unital_table(rng, p, gamma_zero, degenerate)
+            while not gamma_zero and a._values[1][1][2] == 0:
+                a = _random_unital_table(rng, p, gamma_zero, degenerate)
+            u, v = rng.choice(vecs), rng.choice(vecs)
+            while (u[1] * v[2] - u[2] * v[1]) % p == 0:
+                u, v = rng.choice(vecs), rng.choice(vecs)
+            assert _same_search(a, rebase(a, [(1, 0, 0), u, v])[0]) is not None
+            if draw % 2 == 0:
+                _same_search(a, _random_unital_table(rng, p, gamma_zero))
+    assert (0, 0) in tops
+    assert any(top == 0 and bottom for top, bottom in tops)
+    assert any(top and bottom for top, bottom in tops)
+
+
+def test_affine_solutions_match_the_filtered_product():
+    # random systems of 1-6 rows in 1-4 unknowns, inconsistent ones and
+    # all-zero ones (every x a solution) among them: the lazy solutions
+    # are the lexicographically sorted solutions of a full scan
+    rng = random.Random(233)
+    seen = {"none": 0, "all": 0}
+    for p, count in ((2, 100), (3, 100), (5, 50), (7, 30)):
+        for draw in range(count):
+            n, m = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [
+                [rng.choice((0, rng.randrange(p))) for _ in range(n + 1)]
+                for _ in range(m)
+            ]
+            if draw % 10 == 0:
+                rows = [[0] * (n + 1) for _ in range(m)]
+            want = [
+                x
+                for x in itertools.product(range(p), repeat=n)
+                if all(
+                    (sum(a * xi for a, xi in zip(row, x)) - row[n]) % p == 0
+                    for row in rows
+                )
+            ]
+            got = classify._affine_solutions(rows, p)
+            assert next(got, None) == (want[0] if want else None)
+            assert list(classify._affine_solutions(rows, p)) == want
+            seen["none"] += not want
+            seen["all"] += len(want) == p**n
+    assert seen["none"] > 0 and seen["all"] > 0
 
 
 def test_solved_rank2_search_matches_the_scan():
@@ -542,6 +627,43 @@ def test_search_work_counts(monkeypatch):
     # the e1 * e2 product's coordinate E_k, tested on each solved u0
     # before the candidate is kept, drops all 16
     assert len(checks) == 0
+    # p >= 5: each line's lam is a square root, so neither branch makes a
+    # per-lam _linear_roots solve (16 calls for this pair and 24 for the
+    # gamma = 0 pair when u0 was solved for each lam)
+    solves = []
+    linear_roots = classify._linear_roots
+
+    def counted_roots(a, b, p):
+        solves.append(1)
+        return linear_roots(a, b, p)
+
+    monkeypatch.setattr(classify, "_linear_roots", counted_roots)
+    assert is_isomorphic_bruteforce(source, other) == (False, None)
+    assert is_isomorphic_bruteforce(zero, other) == (False, None)
+    assert solves == []
+    # gamma = 0: the whole residue u * u - phi(e1^2) is solved on each
+    # line, so no candidate is checked against e1^2 (a check with v = 0:
+    # the v * v check comes after a nonzero det, so has v != 0), where 24
+    # were, and each candidate gets one v solve.  That is at most two per
+    # line, 2 (p + 1) in all, outside a line where every lam passes; here
+    # the four are the line through (0, 1, 0), where D_a = D' = 0
+    seen, solved = [], []
+    affine_solutions = classify._affine_solutions
+
+    def seen_check(s, u, v, y, p):
+        seen.append(v)
+        return is_image(s, u, v, y, p)
+
+    def counted_solve(rows, p):
+        solved.append(1)
+        return affine_solutions(rows, p)
+
+    monkeypatch.setattr(classify, "_is_image", seen_check)
+    monkeypatch.setattr(classify, "_affine_solutions", counted_solve)
+    assert is_isomorphic_bruteforce(zero, other) == (False, None)
+    assert (0, 0, 0) not in seen
+    assert len(solved) <= 2 * (p + 1)
+    assert len(solved) == p - 1
 
 
 def test_main_theorem_f2():
