@@ -14,7 +14,12 @@ algebras over a prime field (_search_rank3 says how it solves for what
 it does not scan), censuses list every valid coefficient tuple in
 lexicographic order (built from the two families the relations leave
 over a field), and the reports record per-tuple verdicts so they can
-be reproduced byte for byte.  The cubic
+be reproduced byte for byte.  The rank-3 search proposes the image of
+a generator whose square involves the other one and forces the other
+image: e1 when e1^2 involves e2, else e2 when e2^2 involves e1, where
+it keeps the least passing map, so the first witness is the same.
+Only when neither square does (the census's c = y = 0 tuples) does it
+solve a linear system for e2's image.  The cubic
 census is one pass over raw values: _cubic_tuples makes the valid
 six-tuples as tuples of ints in range(p), in lexicographic order, with
 no sort, and each is re-checked against the eight relations
@@ -206,12 +211,40 @@ def _search_rank3(ta, tb, spec):
     gamma != 0 one goes to the u * v check with no E_k test first.
 
     So there are O(p) candidates, at most two per line, except on a line
-    where every lam passes (N = D = 0).  They are checked in
-    lexicographic order, so the first witness is the same as a scan over
-    every u would find.  Every skipped map fails a necessary condition
-    (u with u1 = u2 = 0 is never invertible), so the search is
-    exhaustive.
+    where every lam passes (N = D = 0).  Every skipped map fails a
+    necessary condition (u with u1 = u2 = 0 is never invertible), so
+    the candidates, checked in lexicographic order, yield every map that
+    passes in lexicographic order of (u, v) (_rank3_maps), and the first
+    is what a scan over every u would find.
+
+    When gamma = 0 but gamma', the e1 coordinate of e2^2, is not 0, the
+    source's other generator determines the map and no v is solved for:
+    the gamma != 0 step runs on the source table with e1 and e2 swapped
+    (indices 1 and 2 in the cells and in the coordinates).  There it
+    proposes the image v of e2, and u is forced as the residue of v * v
+    divided by gamma'.  Those candidates come in the order of v, not u,
+    so every one is checked (still O(p): at most two per line, or every
+    lam on a line where N = D = 0) and the least passing (u, v) is
+    returned.  The swapped step skips only maps that fail, so its maps
+    are all the maps that pass, and their least is the first witness of
+    the direct search.  In the census gamma = 0 means c = 0, and y != 0
+    then makes gamma' nonzero; only the c = y = 0 sources keep the v
+    solve: the tables with a standard involution (exceptional and zero),
+    where every element has degree <= 2, so neither generator determines
+    the map, and the commutative ones with i^2 = b i, j^2 = z j and
+    ij = ji = 0.
     """
+    p = spec.p
+    if ta[1][1][2] % p == 0 and ta[2][2][1] % p:
+        swap = (0, 2, 1)
+        swapped = [[tuple(ta[i][j][c] for c in swap) for j in swap] for i in swap]
+        return min(((u, v) for v, u in _rank3_maps(swapped, tb, spec)), default=None)
+    return next(_rank3_maps(ta, tb, spec), None)
+
+
+def _rank3_maps(ta, tb, spec):
+    """Yield every (u, v) that passes _search_rank3's checks, in
+    lexicographic order: its candidate step and its checks."""
     p = spec.p
     t11, t12, t21, t22 = tb[1][1], tb[1][2], tb[2][1], tb[2][2]
 
@@ -283,7 +316,7 @@ def _search_rank3(ta, tb, spec):
                 and _is_image(s21, u, v, mul(v, u), p)
                 and _is_image(s22, u, v, mul(v, v), p)
             ):
-                return u, v
+                yield u, v
             continue
         left = (u, mul(u, e1), mul(u, e2))
         right = (u, mul(e1, u), mul(e2, u))
@@ -298,8 +331,7 @@ def _search_rank3(ta, tb, spec):
         ]
         for v in _affine_solutions(rows, p):
             if (u1 * v[2] - u2 * v[1]) % p and _is_image(s22, u, v, mul(v, v), p):
-                return u, v
-    return None
+                yield u, v
 
 
 def _is_image(s, u, v, y, p):
@@ -353,7 +385,12 @@ def is_isomorphic_bruteforce(a: StructureConstants, b: StructureConstants):
     the first in lexicographic order of the generator images as
     (True, map), or (False, None).  Rank at most 3.  The search solves
     for the coordinates a product condition fixes (_search_rank2,
-    _search_rank3).  The guard counts the p^(k(k-1)) maps of the whole
+    _search_rank3).  At rank 3 a generator whose square involves the
+    other one determines the map; when only e2^2 does, the search
+    proposes e2's image, checks every candidate and keeps the least
+    passing pair, which is the same first witness.  Only sources where
+    neither square involves the other generator solve a linear system
+    for e2's image.  The guard counts the p^(k(k-1)) maps of the whole
     space, far more than the search visits.
     """
     if a.spec != b.spec:

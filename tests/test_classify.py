@@ -465,6 +465,71 @@ def test_closed_form_search_matches_the_scan_on_degenerate_lines(monkeypatch):
     assert any(top and bottom for top, bottom in tops)
 
 
+def _swapped_source(rng, p, degenerate=False):
+    """A rank-3 unital table over GF(p) with gamma = 0 whose e2^2 has a
+    nonzero e1 coordinate: a _random_unital_table with gamma != 0 and no
+    e1 in its e2^2, with e1 and e2 swapped.  degenerate makes the
+    swapped table's A zero, the top of its square root."""
+    table = _random_unital_table(rng, p, False, degenerate)._values
+    while table[1][1][2] == 0:
+        table = _random_unital_table(rng, p, False, degenerate)._values
+    table = [[list(cell) for cell in row] for row in table]
+    table[2][2][1] = 0  # A reads only e1^2 and e1 e2
+    swap = (0, 2, 1)
+    return StructureConstants(
+        GF(p), [[tuple(table[i][j][c] for c in swap) for j in swap] for i in swap]
+    )
+
+
+def test_swapped_search_matches_the_scan(monkeypatch):
+    # gamma = 0 and e2^2 involves e1: the search proposes the image of
+    # e2 and forces that of e1, so it orders its candidates by v and must
+    # check them all.  Each source is paired with itself in a random
+    # basis, so most pairs have several witnesses and the least one is
+    # what is compared, and every other draw with a random table.  At
+    # p = 7 and 11 the degenerate draws zero the top of the swapped
+    # table's square root, so a line allows every lam or none.  No pair
+    # makes a v solve
+    def no_solve(rows, p):
+        raise AssertionError("v solve on a swapped source")
+
+    tops = []
+    square_roots = classify._square_roots
+
+    def recorded(spec, top, bottom):
+        tops.append((top, bottom))
+        return square_roots(spec, top, bottom)
+
+    monkeypatch.setattr(classify, "_affine_solutions", no_solve)
+    monkeypatch.setattr(classify, "_square_roots", recorded)
+    rng = random.Random(239)
+    for p, count in ((2, 40), (3, 60), (5, 60), (7, 16), (11, 8)):
+        vecs = list(itertools.product(range(p), repeat=3))
+        for draw in range(count):
+            a = _swapped_source(rng, p, degenerate=p >= 7 and draw % 3 != 2)
+            assert a._values[1][1][2] == 0 and a._values[2][2][1] != 0
+            u, v = rng.choice(vecs), rng.choice(vecs)
+            while (u[1] * v[2] - u[2] * v[1]) % p == 0:
+                u, v = rng.choice(vecs), rng.choice(vecs)
+            assert _same_search(a, rebase(a, [(1, 0, 0), u, v])[0]) is not None
+            if draw % 2 == 0:
+                _same_search(a, _random_unital_table(rng, p, draw % 4 == 0))
+    assert (0, 0) in tops
+    assert any(top == 0 and bottom for top, bottom in tops)
+    # every GF(5) census source with c = 0 and y != 0 (j^2 = -b y + y i
+    # + z j) against three random valid targets
+    p = 5
+    coeffs = enumerate_cubic(GF(p))
+    algebras = [build_algebra(c) for c in coeffs]
+    # _values is (b, c, m, n, y, z)
+    sources = [build_algebra(c) for c in coeffs if c._values[1] == 0 and c._values[4]]
+    assert len(sources) == 100
+    for a in sources:
+        assert a._values[1][1][2] == 0 and a._values[2][2][1] != 0
+        for _ in range(3):
+            _same_search(a, rng.choice(algebras))
+
+
 def test_affine_solutions_match_the_filtered_product():
     # random systems of 1-6 rows in 1-4 unknowns, inconsistent ones and
     # all-zero ones (every x a solution) among them: the lazy solutions
@@ -664,6 +729,18 @@ def test_search_work_counts(monkeypatch):
     assert (0, 0, 0) not in seen
     assert len(solved) <= 2 * (p + 1)
     assert len(solved) == p - 1
+    # gamma = 0 but e2^2 = e1 in the source (0, 0, 0, 0, 1, 0): e2
+    # determines the map, so the search runs its gamma != 0 step with e1
+    # and e2 swapped and makes no v solve (1 against itself and 24
+    # against the zero table when it did)
+    swapped = build_algebra(CubicCoefficients(GF(p), 0, 0, 0, 0, 1, 0))
+    assert swapped._values[1][1][2] == 0 and swapped._values[2][2][1] != 0
+    solved.clear()
+    for target in (swapped, zero):
+        got = classify._search_rank3(swapped._values, target._values, swapped.spec)
+        assert got == _scan_rank3(swapped._values, target._mul_values, p)
+        assert (got is not None) == (target is swapped)
+    assert solved == []
 
 
 def test_main_theorem_f2():

@@ -107,3 +107,18 @@ def test_package_uses_every_private_definition():
     that only the tests call hides in the package under a private name."""
     private = lambda name: name.startswith("_") and not name.startswith("__")
     assert _unnamed_definitions(("src",), private) == []
+
+
+def test_package_parses_at_the_oldest_supported_python():
+    """Every module parses with the grammar of the oldest Python that
+    pyproject.toml's requires-python admits, so syntax from a newer
+    release fails here even when the tests run on that release."""
+    pyproject = (_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)', pyproject).groups()
+    oldest = (int(major), int(minor))
+    sources = sorted(Path(lowrank.__file__).parent.rglob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        ast.parse(
+            path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest
+        )
