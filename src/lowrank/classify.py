@@ -6,15 +6,18 @@ alone, which groups them by verified normal-form maps
 class representatives from it.  The isomorphism cap still refuses
 that function at p >= 7, where the census reports null
 representatives, though no search runs there: the benchmark reference
-pins those outputs.
+pins those outputs.  The quadratic census groups its p^2 algebras the
+same way, by the verified maps of quadratic.is_isomorphic_2unit, with
+no search.
 
 Everything else here is an oracle-grade computation: isomorphism is
 decided by an exhaustive search over the unital linear maps between two
 algebras over a prime field (_search_rank3 says how it solves for what
-it does not scan), censuses list every valid coefficient tuple in
-lexicographic order (built from the two families the relations leave
-over a field), and the reports record per-tuple verdicts so they can
-be reproduced byte for byte.  The rank-3 search proposes the image of
+it does not scan), which no census calls; the tests keep it as their
+oracle.  Censuses list every valid coefficient tuple in lexicographic
+order (built from the two families the relations leave over a field),
+and the reports record per-tuple verdicts so they can be reproduced
+byte for byte.  The rank-3 search proposes the image of
 a generator whose square involves the other one and forces the other
 image: e1 when e1^2 involves e2, else e2 when e2^2 involves e1, where
 it keeps the least passing map, so the first witness is the same.
@@ -84,7 +87,7 @@ from .involutions import (
     pair_swap,
 )
 from .poly import poly_gcd
-from .quadratic import QuadraticAlgebra
+from .quadratic import QuadraticAlgebra, is_isomorphic_2unit
 from .rings import RingSpec, _square_class_root
 
 
@@ -774,19 +777,21 @@ class QuadraticCensusReport:
 def quadratic_census(spec: RingSpec) -> QuadraticCensusReport:
     """Classify all p^2 quadratic algebras over an odd prime field.
 
-    The brute-force partition is compared against the discriminant
-    partition, and the class count against the number of square
-    classes, each computed independently.
+    Each algebra joins the first class whose first member it maps to by
+    is_isomorphic_2unit, whose map is verified; a new class opens only
+    where the discriminant's square class differs.  The greedy order is
+    the brute-force partition's, which the tests keep as the oracle.
+    The partition is compared against the discriminant partition, and
+    the class count against the number of square classes, each computed
+    independently.  The guard counts the p^2 algebras, each mapped at
+    most once, before any is built.
     """
     if spec.kind != "Fp" or spec.p == 2:
         raise UnsupportedRing("the quadratic census runs over odd prime fields")
-    if spec.p > 13:
-        raise UnsupportedRing("the quadratic census is desk-scale: p <= 13")
     p = spec.p
+    check_guard(p * p, _ISO_SEARCH_LIMIT, "quadratic census")
     algebras = [QuadraticAlgebra(spec, t, n) for t in range(p) for n in range(p)]
-    classes = _partition(
-        algebras, lambda a, b: is_isomorphic_bruteforce(a.structure(), b.structure())[0]
-    )
+    classes = _partition(algebras, lambda a, b: is_isomorphic_2unit(a, b)[0])
     disc_classes = _partition(algebras, lambda a, b: a.discriminant() == b.discriminant())
     square_classes = {
         frozenset(d * u * u % p for u in range(1, p)) for d in range(p)

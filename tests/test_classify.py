@@ -31,6 +31,7 @@ from lowrank import (
     exceptional_classes,
     exceptional_normal_form,
     form_from_commutative,
+    is_isomorphic_2unit,
     is_isomorphic_bruteforce,
     matrix_algebra,
     mn_degree_probes,
@@ -1108,7 +1109,7 @@ def test_certificate_checks_survive_optimized_mode():
     )
 
 
-def test_quadratic_census_odd_fields():
+def test_quadratic_census_odd_fields(monkeypatch):
     report = quadratic_census(GF(5))
     assert len(report.classes) == 3
     assert report.square_class_count == 3
@@ -1126,8 +1127,52 @@ def test_quadratic_census_odd_fields():
 
     with pytest.raises(UnsupportedRing):
         quadratic_census(GF(2))
-    with pytest.raises(UnsupportedRing):
-        quadratic_census(GF(17))
+    # the guard counts the p^2 algebras: 16129 > 15625 at p = 127
+    monkeypatch.delenv("LOWRANK_GUARD", raising=False)
+    assert len(quadratic_census(GF(17)).classes) == 3
+    with pytest.raises(GuardExceeded, match="quadratic census needs 16129 steps"):
+        quadratic_census(GF(127))
+
+
+def test_quadratic_census_matches_the_bruteforce_oracle(monkeypatch):
+    """The census's classes are the greedy partition by the brute-force
+    search, which it does not call, and each member maps to its class's
+    first member by the verified map of is_isomorphic_2unit."""
+    for p in (3, 5, 7, 11, 13):
+        spec = GF(p)
+        oracle = []
+        for t, n in itertools.product(range(p), repeat=2):
+            a = QuadraticAlgebra(spec, t, n).structure()
+            for cls in oracle:
+                b = QuadraticAlgebra(spec, *cls[0]).structure()
+                if is_isomorphic_bruteforce(a, b)[0]:
+                    cls.append((t, n))
+                    break
+            else:
+                oracle.append([(t, n)])
+
+        with monkeypatch.context() as m:
+            for name in ("is_isomorphic_bruteforce", "_search_rank2"):
+                m.setattr(classify, name, lambda *args, name=name: pytest.fail(name))
+            report = quadratic_census(spec)
+        assert [[q._values for q in cls] for cls in report.classes] == oracle, p
+        for cls in report.classes:
+            for q in cls:
+                ok, phi = is_isomorphic_2unit(q, cls[0])
+                assert ok and phi.verify_isomorphism()
+                assert (phi.source, phi.target) == (q.structure(), cls[0].structure())
+
+
+def test_quadratic_census_class_sizes_in_closed_form():
+    """Over F_p, p odd, in order: the class of (0, 0), discriminant zero,
+    with its p members, then the two nonzero square classes of the
+    discriminant with p(p - 1)/2 members each."""
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        report = quadratic_census(GF(p))
+        half = p * (p - 1) // 2
+        assert [len(cls) for cls in report.classes] == [p, half, half], p
+        assert report.square_class_count == 3
+        assert report.partitions_agree()
 
 
 def test_degree_product_additive_case():

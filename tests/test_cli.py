@@ -366,20 +366,31 @@ def test_exit_code_guard(capsys):
     assert json.loads(err)["error"]["type"] == "UnsupportedRing"
 
 
-def test_quadratic_census_cap_is_not_a_guard(capsys, monkeypatch):
-    """census quad refuses p > 13 with UnsupportedRing, and LOWRANK_GUARD,
-    which replaces the guards' caps, does not lift it (README, Guards)."""
-    for guard in (None, "100000000"):
-        if guard is None:
-            monkeypatch.delenv("LOWRANK_GUARD", raising=False)
-        else:
-            monkeypatch.setenv("LOWRANK_GUARD", guard)
-        code, out, err = run_cli(capsys, "census", "quad", "--p", "17")
-        assert (code, out) == (1, ""), guard
-        assert json.loads(err)["error"] == {
-            "type": "UnsupportedRing",
-            "message": "the quadratic census is desk-scale: p <= 13",
-        }
+def test_quadratic_census_guard(capsys, monkeypatch):
+    """census quad counts its p^2 algebras against the guard before it
+    builds any: p = 17 answers, p = 127 is refused by default, and
+    LOWRANK_GUARD=100 refuses p = 11 (README, Guards)."""
+    monkeypatch.delenv("LOWRANK_GUARD", raising=False)
+    payload = run_json(capsys, "census", "quad", "--p", "17")
+    assert [len(cls) for cls in payload["classes"]] == [17, 136, 136]
+
+    def refuse(*args):
+        raise AssertionError("an algebra was built before the guard")
+
+    monkeypatch.setattr(lowrank.classify, "QuadraticAlgebra", refuse)
+    code, out, err = run_cli(capsys, "census", "quad", "--p", "127")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "GuardExceeded",
+        "message": "quadratic census needs 16129 steps, over the limit of 15625; "
+        "set LOWRANK_GUARD to override (unsafe)",
+    }
+    monkeypatch.setenv("LOWRANK_GUARD", "100")
+    code, out, err = run_cli(capsys, "census", "quad", "--p", "11")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["message"].startswith(
+        "quadratic census needs 121 steps, over the limit of 100;"
+    )
 
 
 def test_exit_code_input_error(capsys):

@@ -122,3 +122,25 @@ def test_package_parses_at_the_oldest_supported_python():
         ast.parse(
             path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest
         )
+
+
+def test_readme_names_every_guard():
+    """Each check_guard(count, limit, "label") call in the package names
+    its label in README's Guards section, so the message a refusal
+    prints can be looked up there."""
+    labels = set()
+    for path in sorted(Path(lowrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "check_guard"
+            ):
+                label = node.args[2]
+                assert isinstance(label, ast.Constant), f"{path.name}:{node.lineno}"
+                labels.add(label.value)
+    assert len(labels) >= 5
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Guards\n", 1)[1].split("\n## ", 1)[0]
+    text = " ".join(section.split())
+    assert sorted(label for label in labels if label not in text) == []

@@ -252,7 +252,10 @@ def test_split_idempotent():
         alg = QuadraticAlgebra(spec, 1, 0)
         fwd, back = split_idempotent(alg)
         assert fwd.verify_isomorphism() and back.verify_isomorphism()
-        x = fwd.source.basis(1)
+        # fwd is not verified inside; it is the inverse of the verified back
+        basis = [fwd.source.basis(k) for k in range(2)]
+        assert [back.apply(fwd.apply(e)) for e in basis] == basis
+        x = basis[1]
         assert x * x == x  # idempotent generator
     with pytest.raises(WrongCase):
         split_idempotent(QuadraticAlgebra(ZZ, 0, 0))
