@@ -48,8 +48,8 @@ class StructureConstants(_RawValues):
     in `_values` (rings._RawValues, which gives equality and hashing);
     `table` wraps them in RingElements each time it is read.
     The constructor checks every value, the shape and the identity.  The
-    private `_canonical` skips those checks; its only caller is
-    `cubic.build_algebra`, whose rows are canonical by construction.
+    private `_canonical` skips those checks for rows that are canonical
+    by construction; its callers are listed in its docstring.
     """
 
     __slots__ = ("rank",)
@@ -79,7 +79,14 @@ class StructureConstants(_RawValues):
     def _canonical(cls, spec: RingSpec, rows) -> StructureConstants:
         """A table from rows the constructor would store unchanged: tuples
         of tuples of canonical raw values (RingSpec.value), with basis
-        element 0 a two-sided identity.  Nothing is checked."""
+        element 0 a two-sided identity.  Nothing is checked, so each
+        caller builds its rows from values that are canonical already,
+        with the constant 0 and 1 from _basis_values.  Every caller is
+        named here, and a package test keeps the list complete:
+        `cubic.build_algebra` (the table of a validated six-tuple),
+        `quadratic.QuadraticAlgebra.structure` (the table of its
+        canonical (t, n)) and `cubic.exceptional_witness` (the model
+        table R + M of a validated exceptional six-tuple)."""
         out = object.__new__(cls)
         out.spec = spec
         out.rank = len(rows)
@@ -413,11 +420,8 @@ class SquareMatrix(_RawValues):
         return Polynomial(self.spec, _char_poly_values(self.spec, self._values))
 
     def is_invertible(self) -> bool:
-        """Whether the determinant is a unit, read off the raw
-        characteristic polynomial: chi(0) = (-1)^n det(M)."""
-        spec = self.spec
-        chi0 = _char_poly_values(spec, self._values)[0]
-        return _unit_inverse(spec, spec.value(chi0)) is not None
+        """Whether the determinant is a unit (_has_unit_det)."""
+        return _has_unit_det(self.spec, self._values)
 
     def inverse(self) -> SquareMatrix:
         """The inverse from Cayley-Hamilton; needs a unit determinant.
@@ -511,6 +515,32 @@ def _char_poly_values(spec: RingSpec, rows):
                     nxt[i] = s % p if p else s
         chi = nxt
     return chi[::-1]
+
+
+def _has_unit_det(spec: RingSpec, rows) -> bool:
+    """Whether the square matrix given as rows of canonical raw values
+    has a unit determinant, read off the raw characteristic polynomial:
+    chi(0) = (-1)^n det(M), and -1 is a unit."""
+    chi0 = _char_poly_values(spec, rows)[0]
+    return _unit_inverse(spec, spec.value(chi0)) is not None
+
+
+# Row 0 of a table of rank 2 or 3 over Z or F_p, whose canonical 0 and 1
+# are the ints 0 and 1.
+_INT_BASES = {2: ((1, 0), (0, 1)), 3: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+
+
+def _basis_values(spec: RingSpec, k: int):
+    """The ring's own canonical 0 and the basis vectors of rank k, 2 or
+    3, as canonical raw rows: (zero, basis), where basis is row 0 of a
+    rank-k table.  The tables stored through StructureConstants._canonical
+    take their constants from here.  Over Z and F_p the rows are the
+    shared _INT_BASES[k]; over Q they are built of Fractions."""
+    basis = _INT_BASES[k]
+    if spec.kind != "Q":
+        return 0, basis
+    zero, one = spec.value(0), spec.value(1)
+    return zero, tuple(tuple(one if b else zero for b in row) for row in basis)
 
 
 def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
@@ -634,7 +664,9 @@ class AlgebraMap:
         )
 
     def is_unital(self) -> bool:
-        return self.images[0] == self.target.one()
+        """Whether the unit e_0 goes to the target's unit, compared as raw
+        values with the target's cell e_0 e_0, which holds the unit."""
+        return self.images[0]._values == self.target._values[0][0]
 
     def is_multiplicative(self):
         """Check phi(e_a e_b) = phi(e_a) phi(e_b) on every basis pair.
@@ -653,9 +685,20 @@ class AlgebraMap:
         return True, None
 
     def is_invertible(self) -> bool:
-        return self.matrix().is_invertible()
+        """Whether matrix() has a unit determinant.  The raw image vectors
+        are the rows of its transpose, which has the same determinant, so
+        they go to the determinant kernel as they are, and no SquareMatrix
+        is built.  Unequal ranks raise ValueError, as matrix() does."""
+        if self.source.rank != self.target.rank:
+            raise ValueError("matrix form needs equal ranks")
+        return _has_unit_det(self.source.spec, [im._values for im in self.images])
 
     def verify_isomorphism(self) -> bool:
+        """Whether the map is an isomorphism of algebras, checked in full
+        on raw values: the unit goes to the unit (is_unital), every one
+        of the k^2 basis products is preserved (is_multiplicative), the
+        ranks are equal and the determinant is a unit (is_invertible).
+        Builds no element, table or matrix."""
         return (
             self.is_unital()
             and self.is_multiplicative()[0]

@@ -740,15 +740,18 @@ def exceptional_classes(spec: RingSpec):
 
 
 class QuadraticCensusReport:
-    def __init__(self, spec, classes, disc_classes, square_class_count):
+    def __init__(self, spec, classes, square_class_count):
         self.spec = spec
         self.classes = classes  # lists of (t, n) QuadraticAlgebra
-        self.disc_classes = disc_classes
         self.square_class_count = square_class_count
 
     def partitions_agree(self):
-        as_sets = lambda part: set(map(frozenset, part))
-        return as_sets(self.classes) == as_sets(self.disc_classes)
+        """Whether the classes are exactly the square classes of the
+        discriminant.  A verified map preserves that square class, so the
+        classes refine the square-class partition, and the two partitions
+        are equal exactly when the counts are (every square class occurs
+        among the p^2 discriminants)."""
+        return len(self.classes) == self.square_class_count
 
     def to_json(self):
         return {
@@ -781,10 +784,11 @@ def quadratic_census(spec: RingSpec) -> QuadraticCensusReport:
     is_isomorphic_2unit, whose map is verified; a new class opens only
     where the discriminant's square class differs.  The greedy order is
     the brute-force partition's, which the tests keep as the oracle.
-    The partition is compared against the discriminant partition, and
-    the class count against the number of square classes, each computed
-    independently.  The guard counts the p^2 algebras, each mapped at
-    most once, before any is built.
+    This is the one partition: partitions_agree compares its class count
+    with the number of square classes, counted independently from the
+    residues, which says that the classes are the square classes.  The
+    guard counts the p^2 algebras, each mapped at most once, before any
+    is built.
     """
     if spec.kind != "Fp" or spec.p == 2:
         raise UnsupportedRing("the quadratic census runs over odd prime fields")
@@ -792,13 +796,10 @@ def quadratic_census(spec: RingSpec) -> QuadraticCensusReport:
     check_guard(p * p, _ISO_SEARCH_LIMIT, "quadratic census")
     algebras = [QuadraticAlgebra(spec, t, n) for t in range(p) for n in range(p)]
     classes = _partition(algebras, lambda a, b: is_isomorphic_2unit(a, b)[0])
-    disc_classes = _partition(algebras, lambda a, b: a.discriminant() == b.discriminant())
     square_classes = {
         frozenset(d * u * u % p for u in range(1, p)) for d in range(p)
     }
-    return QuadraticCensusReport(
-        spec, classes, disc_classes, len(square_classes)
-    )
+    return QuadraticCensusReport(spec, classes, len(square_classes))
 
 
 # -- degree probes ------------------------------------------------------------

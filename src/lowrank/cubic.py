@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 
-from .algebra import AlgebraMap, SquareMatrix, StructureConstants, left_regular_rep, rebase
+from .algebra import AlgebraMap, SquareMatrix, StructureConstants, _basis_values, left_regular_rep, rebase
 from .errors import (
     InputError,
     NotAUnit,
@@ -197,24 +197,17 @@ def normalize(table: GeneralCubicTable) -> CubicCoefficients:
     return CubicCoefficients(spec, b, c, m, n, y, z)
 
 
-# The basis rows of a table over F_p, whose 0 and 1 are the ints 0 and 1.
-_FP_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 def _table_values(spec: RingSpec, values):
     """The canonical raw rows of the table of the canonical raw
     six-tuple values (b, c, m, n, y, z), as build_algebra stores them:
     the four computed cells reduced mod p, the constants the ring's own
-    0 and 1, which over F_p are the ints 0 and 1 of _FP_BASIS."""
+    0 and 1 (algebra._basis_values)."""
     b, c, m, n, y, z = values
     a, d, l, x = -(c * z), c * y, c * y - b * m, -(b * y)
     p = spec.p
     if p:
         a, d, l, x = a % p, d % p, l % p, x % p
-        basis, zero = _FP_BASIS, 0
-    else:
-        zero, one = spec.value(0), spec.value(1)
-        basis = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    zero, basis = _basis_values(spec, 3)
     return (
         basis,
         (basis[1], (a, b, c), (d, zero, zero)),
@@ -330,17 +323,20 @@ def exceptional_witness(coeffs: CubicCoefficients) -> ExceptionalWitness:
     certificate is the map 1 -> 1, i -> n - e1, j -> e2 onto the model
     table R + M, with basis 1, e1, e2 and e_a e_b = t(e_a) e_b:
     verify_isomorphism checks the four identities and the independence
-    of 1, I, j at once, and AssertionError is raised if it fails.  A
-    commutative table raises WrongCase.
+    of 1, I, j at once, and AssertionError is raised if it fails.  The
+    model's rows are the canonical m and n of the validated six-tuple
+    and the ring's own 0 and 1, so the model is stored through
+    StructureConstants._canonical unchecked; the map onto it is what
+    is checked.  A commutative table raises WrongCase.
     """
     if classify_case(coeffs) is CubicCase.COMMUTATIVE:
         raise WrongCase("the ideal witness exists for exceptional tables only")
     alg = build_algebra(coeffs)
     _, _, m, n, _, _ = coeffs._values
-    e0, e1, e2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    model = StructureConstants(
-        coeffs.spec,
-        [[e0, e1, e2], [e1, (0, n, 0), (0, 0, n)], [e2, (0, m, 0), (0, 0, m)]],
+    zero, (e0, e1, e2) = _basis_values(coeffs.spec, 3)
+    ne1, ne2, me1, me2 = (zero, n, zero), (zero, zero, n), (zero, m, zero), (zero, zero, m)
+    model = StructureConstants._canonical(
+        coeffs.spec, ((e0, e1, e2), (e1, ne1, ne2), (e2, me1, me2))
     )
     if not AlgebraMap(alg, model, [e0, (n, -1, 0), e2]).verify_isomorphism():
         raise AssertionError("ideal witness map failed verification")

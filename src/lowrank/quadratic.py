@@ -19,6 +19,7 @@ from .algebra import (
     AlgebraMap,
     SquareMatrix,
     StructureConstants,
+    _basis_values,
     direct_product,
     rank_one,
     rebase,
@@ -40,10 +41,16 @@ class QuadraticAlgebra(_RawValues):
         self._structure = None
 
     def structure(self) -> StructureConstants:
+        """The table in the basis (1, x), with x^2 = -n + t x, built once.
+        Its rows come from the canonical (t, n), the ring's own 0 and 1
+        (algebra._basis_values) and -n reduced by RingSpec.value, so they
+        are stored through StructureConstants._canonical unchecked."""
         if self._structure is None:
+            spec = self.spec
             t, n = self._values
-            self._structure = StructureConstants(
-                self.spec, [[[1, 0], [0, 1]], [[0, 1], [-n, t]]]
+            _, (e0, e1) = _basis_values(spec, 2)
+            self._structure = StructureConstants._canonical(
+                spec, ((e0, e1), (e1, (spec.value(-n), t)))
             )
         return self._structure
 

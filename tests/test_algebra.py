@@ -24,7 +24,9 @@ from lowrank import (
     direct_product,
     element_to_matrix,
     enumerate_cubic,
+    is_isomorphic_2unit,
     is_isomorphic_bruteforce,
+    is_isomorphic_over_z,
     left_regular_rep,
     m2_adjoint,
     matrix_algebra,
@@ -33,6 +35,7 @@ from lowrank import (
     poly_gcd,
     product_components,
     product_element,
+    quadratic_census,
     quaternion_algebra,
     rank_one,
     rebase,
@@ -927,6 +930,120 @@ def test_is_multiplicative_matches_element_loop():
                 seen.add(want[1])
     # the multiplicative verdict and first failures at several pairs
     assert seen >= {None, (1, 1), (1, 2), (2, 2)}
+
+
+def random_images(spec, rank, rng, unital, kind):
+    """Image rows of a map between rank-`rank` tables.  A unital map
+    keeps the unit first and completes it by a unimodular block; kind
+    "unimodular" has determinant +-1, "double" doubles the last image
+    (+-2), "singular" repeats the first image in the last place (or
+    zeroes it at rank 1) and "random" draws every entry."""
+    if kind == "random":
+        return [[random_coeff(spec, rng) for _ in range(rank)] for _ in range(rank)]
+    if unital:
+        rows = [[1] + [0] * (rank - 1)] + [
+            [rng.randint(-3, 3)] + row for row in unimodular_matrix(rng, rank - 1)
+        ]
+    else:
+        rows = unimodular_matrix(rng, rank)
+    if kind == "double":
+        rows[-1] = [2 * a for a in rows[-1]]
+    elif kind == "singular":
+        rows[-1] = list(rows[0]) if rank > 1 else [0]
+    return rows
+
+
+def test_raw_map_checks_match_the_element_and_matrix_oracles():
+    """is_unital compares the image of 1 with the target's cell e_0 e_0,
+    and is_invertible takes the determinant of the raw image rows, the
+    transpose of matrix().  On random maps over Z, Q and GF(5) at ranks
+    1-4, unital or not, singular or not, and over Z with determinants
+    +-1 and +-2, they agree with images[0] == target.one() and with
+    matrix().is_invertible().  Unequal ranks still raise ValueError."""
+    rng = random.Random(37)
+    seen = set()
+    for spec in (ZZ, QQ, GF(5)):
+        for rank in (1, 2, 3, 4):
+            source, target = random_table(spec, rank, rng), random_table(spec, rank, rng)
+            for _ in range(24):
+                unital = rng.random() < 0.5
+                kind = rng.choice(("unimodular", "double", "singular", "random"))
+                phi = AlgebraMap(source, target, random_images(spec, rank, rng, unital, kind))
+                assert phi.is_unital() == (phi.images[0] == target.one())
+                assert phi.is_invertible() == phi.matrix().is_invertible()
+                seen.add((spec, phi.is_unital(), phi.is_invertible()))
+                if spec == ZZ:
+                    seen.add(phi.matrix().det().value)
+    assert {(s, u, i) for s in (ZZ, QQ, GF(5)) for u in (True, False) for i in (True, False)} <= seen
+    assert {1, -1, 2, -2, 0} <= seen
+    small, big = random_table(GF(5), 2, rng), random_table(GF(5), 3, rng)
+    phi = AlgebraMap(small, big, [big.one(), big.basis(1)])
+    for check in (phi.is_invertible, phi.matrix):
+        with pytest.raises(ValueError, match="matrix form needs equal ranks"):
+            check()
+    assert not phi.verify_isomorphism()
+
+
+def test_verify_isomorphism_builds_no_scaffolding(monkeypatch):
+    """verify_isomorphism reads the unit and the determinant off raw
+    values, so it builds no SquareMatrix and no target.one(): maps made
+    by rebase, the brute-force search and quadratic._affine_map still
+    verify with both patched to raise, and maps that are not unital,
+    not multiplicative or not invertible (over Z, determinant 2) still
+    fail.  The rank-2 tables of quadratic_census are stored unchecked,
+    so it answers with the table constructor patched to raise."""
+    good, bad = [], []
+    alg = build_algebra(CubicCoefficients(ZZ, 1, 1, 0, 0, 1, 1))
+    good.append(rebase(alg, [(1, 0, 0), (4, 1, 1), (-2, 3, 4)])[1])
+    quat = quaternion_algebra(QQ, -1, -1)
+    good.append(rebase(quat, [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 0, 2)])[1])
+    a = build_algebra(CubicCoefficients(GF(5), 2, 0, 3, 2, 0, 3))
+    b = build_algebra(CubicCoefficients(GF(5), 1, 0, 0, 1, 0, 0))
+    found, phi = is_isomorphic_bruteforce(a, b)
+    assert found
+    good.append(phi)
+    # the witnesses of both rank-2 tests come from quadratic._affine_map
+    for test, spec, ta, tb in (
+        (is_isomorphic_2unit, GF(13), (3, 5), (0, 11)),
+        (is_isomorphic_2unit, QQ, (1, 1), (3, 3)),
+        (is_isomorphic_over_z, ZZ, (2, 7), (0, 6)),
+    ):
+        found, phi = test(QuadraticAlgebra(spec, *ta), QuadraticAlgebra(spec, *tb))
+        assert found
+        good.append(phi)
+    for phi in good:
+        target, images = phi.target, [im._values for im in phi.images]
+        bad.append(AlgebraMap(phi.source, target, [target.scalar(2)] + images[1:]))
+        bad.append(AlgebraMap(phi.source, target, images[:-1] + [target.one()]))
+    # the zero table: 1 -> 1, i -> 2i, j -> j is unital and multiplicative,
+    # with determinant 2, a unit over Q and GF(5) but not over Z
+    for spec in (ZZ, QQ, GF(5)):
+        zero = build_algebra(CubicCoefficients(spec, 0, 0, 0, 0, 0, 0))
+        double = AlgebraMap(zero, zero, [(1, 0, 0), (0, 2, 0), (0, 0, 1)])
+        (bad if spec == ZZ else good).append(double)
+        bad.append(AlgebraMap(zero, zero, [(1, 0, 0), (0, 0, 0), (0, 0, 1)]))
+    # the oracle, with the scaffolding the old checks built
+    oracle = lambda phi: (
+        phi.images[0] == phi.target.one()
+        and phi.is_multiplicative()[0]
+        and phi.matrix().is_invertible()
+    )
+    assert all(map(oracle, good)) and not any(map(oracle, bad))
+    assert any(phi.is_unital() and phi.is_multiplicative()[0] for phi in bad)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scaffolding built")
+
+    with monkeypatch.context() as m:
+        m.setattr(SquareMatrix, "__init__", refuse)
+        m.setattr(StructureConstants, "one", refuse)
+        assert all(phi.verify_isomorphism() for phi in good)
+        assert not any(phi.verify_isomorphism() for phi in bad)
+    with monkeypatch.context() as m:
+        m.setattr(StructureConstants, "__init__", refuse)
+        report = quadratic_census(GF(5))
+    assert [len(cls) for cls in report.classes] == [5, 10, 10]
+    assert report.partitions_agree()
 
 
 def test_structure_json_round_trip():

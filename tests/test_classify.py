@@ -1059,6 +1059,7 @@ def test_certificate_checks_survive_optimized_mode():
         from lowrank import is_isomorphic_2unit, is_isomorphic_bruteforce
         from lowrank import is_isomorphic_over_z, standard_involution_exceptional
         from lowrank import exceptional_witness, involution_from_witness, split_idempotent
+        from lowrank import quadratic_census
         from lowrank.algebra import AlgebraMap
 
         coeffs = CubicCoefficients(GF(3), 1, 0, 0, 1, 0, 0)
@@ -1078,6 +1079,7 @@ def test_certificate_checks_survive_optimized_mode():
             lambda: involution_from_witness(witness),
             lambda: exceptional_witness(coeffs),
             lambda: split_idempotent(QuadraticAlgebra(GF(5), 1, 0)),
+            lambda: quadratic_census(GF(5)),
         ):
             try:
                 check()
@@ -1106,6 +1108,7 @@ def test_certificate_checks_survive_optimized_mode():
         "refused: witness conjugation failed verification\n"
         "refused: ideal witness map failed verification\n"
         "refused: basis-change map failed verification\n"
+        "refused: affine witness map failed verification\n"
     )
 
 
@@ -1161,6 +1164,28 @@ def test_quadratic_census_matches_the_bruteforce_oracle(monkeypatch):
                 ok, phi = is_isomorphic_2unit(q, cls[0])
                 assert ok and phi.verify_isomorphism()
                 assert (phi.source, phi.target) == (q.structure(), cls[0].structure())
+
+
+def test_quadratic_census_partitions_agree_can_read_false(monkeypatch):
+    """partitions_agree compares the class count with the square-class
+    count, so a map that is wrongly refused shows: with
+    is_isomorphic_2unit refusing one member that heads no class, that
+    member opens a fourth class and the report says the partitions
+    disagree, in the JSON and the table."""
+    spec = GF(5)
+    member = quadratic_census(spec).classes[1][1]
+    real = classify.is_isomorphic_2unit
+
+    def refuse_member(a, b):
+        return (False, None) if member in (a, b) else real(a, b)
+
+    monkeypatch.setattr(classify, "is_isomorphic_2unit", refuse_member)
+    report = quadratic_census(spec)
+    assert len(report.classes) == 4 and [member] in report.classes
+    assert report.square_class_count == 3
+    assert report.partitions_agree() is False
+    assert report.to_json()["partitions_agree"] is False
+    assert report.to_table().endswith("classes=4 square_classes=3 agree=False")
 
 
 def test_quadratic_census_class_sizes_in_closed_form():

@@ -144,3 +144,30 @@ def test_readme_names_every_guard():
     section = readme.split("\n## Guards\n", 1)[1].split("\n## ", 1)[0]
     text = " ".join(section.split())
     assert sorted(label for label in labels if label not in text) == []
+
+
+def test_unchecked_table_constructor_names_its_callers():
+    """StructureConstants._canonical stores rows without checking them,
+    so its docstring names every function that calls it, by module and
+    qualified name: the places that must build canonical rows stay
+    listed as callers are added."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "_canonical"
+            ):
+                callers.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(Path(lowrank.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert len(callers) >= 3
+    doc = " ".join(lowrank.StructureConstants._canonical.__doc__.split())
+    assert sorted(name for name in callers if f"`{name}`" not in doc) == []
