@@ -29,15 +29,16 @@ from .rings import RingElement, RingSpec, _as_elements, _RawValues, _trusted, _u
 
 
 def read_elements(spec: RingSpec, raw, *levels):
-    """The elements of raw, a JSON array nested one level per (length,
-    what) pair in levels, outermost first, each string parsed by spec;
-    returned as nested lists.  A level whose length is not an int (a
+    """The canonical raw values of raw, a JSON array nested one level per
+    (length, what) pair in levels, outermost first, each string read as
+    RingSpec.parse reads it; returned as nested lists for a constructor,
+    which checks them again.  A level whose length is not an int (a
     bool, a float, a string) fits no list."""
     (length, what), *inner = levels
     if type(length) is not int or not isinstance(raw, list) or len(raw) != length:
         raise InputError(f"{what} must be a list of {length!r} entries")
     if not inner:
-        return [spec.parse(s) for s in raw]
+        return list(map(spec._parse_value, raw))
     return [read_elements(spec, item, *inner) for item in raw]
 
 

@@ -37,8 +37,9 @@ on their algebra (build_algebra), the one producer of a verified
 standard involution.  The report keeps each raw tuple and a one-byte
 code for its case and verdict, and writes its rows from a fixed
 template, cut once per code around its value fields, with the values
-filled in as three value pairs, in the same bytes as json.dumps of its
-to_json (see CensusReport);
+filled in as three value pairs, in the same bytes as the package's one
+JSON writer, rings._canonical_json (the bytes of json.dumps with
+indent=2 and sorted keys), gives for its to_json (see CensusReport);
 enumerate_cubic builds the same raw tuples with the constructor for
 callers that want them, and elements are built only where a caller
 reads a tuple's attributes.
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 
 from .algebra import (
     AlgebraMap,
@@ -88,7 +88,7 @@ from .involutions import (
 )
 from .poly import poly_gcd
 from .quadratic import QuadraticAlgebra, is_isomorphic_2unit
-from .rings import RingSpec, _square_class_root
+from .rings import RingSpec, _canonical_json, _square_class_root
 
 
 # -- brute-force isomorphism --------------------------------------------------
@@ -477,10 +477,10 @@ def enumerate_cubic(spec: RingSpec):
     return [CubicCoefficients(spec, *values) for values in _cubic_tuples(spec)]
 
 
-# One census row as json.dumps(report.to_json(), indent=2, sort_keys=True)
-# renders it inside "rows", and as a line of the plain-text table.  Field 0
-# is the case, 1 the involution flag, 2-7 the raw values b, c, m, n, y, z;
-# the str() of a canonical raw value never needs JSON escaping.
+# One census row as _canonical_json(report.to_json()) renders it inside
+# "rows", and as a line of the plain-text table.  Field 0 is the case, 1
+# the involution flag, 2-7 the raw values b, c, m, n, y, z; the str() of
+# a canonical raw value never needs JSON escaping.
 _JSON_ROW = (
     '    {{\n'
     '      "case": "{0}",\n'
@@ -524,9 +524,9 @@ def _row_pieces(template, case, flag):
 
 
 def _json_members(obj):
-    """json.dumps(obj, indent=2, sort_keys=True) of a non-empty dict,
+    """The canonical JSON (rings._canonical_json) of a non-empty dict,
     without its opening and closing brace lines."""
-    return json.dumps(obj, indent=2, sort_keys=True)[2:-2]
+    return _canonical_json(obj)[2:-2]
 
 
 class CensusReport:
@@ -540,10 +540,10 @@ class CensusReport:
     and theorem_holds count the codes.
 
     to_json builds the report as a dict.  write_json writes the same
-    bytes as json.dumps(to_json(), indent=2, sort_keys=True) plus a
-    newline without building either: the summary keys go through
-    json.dumps, the rows through a fixed template, cut once per code, on
-    the raw values as three precomputed value pairs, a chunk at a time.
+    bytes as _canonical_json(to_json()) plus a newline without building
+    either: the summary keys go through _canonical_json, the rows
+    through a fixed template, cut once per code, on the raw values as
+    three precomputed value pairs, a chunk at a time.
     write_table does the same for the plain-text table.
     """
 

@@ -3,9 +3,12 @@
 Inputs are JSON: inline (first non-space character '{'), a file path,
 or '-' for standard input.  Ring elements travel as decimal strings
 ("-3", "2/7"), ring specs as {"kind": "Z"}, {"kind": "Q"}, or
-{"kind": "Fp", "p": 5}.  Output is canonical JSON (sorted keys, two
-space indent) so identical inputs produce identical bytes; census
-commands can render a plain-text table instead with --format table.
+{"kind": "Fp", "p": 5}.  Output is canonical JSON, the bytes of
+json.dumps(payload, indent=2, sort_keys=True), written by
+rings._canonical_json (_emit, _emit_error), so identical inputs
+produce identical bytes; census commands can render a plain-text table
+instead with --format table.  Element strings are decoded straight to
+raw values (RingSpec._parse_value) for the constructors to check.
 
 Exit status: 0 on success, 1 on a domain error (violated relations,
 non-units, guard limits) or a result too long to print, 2 on malformed
@@ -65,7 +68,7 @@ from .quadratic import (
     is_separable,
     split_idempotent,
 )
-from .rings import RingSpec, _check_keys
+from .rings import RingSpec, _canonical_json, _check_keys
 
 
 def _decode(text: str, what: str):
@@ -99,11 +102,11 @@ def _ring_from_args(args) -> RingSpec:
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_canonical_json(payload))
 
 
 def _emit_error(error: dict) -> None:
-    print(json.dumps({"error": error}, indent=2, sort_keys=True), file=sys.stderr)
+    print(_canonical_json({"error": error}), file=sys.stderr)
 
 
 def _parse_vector(alg, raw, what):

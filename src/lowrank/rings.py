@@ -8,9 +8,13 @@ polynomial and form holds and computes on these raw values, and all but
 the algebra elements are _RawValues records.  A RingElement pairs a spec
 with a canonical value and is what the public API hands out; its
 arithmetic builds results through a trusted constructor that only
-reduces mod p.  The raw unit inverse, the unit test and the exact
-quotient are written once here, for elements and the raw loops alike.
-All arithmetic is exact; there is no floating point anywhere in the
+reduces mod p.  Readers decode decimal strings straight to canonical
+raw values (RingSpec._parse_value, which parse wraps in an element)
+and hand them to a constructor, which checks them through
+RingSpec.value.  The raw unit inverse, the unit test and the exact
+quotient are written once here, for elements and the raw loops alike,
+and so is _canonical_json, the package's one JSON writer.  All
+arithmetic is exact; there is no floating point anywhere in the
 package.
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from .errors import _INTEGER, InputError, NotAUnit, SpecMismatch, UnsupportedRing
@@ -28,34 +33,46 @@ from .errors import _INTEGER, InputError, NotAUnit, SpecMismatch, UnsupportedRin
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:[/.][0-9]+)?")
 
 
-# Miller-Rabin with the first twelve primes as bases is exact below this
-# bound, the least strong pseudoprime to all of them (Sorenson and
-# Webster, Math. Comp. 2017); RingSpec refuses moduli at or above it.
+# Miller-Rabin with the first twelve primes as bases is exact below
+# _PRIME_BOUND, the least strong pseudoprime to all of them; RingSpec
+# refuses moduli at or above it.  _PRIME_PSI[r - 1] is psi_r, the least
+# strong pseudoprime to the first r bases, so an n below it that passes
+# those r rounds is prime.  The table for r <= 8 is Jaeschke's (Math.
+# Comp. 61, 1993), for r = 9 to 12 Sorenson and Webster's (Math. Comp.
+# 2017); a value repeats where one more base does not raise it.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_BOUND = 318665857834031151167461
+_PRIME_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+) + (341550071728321,) * 2 + (3825123056546413051,) * 3 + (_PRIME_BOUND,)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality for n < _PRIME_BOUND."""
+    """Deterministic Miller-Rabin primality for n < _PRIME_BOUND: trial
+    division by the bases, under which every n < 41^2 left is prime,
+    then the rounds in base order until n is below the round's psi."""
     if n < 2:
         return False
     for q in _PRIME_BASES:
         if n % q == 0:
             return n == q
+    if n < 41 * 41:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _PRIME_BASES:
+    for a, psi in zip(_PRIME_BASES, _PRIME_PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 
@@ -198,15 +215,28 @@ class RingSpec:
         Surrounding whitespace aside, the string must be ASCII
         [+-]?[0-9]+, which over Q may end in /[0-9]+ or .[0-9]+.
         """
+        return _trusted(self, self._parse_value(text))
+
+    def _parse_value(self, text):
+        """The canonical raw value of the string text, read as parse
+        reads it, with no element built.  Over Q an integer or a/b is
+        one Fraction of the int() of each part, and a.b is the Fraction
+        of the stripped string, whose int() of each part sets the same
+        digit limit."""
         if not isinstance(text, str):
             raise InputError(f"element must be a string, got {type(text).__name__}")
         digits = text.strip()
-        rational = self.kind == "Q"
-        if (_RATIONAL if rational else _INTEGER).fullmatch(digits):
-            try:
-                return RingElement(self, Fraction(digits) if rational else int(digits))
-            except (ValueError, ZeroDivisionError):
-                pass  # a zero denominator, or more digits than int() converts
+        try:
+            if self.kind != "Q":
+                if _INTEGER.fullmatch(digits):
+                    return int(digits) % self.p if self.p else int(digits)
+            elif _RATIONAL.fullmatch(digits):
+                if "." in digits:
+                    return Fraction(digits)
+                num, _, den = digits.partition("/")
+                return Fraction(int(num), int(den or "1"))
+        except (ValueError, ZeroDivisionError):
+            pass  # a zero denominator, or more digits than int() converts
         raise InputError(f"cannot parse {text!r} as an element of {self!r}")
 
     def elements(self):
@@ -375,6 +405,40 @@ def _check_keys(obj, keys, message) -> None:
         raise InputError(f"{message}; unknown keys {sorted(unknown)}")
 
 
+def _canonical_json(obj, indent="\n") -> str:
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True), the one
+    way the package writes JSON, for the values it emits: dicts with
+    str keys, lists, tuples, str, int, bool and None.  Any other type,
+    subclasses included, raises TypeError (a key that is not a str
+    raises it in sorted or encode_basestring_ascii); an int past str()'s
+    digit limit raises ValueError, as json.dumps does.  indent is the
+    newline and indent of the level obj is written at."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = indent + "  "
+    if kind is dict:
+        ends = "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _canonical_json(value, inner)
+            for key, value in sorted(obj.items())
+        ]
+    elif kind is list or kind is tuple:
+        ends = "[]"
+        items = [_canonical_json(value, inner) for value in obj]
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 class _RawValues:
     """A record over a RingSpec `spec` whose entries are stored once, as
     canonical raw values (RingSpec.value) in the tuple `_values`, which
@@ -413,7 +477,7 @@ class _RawValues:
         _check_keys(obj, cls.FIELDS if spec is not None else ("ring",) + cls.FIELDS, message)
         if spec is None:
             spec = RingSpec.from_json(obj["ring"])
-        return cls(spec, *(spec.parse(obj[k]) for k in cls.FIELDS))
+        return cls(spec, *(spec._parse_value(obj[k]) for k in cls.FIELDS))
 
     def __eq__(self, other):
         return (

@@ -171,3 +171,23 @@ def test_unchecked_table_constructor_names_its_callers():
     assert len(callers) >= 3
     doc = " ".join(lowrank.StructureConstants._canonical.__doc__.split())
     assert sorted(name for name in callers if f"`{name}`" not in doc) == []
+
+
+def test_package_writes_json_only_through_its_canonical_writer():
+    """No module calls json.dump or json.dumps, or imports either by
+    name: rings._canonical_json writes every JSON byte the package
+    prints, in the bytes of json.dumps(obj, indent=2, sort_keys=True)."""
+    writers = {"dump", "dumps"}
+    found = []
+    for path in sorted(Path(lowrank.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "json":
+                found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name in writers]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in writers
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

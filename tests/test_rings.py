@@ -1,4 +1,9 @@
+import contextlib
+import io
+import json
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -28,6 +33,9 @@ from lowrank import (
     square_class_witness,
 )
 from fractions import Fraction
+from lowrank import cli, rings
+from lowrank.involutions import Involution
+from lowrank.rings import _canonical_json, _is_prime, _PRIME_BOUND, _PRIME_PSI
 
 
 def random_element(spec, rng, span=50):
@@ -356,3 +364,246 @@ def test_cross_ring_operations_rejected():
 
     with pytest.raises(SpecMismatch):
         ZZ.element(1) + GF(5).element(1)
+
+
+# -- decoding ------------------------------------------------------------------
+
+
+def _old_parse_value(spec, text):
+    """The raw value RingSpec.parse gave before decoding went straight to
+    raw values: the element of the grammar's Fraction or int, through
+    RingSpec.value."""
+    if not isinstance(text, str):
+        raise InputError(f"element must be a string, got {type(text).__name__}")
+    digits = text.strip()
+    rational = spec.kind == "Q"
+    grammar = r"[+-]?[0-9]+(?:[/.][0-9]+)?" if rational else r"[+-]?[0-9]+"
+    if re.fullmatch(grammar, digits):
+        try:
+            return spec.value(Fraction(digits) if rational else int(digits))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"cannot parse {text!r} as an element of {spec!r}")
+
+
+def _decode_edge_strings():
+    big, over = "7" * 4300, "7" * 4301
+    texts = [
+        "0", "-0", "+0", "+5", "-5", "007", "-007", " 12 ", "\t-3\n", "\u00a09\u2003",
+        "2/7", "-2/6", "+4/-2", "4/+2", "0/5", "5/0", "-0/0", "/0", "/5", "1/", "0002/0004",
+        "1.5", "-1.50", "+0.125", ".5", "1.", "-.5", "1.2.3", "1/2/3", "1/2.5", "1.5/2",
+        "1e3", "1E3", "1.5e2", "1_000", "1_0/3", "\u0663", "1\u0663", "\uff11", "", " ",
+        "-", "+", "--1", "+-1", "1 2", "1/ 2", "1 /2", "x", "0x1f", "inf", "nan",
+        big, over, "-" + big, "-" + over, "0" + big, "+" + big,
+        big + "/1", over + "/1", "1/" + big, "1/" + over, big + "/" + big, "-" + big + "/" + over,
+        big + ".5", over + ".5", "1." + big, "1." + over, "-" + big + "." + big, "0." + over,
+    ]
+    return texts + [3, 1.5, None, b"1", ["1"]]
+
+
+def _random_decode_strings(rng, count):
+    alphabet = "0123456789" * 3 + "+-/. _e\t\u0663"
+    return [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("spec", [ZZ, QQ, GF(2), GF(9973)], ids=repr)
+def test_decode_matches_the_element_path(spec):
+    """The raw decode gives the value (of the same type) that the old
+    path through Fraction(digits) or int(digits) and RingSpec.value gave,
+    or raises InputError with the same message."""
+    texts = _decode_edge_strings() + _random_decode_strings(random.Random(38), 3000)
+    for text in texts:
+        try:
+            expected = _old_parse_value(spec, text)
+        except InputError as exc:
+            with pytest.raises(InputError) as raised:
+                spec._parse_value(text)
+            assert str(raised.value) == str(exc), text
+            with pytest.raises(InputError, match=re.escape(str(exc))):
+                spec.parse(text)
+            continue
+        got = spec._parse_value(text)
+        assert type(got) is type(expected) and got == expected, text
+        element = spec.parse(text)
+        assert type(element.value) is type(expected) and element.value == expected, text
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a RingElement was built")
+
+
+@pytest.mark.parametrize(
+    "spec, one, half",
+    [(ZZ, "1", "3"), (QQ, "1", "1/2"), (GF(7), "8", "4")],
+    ids=["Z", "Q", "F7"],
+)
+def test_requests_decode_with_no_element(monkeypatch, spec, one, half):
+    """Tables, involutions and six-tuples are read, and alg assoc and
+    cubic build answer, with both element constructors refusing."""
+    monkeypatch.setattr(rings.RingElement, "__init__", _refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lowrank") and hasattr(module, "_trusted"):
+            monkeypatch.setattr(module, "_trusted", _refuse)
+    ring = spec.to_json()
+    algebra = {
+        "ring": ring,
+        "rank": 2,
+        "table": [[[one, "0"], ["0", "1"]], [["0", "1"], [half, "0"]]],
+    }
+    alg = StructureConstants.from_json(algebra)
+    assert alg._values[1][1] == (spec.value(Fraction(half)), 0)
+    inv = Involution.from_json({**algebra, "images": [[one, "0"], ["0", "-1"]]})
+    assert inv.images[1]._values == (0, spec.value(-1))
+    coeffs = {"b": half, "c": "0", "m": "0", "n": "0", "y": "0", "z": "0"}
+    assert CubicCoefficients.from_json(spec, coeffs)._values[0] == spec.value(Fraction(half))
+    for argv in (
+        ["alg", "assoc", json.dumps(algebra)],
+        ["cubic", "build", json.dumps(coeffs), "--ring", json.dumps(ring)],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert json.loads(out.getvalue())
+
+
+# -- primality -----------------------------------------------------------------
+
+
+def _twelve_rounds(n):
+    """Miller-Rabin with all twelve prime bases, every round run: the
+    primality test before the rounds stopped at their psi bound."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+PSI_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+}
+
+
+def test_psi_bounds_are_composite_strong_pseudoprimes():
+    assert _PRIME_PSI[-1] == _PRIME_BOUND and len(_PRIME_PSI) == 12
+    assert sorted(set(_PRIME_PSI[:-1])) == sorted(PSI_FACTORS)
+    for psi, factors in PSI_FACTORS.items():
+        product = 1
+        for q in factors:
+            assert _twelve_rounds(q)
+            product *= q
+        assert product == psi
+        assert not _is_prime(psi) and not _twelve_rounds(psi)
+    for n in (561, 1105, 1729):
+        assert not _is_prime(n)
+    with pytest.raises(
+        InputError,
+        match=f"Fp modulus {_PRIME_BOUND} is too large: primality is decided only below {_PRIME_BOUND}",
+    ):
+        RingSpec("Fp", _PRIME_BOUND)
+
+
+def test_primality_matches_twelve_rounds():
+    for n in range(-2, 10**5):
+        assert _is_prime(n) == _twelve_rounds(n), n
+    rng = random.Random(3801)
+    for psi in sorted(set(_PRIME_PSI)):
+        window = [psi - 2, psi - 1, psi, psi + 1, psi + 2]
+        window += [psi + rng.randint(-10**4, 10**4) for _ in range(3000)]
+        for n in window:
+            assert _is_prime(n) == _twelve_rounds(n), n
+    for _ in range(5000):
+        n = rng.randrange(_PRIME_BOUND) | 1
+        assert _is_prime(n) == _twelve_rounds(n), n
+
+
+# -- the canonical JSON writer ---------------------------------------------------
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_canonical_json_matches_json_dumps_on_edge_cases():
+    def nest(leaf, depth):
+        for k in range(depth):
+            leaf = [leaf] if k % 2 else {"k": leaf}
+        return leaf
+
+    cases = [nest(leaf, depth) for leaf in ({}, [], (), "", 0) for depth in range(5)]
+    cases += [
+        {"a": (), "b": [(), {}], "c": ((1, "x"), [True, False, None])},
+        ["\u00e9\u0661\U0001f600", "\x00\x1f\x7f", '"', "\\", "\n\t\r\b\f", "/"],
+        {"\u00e9": 1, '"': 2, "\\": 3, "\n": 4, "": 5, "B": 6, "a": 7, "A": 8},
+        [-1, 0, -(10**4299), 10**4299, int("9" * 4300), -int("9" * 4300)],
+        [True, 1, False, 0, None, "true", "1"],
+        {"n": True, "m": 1, "o": [1, True], "p": {"q": False, "r": 0}},
+        "plain", 7, -7, True, False, None,
+    ]
+    for obj in cases:
+        assert _canonical_json(obj) == _dumps(obj), obj
+
+
+def test_canonical_json_refuses_what_it_cannot_write():
+    for obj in (1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {("a",): 1}, [1, 2.0], {"a": {"b": {3}}}, b"x"):
+        with pytest.raises(TypeError):
+            _canonical_json(obj)
+    too_long = 10**4300
+    with pytest.raises(ValueError) as theirs:
+        _dumps([too_long])
+    with pytest.raises(ValueError) as ours:
+        _canonical_json([too_long])
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (
+            ["alg", "assoc", json.dumps({"ring": {"kind": "Q"}, "rank": 1, "table": [[["\u0661/\"\\\t\u00e9"]]]})],
+            2,
+            '{\n  "error": {\n    "message": "cannot parse \'\\u0661/\\"\\\\\\\\\\\\t\\u00e9\' as an element of QQ",'
+            '\n    "type": "InputError"\n  }\n}\n',
+        ),
+        (
+            ["cubic", "build", json.dumps({"b": "1", "c": "0", "m": "1", "n": "0", "y": "0", "z": "0"}), "--ring", '{"kind": "Z"}'],
+            1,
+            '{\n  "error": {\n    "message": "violated: bm = mn, m^2 = mz",\n    "type": "RelationViolation",'
+            '\n    "violations": [\n      "bm = mn",\n      "m^2 = mz"\n    ]\n  }\n}\n',
+        ),
+    ],
+    ids=["exit-2", "exit-1"],
+)
+def test_refusal_stderr_bytes_are_pinned(argv, code, stderr):
+    """The stderr of two refusals, byte for byte as json.dumps wrote them
+    before the package had its own writer."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == code
+    assert err.getvalue() == stderr
