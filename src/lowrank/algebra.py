@@ -87,7 +87,12 @@ class StructureConstants(_RawValues):
         `cubic.build_algebra` (the table of a validated six-tuple),
         `quadratic.QuadraticAlgebra.structure` (the table of its
         canonical (t, n)) and `cubic.exceptional_witness` (the model
-        table R + M of a validated exceptional six-tuple)."""
+        table R + M of a validated exceptional six-tuple).  The
+        certificate verifiers (verify_associativity, is_multiplicative,
+        involutions.verify_involution and verify_standard) skip the
+        identities that involve e_0, so they rely on these rows holding
+        a two-sided identity; a test rebuilds each caller's table
+        through the checking constructor."""
         out = object.__new__(cls)
         out.spec = spec
         out.rank = len(rows)
@@ -174,17 +179,21 @@ class StructureConstants(_RawValues):
     def verify_associativity(self):
         """Check (e_a e_b) e_c = e_a (e_b e_c) for every basis triple.
 
+        A triple with an index 0 holds because e_0 = 1 is a two-sided
+        identity, so only the (k-1)^3 triples off the unit are compared:
+        sum_l t[a][b][l] e_l e_c against sum_l t[b][c][l] e_a e_l, two
+        linear combinations of a column and a row of the table.
         Returns (True, None) or (False, (a, b, c)) with the first failing
         triple in lexicographic order.
         """
         k = self.rank
         t = self._values
-        mul = self._mul_values
-        e = t[0]  # the basis vectors, since e_0 = 1
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    if mul(t[a][b], e[c]) != mul(e[a], t[b][c]):
+        combine = self._combine_values
+        cols = tuple(zip(*t))  # cols[c][l] = e_l e_c
+        for a in range(1, k):
+            for b in range(1, k):
+                for c in range(1, k):
+                    if combine(t[a][b], cols[c]) != combine(t[b][c], t[a]):
                         return False, (a, b, c)
         return True, None
 
@@ -672,15 +681,19 @@ class AlgebraMap:
     def is_multiplicative(self):
         """Check phi(e_a e_b) = phi(e_a) phi(e_b) on every basis pair.
 
-        Together with linearity this covers all products.  Returns
-        (True, None) or (False, (a, b)).
+        Together with linearity this covers all products.  When the map
+        is unital, a pair with an index 0 holds because e_0 = 1 on both
+        sides, so only the (k-1)^2 pairs off the unit are checked.
+        Returns (True, None) or (False, (a, b)) with the first failing
+        pair in lexicographic order.
         """
         t = self.source._values
         combine, mul = self.target._combine_values, self.target._mul_values
         images = [im._values for im in self.images]
         k = self.source.rank
-        for a in range(k):
-            for b in range(k):
+        start = 1 if self.is_unital() else 0
+        for a in range(start, k):
+            for b in range(start, k):
                 if combine(t[a][b], images) != mul(images[a], images[b]):
                     return False, (a, b)
         return True, None
@@ -696,10 +709,11 @@ class AlgebraMap:
 
     def verify_isomorphism(self) -> bool:
         """Whether the map is an isomorphism of algebras, checked in full
-        on raw values: the unit goes to the unit (is_unital), every one
-        of the k^2 basis products is preserved (is_multiplicative), the
-        ranks are equal and the determinant is a unit (is_invertible).
-        Builds no element, table or matrix."""
+        on raw values: the unit goes to the unit (is_unital), the (k-1)^2
+        basis products off the unit are preserved (is_multiplicative;
+        with the unit, that covers all k^2), the ranks are equal and the
+        determinant is a unit (is_invertible).  Builds no element, table
+        or matrix."""
         return (
             self.is_unital()
             and self.is_multiplicative()[0]

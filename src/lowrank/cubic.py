@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 
-from .algebra import AlgebraMap, SquareMatrix, StructureConstants, _basis_values, left_regular_rep, rebase
+from .algebra import AlgebraMap, SquareMatrix, StructureConstants, _basis_values, _matmul_values, rebase
 from .errors import (
     InputError,
     NotAUnit,
@@ -415,26 +415,37 @@ def matrix_rep(coeffs: CubicCoefficients):
         I^2 = -cz + b I + c J        I J = cy
         J I = (cy - bm) + m I + n J  J^2 = -by + y I + z J
 
-    The identity, I, and J have the three coordinate vectors as first
-    columns, so they are linearly independent for every table.
+    Column j of L_a is the cell e_a e_j, so the three matrices are read
+    off the raw table (L_0 is the identity) and the identities are
+    checked on raw rows, reduced mod p over F_p; only I and J are built
+    as SquareMatrix.  The identity, I, and J have the three coordinate
+    vectors as first columns, so they are linearly independent for
+    every table.
     """
     spec = coeffs.spec
-    alg = build_algebra(coeffs)
-    mats = [SquareMatrix.identity(spec, 3)]
-    mats += [left_regular_rep(alg.basis(a)) for a in (1, 2)]
+    p = spec.p
+    t = _table_values(spec, coeffs._values)
+    rows = [tuple(zip(*t[a])) for a in range(3)]  # L_a, whose column j is t[a][j]
     # L_a L_b = sum_c t[a][b][c] L_c for the generators a, b in {1, 2}
     for a in (1, 2):
         for b in (1, 2):
-            cell = zip(mats, alg._values[a][b])
-            want = sum((m * v for m, v in cell if v), start=SquareMatrix.zero(spec, 3))
-            if mats[a] * mats[b] != want:
+            cell = t[a][b]
+            got = _matmul_values(rows[a], t[b])
+            want = [
+                [sum(v * mat[r][j] for v, mat in zip(cell, rows) if v) for j in range(3)]
+                for r in range(3)
+            ]
+            if p:
+                got = [[x % p for x in row] for row in got]
+                want = [[x % p for x in row] for row in want]
+            if got != want:
                 raise RelationViolation(["matrix identities fail for this table"])
-    for k, mat in enumerate(mats):
-        # the first column is the k-th coordinate vector, a row of the identity
-        col = tuple(row[0] for row in mat._values)
-        if col != mats[0]._values[k]:
+    for k, mat in enumerate(rows):
+        # the first column is the k-th coordinate vector, a row of L_0
+        col = tuple(row[0] for row in mat)
+        if col != rows[0][k]:
             raise AssertionError("representation lost independence")
-    return mats[1], mats[2]
+    return SquareMatrix(spec, rows[1]), SquareMatrix(spec, rows[2])
 
 
 def char_poly_exceptional(coeffs: CubicCoefficients, element_coeffs) -> Polynomial:

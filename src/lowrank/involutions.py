@@ -7,9 +7,14 @@ by its traces on the basis, and _conjugation is its one constructor;
 a standard involution always has this shape.  An involution is
 standard when every x times its conjugate lands in the base ring; by
 bilinearity it is enough to check the basis elements together with
-all two-element basis sums, which is what verify_standard does.
-verify_involution and verify_standard run on the table's canonical raw
-values and build an element only for a witness they return.  Elements
+all two-element basis sums, which is what verify_standard does.  Since
+e_0 = 1, the checks that involve the unit need no product: 1 times its
+conjugate is the image of 1, and 1 + e_j times its conjugate is, up to
+a scalar, a linear combination of e_j and its image, so only the
+elements off the unit are multiplied.  verify_involution likewise
+checks product reversal only on pairs off the unit, once 1 is fixed.
+Both run on the table's canonical raw values and build an element
+only for a witness they return.  Elements
 fixed under a standard involution's trace and norm satisfy an explicit
 monic quadratic, and that quadratic certificate is the engine behind
 both the search for standard involutions in low rank and the degree
@@ -58,9 +63,12 @@ class Involution(AlgebraMap):
 def verify_involution(inv: Involution):
     """Check the three involution axioms on the basis.
 
-    Returns (True, None) or (False, description) where the description
-    names the first axiom that fails: fixing 1, being self-inverse, or
-    reversing products.
+    Once 1 is fixed, 1 is mapped back to itself and every product with
+    the factor e_0 = 1 is reversed, so the self-inverse check runs on
+    e_1, ..., e_{k-1} and product reversal on the (k-1)^2 pairs off the
+    unit.  Returns (True, None) or (False, description) where the
+    description names the first axiom that fails: fixing 1, being
+    self-inverse, or reversing products.
     """
     alg = inv.algebra
     k = alg.rank
@@ -70,11 +78,11 @@ def verify_involution(inv: Involution):
     images = [im._values for im in inv.images]
     if images[0] != e[0]:
         return False, "basis element 0 is not fixed"
-    for i in range(k):
+    for i in range(1, k):
         if combine(images[i], images) != e[i]:
             return False, f"double application moves basis element {i}"
-    for i in range(k):
-        for j in range(k):
+    for i in range(1, k):
+        for j in range(1, k):
             if combine(t[i][j], images) != mul(images[j], images[i]):
                 return False, f"product reversal fails on pair ({i}, {j})"
     return True, None
@@ -86,16 +94,31 @@ def verify_standard(inv: Involution):
     The product is a quadratic expression in the coefficients of x, so
     scalarity on the basis elements and on all sums of two basis
     elements decides it for every element at once, over any base ring.
-    Returns (True, None) or (False, witness element).
+    Those that involve the unit take no product: 1 * conj(1) is
+    conj(1) = images[0], and once that is a scalar s and e_j conj(e_j)
+    is scalar, (1 + e_j) conj(1 + e_j) differs by a scalar from
+    conj(e_j) + s e_j.  Only e_j and e_i + e_j with i, j >= 1 are
+    multiplied.  Returns (True, None) or (False, witness element), the
+    first witness in the order 1, e_1, ..., e_{k-1}, 1 + e_1, ...,
+    1 + e_{k-1}, then the e_i + e_j lexicographically.
     """
     alg = inv.algebra
     k = alg.rank
+    e = alg._values[0]  # the basis vectors, since e_0 = 1
     combine, mul = alg._combine_values, alg._mul_values
     images = [im._values for im in inv.images]
-    for support in itertools.chain(
-        itertools.combinations(range(k), 1), itertools.combinations(range(k), 2)
-    ):
-        x = tuple(1 if l in support else 0 for l in range(k))
+    s = images[0]  # 1 * conj(1)
+    if any(s[1:]):
+        return False, alg.element(e[0])
+    for j in range(1, k):
+        if any(mul(e[j], images[j])[1:]):
+            return False, alg.element(e[j])
+    for j in range(1, k):
+        # (1 + e_j) conj(1 + e_j) = s + conj(e_j) + s e_j + e_j conj(e_j)
+        if any(combine((1, s[0]), (images[j], e[j]))[1:]):
+            return False, alg.element(combine((1, 1), (e[0], e[j])))
+    for i, j in itertools.combinations(range(1, k), 2):
+        x = combine((1, 1), (e[i], e[j]))
         if any(mul(x, combine(x, images))[1:]):
             return False, alg.element(x)
     return True, None

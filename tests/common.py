@@ -24,3 +24,18 @@ def horner(f, x, one):
     for c in reversed(f.coeffs):
         acc = acc * x + one * c
     return acc
+
+
+def count_kernel_calls(monkeypatch):
+    """A list that records, by name, every call into the table's product
+    and linear-extension loops (_mul_values and _combine_values)."""
+    calls = []
+    for name in ("_mul_values", "_combine_values"):
+        kernel = getattr(StructureConstants, name)
+
+        def counted(self, u, v, kernel=kernel, name=name):
+            calls.append(name)
+            return kernel(self, u, v)
+
+        monkeypatch.setattr(StructureConstants, name, counted)
+    return calls

@@ -1,0 +1,472 @@
+"""The certificate verifiers against their full loops.
+
+Every table keeps e_0 = 1 as a two-sided identity, so the verifiers
+skip the identities that involve e_0: verify_associativity compares the
+(k-1)^3 triples off the unit, verify_involution and a unital map's
+is_multiplicative the (k-1)^2 pairs off it, verify_standard multiplies
+only the elements off it and matrix_rep checks its identities on raw
+rows.  The full loops they replaced are kept here as oracles, and each
+verifier must return exactly what its oracle returns: the verdict and
+the first failing triple, pair, description or witness.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from lowrank import (
+    GF,
+    QQ,
+    ZZ,
+    AlgebraMap,
+    CubicCoefficients,
+    Involution,
+    QuadraticAlgebra,
+    RelationViolation,
+    SquareMatrix,
+    StructureConstants,
+    build_algebra,
+    direct_product,
+    exceptional_witness,
+    find_standard_involution,
+    is_isomorphic_bruteforce,
+    left_regular_rep,
+    matrix_algebra,
+    matrix_rep,
+    product_element,
+    quaternion_algebra,
+    rank_one,
+    rebase,
+    verify_involution,
+    verify_standard,
+)
+from lowrank.involutions import _conjugation
+
+from common import count_kernel_calls
+
+SPECS = [ZZ, QQ, GF(2), GF(5), GF(9973)]
+
+
+# -- the full loops -----------------------------------------------------------
+
+
+def full_verify_associativity(alg):
+    """(e_a e_b) e_c = e_a (e_b e_c) on all k^3 basis triples."""
+    k = alg.rank
+    t = alg._values
+    mul = alg._mul_values
+    e = t[0]
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if mul(t[a][b], e[c]) != mul(e[a], t[b][c]):
+                    return False, (a, b, c)
+    return True, None
+
+
+def full_is_multiplicative(phi):
+    """phi(e_a e_b) = phi(e_a) phi(e_b) on all k^2 basis pairs."""
+    t = phi.source._values
+    combine, mul = phi.target._combine_values, phi.target._mul_values
+    images = [im._values for im in phi.images]
+    k = phi.source.rank
+    for a in range(k):
+        for b in range(k):
+            if combine(t[a][b], images) != mul(images[a], images[b]):
+                return False, (a, b)
+    return True, None
+
+
+def full_verify_involution(inv):
+    """The three axioms, on every basis element and all k^2 pairs."""
+    alg = inv.algebra
+    k = alg.rank
+    t = alg._values
+    e = t[0]
+    combine, mul = alg._combine_values, alg._mul_values
+    images = [im._values for im in inv.images]
+    if images[0] != e[0]:
+        return False, "basis element 0 is not fixed"
+    for i in range(k):
+        if combine(images[i], images) != e[i]:
+            return False, f"double application moves basis element {i}"
+    for i in range(k):
+        for j in range(k):
+            if combine(t[i][j], images) != mul(images[j], images[i]):
+                return False, f"product reversal fails on pair ({i}, {j})"
+    return True, None
+
+
+def full_verify_standard(inv):
+    """x conj(x) scalar for every basis element and every sum of two,
+    each a product."""
+    alg = inv.algebra
+    k = alg.rank
+    combine, mul = alg._combine_values, alg._mul_values
+    images = [im._values for im in inv.images]
+    for support in itertools.chain(
+        itertools.combinations(range(k), 1), itertools.combinations(range(k), 2)
+    ):
+        x = tuple(1 if l in support else 0 for l in range(k))
+        if any(mul(x, combine(x, images))[1:]):
+            return False, alg.element(x)
+    return True, None
+
+
+def full_matrix_rep(coeffs):
+    """L_i and L_j as left regular representations, with the identities
+    L_a L_b = sum_c t[a][b][c] L_c checked in SquareMatrix arithmetic."""
+    spec = coeffs.spec
+    alg = build_algebra(coeffs)
+    mats = [SquareMatrix.identity(spec, 3)]
+    mats += [left_regular_rep(alg.basis(a)) for a in (1, 2)]
+    for a in (1, 2):
+        for b in (1, 2):
+            cell = zip(mats, alg._values[a][b])
+            want = sum((m * v for m, v in cell if v), start=SquareMatrix.zero(spec, 3))
+            if mats[a] * mats[b] != want:
+                raise RelationViolation(["matrix identities fail for this table"])
+    return mats[1], mats[2]
+
+
+# -- inputs -------------------------------------------------------------------
+
+
+def _value(spec, rng, zeros=0.0):
+    if rng.random() < zeros:
+        return 0
+    if spec.kind == "Fp":
+        return rng.randrange(spec.p)
+    if spec.kind == "Q" and rng.random() < 0.3:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    return rng.randint(-4, 4)
+
+
+def _unit_rows(k):
+    return [[1 if l == j else 0 for l in range(k)] for j in range(k)]
+
+
+def random_unital_table(spec, k, rng, zeros=0.5):
+    """A unital rank-k table with random products off the unit: as a
+    rule neither associative nor commutative."""
+    unit = _unit_rows(k)
+    return StructureConstants(spec, [
+        [
+            unit[max(i, j)] if min(i, j) == 0
+            else [_value(spec, rng, zeros) for _ in range(k)]
+            for j in range(k)
+        ]
+        for i in range(k)
+    ])
+
+
+def _unital_unimodular(k, rng):
+    """Rows of a change of basis that keeps e_0 first and has
+    determinant 1: elementary row operations on the identity."""
+    rows = _unit_rows(k)
+    for _ in range(2 * k):
+        i, j = rng.randrange(1, k), rng.randrange(k)
+        if i != j:
+            f = rng.randint(-2, 2)
+            rows[i] = [a + f * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def associative_tables(spec, rng):
+    """Associative tables of ranks 1 to 5, each also in a random unital
+    basis of determinant 1."""
+    draw = lambda: _value(spec, rng)
+    quad = lambda: QuadraticAlgebra(spec, draw(), draw()).structure()
+    m, n = draw(), draw()
+    tables = [
+        rank_one(spec),
+        quad(),
+        build_algebra(CubicCoefficients(spec, n, 0, m, n, 0, m)),
+        build_algebra(CubicCoefficients(spec, draw(), draw(), 0, 0, draw(), draw())),
+        build_algebra(CubicCoefficients(spec, draw(), 0, 0, 0, 0, draw())),
+        direct_product(rank_one(spec), quad()),
+        matrix_algebra(spec, 2),
+        direct_product(quad(), quad()),
+        direct_product(quad(), build_algebra(CubicCoefficients(spec, n, 0, m, n, 0, m))),
+    ]
+    if spec.characteristic() != 2:
+        tables.append(quaternion_algebra(spec, -1, rng.choice((-1, 1))))
+    for alg in list(tables):
+        if alg.rank > 1:
+            tables.append(rebase(alg, _unital_unimodular(alg.rank, rng))[0])
+    return tables
+
+
+def perturbed(alg, rng, at=None):
+    """alg with coordinate l of the product e_a e_b off the unit changed,
+    at = (a, b, l) or random."""
+    k = alg.rank
+    rows = [[list(cell) for cell in row] for row in alg._values]
+    a, b, l = at or (rng.randrange(1, k), rng.randrange(1, k), rng.randrange(k))
+    bump = _value(alg.spec, rng) or 1
+    rows[a][b][l] = alg.spec.value(rows[a][b][l] + bump)
+    return StructureConstants(alg.spec, rows)
+
+
+def sample_tables(spec, rng):
+    """Random unital tables of ranks 1 to 5, dense and sparse, and the
+    associative tables with and without one product changed."""
+    tables = [
+        random_unital_table(spec, k, rng, zeros)
+        for k in (1, 2, 3, 4, 5)
+        for zeros in (0.0, 0.6, 0.9)
+    ]
+    for alg in associative_tables(spec, rng):
+        tables.append(alg)
+        if alg.rank > 1:
+            # the last coordinate of the last product too: in a direct
+            # product of two factors of rank 2 or more, the first triple
+            # that then fails has no index 1
+            last = (alg.rank - 1,) * 3
+            tables += [perturbed(alg, rng) for _ in range(3)] + [perturbed(alg, rng, last)]
+    return tables
+
+
+# -- verifiers against the full loops ------------------------------------------
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+def test_associativity_matches_the_full_loop(spec):
+    rng = random.Random(f"assoc {spec!r}")
+    seen = set()
+    for alg in sample_tables(spec, rng):
+        got = alg.verify_associativity()
+        assert got == full_verify_associativity(alg), alg._values
+        seen.add((alg.rank, got[1]))
+    assert {rank for rank, _ in seen} == {1, 2, 3, 4, 5}
+    triples = {triple for _, triple in seen}
+    assert None in triples and (1, 1, 1) in triples
+    # first failures away from (1, 1, 1), with and without an index 1
+    assert any(t and 1 in t and t != (1, 1, 1) for t in triples)
+    assert any(t and 1 not in t for t in triples)
+
+
+def _involution_candidates(alg, rng):
+    """Maps that fix 1 or not, with images[0] scalar or not, around the
+    table's standard involution when it has one."""
+    k = alg.rank
+    spec = alg.spec
+    found = find_standard_involution(alg)
+    traces = (
+        [im._values[0] for im in found.images[1:]] if found is not None
+        else [_value(spec, rng) for _ in range(k - 1)]
+    )
+    conj = _conjugation(alg, traces)
+    out = [conj, _conjugation(alg, [_value(spec, rng) for _ in range(k - 1)])]
+    # traces read off the squares' own coordinates: every e_j conj(e_j)
+    # is scalar when each e_j^2 lies in the span of 1 and e_j
+    out.append(_conjugation(alg, [alg._values[j][j][j] for j in range(1, k)]))
+    base = [im._values for im in conj.images]
+    for _ in range(3):
+        # images[0] a scalar other than 1, as a rule: 1 is not fixed, and
+        # 1 + e_j times its conjugate is not scalar unless s = 1
+        out.append(Involution(alg, [alg.scalar(_value(spec, rng))] + base[1:]))
+        # images[0] not scalar
+        first = [_value(spec, rng) for _ in range(k)]
+        out.append(Involution(alg, [first] + base[1:]))
+        # 1 fixed, the other images random or one of them moved
+        rows = [[_value(spec, rng, 0.5) for _ in range(k)] for _ in range(k)]
+        out.append(Involution(alg, [base[0]] + rows[1:]))
+        if k > 1:
+            moved = list(base)
+            j, l = rng.randrange(1, k), rng.randrange(k)
+            moved[j] = tuple(
+                spec.value(c + (1 if i == l else 0)) for i, c in enumerate(moved[j])
+            )
+            out.append(Involution(alg, moved))
+        out.append(Involution(alg, rows))
+    return out
+
+
+def _witness_kind(witness):
+    """The witness's support with the unit and the indices off it told
+    apart: '1', 'e', '1+e', 'e+e', or None."""
+    if witness is None:
+        return None
+    support = [l for l, c in enumerate(witness._values) if c]
+    return "+".join("1" if l == 0 else "e" for l in support)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+def test_involution_checks_match_the_full_loops(spec):
+    rng = random.Random(f"involution {spec!r}")
+    reasons, witnesses = set(), set()
+    for alg in sample_tables(spec, rng):
+        for inv in _involution_candidates(alg, rng):
+            got = verify_involution(inv)
+            assert got == full_verify_involution(inv), inv
+            reasons.add(got[1] and " ".join(got[1].split()[:3]))
+            standard, witness = verify_standard(inv)
+            want_standard, want_witness = full_verify_standard(inv)
+            assert (standard, witness) == (want_standard, want_witness), inv
+            if witness is not None:
+                assert list(map(type, witness._values)) == list(map(type, want_witness._values))
+            witnesses.add(_witness_kind(witness))
+    assert reasons == {
+        None,
+        "basis element 0",
+        "double application moves",
+        "product reversal fails",
+    }
+    assert witnesses == {None, "1", "e", "1+e", "e+e"}
+
+
+def _map_candidates(source, target, rng):
+    """Maps source -> target, unital or not: random images, the unit
+    first or a scalar or random vector in its place, the zero map and
+    one image of a given map moved."""
+    spec, k, kt = source.spec, source.rank, target.rank
+    one = target._values[0][0]
+    out = [AlgebraMap(source, target, [[0] * kt] * k)]  # multiplicative, not unital
+    for _ in range(3):
+        rows = [[_value(spec, rng, 0.5) for _ in range(kt)] for _ in range(k)]
+        out.append(AlgebraMap(source, target, rows))
+        out.append(AlgebraMap(source, target, [one] + rows[1:]))
+        out.append(AlgebraMap(source, target, [target.scalar(_value(spec, rng))] + rows[1:]))
+    return out
+
+
+def _moved(phi, rng):
+    images = [list(im._values) for im in phi.images]
+    j, l = rng.randrange(len(images)), rng.randrange(phi.target.rank)
+    images[j][l] = phi.target.spec.value(images[j][l] + 1)
+    return AlgebraMap(phi.source, phi.target, images)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+def test_map_checks_match_the_full_loop(spec):
+    rng = random.Random(f"map {spec!r}")
+    maps = []
+    tables = sample_tables(spec, rng)
+    for alg in tables:
+        if alg.rank > 1:
+            # an isomorphism onto the table in a new basis, and moved
+            _, phi = rebase(alg, _unital_unimodular(alg.rank, rng))
+            maps += [phi] + [_moved(phi, rng) for _ in range(3)]
+        maps += _map_candidates(alg, rng.choice(tables), rng)
+        # x -> (x, 0) into a direct product: multiplicative, not unital
+        other = rank_one(spec)
+        prod = direct_product(alg, other)
+        zero = [0]
+        embed = [product_element(prod, alg, other, e, zero) for e in alg._values[0]]
+        maps += [AlgebraMap(alg, prod, embed), _moved(AlgebraMap(alg, prod, embed), rng)]
+    if spec.kind == "Fp" and spec.p < 10:
+        census = [build_algebra(c) for c in itertools.islice(
+            (CubicCoefficients(spec, n, 0, m, n, 0, m) for n in range(spec.p) for m in range(spec.p)), 6
+        )]
+        for a, b in itertools.product(census, repeat=2):
+            found, phi = is_isomorphic_bruteforce(a, b)
+            if found:
+                maps += [phi, _moved(phi, rng)]
+    seen = set()
+    for phi in maps:
+        got = phi.is_multiplicative()
+        assert got == full_is_multiplicative(phi), phi
+        ok = phi.source.rank == phi.target.rank and phi.is_invertible()
+        assert phi.verify_isomorphism() == (phi.is_unital() and got[0] and ok)
+        seen.add((phi.is_unital(), got[1]))
+    pairs = {pair for _, pair in seen}
+    assert {(True, None), (False, None)} <= seen
+    assert (1, 1) in pairs and (0, 0) in pairs
+    assert any(unital and pair and pair != (1, 1) for unital, pair in seen)
+    assert any(not unital and pair and 0 in pair and pair != (0, 0) for unital, pair in seen)
+
+
+def _unvalidated(spec, values):
+    """A six-tuple stored without the relation check, as the table of a
+    non-associative algebra for matrix_rep to refuse."""
+    out = object.__new__(CubicCoefficients)
+    out.spec = spec
+    out._values = tuple(map(spec.value, values))
+    return out
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+def test_matrix_rep_matches_the_square_matrix_form(spec):
+    rng = random.Random(f"matrix rep {spec!r}")
+    outcomes = set()
+    for draw in range(300):
+        values = [_value(spec, rng, 0.3 + 0.1 * (draw % 6)) for _ in range(6)]
+        if draw % 3 == 0:  # commutative: m = n = 0
+            values[2] = values[3] = 0
+        elif draw % 3 == 1:  # exceptional shape (n, 0, m, n, 0, m), one slot moved
+            n, m = values[:2]
+            values = [n, 0, m, n, 0, m]
+            values[rng.randrange(6)] = _value(spec, rng, 0.5)
+        coeffs = _unvalidated(spec, values)
+        try:
+            want = full_matrix_rep(coeffs)
+        except RelationViolation:
+            with pytest.raises(RelationViolation):
+                matrix_rep(coeffs)
+            outcomes.add("refused")
+            continue
+        assert matrix_rep(coeffs) == want, values
+        outcomes.add("matrices")
+    assert outcomes == {"refused", "matrices"}
+
+
+# -- the identity the skipped checks rest on -----------------------------------
+
+
+@pytest.mark.parametrize("spec", [ZZ, QQ, GF(2), GF(7)], ids=repr)
+def test_unchecked_tables_pass_the_checking_constructor(spec, monkeypatch):
+    """StructureConstants._canonical stores rows unchecked, and the
+    verifiers rely on e_0 being a two-sided identity there.  Every table
+    it stores for build_algebra, QuadraticAlgebra.structure and the
+    exceptional_witness model is equal to the table the checking
+    constructor builds from the same rows."""
+    stored = []
+    canonical = StructureConstants._canonical.__func__
+
+    def recorded(cls, spec, rows):
+        out = canonical(cls, spec, rows)
+        stored.append(out)
+        return out
+
+    monkeypatch.setattr(StructureConstants, "_canonical", classmethod(recorded))
+    rng = random.Random(f"canonical {spec!r}")
+    draw = lambda: _value(spec, rng)
+    counts = []
+    for _ in range(20):
+        before = len(stored)
+        QuadraticAlgebra(spec, draw(), draw()).structure()
+        build_algebra(CubicCoefficients(spec, draw(), draw(), 0, 0, draw(), draw()))
+        m, n = draw(), draw()
+        if spec.value(m) or spec.value(n):
+            exceptional_witness(CubicCoefficients(spec, n, 0, m, n, 0, m))
+        counts.append(len(stored) - before)
+    # one table each for the first two, and the table and model of the third
+    assert set(counts) <= {2, 4} and 4 in counts
+    for table in stored:
+        assert StructureConstants(spec, table._values) == table
+        assert table.rank == len(table._values)
+
+
+# -- work counts -------------------------------------------------------------
+
+
+def test_certificate_work_counts(monkeypatch):
+    alg = build_algebra(CubicCoefficients(GF(5), 2, 0, 3, 2, 0, 3))
+    calls = count_kernel_calls(monkeypatch)
+    # rank 3: the 27 triples made 54 products; the 8 triples off the
+    # unit are two linear combinations each and no product
+    assert alg.verify_associativity() == (True, None)
+    assert calls == ["_combine_values"] * 16
+    # the forced conjugation on an exceptional table: product reversal
+    # on 4 pairs (9 before) and x conj(x) for e_1, e_2 and e_1 + e_2
+    # (6 products before, with 1, 1 + e_1 and 1 + e_2)
+    calls.clear()
+    assert find_standard_involution(alg) is not None
+    assert calls.count("_mul_values") == 4 + 3
+    # a unital map checks the 4 pairs off the unit (9 before)
+    calls.clear()
+    assert AlgebraMap(alg, alg, alg._values[0]).is_multiplicative() == (True, None)
+    assert calls.count("_mul_values") == 4

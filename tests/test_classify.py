@@ -43,6 +43,8 @@ from lowrank import (
     verify_main_theorem,
 )
 
+from common import count_kernel_calls
+
 
 def test_census_counts_match_closed_form():
     # number of valid tuples over F_p is p^4 + p^2 - 1
@@ -611,23 +613,8 @@ def test_solved_rank2_search_matches_the_scan():
             assert _same_search(a.structure(), b.structure()) is None
 
 
-def _count_kernel_calls(monkeypatch):
-    """Count the calls into the table's product and linear-extension
-    loops (_mul_values and _combine_values)."""
-    calls = []
-    for name in ("_mul_values", "_combine_values"):
-        kernel = getattr(StructureConstants, name)
-
-        def counted(self, u, v, kernel=kernel):
-            calls.append(1)
-            return kernel(self, u, v)
-
-        monkeypatch.setattr(StructureConstants, name, counted)
-    return calls
-
-
 def test_search_work_counts(monkeypatch):
-    calls = _count_kernel_calls(monkeypatch)
+    calls = count_kernel_calls(monkeypatch)
     # rank 2, not isomorphic (T^2 = 0 against T^2 = T) at p = 113: the
     # scan made p(p - 1) = 12656 kernel calls, the solve about 2p
     p = 113
