@@ -51,10 +51,10 @@ from .cubic import (
     commutative_from_form,
     exceptional_norm,
     exceptional_normal_form,
+    exceptional_ring,
     exceptional_witness,
     form_from_commutative,
     gl2_act,
-    involution_from_witness,
     matrix_rep,
     normalize,
     standard_involution_exceptional,

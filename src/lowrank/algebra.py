@@ -86,8 +86,8 @@ class StructureConstants(_RawValues):
         named here, and a package test keeps the list complete:
         `cubic.build_algebra` (the table of a validated six-tuple),
         `quadratic.QuadraticAlgebra.structure` (the table of its
-        canonical (t, n)) and `cubic.exceptional_witness` (the model
-        table R + M of a validated exceptional six-tuple).  The
+        canonical (t, n)) and `cubic.exceptional_ring` (the table of
+        B(phi) = R + M, with phi checked by RingSpec.value).  The
         certificate verifiers (verify_associativity, is_multiplicative,
         involutions.verify_involution and verify_standard) skip the
         identities that involve e_0, so they rely on these rows holding
@@ -541,12 +541,13 @@ _INT_BASES = {2: ((1, 0), (0, 1)), 3: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
 
 
 def _basis_values(spec: RingSpec, k: int):
-    """The ring's own canonical 0 and the basis vectors of rank k, 2 or
-    3, as canonical raw rows: (zero, basis), where basis is row 0 of a
-    rank-k table.  The tables stored through StructureConstants._canonical
-    take their constants from here.  Over Z and F_p the rows are the
-    shared _INT_BASES[k]; over Q they are built of Fractions."""
-    basis = _INT_BASES[k]
+    """The ring's own canonical 0 and the basis vectors of rank k, as
+    canonical raw rows: (zero, basis), where basis is row 0 of a rank-k
+    table.  The tables stored through StructureConstants._canonical
+    take their constants from here.  Over Z and F_p the rows are ints,
+    at rank 2 and 3 the shared _INT_BASES[k]; over Q they are built of
+    Fractions."""
+    basis = _INT_BASES.get(k) or tuple(tuple(int(i == l) for l in range(k)) for i in range(k))
     if spec.kind != "Q":
         return 0, basis
     zero, one = spec.value(0), spec.value(1)

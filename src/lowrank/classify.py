@@ -69,9 +69,10 @@ from .cubic import (
     CubicCoefficients,
     _case_index,
     _forced_traces_of,
+    _normal_form,
+    _normal_table,
     _violated_relations,
     build_algebra,
-    exceptional_normal_form,
 )
 from .errors import (
     GuardExceeded,
@@ -712,11 +713,13 @@ def exceptional_classes(spec: RingSpec):
     """The isomorphism classes of the non-commutative tables
     (n, 0, m, n, 0, m) over a prime field, plus the zero table, grouped
     by exceptional_normal_form, whose map to the normal table is
-    verified for every member.  Returns a list of classes, each a list
-    of CubicCoefficients with the representative first: the zero table
-    alone, then every other member, in lexicographic order, which is
-    the census's order of these tuples.  No search runs, but the
-    isomorphism cap still refuses p >= 7.
+    verified for every member; over a field every nonzero member has
+    the normal table (1, 0, 0, 1, 0, 0), built once here.  Returns a
+    list of classes, each a list of CubicCoefficients with the
+    representative first: the zero table alone, then every other
+    member, in lexicographic order, which is the census's order of
+    these tuples.  No search runs, but the isomorphism cap still
+    refuses p >= 7.
 
     The normal form is a complete invariant: tables with the same one
     are isomorphic through the composed maps, and distinct normal forms
@@ -729,10 +732,11 @@ def exceptional_classes(spec: RingSpec):
         raise UnsupportedRing("the census runs over prime fields")
     # no search runs; kept because perfbench pins this refusal at p >= 7
     _check_iso_guard(spec.p, 3)
+    built = _normal_table(spec, 1)
     classes = {}
     for n, m in itertools.product(range(spec.p), repeat=2):
         coeffs = CubicCoefficients(spec, n, 0, m, n, 0, m)
-        classes.setdefault(exceptional_normal_form(coeffs)[0], []).append(coeffs)
+        classes.setdefault(_normal_form(coeffs, built)[0], []).append(coeffs)
     return list(classes.values())
 
 
@@ -740,6 +744,10 @@ def exceptional_classes(spec: RingSpec):
 
 
 class QuadraticCensusReport:
+    """The classes of the p^2 quadratic algebras (t, n) over an odd
+    prime field, from quadratic_census, with the number of square
+    classes of the discriminant to compare them with."""
+
     def __init__(self, spec, classes, square_class_count):
         self.spec = spec
         self.classes = classes  # lists of (t, n) QuadraticAlgebra
@@ -806,6 +814,11 @@ def quadratic_census(spec: RingSpec) -> QuadraticCensusReport:
 
 
 class DegreeProductReport:
+    """The degrees of A, B and A x B over a prime field, from
+    degree_product_check, with a pair of maximal-degree elements whose
+    minimal polynomials are coprime, or None when the search exhausted
+    every pair without one."""
+
     def __init__(self, spec, deg_a, deg_b, deg_product, witness, exhausted):
         self.spec = spec
         self.deg_a = deg_a
@@ -882,6 +895,9 @@ def degree_product_check(a: StructureConstants, b: StructureConstants) -> Degree
 
 
 class ProbeReport:
+    """The named instance checks of mn_degree_probes for M_n over a
+    prime field, each as (name, passed, detail)."""
+
     def __init__(self, spec, n, checks):
         self.spec = spec
         self.n = n

@@ -12,6 +12,9 @@ table where every product of generators is zero.
 Commutative tables correspond to binary cubic forms, and the
 exceptional tables carry a conjugation involution with an explicit
 norm; both directions are implemented here with verified witnesses.
+An exceptional table is the rank-3 view of B(phi) = R + M with
+x y = phi(x) y on M (exceptional_ring, at any rank), through the
+verified map of exceptional_witness.
 
 A GeneralCubicTable, a CubicCoefficients and a BinaryCubicForm each
 store their coefficients once, as the ring's canonical raw values in
@@ -33,7 +36,7 @@ from .errors import (
     SpecMismatch,
     WrongCase,
 )
-from .involutions import Involution, _conjugation, _verifies, find_standard_involution
+from .involutions import Involution, find_standard_involution
 from .poly import Polynomial
 from .rings import RingElement, RingSpec, _RawValues, _unit_inverse, _xgcd
 
@@ -135,6 +138,8 @@ def _violated_relations(spec, b, c, m, n, y, z):
 
 
 class CubicCase(enum.Enum):
+    """The case of a valid six-tuple (classify_case)."""
+
     COMMUTATIVE = "commutative"
     EXCEPTIONAL = "exceptional"
     NILPRODUCT = "nilproduct"
@@ -264,15 +269,55 @@ def _forced_traces_of(values):
 
 
 def classify_case(coeffs: CubicCoefficients) -> CubicCase:
+    """The case of a valid six-tuple: COMMUTATIVE when m = n = 0 and the
+    tuple is nonzero, NILPRODUCT for the zero tuple, and EXCEPTIONAL
+    otherwise."""
     return _CASES[_case_index(coeffs._values)]
+
+
+def exceptional_ring(spec: RingSpec, phi) -> StructureConstants:
+    """The table of B(phi) = R + M, of rank k = 1 + len(phi).
+
+    M is free on e_1, ..., e_{k-1}, phi is the linear functional on M
+    with phi(e_a) = phi[a - 1], and x y = phi(x) y on M, so that
+    e_a e_b = phi_a e_b (Voight, "Rings of low rank with a standard
+    involution", Illinois J. Math. 55, 2011).  Its standard involution
+    is the conjugation x -> phi(x) - x on M,
+    involutions._conjugation(B, phi), which find_standard_involution
+    returns.  At rank 3 this is the model of the non-commutative case:
+    exceptional_witness maps the table of (n, 0, m, n, 0, m) onto
+    B((n, m)).  Each phi_a is checked by RingSpec.value, and the rows,
+    built of those canonical values and the constants of
+    algebra._basis_values, are stored through
+    StructureConstants._canonical without re-checking.
+    """
+    phi = tuple(map(spec.value, phi))
+    _, basis = _basis_values(spec, 1 + len(phi))
+    rows = [basis]
+    for e, f in zip(basis[1:], phi):
+        # row a: e_a e_0 = e_a, then e_a e_b = phi_a e_b
+        rows.append((e, *[tuple([f * x for x in v]) for v in basis[1:]]))
+    return StructureConstants._canonical(spec, tuple(rows))
+
+
+def _exceptional_phi(coeffs: CubicCoefficients, message: str):
+    """The functional phi = (n, m) of the B(phi) that exceptional_witness
+    maps the table of a non-commutative or zero six-tuple
+    (n, 0, m, n, 0, m) onto, as canonical raw values.  A commutative
+    nonzero tuple raises WrongCase(message): the one case check of the
+    rank-3 exceptional functions, each with its own message."""
+    if classify_case(coeffs) is CubicCase.COMMUTATIVE:
+        raise WrongCase(message)
+    _, _, m, n, _, _ = coeffs._values
+    return n, m
 
 
 def standard_involution_exceptional(coeffs: CubicCoefficients) -> Involution:
     """Conjugation 1 -> 1, i -> n - i, j -> m - j on an exceptional or
     nilproduct table, as find_standard_involution builds and verifies
-    it: the traces it reads off i^2 = n i and j^2 = m j are (n, m)."""
-    if classify_case(coeffs) is CubicCase.COMMUTATIVE:
-        raise WrongCase("conjugation is defined on exceptional tables only")
+    it: the traces it reads off i^2 = n i and j^2 = m j are (n, m), the
+    phi of B(phi) in exceptional_ring."""
+    _exceptional_phi(coeffs, "conjugation is defined on exceptional tables only")
     inv = find_standard_involution(build_algebra(coeffs))
     if inv is None:
         raise AssertionError("exceptional table has no verified standard involution")
@@ -282,12 +327,17 @@ def standard_involution_exceptional(coeffs: CubicCoefficients) -> Involution:
 def exceptional_norm(coeffs: CubicCoefficients, element_coeffs) -> RingElement:
     """Closed-form norm of p + q i + r j on an exceptional or nilproduct
     table: p (p + q n + r m) + q r m n.  A commutative table has no
-    conjugation to take the norm for, and raises WrongCase."""
-    if classify_case(coeffs) is CubicCase.COMMUTATIVE:
-        raise WrongCase("the closed-form norm holds for exceptional tables only")
+    conjugation to take the norm for, and raises WrongCase.
+
+    (p, q, r) are coordinates in the table basis 1, i, j, unlike those
+    of char_poly_exceptional.  The element s + y_1 e_1 + y_2 e_2 of
+    B((n, m)) (exceptional_ring) is (s + n y_1) - y_1 i + y_2 j here,
+    through exceptional_witness's map, and its norm is
+    s (s + phi(y)) with phi(y) = n y_1 + m y_2.
+    """
+    n, m = _exceptional_phi(coeffs, "the closed-form norm holds for exceptional tables only")
     spec = coeffs.spec
     p, q, r = map(spec.value, element_coeffs)
-    _, _, m, n, _, _ = coeffs._values
     return spec.element(p * (p + q * n + r * m) + q * r * m * n)
 
 
@@ -320,25 +370,17 @@ def exceptional_witness(coeffs: CubicCoefficients) -> ExceptionalWitness:
     With I = n - i the span of I and j is a two-sided ideal on which
     multiplication acts through the functional t(I) = n, t(j) = m:
     x y = t(x) y, so I^2 = n I, I j = n j, j I = m I, j^2 = m j.  The
-    certificate is the map 1 -> 1, i -> n - e1, j -> e2 onto the model
-    table R + M, with basis 1, e1, e2 and e_a e_b = t(e_a) e_b:
-    verify_isomorphism checks the four identities and the independence
-    of 1, I, j at once, and AssertionError is raised if it fails.  The
-    model's rows are the canonical m and n of the validated six-tuple
-    and the ring's own 0 and 1, so the model is stored through
-    StructureConstants._canonical unchecked; the map onto it is what
-    is checked.  A commutative table raises WrongCase.
+    certificate is the map 1 -> 1, i -> n - e1, j -> e2 onto
+    exceptional_ring(spec, (n, m)), the table B(t) with basis 1, e1, e2
+    and e_a e_b = t(e_a) e_b: verify_isomorphism checks the four
+    identities and the independence of 1, I, j at once, and
+    AssertionError is raised if it fails.  A commutative table raises
+    WrongCase.
     """
-    if classify_case(coeffs) is CubicCase.COMMUTATIVE:
-        raise WrongCase("the ideal witness exists for exceptional tables only")
+    n, m = phi = _exceptional_phi(coeffs, "the ideal witness exists for exceptional tables only")
     alg = build_algebra(coeffs)
-    _, _, m, n, _, _ = coeffs._values
-    zero, (e0, e1, e2) = _basis_values(coeffs.spec, 3)
-    ne1, ne2, me1, me2 = (zero, n, zero), (zero, zero, n), (zero, m, zero), (zero, zero, m)
-    model = StructureConstants._canonical(
-        coeffs.spec, ((e0, e1, e2), (e1, ne1, ne2), (e2, me1, me2))
-    )
-    if not AlgebraMap(alg, model, [e0, (n, -1, 0), e2]).verify_isomorphism():
+    model = exceptional_ring(coeffs.spec, phi)
+    if not AlgebraMap(alg, model, [(1, 0, 0), (n, -1, 0), (0, 0, 1)]).verify_isomorphism():
         raise AssertionError("ideal witness map failed verification")
     return ExceptionalWitness(
         alg, alg.element([n, -1, 0]), alg.basis(2), coeffs.n, coeffs.m
@@ -365,40 +407,38 @@ def exceptional_normal_form(coeffs: CubicCoefficients):
     the identity.  The map is re-checked by verify_isomorphism before
     it is returned; a commutative nonzero tuple raises WrongCase.
     """
-    case = classify_case(coeffs)
-    if case is CubicCase.COMMUTATIVE:
-        raise WrongCase("the normal form is defined on exceptional tables only")
+    return _normal_form(coeffs, None)
+
+
+def _normal_table(spec: RingSpec, d):
+    """The normal six-tuple (d, 0, 0, d, 0, 0) and its table."""
+    normal = CubicCoefficients(spec, d, 0, 0, d, 0, 0)
+    return normal, build_algebra(normal)
+
+
+def _normal_form(coeffs: CubicCoefficients, built):
+    """exceptional_normal_form(coeffs), whose nonzero tables map onto
+    `built`, the _normal_table of their d, when it is not None: over a
+    field d = 1 for them all, so exceptional_classes builds that table
+    once for its whole family."""
+    n, m = _exceptional_phi(coeffs, "the normal form is defined on exceptional tables only")
     spec = coeffs.spec
     source = build_algebra(coeffs)
-    if case is CubicCase.NILPRODUCT:
-        phi = AlgebraMap(source, source, [source.basis(k) for k in range(3)])
-        normal = coeffs
+    if not (n or m):
+        normal, target, images = coeffs, source, source._values[0]
     else:
-        _, _, m, n, _, _ = coeffs._values
         if spec.kind == "Z":
             d, u, v = _xgcd(n, m)
             n_d, m_d = n // d, m // d
         else:
             d, n_d, m_d = 1, n, m
             u, v = (_unit_inverse(spec, n), 0) if n else (0, _unit_inverse(spec, m))
-        normal = CubicCoefficients(spec, d, 0, 0, d, 0, 0)
-        phi = AlgebraMap(
-            source, build_algebra(normal), [(1, 0, 0), (0, n_d, v), (m, -m_d, u)]
-        )
+        normal, target = built or _normal_table(spec, d)
+        images = [(1, 0, 0), (0, n_d, v), (m, -m_d, u)]
+    phi = AlgebraMap(source, target, images)
     if not phi.verify_isomorphism():
         raise AssertionError("normal-form map failed verification")
     return normal, phi
-
-
-def involution_from_witness(witness: ExceptionalWitness) -> Involution:
-    """The conjugation x -> scalar part + t(ideal part) - ideal part,
-    reconstructed from the witness functional and verified in full
-    (involutions._verifies) before it is returned."""
-    # i = t_i - I and j sit over the ideal; conjugation fixes scalars
-    inv = _conjugation(witness.algebra, (witness.t_i, witness.t_j))
-    if not _verifies(inv):
-        raise AssertionError("witness conjugation failed verification")
-    return inv
 
 
 def matrix_rep(coeffs: CubicCoefficients):
@@ -459,13 +499,16 @@ def char_poly_exceptional(coeffs: CubicCoefficients, element_coeffs) -> Polynomi
     polynomial is (T - p)(T - p - mq - rn)^2. In the table basis the
     same element reads (p + rn) - r i + q j, and the characteristic
     polynomial does not depend on the choice of basis.
+
+    These are not the coordinates of exceptional_norm, which reads
+    (p, q, r) in the table basis.  exceptional_witness sends v to e_1
+    and u to e_2 in B((n, m)) (exceptional_ring), so the element is
+    p + r e_1 + q e_2 there, and the polynomial is
+    (T - p)(T - p - phi(y))^2 with y = r e_1 + q e_2.
     """
-    case = classify_case(coeffs)
-    if case is CubicCase.COMMUTATIVE:
-        raise WrongCase("closed form holds for exceptional tables only")
+    n, m = _exceptional_phi(coeffs, "closed form holds for exceptional tables only")
     spec = coeffs.spec
     p, q, r = map(spec.value, element_coeffs)
-    _, _, m, n, _, _ = coeffs._values
     double = Polynomial(spec, (-(p + m * q + r * n), 1))
     return Polynomial(spec, (-p, 1)) * double * double
 

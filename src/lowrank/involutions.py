@@ -163,8 +163,8 @@ def _conjugation(alg: StructureConstants, traces) -> Involution:
 
 def _verifies(inv: Involution) -> bool:
     """Whether inv passes verify_involution and verify_standard, looked
-    up in this module: the check behind every involution the searches,
-    involution_from_witness and the probes accept."""
+    up in this module: the check behind every involution the searches
+    and the probes accept."""
     return verify_involution(inv)[0] and verify_standard(inv)[0]
 
 

@@ -17,6 +17,9 @@ from .rings import RingElement, RingSpec, _exact_quotient, _RawValues, _trusted,
 
 
 class Polynomial(_RawValues):
+    """A polynomial in one variable over a RingSpec, coefficients in
+    ascending order (see the module docstring)."""
+
     __slots__ = ()
 
     def __init__(self, spec: RingSpec, coeffs=()):

@@ -280,6 +280,8 @@ QQ = RingSpec("Q")
 
 
 def GF(p: int) -> RingSpec:
+    """The prime field F_p as a RingSpec, which raises InputError unless
+    p is a prime below _PRIME_BOUND."""
     return RingSpec("Fp", p)
 
 

@@ -29,6 +29,7 @@ from lowrank import (
     StructureConstants,
     build_algebra,
     direct_product,
+    exceptional_ring,
     exceptional_witness,
     find_standard_involution,
     is_isomorphic_bruteforce,
@@ -420,9 +421,10 @@ def test_matrix_rep_matches_the_square_matrix_form(spec):
 def test_unchecked_tables_pass_the_checking_constructor(spec, monkeypatch):
     """StructureConstants._canonical stores rows unchecked, and the
     verifiers rely on e_0 being a two-sided identity there.  Every table
-    it stores for build_algebra, QuadraticAlgebra.structure and the
-    exceptional_witness model is equal to the table the checking
-    constructor builds from the same rows."""
+    it stores for build_algebra, QuadraticAlgebra.structure, the
+    exceptional_witness model and exceptional_ring at ranks 2 to 6 is
+    equal to the table the checking constructor builds from the same
+    rows."""
     stored = []
     canonical = StructureConstants._canonical.__func__
 
@@ -442,9 +444,12 @@ def test_unchecked_tables_pass_the_checking_constructor(spec, monkeypatch):
         m, n = draw(), draw()
         if spec.value(m) or spec.value(n):
             exceptional_witness(CubicCoefficients(spec, n, 0, m, n, 0, m))
+        exceptional_ring(spec, [draw() for _ in range(1 + len(counts) % 5)])
         counts.append(len(stored) - before)
-    # one table each for the first two, and the table and model of the third
-    assert set(counts) <= {2, 4} and 4 in counts
+    # one table each for the first two and the last, and the table and
+    # model of the witness
+    assert set(counts) <= {3, 5} and 5 in counts
+    assert {table.rank for table in stored} == {2, 3, 4, 5, 6}
     for table in stored:
         assert StructureConstants(spec, table._values) == table
         assert table.rank == len(table._values)

@@ -1032,12 +1032,37 @@ def test_exceptional_classes_run_no_search(monkeypatch):
         assert calls == []
 
 
+def test_exceptional_classes_build_the_normal_table_once(monkeypatch):
+    """exceptional_classes(GF(5)) builds each of its 25 six-tuples and
+    their tables once, and the normal table (1, 0, 0, 1, 0, 0) of the 24
+    nonzero ones once: 26 six-tuples and 26 tables, where one normal
+    table per member made 49 of each.  Each member still gets one
+    verified map."""
+    from lowrank.algebra import AlgebraMap
+
+    counts = {"six-tuples": 0, "tables": 0, "verified maps": 0}
+
+    def counting(cls, name, key):
+        method = getattr(cls, name)
+
+        def counted(*args):
+            counts[key] += 1
+            return method(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(CubicCoefficients, "__init__", "six-tuples")
+    counting(StructureConstants, "_canonical", "tables")
+    counting(AlgebraMap, "verify_isomorphism", "verified maps")
+    classes = exceptional_classes(GF(5))
+    assert [len(cls) for cls in classes] == [1, 24]
+    assert counts == {"six-tuples": 26, "tables": 26, "verified maps": 25}
+
+
 def test_certificate_checks_survive_optimized_mode():
     """Under python -O, which strips assert statements, a witness that
     fails verify_isomorphism, or an involution that fails
-    verify_involution, is still refused.  The ideal witness is built
-    before the patch, so involution_from_witness is refused by its own
-    check."""
+    verify_involution, is still refused."""
     code = textwrap.dedent(
         """
         import lowrank.involutions
@@ -1045,12 +1070,11 @@ def test_certificate_checks_survive_optimized_mode():
         from lowrank import complete_square, exceptional_normal_form
         from lowrank import is_isomorphic_2unit, is_isomorphic_bruteforce
         from lowrank import is_isomorphic_over_z, standard_involution_exceptional
-        from lowrank import exceptional_witness, involution_from_witness, split_idempotent
+        from lowrank import exceptional_witness, split_idempotent
         from lowrank import quadratic_census
         from lowrank.algebra import AlgebraMap
 
         coeffs = CubicCoefficients(GF(3), 1, 0, 0, 1, 0, 0)
-        witness = exceptional_witness(coeffs)
         AlgebraMap.verify_isomorphism = lambda self: False
         lowrank.involutions.verify_involution = lambda inv: (False, "patched")
         alg = build_algebra(coeffs)
@@ -1063,7 +1087,6 @@ def test_certificate_checks_survive_optimized_mode():
             lambda: complete_square(q),
             lambda: is_isomorphic_over_z(qz, qz),
             lambda: standard_involution_exceptional(coeffs),
-            lambda: involution_from_witness(witness),
             lambda: exceptional_witness(coeffs),
             lambda: split_idempotent(QuadraticAlgebra(GF(5), 1, 0)),
             lambda: quadratic_census(GF(5)),
@@ -1092,7 +1115,6 @@ def test_certificate_checks_survive_optimized_mode():
         "refused: basis-change map failed verification\n"
         "refused: affine witness map failed verification\n"
         "refused: exceptional table has no verified standard involution\n"
-        "refused: witness conjugation failed verification\n"
         "refused: ideal witness map failed verification\n"
         "refused: basis-change map failed verification\n"
         "refused: affine witness map failed verification\n"

@@ -15,6 +15,7 @@ from lowrank import (
     CubicCoefficients,
     GeneralCubicTable,
     NotAUnit,
+    Polynomial,
     RelationViolation,
     RingElement,
     SquareMatrix,
@@ -29,10 +30,12 @@ from lowrank import (
     enumerate_cubic,
     exceptional_norm,
     exceptional_normal_form,
+    exceptional_ring,
     exceptional_witness,
     find_standard_involution,
     form_from_commutative,
     gl2_act,
+    is_isomorphic_bruteforce,
     left_regular_rep,
     matrix_rep,
     norm,
@@ -43,6 +46,7 @@ from lowrank import (
     verify_involution,
     verify_standard,
 )
+from lowrank.involutions import _conjugation, _verifies
 
 
 def random_commutative(spec, rng, span=9):
@@ -67,16 +71,22 @@ def random_exceptional(spec, rng, span=9):
         return CubicCoefficients(spec, n, 0, m, n, 0, m)
 
 
-def random_general_table(spec, rng):
-    """A GeneralCubicTable with twelve random coefficients: fractions
-    over Q, residues over F_p, small integers over Z."""
+def random_scalar(spec, rng):
+    """A raw scalar: a residue over F_p, a fraction over Q, a small
+    integer over Z."""
     if spec.kind == "Fp":
-        draw = lambda: rng.randrange(spec.p)
-    elif spec.kind == "Q":
-        draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    else:
-        draw = lambda: rng.randint(-9, 9)
-    return GeneralCubicTable(spec, **{k: draw() for k in GeneralCubicTable.FIELDS})
+        return rng.randrange(spec.p)
+    if spec.kind == "Q":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return rng.randint(-9, 9)
+
+
+def random_general_table(spec, rng):
+    """A GeneralCubicTable with twelve random coefficients
+    (random_scalar)."""
+    return GeneralCubicTable(
+        spec, **{k: random_scalar(spec, rng) for k in GeneralCubicTable.FIELDS}
+    )
 
 
 def reference_good_basis(table):
@@ -615,6 +625,88 @@ def test_char_poly_exceptional_closed_form():
         assert closed == left_regular_rep(x).char_poly()
     with pytest.raises(WrongCase):
         char_poly_exceptional(CubicCoefficients(ZZ, 1, 1, 0, 0, 1, 1), (0, 0, 0))
+
+
+# -- B(phi) = R + M with x y = phi(x) y on M, at every rank ----------------------
+
+
+@pytest.mark.parametrize("spec", [ZZ, QQ, GF(3)], ids=repr)
+def test_exceptional_ring_at_ranks_2_to_6(spec):
+    """exceptional_ring(spec, phi) has e_a e_b = phi_a e_b, is
+    associative, stores the table the checking constructor builds from
+    its rows, and its standard involution is the conjugation
+    x -> phi(x) - x on M, which find_standard_involution returns."""
+    rng = random.Random(f"B(phi) {spec!r}")
+    types = lambda alg: [type(v) for row in alg._values for cell in row for v in cell]
+    for k in range(2, 7):
+        for _ in range(4):
+            phi = [random_scalar(spec, rng) for _ in range(k - 1)]
+            ring = exceptional_ring(spec, phi)
+            assert ring.rank == k
+            for a, b in itertools.product(range(1, k), repeat=2):
+                want = ring.basis(b) * spec.element(phi[a - 1])
+                assert ring.basis(a) * ring.basis(b) == want, (phi, a, b)
+            assert ring.verify_associativity() == (True, None)
+            checked = StructureConstants(spec, ring._values)
+            assert checked._values == ring._values and types(checked) == types(ring)
+            inv = _conjugation(ring, phi)
+            assert _verifies(inv)
+            assert find_standard_involution(ring) == inv
+
+
+def test_exceptional_rings_over_gf3_fall_into_two_classes():
+    """The brute-force search splits the nine rank-3 B(phi) over GF(3)
+    into two classes: phi = 0 alone, and the other eight."""
+    spec = GF(3)
+    rings = {phi: exceptional_ring(spec, phi) for phi in itertools.product(range(3), repeat=2)}
+    for (phi, a), (psi, b) in itertools.product(rings.items(), repeat=2):
+        found, _ = is_isomorphic_bruteforce(a, b)
+        assert found == ((phi == (0, 0)) == (psi == (0, 0))), (phi, psi)
+
+
+def test_exceptional_census_tuples_are_views_of_the_ring():
+    """Every exceptional census tuple (n, 0, m, n, 0, m) at p <= 7 maps
+    onto exceptional_ring(GF(p), (n, m)) by the witness's map
+    1 -> 1, i -> n - e1, j -> e2, which verifies, and the witness's
+    generators n - i and j are the images of e1 and e2 back."""
+    for p in (2, 3, 5, 7):
+        spec = GF(p)
+        seen = 0
+        for coeffs in enumerate_cubic(spec):
+            if classify_case(coeffs) is not CubicCase.EXCEPTIONAL:
+                continue
+            seen += 1
+            _, _, m, n, _, _ = coeffs._values
+            w = exceptional_witness(coeffs)
+            ring = exceptional_ring(spec, (n, m))
+            assert w.algebra == build_algebra(coeffs)
+            assert (w.t_i, w.t_j) == (coeffs.n, coeffs.m)
+            there = AlgebraMap(w.algebra, ring, [(1, 0, 0), (n, -1, 0), (0, 0, 1)])
+            back = AlgebraMap(ring, w.algebra, [w.algebra.one(), w.gen_i, w.gen_j])
+            assert there.verify_isomorphism() and back.verify_isomorphism(), coeffs
+        assert seen == p * p - 1
+
+
+@pytest.mark.parametrize("spec", [ZZ, GF(7)], ids=repr)
+def test_closed_forms_on_elements_of_the_ring(spec):
+    """The element s + y of B((n, m)), y = y1 e1 + y2 e2 in M, mapped
+    back into the table through the witness (e1 -> n - i, e2 -> j), has
+    norm s (s + phi(y)) and characteristic polynomial
+    (T - s)(T - s - phi(y))^2.  exceptional_norm reads the element in
+    the table basis, char_poly_exceptional as (s, y2, y1)."""
+    rng = random.Random(f"closed forms {spec!r}")
+    T = Polynomial.variable(spec)
+    for _ in range(100):
+        n, m, s, y1, y2 = (random_scalar(spec, rng) for _ in range(5))
+        coeffs = CubicCoefficients(spec, n, 0, m, n, 0, m)
+        w = exceptional_witness(coeffs)
+        x = w.algebra.scalar(s) + w.gen_i * y1 + w.gen_j * y2
+        s, phi_y = spec.element(s), spec.element(n * y1 + m * y2)
+        inv = standard_involution_exceptional(coeffs)
+        assert exceptional_norm(coeffs, x.coeffs) == s * (s + phi_y) == norm(inv, x)
+        want = (T - s) * (T - s - phi_y) * (T - s - phi_y)
+        assert char_poly_exceptional(coeffs, (s, y2, y1)) == want
+        assert want == left_regular_rep(x).char_poly()
 
 
 def test_exceptional_triangular_representation():

@@ -21,9 +21,9 @@ from lowrank import (
     build_algebra,
     direct_product,
     element_to_matrix,
+    exceptional_ring,
     exceptional_witness,
     find_standard_involution,
-    involution_from_witness,
     m2_adjoint,
     matrix_algebra,
     norm,
@@ -249,9 +249,8 @@ def test_witness_involution_matches_direct_construction():
         for m, n in itertools.product(range(p), repeat=2):
             coeffs = CubicCoefficients(spec, n, 0, m, n, 0, m)
             witness = exceptional_witness(coeffs)
-            from_witness = involution_from_witness(witness)
-            direct = standard_involution_exceptional(coeffs)
-            assert from_witness == direct
+            from_witness = _conjugation(witness.algebra, (witness.t_i, witness.t_j))
+            assert from_witness == standard_involution_exceptional(coeffs)
 
 
 def test_built_in_involutions_are_one_conjugation():
@@ -260,6 +259,7 @@ def test_built_in_involutions_are_one_conjugation():
     for spec in (ZZ, QQ, GF(3), GF(7)):
         quad = QuadraticAlgebra(spec, 2, 5)
         exc = CubicCoefficients(spec, 2, 0, 3, 2, 0, 3)
+        witness = exceptional_witness(exc)
         m2 = matrix_algebra(spec, 2)
         cases = [
             (m2_adjoint(spec), (1, 0, 0)),
@@ -267,7 +267,8 @@ def test_built_in_involutions_are_one_conjugation():
             (quaternion_conjugation(spec, -1, -1), (0, 0, 0)),
             (standard_involution_quadratic(quad), (quad.t,)),
             (standard_involution_exceptional(exc), (exc.n, exc.m)),
-            (involution_from_witness(exceptional_witness(exc)), (exc.n, exc.m)),
+            (standard_involution_exceptional(exc), (witness.t_i, witness.t_j)),
+            (find_standard_involution(exceptional_ring(spec, (2, 3, 5))), (2, 3, 5)),
             (find_standard_involution(m2), (1, 0, 0)),
         ]
         if spec.kind == "Fp":

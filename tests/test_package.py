@@ -191,3 +191,11 @@ def test_package_writes_json_only_through_its_canonical_writer():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_exported_name_has_a_docstring():
+    """Each name in lowrank.__all__ has a docstring, read as obj.__doc__:
+    its own for a module, class or function (Python does not inherit a
+    class docstring), its class's for an instance such as ZZ."""
+    missing = [name for name in lowrank.__all__ if not getattr(lowrank, name).__doc__]
+    assert missing == []
