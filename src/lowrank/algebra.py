@@ -15,17 +15,23 @@ the verified map onto it; the normal forms that change basis
 only choose that basis.  Everything downstream
 (associativity checks, regular representations, characteristic and
 minimal polynomials, products of algebras, matrix algebras) works
-exactly over Z, Q, or a prime field.
+exactly over Z, Q, or a prime field.  Over Q the table checks
+(verify_associativity, a unital map's is_multiplicative, the involution
+verifiers and cubic.matrix_rep's identities) run on the integral model
+(_integral_model): the same algebra in the basis (1, D e_1, ...,
+D e_{k-1}), whose table has integer cells, so the kernel multiplies
+ints, not Fractions, and every verdict and failing index carries over.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, NotAUnit, SpecMismatch, TableError, UnsupportedRing, check_guard
 from .poly import Polynomial
-from .rings import RingElement, RingSpec, _as_elements, _RawValues, _trusted, _unit_inverse
+from .rings import ZZ, RingElement, RingSpec, _as_elements, _RawValues, _trusted, _unit_inverse
 
 
 def read_elements(spec: RingSpec, raw, *levels):
@@ -86,8 +92,10 @@ class StructureConstants(_RawValues):
         named here, and a package test keeps the list complete:
         `cubic.build_algebra` (the table of a validated six-tuple),
         `quadratic.QuadraticAlgebra.structure` (the table of its
-        canonical (t, n)) and `cubic.exceptional_ring` (the table of
-        B(phi) = R + M, with phi checked by RingSpec.value).  The
+        canonical (t, n)), `cubic.exceptional_ring` (the table of
+        B(phi) = R + M, with phi checked by RingSpec.value) and
+        `algebra._integral_model` (the integer table over Z of a table over Q
+        in the basis (1, D e_1, ..., D e_{k-1})).  The
         certificate verifiers (verify_associativity, is_multiplicative,
         involutions.verify_involution and verify_standard) skip the
         identities that involve e_0, so they rely on these rows holding
@@ -184,11 +192,13 @@ class StructureConstants(_RawValues):
         sum_l t[a][b][l] e_l e_c against sum_l t[b][c][l] e_a e_l, two
         linear combinations of a column and a row of the table.
         Returns (True, None) or (False, (a, b, c)) with the first failing
-        triple in lexicographic order.
+        triple in lexicographic order.  Over Q the triples are compared in
+        the integral model, which has the same failing triples.
         """
         k = self.rank
-        t = self._values
-        combine = self._combine_values
+        model = _integral_model(self)[0] if self.spec.kind == "Q" else self
+        t = model._values
+        combine = model._combine_values
         cols = tuple(zip(*t))  # cols[c][l] = e_l e_c
         for a in range(1, k):
             for b in range(1, k):
@@ -554,6 +564,73 @@ def _basis_values(spec: RingSpec, k: int):
     return zero, tuple(tuple(one if b else zero for b in row) for row in basis)
 
 
+def _denominator(alg: StructureConstants) -> int:
+    """The least common multiple of the denominators of the cells off
+    the unit of a table over Q."""
+    t = alg._values
+    return lcm(*(c.denominator for row in t[1:] for cell in row[1:] for c in cell))
+
+
+def _integral_model(alg: StructureConstants, d=None):
+    """The integral model of a table over Q: (model, D), with D =
+    _denominator(alg) or, when given, d, a multiple of it.
+
+    The model is the table of the same algebra in the basis f_0 = 1,
+    f_a = D e_a, stored over Z.  Since f_a f_b = D^2 t_ab^0 +
+    sum_{l >= 1} D t_ab^l f_l, its cells off the unit are
+    (D^2 t_ab^0, D t_ab^1, ..., D t_ab^{k-1}), integers by the choice
+    of D, written down in closed form: the table equals
+    rebase(alg, [1, D e_1, ..., D e_{k-1}]).  The change of basis is
+    diagonal, so an identity among basis products holds in alg exactly
+    when it holds in the model, with the same indices, and a witness
+    with 0/1 coordinates keeps its support; the table checks over Q
+    run on the model, through the same kernel, on ints.  Built per
+    call and never cached."""
+    D = _denominator(alg) if d is None else d
+    DD = D * D
+    _, basis = _basis_values(ZZ, alg.rank)
+    rows = [basis]
+    for a, row in enumerate(alg._values[1:], start=1):
+        cells = [basis[a]]
+        for (c0, *cell) in row[1:]:
+            cells.append((
+                c0.numerator * (DD // c0.denominator),
+                *[c.numerator * (D // c.denominator) for c in cell],
+            ))
+        rows.append(tuple(cells))
+    return StructureConstants._canonical(ZZ, tuple(rows)), D
+
+
+def _integral_models(source, target, images):
+    """A map with raw images between two tables over Q, moved to their
+    integral models at one D, the least common multiple of both
+    _denominator values and of the images' unit coordinates:
+    (source model, target model, model images), or None when an image
+    coordinate is not an integer there.  In the models the image of
+    f_0 = 1 has its coordinates off the unit divided by D, and that of
+    f_a = D e_a, a >= 1, its unit coordinate times D, since
+    phi(D e_a) = D phi_a^0 + sum_{l >= 1} phi_a^l f_l.  A map of a
+    table to itself gets one model."""
+    D = lcm(_denominator(source), _denominator(target),
+            *(im[0].denominator for im in images[1:]))
+    scaled = []
+    for a, im in enumerate(images):
+        row = []
+        for l, c in enumerate(im):
+            num, den = c.numerator, c.denominator
+            if a and not l:
+                num *= D
+            elif l and not a:
+                den *= D
+            if num % den:
+                return None
+            row.append(num // den)
+        scaled.append(tuple(row))
+    model = _integral_model(source, D)[0]
+    other = model if target is source else _integral_model(target, D)[0]
+    return model, other, scaled
+
+
 def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
     """Matrix of left multiplication by x in the algebra basis."""
     alg = x.algebra
@@ -686,13 +763,21 @@ class AlgebraMap:
         is unital, a pair with an index 0 holds because e_0 = 1 on both
         sides, so only the (k-1)^2 pairs off the unit are checked.
         Returns (True, None) or (False, (a, b)) with the first failing
-        pair in lexicographic order.
+        pair in lexicographic order.  Over Q a unital map is checked
+        between the integral models of source and target at one D
+        (_integral_models), which have the same failing pairs, unless
+        an image is not integral there.
         """
-        t = self.source._values
-        combine, mul = self.target._combine_values, self.target._mul_values
+        source, target = self.source, self.target
         images = [im._values for im in self.images]
-        k = self.source.rank
+        k = source.rank
         start = 1 if self.is_unital() else 0
+        if start and source.spec.kind == "Q":
+            models = _integral_models(source, target, images)
+            if models is not None:
+                source, target, images = models
+        t = source._values
+        combine, mul = target._combine_values, target._mul_values
         for a in range(start, k):
             for b in range(start, k):
                 if combine(t[a][b], images) != mul(images[a], images[b]):

@@ -27,8 +27,17 @@ caller reads a coefficient attribute, as_tuple() or a RingElement result.
 from __future__ import annotations
 
 import enum
+from math import lcm
 
-from .algebra import AlgebraMap, SquareMatrix, StructureConstants, _basis_values, _matmul_values, rebase
+from .algebra import (
+    AlgebraMap,
+    SquareMatrix,
+    StructureConstants,
+    _basis_values,
+    _integral_model,
+    _matmul_values,
+    rebase,
+)
 from .errors import (
     InputError,
     NotAUnit,
@@ -108,15 +117,29 @@ def validate_relations(spec: RingSpec, b, c, m, n, y, z):
 
     Returns (True, []) or (False, [names of violated identities]).
     """
-    violated = _violated_relations(spec, *map(spec.value, (b, c, m, n, y, z)))
+    values = tuple(map(spec.value, (b, c, m, n, y, z)))
+    if spec.kind == "Q":
+        values = _integral_tuple(values)
+    violated = _violated_relations(spec, *values)
     return not violated, violated
+
+
+def _integral_tuple(values):
+    """Canonical raw six-tuple values over Q scaled by the least common
+    multiple of their denominators, as ints: the values the relation
+    check reads over Q.  Every relation is a homogeneous quadratic, so
+    each residue scales by that factor's square and the violated names
+    stay the same."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values]
 
 
 def _violated_relations(spec, b, c, m, n, y, z):
     """Names of the relations that canonical raw values violate; each
     relation is checked as lhs - rhs = 0.  When every residue is 0 as a
     number, which is 0 in every ring, nothing is violated; otherwise
-    each residue is reduced mod p over F_p."""
+    each residue is reduced mod p over F_p.  Over Q the callers pass
+    the _integral_tuple, ints."""
     residues = (
         c * m,
         c * n,
@@ -163,7 +186,8 @@ class CubicCoefficients(_RawValues):
 
     def __init__(self, spec: RingSpec, b, c, m, n, y, z):
         values = tuple(map(spec.value, (b, c, m, n, y, z)))
-        violated = _violated_relations(spec, *values)
+        checked = _integral_tuple(values) if spec.kind == "Q" else values
+        violated = _violated_relations(spec, *checked)
         if violated:
             raise RelationViolation(violated)
         self.spec = spec
@@ -458,13 +482,16 @@ def matrix_rep(coeffs: CubicCoefficients):
     Column j of L_a is the cell e_a e_j, so the three matrices are read
     off the raw table (L_0 is the identity) and the identities are
     checked on raw rows, reduced mod p over F_p; only I and J are built
-    as SquareMatrix.  The identity, I, and J have the three coordinate
-    vectors as first columns, so they are linearly independent for
-    every table.
+    as SquareMatrix.  Over Q the identities are checked on the table of
+    the integral model (algebra._integral_model), which has them
+    exactly when the table does, and I and J are read off the table
+    itself.  The identity, I, and J have the three coordinate vectors
+    as first columns, so they are linearly independent for every table.
     """
     spec = coeffs.spec
     p = spec.p
-    t = _table_values(spec, coeffs._values)
+    alg = build_algebra(coeffs)
+    t = (_integral_model(alg)[0] if spec.kind == "Q" else alg)._values
     rows = [tuple(zip(*t[a])) for a in range(3)]  # L_a, whose column j is t[a][j]
     # L_a L_b = sum_c t[a][b][c] L_c for the generators a, b in {1, 2}
     for a in (1, 2):
@@ -485,7 +512,8 @@ def matrix_rep(coeffs: CubicCoefficients):
         col = tuple(row[0] for row in mat)
         if col != rows[0][k]:
             raise AssertionError("representation lost independence")
-    return SquareMatrix(spec, rows[1]), SquareMatrix(spec, rows[2])
+    t = alg._values
+    return SquareMatrix(spec, zip(*t[1])), SquareMatrix(spec, zip(*t[2]))
 
 
 def char_poly_exceptional(coeffs: CubicCoefficients, element_coeffs) -> Polynomial:

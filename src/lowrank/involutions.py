@@ -13,8 +13,9 @@ conjugate is the image of 1, and 1 + e_j times its conjugate is, up to
 a scalar, a linear combination of e_j and its image, so only the
 elements off the unit are multiplied.  verify_involution likewise
 checks product reversal only on pairs off the unit, once 1 is fixed.
-Both run on the table's canonical raw values and build an element
-only for a witness they return.  Elements
+Both run on the table's canonical raw values, over Q on those of its
+integral model (algebra._integral_model), whose cells are ints, and
+build an element only for a witness they return.  Elements
 fixed under a standard involution's trace and norm satisfy an explicit
 monic quadratic, and that quadratic certificate is the engine behind
 both the search for standard involutions in low rank and the degree
@@ -24,8 +25,19 @@ bounds used elsewhere.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from .algebra import AlgebraElement, AlgebraMap, StructureConstants, direct_product, matrix_algebra, rank_one, read_elements
+from .algebra import (
+    AlgebraElement,
+    AlgebraMap,
+    StructureConstants,
+    _integral_model,
+    _integral_models,
+    direct_product,
+    matrix_algebra,
+    rank_one,
+    read_elements,
+)
 from .errors import InputError, LowrankError, UnsupportedRing, check_guard
 from .rings import RingElement, RingSpec, _unit_inverse
 
@@ -68,14 +80,17 @@ def verify_involution(inv: Involution):
     e_1, ..., e_{k-1} and product reversal on the (k-1)^2 pairs off the
     unit.  Returns (True, None) or (False, description) where the
     description names the first axiom that fails: fixing 1, being
-    self-inverse, or reversing products.
+    self-inverse, or reversing products.  Over Q the axioms are
+    checked in the integral model (_on_model).
     """
     alg = inv.algebra
+    images = [im._values for im in inv.images]
+    if alg.spec.kind == "Q":
+        alg, images = _on_model(alg, images)
     k = alg.rank
     t = alg._values
     e = t[0]  # the basis vectors, since e_0 = 1
     combine, mul = alg._combine_values, alg._mul_values
-    images = [im._values for im in inv.images]
     if images[0] != e[0]:
         return False, "basis element 0 is not fixed"
     for i in range(1, k):
@@ -100,28 +115,42 @@ def verify_standard(inv: Involution):
     conj(e_j) + s e_j.  Only e_j and e_i + e_j with i, j >= 1 are
     multiplied.  Returns (True, None) or (False, witness element), the
     first witness in the order 1, e_1, ..., e_{k-1}, 1 + e_1, ...,
-    1 + e_{k-1}, then the e_i + e_j lexicographically.
+    1 + e_{k-1}, then the e_i + e_j lexicographically.  Over Q the
+    checks run in the integral model (_on_model); a witness has
+    coordinates 0 and 1 in either basis and is returned in inv's.
     """
     alg = inv.algebra
+    images = [im._values for im in inv.images]
+    witness = alg.element
+    if alg.spec.kind == "Q":
+        alg, images = _on_model(alg, images)
     k = alg.rank
     e = alg._values[0]  # the basis vectors, since e_0 = 1
     combine, mul = alg._combine_values, alg._mul_values
-    images = [im._values for im in inv.images]
     s = images[0]  # 1 * conj(1)
     if any(s[1:]):
-        return False, alg.element(e[0])
+        return False, witness(e[0])
     for j in range(1, k):
         if any(mul(e[j], images[j])[1:]):
-            return False, alg.element(e[j])
+            return False, witness(e[j])
     for j in range(1, k):
         # (1 + e_j) conj(1 + e_j) = s + conj(e_j) + s e_j + e_j conj(e_j)
         if any(combine((1, s[0]), (images[j], e[j]))[1:]):
-            return False, alg.element(combine((1, 1), (e[0], e[j])))
+            return False, witness(combine((1, 1), (e[0], e[j])))
     for i, j in itertools.combinations(range(1, k), 2):
         x = combine((1, 1), (e[i], e[j]))
         if any(mul(x, combine(x, images))[1:]):
-            return False, alg.element(x)
+            return False, witness(x)
     return True, None
+
+
+def _on_model(alg: StructureConstants, images):
+    """The table and raw images that the involution checks read for the
+    raw images of a map of the table alg over Q to itself: the integral
+    model and the images in its basis (algebra._integral_models), or
+    alg and images themselves when an image is not integral there."""
+    models = _integral_models(alg, alg, images)
+    return (alg, images) if models is None else (models[0], models[2])
 
 
 def trace(inv: Involution, x: AlgebraElement) -> RingElement:
@@ -164,7 +193,13 @@ def _conjugation(alg: StructureConstants, traces) -> Involution:
 def _verifies(inv: Involution) -> bool:
     """Whether inv passes verify_involution and verify_standard, looked
     up in this module: the check behind every involution the searches
-    and the probes accept."""
+    and the probes accept.  Over Q both check the involution of the
+    integral model that _on_model gives, built once."""
+    alg = inv.algebra
+    if alg.spec.kind == "Q":
+        model, images = _on_model(alg, [im._values for im in inv.images])
+        if model is not alg:
+            inv = Involution(model, images)
     return verify_involution(inv)[0] and verify_standard(inv)[0]
 
 
@@ -209,13 +244,18 @@ def find_standard_involution(alg: StructureConstants):
     as the conjugation x -> t(x) - x and verified in full.  Any rank,
     over any base ring: there is no search, so on a table of k^3 values
     the forced test reads O(k^3) of them and the two verifiers make
-    O(k^4) raw operations.
+    O(k^4) raw operations.  Over Q all of this runs on the integral
+    model (algebra._integral_model), whose traces are D t_i, and only a
+    candidate that verifies there is built over Q, with traces t_i.
     """
-    traces = _forced_traces(alg._values, alg.spec.p)
+    model, D = _integral_model(alg) if alg.spec.kind == "Q" else (alg, 1)
+    traces = _forced_traces(model._values, alg.spec.p)
     if traces is None:
         return None
-    cand = _conjugation(alg, traces)
-    return cand if _verifies(cand) else None
+    cand = _conjugation(model, traces)
+    if not _verifies(cand):
+        return None
+    return cand if model is alg else _conjugation(alg, [Fraction(t, D) for t in traces])
 
 
 def all_standard_involutions(alg: StructureConstants):

@@ -7,12 +7,17 @@ is_multiplicative the (k-1)^2 pairs off it, verify_standard multiplies
 only the elements off it and matrix_rep checks its identities on raw
 rows.  The full loops they replaced are kept here as oracles, and each
 verifier must return exactly what its oracle returns: the verdict and
-the first failing triple, pair, description or witness.
+the first failing triple, pair, description or witness.  Over Q the
+verifiers run on the integral model (algebra._integral_model), while the
+full loops run on the Fractions; the QQ-perfbench draws give them the
+benchmark's fractions.  A table over Z and the same table over Q must
+give the same answers too (base change).
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -43,11 +48,24 @@ from lowrank import (
     verify_involution,
     verify_standard,
 )
-from lowrank.involutions import _conjugation
+from lowrank.algebra import _denominator, _integral_model, _integral_models
+from lowrank.involutions import _conjugation, _on_model
 
 from common import count_kernel_calls
 
-SPECS = [ZZ, QQ, GF(2), GF(5), GF(9973)]
+
+class PerfbenchSized(random.Random):
+    """A random source that draws each rational the size the benchmark
+    sends: a/b with |a| <= 10^12 and 1 <= b <= 10^4 (_value).  Over Q
+    the verifiers run on the integral model, and the full loops below
+    run on the Fractions themselves."""
+
+
+# (ring, random source); the ids of the small draws are the rings' reprs
+SPECS = [
+    pytest.param(spec, random.Random, id=repr(spec))
+    for spec in (ZZ, QQ, GF(2), GF(5), GF(9973))
+] + [pytest.param(QQ, PerfbenchSized, id="QQ-perfbench")]
 
 
 # -- the full loops -----------------------------------------------------------
@@ -140,6 +158,8 @@ def _value(spec, rng, zeros=0.0):
         return 0
     if spec.kind == "Fp":
         return rng.randrange(spec.p)
+    if spec.kind == "Q" and isinstance(rng, PerfbenchSized):
+        return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**4))
     if spec.kind == "Q" and rng.random() < 0.3:
         return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
     return rng.randint(-4, 4)
@@ -233,9 +253,9 @@ def sample_tables(spec, rng):
 # -- verifiers against the full loops ------------------------------------------
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=repr)
-def test_associativity_matches_the_full_loop(spec):
-    rng = random.Random(f"assoc {spec!r}")
+@pytest.mark.parametrize("spec,source", SPECS)
+def test_associativity_matches_the_full_loop(spec, source):
+    rng = source(f"assoc {spec!r}")
     seen = set()
     for alg in sample_tables(spec, rng):
         got = alg.verify_associativity()
@@ -295,12 +315,14 @@ def _witness_kind(witness):
     return "+".join("1" if l == 0 else "e" for l in support)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=repr)
-def test_involution_checks_match_the_full_loops(spec):
-    rng = random.Random(f"involution {spec!r}")
-    reasons, witnesses = set(), set()
+@pytest.mark.parametrize("spec,source", SPECS)
+def test_involution_checks_match_the_full_loops(spec, source):
+    rng = source(f"involution {spec!r}")
+    reasons, witnesses, checked_on = set(), set(), set()
     for alg in sample_tables(spec, rng):
         for inv in _involution_candidates(alg, rng):
+            if spec.kind == "Q":
+                checked_on.add(_on_model(alg, [im._values for im in inv.images])[0].spec)
             got = verify_involution(inv)
             assert got == full_verify_involution(inv), inv
             reasons.add(got[1] and " ".join(got[1].split()[:3]))
@@ -317,6 +339,9 @@ def test_involution_checks_match_the_full_loops(spec):
         "product reversal fails",
     }
     assert witnesses == {None, "1", "e", "1+e", "e+e"}
+    # over Q both the integral model and, for images that are not
+    # integral there, the Fractions themselves were checked
+    assert checked_on == ({ZZ, QQ} if spec.kind == "Q" else set())
 
 
 def _map_candidates(source, target, rng):
@@ -341,9 +366,9 @@ def _moved(phi, rng):
     return AlgebraMap(phi.source, phi.target, images)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=repr)
-def test_map_checks_match_the_full_loop(spec):
-    rng = random.Random(f"map {spec!r}")
+@pytest.mark.parametrize("spec,source", SPECS)
+def test_map_checks_match_the_full_loop(spec, source):
+    rng = source(f"map {spec!r}")
     maps = []
     tables = sample_tables(spec, rng)
     for alg in tables:
@@ -366,8 +391,11 @@ def test_map_checks_match_the_full_loop(spec):
             found, phi = is_isomorphic_bruteforce(a, b)
             if found:
                 maps += [phi, _moved(phi, rng)]
-    seen = set()
+    seen, on_models = set(), set()
     for phi in maps:
+        if spec.kind == "Q" and phi.is_unital():
+            images = [im._values for im in phi.images]
+            on_models.add(_integral_models(phi.source, phi.target, images) is not None)
         got = phi.is_multiplicative()
         assert got == full_is_multiplicative(phi), phi
         ok = phi.source.rank == phi.target.rank and phi.is_invertible()
@@ -378,6 +406,9 @@ def test_map_checks_match_the_full_loop(spec):
     assert (1, 1) in pairs and (0, 0) in pairs
     assert any(unital and pair and pair != (1, 1) for unital, pair in seen)
     assert any(not unital and pair and 0 in pair and pair != (0, 0) for unital, pair in seen)
+    # over Q unital maps were checked on the integral models and, where
+    # an image is not integral there, on the Fractions
+    assert on_models == ({True, False} if spec.kind == "Q" else set())
 
 
 def _unvalidated(spec, values):
@@ -389,9 +420,9 @@ def _unvalidated(spec, values):
     return out
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=repr)
-def test_matrix_rep_matches_the_square_matrix_form(spec):
-    rng = random.Random(f"matrix rep {spec!r}")
+@pytest.mark.parametrize("spec,source", SPECS)
+def test_matrix_rep_matches_the_square_matrix_form(spec, source):
+    rng = source(f"matrix rep {spec!r}")
     outcomes = set()
     for draw in range(300):
         values = [_value(spec, rng, 0.3 + 0.1 * (draw % 6)) for _ in range(6)]
@@ -414,6 +445,57 @@ def test_matrix_rep_matches_the_square_matrix_form(spec):
     assert outcomes == {"refused", "matrices"}
 
 
+# -- the integral model over Q ------------------------------------------------
+
+
+def test_integral_model_is_the_table_in_the_scaled_basis():
+    """_integral_model's closed form is rebase(alg, [1, D e_1, ...]),
+    whose cells the Q kernel computes, on random unital tables over Q of
+    ranks 2 to 5 with the benchmark's fractions; its cells are ints and
+    D clears every denominator off the unit."""
+    rng = PerfbenchSized("integral model")
+    for draw in range(100):
+        k = 2 + draw % 4
+        alg = random_unital_table(QQ, k, rng, zeros=0.25 * (draw % 4))
+        model, D = _integral_model(alg)
+        basis = [[D if l == i > 0 else int(l == i) for l in range(k)] for i in range(k)]
+        table, _ = rebase(alg, basis)
+        assert model.spec == ZZ and model._values == table._values
+        cells = [cell for row in alg._values[1:] for cell in row[1:]]
+        assert all(D % c.denominator == 0 for cell in cells for c in cell)
+        assert {type(c) for row in model._values for cell in row for c in cell} == {int}
+
+
+def test_integral_models_read_a_map_in_the_scaled_bases():
+    """_integral_models gives the images of the source model's basis
+    (1, D e_1, ...) in the target model's basis: phi applied to each
+    and read back through rebase's map onto the target model, with
+    Fractions.  Images with small integer coordinates are integral
+    there; those with the benchmark's fractions, as a rule, are not."""
+    rng = PerfbenchSized("integral models")
+    outcomes = set()
+    for draw in range(60):
+        k = 2 + draw % 3
+        source, target = (random_unital_table(QQ, k, rng, 0.5) for _ in range(2))
+        images = [
+            [rng.randint(-3, 3) if draw % 2 else _value(QQ, rng, 0.5) for _ in range(k)]
+            for _ in range(k)
+        ]
+        phi = AlgebraMap(source, target, images)
+        raw = [im._values for im in phi.images]
+        D = lcm(_denominator(source), _denominator(target), *(im[0].denominator for im in raw[1:]))
+        basis = [[D if l == i > 0 else int(l == i) for l in range(k)] for i in range(k)]
+        _, onto_model = rebase(target, basis)
+        want = [onto_model.apply(phi.apply(source.element(row)))._values for row in basis]
+        got = _integral_models(source, target, raw)
+        if got is None:
+            assert any(c.denominator != 1 for im in want for c in im)
+        else:
+            assert got == (_integral_model(source, D)[0], _integral_model(target, D)[0], want)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 # -- the identity the skipped checks rest on -----------------------------------
 
 
@@ -422,9 +504,9 @@ def test_unchecked_tables_pass_the_checking_constructor(spec, monkeypatch):
     """StructureConstants._canonical stores rows unchecked, and the
     verifiers rely on e_0 being a two-sided identity there.  Every table
     it stores for build_algebra, QuadraticAlgebra.structure, the
-    exceptional_witness model and exceptional_ring at ranks 2 to 6 is
-    equal to the table the checking constructor builds from the same
-    rows."""
+    exceptional_witness model, exceptional_ring at ranks 2 to 6 and,
+    over Q, _integral_model at ranks 2 to 6 is equal to the table the
+    checking constructor builds from the same rows."""
     stored = []
     canonical = StructureConstants._canonical.__func__
 
@@ -445,14 +527,78 @@ def test_unchecked_tables_pass_the_checking_constructor(spec, monkeypatch):
         if spec.value(m) or spec.value(n):
             exceptional_witness(CubicCoefficients(spec, n, 0, m, n, 0, m))
         exceptional_ring(spec, [draw() for _ in range(1 + len(counts) % 5)])
+        if spec.kind == "Q":
+            _integral_model(random_unital_table(spec, 2 + len(counts) % 5, rng))
         counts.append(len(stored) - before)
     # one table each for the first two and the last, and the table and
-    # model of the witness
-    assert set(counts) <= {3, 5} and 5 in counts
+    # model of the witness; over Q also the integral model of the random
+    # table and the two that the witness's map is checked between
+    assert set(counts) <= ({4, 8} if spec.kind == "Q" else {3, 5})
+    assert max(counts) == (8 if spec.kind == "Q" else 5)
     assert {table.rank for table in stored} == {2, 3, 4, 5, 6}
     for table in stored:
-        assert StructureConstants(spec, table._values) == table
+        assert table.spec in (spec, ZZ)
+        assert StructureConstants(table.spec, table._values) == table
         assert table.rank == len(table._values)
+
+
+# -- base change Z -> Q --------------------------------------------------------
+
+
+def _rationals(x):
+    """The coordinates of an element, or None, as a tuple of Fractions."""
+    return None if x is None else tuple(map(Fraction, x._values))
+
+
+def test_base_change_from_z_to_q_keeps_every_answer():
+    """A table over Z and the same table read over Q give the same
+    verdict, the same first failing index and the same certificate, read
+    as rationals, from verify_associativity, find_standard_involution,
+    verify_involution, verify_standard and matrix_rep.  The tables are
+    census six-tuples, the quaternion orders (+-1, +-1) and random
+    non-associative unital tables, each also in a random unimodular
+    unital basis."""
+    rng = random.Random("base change")
+    draw = lambda: rng.randint(-4, 4)
+    tuples = [(0,) * 6]
+    for _ in range(12):
+        n, m = draw(), draw()
+        tuples += [(n, 0, m, n, 0, m), (draw(), draw(), 0, 0, draw(), draw())]
+    tables = [build_algebra(CubicCoefficients(ZZ, *values)) for values in tuples]
+    tables += [quaternion_algebra(ZZ, a, b) for a in (-1, 1) for b in (-1, 1)]
+    tables += [random_unital_table(ZZ, k, rng, 0.6) for k in (2, 3, 4) for _ in range(4)]
+    tables += [rebase(alg, _unital_unimodular(alg.rank, rng))[0] for alg in tables]
+    triples, found = set(), set()
+    for alg in tables:
+        alg_q = StructureConstants(QQ, alg._values)
+        triple = alg.verify_associativity()
+        assert alg_q.verify_associativity() == triple
+        triples.add(triple[1])
+        inv, inv_q = find_standard_involution(alg), find_standard_involution(alg_q)
+        assert (inv is None) == (inv_q is None)
+        found.add(inv is not None)
+        for cand in _involution_candidates(alg, rng) + ([inv] if inv else []):
+            cand_q = Involution(alg_q, [im._values for im in cand.images])
+            assert verify_involution(cand_q) == verify_involution(cand)
+            (standard, witness), (standard_q, witness_q) = verify_standard(cand), verify_standard(cand_q)
+            assert standard_q == standard and _rationals(witness_q) == _rationals(witness)
+        if inv is not None:
+            assert [_rationals(im) for im in inv_q.images] == [_rationals(im) for im in inv.images]
+    assert found == {True, False} and None in triples and len(triples) > 2
+    outcomes = set()
+    for values in tuples + [tuple(draw() for _ in range(6)) for _ in range(12)]:
+        try:
+            want = matrix_rep(_unvalidated(ZZ, values))
+        except RelationViolation:
+            with pytest.raises(RelationViolation):
+                matrix_rep(_unvalidated(QQ, values))
+            outcomes.add("refused")
+            continue
+        got = matrix_rep(_unvalidated(QQ, values))
+        assert [m.spec for m in got] == [QQ, QQ]
+        assert [m._values for m in got] == [m._values for m in want]
+        outcomes.add("matrices")
+    assert outcomes == {"refused", "matrices"}
 
 
 # -- work counts -------------------------------------------------------------
@@ -475,3 +621,40 @@ def test_certificate_work_counts(monkeypatch):
     calls.clear()
     assert AlgebraMap(alg, alg, alg._values[0]).is_multiplicative() == (True, None)
     assert calls.count("_mul_values") == 4
+
+
+def _leaves(values):
+    """The scalars of a raw vector, or of a list of raw vectors."""
+    return [
+        leaf for item in values
+        for leaf in (_leaves(item) if isinstance(item, (tuple, list)) else (item,))
+    ]
+
+
+def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
+    """Over Q the checks run on the integral model: the same work as
+    test_certificate_work_counts, every value the kernel gets an int.
+    A fast path that fell back to Fractions would show here."""
+    big = Fraction(713732015429, 4081), Fraction(-106415615197, 800)
+    alg = build_algebra(CubicCoefficients(QQ, big[0], 0, big[1], big[0], 0, big[1]))
+    calls, types = [], set()
+    for name in ("_mul_values", "_combine_values"):
+        kernel = getattr(StructureConstants, name)
+
+        def recorded(self, u, v, kernel=kernel, name=name):
+            calls.append(name)
+            types.update(map(type, _leaves(u) + _leaves(v)))
+            return kernel(self, u, v)
+
+        monkeypatch.setattr(StructureConstants, name, recorded)
+    assert alg.verify_associativity() == (True, None)
+    assert calls == ["_combine_values"] * 16
+    calls.clear()
+    inv = find_standard_involution(alg)
+    assert inv is not None and calls.count("_mul_values") == 4 + 3
+    assert verify_involution(inv) == (True, None) and verify_standard(inv) == (True, None)
+    calls.clear()
+    assert AlgebraMap(alg, alg, alg._values[0]).is_multiplicative() == (True, None)
+    assert calls.count("_mul_values") == 4
+    exceptional_witness(CubicCoefficients(QQ, big[0], 0, big[1], big[0], 0, big[1]))
+    assert types == {int}

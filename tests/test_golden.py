@@ -27,6 +27,38 @@ def _alg(alg, element=None):
     return json.dumps(obj)
 
 
+# Perfbench-sized rationals: numerators up to 10^12, denominators up to 10^4.
+B, C, Y, Z = (
+    Fraction(-268219088287, 3781), Fraction(969577250759, 4645),
+    Fraction(-98008559724, 1571), Fraction(609976923736, 9445),
+)
+N, M = Fraction(713732015429, 4081), Fraction(-106415615197, 800)
+COMMUTATIVE = (B, C, 0, 0, Y, Z)
+EXCEPTIONAL = (N, 0, M, N, 0, M)
+
+
+def _q_table(values, images=None):
+    """The table that `cubic build` prints for the six-tuple values over
+    Q, written out for tuples that fail the relations too, with the
+    images of an involution when given."""
+    b, c, m, n, y, z = values
+    rows = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [-(c * z), b, c], [c * y, 0, 0]],
+        [[0, 0, 1], [c * y - b * m, m, n], [-(b * y), y, z]],
+    ]
+    obj = {"ring": {"kind": "Q"}, "rank": 3,
+           "table": [[[str(v) for v in cell] for cell in row] for row in rows]}
+    if images is not None:
+        obj["images"] = [[str(v) for v in im] for im in images]
+    return json.dumps(obj)
+
+
+def _q_cubic(cmd, values):
+    coeffs = json.dumps(dict(zip("bcmnyz", map(str, values))))
+    return ["cubic", cmd, coeffs, "--ring", '{"kind": "Q"}']
+
+
 def golden_runs():
     """(name, argv) for every pinned run."""
     m2 = matrix_algebra(QQ, 2)
@@ -87,6 +119,37 @@ def golden_runs():
           '{"g": [["1/2", "3"], ["2", "-1"]], '
           '"form": {"a": "1/3", "b": "-2", "c": "5/7", "d": "4"}}',
           "--ring", '{"kind": "Q"}']),
+        ("alg assoc Q", ["alg", "assoc", _q_table(COMMUTATIVE)]),
+        ("alg assoc Q fails at (2, 1, 2)",
+         ["alg", "assoc", _q_table((N, 0, M, N, Y, M))]),
+        ("inv verify Q standard",
+         ["inv", "verify", _q_table(EXCEPTIONAL, [(1, 0, 0), (N, -1, 0), (M, 0, -1)])]),
+        ("inv verify Q reversal fails",
+         ["inv", "verify", _q_table(COMMUTATIVE, [(1, 0, 0), (B, -1, 0), (Z, 0, -1)])]),
+        ("inv verify Q identity, witness 1+e",
+         ["inv", "verify", json.dumps({
+             "ring": {"kind": "Q"}, "rank": 2,
+             "table": [[["1", "0"], ["0", "1"]], [["0", "1"], [str(M), "0"]]],
+             "images": [["1", "0"], ["0", "1"]]})]),
+        # Q x Q x Q in the basis 1, e_1, C e_2 with e_1 and e_2 swapped:
+        # the image of e_1 has the off-unit coordinate 1/C
+        ("inv verify Q swap, fractional images",
+         ["inv", "verify", json.dumps({
+             "ring": {"kind": "Q"}, "rank": 3,
+             "table": [[[str(v) for v in cell] for cell in row] for row in (
+                 ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                 ((0, 1, 0), (0, 1, 0), (0, 0, 0)),
+                 ((0, 0, 1), (0, 0, 0), (0, 0, C)))],
+             "images": [["1", "0", "0"], ["0", "0", str(1 / C)], ["0", str(C), "0"]]})]),
+        ("inv find Q exceptional", ["inv", "find", _q_table(EXCEPTIONAL)]),
+        ("inv find Q commutative", ["inv", "find", _q_table(COMMUTATIVE)]),
+        ("cubic involution Q", _q_cubic("involution", EXCEPTIONAL)),
+        ("cubic witness Q large", _q_cubic("witness", EXCEPTIONAL)),
+        ("cubic matrix-rep Q commutative", _q_cubic("matrix-rep", COMMUTATIVE)),
+        ("cubic matrix-rep Q exceptional", _q_cubic("matrix-rep", EXCEPTIONAL)),
+        ("cubic verify Q", _q_cubic("verify", COMMUTATIVE)),
+        ("cubic verify Q four violations", _q_cubic("verify", (N, C, M, N, Y, M))),
+        ("cubic verify Q two violations", _q_cubic("verify", (N, 0, M, B, 0, M))),
         ("form act F5",
          ["form", "act",
           '{"g": [["2", "1"], ["3", "3"]], '
@@ -143,6 +206,21 @@ GOLDEN = {
     'cubic matrix-rep Z': (0, '2126cc3cc0a34899fc433480ac873a19aee1805d12bfbc522b7af3b5de9f1e85'),
     'cubic matrix-rep F7': (0, '6bb9ab7c66a4cedffeb1c2ddbe69f90ea9b078157267f79fe9dec49100439994'),
     'cubic witness Q': (0, 'd7f490c9f906469c33260ba1193bd9ad35c09545d26a91e908e4914fd825c86a'),
+    'alg assoc Q': (0, 'e848ddb6bc7dfb66a5d32a0dd7fc957c64fb0d82997e18a1611a4aba69259195'),
+    'alg assoc Q fails at (2, 1, 2)': (0, 'a90126e5f78bc5a6d2c96b25f16789de4798e06fbbd4044c209400b4336abaa6'),
+    'inv verify Q standard': (0, '07f5020dab73b0ca3b633a9065e8eda80c9093b8e52724e194d9f0e4ca9d97ff'),
+    'inv verify Q reversal fails': (0, '1c539e0e21e82aaefea588a2f4028ae5c49fc5e9624aca949a889f8fef9aa5c3'),
+    'inv verify Q identity, witness 1+e': (0, '39d1437ec0bb78a3aa03054e0ce3dbad6f40befaa993b5c801b2e9679134aeed'),
+    'inv verify Q swap, fractional images': (0, '839c593e36349ecffa92a986c51f1e20647c99c2f8ed9feb8e33d4336d8e3df1'),
+    'inv find Q exceptional': (0, 'f29853c11f2b304d8d8cbd308b4a81619627fc6b6dcd62f80c4f46fc50a96310'),
+    'inv find Q commutative': (0, 'a473231bb47f7b2ef5202851c1fe1697ded4db0e0f4e76b18a4cbda8fc11e02e'),
+    'cubic involution Q': (0, '49cbc20794ea4712ba6c0387df69c0da4dac8da1686996541d358d4f7a21aca9'),
+    'cubic witness Q large': (0, 'c11caf4999b43e90f52585fdb5f5143e2084399dcc6a23aae30534b79b20a7d6'),
+    'cubic matrix-rep Q commutative': (0, '51a77145527a5d70ba240ffe57c49d33d35552f3c2ac881b52e790b69ed01115'),
+    'cubic matrix-rep Q exceptional': (0, 'ac2213eefa417f67e3bfc9548a6cabfe4c4b8f14274d04758ad6c5e9253ddb49'),
+    'cubic verify Q': (0, 'e5c3db1b09338069753ed6c3196c0a3bdc46b05e20982cee21740d9c4834137c'),
+    'cubic verify Q four violations': (0, 'd8803cf2ae6b6433b30cde537765839632a1429f026bdcdae372099d8864dcb2'),
+    'cubic verify Q two violations': (0, 'cbc8998144e19fb426325c143eb20e7cde356ac6380717a00232340ebda23ebe'),
     'form act Q': (0, 'e52f96ee2b7528720050348599d8c991a2fceda69ada15c6b35920c14f66e2eb'),
     'form act F5': (0, '042829fb08d196ad8a5e3a2a7ddc240648d951d42f412fabc498e8e8ad6e6c00'),
 }
