@@ -21,6 +21,11 @@ verifiers and cubic.matrix_rep's identities) run on the integral model
 (_integral_model): the same algebra in the basis (1, D e_1, ...,
 D e_{k-1}), whose table has integer cells, so the kernel multiplies
 ints, not Fractions, and every verdict and failing index carries over.
+The element-level answers over Q compute on ints too: the determinant
+loop and SquareMatrix.inverse run on the matrix times the common
+denominator of its entries (_cleared), left_regular_rep and rebase take
+their products in the integral model, and each output entry is divided
+once, so they return the same canonical Fractions.
 """
 
 from __future__ import annotations
@@ -448,25 +453,30 @@ class SquareMatrix(_RawValues):
 
         With chi the characteristic polynomial and q = (chi - chi(0)) / T,
         M q(M) = chi(M) - chi(0) I = -chi(0) I, so M^-1 = q(M) / -chi(0);
-        q(M) is (-1)^(n-1) times the adjugate.  q(M) is evaluated by
-        Horner's rule on raw rows, reducing each entry mod p over F_p.
+        q(M) is (-1)^(n-1) times the adjugate (_adjugate_values).  Over Q,
+        with M = A / d for the integer matrix A of _cleared, the same
+        identity on A gives M^-1 = d q_A(A) / -chi_A(0): q_A(A) is
+        evaluated on ints, with A's integer coefficients, and each entry
+        is divided once.
         """
         spec = self.spec
-        p = spec.p
-        n = self.n
-        chi = _char_poly_values(spec, self._values)  # chi[0] = (-1)^n det(M)
-        inv = _unit_inverse(spec, spec.value(-chi[0]))
-        if inv is None:
-            raise NotAUnit(f"determinant {self.det()} is not a unit")
-        cols = tuple(zip(*self._values))
-        acc = [[chi[n] if i == j else 0 for j in range(n)] for i in range(n)]
-        for c in reversed(chi[1:n]):
-            acc = _matmul_values(acc, cols)
-            for i in range(n):
-                acc[i][i] += c
-            if p:
-                acc = [[a % p for a in row] for row in acc]
-        return SquareMatrix(spec, [[a * inv for a in row] for row in acc])
+        if spec.kind == "Q":
+            rows, d = _cleared(self._values)
+            chi = _char_poly_values(ZZ, rows)
+            if chi[0]:
+                return SquareMatrix(spec, [
+                    [Fraction(d * a, -chi[0]) for a in row]
+                    for row in _adjugate_values(None, rows, chi)
+                ])
+        else:
+            chi = _char_poly_values(spec, self._values)  # chi[0] = (-1)^n det(M)
+            inv = _unit_inverse(spec, spec.value(-chi[0]))
+            if inv is not None:
+                return SquareMatrix(spec, [
+                    [a * inv for a in row]
+                    for row in _adjugate_values(spec.p, self._values, chi)
+                ])
+        raise NotAUnit(f"determinant {self.det()} is not a unit")
 
     def __repr__(self):
         return "[" + "; ".join(
@@ -487,6 +497,32 @@ def _matmul_values(rows, cols):
     ]
 
 
+def _adjugate_values(p, rows, chi):
+    """q(M) for the square matrix M given as raw rows, with chi its raw
+    characteristic polynomial (constant term first) and
+    q = (chi - chi(0)) / T: (-1)^(n-1) times the adjugate of M.
+    Evaluated by Horner's rule, reducing each entry mod p when p is not
+    None."""
+    n = len(rows)
+    cols = tuple(zip(*rows))
+    acc = [[chi[n] if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(chi[1:n]):
+        acc = _matmul_values(acc, cols)
+        for i in range(n):
+            acc[i][i] += c
+        if p:
+            acc = [[a % p for a in row] for row in acc]
+    return acc
+
+
+def _cleared(rows):
+    """Rows of raw values over Q written over one denominator: (ints, d)
+    with d the least common multiple of their denominators and
+    rows[i][j] = ints[i][j] / d."""
+    d = lcm(*[v.denominator for row in rows for v in row])
+    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
+
+
 def _char_poly_values(spec: RingSpec, rows):
     """Coefficients of det(T*I - M), constant term first, for the square
     matrix M given as rows of canonical raw values (ints, or Fractions
@@ -498,8 +534,14 @@ def _char_poly_values(spec: RingSpec, rows):
     is the lower-triangular Toeplitz matrix with first column
     (1, -a, -RC, -RAC, ..., -RA^(r-1)C) applied to that of A.  Skips
     zero factors and reduces each term mod p over F_p.  The only
-    determinant loop.
+    determinant loop.  Over Q it runs on ints: with M = A / d for the
+    integer matrix A of _cleared, det(T*I - M) = d^-n det(dT*I - A), so
+    coefficient i of chi_M is c_i(A) / d^(n-i), one division each.
     """
+    if spec.kind == "Q":
+        ints, d = _cleared(rows)
+        n = len(ints)
+        return [Fraction(c, d ** (n - i)) for i, c in enumerate(_char_poly_values(ZZ, ints))]
     p = spec.p
     chi = [1]  # det(T*I - A), leading coefficient first
     for r, row in enumerate(rows):
@@ -601,42 +643,68 @@ def _integral_model(alg: StructureConstants, d=None):
     return StructureConstants._canonical(ZZ, tuple(rows)), D
 
 
-def _integral_models(source, target, images):
-    """A map with raw images between two tables over Q, moved to their
-    integral models at one D, the least common multiple of both
-    _denominator values and of the images' unit coordinates:
-    (source model, target model, model images), or None when an image
-    coordinate is not an integer there.  In the models the image of
-    f_0 = 1 has its coordinates off the unit divided by D, and that of
-    f_a = D e_a, a >= 1, its unit coordinate times D, since
-    phi(D e_a) = D phi_a^0 + sum_{l >= 1} phi_a^l f_l.  A map of a
-    table to itself gets one model."""
-    D = lcm(_denominator(source), _denominator(target),
-            *(im[0].denominator for im in images[1:]))
+def _model_images(images, ds, dt):
+    """The raw images of a map between two tables over Q, read between
+    their integral models at ds (source) and dt (target), or None when
+    a coordinate is not an integer there.  With f_a = ds e_a and
+    g_l = dt e_l for a, l >= 1, phi(f_0) = phi_0^0 + sum_{l >= 1}
+    (phi_0^l / dt) g_l and phi(f_a) = ds phi_a^0 + sum_{l >= 1}
+    (ds / dt) phi_a^l g_l."""
     scaled = []
     for a, im in enumerate(images):
         row = []
         for l, c in enumerate(im):
-            num, den = c.numerator, c.denominator
-            if a and not l:
-                num *= D
-            elif l and not a:
-                den *= D
+            num = c.numerator * ds if a else c.numerator
+            den = c.denominator * dt if l else c.denominator
             if num % den:
                 return None
             row.append(num // den)
         scaled.append(tuple(row))
-    model = _integral_model(source, D)[0]
-    other = model if target is source else _integral_model(target, D)[0]
-    return model, other, scaled
+    return scaled
+
+
+def _integral_models(source, target, images):
+    """A unital map with raw images between two tables over Q, moved to
+    integral models of both: (source model, target model, model images),
+    all ints.  The target's model is at dt = _denominator(target) and
+    the source's at ds, the least common multiple of
+    _denominator(source), of the denominators of the images' unit
+    coordinates and of dt times those of their other coordinates, so
+    that every image is integral between them (_model_images).  A map
+    of a table to itself at ds = dt gets one model."""
+    dt = _denominator(target)
+    rest = lcm(*(c.denominator for im in images[1:] for c in im[1:]))
+    ds = lcm(_denominator(source), dt * rest, *(im[0].denominator for im in images[1:]))
+    model = _integral_model(source, ds)[0]
+    other = model if target is source and ds == dt else _integral_model(target, dt)[0]
+    return model, other, _model_images(images, ds, dt)
 
 
 def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
-    """Matrix of left multiplication by x in the algebra basis."""
+    """Matrix of left multiplication by x in the algebra basis.
+
+    Over Q the products run on the integral model (_integral_model),
+    basis f_0 = 1, f_a = D e_a: with x = X / s for the integer vector X
+    of _cleared, D s x has the integer model coordinates
+    Xm = (D X_0, X_1, ..., X_{k-1}), and column j of the matrix of
+    left multiplication by Xm in the model, Y_j = Xm f_j, gives entry
+    (l, j) of the matrix of x as Y_j^l D^[l >= 1] / (D^[j >= 1] D s),
+    one division each.
+    """
     alg = x.algebra
-    # row 0 of the table holds the basis vectors, since e_0 = 1
-    cols = [alg._mul_values(x._values, ej) for ej in alg._values[0]]
-    return SquareMatrix(alg.spec, zip(*cols))
+    if alg.spec.kind != "Q":
+        # row 0 of the table holds the basis vectors, since e_0 = 1
+        cols = [alg._mul_values(x._values, ej) for ej in alg._values[0]]
+        return SquareMatrix(alg.spec, zip(*cols))
+    model, D = _integral_model(alg)
+    (X,), s = _cleared((x._values,))
+    Xm = (D * X[0], *X[1:])
+    cols = [model._mul_values(Xm, fj) for fj in model._values[0]]
+    den = (s * D, s * D * D)
+    return SquareMatrix(alg.spec, [
+        [Fraction(col[l] * (D if l else 1), den[j > 0]) for j, col in enumerate(cols)]
+        for l in range(alg.rank)
+    ])
 
 
 def _row_reduce(p, rows):
@@ -764,18 +832,16 @@ class AlgebraMap:
         sides, so only the (k-1)^2 pairs off the unit are checked.
         Returns (True, None) or (False, (a, b)) with the first failing
         pair in lexicographic order.  Over Q a unital map is checked
-        between the integral models of source and target at one D
-        (_integral_models), which have the same failing pairs, unless
-        an image is not integral there.
+        between integral models of source and target (_integral_models),
+        on ints: each change of basis is diagonal, so the failing pairs
+        are the same.
         """
         source, target = self.source, self.target
         images = [im._values for im in self.images]
         k = source.rank
         start = 1 if self.is_unital() else 0
         if start and source.spec.kind == "Q":
-            models = _integral_models(source, target, images)
-            if models is not None:
-                source, target, images = models
+            source, target, images = _integral_models(source, target, images)
         t = source._values
         combine, mul = target._combine_values, target._mul_values
         for a in range(start, k):
@@ -835,7 +901,8 @@ def rebase(alg: StructureConstants, images):
     basis needs a unit determinant (over Z, +-1), or
     SquareMatrix.inverse raises NotAUnit.
     Each product of new basis elements is taken by _mul_values and read
-    back in new coordinates through the inverse.  phi sends each basis
+    back in new coordinates through the inverse; over Q both run on ints
+    (_rebased_cells).  phi sends each basis
     element of alg to its new coordinates, the columns of the inverse;
     the map back is AlgebraMap(table, alg, images).  phi is re-checked
     by verify_isomorphism before it is returned.
@@ -848,14 +915,42 @@ def rebase(alg: StructureConstants, images):
     # the rows of the inverse of the transpose are the columns of the
     # inverse: the new coordinates of each old basis element
     cols = change.inverse()._values
-    combine, mul = alg._combine_values, alg._mul_values
-    table = StructureConstants(
-        spec, [[combine(mul(u, v), cols) for v in new] for u in new]
-    )
+    if spec.kind == "Q":
+        cells = _rebased_cells(alg, new, cols)
+    else:
+        combine, mul = alg._combine_values, alg._mul_values
+        cells = [[combine(mul(u, v), cols) for v in new] for u in new]
+    table = StructureConstants(spec, cells)
     phi = AlgebraMap(alg, table, cols)
     if not phi.verify_isomorphism():
         raise AssertionError("basis-change map failed verification")
     return table, phi
+
+
+def _rebased_cells(alg: StructureConstants, new, cols):
+    """rebase's cells over Q, computed on ints: the products of the new
+    basis vectors `new` (raw rows in alg's basis) read back through
+    `cols`, the raw rows of the inverse.  With new = U / d and
+    cols = C / c (_cleared), the model coordinates of D d u are
+    (D U_0, U_1, ...), their product in the integral model
+    (_integral_model) P has alg coordinates (P_0, D P_1, ...) =
+    D^2 d^2 uv, and reading those through C gives D^2 d^2 c times the
+    new cell, which is divided once per entry."""
+    model, D = _integral_model(alg)
+    rows, d = _cleared(new)
+    ints, c = _cleared(cols)
+    den = D * D * d * d * c
+    scaled = [(D * u[0], *u[1:]) for u in rows]
+    combine, mul = model._combine_values, model._mul_values
+    out = []
+    for u in scaled:
+        row = []
+        for v in scaled:
+            P = mul(u, v)
+            cell = combine((P[0], *[D * a for a in P[1:]]), ints)
+            row.append(tuple(Fraction(a, den) for a in cell))
+        out.append(row)
+    return out
 
 
 # -- constructions ----------------------------------------------------------

@@ -55,10 +55,9 @@ from .cubic import (
 from .errors import _INTEGER, InputError, LowrankError, RelationViolation
 from .involutions import (
     Involution,
+    check_involution,
     find_standard_involution,
     quadratic_certificate,
-    verify_involution,
-    verify_standard,
 )
 from .quadratic import (
     QuadraticAlgebra,
@@ -259,10 +258,7 @@ def _cmd_inv_verify(args):
     obj = _load_json(args.input)
     inv = Involution.from_json(obj)
     _only_algebra_keys(obj, "involution", "images")
-    ok, failure = verify_involution(inv)
-    standard, witness = (False, None)
-    if ok:
-        standard, witness = verify_standard(inv)
+    ok, failure, standard, witness = check_involution(inv)
     _emit(
         {
             "involution": ok,

@@ -27,13 +27,14 @@ caller reads a coefficient attribute, as_tuple() or a RingElement result.
 from __future__ import annotations
 
 import enum
-from math import lcm
+from fractions import Fraction
 
 from .algebra import (
     AlgebraMap,
     SquareMatrix,
     StructureConstants,
     _basis_values,
+    _cleared,
     _integral_model,
     _matmul_values,
     rebase,
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .involutions import Involution, find_standard_involution
 from .poly import Polynomial
-from .rings import RingElement, RingSpec, _RawValues, _unit_inverse, _xgcd
+from .rings import ZZ, RingElement, RingSpec, _RawValues, _unit_inverse, _xgcd
 
 
 class GeneralCubicTable(_RawValues):
@@ -130,8 +131,7 @@ def _integral_tuple(values):
     check reads over Q.  Every relation is a homogeneous quadratic, so
     each residue scales by that factor's square and the violated names
     stay the same."""
-    d = lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values]
+    return _cleared((values,))[0][0]
 
 
 def _violated_relations(spec, b, c, m, n, y, z):
@@ -576,15 +576,40 @@ def gl2_act(g: SquareMatrix, form: BinaryCubicForm) -> BinaryCubicForm:
 
     The two variables are replaced by the columns of g and the result
     is divided by det(g); the discriminant then scales by det(g)^2.
+    Over Q, with g = G / d_g and f = F / d_f for the integers of
+    algebra._cleared, the substitution is homogeneous of degree 3 in
+    g and of degree 1 in f, and det(g) = det(G) / d_g^2, so the result
+    is the substitution of G into F divided by d_f d_g det(G): it runs
+    on ints, with one division per coefficient.
     """
     spec = form.spec
     if g.n != 2 or g.spec != spec:
         raise SpecMismatch("the action needs a 2x2 matrix over the form's ring")
-    (alpha, beta), (gamma, delta) = g._values
-    det = spec.value(alpha * delta - beta * gamma)
-    inv = _unit_inverse(spec, det)
-    if inv is None:
-        raise NotAUnit(f"matrix determinant {det} is not a unit")
+    if spec.kind == "Q":
+        rows, d_g = _cleared(g._values)
+        (alpha, beta), (gamma, delta) = rows
+        det = alpha * delta - beta * gamma
+        if det:
+            (f,), d_f = _cleared((form._values,))
+            den = d_f * d_g * det
+            coeffs = _substitute(ZZ, rows, f)
+            return BinaryCubicForm(spec, *[Fraction(c, den) for c in coeffs])
+    else:
+        (alpha, beta), (gamma, delta) = g._values
+        det = spec.value(alpha * delta - beta * gamma)
+        inv = _unit_inverse(spec, det)
+        if inv is not None:
+            coeffs = _substitute(spec, g._values, form._values)
+            return BinaryCubicForm(spec, *[c * inv for c in coeffs])
+    raise NotAUnit(f"matrix determinant {det} is not a unit")
+
+
+def _substitute(spec: RingSpec, rows, values):
+    """The four raw coefficients of the form with raw coefficients
+    `values` after its two variables are replaced by the columns of the
+    2x2 matrix with raw rows `rows`, before the division by the
+    determinant: the one substitution loop of gl2_act."""
+    (alpha, beta), (gamma, delta) = rows
     u = Polynomial(spec, (alpha, gamma))
     v = Polynomial(spec, (beta, delta))
     u2, v2 = u * u, v * v
@@ -592,10 +617,7 @@ def gl2_act(g: SquareMatrix, form: BinaryCubicForm) -> BinaryCubicForm:
     cubes = [
         w._values + (0,) * (3 - w.degree()) for w in (u2 * u, u2 * v, u * v2, v2 * v)
     ]
-    coeffs = [
-        sum(f * w[k] for f, w in zip(form._values, cubes)) * inv for k in range(4)
-    ]
-    return BinaryCubicForm(spec, *coeffs)
+    return [sum(f * w[k] for f, w in zip(values, cubes)) for k in range(4)]
 
 
 def form_from_commutative(coeffs: CubicCoefficients) -> BinaryCubicForm:

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     AlgebraElement,
     AlgebraMap,
     StructureConstants,
+    _denominator,
     _integral_model,
-    _integral_models,
+    _model_images,
     direct_product,
     matrix_algebra,
     rank_one,
@@ -146,11 +148,14 @@ def verify_standard(inv: Involution):
 
 def _on_model(alg: StructureConstants, images):
     """The table and raw images that the involution checks read for the
-    raw images of a map of the table alg over Q to itself: the integral
-    model and the images in its basis (algebra._integral_models), or
-    alg and images themselves when an image is not integral there."""
-    models = _integral_models(alg, alg, images)
-    return (alg, images) if models is None else (models[0], models[2])
+    raw images of a map of the table alg over Q to itself: its integral
+    model at one D, the least common multiple of _denominator(alg) and
+    of the images' unit coordinates, and the images in that model's
+    basis (algebra._model_images), or alg and images themselves when an
+    image is not integral there."""
+    D = lcm(_denominator(alg), *(im[0].denominator for im in images[1:]))
+    scaled = _model_images(images, D, D)
+    return (alg, images) if scaled is None else (_integral_model(alg, D)[0], scaled)
 
 
 def trace(inv: Involution, x: AlgebraElement) -> RingElement:
@@ -190,17 +195,35 @@ def _conjugation(alg: StructureConstants, traces) -> Involution:
     ])
 
 
-def _verifies(inv: Involution) -> bool:
-    """Whether inv passes verify_involution and verify_standard, looked
-    up in this module: the check behind every involution the searches
-    and the probes accept.  Over Q both check the involution of the
-    integral model that _on_model gives, built once."""
+def check_involution(inv: Involution):
+    """verify_involution and verify_standard on inv, looked up in this
+    module, as (involution, failure, standard, witness); verify_standard
+    runs only once the axioms hold, and (standard, witness) is
+    (False, None) otherwise.  Over Q both check the involution of the
+    integral model that _on_model gives, built once, when the images
+    are integral there; a witness has the same 0/1 coordinates in
+    either basis and is returned in inv's algebra."""
     alg = inv.algebra
+    checked = inv
     if alg.spec.kind == "Q":
         model, images = _on_model(alg, [im._values for im in inv.images])
         if model is not alg:
-            inv = Involution(model, images)
-    return verify_involution(inv)[0] and verify_standard(inv)[0]
+            checked = Involution(model, images)
+    ok, failure = verify_involution(checked)
+    if not ok:
+        return False, failure, False, None
+    standard, witness = verify_standard(checked)
+    if witness is not None and checked is not inv:
+        witness = alg.element(witness._values)
+    return True, None, standard, witness
+
+
+def _verifies(inv: Involution) -> bool:
+    """Whether inv passes verify_involution and verify_standard
+    (check_involution): the check behind every involution the searches
+    and the probes accept."""
+    ok, _, standard, _ = check_involution(inv)
+    return ok and standard
 
 
 def _forced_traces(table, p):

@@ -1,4 +1,5 @@
-"""The certificate verifiers against their full loops.
+"""The certificate verifiers and the element-level kernels against their
+full loops.
 
 Every table keeps e_0 = 1 as a two-sided identity, so the verifiers
 skip the identities that involve e_0: verify_associativity compares the
@@ -10,8 +11,12 @@ verifier must return exactly what its oracle returns: the verdict and
 the first failing triple, pair, description or witness.  Over Q the
 verifiers run on the integral model (algebra._integral_model), while the
 full loops run on the Fractions; the QQ-perfbench draws give them the
-benchmark's fractions.  A table over Z and the same table over Q must
-give the same answers too (base change).
+benchmark's fractions.  Over Q the element-level kernels (characteristic
+polynomials and determinants, SquareMatrix.inverse, left_regular_rep,
+rebase and gl2_act) clear denominators and compute on ints; the Fraction
+loops they replaced are kept here as oracles too.  A table over Z and
+the same table over Q must give the same answers, and the answers over
+Z must reduce to those over F_p (base change).
 """
 
 import itertools
@@ -26,8 +31,11 @@ from lowrank import (
     QQ,
     ZZ,
     AlgebraMap,
+    BinaryCubicForm,
     CubicCoefficients,
     Involution,
+    NotAUnit,
+    Polynomial,
     QuadraticAlgebra,
     RelationViolation,
     SquareMatrix,
@@ -37,6 +45,7 @@ from lowrank import (
     exceptional_ring,
     exceptional_witness,
     find_standard_involution,
+    gl2_act,
     is_isomorphic_bruteforce,
     left_regular_rep,
     matrix_algebra,
@@ -48,8 +57,9 @@ from lowrank import (
     verify_involution,
     verify_standard,
 )
+from lowrank import algebra, cubic
 from lowrank.algebra import _denominator, _integral_model, _integral_models
-from lowrank.involutions import _conjugation, _on_model
+from lowrank.involutions import _conjugation, _on_model, check_involution
 
 from common import count_kernel_calls
 
@@ -148,6 +158,71 @@ def full_matrix_rep(coeffs):
             if mats[a] * mats[b] != want:
                 raise RelationViolation(["matrix identities fail for this table"])
     return mats[1], mats[2]
+
+
+def _fraction_matmul(rows, other):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*other)] for row in rows]
+
+
+def fraction_char_poly(rows):
+    """det(T*I - M), constant term first, by the Faddeev-LeVerrier
+    recurrence on Fractions: with M_1 = I, c_{n-k} = -tr(M M_k) / k and
+    M_{k+1} = M M_k + c_{n-k} I."""
+    n = len(rows)
+    chi = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = _fraction_matmul(rows, mk)
+        chi[n - k] = c = -sum(am[i][i] for i in range(n)) / k
+        mk = [[a + c if i == j else a for j, a in enumerate(row)] for i, row in enumerate(am)]
+    return chi
+
+
+def fraction_inverse(rows):
+    """M^-1 = q(M) / -chi(0) with q = (chi - chi(0)) / T by Horner's rule
+    on the Fractions, or None for a singular M: the Q path of
+    SquareMatrix.inverse before it cleared denominators."""
+    n = len(rows)
+    chi = fraction_char_poly(rows)
+    if not chi[0]:
+        return None
+    acc = [[chi[n] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for c in reversed(chi[1:n]):
+        acc = _fraction_matmul(acc, rows)
+        for i in range(n):
+            acc[i][i] += c
+    return [[a / -chi[0] for a in row] for row in acc]
+
+
+def fraction_left_regular_rep(x):
+    """The rows of the matrix of left multiplication by x, its columns
+    the products x e_j taken by the kernel on the Fractions."""
+    alg = x.algebra
+    return tuple(zip(*[alg._mul_values(x._values, ej) for ej in alg._values[0]]))
+
+
+def fraction_rebase_cells(alg, images):
+    """rebase's cells on the Fractions: each product of new basis
+    vectors read back through the columns of the inverse."""
+    new = [tuple(map(alg.spec.value, im)) for im in images]
+    cols = fraction_inverse(new)
+    combine, mul = alg._combine_values, alg._mul_values
+    return tuple(tuple(combine(mul(u, v), cols) for v in new) for u in new)
+
+
+def fraction_gl2_act(rows, values):
+    """The substitution of gl2_act on the Fractions, each coefficient
+    divided by det(g), or None for a singular g."""
+    (alpha, beta), (gamma, delta) = rows
+    det = alpha * delta - beta * gamma
+    if not det:
+        return None
+    u, v = Polynomial(QQ, (alpha, gamma)), Polynomial(QQ, (beta, delta))
+    cubes = [
+        w._values + (Fraction(0),) * (3 - w.degree())
+        for w in (u * u * u, u * u * v, u * v * v, v * v * v)
+    ]
+    return tuple(sum(f * w[k] for f, w in zip(values, cubes)) / det for k in range(4))
 
 
 # -- inputs -------------------------------------------------------------------
@@ -332,6 +407,11 @@ def test_involution_checks_match_the_full_loops(spec, source):
             if witness is not None:
                 assert list(map(type, witness._values)) == list(map(type, want_witness._values))
             witnesses.add(_witness_kind(witness))
+            # both on one model, with the witness in inv's algebra
+            both = check_involution(inv)
+            assert both == ((*got, standard, witness) if got[0] else (*got, False, None)), inv
+            if both[3] is not None:
+                assert list(map(type, both[3]._values)) == list(map(type, want_witness._values))
     assert reasons == {
         None,
         "basis element 0",
@@ -394,8 +474,8 @@ def test_map_checks_match_the_full_loop(spec, source):
     seen, on_models = set(), set()
     for phi in maps:
         if spec.kind == "Q" and phi.is_unital():
-            images = [im._values for im in phi.images]
-            on_models.add(_integral_models(phi.source, phi.target, images) is not None)
+            images = _integral_models(phi.source, phi.target, [im._values for im in phi.images])[2]
+            on_models.add(all(type(c) is int for im in images for c in im))
         got = phi.is_multiplicative()
         assert got == full_is_multiplicative(phi), phi
         ok = phi.source.rank == phi.target.rank and phi.is_invertible()
@@ -406,9 +486,8 @@ def test_map_checks_match_the_full_loop(spec, source):
     assert (1, 1) in pairs and (0, 0) in pairs
     assert any(unital and pair and pair != (1, 1) for unital, pair in seen)
     assert any(not unital and pair and 0 in pair and pair != (0, 0) for unital, pair in seen)
-    # over Q unital maps were checked on the integral models and, where
-    # an image is not integral there, on the Fractions
-    assert on_models == ({True, False} if spec.kind == "Q" else set())
+    # over Q every unital map was checked between integral models, on ints
+    assert on_models == ({True} if spec.kind == "Q" else set())
 
 
 def _unvalidated(spec, values):
@@ -445,6 +524,116 @@ def test_matrix_rep_matches_the_square_matrix_form(spec, source):
     assert outcomes == {"refused", "matrices"}
 
 
+# -- element-level answers over Q against the Fraction loops -----------------
+
+
+Q_SPECS = [param for param in SPECS if param.values[0] == QQ]
+
+
+def _square_rows(spec, rng, n, draw):
+    """A random n x n matrix, singular for draws 3 mod 4: a row repeated,
+    or the zero matrix at n = 1."""
+    rows = [[_value(spec, rng, 0.15 * (draw % 4)) for _ in range(n)] for _ in range(n)]
+    if draw % 4 == 3:
+        rows[-1] = list(rows[0]) if n > 1 else [0]
+    return rows
+
+
+def _fractions(rows):
+    """Every value of rows (a vector or rows of vectors) is a Fraction."""
+    return all(type(leaf) is Fraction for leaf in _leaves(rows))
+
+
+@pytest.mark.parametrize("spec,source", Q_SPECS)
+def test_char_poly_and_inverse_match_the_fraction_loops(spec, source):
+    """chi, det, is_invertible and inverse of random matrices of sizes 1
+    to 5, about a quarter of them singular, against the Fraction loops;
+    a singular matrix is refused with the message that names its
+    determinant."""
+    rng = source(f"char poly {spec!r}")
+    refused = 0
+    for draw in range(120):
+        rows = _square_rows(spec, rng, 1 + draw % 5, draw)
+        m = SquareMatrix(spec, rows)
+        chi = fraction_char_poly(m._values)
+        got = m.char_poly()._values
+        assert got == tuple(chi) and _fractions(got)
+        assert algebra._char_poly_values(spec, m._values) == chi
+        assert m.det().value == (-chi[0] if m.n % 2 else chi[0])
+        assert m.is_invertible() == bool(chi[0])
+        want = fraction_inverse(m._values)
+        if want is None:
+            with pytest.raises(NotAUnit, match=r"^determinant 0 is not a unit$"):
+                m.inverse()
+            refused += 1
+            continue
+        inv = m.inverse()
+        assert inv._values == tuple(map(tuple, want)) and _fractions(inv._values)
+    assert 20 < refused < 60
+
+
+@pytest.mark.parametrize("spec,source", Q_SPECS)
+def test_left_regular_rep_matches_the_fraction_loop(spec, source):
+    rng = source(f"left regular rep {spec!r}")
+    for alg in sample_tables(spec, rng):
+        for zeros in (0.0, 0.6):
+            x = alg.element([_value(spec, rng, zeros) for _ in range(alg.rank)])
+            got = left_regular_rep(x)
+            assert got._values == fraction_left_regular_rep(x) and _fractions(got._values)
+            assert got.char_poly()._values == tuple(fraction_char_poly(got._values))
+
+
+def _unital_rows(spec, rng, k, draw):
+    """The rows of a change of basis that keeps e_0 first, singular for
+    draws 3 mod 4."""
+    rows = [[1] + [0] * (k - 1)]
+    rows += [[_value(spec, rng, 0.3) for _ in range(k)] for _ in range(k - 1)]
+    if draw % 4 == 3:
+        rows[-1] = [0] * k
+    return rows
+
+
+@pytest.mark.parametrize("spec,source", Q_SPECS)
+def test_rebase_matches_the_fraction_loops(spec, source):
+    """rebase's table and map on random unital tables of ranks 2 to 5
+    in random unital bases; a singular change of basis is refused with
+    the message that names its determinant."""
+    rng = source(f"rebase {spec!r}")
+    outcomes = set()
+    for draw, alg in enumerate(t for t in sample_tables(spec, rng) if t.rank > 1):
+        images = _unital_rows(spec, rng, alg.rank, draw)
+        cols = fraction_inverse([list(map(spec.value, im)) for im in images])
+        if cols is None:
+            with pytest.raises(NotAUnit, match=r"^determinant 0 is not a unit$"):
+                rebase(alg, images)
+            outcomes.add("refused")
+            continue
+        table, phi = rebase(alg, images)
+        assert table._values == fraction_rebase_cells(alg, images) and _fractions(table._values)
+        assert [im._values for im in phi.images] == [tuple(col) for col in cols]
+        outcomes.add("rebased")
+    assert outcomes == {"refused", "rebased"}
+
+
+@pytest.mark.parametrize("spec,source", Q_SPECS)
+def test_gl2_act_matches_the_fraction_loop(spec, source):
+    rng = source(f"gl2 act {spec!r}")
+    refused = 0
+    for draw in range(200):
+        rows = _square_rows(spec, rng, 2, draw)
+        form = BinaryCubicForm(spec, *[_value(spec, rng, 0.2) for _ in range(4)])
+        g = SquareMatrix(spec, rows)
+        want = fraction_gl2_act(g._values, form._values)
+        if want is None:
+            with pytest.raises(NotAUnit, match=r"^matrix determinant 0 is not a unit$"):
+                gl2_act(g, form)
+            refused += 1
+            continue
+        got = gl2_act(g, form)._values
+        assert got == want and _fractions(got)
+    assert 30 < refused < 120
+
+
 # -- the integral model over Q ------------------------------------------------
 
 
@@ -468,32 +657,72 @@ def test_integral_model_is_the_table_in_the_scaled_basis():
 
 def test_integral_models_read_a_map_in_the_scaled_bases():
     """_integral_models gives the images of the source model's basis
-    (1, D e_1, ...) in the target model's basis: phi applied to each
-    and read back through rebase's map onto the target model, with
-    Fractions.  Images with small integer coordinates are integral
-    there; those with the benchmark's fractions, as a rule, are not."""
+    (1, ds e_1, ...) in the target model's basis (1, dt e_1, ...): a
+    unital phi applied to each and read back through rebase's map onto
+    the target model, with Fractions.  They are ints, with the
+    benchmark's fractions in the images too."""
     rng = PerfbenchSized("integral models")
-    outcomes = set()
     for draw in range(60):
         k = 2 + draw % 3
         source, target = (random_unital_table(QQ, k, rng, 0.5) for _ in range(2))
-        images = [
+        images = [[1] + [0] * (k - 1)] + [
             [rng.randint(-3, 3) if draw % 2 else _value(QQ, rng, 0.5) for _ in range(k)]
-            for _ in range(k)
+            for _ in range(k - 1)
         ]
         phi = AlgebraMap(source, target, images)
         raw = [im._values for im in phi.images]
-        D = lcm(_denominator(source), _denominator(target), *(im[0].denominator for im in raw[1:]))
-        basis = [[D if l == i > 0 else int(l == i) for l in range(k)] for i in range(k)]
-        _, onto_model = rebase(target, basis)
-        want = [onto_model.apply(phi.apply(source.element(row)))._values for row in basis]
         got = _integral_models(source, target, raw)
-        if got is None:
+        dt = _denominator(target)
+        ds = lcm(_denominator(source), *(im[0].denominator for im in raw[1:]),
+                 *(dt * c.denominator for im in raw[1:] for c in im[1:]))
+        _, onto_model = rebase(target, _scaled_basis(k, dt))
+        want = [onto_model.apply(phi.apply(source.element(row)))._values
+                for row in _scaled_basis(k, ds)]
+        assert got == (_integral_model(source, ds)[0], _integral_model(target, dt)[0], want)
+        assert all(type(c) is int for im in got[2] for c in im)
+
+
+def test_on_model_reads_a_map_to_itself_at_one_scale():
+    """involutions._on_model reads the images of a map of a table to
+    itself, the image of 1 included, in the integral model at one D, the
+    least common multiple of _denominator and of the images' unit
+    coordinates: phi applied to (1, D e_1, ...) and read back through
+    rebase's map onto the model, with Fractions.  When those are not
+    all integers it hands back the table and images unchanged.  Images
+    with small integer coordinates, and images of 1 whose coordinates
+    off the unit are multiples of D, are integral there; those with the
+    benchmark's fractions, as a rule, are not."""
+    rng = PerfbenchSized("one-scale model")
+    outcomes = set()
+    for draw in range(80):
+        k = 2 + draw % 3
+        source = random_unital_table(QQ, k, rng, 0.5)
+        draw_value = lambda: rng.randint(-3, 3) if draw % 2 else _value(QQ, rng, 0.5)
+        rest = [[QQ.value(draw_value()) for _ in range(k)] for _ in range(k - 1)]
+        D = lcm(_denominator(source), *(im[0].denominator for im in rest))
+        if draw % 4 == 1:
+            one = [draw_value()] + [D * rng.randint(-3, 3) for _ in range(k - 1)]
+        else:
+            one = [draw_value() for _ in range(k)]
+        phi = AlgebraMap(source, source, [one] + rest)
+        raw = [im._values for im in phi.images]
+        _, onto_model = rebase(source, _scaled_basis(k, D))
+        want = [onto_model.apply(phi.apply(source.element(row)))._values
+                for row in _scaled_basis(k, D)]
+        got = _on_model(source, raw)
+        if got[0] is source:
+            assert got[1] is raw
             assert any(c.denominator != 1 for im in want for c in im)
         else:
-            assert got == (_integral_model(source, D)[0], _integral_model(target, D)[0], want)
-        outcomes.add(got is None)
-    assert outcomes == {True, False}
+            assert got == (_integral_model(source, D)[0], want)
+            assert all(type(c) is int for im in got[1] for c in im)
+        outcomes.add((got[0] is source, any(raw[0][1:])))
+    assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def _scaled_basis(k, d):
+    """Rows of the basis (1, d e_1, ..., d e_{k-1}) of rank k."""
+    return [[d if l == i > 0 else int(l == i) for l in range(k)] for i in range(k)]
 
 
 # -- the identity the skipped checks rest on -----------------------------------
@@ -542,7 +771,7 @@ def test_unchecked_tables_pass_the_checking_constructor(spec, monkeypatch):
         assert table.rank == len(table._values)
 
 
-# -- base change Z -> Q --------------------------------------------------------
+# -- base change: Z -> Q and Z -> F_p ------------------------------------------
 
 
 def _rationals(x):
@@ -601,6 +830,66 @@ def test_base_change_from_z_to_q_keeps_every_answer():
     assert outcomes == {"refused", "matrices"}
 
 
+def _gl2_z(rng):
+    """The rows of a random matrix in GL2(Z): elementary row operations
+    on the identity, and a sign change for determinant -1."""
+    rows = [[1, 0], [0, 1]]
+    for _ in range(4):
+        i = rng.randrange(2)
+        f = rng.randint(-3, 3)
+        rows[i] = [a + f * b for a, b in zip(rows[i], rows[1 - i])]
+    if rng.random() < 0.5:
+        rows[0] = [-a for a in rows[0]]
+    return rows
+
+
+def test_base_change_from_z_to_f_p_reduces_every_answer():
+    """Census six-tuples and the quaternion orders (+-1, +-1), each also
+    in a random unimodular unital basis, over Z, Q and GF(p) for p in
+    2, 3, 5 and 7: the characteristic polynomial of left_regular_rep
+    agrees over Z and Q and reduces mod p to the one over F_p, and so
+    does gl2_act with g in GL2(Z); a standard involution found over Z
+    reduces to the one found over F_p.  Nothing is asserted the other
+    way: F_p can have a standard involution that Z lacks."""
+    rng = random.Random("base change mod p")
+    draw = lambda: rng.randint(-4, 4)
+    primes = [GF(p) for p in (2, 3, 5, 7)]
+    tuples = [(0,) * 6]
+    for _ in range(30):
+        n, m = draw(), draw()
+        tuples += [(n, 0, m, n, 0, m), (draw(), draw(), 0, 0, draw(), draw())]
+    tables = [build_algebra(CubicCoefficients(ZZ, *values)) for values in tuples]
+    tables += [quaternion_algebra(ZZ, a, b) for a in (-1, 1) for b in (-1, 1)]
+    tables += [rebase(alg, _unital_unimodular(alg.rank, rng))[0] for alg in tables]
+    found = set()
+    for alg in tables:
+        alg_q = StructureConstants(QQ, alg._values)
+        inv = find_standard_involution(alg)
+        found.add(inv is not None)
+        for spec in primes:
+            alg_p = StructureConstants(spec, alg._values)
+            for x in [[draw() for _ in range(alg.rank)] for _ in range(2)]:
+                chi = left_regular_rep(alg.element(x)).char_poly()._values
+                chi_q = left_regular_rep(alg_q.element(x)).char_poly()._values
+                assert chi_q == tuple(map(Fraction, chi))
+                chi_p = left_regular_rep(alg_p.element(x)).char_poly()._values
+                assert chi_p == tuple(map(spec.value, chi))
+            if inv is not None:
+                inv_p = find_standard_involution(alg_p)
+                assert [im._values for im in inv_p.images] == [
+                    tuple(map(spec.value, im._values)) for im in inv.images
+                ]
+    assert found == {True, False}
+    for _ in range(40):
+        g, f = _gl2_z(rng), [draw() for _ in range(4)]
+        got = gl2_act(SquareMatrix(ZZ, g), BinaryCubicForm(ZZ, *f))._values
+        got_q = gl2_act(SquareMatrix(QQ, g), BinaryCubicForm(QQ, *f))._values
+        assert got_q == tuple(map(Fraction, got))
+        for spec in primes:
+            acted = gl2_act(SquareMatrix(spec, g), BinaryCubicForm(spec, *f))
+            assert acted._values == tuple(map(spec.value, got))
+
+
 # -- work counts -------------------------------------------------------------
 
 
@@ -634,7 +923,11 @@ def _leaves(values):
 def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
     """Over Q the checks run on the integral model: the same work as
     test_certificate_work_counts, every value the kernel gets an int.
-    A fast path that fell back to Fractions would show here."""
+    The element-level answers (characteristic polynomial, determinant,
+    inverse, left_regular_rep, rebase and gl2_act) hand the product
+    kernel, the determinant and adjugate loops and the substitution
+    loop ints too, and run no loop over Q.  A fast path that fell back
+    to Fractions would show here."""
     big = Fraction(713732015429, 4081), Fraction(-106415615197, 800)
     alg = build_algebra(CubicCoefficients(QQ, big[0], 0, big[1], big[0], 0, big[1]))
     calls, types = [], set()
@@ -647,6 +940,30 @@ def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
             return kernel(self, u, v)
 
         monkeypatch.setattr(StructureConstants, name, recorded)
+    loops = []  # (loop, ring kind) of each call into a loop
+    char_poly, adjugate, substitute = (
+        algebra._char_poly_values, algebra._adjugate_values, cubic._substitute
+    )
+
+    def recorded_char_poly(spec, rows):
+        if spec.kind != "Q":  # the Q entry clears denominators and calls back
+            loops.append(("char poly", spec.kind))
+            types.update(map(type, _leaves(rows)))
+        return char_poly(spec, rows)
+
+    def recorded_adjugate(p, rows, chi):
+        loops.append(("adjugate", p))
+        types.update(map(type, _leaves(rows) + list(chi)))
+        return adjugate(p, rows, chi)
+
+    def recorded_substitute(spec, rows, values):
+        loops.append(("substitute", spec.kind))
+        types.update(map(type, _leaves(rows) + list(values)))
+        return substitute(spec, rows, values)
+
+    monkeypatch.setattr(algebra, "_char_poly_values", recorded_char_poly)
+    monkeypatch.setattr(algebra, "_adjugate_values", recorded_adjugate)
+    monkeypatch.setattr(cubic, "_substitute", recorded_substitute)
     assert alg.verify_associativity() == (True, None)
     assert calls == ["_combine_values"] * 16
     calls.clear()
@@ -657,4 +974,21 @@ def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
     assert AlgebraMap(alg, alg, alg._values[0]).is_multiplicative() == (True, None)
     assert calls.count("_mul_values") == 4
     exceptional_witness(CubicCoefficients(QQ, big[0], 0, big[1], big[0], 0, big[1]))
+    assert loops == [("char poly", "Z")]  # the witness map's determinant
+    loops.clear()
+    calls.clear()
+    rep = left_regular_rep(alg.element([big[1], Fraction(1, 3), big[0]]))
+    assert calls == ["_mul_values"] * 3
+    rep.char_poly(), rep.det(), rep.is_invertible(), rep.inverse()
+    assert loops == [("char poly", "Z")] * 4 + [("adjugate", None)]
+    loops.clear()
+    calls.clear()
+    rebase(alg, [(1, 0, 0), (big[1], 1, 0), (Fraction(2, 7), big[0], 1)])
+    # products and read-back of the 9 cells, then the map check
+    assert calls[:18] == ["_mul_values", "_combine_values"] * 9
+    assert loops == [("char poly", "Z"), ("adjugate", None), ("char poly", "Z")]
+    loops.clear()
+    g = SquareMatrix(QQ, [[big[0], 3], [big[1], Fraction(1, 7)]])
+    gl2_act(g, BinaryCubicForm(QQ, *big, 1, Fraction(-2, 9)))
+    assert loops == [("substitute", "Z")]
     assert types == {int}

@@ -1,6 +1,8 @@
-"""Golden stdout: the sha256 of stdout and the exit code of fixed in-process
-`cli.main` runs.  A change that claims byte-identical output keeps every
-digest; one that changes output on purpose updates the digest it names.
+"""Golden output: the exit code and the sha256 of stdout of fixed in-process
+`cli.main` runs, and for the refusals in refusal_runs the exit code and the
+sha256 of stderr, where the error payload goes.  A change that claims
+byte-identical output keeps every digest; one that changes output on
+purpose updates the digest it names.
 
 Regenerate the table with
 
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from lowrank import GF, QQ, direct_product, matrix_algebra, rank_one
+from lowrank import GF, QQ, direct_product, matrix_algebra, quaternion_algebra, rank_one
 from lowrank.cli import main
 from lowrank.quadratic import QuadraticAlgebra
 
@@ -35,12 +37,15 @@ B, C, Y, Z = (
 N, M = Fraction(713732015429, 4081), Fraction(-106415615197, 800)
 COMMUTATIVE = (B, C, 0, 0, Y, Z)
 EXCEPTIONAL = (N, 0, M, N, 0, M)
+# traces of rank-2 algebras; (T, N) has discriminant DISC
+T, TT = Fraction(-354066153931, 7129), Fraction(427309516057, 2777)
+DISC = T * T - 4 * N
 
 
-def _q_table(values, images=None):
+def _q_table(values, images=None, element=None):
     """The table that `cubic build` prints for the six-tuple values over
     Q, written out for tuples that fail the relations too, with the
-    images of an involution when given."""
+    images of an involution or an element when given."""
     b, c, m, n, y, z = values
     rows = [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -51,12 +56,28 @@ def _q_table(values, images=None):
            "table": [[[str(v) for v in cell] for cell in row] for row in rows]}
     if images is not None:
         obj["images"] = [[str(v) for v in im] for im in images]
+    if element is not None:
+        obj["element"] = [str(v) for v in element]
     return json.dumps(obj)
 
 
 def _q_cubic(cmd, values):
     coeffs = json.dumps(dict(zip("bcmnyz", map(str, values))))
     return ["cubic", cmd, coeffs, "--ring", '{"kind": "Q"}']
+
+
+def _q_quad(t, n):
+    return {"t": str(t), "n": str(n)}
+
+
+def _q_quad_pair(a, b):
+    return ["quad", "iso", json.dumps({"ring": {"kind": "Q"}, "A": _q_quad(*a), "B": _q_quad(*b)})]
+
+
+def _q_form_act(g, form):
+    payload = {"g": [[str(v) for v in row] for row in g],
+               "form": dict(zip("abcd", map(str, form)))}
+    return ["form", "act", json.dumps(payload), "--ring", '{"kind": "Q"}']
 
 
 def golden_runs():
@@ -150,6 +171,21 @@ def golden_runs():
         ("cubic verify Q", _q_cubic("verify", COMMUTATIVE)),
         ("cubic verify Q four violations", _q_cubic("verify", (N, C, M, N, Y, M))),
         ("cubic verify Q two violations", _q_cubic("verify", (N, 0, M, B, 0, M))),
+        ("alg charpoly Q rank 3",
+         ["alg", "charpoly", _q_table(COMMUTATIVE, element=(Y, M, C))]),
+        ("alg charpoly Q rank 3 exceptional",
+         ["alg", "charpoly", _q_table(EXCEPTIONAL, element=(B, 0, Z))]),
+        ("alg charpoly Q rank 4",
+         ["alg", "charpoly", _alg(quaternion_algebra(QQ, B, N), [str(v) for v in (C, M, Y, Z)])]),
+        ("form act Q large, det not a unit square",
+         _q_form_act([[B, C], [Y, Z]], (N, M, T, TT))),
+        ("quad iso Q large, isomorphic",
+         _q_quad_pair((T, N), (TT, (TT * TT - DISC * C * C) / 4))),
+        ("quad iso Q large, not isomorphic", _q_quad_pair((T, N), (TT, M))),
+        ("quad split Q, 10^4 denominators",
+         ["quad", "split", '{"ring": {"kind": "Q"}, "t": "9973/9973", "n": "0/9973"}']),
+        ("cubic witness Q large, m only", _q_cubic("witness", (0, 0, M, 0, 0, M))),
+        ("cubic witness Q large, n only", _q_cubic("witness", (N, 0, 0, N, 0, 0))),
         ("form act F5",
          ["form", "act",
           '{"g": [["2", "1"], ["3", "3"]], '
@@ -159,11 +195,37 @@ def golden_runs():
     return runs
 
 
-def run_digest(argv):
+def refusal_runs():
+    """(name, argv) for every pinned refusal, whose stderr is hashed."""
+    return [
+        ("cubic involution Q four violations", _q_cubic("involution", (N, C, M, N, Y, M))),
+        ("cubic matrix-rep Q two violations", _q_cubic("matrix-rep", (N, 0, M, B, 0, M))),
+        ("cubic witness Q commutative", _q_cubic("witness", COMMUTATIVE)),
+        ("form act Q singular", _q_form_act([[B, C], [B * Y, C * Y]], (N, M, T, TT))),
+        ("quad split Q large",
+         ["quad", "split", json.dumps({"ring": {"kind": "Q"}, **_q_quad(T, N)})]),
+    ]
+
+
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_digest(argv):
+    """The exit code and the sha256 of stdout."""
+    code, out, _ = _run(argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+def refusal_digest(argv):
+    """The exit code and the sha256 of stderr, for a run that prints
+    nothing on stdout (AssertionError otherwise)."""
+    code, out, err = _run(argv)
+    assert out == ""
+    return code, hashlib.sha256(err.encode()).hexdigest()
 
 
 GOLDEN = {
@@ -222,11 +284,30 @@ GOLDEN = {
     'cubic verify Q four violations': (0, 'd8803cf2ae6b6433b30cde537765839632a1429f026bdcdae372099d8864dcb2'),
     'cubic verify Q two violations': (0, 'cbc8998144e19fb426325c143eb20e7cde356ac6380717a00232340ebda23ebe'),
     'form act Q': (0, 'e52f96ee2b7528720050348599d8c991a2fceda69ada15c6b35920c14f66e2eb'),
+    'alg charpoly Q rank 3': (0, '121be5e16d6827f80561bdadb2ecf8fc2ee5108e448cd4ef4db5cc6090854e25'),
+    'alg charpoly Q rank 3 exceptional': (0, 'cfb300771bf4b53ac4a04de6aaf572614e69e22b3c2dc1186259cc62b2646c45'),
+    'alg charpoly Q rank 4': (0, 'e593e3cb6b17fed853d565d9c5572d0c54622953de791779984f233f119b5802'),
+    'form act Q large, det not a unit square': (0, 'aabb878a1024249b5e9ef5d33307ec7a86d7e5eea9067074cd5d167a2597b6f3'),
+    'quad iso Q large, isomorphic': (0, '2e50a5501c3451ce4e48129af81f72315f4b55e9595b6d1c176d567802110ddc'),
+    'quad iso Q large, not isomorphic': (0, '57665c534b9538778777d76fcd142ab16cee908a6e2936491108dbf9bffed54b'),
+    'quad split Q, 10^4 denominators': (0, 'd1f58fc64d87b9e4adba71e89fcc6b9b3809471e479b91e449a3c5cea275e846'),
+    'cubic witness Q large, m only': (0, '2cef1f71b23b8a10260bc16cb3d26664ffdf9ab2f5267279b6c1d6dc5d166b83'),
+    'cubic witness Q large, n only': (0, '53a358b2b74b3dede845d2efd785628b0f403b71d353f853a6410758071c0a0b'),
     'form act F5': (0, '042829fb08d196ad8a5e3a2a7ddc240648d951d42f412fabc498e8e8ad6e6c00'),
 }
 
 
+GOLDEN_STDERR = {
+    'cubic involution Q four violations': (1, '9a6bfe6e2abb2fe788f9d16c44f53025c0ce9e916a82a3b3df1d6182889adad4'),
+    'cubic matrix-rep Q two violations': (1, '0dc1119745ebe883e04be6b23480bc5a3c882f3459b176fe75023fb41c1fe463'),
+    'cubic witness Q commutative': (1, '35d19e95fbc30479c30baa907154890008311ef0fe745c6777a32cfea0c80e2c'),
+    'form act Q singular': (1, '54d8250958d8204f8e3ab13e267e4755015504d8981d31d62480b489e7caf20d'),
+    'quad split Q large': (1, 'b853c3bb2d7842541fecf96d113503846f7a0feeb7178598fa57d6d1e524cbf7'),
+}
+
+
 RUNS = golden_runs()
+REFUSALS = refusal_runs()
 
 
 @pytest.mark.parametrize("name,argv", RUNS, ids=[name for name, _ in RUNS])
@@ -234,15 +315,22 @@ def test_golden_stdout(name, argv):
     assert run_digest(argv) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name,argv", REFUSALS, ids=[name for name, _ in REFUSALS])
+def test_golden_refusal_stderr(name, argv):
+    assert refusal_digest(argv) == GOLDEN_STDERR[name]
+
+
 def test_golden_table_names_every_run_once():
-    names = [name for name, _ in RUNS]
-    duplicated = sorted({name for name in names if names.count(name) > 1})
-    assert duplicated == []
-    assert sorted(set(names) - set(GOLDEN)) == []
-    assert sorted(set(GOLDEN) - set(names)) == []
+    for runs, table in ((RUNS, GOLDEN), (REFUSALS, GOLDEN_STDERR)):
+        names = [name for name, _ in runs]
+        duplicated = sorted({name for name in names if names.count(name) > 1})
+        assert duplicated == []
+        assert sorted(set(names) - set(table)) == []
+        assert sorted(set(table) - set(names)) == []
 
 
 if __name__ == "__main__":
-    for name, argv in RUNS:
-        code, digest = run_digest(argv)
-        print(f"    {name!r}: ({code}, {digest!r}),")
+    for runs, digest in ((RUNS, run_digest), (REFUSALS, refusal_digest)):
+        for name, argv in runs:
+            print(f"    {name!r}: {digest(argv)!r},")
+        print()
