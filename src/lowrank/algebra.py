@@ -15,17 +15,25 @@ the verified map onto it; the normal forms that change basis
 only choose that basis.  Everything downstream
 (associativity checks, regular representations, characteristic and
 minimal polynomials, products of algebras, matrix algebras) works
-exactly over Z, Q, or a prime field.  Over Q the table checks
-(verify_associativity, a unital map's is_multiplicative, the involution
-verifiers and cubic.matrix_rep's identities) run on the integral model
-(_integral_model): the same algebra in the basis (1, D e_1, ...,
-D e_{k-1}), whose table has integer cells, so the kernel multiplies
-ints, not Fractions, and every verdict and failing index carries over.
-The element-level answers over Q compute on ints too: the determinant
-loop and SquareMatrix.inverse run on the matrix times the common
-denominator of its entries (_cleared), left_regular_rep and rebase take
-their products in the integral model, and each output entry is divided
-once, so they return the same canonical Fractions.
+exactly over Z, Q, or a prime field.
+
+Q = Frac(Z), so the table checks and the element-level answers take one
+path on every ring and compute on ints.  The lift helpers below are the
+only functions outside rings.py that ask whether the ring is Q, with
+the Q entry of the determinant loop (_char_poly_values) and the ring's
+constants (_basis_values); over Z and F_p each lift helper returns its
+input unchanged.  Over Q, _on_ints writes raw rows over one
+denominator, _integral_model gives the integral model (the same algebra
+in the basis (1, D e_1, ..., D e_{k-1}), whose table has integer
+cells), _integral_models and _on_model move a map's images to models,
+and _divided turns each int result back into one canonical Fraction.
+The table checks (verify_associativity, and through it
+cubic.matrix_rep, a unital map's is_multiplicative and the involution
+verifiers) run on the model, whose verdicts and failing indices are
+those of the table; the determinant loop, SquareMatrix.inverse,
+left_regular_rep and rebase run on cleared rows and model products and
+divide each output entry once.  Element arithmetic, elimination and the
+constructions compute on the Fractions themselves.
 """
 
 from __future__ import annotations
@@ -197,11 +205,12 @@ class StructureConstants(_RawValues):
         sum_l t[a][b][l] e_l e_c against sum_l t[b][c][l] e_a e_l, two
         linear combinations of a column and a row of the table.
         Returns (True, None) or (False, (a, b, c)) with the first failing
-        triple in lexicographic order.  Over Q the triples are compared in
-        the integral model, which has the same failing triples.
+        triple in lexicographic order.  The triples are compared in the
+        integral model (_integral_model: the table itself outside Q),
+        which has the same failing triples.
         """
         k = self.rank
-        model = _integral_model(self)[0] if self.spec.kind == "Q" else self
+        model = _integral_model(self)[0]
         t = model._values
         combine = model._combine_values
         cols = tuple(zip(*t))  # cols[c][l] = e_l e_c
@@ -453,30 +462,19 @@ class SquareMatrix(_RawValues):
 
         With chi the characteristic polynomial and q = (chi - chi(0)) / T,
         M q(M) = chi(M) - chi(0) I = -chi(0) I, so M^-1 = q(M) / -chi(0);
-        q(M) is (-1)^(n-1) times the adjugate (_adjugate_values).  Over Q,
-        with M = A / d for the integer matrix A of _cleared, the same
-        identity on A gives M^-1 = d q_A(A) / -chi_A(0): q_A(A) is
-        evaluated on ints, with A's integer coefficients, and each entry
-        is divided once.
+        q(M) is (-1)^(n-1) times the adjugate (_adjugate_values).  With
+        M = A / d for the integer matrix A of _on_ints (d = 1 outside Q),
+        the same identity on A gives M^-1 = d q_A(A) / -chi_A(0): q_A(A)
+        is evaluated on ints, with A's integer coefficients, and each
+        entry is divided once (_divided).
         """
         spec = self.spec
-        if spec.kind == "Q":
-            rows, d = _cleared(self._values)
-            chi = _char_poly_values(ZZ, rows)
-            if chi[0]:
-                return SquareMatrix(spec, [
-                    [Fraction(d * a, -chi[0]) for a in row]
-                    for row in _adjugate_values(None, rows, chi)
-                ])
-        else:
-            chi = _char_poly_values(spec, self._values)  # chi[0] = (-1)^n det(M)
-            inv = _unit_inverse(spec, spec.value(-chi[0]))
-            if inv is not None:
-                return SquareMatrix(spec, [
-                    [a * inv for a in row]
-                    for row in _adjugate_values(spec.p, self._values, chi)
-                ])
-        raise NotAUnit(f"determinant {self.det()} is not a unit")
+        ring, rows, d = _on_ints(spec, self._values)
+        chi = _char_poly_values(ring, rows)  # chi[0] = (-1)^n det(A)
+        out = _divided(spec, _adjugate_values(ring.p, rows, chi), d, -chi[0])
+        if out is None:
+            raise NotAUnit(f"determinant {self.det()} is not a unit")
+        return SquareMatrix(spec, out)
 
     def __repr__(self):
         return "[" + "; ".join(
@@ -515,12 +513,31 @@ def _adjugate_values(p, rows, chi):
     return acc
 
 
-def _cleared(rows):
-    """Rows of raw values over Q written over one denominator: (ints, d)
-    with d the least common multiple of their denominators and
-    rows[i][j] = ints[i][j] / d."""
+def _on_ints(spec: RingSpec, rows):
+    """Raw rows of spec written over one denominator, as the kernels
+    take them: (ring, ints, d) with rows[i][j] = ints[i][j] / d and ints
+    rows of the ring `ring`.  Over Q, ring is ZZ and d the least common
+    multiple of the denominators; over Z and F_p the rows are ints
+    already and come back as they are, with d = 1."""
+    if spec.kind != "Q":
+        return spec, rows, 1
     d = lcm(*[v.denominator for row in rows for v in row])
-    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
+    return ZZ, [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
+
+
+def _divided(spec: RingSpec, rows, d, den):
+    """Raw rows of spec equal to rows * d / den, for rows of ints and
+    ints d and den, or None when den is not a unit of spec.  Over Q each
+    entry is one Fraction(a * d, den); over Z and F_p, where d = 1, the
+    rows come back as they are when den = 1, and otherwise each entry
+    is multiplied by the unit inverse of den (the constructor that takes
+    them reduces mod p)."""
+    if spec.kind == "Q":
+        return [[Fraction(a * d, den) for a in row] for row in rows] if den else None
+    if den == 1:
+        return rows
+    inv = _unit_inverse(spec, spec.value(den))
+    return None if inv is None else [[a * inv for a in row] for row in rows]
 
 
 def _char_poly_values(spec: RingSpec, rows):
@@ -534,12 +551,13 @@ def _char_poly_values(spec: RingSpec, rows):
     is the lower-triangular Toeplitz matrix with first column
     (1, -a, -RC, -RAC, ..., -RA^(r-1)C) applied to that of A.  Skips
     zero factors and reduces each term mod p over F_p.  The only
-    determinant loop.  Over Q it runs on ints: with M = A / d for the
-    integer matrix A of _cleared, det(T*I - M) = d^-n det(dT*I - A), so
-    coefficient i of chi_M is c_i(A) / d^(n-i), one division each.
+    determinant loop.  Its entry over Q lifts it to ints: with M = A / d
+    for the integer matrix A of _on_ints, det(T*I - M) =
+    d^-n det(dT*I - A), so coefficient i of chi_M is c_i(A) / d^(n-i),
+    one division each.
     """
     if spec.kind == "Q":
-        ints, d = _cleared(rows)
+        _, ints, d = _on_ints(spec, rows)
         n = len(ints)
         return [Fraction(c, d ** (n - i)) for i, c in enumerate(_char_poly_values(ZZ, ints))]
     p = spec.p
@@ -614,20 +632,23 @@ def _denominator(alg: StructureConstants) -> int:
 
 
 def _integral_model(alg: StructureConstants, d=None):
-    """The integral model of a table over Q: (model, D), with D =
-    _denominator(alg) or, when given, d, a multiple of it.
+    """The integral model of a table: (model, D), with D =
+    _denominator(alg) or, when given, d, a multiple of it; over Z and
+    F_p, (alg, 1).
 
-    The model is the table of the same algebra in the basis f_0 = 1,
-    f_a = D e_a, stored over Z.  Since f_a f_b = D^2 t_ab^0 +
+    Over Q the model is the table of the same algebra in the basis
+    f_0 = 1, f_a = D e_a, stored over Z.  Since f_a f_b = D^2 t_ab^0 +
     sum_{l >= 1} D t_ab^l f_l, its cells off the unit are
     (D^2 t_ab^0, D t_ab^1, ..., D t_ab^{k-1}), integers by the choice
     of D, written down in closed form: the table equals
     rebase(alg, [1, D e_1, ..., D e_{k-1}]).  The change of basis is
     diagonal, so an identity among basis products holds in alg exactly
     when it holds in the model, with the same indices, and a witness
-    with 0/1 coordinates keeps its support; the table checks over Q
-    run on the model, through the same kernel, on ints.  Built per
-    call and never cached."""
+    with 0/1 coordinates keeps its support; the table checks run on
+    the model, through the same kernel, on ints.  Built per call and
+    never cached."""
+    if alg.spec.kind != "Q":
+        return alg, 1
     D = _denominator(alg) if d is None else d
     DD = D * D
     _, basis = _basis_values(ZZ, alg.rank)
@@ -641,6 +662,13 @@ def _integral_model(alg: StructureConstants, d=None):
             ))
         rows.append(tuple(cells))
     return StructureConstants._canonical(ZZ, tuple(rows)), D
+
+
+def _model_coords(u, D):
+    """The coordinates in the integral model at D (basis 1, D e_1, ...)
+    of D times the element with coordinates u in the table's basis:
+    (D u_0, u_1, ..., u_{k-1}), and u itself at D = 1."""
+    return u if D == 1 else (D * u[0], *u[1:])
 
 
 def _model_images(images, ds, dt):
@@ -664,14 +692,17 @@ def _model_images(images, ds, dt):
 
 
 def _integral_models(source, target, images):
-    """A unital map with raw images between two tables over Q, moved to
-    integral models of both: (source model, target model, model images),
-    all ints.  The target's model is at dt = _denominator(target) and
-    the source's at ds, the least common multiple of
-    _denominator(source), of the denominators of the images' unit
-    coordinates and of dt times those of their other coordinates, so
-    that every image is integral between them (_model_images).  A map
-    of a table to itself at ds = dt gets one model."""
+    """A unital map with raw images between two tables, moved to
+    integral models of both: (source model, target model, model
+    images), all ints; over Z and F_p, the inputs as they are.  Over Q
+    the target's model is at dt = _denominator(target) and the source's
+    at ds, the least common multiple of _denominator(source), of the
+    denominators of the images' unit coordinates and of dt times those
+    of their other coordinates, so that every image is integral between
+    them (_model_images).  A map of a table to itself at ds = dt gets
+    one model."""
+    if source.spec.kind != "Q":
+        return source, target, images
     dt = _denominator(target)
     rest = lcm(*(c.denominator for im in images[1:] for c in im[1:]))
     ds = lcm(_denominator(source), dt * rest, *(im[0].denominator for im in images[1:]))
@@ -680,31 +711,48 @@ def _integral_models(source, target, images):
     return model, other, _model_images(images, ds, dt)
 
 
-def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
-    """Matrix of left multiplication by x in the algebra basis.
+def _on_model(alg: StructureConstants, images):
+    """The table and raw images that the involution checks read for the
+    raw images of a map of the table alg to itself; over Z and F_p, alg
+    and images as they are.  Over Q: its integral model at one D, the
+    least common multiple of _denominator(alg) and of the images' unit
+    coordinates, and the images in that model's basis (_model_images),
+    or alg and images themselves when an image is not integral there."""
+    if alg.spec.kind != "Q":
+        return alg, images
+    D = lcm(_denominator(alg), *(im[0].denominator for im in images[1:]))
+    scaled = _model_images(images, D, D)
+    return (alg, images) if scaled is None else (_integral_model(alg, D)[0], scaled)
 
-    Over Q the products run on the integral model (_integral_model),
-    basis f_0 = 1, f_a = D e_a: with x = X / s for the integer vector X
-    of _cleared, D s x has the integer model coordinates
-    Xm = (D X_0, X_1, ..., X_{k-1}), and column j of the matrix of
-    left multiplication by Xm in the model, Y_j = Xm f_j, gives entry
-    (l, j) of the matrix of x as Y_j^l D^[l >= 1] / (D^[j >= 1] D s),
-    one division each.
+
+def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
+    """Matrix of left multiplication by x in the algebra basis: column j
+    is x e_j.
+
+    The products run in the integral model at D (_integral_model), basis
+    f_0 = 1, f_a = D e_a, on ints: with x = X / s for the integer vector
+    X of _on_ints, D s x has the model coordinates Xm = (D X_0, X_1, ...,
+    X_{k-1}) (_model_coords).  The product Y_j = Xm f_j is
+    D^[j >= 1] D s x e_j, with alg coordinates (Y_j^0, D Y_j^1, ...).
+    So once the column Y_0 is multiplied by D, row 0 of the matrix is
+    row 0 of the columns Y_j over D^2 s and row l >= 1 is their row l
+    over D s, one division per entry (_divided).  Over Z and F_p, D = s = 1 and column j is the
+    product of x and e_j, with nothing to divide.
     """
     alg = x.algebra
-    if alg.spec.kind != "Q":
-        # row 0 of the table holds the basis vectors, since e_0 = 1
-        cols = [alg._mul_values(x._values, ej) for ej in alg._values[0]]
-        return SquareMatrix(alg.spec, zip(*cols))
+    spec = alg.spec
     model, D = _integral_model(alg)
-    (X,), s = _cleared((x._values,))
-    Xm = (D * X[0], *X[1:])
+    _, (X,), s = _on_ints(spec, (x._values,))
+    Xm = _model_coords(X, D)
+    # row 0 of the table holds the basis vectors, since e_0 = 1
     cols = [model._mul_values(Xm, fj) for fj in model._values[0]]
-    den = (s * D, s * D * D)
-    return SquareMatrix(alg.spec, [
-        [Fraction(col[l] * (D if l else 1), den[j > 0]) for j, col in enumerate(cols)]
-        for l in range(alg.rank)
-    ])
+    if D * s == 1:
+        return SquareMatrix(spec, zip(*cols))
+    cols[0] = [D * a for a in cols[0]]
+    rows = list(zip(*cols))
+    return SquareMatrix(
+        spec, _divided(spec, rows[:1], 1, D * D * s) + _divided(spec, rows[1:], 1, D * s)
+    )
 
 
 def _row_reduce(p, rows):
@@ -831,16 +879,16 @@ class AlgebraMap:
         is unital, a pair with an index 0 holds because e_0 = 1 on both
         sides, so only the (k-1)^2 pairs off the unit are checked.
         Returns (True, None) or (False, (a, b)) with the first failing
-        pair in lexicographic order.  Over Q a unital map is checked
-        between integral models of source and target (_integral_models),
-        on ints: each change of basis is diagonal, so the failing pairs
-        are the same.
+        pair in lexicographic order.  A unital map is checked between
+        integral models of source and target (_integral_models, the
+        tables themselves outside Q), on ints: each change of basis is
+        diagonal, so the failing pairs are the same.
         """
         source, target = self.source, self.target
         images = [im._values for im in self.images]
         k = source.rank
         start = 1 if self.is_unital() else 0
-        if start and source.spec.kind == "Q":
+        if start:
             source, target, images = _integral_models(source, target, images)
         t = source._values
         combine, mul = target._combine_values, target._mul_values
@@ -901,26 +949,20 @@ def rebase(alg: StructureConstants, images):
     basis needs a unit determinant (over Z, +-1), or
     SquareMatrix.inverse raises NotAUnit.
     Each product of new basis elements is taken by _mul_values and read
-    back in new coordinates through the inverse; over Q both run on ints
-    (_rebased_cells).  phi sends each basis
-    element of alg to its new coordinates, the columns of the inverse;
-    the map back is AlgebraMap(table, alg, images).  phi is re-checked
-    by verify_isomorphism before it is returned.
+    back in new coordinates through the inverse, on ints
+    (_rebased_cells).  phi sends each basis element of alg to its new
+    coordinates, the columns of the inverse; the map back is
+    AlgebraMap(table, alg, images).  phi is re-checked by
+    verify_isomorphism before it is returned.
     """
     if len(images) != alg.rank:
         raise ValueError(f"rank {alg.rank} needs {alg.rank} images")
     spec = alg.spec
     change = SquareMatrix(spec, images)  # row k is new basis element k
-    new = change._values
     # the rows of the inverse of the transpose are the columns of the
     # inverse: the new coordinates of each old basis element
     cols = change.inverse()._values
-    if spec.kind == "Q":
-        cells = _rebased_cells(alg, new, cols)
-    else:
-        combine, mul = alg._combine_values, alg._mul_values
-        cells = [[combine(mul(u, v), cols) for v in new] for u in new]
-    table = StructureConstants(spec, cells)
+    table = StructureConstants(spec, _rebased_cells(alg, change._values, cols))
     phi = AlgebraMap(alg, table, cols)
     if not phi.verify_isomorphism():
         raise AssertionError("basis-change map failed verification")
@@ -928,29 +970,26 @@ def rebase(alg: StructureConstants, images):
 
 
 def _rebased_cells(alg: StructureConstants, new, cols):
-    """rebase's cells over Q, computed on ints: the products of the new
-    basis vectors `new` (raw rows in alg's basis) read back through
-    `cols`, the raw rows of the inverse.  With new = U / d and
-    cols = C / c (_cleared), the model coordinates of D d u are
-    (D U_0, U_1, ...), their product in the integral model
-    (_integral_model) P has alg coordinates (P_0, D P_1, ...) =
-    D^2 d^2 uv, and reading those through C gives D^2 d^2 c times the
-    new cell, which is divided once per entry."""
+    """rebase's cells, computed on ints: the products of the new basis
+    vectors `new` (raw rows in alg's basis) read back through `cols`,
+    the raw rows of the inverse.  With new = U / d and cols = C / c
+    (_on_ints), the model coordinates of D d u are (D U_0, U_1, ...)
+    (_model_coords), their product P in the integral model at D
+    (_integral_model) has alg coordinates (P_0, D P_1, ...) = D^2 d^2 uv,
+    and reading those through C, or P through C with its rows off the
+    unit times D, gives D^2 d^2 c times the new cell, which is divided
+    once per entry (_divided).  Over Z and F_p, D = d = c = 1: the
+    products read back through cols."""
+    spec = alg.spec
     model, D = _integral_model(alg)
-    rows, d = _cleared(new)
-    ints, c = _cleared(cols)
-    den = D * D * d * d * c
-    scaled = [(D * u[0], *u[1:]) for u in rows]
+    _, rows, d = _on_ints(spec, new)
+    _, back, c = _on_ints(spec, cols)
+    scaled = [_model_coords(u, D) for u in rows]
+    if D != 1:
+        back = [back[0]] + [[D * a for a in row] for row in back[1:]]
     combine, mul = model._combine_values, model._mul_values
-    out = []
-    for u in scaled:
-        row = []
-        for v in scaled:
-            P = mul(u, v)
-            cell = combine((P[0], *[D * a for a in P[1:]]), ints)
-            row.append(tuple(Fraction(a, den) for a in cell))
-        out.append(row)
-    return out
+    den = D * D * d * d * c
+    return [_divided(spec, [combine(mul(u, v), back) for v in scaled], 1, den) for u in scaled]
 
 
 # -- constructions ----------------------------------------------------------

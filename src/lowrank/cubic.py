@@ -27,16 +27,14 @@ caller reads a coefficient attribute, as_tuple() or a RingElement result.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 from .algebra import (
     AlgebraMap,
     SquareMatrix,
     StructureConstants,
     _basis_values,
-    _cleared,
-    _integral_model,
-    _matmul_values,
+    _divided,
+    _on_ints,
     rebase,
 )
 from .errors import (
@@ -48,7 +46,7 @@ from .errors import (
 )
 from .involutions import Involution, find_standard_involution
 from .poly import Polynomial
-from .rings import ZZ, RingElement, RingSpec, _RawValues, _unit_inverse, _xgcd
+from .rings import RingElement, RingSpec, _RawValues, _unit_inverse, _xgcd
 
 
 class GeneralCubicTable(_RawValues):
@@ -119,19 +117,9 @@ def validate_relations(spec: RingSpec, b, c, m, n, y, z):
     Returns (True, []) or (False, [names of violated identities]).
     """
     values = tuple(map(spec.value, (b, c, m, n, y, z)))
-    if spec.kind == "Q":
-        values = _integral_tuple(values)
-    violated = _violated_relations(spec, *values)
+    _, (ints,), _ = _on_ints(spec, (values,))
+    violated = _violated_relations(spec, *ints)
     return not violated, violated
-
-
-def _integral_tuple(values):
-    """Canonical raw six-tuple values over Q scaled by the least common
-    multiple of their denominators, as ints: the values the relation
-    check reads over Q.  Every relation is a homogeneous quadratic, so
-    each residue scales by that factor's square and the violated names
-    stay the same."""
-    return _cleared((values,))[0][0]
 
 
 def _violated_relations(spec, b, c, m, n, y, z):
@@ -139,7 +127,10 @@ def _violated_relations(spec, b, c, m, n, y, z):
     relation is checked as lhs - rhs = 0.  When every residue is 0 as a
     number, which is 0 in every ring, nothing is violated; otherwise
     each residue is reduced mod p over F_p.  Over Q the callers pass
-    the _integral_tuple, ints."""
+    the six values over one denominator (algebra._on_ints), as ints:
+    every relation is a homogeneous quadratic, so each residue scales
+    by the square of that denominator and the violated names stay the
+    same."""
     residues = (
         c * m,
         c * n,
@@ -186,8 +177,8 @@ class CubicCoefficients(_RawValues):
 
     def __init__(self, spec: RingSpec, b, c, m, n, y, z):
         values = tuple(map(spec.value, (b, c, m, n, y, z)))
-        checked = _integral_tuple(values) if spec.kind == "Q" else values
-        violated = _violated_relations(spec, *checked)
+        _, (ints,), _ = _on_ints(spec, (values,))
+        violated = _violated_relations(spec, *ints)
         if violated:
             raise RelationViolation(violated)
         self.spec = spec
@@ -320,7 +311,7 @@ def exceptional_ring(spec: RingSpec, phi) -> StructureConstants:
     rows = [basis]
     for e, f in zip(basis[1:], phi):
         # row a: e_a e_0 = e_a, then e_a e_b = phi_a e_b
-        rows.append((e, *[tuple([f * x for x in v]) for v in basis[1:]]))
+        rows.append((e, *[tuple([f if x else x for x in v]) for v in basis[1:]]))
     return StructureConstants._canonical(spec, tuple(rows))
 
 
@@ -469,51 +460,34 @@ def matrix_rep(coeffs: CubicCoefficients):
     """Matrices for the two generators of any valid table.
 
     Returns (I, J) acting on column vectors: the left regular
-    representations of i and j in the table of build_algebra,
+    representations L_1 = I and L_2 = J of i and j in the table of
+    build_algebra, read off its cells (column c of L_a is e_a e_c),
 
         I = [[0, -cz, cy], [1, b, 0], [0, c, 0]]
         J = [[0, cy - bm, -by], [0, m, y], [1, n, z]]
 
-    with the defining identities re-checked in matrix arithmetic:
+    once the table is checked to satisfy the defining identities
 
         I^2 = -cz + b I + c J        I J = cy
         J I = (cy - bm) + m I + n J  J^2 = -by + y I + z J
 
-    Column j of L_a is the cell e_a e_j, so the three matrices are read
-    off the raw table (L_0 is the identity) and the identities are
-    checked on raw rows, reduced mod p over F_p; only I and J are built
-    as SquareMatrix.  Over Q the identities are checked on the table of
-    the integral model (algebra._integral_model), which has them
-    exactly when the table does, and I and J are read off the table
-    itself.  The identity, I, and J have the three coordinate vectors
-    as first columns, so they are linearly independent for every table.
+    These are L_a L_b = sum_l t_ab^l L_l for a, b in {1, 2}.  Applied to
+    e_c, the left side is e_a (e_b e_c) and the right side (e_a e_b) e_c,
+    and both sides send e_0 = 1 to e_a e_b, so the identities hold
+    exactly when the table is associative on the triples off the unit:
+    the check is verify_associativity (on the integral model over Q),
+    and a table that fails it raises RelationViolation.  The identity,
+    I and J have the three coordinate vectors as first columns, so they
+    are linearly independent for every table.
     """
-    spec = coeffs.spec
-    p = spec.p
     alg = build_algebra(coeffs)
-    t = (_integral_model(alg)[0] if spec.kind == "Q" else alg)._values
-    rows = [tuple(zip(*t[a])) for a in range(3)]  # L_a, whose column j is t[a][j]
-    # L_a L_b = sum_c t[a][b][c] L_c for the generators a, b in {1, 2}
-    for a in (1, 2):
-        for b in (1, 2):
-            cell = t[a][b]
-            got = _matmul_values(rows[a], t[b])
-            want = [
-                [sum(v * mat[r][j] for v, mat in zip(cell, rows) if v) for j in range(3)]
-                for r in range(3)
-            ]
-            if p:
-                got = [[x % p for x in row] for row in got]
-                want = [[x % p for x in row] for row in want]
-            if got != want:
-                raise RelationViolation(["matrix identities fail for this table"])
-    for k, mat in enumerate(rows):
-        # the first column is the k-th coordinate vector, a row of L_0
-        col = tuple(row[0] for row in mat)
-        if col != rows[0][k]:
-            raise AssertionError("representation lost independence")
+    if not alg.verify_associativity()[0]:
+        raise RelationViolation(["matrix identities fail for this table"])
     t = alg._values
-    return SquareMatrix(spec, zip(*t[1])), SquareMatrix(spec, zip(*t[2]))
+    # the first column of L_a is the cell e_a e_0, and row 0 holds e_a
+    if [t[a][0] for a in range(3)] != list(t[0]):
+        raise AssertionError("representation lost independence")
+    return SquareMatrix(alg.spec, zip(*t[1])), SquareMatrix(alg.spec, zip(*t[2]))
 
 
 def char_poly_exceptional(coeffs: CubicCoefficients, element_coeffs) -> Polynomial:
@@ -576,32 +550,24 @@ def gl2_act(g: SquareMatrix, form: BinaryCubicForm) -> BinaryCubicForm:
 
     The two variables are replaced by the columns of g and the result
     is divided by det(g); the discriminant then scales by det(g)^2.
-    Over Q, with g = G / d_g and f = F / d_f for the integers of
-    algebra._cleared, the substitution is homogeneous of degree 3 in
-    g and of degree 1 in f, and det(g) = det(G) / d_g^2, so the result
-    is the substitution of G into F divided by d_f d_g det(G): it runs
-    on ints, with one division per coefficient.
+    It runs on ints: with g = G / d_g and f = F / d_f for the integers
+    of algebra._on_ints (d_g = d_f = 1 outside Q), the substitution is
+    homogeneous of degree 3 in g and of degree 1 in f, and
+    det(g) = det(G) / d_g^2, so the result is the substitution of G
+    into F divided by d_f d_g det(G), one division per coefficient
+    (algebra._divided).
     """
     spec = form.spec
     if g.n != 2 or g.spec != spec:
         raise SpecMismatch("the action needs a 2x2 matrix over the form's ring")
-    if spec.kind == "Q":
-        rows, d_g = _cleared(g._values)
-        (alpha, beta), (gamma, delta) = rows
-        det = alpha * delta - beta * gamma
-        if det:
-            (f,), d_f = _cleared((form._values,))
-            den = d_f * d_g * det
-            coeffs = _substitute(ZZ, rows, f)
-            return BinaryCubicForm(spec, *[Fraction(c, den) for c in coeffs])
-    else:
-        (alpha, beta), (gamma, delta) = g._values
-        det = spec.value(alpha * delta - beta * gamma)
-        inv = _unit_inverse(spec, det)
-        if inv is not None:
-            coeffs = _substitute(spec, g._values, form._values)
-            return BinaryCubicForm(spec, *[c * inv for c in coeffs])
-    raise NotAUnit(f"matrix determinant {det} is not a unit")
+    ring, rows, d_g = _on_ints(spec, g._values)
+    _, (f,), d_f = _on_ints(spec, (form._values,))
+    (alpha, beta), (gamma, delta) = rows
+    det = alpha * delta - beta * gamma
+    out = _divided(spec, [_substitute(ring, rows, f)], 1, d_f * d_g * det)
+    if out is None:
+        raise NotAUnit(f"matrix determinant {spec.value(det)} is not a unit")
+    return BinaryCubicForm(spec, *out[0])
 
 
 def _substitute(spec: RingSpec, rows, values):

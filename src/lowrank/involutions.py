@@ -13,9 +13,11 @@ conjugate is the image of 1, and 1 + e_j times its conjugate is, up to
 a scalar, a linear combination of e_j and its image, so only the
 elements off the unit are multiplied.  verify_involution likewise
 checks product reversal only on pairs off the unit, once 1 is fixed.
-Both run on the table's canonical raw values, over Q on those of its
-integral model (algebra._integral_model), whose cells are ints, and
-build an element only for a witness they return.  Elements
+Both run on the canonical raw values of the table that
+algebra._on_model gives: the table itself over Z and F_p, and over Q
+its integral model, whose cells are ints and whose failing indices are
+the table's (or the table itself when an image is not integral
+there).  They build an element only for a witness they return.  Elements
 fixed under a standard involution's trace and norm satisfy an explicit
 monic quadratic, and that quadratic certificate is the engine behind
 both the search for standard involutions in low rank and the degree
@@ -25,16 +27,14 @@ bounds used elsewhere.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import lcm
 
 from .algebra import (
     AlgebraElement,
     AlgebraMap,
     StructureConstants,
-    _denominator,
+    _divided,
     _integral_model,
-    _model_images,
+    _on_model,
     direct_product,
     matrix_algebra,
     rank_one,
@@ -82,13 +82,10 @@ def verify_involution(inv: Involution):
     e_1, ..., e_{k-1} and product reversal on the (k-1)^2 pairs off the
     unit.  Returns (True, None) or (False, description) where the
     description names the first axiom that fails: fixing 1, being
-    self-inverse, or reversing products.  Over Q the axioms are
-    checked in the integral model (_on_model).
+    self-inverse, or reversing products.  The axioms are checked in the
+    integral model (algebra._on_model).
     """
-    alg = inv.algebra
-    images = [im._values for im in inv.images]
-    if alg.spec.kind == "Q":
-        alg, images = _on_model(alg, images)
+    alg, images = _on_model(inv.algebra, [im._values for im in inv.images])
     k = alg.rank
     t = alg._values
     e = t[0]  # the basis vectors, since e_0 = 1
@@ -117,15 +114,12 @@ def verify_standard(inv: Involution):
     conj(e_j) + s e_j.  Only e_j and e_i + e_j with i, j >= 1 are
     multiplied.  Returns (True, None) or (False, witness element), the
     first witness in the order 1, e_1, ..., e_{k-1}, 1 + e_1, ...,
-    1 + e_{k-1}, then the e_i + e_j lexicographically.  Over Q the
-    checks run in the integral model (_on_model); a witness has
+    1 + e_{k-1}, then the e_i + e_j lexicographically.  The checks
+    run in the integral model (algebra._on_model); a witness has
     coordinates 0 and 1 in either basis and is returned in inv's.
     """
-    alg = inv.algebra
-    images = [im._values for im in inv.images]
-    witness = alg.element
-    if alg.spec.kind == "Q":
-        alg, images = _on_model(alg, images)
+    witness = inv.algebra.element
+    alg, images = _on_model(inv.algebra, [im._values for im in inv.images])
     k = alg.rank
     e = alg._values[0]  # the basis vectors, since e_0 = 1
     combine, mul = alg._combine_values, alg._mul_values
@@ -144,18 +138,6 @@ def verify_standard(inv: Involution):
         if any(mul(x, combine(x, images))[1:]):
             return False, witness(x)
     return True, None
-
-
-def _on_model(alg: StructureConstants, images):
-    """The table and raw images that the involution checks read for the
-    raw images of a map of the table alg over Q to itself: its integral
-    model at one D, the least common multiple of _denominator(alg) and
-    of the images' unit coordinates, and the images in that model's
-    basis (algebra._model_images), or alg and images themselves when an
-    image is not integral there."""
-    D = lcm(_denominator(alg), *(im[0].denominator for im in images[1:]))
-    scaled = _model_images(images, D, D)
-    return (alg, images) if scaled is None else (_integral_model(alg, D)[0], scaled)
 
 
 def trace(inv: Involution, x: AlgebraElement) -> RingElement:
@@ -199,16 +181,14 @@ def check_involution(inv: Involution):
     """verify_involution and verify_standard on inv, looked up in this
     module, as (involution, failure, standard, witness); verify_standard
     runs only once the axioms hold, and (standard, witness) is
-    (False, None) otherwise.  Over Q both check the involution of the
-    integral model that _on_model gives, built once, when the images
-    are integral there; a witness has the same 0/1 coordinates in
-    either basis and is returned in inv's algebra."""
+    (False, None) otherwise.  Both check the involution of the integral
+    model that algebra._on_model gives, built once when it is not the
+    table itself (over Q, when the images are integral there); a
+    witness has the same 0/1 coordinates in either basis and is
+    returned in inv's algebra."""
     alg = inv.algebra
-    checked = inv
-    if alg.spec.kind == "Q":
-        model, images = _on_model(alg, [im._values for im in inv.images])
-        if model is not alg:
-            checked = Involution(model, images)
+    model, images = _on_model(alg, [im._values for im in inv.images])
+    checked = inv if model is alg else Involution(model, images)
     ok, failure = verify_involution(checked)
     if not ok:
         return False, failure, False, None
@@ -267,18 +247,19 @@ def find_standard_involution(alg: StructureConstants):
     as the conjugation x -> t(x) - x and verified in full.  Any rank,
     over any base ring: there is no search, so on a table of k^3 values
     the forced test reads O(k^3) of them and the two verifiers make
-    O(k^4) raw operations.  Over Q all of this runs on the integral
-    model (algebra._integral_model), whose traces are D t_i, and only a
-    candidate that verifies there is built over Q, with traces t_i.
+    O(k^4) raw operations.  All of this runs on the integral model
+    (algebra._integral_model, the table itself outside Q), whose traces
+    are D t_i, and only a candidate that verifies there is built on the
+    table, with traces t_i.
     """
-    model, D = _integral_model(alg) if alg.spec.kind == "Q" else (alg, 1)
+    model, D = _integral_model(alg)
     traces = _forced_traces(model._values, alg.spec.p)
     if traces is None:
         return None
     cand = _conjugation(model, traces)
     if not _verifies(cand):
         return None
-    return cand if model is alg else _conjugation(alg, [Fraction(t, D) for t in traces])
+    return cand if model is alg else _conjugation(alg, _divided(alg.spec, [traces], 1, D)[0])
 
 
 def all_standard_involutions(alg: StructureConstants):

@@ -5,13 +5,14 @@ Every table keeps e_0 = 1 as a two-sided identity, so the verifiers
 skip the identities that involve e_0: verify_associativity compares the
 (k-1)^3 triples off the unit, verify_involution and a unital map's
 is_multiplicative the (k-1)^2 pairs off it, verify_standard multiplies
-only the elements off it and matrix_rep checks its identities on raw
-rows.  The full loops they replaced are kept here as oracles, and each
-verifier must return exactly what its oracle returns: the verdict and
-the first failing triple, pair, description or witness.  Over Q the
-verifiers run on the integral model (algebra._integral_model), while the
-full loops run on the Fractions; the QQ-perfbench draws give them the
-benchmark's fractions.  Over Q the element-level kernels (characteristic
+only the elements off it and matrix_rep checks its identities through
+verify_associativity, since they are associativity off the unit.  The
+full loops they replaced are kept here as oracles, and each verifier
+must return exactly what its oracle returns: the verdict and the first
+failing triple, pair, description or witness.  The verifiers run on
+the integral model (algebra._integral_model, the table itself over Z
+and F_p), while over Q the full loops run on the Fractions; the
+QQ-perfbench draws give them the benchmark's fractions.  Over Q the element-level kernels (characteristic
 polynomials and determinants, SquareMatrix.inverse, left_regular_rep,
 rebase and gl2_act) clear denominators and compute on ints; the Fraction
 loops they replaced are kept here as oracles too.  A table over Z and
@@ -58,8 +59,15 @@ from lowrank import (
     verify_standard,
 )
 from lowrank import algebra, cubic
-from lowrank.algebra import _denominator, _integral_model, _integral_models
-from lowrank.involutions import _conjugation, _on_model, check_involution
+from lowrank.algebra import (
+    _denominator,
+    _divided,
+    _integral_model,
+    _integral_models,
+    _on_ints,
+    _on_model,
+)
+from lowrank.involutions import _conjugation, check_involution
 
 from common import count_kernel_calls
 
@@ -517,10 +525,13 @@ def test_matrix_rep_matches_the_square_matrix_form(spec, source):
         except RelationViolation:
             with pytest.raises(RelationViolation):
                 matrix_rep(coeffs)
-            outcomes.add("refused")
-            continue
-        assert matrix_rep(coeffs) == want, values
-        outcomes.add("matrices")
+            outcome = "refused"
+        else:
+            assert matrix_rep(coeffs) == want, values
+            outcome = "matrices"
+        # the identities matrix_rep checks are associativity off the unit
+        assert (outcome == "matrices") == build_algebra(coeffs).verify_associativity()[0], values
+        outcomes.add(outcome)
     assert outcomes == {"refused", "matrices"}
 
 
@@ -641,7 +652,8 @@ def test_integral_model_is_the_table_in_the_scaled_basis():
     """_integral_model's closed form is rebase(alg, [1, D e_1, ...]),
     whose cells the Q kernel computes, on random unital tables over Q of
     ranks 2 to 5 with the benchmark's fractions; its cells are ints and
-    D clears every denominator off the unit."""
+    D clears every denominator off the unit.  Over Z and F_p the model
+    is the table itself, at D = 1."""
     rng = PerfbenchSized("integral model")
     for draw in range(100):
         k = 2 + draw % 4
@@ -653,6 +665,10 @@ def test_integral_model_is_the_table_in_the_scaled_basis():
         cells = [cell for row in alg._values[1:] for cell in row[1:]]
         assert all(D % c.denominator == 0 for cell in cells for c in cell)
         assert {type(c) for row in model._values for cell in row for c in cell} == {int}
+    for spec in (ZZ, GF(7)):
+        alg = random_unital_table(spec, 3, rng)
+        model, D = _integral_model(alg)
+        assert model is alg and D == 1
 
 
 def test_integral_models_read_a_map_in_the_scaled_bases():
@@ -660,7 +676,8 @@ def test_integral_models_read_a_map_in_the_scaled_bases():
     (1, ds e_1, ...) in the target model's basis (1, dt e_1, ...): a
     unital phi applied to each and read back through rebase's map onto
     the target model, with Fractions.  They are ints, with the
-    benchmark's fractions in the images too."""
+    benchmark's fractions in the images too.  Over Z and F_p the tables
+    and images come back as they are."""
     rng = PerfbenchSized("integral models")
     for draw in range(60):
         k = 2 + draw % 3
@@ -680,18 +697,24 @@ def test_integral_models_read_a_map_in_the_scaled_bases():
                 for row in _scaled_basis(k, ds)]
         assert got == (_integral_model(source, ds)[0], _integral_model(target, dt)[0], want)
         assert all(type(c) is int for im in got[2] for c in im)
+    for spec in (ZZ, GF(7)):
+        source, target = (random_unital_table(spec, 3, rng) for _ in range(2))
+        raw = [im._values for im in AlgebraMap(source, target, _scaled_basis(3, 2)).images]
+        got = _integral_models(source, target, raw)
+        assert got[0] is source and got[1] is target and got[2] is raw
 
 
 def test_on_model_reads_a_map_to_itself_at_one_scale():
-    """involutions._on_model reads the images of a map of a table to
-    itself, the image of 1 included, in the integral model at one D, the
-    least common multiple of _denominator and of the images' unit
+    """_on_model reads the images of a map of a table to itself, the
+    image of 1 included, in the integral model at one D, the least
+    common multiple of _denominator and of the images' unit
     coordinates: phi applied to (1, D e_1, ...) and read back through
     rebase's map onto the model, with Fractions.  When those are not
     all integers it hands back the table and images unchanged.  Images
     with small integer coordinates, and images of 1 whose coordinates
     off the unit are multiples of D, are integral there; those with the
-    benchmark's fractions, as a rule, are not."""
+    benchmark's fractions, as a rule, are not.  Over Z and F_p the table
+    and images come back as they are."""
     rng = PerfbenchSized("one-scale model")
     outcomes = set()
     for draw in range(80):
@@ -718,6 +741,35 @@ def test_on_model_reads_a_map_to_itself_at_one_scale():
             assert all(type(c) is int for im in got[1] for c in im)
         outcomes.add((got[0] is source, any(raw[0][1:])))
     assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
+    for spec in (ZZ, GF(7)):
+        source = random_unital_table(spec, 3, rng)
+        raw = [im._values for im in _conjugation(source, (1, 2)).images]
+        got = _on_model(source, raw)
+        assert got[0] is source and got[1] is raw
+
+
+@pytest.mark.parametrize("spec", [ZZ, QQ, GF(7)], ids=repr)
+def test_on_ints_and_divided_write_rows_over_one_denominator(spec):
+    """_on_ints writes raw rows as ints over one denominator d, and
+    _divided(spec, ints, 1, d) gives the canonical rows back.  Over Z
+    and F_p both hand back the rows they are given, at d = 1; a den
+    that is not a unit gives None."""
+    rng = PerfbenchSized(f"on ints {spec!r}")
+    for draw in range(40):
+        rows = tuple(
+            tuple(spec.value(_value(spec, rng, 0.3)) for _ in range(3)) for _ in range(1 + draw % 3)
+        )
+        ring, ints, d = _on_ints(spec, rows)
+        assert all(type(a) is int for row in ints for a in row)
+        back = _divided(spec, ints, 1, d)
+        assert tuple(map(tuple, back)) == rows
+        assert [type(a) for row in back for a in row] == [type(a) for row in rows for a in row]
+        if spec.kind == "Q":
+            assert ring == ZZ
+        else:
+            assert ring is spec and ints is rows and d == 1 and back is rows
+        assert _divided(spec, ints, 1, 0) is None
+        assert (_divided(spec, ints, 1, 7) is None) == (spec.kind != "Q")
 
 
 def _scaled_basis(k, d):
@@ -848,9 +900,11 @@ def test_base_change_from_z_to_f_p_reduces_every_answer():
     in a random unimodular unital basis, over Z, Q and GF(p) for p in
     2, 3, 5 and 7: the characteristic polynomial of left_regular_rep
     agrees over Z and Q and reduces mod p to the one over F_p, and so
-    does gl2_act with g in GL2(Z); a standard involution found over Z
-    reduces to the one found over F_p.  Nothing is asserted the other
-    way: F_p can have a standard involution that Z lacks."""
+    does gl2_act with g in GL2(Z); every table is associative over Z
+    and stays so over F_p; a standard involution found over Z reduces
+    to the one found over F_p, and so do the matrices of matrix_rep.
+    Nothing is asserted the other way: F_p can have a standard
+    involution that Z lacks."""
     rng = random.Random("base change mod p")
     draw = lambda: rng.randint(-4, 4)
     primes = [GF(p) for p in (2, 3, 5, 7)]
@@ -866,8 +920,10 @@ def test_base_change_from_z_to_f_p_reduces_every_answer():
         alg_q = StructureConstants(QQ, alg._values)
         inv = find_standard_involution(alg)
         found.add(inv is not None)
+        assert alg.verify_associativity() == (True, None)
         for spec in primes:
             alg_p = StructureConstants(spec, alg._values)
+            assert alg_p.verify_associativity() == (True, None)
             for x in [[draw() for _ in range(alg.rank)] for _ in range(2)]:
                 chi = left_regular_rep(alg.element(x)).char_poly()._values
                 chi_q = left_regular_rep(alg_q.element(x)).char_poly()._values
@@ -880,6 +936,13 @@ def test_base_change_from_z_to_f_p_reduces_every_answer():
                     tuple(map(spec.value, im._values)) for im in inv.images
                 ]
     assert found == {True, False}
+    for values in tuples:
+        want = matrix_rep(CubicCoefficients(ZZ, *values))
+        for spec in primes:
+            got = matrix_rep(CubicCoefficients(spec, *values))
+            assert [m._values for m in got] == [
+                tuple(tuple(map(spec.value, row)) for row in m._values) for m in want
+            ]
     for _ in range(40):
         g, f = _gl2_z(rng), [draw() for _ in range(4)]
         got = gl2_act(SquareMatrix(ZZ, g), BinaryCubicForm(ZZ, *f))._values

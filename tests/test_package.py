@@ -199,3 +199,53 @@ def test_every_exported_name_has_a_docstring():
     class docstring), its class's for an instance such as ZZ."""
     missing = [name for name in lowrank.__all__ if not getattr(lowrank, name).__doc__]
     assert missing == []
+
+
+# The functions outside rings.py that may compare a ring's kind with "Q":
+# algebra's lift helpers, each of which hands Z and F_p their input
+# unchanged, the entry of the determinant loop that lifts it to ints, and
+# _basis_values, which picks the ring's canonical constants.
+_Q_LIFT_HELPERS = {
+    "algebra._on_ints",
+    "algebra._divided",
+    "algebra._integral_model",
+    "algebra._integral_models",
+    "algebra._on_model",
+    "algebra._char_poly_values",
+    "algebra._basis_values",
+}
+
+
+def test_only_the_lift_helpers_ask_whether_the_ring_is_q():
+    """A `.kind` attribute is compared with "Q" only in rings.py and in
+    the lift helpers that _Q_LIFT_HELPERS names, by module and qualified
+    name; every other function (in cubic, involutions, classify,
+    quadratic, cli and the rest of algebra) takes one path on Z, Q and
+    F_p."""
+    found = set()
+
+    def is_q_test(node):
+        operands = [node.left, *node.comparators]
+        return any(
+            isinstance(a, ast.Attribute) and a.attr == "kind" for a in operands
+        ) and any(
+            isinstance(a, ast.Constant) and a.value == "Q"
+            or isinstance(a, (ast.Tuple, ast.List, ast.Set))
+            and any(isinstance(e, ast.Constant) and e.value == "Q" for e in a.elts)
+            for a in operands
+        )
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Compare) and is_q_test(child):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(Path(lowrank.__file__).parent.glob("*.py")):
+        if path.name != "rings.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert "algebra._on_ints" in found
+    assert sorted(found - _Q_LIFT_HELPERS) == []
