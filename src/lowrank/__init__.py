@@ -16,6 +16,7 @@ from .algebra import (
     algebra_degree,
     direct_product,
     element_to_matrix,
+    left_char_poly,
     left_regular_rep,
     matrix_algebra,
     matrix_to_element,

@@ -31,9 +31,10 @@ The table checks (verify_associativity, and through it
 cubic.matrix_rep, a unital map's is_multiplicative and the involution
 verifiers) run on the model, whose verdicts and failing indices are
 those of the table; the determinant loop, SquareMatrix.inverse,
-left_regular_rep and rebase run on cleared rows and model products and
-divide each output entry once.  Element arithmetic, elimination and the
-constructions compute on the Fractions themselves.
+left_regular_rep, left_char_poly and rebase run on cleared rows and
+model products and divide each output entry once.  Element
+arithmetic, elimination and the constructions compute on the
+Fractions themselves.
 """
 
 from __future__ import annotations
@@ -540,10 +541,10 @@ def _divided(spec: RingSpec, rows, d, den):
     return None if inv is None else [[a * inv for a in row] for row in rows]
 
 
-def _char_poly_values(spec: RingSpec, rows):
-    """Coefficients of det(T*I - M), constant term first, for the square
-    matrix M given as rows of canonical raw values (ints, or Fractions
-    over Q).
+def _char_poly_values(spec: RingSpec, rows, d=1):
+    """Coefficients of det(T*I - M / d), constant term first, for the
+    square matrix M given as rows of canonical raw values (ints, or
+    Fractions over Q) and an int d, which is 1 outside Q.
 
     Berkowitz's algorithm (Inf. Process. Lett. 18, 1984) uses only ring
     operations, so it is exact over Z, Q and F_p with no division.  If
@@ -554,11 +555,12 @@ def _char_poly_values(spec: RingSpec, rows):
     determinant loop.  Its entry over Q lifts it to ints: with M = A / d
     for the integer matrix A of _on_ints, det(T*I - M) =
     d^-n det(dT*I - A), so coefficient i of chi_M is c_i(A) / d^(n-i),
-    one division each.
+    one division each; rows of ints over Q take that path with the
+    given d.
     """
     if spec.kind == "Q":
-        _, ints, d = _on_ints(spec, rows)
-        n = len(ints)
+        _, ints, e = _on_ints(spec, rows)
+        n, d = len(ints), d * e
         return [Fraction(c, d ** (n - i)) for i, c in enumerate(_char_poly_values(ZZ, ints))]
     p = spec.p
     chi = [1]  # det(T*I - A), leading coefficient first
@@ -725,27 +727,36 @@ def _on_model(alg: StructureConstants, images):
     return (alg, images) if scaled is None else (_integral_model(alg, D)[0], scaled)
 
 
+def _left_model(x: AlgebraElement):
+    """Left multiplication by x in the integral model at D
+    (_integral_model), basis f_0 = 1, f_a = D e_a, on ints: (cols, D,
+    s), with cols[j] the model coordinates of Xm f_j.  Here x = X / s
+    for the integer vector X of _on_ints, and Xm = (D X_0, X_1, ...,
+    X_{k-1}) (_model_coords) are the model coordinates of D s x, so
+    cols is the matrix of left multiplication by D s x in the model
+    basis, by columns.  Over Z and F_p, D = s = 1 and column j is the
+    product of x and e_j."""
+    alg = x.algebra
+    model, D = _integral_model(alg)
+    _, (X,), s = _on_ints(alg.spec, (x._values,))
+    Xm = _model_coords(X, D)
+    # row 0 of the table holds the basis vectors, since e_0 = 1
+    return [model._mul_values(Xm, fj) for fj in model._values[0]], D, s
+
+
 def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
     """Matrix of left multiplication by x in the algebra basis: column j
     is x e_j.
 
-    The products run in the integral model at D (_integral_model), basis
-    f_0 = 1, f_a = D e_a, on ints: with x = X / s for the integer vector
-    X of _on_ints, D s x has the model coordinates Xm = (D X_0, X_1, ...,
-    X_{k-1}) (_model_coords).  The product Y_j = Xm f_j is
-    D^[j >= 1] D s x e_j, with alg coordinates (Y_j^0, D Y_j^1, ...).
-    So once the column Y_0 is multiplied by D, row 0 of the matrix is
-    row 0 of the columns Y_j over D^2 s and row l >= 1 is their row l
-    over D s, one division per entry (_divided).  Over Z and F_p, D = s = 1 and column j is the
-    product of x and e_j, with nothing to divide.
+    Computed on ints from _left_model's columns Y_j: the product Y_j
+    is D^[j >= 1] D s x e_j, with alg coordinates (Y_j^0, D Y_j^1,
+    ...).  So once the column Y_0 is multiplied by D, row 0 of the
+    matrix is row 0 of the columns Y_j over D^2 s and row l >= 1 is
+    their row l over D s, one division per entry (_divided).  Over Z
+    and F_p, D = s = 1, with nothing to divide.
     """
-    alg = x.algebra
-    spec = alg.spec
-    model, D = _integral_model(alg)
-    _, (X,), s = _on_ints(spec, (x._values,))
-    Xm = _model_coords(X, D)
-    # row 0 of the table holds the basis vectors, since e_0 = 1
-    cols = [model._mul_values(Xm, fj) for fj in model._values[0]]
+    spec = x.algebra.spec
+    cols, D, s = _left_model(x)
     if D * s == 1:
         return SquareMatrix(spec, zip(*cols))
     cols[0] = [D * a for a in cols[0]]
@@ -753,6 +764,22 @@ def left_regular_rep(x: AlgebraElement) -> SquareMatrix:
     return SquareMatrix(
         spec, _divided(spec, rows[:1], 1, D * D * s) + _divided(spec, rows[1:], 1, D * s)
     )
+
+
+def left_char_poly(x: AlgebraElement) -> Polynomial:
+    """Characteristic polynomial of left multiplication by x, equal to
+    left_regular_rep(x).char_poly(), read off the integer model matrix.
+
+    _left_model gives the matrix L of left multiplication by D s x in
+    the basis (1, D e_1, ..., D e_{k-1}); the change of basis is
+    diagonal, so left_regular_rep(x) is similar to L / (D s), and its
+    coefficient i is c_i(L) / (D s)^(n-i): the Q entry of
+    _char_poly_values with d = D s.  The characteristic polynomial of
+    a matrix is that of its transpose, so the columns go in as rows.
+    No Fraction matrix is built."""
+    spec = x.algebra.spec
+    cols, D, s = _left_model(x)
+    return Polynomial(spec, _char_poly_values(spec, cols, D * s))
 
 
 def _row_reduce(p, rows):
@@ -789,41 +816,65 @@ def min_poly(x: AlgebraElement) -> Polynomial:
     """Minimal polynomial over a field: the first monic dependence among
     the powers 1, x, x^2, ..., on raw values.
 
-    For m = 0, 1, ... the columns x^0..x^m are row-reduced.  The first m
-    whose last column is not a pivot gives the answer: the lower powers
-    are independent, so x^m = sum c_j x^j has one solution, read off the
-    last column, and the polynomial is T^m - sum c_j T^j.
+    The k + 1 columns x^0..x^k (k the rank, powers multiplied on the
+    right) are row-reduced once.  Once x^m depends on the lower powers,
+    x^(m+1) = x^m x does too, since right multiplication by x is linear
+    and sends each x^j to x^(j+1); so the pivots are the columns
+    0..m-1 and the first non-pivot column is m = len(pivots).  The
+    lower powers are independent, so x^m = sum c_j x^j has one
+    solution, read off column m, and the polynomial is
+    T^m - sum c_j T^j.
     """
     alg = x.algebra
     spec = alg.spec
     if not spec.is_field():
         raise UnsupportedRing("minimal polynomials need a field base ring")
+    rows, pivots = _row_reduce(spec.p, zip(*_krylov(alg, x._values)))
+    m = len(pivots)
+    return Polynomial(spec, [-rows[j][m] for j in range(m)] + [1])
+
+
+def _krylov(alg: StructureConstants, x):
+    """The raw powers 1, x, ..., x^k of the raw vector x in alg of rank
+    k, each the one before multiplied by x on the right."""
     powers = [alg._values[0][0]]  # e_0 = 1
-    while True:
-        m = len(powers) - 1
-        rows, pivots = _row_reduce(spec.p, zip(*powers))
-        if m not in pivots:
-            return Polynomial(spec, [-rows[j][m] for j in range(m)] + [1])
-        powers.append(alg._mul_values(powers[-1], x._values))
+    for _ in range(alg.rank):
+        powers.append(alg._mul_values(powers[-1], x))
+    return powers
 
 
 def algebra_degree(alg: StructureConstants) -> int:
     """Largest minimal-polynomial degree over all elements.
 
-    Only available over a prime field, and guarded: p^rank elements are
-    enumerated, with a default ceiling of 10^6.
+    Only available over a prime field.  A scalar has degree 1.  For a
+    scalar a and a unit b, the powers of y = a + b x satisfy y^(n+1) =
+    a y^n + b y^n x, so each y^n is b^n x^n plus lower powers of x
+    (right multiplication by x sends x^j to x^(j+1)): 1, y, ..., y^m
+    span the same space as 1, x, ..., x^m, for any unital table, and
+    y has the degree of x.  Every non-scalar element is such a y for
+    exactly one x with coordinate 0 on e_0 and coordinate 1 on its
+    first nonzero e_j, j >= 1, so those (p^(k-1) - 1)/(p - 1)
+    representatives are scanned instead of the p^k elements.  The
+    degree of x is the dimension of the span of its powers, the pivot
+    count of one _row_reduce of the columns 1, x, ..., x^k (min_poly).
+    The scan stops at the rank, the largest degree possible.  Guarded:
+    the count of representatives is checked before the scan, with a
+    default ceiling of 10^6.
     """
-    if alg.spec.kind != "Fp":
+    spec = alg.spec
+    if spec.kind != "Fp":
         raise UnsupportedRing("degree enumeration needs a prime field")
-    count = alg.spec.p ** alg.rank
-    check_guard(count, 10**6, "degree enumeration")
-    best = 0
-    for x in alg.elements():
-        d = min_poly(x).degree()
-        if d > best:
-            best = d
-            if best == alg.rank:
-                break
+    p, k = spec.p, alg.rank
+    check_guard((p ** (k - 1) - 1) // (p - 1), 10**6, "degree enumeration")
+    best = 1
+    for j in range(1, k):
+        for tail in itertools.product(range(p), repeat=k - 1 - j):
+            x = (0,) * j + (1,) + tail
+            d = len(_row_reduce(p, zip(*_krylov(alg, x)))[1])
+            if d > best:
+                best = d
+                if best == k:
+                    return best
     return best
 
 

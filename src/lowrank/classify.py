@@ -855,12 +855,15 @@ def degree_product_check(a: StructureConstants, b: StructureConstants) -> Degree
 
     Additivity holds exactly when some pair of maximal-degree elements
     has coprime minimal polynomials; the check finds such a pair or
-    certifies by exhaustion that none exists.
+    certifies by exhaustion that none exists.  Guarded: the exhaustion
+    may compare all p^(rank a + rank b) pairs, a count checked before
+    the scan starts, with a default ceiling of 10^6.
     """
     if a.spec != b.spec:
         raise SpecMismatch("factors over different rings")
     deg_a = algebra_degree(a)
     deg_b = algebra_degree(b)
+    check_guard(a.spec.p ** (a.rank + b.rank), 10**6, "degree product scan")
     prod = direct_product(a, b)
     deg_prod = algebra_degree(prod)
     witness = None

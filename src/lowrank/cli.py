@@ -33,7 +33,7 @@ import json
 import os
 import sys
 
-from .algebra import SquareMatrix, StructureConstants, algebra_degree, left_regular_rep, read_elements
+from .algebra import SquareMatrix, StructureConstants, algebra_degree, left_char_poly, read_elements
 from .classify import (
     degree_product_check,
     exceptional_classes,
@@ -319,7 +319,7 @@ def _cmd_alg_charpoly(args):
         raise InputError("charpoly needs an 'element' key")
     _only_algebra_keys(obj, "charpoly", "element")
     x = _parse_vector(alg, obj["element"], "element")
-    poly = left_regular_rep(x).char_poly()
+    poly = left_char_poly(x)
     _emit({"char_poly": poly.to_strings(), "order": "constant term first"})
 
 

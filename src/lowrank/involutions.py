@@ -46,12 +46,15 @@ from .rings import RingElement, RingSpec, _unit_inverse
 
 class Involution(AlgebraMap):
     """A linear self-map of an algebra given on the basis: an
-    AlgebraMap whose source and target are the same algebra."""
+    AlgebraMap whose source and target are the same algebra.  The
+    table and images that the verifiers check (_checked_on) are built
+    on first use and kept."""
 
-    __slots__ = ()
+    __slots__ = ("_model",)
 
     def __init__(self, algebra: StructureConstants, images):
         super().__init__(algebra, algebra, images)
+        self._model = None
 
     @property
     def algebra(self) -> StructureConstants:
@@ -74,6 +77,15 @@ class Involution(AlgebraMap):
         return Involution(alg, images)
 
 
+def _checked_on(inv: Involution):
+    """The table and raw images that verify_involution and
+    verify_standard check for inv: those of algebra._on_model, built
+    once per involution, so that the two verifiers share one model."""
+    if inv._model is None:
+        inv._model = _on_model(inv.algebra, [im._values for im in inv.images])
+    return inv._model
+
+
 def verify_involution(inv: Involution):
     """Check the three involution axioms on the basis.
 
@@ -83,9 +95,9 @@ def verify_involution(inv: Involution):
     unit.  Returns (True, None) or (False, description) where the
     description names the first axiom that fails: fixing 1, being
     self-inverse, or reversing products.  The axioms are checked in the
-    integral model (algebra._on_model).
+    integral model (_checked_on).
     """
-    alg, images = _on_model(inv.algebra, [im._values for im in inv.images])
+    alg, images = _checked_on(inv)
     k = alg.rank
     t = alg._values
     e = t[0]  # the basis vectors, since e_0 = 1
@@ -115,11 +127,11 @@ def verify_standard(inv: Involution):
     multiplied.  Returns (True, None) or (False, witness element), the
     first witness in the order 1, e_1, ..., e_{k-1}, 1 + e_1, ...,
     1 + e_{k-1}, then the e_i + e_j lexicographically.  The checks
-    run in the integral model (algebra._on_model); a witness has
+    run in the integral model (_checked_on); a witness has
     coordinates 0 and 1 in either basis and is returned in inv's.
     """
     witness = inv.algebra.element
-    alg, images = _on_model(inv.algebra, [im._values for im in inv.images])
+    alg, images = _checked_on(inv)
     k = alg.rank
     e = alg._values[0]  # the basis vectors, since e_0 = 1
     combine, mul = alg._combine_values, alg._mul_values
@@ -181,20 +193,13 @@ def check_involution(inv: Involution):
     """verify_involution and verify_standard on inv, looked up in this
     module, as (involution, failure, standard, witness); verify_standard
     runs only once the axioms hold, and (standard, witness) is
-    (False, None) otherwise.  Both check the involution of the integral
-    model that algebra._on_model gives, built once when it is not the
-    table itself (over Q, when the images are integral there); a
-    witness has the same 0/1 coordinates in either basis and is
-    returned in inv's algebra."""
-    alg = inv.algebra
-    model, images = _on_model(alg, [im._values for im in inv.images])
-    checked = inv if model is alg else Involution(model, images)
-    ok, failure = verify_involution(checked)
+    (False, None) otherwise.  Both check the table and images of
+    _checked_on, built once for the two; a witness is returned in
+    inv's algebra."""
+    ok, failure = verify_involution(inv)
     if not ok:
         return False, failure, False, None
-    standard, witness = verify_standard(checked)
-    if witness is not None and checked is not inv:
-        witness = alg.element(witness._values)
+    standard, witness = verify_standard(inv)
     return True, None, standard, witness
 
 

@@ -20,8 +20,6 @@ from .algebra import (
     SquareMatrix,
     StructureConstants,
     _basis_values,
-    direct_product,
-    rank_one,
     rebase,
 )
 from .errors import NotAUnit, SpecMismatch, UnsupportedRing, WrongCase
@@ -234,24 +232,21 @@ def standard_involution_quadratic(alg: QuadraticAlgebra) -> Involution:
 def split_idempotent(alg: QuadraticAlgebra):
     """Identify R[x]/(x^2 - x) with R x R via a*x + b -> (a + b, b).
 
-    Only defined for (t, n) = (1, 0), where x is idempotent.  In the
-    basis (1, 1), (0, 1) of direct_product, 1 and x = (1, 0) have the
-    coordinates (1, 0) and (1, -1); rebase puts the product's table in
-    that basis, which must be alg's table, and its verified map is the
-    inverse.  Returns the forward and inverse maps; the forward one is
-    built from the same images, so it is the inverse of a verified map
-    once the tables agree, and is not verified again.
+    Only defined for (t, n) = (1, 0), where x is idempotent.
+    direct_product(rank_one, rank_one) has the basis (1, 1), (0, 1),
+    and (0, 1)^2 = (0, 1): its table is that of (t, n) = (1, 0), which
+    is alg's own.  In that basis 1 and x = (1, 0) have the coordinates
+    (1, 0) and (1, -1), so both the forward and the inverse map are
+    x -> 1 - x on alg's table, its own inverse.  That one map is
+    checked by verify_isomorphism and returned as both.
     """
     if alg._values != (1, 0):
         raise WrongCase("the idempotent identification needs (t, n) = (1, 0)")
-    line = rank_one(alg.spec)
-    prod = direct_product(line, line)
-    images = [(1, 0), (1, -1)]
-    table, back = rebase(prod, images)
-    fwd = AlgebraMap(alg.structure(), prod, images)
-    if table != alg.structure():
-        raise AssertionError("idempotent splitting failed verification")
-    return fwd, back
+    table = alg.structure()
+    swap = AlgebraMap(table, table, [(1, 0), (1, -1)])
+    if not swap.verify_isomorphism():
+        raise AssertionError("basis-change map failed verification")
+    return swap, swap
 
 
 def complete_basis_to_unity(spec: RingSpec, a, b):

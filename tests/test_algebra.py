@@ -11,6 +11,7 @@ from lowrank import (
     RingElement,
     CubicCoefficients,
     GeneralCubicTable,
+    GuardExceeded,
     Involution,
     NotAUnit,
     Polynomial,
@@ -689,6 +690,29 @@ def test_algebra_degree_cases():
     upper = build_algebra(CubicCoefficients(GF(2), 1, 0, 0, 1, 0, 0))
     assert algebra_degree(upper) == 2
     assert algebra_degree(matrix_algebra(GF(2), 3)) == 3
+
+
+def test_algebra_degree_guard_counts_the_representatives(monkeypatch):
+    """The guard counts the (p^(k-1) - 1)/(p - 1) elements the scan
+    visits, before it starts: M_2(F_37) has rank 4 and degree 2, so the
+    scan visits all 37^2 + 37 + 1 = 1407 of them, though its 37^4
+    elements exceed the default ceiling of 10^6."""
+    alg = matrix_algebra(GF(37), 2)
+    monkeypatch.delenv("LOWRANK_GUARD", raising=False)
+    assert algebra_degree(alg) == 2
+    monkeypatch.setenv("LOWRANK_GUARD", "1407")
+    assert algebra_degree(alg) == 2
+    monkeypatch.setenv("LOWRANK_GUARD", "1406")
+    with pytest.raises(GuardExceeded) as info:
+        algebra_degree(alg)
+    assert str(info.value) == (
+        "degree enumeration needs 1407 steps, over the limit of 1406; "
+        "set LOWRANK_GUARD to override (unsafe)"
+    )
+    # p = 1009 is the first prime past the default ceiling at rank 4
+    monkeypatch.delenv("LOWRANK_GUARD")
+    with pytest.raises(GuardExceeded, match="needs 1019091 steps, over the limit of 1000000"):
+        algebra_degree(matrix_algebra(GF(1009), 2))
 
 
 def test_direct_product_componentwise():

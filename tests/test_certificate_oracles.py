@@ -48,17 +48,20 @@ from lowrank import (
     find_standard_involution,
     gl2_act,
     is_isomorphic_bruteforce,
+    left_char_poly,
     left_regular_rep,
     matrix_algebra,
     matrix_rep,
+    min_poly,
     product_element,
     quaternion_algebra,
     rank_one,
     rebase,
+    split_idempotent,
     verify_involution,
     verify_standard,
 )
-from lowrank import algebra, cubic
+from lowrank import algebra, cubic, involutions
 from lowrank.algebra import (
     _denominator,
     _divided,
@@ -591,7 +594,9 @@ def test_left_regular_rep_matches_the_fraction_loop(spec, source):
             x = alg.element([_value(spec, rng, zeros) for _ in range(alg.rank)])
             got = left_regular_rep(x)
             assert got._values == fraction_left_regular_rep(x) and _fractions(got._values)
-            assert got.char_poly()._values == tuple(fraction_char_poly(got._values))
+            chi = tuple(fraction_char_poly(got._values))
+            assert got.char_poly()._values == chi
+            assert left_char_poly(x)._values == chi
 
 
 def _unital_rows(spec, rng, k, draw):
@@ -643,6 +648,111 @@ def test_gl2_act_matches_the_fraction_loop(spec, source):
         got = gl2_act(g, form)._values
         assert got == want and _fractions(got)
     assert 30 < refused < 120
+
+
+# -- degree, minimal polynomial and split against their element loops --------
+
+
+def incremental_min_poly(x):
+    """min_poly as it was before it reduced the Krylov columns once:
+    the columns x^0..x^m row-reduced again for m = 0, 1, ... until the
+    last one is not a pivot."""
+    alg = x.algebra
+    spec = alg.spec
+    powers = [alg._values[0][0]]
+    while True:
+        m = len(powers) - 1
+        rows, pivots = algebra._row_reduce(spec.p, zip(*powers))
+        if m not in pivots:
+            return Polynomial(spec, [-rows[j][m] for j in range(m)] + [1])
+        powers.append(alg._mul_values(powers[-1], x._values))
+
+
+def rebase_split(alg):
+    """split_idempotent as it was before it checked x -> 1 - x on alg's
+    own table: rebase of direct_product(rank_one, rank_one) onto the
+    basis (1, 0), (1, -1), which must give alg's table."""
+    line = rank_one(alg.spec)
+    prod = direct_product(line, line)
+    images = [(1, 0), (1, -1)]
+    table, back = rebase(prod, images)
+    assert table == alg.structure()
+    return AlgebraMap(alg.structure(), prod, images), back
+
+
+def local_rank_four(spec):
+    """F[x, y]/(x^3, xy, y^2), basis 1, x, x^2, y: commutative, of rank 4
+    and degree 3 (bx + cx^2 + dy cubes to 0, and squares to b^2 x^2)."""
+    zero, unit = [0] * 4, _unit_rows(4)
+    return StructureConstants(spec, [
+        unit,
+        [unit[1], unit[2], zero, zero],
+        [unit[2], zero, zero, zero],
+        [unit[3], zero, zero, zero],
+    ])
+
+
+def degree_tables(spec, rng):
+    """Tables of ranks 1 to 4 over a prime field: random unital ones,
+    dense and sparse, the associative ones (matrix_algebra(spec, 2)
+    among them) with and without one product changed, and a local
+    table of rank 4 and degree 3."""
+    tables = [
+        random_unital_table(spec, k, rng, zeros)
+        for k in (1, 2, 3, 4)
+        for zeros in (0.0, 0.6, 0.9)
+    ]
+    for alg in associative_tables(spec, rng):
+        if alg.rank <= 4:
+            tables.append(alg)
+            if alg.rank > 1:
+                tables.append(perturbed(alg, rng))
+    return tables + [local_rank_four(spec)]
+
+
+@pytest.mark.parametrize("spec", [GF(2), GF(3), GF(5)], ids=repr)
+def test_degree_and_min_poly_match_the_element_loop(spec):
+    """algebra_degree against the element loop it replaced: the largest
+    degree of incremental_min_poly over all p^k elements; and min_poly
+    against the incremental elimination on every element."""
+    rng = random.Random(f"degree {spec!r}")
+    degrees = set()
+    for alg in degree_tables(spec, rng):
+        polys = {x: incremental_min_poly(x) for x in alg.elements()}
+        for x, want in polys.items():
+            assert min_poly(x) == want, x
+        want = max(f.degree() for f in polys.values())
+        assert algebra.algebra_degree(alg) == want, alg
+        degrees.add((alg.rank, want))
+    # every degree a rank allows, the rank itself and below it
+    assert degrees >= {(1, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)}
+
+
+@pytest.mark.parametrize("spec,source", SPECS)
+def test_min_poly_and_left_char_poly_on_random_elements(spec, source):
+    """Over every ring, left_char_poly is the characteristic polynomial
+    of left_regular_rep; over the fields, min_poly is the incremental
+    elimination's answer."""
+    rng = source(f"min poly {spec!r}")
+    for alg in sample_tables(spec, rng):
+        for zeros in (0.0, 0.6):
+            x = alg.element([_value(spec, rng, zeros) for _ in range(alg.rank)])
+            assert left_char_poly(x) == left_regular_rep(x).char_poly(), x
+            if spec.is_field():
+                assert min_poly(x) == incremental_min_poly(x), x
+
+
+@pytest.mark.parametrize("spec", [ZZ, QQ, GF(2), GF(3), GF(7)], ids=repr)
+def test_split_matches_the_rebased_product(spec):
+    """direct_product(rank_one, rank_one) is the table of (t, n) =
+    (1, 0), and the one map x -> 1 - x is the rebased pair, forward and
+    inverse, in values and in JSON."""
+    alg = QuadraticAlgebra(spec, 1, 0)
+    assert direct_product(rank_one(spec), rank_one(spec)) == alg.structure()
+    got, want = split_idempotent(alg), rebase_split(alg)
+    assert got == want
+    assert [phi.to_json() for phi in got] == [phi.to_json() for phi in want]
+    assert got[0].target.to_json() == want[0].target.to_json()
 
 
 # -- the integral model over Q ------------------------------------------------
@@ -973,6 +1083,52 @@ def test_certificate_work_counts(monkeypatch):
     calls.clear()
     assert AlgebraMap(alg, alg, alg._values[0]).is_multiplicative() == (True, None)
     assert calls.count("_mul_values") == 4
+    # one elimination per min_poly (one per power before), of the
+    # columns 1, x, ..., x^k: k products
+    reductions = []
+    row_reduce = algebra._row_reduce
+
+    def counted(p, rows):
+        reductions.append(p)
+        return row_reduce(p, rows)
+
+    monkeypatch.setattr(algebra, "_row_reduce", counted)
+    calls.clear()
+    assert min_poly(alg.element([1, 2, 3])).degree() == 2
+    assert reductions == [5] and calls == ["_mul_values"] * 3
+    # degree 2 < rank 3, so the scan visits all (5^2 - 1)/(5 - 1) = 6
+    # representatives, one elimination of 3 products each (125
+    # elements and 3 products each, up to 4 eliminations, before)
+    reductions.clear()
+    calls.clear()
+    assert algebra.algebra_degree(alg) == 2
+    assert reductions == [5] * 6 and calls == ["_mul_values"] * 18
+
+
+def test_check_involution_builds_one_model(monkeypatch):
+    """check_involution over Q moves the table and images to the model
+    (algebra._on_model) once for both verifiers: when the images are
+    integral there, and when they are not and the Fractions are
+    checked."""
+    built = []
+    on_model = algebra._on_model
+
+    def recorded(alg, images):
+        built.append(alg.spec)
+        return on_model(alg, images)
+
+    monkeypatch.setattr(involutions, "_on_model", recorded)
+    n, m = Fraction(1, 2), Fraction(2, 3)
+    alg = build_algebra(CubicCoefficients(QQ, n, 0, m, n, 0, m))
+    found = find_standard_involution(alg)
+    half = [0, Fraction(1, 2), 0]  # not integral in the model
+    for inv, want in (
+        (Involution(alg, found.images), (True, None, True, None)),
+        (Involution(alg, [alg.one(), half, alg.basis(2)]),
+         (False, "double application moves basis element 1", False, None)),
+    ):
+        built.clear()
+        assert check_involution(inv) == want and built == [QQ]
 
 
 def _leaves(values):
@@ -1008,11 +1164,11 @@ def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
         algebra._char_poly_values, algebra._adjugate_values, cubic._substitute
     )
 
-    def recorded_char_poly(spec, rows):
+    def recorded_char_poly(spec, rows, d=1):
         if spec.kind != "Q":  # the Q entry clears denominators and calls back
             loops.append(("char poly", spec.kind))
             types.update(map(type, _leaves(rows)))
-        return char_poly(spec, rows)
+        return char_poly(spec, rows, d)
 
     def recorded_adjugate(p, rows, chi):
         loops.append(("adjugate", p))
@@ -1040,10 +1196,16 @@ def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
     assert loops == [("char poly", "Z")]  # the witness map's determinant
     loops.clear()
     calls.clear()
-    rep = left_regular_rep(alg.element([big[1], Fraction(1, 3), big[0]]))
+    x = alg.element([big[1], Fraction(1, 3), big[0]])
+    rep = left_regular_rep(x)
     assert calls == ["_mul_values"] * 3
-    rep.char_poly(), rep.det(), rep.is_invertible(), rep.inverse()
+    chi = rep.char_poly()
+    rep.det(), rep.is_invertible(), rep.inverse()
     assert loops == [("char poly", "Z")] * 4 + [("adjugate", None)]
+    loops.clear()
+    calls.clear()
+    assert left_char_poly(x) == chi
+    assert calls == ["_mul_values"] * 3 and loops == [("char poly", "Z")]
     loops.clear()
     calls.clear()
     rebase(alg, [(1, 0, 0), (big[1], 1, 0), (Fraction(2, 7), big[0], 1)])

@@ -1249,6 +1249,18 @@ def test_degree_product_split_pair():
         degree_product_check(rank_one(GF(2)), rank_one(GF(3)))
 
 
+def test_degree_product_guard_counts_the_pairs(monkeypatch):
+    """The pair scan may compare every element of A with every element
+    of B, p^(rank A + rank B) pairs, and is guarded by that count, not
+    by the smaller degree scans."""
+    a = rank_one(GF(3))
+    monkeypatch.setenv("LOWRANK_GUARD", "9")
+    assert degree_product_check(a, a).additive
+    monkeypatch.setenv("LOWRANK_GUARD", "8")
+    with pytest.raises(GuardExceeded, match="^degree product scan needs 9 steps, over the limit of 8;"):
+        degree_product_check(a, a)
+
+
 def test_probes():
     report = mn_degree_probes(GF(3), 2)
     assert report.all_passed()
