@@ -30,11 +30,19 @@ and _divided turns each int result back into one canonical Fraction.
 The table checks (verify_associativity, and through it
 cubic.matrix_rep, a unital map's is_multiplicative and the involution
 verifiers) run on the model, whose verdicts and failing indices are
-those of the table; the determinant loop, SquareMatrix.inverse,
-left_regular_rep, left_char_poly and rebase run on cleared rows and
-model products and divide each output entry once.  Element
-arithmetic, elimination and the constructions compute on the
-Fractions themselves.
+those of the table; the determinant loop, the unit-determinant test
+(_has_unit_det, behind is_invertible and verify_isomorphism),
+SquareMatrix.inverse, left_regular_rep, left_char_poly, rebase and
+the cells of cubic tables (cubic._table_values) run on cleared rows and
+model products and divide each output entry once.  The lift helpers
+read each Fraction once, through as_integer_ratio().  Decoding reads
+each value once: over Q the strings "-1", "0" and "1" and the ints
+-1, 0 and 1 give shared Fractions (rings._Q_CONSTANTS), which the
+basis rows of _basis_values are built of, and from_json stores the
+canonical values of read_elements after the shape, emptiness and
+identity checks, with no second conversion.  Element arithmetic,
+elimination and the constructions compute on the Fractions
+themselves; direct_product reads its cells off the factors' tables.
 """
 
 from __future__ import annotations
@@ -45,7 +53,16 @@ from math import lcm
 
 from .errors import InputError, NotAUnit, SpecMismatch, TableError, UnsupportedRing, check_guard
 from .poly import Polynomial
-from .rings import ZZ, RingElement, RingSpec, _as_elements, _RawValues, _trusted, _unit_inverse
+from .rings import (
+    ZZ,
+    RingElement,
+    RingSpec,
+    _as_elements,
+    _Q_CONSTANTS,
+    _RawValues,
+    _trusted,
+    _unit_inverse,
+)
 
 
 def read_elements(spec: RingSpec, raw, *levels):
@@ -81,17 +98,10 @@ class StructureConstants(_RawValues):
             tuple(tuple(map(value, cell)) for cell in row) for row in table
         )
         k = len(rows)
-        if k == 0:
-            raise TableError("empty table")
         for row in rows:
             if len(row) != k or any(len(cell) != k for cell in row):
                 raise TableError(f"table must be {k}x{k} cells of {k} coefficients")
-        for j in range(k):
-            unit = tuple(1 if l == j else 0 for l in range(k))
-            if rows[0][j] != unit or rows[j][0] != unit:
-                raise TableError(
-                    f"basis element 0 is not a two-sided identity at index {j}"
-                )
+        _check_unital(spec, rows)
         self.spec = spec
         self.rank = k
         self._values = rows
@@ -109,7 +119,10 @@ class StructureConstants(_RawValues):
         canonical (t, n)), `cubic.exceptional_ring` (the table of
         B(phi) = R + M, with phi checked by RingSpec.value) and
         `algebra._integral_model` (the integer table over Z of a table over Q
-        in the basis (1, D e_1, ..., D e_{k-1})).  The
+        in the basis (1, D e_1, ..., D e_{k-1})) and
+        `algebra.StructureConstants.from_json` (the values of
+        read_elements, canonical and in shape, once _check_unital has
+        passed).  The
         certificate verifiers (verify_associativity, is_multiplicative,
         involutions.verify_involution and verify_standard) skip the
         identities that involve e_0, so they rely on these rows holding
@@ -251,7 +264,29 @@ class StructureConstants(_RawValues):
         spec = RingSpec.from_json(obj["ring"])
         rank = obj["rank"]
         levels = ((rank, "table"), (rank, "table row"), (rank, "table cell"))
-        return StructureConstants(spec, read_elements(spec, obj["table"], *levels))
+        # read_elements gives canonical values in the rank x rank x rank shape
+        rows = tuple(
+            tuple(map(tuple, row)) for row in read_elements(spec, obj["table"], *levels)
+        )
+        _check_unital(spec, rows)
+        return StructureConstants._canonical(spec, rows)
+
+
+def _check_unital(spec: RingSpec, rows) -> None:
+    """Raise TableError unless the square table of canonical raw rows is
+    nonempty with basis element 0 a two-sided identity: the checks that
+    the constructor and from_json share.  Row 0 and column 0 are
+    compared with the ring's basis vectors (_basis_values), which over
+    Q are tuples of the shared constants and compare by identity."""
+    k = len(rows)
+    if k == 0:
+        raise TableError("empty table")
+    _, basis = _basis_values(spec, k)
+    for j, unit in enumerate(basis):
+        if rows[0][j] != unit or rows[j][0] != unit:
+            raise TableError(
+                f"basis element 0 is not a two-sided identity at index {j}"
+            )
 
 
 class AlgebraElement:
@@ -522,19 +557,22 @@ def _on_ints(spec: RingSpec, rows):
     already and come back as they are, with d = 1."""
     if spec.kind != "Q":
         return spec, rows, 1
-    d = lcm(*[v.denominator for row in rows for v in row])
-    return ZZ, [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    d = lcm(*[q for row in ratios for _, q in row])
+    return ZZ, [[a * (d // q) for a, q in row] for row in ratios], d
 
 
 def _divided(spec: RingSpec, rows, d, den):
     """Raw rows of spec equal to rows * d / den, for rows of ints and
     ints d and den, or None when den is not a unit of spec.  Over Q each
-    entry is one Fraction(a * d, den); over Z and F_p, where d = 1, the
-    rows come back as they are when den = 1, and otherwise each entry
-    is multiplied by the unit inverse of den (the constructor that takes
-    them reduces mod p)."""
+    entry is one Fraction(a * d, den), the shared 0 when a is 0; over Z
+    and F_p, where d = 1, the rows come back as they are when den = 1,
+    and otherwise each entry is multiplied by the unit inverse of den
+    (the constructor that takes them reduces mod p)."""
     if spec.kind == "Q":
-        return [[Fraction(a * d, den) for a in row] for row in rows] if den else None
+        if not den:
+            return None
+        return [[Fraction(a * d, den) if a else _Q_ZERO for a in row] for row in rows]
     if den == 1:
         return rows
     inv = _unit_inverse(spec, spec.value(den))
@@ -601,15 +639,28 @@ def _char_poly_values(spec: RingSpec, rows, d=1):
 
 def _has_unit_det(spec: RingSpec, rows) -> bool:
     """Whether the square matrix given as rows of canonical raw values
-    has a unit determinant, read off the raw characteristic polynomial:
-    chi(0) = (-1)^n det(M), and -1 is a unit."""
-    chi0 = _char_poly_values(spec, rows)[0]
+    has a unit determinant, read off the raw characteristic polynomial
+    of the integer rows A of _on_ints: chi_A(0) = (-1)^n det(A), and -1
+    is a unit.  Over Z and F_p, A is the matrix itself; over Q, A = d M
+    and det(A) = d^n det(M), which is nonzero exactly when det(M) is, so
+    the int chi_A(0) decides as a value of Q."""
+    ring, ints, _ = _on_ints(spec, rows)
+    chi0 = _char_poly_values(ring, ints)[0]
     return _unit_inverse(spec, spec.value(chi0)) is not None
 
 
 # Row 0 of a table of rank 2 or 3 over Z or F_p, whose canonical 0 and 1
-# are the ints 0 and 1.
+# are the ints 0 and 1, and over Q, built of the shared constants.
 _INT_BASES = {2: ((1, 0), (0, 1)), 3: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+_Q_ZERO, _Q_ONE = _Q_CONSTANTS[0], _Q_CONSTANTS[1]
+
+
+def _q_basis(basis):
+    """The basis rows with each int 0 and 1 the shared Fraction."""
+    return tuple(tuple(_Q_ONE if b else _Q_ZERO for b in row) for row in basis)
+
+
+_Q_BASES = {k: _q_basis(basis) for k, basis in _INT_BASES.items()}
 
 
 def _basis_values(spec: RingSpec, k: int):
@@ -618,25 +669,29 @@ def _basis_values(spec: RingSpec, k: int):
     table.  The tables stored through StructureConstants._canonical
     take their constants from here.  Over Z and F_p the rows are ints,
     at rank 2 and 3 the shared _INT_BASES[k]; over Q they are built of
-    Fractions."""
-    basis = _INT_BASES.get(k) or tuple(tuple(int(i == l) for l in range(k)) for i in range(k))
+    the shared Fractions 0 and 1 (rings._Q_CONSTANTS), at rank 2 and 3
+    the prebuilt _Q_BASES[k]."""
     if spec.kind != "Q":
-        return 0, basis
-    zero, one = spec.value(0), spec.value(1)
-    return zero, tuple(tuple(one if b else zero for b in row) for row in basis)
+        return 0, _INT_BASES.get(k) or _int_basis(k)
+    return _Q_ZERO, _Q_BASES.get(k) or _q_basis(_int_basis(k))
+
+
+def _int_basis(k: int):
+    """The basis vectors of rank k as rows of the ints 0 and 1."""
+    return tuple(tuple(int(i == l) for l in range(k)) for i in range(k))
 
 
 def _denominator(alg: StructureConstants) -> int:
     """The least common multiple of the denominators of the cells off
     the unit of a table over Q."""
     t = alg._values
-    return lcm(*(c.denominator for row in t[1:] for cell in row[1:] for c in cell))
+    return lcm(*(c.as_integer_ratio()[1] for row in t[1:] for cell in row[1:] for c in cell))
 
 
 def _integral_model(alg: StructureConstants, d=None):
-    """The integral model of a table: (model, D), with D =
-    _denominator(alg) or, when given, d, a multiple of it; over Z and
-    F_p, (alg, 1).
+    """The integral model of a table: (model, D), with D the
+    _denominator(alg) of its cells, each read once with the numerator,
+    or, when given, d, a multiple of it; over Z and F_p, (alg, 1).
 
     Over Q the model is the table of the same algebra in the basis
     f_0 = 1, f_a = D e_a, stored over Z.  Since f_a f_b = D^2 t_ab^0 +
@@ -651,17 +706,19 @@ def _integral_model(alg: StructureConstants, d=None):
     never cached."""
     if alg.spec.kind != "Q":
         return alg, 1
-    D = _denominator(alg) if d is None else d
+    # each cell off the unit read once, as (numerator, denominator)
+    ratios = [
+        [[c.as_integer_ratio() for c in cell] for cell in row[1:]]
+        for row in alg._values[1:]
+    ]
+    D = d or lcm(*(q for row in ratios for cell in row for _, q in cell))
     DD = D * D
     _, basis = _basis_values(ZZ, alg.rank)
     rows = [basis]
-    for a, row in enumerate(alg._values[1:], start=1):
+    for a, row in enumerate(ratios, start=1):
         cells = [basis[a]]
-        for (c0, *cell) in row[1:]:
-            cells.append((
-                c0.numerator * (DD // c0.denominator),
-                *[c.numerator * (D // c.denominator) for c in cell],
-            ))
+        for ((c0, q0), *cell) in row:
+            cells.append((c0 * (DD // q0), *[c * (D // q) for c, q in cell]))
         rows.append(tuple(cells))
     return StructureConstants._canonical(ZZ, tuple(rows)), D
 
@@ -684,8 +741,11 @@ def _model_images(images, ds, dt):
     for a, im in enumerate(images):
         row = []
         for l, c in enumerate(im):
-            num = c.numerator * ds if a else c.numerator
-            den = c.denominator * dt if l else c.denominator
+            num, den = c.as_integer_ratio()
+            if a:
+                num *= ds
+            if l:
+                den *= dt
             if num % den:
                 return None
             row.append(num // den)
@@ -706,8 +766,9 @@ def _integral_models(source, target, images):
     if source.spec.kind != "Q":
         return source, target, images
     dt = _denominator(target)
-    rest = lcm(*(c.denominator for im in images[1:] for c in im[1:]))
-    ds = lcm(_denominator(source), dt * rest, *(im[0].denominator for im in images[1:]))
+    rest = lcm(*(c.as_integer_ratio()[1] for im in images[1:] for c in im[1:]))
+    units = (im[0].as_integer_ratio()[1] for im in images[1:])
+    ds = lcm(_denominator(source), dt * rest, *units)
     model = _integral_model(source, ds)[0]
     other = model if target is source and ds == dt else _integral_model(target, dt)[0]
     return model, other, _model_images(images, ds, dt)
@@ -722,7 +783,7 @@ def _on_model(alg: StructureConstants, images):
     or alg and images themselves when an image is not integral there."""
     if alg.spec.kind != "Q":
         return alg, images
-    D = lcm(_denominator(alg), *(im[0].denominator for im in images[1:]))
+    D = lcm(_denominator(alg), *(im[0].as_integer_ratio()[1] for im in images[1:]))
     scaled = _model_images(images, D, D)
     return (alg, images) if scaled is None else (_integral_model(alg, D)[0], scaled)
 
@@ -1072,21 +1133,28 @@ def direct_product(a: StructureConstants, b: StructureConstants) -> StructureCon
 
     The natural basis pairs (e_i, 0) and (0, f_j) do not start with the
     identity, so basis element 0 is replaced by (1, 1); the remaining
-    basis elements are (e_i, 0) for i >= 1 and all (0, f_j).
+    basis elements are (e_i, 0) for i >= 1 and all (0, f_j).  Each
+    component of a basis element is a basis vector of its factor or
+    zero, so each component of a product of two is a cell of that
+    factor's table or zero, read off with no product taken.
     """
     if a.spec != b.spec:
         raise SpecMismatch("factors over different rings")
-    k = a.rank + b.rank
-    pairs = [
-        _product_split([1 if l == g else 0 for l in range(k)], a.rank)
-        for g in range(k)
-    ]
+    ka, kb = a.rank, b.rank
+    # the index of each basis element's component in each factor, or None
+    # where that component is zero: (1, 1), the (e_i, 0), then the (0, f_j)
+    parts = [(0, 0)] + [(i, None) for i in range(1, ka)] + [(None, j) for j in range(kb)]
+    zero = a.spec.value(0)
+    ta, tb = a._values, b._values
     table = [
         [
-            _product_coords(a._mul_values(ua, ub), b._mul_values(va, vb))
-            for ub, vb in pairs
+            _product_coords(
+                (zero,) * ka if i is None or i2 is None else ta[i][i2],
+                (zero,) * kb if j is None or j2 is None else tb[j][j2],
+            )
+            for i2, j2 in parts
         ]
-        for ua, va in pairs
+        for i, j in parts
     ]
     return StructureConstants(a.spec, table)
 

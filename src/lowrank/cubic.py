@@ -221,9 +221,16 @@ def _table_values(spec: RingSpec, values):
     """The canonical raw rows of the table of the canonical raw
     six-tuple values (b, c, m, n, y, z), as build_algebra stores them:
     the four computed cells reduced mod p, the constants the ring's own
-    0 and 1 (algebra._basis_values)."""
+    0 and 1 (algebra._basis_values).  The cells are computed on the
+    ints of algebra._on_ints: with the tuple over one denominator e
+    (e = 1 outside Q), each cell is a product of two values, so it is
+    the product of their ints over e^2, one division each
+    (algebra._divided)."""
     b, c, m, n, y, z = values
-    a, d, l, x = -(c * z), c * y, c * y - b * m, -(b * y)
+    _, (ints,), e = _on_ints(spec, (values,))
+    ib, ic, im, _, iy, iz = ints
+    cy = ic * iy
+    (a, d, l, x), = _divided(spec, [(-(ic * iz), cy, cy - ib * im, -(ib * iy))], 1, e * e)
     p = spec.p
     if p:
         a, d, l, x = a % p, d % p, l % p, x % p

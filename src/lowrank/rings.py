@@ -2,20 +2,23 @@
 
 A RingSpec names one of the three supported base rings.  Its canonical
 values are plain Python numbers: an int over Z, a reduced Fraction over
-Q, a residue int in [0, p) over F_p.  RingSpec.value checks a value and
-returns its canonical form; every stored table, element, matrix,
-polynomial and form holds and computes on these raw values, and all but
-the algebra elements are _RawValues records.  A RingElement pairs a spec
-with a canonical value and is what the public API hands out; its
-arithmetic builds results through a trusted constructor that only
-reduces mod p.  Readers decode decimal strings straight to canonical
-raw values (RingSpec._parse_value, which parse wraps in an element)
-and hand them to a constructor, which checks them through
-RingSpec.value.  The raw unit inverse, the unit test and the exact
-quotient are written once here, for elements and the raw loops alike,
-and so is _canonical_json, the package's one JSON writer.  All
-arithmetic is exact; there is no floating point anywhere in the
-package.
+Q, a residue int in [0, p) over F_p; over Q the -1, 0 and 1 that
+RingSpec.value makes of ints, and the reader of the strings "-1", "0"
+and "1", are the shared Fractions of _Q_CONSTANTS.  RingSpec.value
+checks a value and returns its canonical form; every stored table,
+element, matrix, polynomial and form holds and computes on these raw
+values, and all but the algebra elements are _RawValues records.  A
+RingElement pairs a spec with a canonical value and is what the public
+API hands out; its arithmetic builds results through a trusted
+constructor that only reduces mod p.  Readers decode decimal strings
+straight to canonical raw values (RingSpec._parse_value, which parse
+wraps in an element) and hand them to a constructor, which checks them
+through RingSpec.value; StructureConstants.from_json stores them as
+read, once the table's shape and identity are checked.  The raw unit
+inverse, the unit test and the exact quotient are written once here,
+for elements and the raw loops alike, and so is _canonical_json, the
+package's one JSON writer.  All arithmetic is exact; there is no
+floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ from .errors import _INTEGER, InputError, NotAUnit, SpecMismatch, UnsupportedRin
 # The element grammar RingSpec.parse accepts: errors._INTEGER, and over Q
 # this; [0-9] matches ASCII digits only.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:[/.][0-9]+)?")
+
+# The canonical -1, 0 and 1 over Q, shared by every value that RingSpec.value
+# makes of those ints and RingSpec._parse_value of the strings "-1", "0" and
+# "1".  Fractions are immutable, so sharing is safe, and tuples of shared
+# constants (a table's unit rows) compare by identity first.
+_Q_CONSTANTS = {v: Fraction(v) for v in (-1, 0, 1)}
+_Q_CONSTANT_TEXT = {str(v): c for v, c in _Q_CONSTANTS.items()}
 
 
 # Miller-Rabin with the first twelve primes as bases is exact below
@@ -166,7 +176,9 @@ class RingSpec:
         if type(x) is int:
             if self.p:
                 return x % self.p
-            return x if self.kind == "Z" else Fraction(x)
+            if self.kind == "Z":
+                return x
+            return _Q_CONSTANTS[x] if -1 <= x <= 1 else Fraction(x)
         if isinstance(x, RingElement):
             if x.spec != self:
                 raise SpecMismatch(f"cannot move {x!r} into {self!r}")
@@ -219,10 +231,11 @@ class RingSpec:
 
     def _parse_value(self, text):
         """The canonical raw value of the string text, read as parse
-        reads it, with no element built.  Over Q an integer or a/b is
-        one Fraction of the int() of each part, and a.b is the Fraction
-        of the stripped string, whose int() of each part sets the same
-        digit limit."""
+        reads it, with no element built.  Over Q the strings "-1", "0"
+        and "1" give the shared constants of _Q_CONSTANTS, any other
+        integer the one-argument Fraction of its int(), a/b one Fraction
+        of the int() of each part, and a.b the Fraction of the stripped
+        string, whose int() of each part sets the same digit limit."""
         if not isinstance(text, str):
             raise InputError(f"element must be a string, got {type(text).__name__}")
         digits = text.strip()
@@ -230,11 +243,13 @@ class RingSpec:
             if self.kind != "Q":
                 if _INTEGER.fullmatch(digits):
                     return int(digits) % self.p if self.p else int(digits)
+            elif digits in _Q_CONSTANT_TEXT:
+                return _Q_CONSTANT_TEXT[digits]
             elif _RATIONAL.fullmatch(digits):
                 if "." in digits:
                     return Fraction(digits)
-                num, _, den = digits.partition("/")
-                return Fraction(int(num), int(den or "1"))
+                num, slash, den = digits.partition("/")
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         except (ValueError, ZeroDivisionError):
             pass  # a zero denominator, or more digits than int() converts
         raise InputError(f"cannot parse {text!r} as an element of {self!r}")

@@ -9,9 +9,11 @@ from lowrank import (
     ZZ,
     AlgebraMap,
     RingElement,
+    RingSpec,
     CubicCoefficients,
     GeneralCubicTable,
     GuardExceeded,
+    InputError,
     Involution,
     NotAUnit,
     Polynomial,
@@ -25,6 +27,7 @@ from lowrank import (
     direct_product,
     element_to_matrix,
     enumerate_cubic,
+    exceptional_ring,
     is_isomorphic_2unit,
     is_isomorphic_bruteforce,
     is_isomorphic_over_z,
@@ -1086,6 +1089,140 @@ def test_structure_json_round_trip():
             StructureConstants.from_json(
                 {"ring": {"kind": "Z"}, "rank": rank, "table": [[["1"]]]}
             )
+
+
+# -- decoding: one refusal per bad table, on both paths -------------------------
+
+DECODE_SPECS = [ZZ, QQ, GF(7)]
+
+
+def _refusal(build):
+    """The type and message of the exception that build() raises."""
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+def _unit_json(k):
+    return [["1" if l == j else "0" for l in range(k)] for j in range(k)]
+
+
+@pytest.mark.parametrize("spec", DECODE_SPECS, ids=repr)
+def test_decoder_and_constructor_refuse_alike(spec):
+    """StructureConstants.from_json stores the values of read_elements
+    without converting them again, so it checks the empty table and the
+    identity through the same helper as the checking constructor: both
+    refuse those tables with the same type and message.  The JSON
+    reader refuses a ragged table, a rank that does not match the table
+    and a bool rank level by level, before any table exists, with
+    InputError; the constructor refuses a ragged table with TableError."""
+    def both(rank, table):
+        obj = {"ring": spec.to_json(), "rank": rank, "table": table}
+        values = [[list(map(spec._parse_value, cell)) for cell in row] for row in table]
+        return _refusal(lambda: StructureConstants.from_json(obj)), _refusal(
+            lambda: StructureConstants(spec, values)
+        )
+
+    unit = _unit_json(3)
+    square = [["1", "2", "0"], ["0", "3", "1"]]
+    tables = {
+        "empty": (0, []),
+        "row 0": (3, [[unit[0], unit[2], unit[2]], [unit[1], *square], [unit[2], *square]]),
+        "column 0": (3, [unit, [unit[1], *square], [unit[1], *square]]),
+        "unit at 0": (3, [[unit[1], unit[1], unit[2]], [unit[1], *square], [unit[2], *square]]),
+        "scalar 2": (2, [[["2", "0"], ["0", "1"]], [["0", "1"], ["1", "1"]]]),
+    }
+    want = {
+        "empty": "empty table",
+        "row 0": "basis element 0 is not a two-sided identity at index 1",
+        "column 0": "basis element 0 is not a two-sided identity at index 2",
+        "unit at 0": "basis element 0 is not a two-sided identity at index 0",
+        "scalar 2": "basis element 0 is not a two-sided identity at index 0",
+    }
+    for name, (rank, table) in tables.items():
+        decoded, built = both(rank, table)
+        assert decoded == built == (TableError, want[name]), name
+    # the JSON reader refuses by level, before the table checks
+    ragged = [_unit_json(2), [["0", "1"]]]
+    long_cell = [_unit_json(2), [["0", "1"], ["1", "1", "1"]]]
+    for rank, table, message in (
+        (2, ragged, "table row must be a list of 2 entries"),
+        (2, long_cell, "table cell must be a list of 2 entries"),
+        (3, [_unit_json(2), _unit_json(2)], "table must be a list of 3 entries"),
+        (True, [[["1"]]], "table must be a list of True entries"),
+        (False, [], "table must be a list of False entries"),
+    ):
+        obj = {"ring": spec.to_json(), "rank": rank, "table": table}
+        assert _refusal(lambda: StructureConstants.from_json(obj)) == (InputError, message)
+    for table in (ragged, long_cell):
+        values = [[list(map(spec._parse_value, cell)) for cell in row] for row in table]
+        assert _refusal(lambda: StructureConstants(spec, values)) == (
+            TableError, "table must be 2x2 cells of 2 coefficients"
+        )
+
+
+def test_from_json_reads_each_value_once(monkeypatch):
+    """StructureConstants.from_json stores the values that read_elements
+    decodes and converts none of them again through RingSpec.value, on
+    every ring; the stored table is the one the constructor builds."""
+    tables = {spec: build_algebra(CubicCoefficients(spec, 2, 0, 3, 2, 0, 3)).to_json()
+              for spec in DECODE_SPECS}
+    converted = []
+    value = RingSpec.value
+    monkeypatch.setattr(RingSpec, "value", lambda self, x: converted.append(x) or value(self, x))
+    decoded = {spec: StructureConstants.from_json(obj) for spec, obj in tables.items()}
+    assert converted == []
+    monkeypatch.undo()
+    for spec, alg in decoded.items():
+        assert alg == StructureConstants(spec, alg._values) == build_algebra(
+            CubicCoefficients(spec, 2, 0, 3, 2, 0, 3))
+
+
+def _leaf_types(values):
+    return {
+        t for v in values
+        for t in (_leaf_types(v) if isinstance(v, (tuple, list)) else {type(v)})
+    }
+
+
+def test_every_value_over_q_is_a_fraction():
+    """Over Q every stored value is a Fraction, the shared 0 and 1
+    included (the AlgebraElement invariant): decoded tables, elements
+    and the tables the constructions build.  The ints -1, 0 and 1 and
+    the strings "-1", "0" and "1" give the same shared Fractions, and
+    every other string a Fraction of its own."""
+    from lowrank.rings import _Q_CONSTANTS
+
+    for v in (-1, 0, 1):
+        shared = _Q_CONSTANTS[v]
+        assert type(shared) is Fraction and shared == v
+        assert QQ.value(v) is shared and QQ._parse_value(str(v)) is shared
+        assert QQ._parse_value(f" {v} ") is shared
+    assert QQ.zero.value is _Q_CONSTANTS[0] and QQ.one.value is _Q_CONSTANTS[1]
+    for text, want in (("-0", 0), ("+1", 1), ("2/2", 1), ("1.0", 1), ("7", 7), ("6/4", Fraction(3, 2))):
+        got = QQ._parse_value(text)
+        assert type(got) is Fraction and got == want
+    table = [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+             [["0", "1", "0"], ["-1", "2/4", "-0"], ["0", "+1", "1.5"]],
+             [["0", "0", "1"], ["1", "0", "-1"], ["7", "0", "3/9"]]]
+    alg = StructureConstants.from_json({"ring": {"kind": "Q"}, "rank": 3, "table": table})
+    assert alg == StructureConstants(QQ, [[[QQ._parse_value(c) for c in cell] for cell in row] for row in table])
+    assert alg._values[0][0][0] is _Q_CONSTANTS[1] and alg._values[1][1][0] is _Q_CONSTANTS[-1]
+    built = [
+        alg,
+        build_algebra(CubicCoefficients(QQ, Fraction(1, 2), 0, 3, Fraction(1, 2), 0, 3)),
+        build_algebra(CubicCoefficients(QQ, 1, -2, 0, 0, Fraction(5, 3), 0)),
+        QuadraticAlgebra(QQ, 0, -1).structure(),
+        direct_product(rank_one(QQ), alg),
+        matrix_algebra(QQ, 2),
+        quaternion_algebra(QQ, -1, 3),
+        exceptional_ring(QQ, [0, 1, Fraction(2, 3)]),
+    ]
+    for table in built:
+        assert _leaf_types(table._values) == {Fraction}, table
+        x = table.element([Fraction(1, 2)] + [-1] * (table.rank - 1))
+        assert _leaf_types((x * x)._values) == {Fraction}
+        assert _leaf_types(left_regular_rep(x)._values) == {Fraction}
 
 
 def test_element_enumeration():

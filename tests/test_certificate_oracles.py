@@ -755,6 +755,43 @@ def test_split_matches_the_rebased_product(spec):
     assert got[0].target.to_json() == want[0].target.to_json()
 
 
+def mul_loop_direct_product(a, b):
+    """direct_product as it was before it read its cells off the
+    factors' tables: every product of two basis elements taken
+    componentwise by _mul_values."""
+    k = a.rank + b.rank
+    pairs = [
+        algebra._product_split([1 if l == g else 0 for l in range(k)], a.rank)
+        for g in range(k)
+    ]
+    return StructureConstants(a.spec, [
+        [
+            algebra._product_coords(a._mul_values(ua, ub), b._mul_values(va, vb))
+            for ub, vb in pairs
+        ]
+        for ua, va in pairs
+    ])
+
+
+@pytest.mark.parametrize("spec,source", SPECS)
+def test_direct_product_matches_the_product_loop(spec, source):
+    """direct_product against its product loop on factors of ranks 1 to
+    4, random unital and associative ones, over every ring: the same
+    table, of canonical values (Fractions over Q)."""
+    rng = source(f"direct product {spec!r}")
+    factors = [
+        random_unital_table(spec, k, rng, zeros) for k in (1, 2, 3, 4) for zeros in (0.0, 0.6)
+    ] + [alg for alg in associative_tables(spec, rng) if alg.rank <= 4]
+    ranks = set()
+    for a in factors:
+        for b in rng.sample(factors, 3):
+            got = direct_product(a, b)
+            assert got == mul_loop_direct_product(a, b)
+            assert StructureConstants(spec, got._values)._values == got._values
+            ranks.add((a.rank, b.rank))
+    assert {r for pair in ranks for r in pair} == {1, 2, 3, 4}
+
+
 # -- the integral model over Q ------------------------------------------------
 
 
@@ -895,9 +932,10 @@ def test_unchecked_tables_pass_the_checking_constructor(spec, monkeypatch):
     """StructureConstants._canonical stores rows unchecked, and the
     verifiers rely on e_0 being a two-sided identity there.  Every table
     it stores for build_algebra, QuadraticAlgebra.structure, the
-    exceptional_witness model, exceptional_ring at ranks 2 to 6 and,
-    over Q, _integral_model at ranks 2 to 6 is equal to the table the
-    checking constructor builds from the same rows."""
+    exceptional_witness model, exceptional_ring at ranks 2 to 6,
+    StructureConstants.from_json at ranks 1 to 5 and, over Q,
+    _integral_model at ranks 2 to 6 is equal to the table the checking
+    constructor builds from the same rows."""
     stored = []
     canonical = StructureConstants._canonical.__func__
 
@@ -918,15 +956,17 @@ def test_unchecked_tables_pass_the_checking_constructor(spec, monkeypatch):
         if spec.value(m) or spec.value(n):
             exceptional_witness(CubicCoefficients(spec, n, 0, m, n, 0, m))
         exceptional_ring(spec, [draw() for _ in range(1 + len(counts) % 5)])
+        StructureConstants.from_json(random_unital_table(spec, 1 + len(counts) % 5, rng).to_json())
         if spec.kind == "Q":
             _integral_model(random_unital_table(spec, 2 + len(counts) % 5, rng))
         counts.append(len(stored) - before)
-    # one table each for the first two and the last, and the table and
-    # model of the witness; over Q also the integral model of the random
-    # table and the two that the witness's map is checked between
-    assert set(counts) <= ({4, 8} if spec.kind == "Q" else {3, 5})
-    assert max(counts) == (8 if spec.kind == "Q" else 5)
-    assert {table.rank for table in stored} == {2, 3, 4, 5, 6}
+    # one table each for the first two, exceptional_ring and from_json,
+    # and the table and model of the witness; over Q also the integral
+    # model of the random table and the two that the witness's map is
+    # checked between
+    assert set(counts) <= ({5, 9} if spec.kind == "Q" else {4, 6})
+    assert max(counts) == (9 if spec.kind == "Q" else 6)
+    assert {table.rank for table in stored} == {1, 2, 3, 4, 5, 6}
     for table in stored:
         assert table.spec in (spec, ZZ)
         assert StructureConstants(table.spec, table._values) == table
@@ -1063,6 +1103,67 @@ def test_base_change_from_z_to_f_p_reduces_every_answer():
             assert acted._values == tuple(map(spec.value, got))
 
 
+# -- base change: Q -> Z through the integral model ----------------------------
+
+
+def assert_q_to_z_through_the_model(alg, xs):
+    """The relations of Q -> Z through the integral model (model, D) of
+    a table over Q, each against an oracle on the Fractions: the model
+    over ZZ has the associativity verdict and failing triple of the
+    full loop over Q; it has a standard involution exactly when Q has
+    one, with traces D t_i, where Q's is decided by the full loops on
+    the only candidate, the conjugation with t_i the e_i-coordinate of
+    e_i^2; and each integer vector X of model coordinates has the
+    characteristic polynomial of left multiplication over ZZ that the
+    element (X_0, D X_1, ..., D X_{k-1}) of the table has over Q, read
+    off the Fraction matrix.  Returns (failing triple, has involution)."""
+    model, D = _integral_model(alg)
+    assert model.spec == ZZ and _leaf_types(model._values) <= {int}
+    verdict = full_verify_associativity(alg)
+    assert model.verify_associativity() == verdict == alg.verify_associativity()
+    k = alg.rank
+    cand = _conjugation(alg, [alg._values[i][i][i] for i in range(1, k)])
+    has = full_verify_involution(cand) == (True, None) and full_verify_standard(cand)[0]
+    inv_z, inv_q = find_standard_involution(model), find_standard_involution(alg)
+    assert (inv_z is not None) == has == (inv_q is not None)
+    if has:
+        traces = [im._values[0] for im in cand.images[1:]]
+        assert [im._values[0] for im in inv_z.images[1:]] == [D * t for t in traces]
+        assert inv_q == cand
+    for X in xs:
+        x = alg.element((X[0], *[D * c for c in X[1:]]))
+        chi_z = left_char_poly(model.element(X))._values
+        want = tuple(fraction_char_poly(fraction_left_regular_rep(x)))
+        assert tuple(map(Fraction, chi_z)) == want == left_char_poly(x)._values
+    return verdict[1], has
+
+
+def _leaf_types(values):
+    return set(map(type, _leaves(values)))
+
+
+def test_base_change_from_q_to_z_through_the_integral_model():
+    """Random tables over Q of perfbench size, half of them associative
+    six-tuples (exceptional and commutative) and half random unital
+    tables of ranks 2 to 5, dense and sparse: the model over ZZ keeps
+    every answer (assert_q_to_z_through_the_model)."""
+    rng = PerfbenchSized("base change Q to Z")
+    draw = lambda: _value(QQ, rng)
+    tables = []
+    for i in range(24):
+        n, m = draw(), draw()
+        tables.append(build_algebra(CubicCoefficients(QQ, n, 0, m, n, 0, m)))
+        tables.append(build_algebra(CubicCoefficients(QQ, draw(), draw(), 0, 0, draw(), draw())))
+        tables += [random_unital_table(QQ, 2 + i % 4, rng, zeros) for zeros in (0.3, 0.8)]
+    triples, found = set(), set()
+    for alg in tables:
+        xs = [[rng.randint(-10**6, 10**6) for _ in range(alg.rank)] for _ in range(2)]
+        triple, has = assert_q_to_z_through_the_model(alg, xs + [[1] + [0] * (alg.rank - 1)])
+        triples.add(triple)
+        found.add(has)
+    assert found == {True, False} and None in triples and len(triples) > 2
+
+
 # -- work counts -------------------------------------------------------------
 
 
@@ -1145,8 +1246,12 @@ def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
     The element-level answers (characteristic polynomial, determinant,
     inverse, left_regular_rep, rebase and gl2_act) hand the product
     kernel, the determinant and adjugate loops and the substitution
-    loop ints too, and run no loop over Q.  A fast path that fell back
-    to Fractions would show here."""
+    loop ints too, and run no loop over Q.  The unit-determinant test
+    behind verify_isomorphism and is_invertible calls the determinant
+    loop on ints directly, not through its Q entry, and the cells of a
+    cubic table (cubic._table_values) take no Fraction arithmetic: they
+    are ints divided once.  A fast path that fell back to Fractions
+    would show here."""
     big = Fraction(713732015429, 4081), Fraction(-106415615197, 800)
     alg = build_algebra(CubicCoefficients(QQ, big[0], 0, big[1], big[0], 0, big[1]))
     calls, types = [], set()
@@ -1160,6 +1265,7 @@ def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
 
         monkeypatch.setattr(StructureConstants, name, recorded)
     loops = []  # (loop, ring kind) of each call into a loop
+    entries = []  # the callers' calls into the Q entry of the determinant loop
     char_poly, adjugate, substitute = (
         algebra._char_poly_values, algebra._adjugate_values, cubic._substitute
     )
@@ -1168,6 +1274,8 @@ def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
         if spec.kind != "Q":  # the Q entry clears denominators and calls back
             loops.append(("char poly", spec.kind))
             types.update(map(type, _leaves(rows)))
+        else:
+            entries.append(len(rows))
         return char_poly(spec, rows, d)
 
     def recorded_adjugate(p, rows, chi):
@@ -1195,6 +1303,26 @@ def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
     exceptional_witness(CubicCoefficients(QQ, big[0], 0, big[1], big[0], 0, big[1]))
     assert loops == [("char poly", "Z")]  # the witness map's determinant
     loops.clear()
+    phi = AlgebraMap(alg, alg, [(1, 0, 0), (big[0], -1, 0), (Fraction(1, 3), big[1], 1)])
+    assert phi.is_invertible() and not phi.verify_isomorphism()
+    assert AlgebraMap(alg, alg, alg._values[0]).verify_isomorphism()
+    assert loops == [("char poly", "Z")] * 2 and entries == []
+    loops.clear()
+    # a cubic table: the four computed cells are ints divided once
+    arithmetic, divided = [], []
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+            op = getattr(Fraction, name)
+            patch.setattr(Fraction, name, lambda *args, op=op, name=name: arithmetic.append(name) or op(*args))
+        patch.setattr(cubic, "_divided", lambda spec, rows, d, den: divided.append(
+            _leaves(rows) + [d, den]) or _divided(spec, rows, d, den))
+        for values in ((big[0], Fraction(-2, 7), 0, 0, big[1], Fraction(5, 3)),
+                       (big[0], 0, big[1], big[0], 0, big[1])):
+            cells = cubic._table_values(QQ, tuple(map(QQ.value, values)))
+            assert StructureConstants(QQ, cells)._values == cells
+    assert arithmetic == [] and len(divided) == 2
+    types.update(map(type, sum(divided, [])))
     calls.clear()
     x = alg.element([big[1], Fraction(1, 3), big[0]])
     rep = left_regular_rep(x)
@@ -1202,6 +1330,8 @@ def test_checks_over_q_hand_the_kernel_ints(monkeypatch):
     chi = rep.char_poly()
     rep.det(), rep.is_invertible(), rep.inverse()
     assert loops == [("char poly", "Z")] * 4 + [("adjugate", None)]
+    assert entries == [3, 3]  # char_poly and det read chi over Q
+    entries.clear()
     loops.clear()
     calls.clear()
     assert left_char_poly(x) == chi
