@@ -27,6 +27,10 @@ denominator, _integral_model gives the integral model (the same algebra
 in the basis (1, D e_1, ..., D e_{k-1}), whose table has integer
 cells), _integral_models and _on_model move a map's images to models,
 and _divided turns each int result back into one canonical Fraction.
+A table is immutable, so its integral model is kept on the table once
+built: every check of one table in a request, and both involution
+verifiers, read the cells once, and a model at a multiple of D is
+scaled from the kept one on ints.
 The table checks (verify_associativity, and through it
 cubic.matrix_rep, a unital map's is_multiplicative and the involution
 verifiers) run on the model, whose verdicts and failing indices are
@@ -87,10 +91,12 @@ class StructureConstants(_RawValues):
     `table` wraps them in RingElements each time it is read.
     The constructor checks every value, the shape and the identity.  The
     private `_canonical` skips those checks for rows that are canonical
-    by construction; its callers are listed in its docstring.
+    by construction; its callers are listed in its docstring.  Over Q,
+    `_model` keeps the integral model once _integral_model has built
+    it; it takes no part in equality, hashing or JSON.
     """
 
-    __slots__ = ("rank",)
+    __slots__ = ("rank", "_model")
 
     def __init__(self, spec: RingSpec, table):
         value = spec.value
@@ -105,6 +111,7 @@ class StructureConstants(_RawValues):
         self.spec = spec
         self.rank = k
         self._values = rows
+        self._model = None
 
     @classmethod
     def _canonical(cls, spec: RingSpec, rows) -> StructureConstants:
@@ -117,10 +124,11 @@ class StructureConstants(_RawValues):
         `cubic.build_algebra` (the table of a validated six-tuple),
         `quadratic.QuadraticAlgebra.structure` (the table of its
         canonical (t, n)), `cubic.exceptional_ring` (the table of
-        B(phi) = R + M, with phi checked by RingSpec.value) and
-        `algebra._integral_model` (the integer table over Z of a table over Q
-        in the basis (1, D e_1, ..., D e_{k-1})) and
-        `algebra.StructureConstants.from_json` (the values of
+        B(phi) = R + M, with phi checked by RingSpec.value),
+        `algebra._model_table` (the integral model of _integral_model:
+        the integer table over Z of a table over Q in the basis
+        (1, D e_1, ..., D e_{k-1}), with the unit rows of _basis_values)
+        and `algebra.StructureConstants.from_json` (the values of
         read_elements, canonical and in shape, once _check_unital has
         passed).  The
         certificate verifiers (verify_associativity, is_multiplicative,
@@ -132,6 +140,7 @@ class StructureConstants(_RawValues):
         out.spec = spec
         out.rank = len(rows)
         out._values = rows
+        out._model = None
         return out
 
     # the cells as tuples of RingElements
@@ -681,17 +690,10 @@ def _int_basis(k: int):
     return tuple(tuple(int(i == l) for l in range(k)) for i in range(k))
 
 
-def _denominator(alg: StructureConstants) -> int:
-    """The least common multiple of the denominators of the cells off
-    the unit of a table over Q."""
-    t = alg._values
-    return lcm(*(c.as_integer_ratio()[1] for row in t[1:] for cell in row[1:] for c in cell))
-
-
 def _integral_model(alg: StructureConstants, d=None):
-    """The integral model of a table: (model, D), with D the
-    _denominator(alg) of its cells, each read once with the numerator,
-    or, when given, d, a multiple of it; over Z and F_p, (alg, 1).
+    """The integral model of a table: (model, D), with D the least
+    common multiple of the denominators of its cells off the unit, or,
+    when given, d, a multiple of it; over Z and F_p, (alg, 1).
 
     Over Q the model is the table of the same algebra in the basis
     f_0 = 1, f_a = D e_a, stored over Z.  Since f_a f_b = D^2 t_ab^0 +
@@ -702,25 +704,35 @@ def _integral_model(alg: StructureConstants, d=None):
     diagonal, so an identity among basis products holds in alg exactly
     when it holds in the model, with the same indices, and a witness
     with 0/1 coordinates keeps its support; the table checks run on
-    the model, through the same kernel, on ints.  Built per call and
-    never cached."""
+    the model, through the same kernel, on ints.  A table is
+    immutable, so the model at its own D is built on first use, from
+    the cells read once (_on_ints), and kept on the table (_model);
+    every later call reads no Fraction.  The scalings compose, so the
+    model at d = jD is the kept model's own model at j: built from its
+    int cells M as (j^2 M^0, j M^1, ..., j M^{k-1}), and not kept."""
     if alg.spec.kind != "Q":
         return alg, 1
-    # each cell off the unit read once, as (numerator, denominator)
-    ratios = [
-        [[c.as_integer_ratio() for c in cell] for cell in row[1:]]
-        for row in alg._values[1:]
-    ]
-    D = d or lcm(*(q for row in ratios for cell in row for _, q in cell))
-    DD = D * D
-    _, basis = _basis_values(ZZ, alg.rank)
-    rows = [basis]
-    for a, row in enumerate(ratios, start=1):
-        cells = [basis[a]]
-        for ((c0, q0), *cell) in row:
-            cells.append((c0 * (DD // q0), *[c * (D // q) for c, q in cell]))
-        rows.append(tuple(cells))
-    return StructureConstants._canonical(ZZ, tuple(rows)), D
+    if alg._model is None:
+        # D t = N for the int rows N of the cells off the unit
+        _, cells, D = _on_ints(alg.spec, [cell for row in alg._values[1:] for cell in row[1:]])
+        alg._model = _model_table(alg.rank, cells, D), D
+    model, D = alg._model
+    if d is None or d == D:
+        return alg._model
+    j = d // D
+    cells = [[j * c for c in cell] for row in model._values[1:] for cell in row[1:]]
+    return _model_table(alg.rank, cells, j), d
+
+
+def _model_table(k: int, cells, D):
+    """The integral model at D of the table of rank k whose cells off
+    the unit are c / D for the int cells c, given row by row: the
+    table over Z with e_0 = 1 whose cells off the unit are the tuples
+    _model_coords(c, D)."""
+    _, basis = _basis_values(ZZ, k)
+    cells = [tuple(_model_coords(c, D)) for c in cells]
+    rows = [basis] + [(basis[a], *cells[(a - 1) * (k - 1):a * (k - 1)]) for a in range(1, k)]
+    return StructureConstants._canonical(ZZ, tuple(rows))
 
 
 def _model_coords(u, D):
@@ -757,33 +769,31 @@ def _integral_models(source, target, images):
     """A unital map with raw images between two tables, moved to
     integral models of both: (source model, target model, model
     images), all ints; over Z and F_p, the inputs as they are.  Over Q
-    the target's model is at dt = _denominator(target) and the source's
-    at ds, the least common multiple of _denominator(source), of the
+    the target's model is its kept one, at dt, and the source's is at
+    ds, the least common multiple of the source model's D, of the
     denominators of the images' unit coordinates and of dt times those
     of their other coordinates, so that every image is integral between
     them (_model_images).  A map of a table to itself at ds = dt gets
     one model."""
     if source.spec.kind != "Q":
         return source, target, images
-    dt = _denominator(target)
+    other, dt = _integral_model(target)
     rest = lcm(*(c.as_integer_ratio()[1] for im in images[1:] for c in im[1:]))
     units = (im[0].as_integer_ratio()[1] for im in images[1:])
-    ds = lcm(_denominator(source), dt * rest, *units)
-    model = _integral_model(source, ds)[0]
-    other = model if target is source and ds == dt else _integral_model(target, dt)[0]
-    return model, other, _model_images(images, ds, dt)
+    ds = lcm(_integral_model(source)[1], dt * rest, *units)
+    return _integral_model(source, ds)[0], other, _model_images(images, ds, dt)
 
 
 def _on_model(alg: StructureConstants, images):
     """The table and raw images that the involution checks read for the
     raw images of a map of the table alg to itself; over Z and F_p, alg
     and images as they are.  Over Q: its integral model at one D, the
-    least common multiple of _denominator(alg) and of the images' unit
+    least common multiple of the kept model's D and of the images' unit
     coordinates, and the images in that model's basis (_model_images),
     or alg and images themselves when an image is not integral there."""
     if alg.spec.kind != "Q":
         return alg, images
-    D = lcm(_denominator(alg), *(im[0].as_integer_ratio()[1] for im in images[1:]))
+    D = lcm(_integral_model(alg)[1], *(im[0].as_integer_ratio()[1] for im in images[1:]))
     scaled = _model_images(images, D, D)
     return (alg, images) if scaled is None else (_integral_model(alg, D)[0], scaled)
 

@@ -17,11 +17,12 @@ Both run on the canonical raw values of the table that
 algebra._on_model gives: the table itself over Z and F_p, and over Q
 its integral model, whose cells are ints and whose failing indices are
 the table's (or the table itself when an image is not integral
-there).  They build an element only for a witness they return.  Elements
-fixed under a standard involution's trace and norm satisfy an explicit
-monic quadratic, and that quadratic certificate is the engine behind
-both the search for standard involutions in low rank and the degree
-bounds used elsewhere.
+there).  The table keeps that model (algebra._integral_model), so the
+two verifiers share it.  They build an element only for a witness they
+return.  Elements fixed under a standard involution's trace and norm
+satisfy an explicit monic quadratic, and that quadratic certificate is
+the engine behind both the search for standard involutions in low rank
+and the degree bounds used elsewhere.
 """
 
 from __future__ import annotations
@@ -46,15 +47,12 @@ from .rings import RingElement, RingSpec, _unit_inverse
 
 class Involution(AlgebraMap):
     """A linear self-map of an algebra given on the basis: an
-    AlgebraMap whose source and target are the same algebra.  The
-    table and images that the verifiers check (_checked_on) are built
-    on first use and kept."""
+    AlgebraMap whose source and target are the same algebra."""
 
-    __slots__ = ("_model",)
+    __slots__ = ()
 
     def __init__(self, algebra: StructureConstants, images):
         super().__init__(algebra, algebra, images)
-        self._model = None
 
     @property
     def algebra(self) -> StructureConstants:
@@ -77,15 +75,6 @@ class Involution(AlgebraMap):
         return Involution(alg, images)
 
 
-def _checked_on(inv: Involution):
-    """The table and raw images that verify_involution and
-    verify_standard check for inv: those of algebra._on_model, built
-    once per involution, so that the two verifiers share one model."""
-    if inv._model is None:
-        inv._model = _on_model(inv.algebra, [im._values for im in inv.images])
-    return inv._model
-
-
 def verify_involution(inv: Involution):
     """Check the three involution axioms on the basis.
 
@@ -95,9 +84,9 @@ def verify_involution(inv: Involution):
     unit.  Returns (True, None) or (False, description) where the
     description names the first axiom that fails: fixing 1, being
     self-inverse, or reversing products.  The axioms are checked in the
-    integral model (_checked_on).
+    integral model (algebra._on_model).
     """
-    alg, images = _checked_on(inv)
+    alg, images = _on_model(inv.algebra, [im._values for im in inv.images])
     k = alg.rank
     t = alg._values
     e = t[0]  # the basis vectors, since e_0 = 1
@@ -127,11 +116,11 @@ def verify_standard(inv: Involution):
     multiplied.  Returns (True, None) or (False, witness element), the
     first witness in the order 1, e_1, ..., e_{k-1}, 1 + e_1, ...,
     1 + e_{k-1}, then the e_i + e_j lexicographically.  The checks
-    run in the integral model (_checked_on); a witness has
+    run in the integral model (algebra._on_model); a witness has
     coordinates 0 and 1 in either basis and is returned in inv's.
     """
     witness = inv.algebra.element
-    alg, images = _checked_on(inv)
+    alg, images = _on_model(inv.algebra, [im._values for im in inv.images])
     k = alg.rank
     e = alg._values[0]  # the basis vectors, since e_0 = 1
     combine, mul = alg._combine_values, alg._mul_values
@@ -194,8 +183,8 @@ def check_involution(inv: Involution):
     module, as (involution, failure, standard, witness); verify_standard
     runs only once the axioms hold, and (standard, witness) is
     (False, None) otherwise.  Both check the table and images of
-    _checked_on, built once for the two; a witness is returned in
-    inv's algebra."""
+    algebra._on_model, on the model the table keeps; a witness is
+    returned in inv's algebra."""
     ok, failure = verify_involution(inv)
     if not ok:
         return False, failure, False, None

@@ -12,7 +12,8 @@ RingElement pairs a spec with a canonical value and is what the public
 API hands out; its arithmetic builds results through a trusted
 constructor that only reduces mod p.  Readers decode decimal strings
 straight to canonical raw values (RingSpec._parse_value, which parse
-wraps in an element) and hand them to a constructor, which checks them
+wraps in an element, and which reads "-1", "0" and "1" by one lookup on
+every ring) and hand them to a constructor, which checks them
 through RingSpec.value; StructureConstants.from_json stores them as
 read, once the table's shape and identity are checked.  The raw unit
 inverse, the unit test and the exact quotient are written once here,
@@ -40,7 +41,6 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:[/.][0-9]+)?")
 # "1".  Fractions are immutable, so sharing is safe, and tuples of shared
 # constants (a table's unit rows) compare by identity first.
 _Q_CONSTANTS = {v: Fraction(v) for v in (-1, 0, 1)}
-_Q_CONSTANT_TEXT = {str(v): c for v, c in _Q_CONSTANTS.items()}
 
 
 # Miller-Rabin with the first twelve primes as bases is exact below
@@ -128,9 +128,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class RingSpec:
-    """One of Z, Q, or F_p for a prime p."""
+    """One of Z, Q, or F_p for a prime p.  `_constants` maps the strings
+    "-1", "0" and "1" to their canonical raw values, which over Q are the
+    shared _Q_CONSTANTS."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("kind", "p", "_constants")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind not in ("Z", "Q", "Fp"):
@@ -147,6 +149,10 @@ class RingSpec:
             raise InputError(f"ring kind {kind!r} takes no modulus")
         self.kind = kind
         self.p = p
+        self._constants = {
+            str(v): _Q_CONSTANTS[v] if kind == "Q" else v % p if p else v
+            for v in (-1, 0, 1)
+        }
 
     def __eq__(self, other):
         return self is other or (
@@ -231,20 +237,21 @@ class RingSpec:
 
     def _parse_value(self, text):
         """The canonical raw value of the string text, read as parse
-        reads it, with no element built.  Over Q the strings "-1", "0"
-        and "1" give the shared constants of _Q_CONSTANTS, any other
-        integer the one-argument Fraction of its int(), a/b one Fraction
-        of the int() of each part, and a.b the Fraction of the stripped
-        string, whose int() of each part sets the same digit limit."""
+        reads it, with no element built.  On every ring the strings
+        "-1", "0" and "1" are looked up in _constants, over Q the shared
+        constants of _Q_CONSTANTS.  Over Q any other integer gives the
+        one-argument Fraction of its int(), a/b one Fraction of the int()
+        of each part, and a.b the Fraction of the stripped string, whose
+        int() of each part sets the same digit limit."""
         if not isinstance(text, str):
             raise InputError(f"element must be a string, got {type(text).__name__}")
         digits = text.strip()
+        if digits in self._constants:
+            return self._constants[digits]
         try:
             if self.kind != "Q":
                 if _INTEGER.fullmatch(digits):
                     return int(digits) % self.p if self.p else int(digits)
-            elif digits in _Q_CONSTANT_TEXT:
-                return _Q_CONSTANT_TEXT[digits]
             elif _RATIONAL.fullmatch(digits):
                 if "." in digits:
                     return Fraction(digits)

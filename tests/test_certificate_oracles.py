@@ -61,9 +61,8 @@ from lowrank import (
     verify_involution,
     verify_standard,
 )
-from lowrank import algebra, cubic, involutions
+from lowrank import algebra, cubic
 from lowrank.algebra import (
-    _denominator,
     _divided,
     _integral_model,
     _integral_models,
@@ -795,23 +794,39 @@ def test_direct_product_matches_the_product_loop(spec, source):
 # -- the integral model over Q ------------------------------------------------
 
 
-def test_integral_model_is_the_table_in_the_scaled_basis():
+def test_integral_model_is_the_table_in_the_scaled_basis(monkeypatch):
     """_integral_model's closed form is rebase(alg, [1, D e_1, ...]),
     whose cells the Q kernel computes, on random unital tables over Q of
     ranks 2 to 5 with the benchmark's fractions; its cells are ints and
-    D clears every denominator off the unit.  Over Z and F_p the model
-    is the table itself, at D = 1."""
+    D clears every denominator off the unit.  The table keeps its
+    model: a second call returns the same model and reads no Fraction
+    (no as_integer_ratio call), and so does the model at d = jD for j
+    in 2, 3 and 6, which is rebase(alg, [1, d e_1, ...]) too.  A table
+    that keeps a model equals, hashes and writes JSON like a fresh
+    copy.  Over Z and F_p the model is the table itself, at D = 1."""
     rng = PerfbenchSized("integral model")
+    ratio = Fraction.as_integer_ratio
+    read = []
     for draw in range(100):
         k = 2 + draw % 4
         alg = random_unital_table(QQ, k, rng, zeros=0.25 * (draw % 4))
+        fresh = StructureConstants.from_json(alg.to_json())
         model, D = _integral_model(alg)
-        basis = [[D if l == i > 0 else int(l == i) for l in range(k)] for i in range(k)]
-        table, _ = rebase(alg, basis)
+        table, _ = rebase(alg, _scaled_basis(k, D))
         assert model.spec == ZZ and model._values == table._values
         cells = [cell for row in alg._values[1:] for cell in row[1:]]
         assert all(D % c.denominator == 0 for cell in cells for c in cell)
         assert {type(c) for row in model._values for cell in row for c in cell} == {int}
+        monkeypatch.setattr(Fraction, "as_integer_ratio", lambda x: read.append(x) or ratio(x))
+        again = _integral_model(alg)
+        scaled = {j: _integral_model(alg, j * D) for j in (2, 3, 6)}
+        monkeypatch.undo()
+        assert read == [] and again[0] is model and again[1] == D
+        for j, (other, d) in scaled.items():
+            assert d == j * D and other.spec == ZZ
+            assert other._values == rebase(alg, _scaled_basis(k, d))[0]._values
+        assert _integral_model(alg)[0] is model
+        assert alg == fresh and hash(alg) == hash(fresh) and alg.to_json() == fresh.to_json()
     for spec in (ZZ, GF(7)):
         alg = random_unital_table(spec, 3, rng)
         model, D = _integral_model(alg)
@@ -836,8 +851,8 @@ def test_integral_models_read_a_map_in_the_scaled_bases():
         phi = AlgebraMap(source, target, images)
         raw = [im._values for im in phi.images]
         got = _integral_models(source, target, raw)
-        dt = _denominator(target)
-        ds = lcm(_denominator(source), *(im[0].denominator for im in raw[1:]),
+        dt = _integral_model(target)[1]
+        ds = lcm(_integral_model(source)[1], *(im[0].denominator for im in raw[1:]),
                  *(dt * c.denominator for im in raw[1:] for c in im[1:]))
         _, onto_model = rebase(target, _scaled_basis(k, dt))
         want = [onto_model.apply(phi.apply(source.element(row)))._values
@@ -854,7 +869,7 @@ def test_integral_models_read_a_map_in_the_scaled_bases():
 def test_on_model_reads_a_map_to_itself_at_one_scale():
     """_on_model reads the images of a map of a table to itself, the
     image of 1 included, in the integral model at one D, the least
-    common multiple of _denominator and of the images' unit
+    common multiple of the table's D (_integral_model) and of the images' unit
     coordinates: phi applied to (1, D e_1, ...) and read back through
     rebase's map onto the model, with Fractions.  When those are not
     all integers it hands back the table and images unchanged.  Images
@@ -869,7 +884,7 @@ def test_on_model_reads_a_map_to_itself_at_one_scale():
         source = random_unital_table(QQ, k, rng, 0.5)
         draw_value = lambda: rng.randint(-3, 3) if draw % 2 else _value(QQ, rng, 0.5)
         rest = [[QQ.value(draw_value()) for _ in range(k)] for _ in range(k - 1)]
-        D = lcm(_denominator(source), *(im[0].denominator for im in rest))
+        D = lcm(_integral_model(source)[1], *(im[0].denominator for im in rest))
         if draw % 4 == 1:
             one = [draw_value()] + [D * rng.randint(-3, 3) for _ in range(k - 1)]
         else:
@@ -1207,29 +1222,31 @@ def test_certificate_work_counts(monkeypatch):
 
 
 def test_check_involution_builds_one_model(monkeypatch):
-    """check_involution over Q moves the table and images to the model
-    (algebra._on_model) once for both verifiers: when the images are
-    integral there, and when they are not and the Fractions are
-    checked."""
+    """check_involution over Q builds the table's integral model once
+    for both verifiers, one StructureConstants._canonical call over ZZ
+    on a table that keeps none yet (algebra._integral_model): when the
+    images are integral there, and when they are not and the Fractions
+    are checked."""
     built = []
-    on_model = algebra._on_model
+    canonical = StructureConstants._canonical.__func__
 
-    def recorded(alg, images):
-        built.append(alg.spec)
-        return on_model(alg, images)
+    def recorded(cls, spec, rows):
+        built.append(spec)
+        return canonical(cls, spec, rows)
 
-    monkeypatch.setattr(involutions, "_on_model", recorded)
     n, m = Fraction(1, 2), Fraction(2, 3)
     alg = build_algebra(CubicCoefficients(QQ, n, 0, m, n, 0, m))
     found = find_standard_involution(alg)
     half = [0, Fraction(1, 2), 0]  # not integral in the model
-    for inv, want in (
-        (Involution(alg, found.images), (True, None, True, None)),
-        (Involution(alg, [alg.one(), half, alg.basis(2)]),
+    monkeypatch.setattr(StructureConstants, "_canonical", classmethod(recorded))
+    for images, want in (
+        (found.images, (True, None, True, None)),
+        ([alg.one(), half, alg.basis(2)],
          (False, "double application moves basis element 1", False, None)),
     ):
+        fresh = StructureConstants(QQ, alg._values)  # no model kept yet
         built.clear()
-        assert check_involution(inv) == want and built == [QQ]
+        assert check_involution(Involution(fresh, images)) == want and built == [ZZ]
 
 
 def _leaves(values):

@@ -389,7 +389,7 @@ def _old_parse_value(spec, text):
 def _decode_edge_strings():
     big, over = "7" * 4300, "7" * 4301
     texts = [
-        "0", "-0", "+0", "+5", "-5", "007", "-007", " 12 ", "\t-3\n", "\u00a09\u2003",
+        "0", "1", "-1", " -1 ", "-0", "+0", "+5", "-5", "007", "-007", " 12 ", "\t-3\n", "\u00a09\u2003",
         "2/7", "-2/6", "+4/-2", "4/+2", "0/5", "5/0", "-0/0", "/0", "/5", "1/", "0002/0004",
         "1.5", "-1.50", "+0.125", ".5", "1.", "-.5", "1.2.3", "1/2/3", "1/2.5", "1.5/2",
         "1e3", "1E3", "1.5e2", "1_000", "1_0/3", "\u0663", "1\u0663", "\uff11", "", " ",
